@@ -25,7 +25,8 @@ from .synth import (CheckerTexture, DotTexture, NoiseTexture, SimConfig,
                     SimState, Trajectory, generate_events, inject_outliers,
                     render_plane, sample_texture)
 from .config import RunConfig, Scenario
-from .pipeline import PipelineResult, StageTimings, process_frame_pair, run_pipeline
+from .pipeline import (PairResult, PipelineResult, StageTimings, process_frame_pair,
+                       run_pipeline)
 from .evaluate import ChannelMetrics, EvalReport, evaluate
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,25 +27,29 @@ from . import event_io, state_io
 from .config import RunConfig, Scenario
 from .errors import ConfigError, EvaluationError, InputFormatError
 from .evaluate import evaluate
-from .events import accumulate, to_intensity
-from .flow import compute_flow
-from .pipeline import run_pipeline
+from .events import CameraModel, iter_frames
+from .pipeline import process_frame_pair, run_pipeline
 from .plots import dump_flow_csv, emit_plots, flow_quiver_svg, write_blur_budget
 from .synth import generate_events
-from .events import CameraModel
+from .vehicle import ImuSeries
 
 SEED_ENV = "EVFLOW_SEED"
 
 
+def _seed(configured: int) -> int:
+    """The seed from EVFLOW_SEED when it is set, else the configured one."""
+    seed_env = os.environ.get(SEED_ENV)
+    if seed_env is None:
+        return configured
+    try:
+        return int(seed_env)
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV} must be an integer, got {seed_env!r}") from exc
+
+
 def _load_run_config(path: str) -> RunConfig:
     cfg = RunConfig.from_file(path)
-    seed_env = os.environ.get(SEED_ENV)
-    if seed_env is not None:
-        try:
-            cfg = replace(cfg, seed=int(seed_env))
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got {seed_env!r}") from exc
-    return cfg
+    return replace(cfg, seed=_seed(cfg.seed))
 
 
 def _load_events(path: str, cfg: RunConfig) -> np.ndarray:
@@ -61,12 +66,17 @@ def _load_events(path: str, cfg: RunConfig) -> np.ndarray:
     return event_io.load_events_csv(p, cfg.camera.width, cfg.camera.height)
 
 
+def _load_estimate_inputs(args) -> tuple[RunConfig, np.ndarray, ImuSeries | None]:
+    """Run config, event stream and (for omega.source = imu) IMU series."""
+    cfg = _load_run_config(args.config)
+    events = _load_events(args.events or cfg.events_path, cfg)
+    imu = state_io.load_imu_csv(cfg.imu_path) if cfg.omega_source == "imu" else None
+    return cfg, events, imu
+
+
 def _cmd_simulate(args) -> int:
     scenario = Scenario.from_file(args.scenario)
-    sim = scenario.sim
-    seed_env = os.environ.get(SEED_ENV)
-    if seed_env is not None:
-        sim = replace(sim, seed=int(seed_env))
+    sim = replace(scenario.sim, seed=_seed(scenario.sim.seed))
     events, truth, _ = generate_events(sim, scenario.trajectory)
     out_events = Path(args.events)
     out_events.parent.mkdir(parents=True, exist_ok=True)
@@ -78,7 +88,6 @@ def _cmd_simulate(args) -> int:
         Path(args.ground_truth).parent.mkdir(parents=True, exist_ok=True)
         state_io.write_velocity_csv(args.ground_truth, truth)
     if args.imu:
-        from .vehicle import ImuSeries
         t = np.array([g.t_mid for g in truth])
         omega = np.array([g.omega for g in truth])
         Path(args.imu).parent.mkdir(parents=True, exist_ok=True)
@@ -89,11 +98,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cfg = _load_run_config(args.config)
-    events = _load_events(args.events or cfg.events_path, cfg)
-    imu = None
-    if cfg.omega_source == "imu":
-        imu = state_io.load_imu_csv(cfg.imu_path)
+    cfg, events, imu = _load_estimate_inputs(args)
     result = run_pipeline(events, cfg, imu=imu)
     out_dir = Path(args.out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -151,15 +156,15 @@ def _cmd_blur_budget(args) -> int:
 
 
 def _cmd_flow_debug(args) -> int:
-    cfg = _load_run_config(args.config)
-    events = _load_events(args.events or cfg.events_path, cfg)
-    frames = accumulate(events, cfg.accumulation)
+    cfg, events, imu = _load_estimate_inputs(args)
     k = args.pair_index
-    if not 1 <= k < len(frames):
-        raise ConfigError(f"pair index {k} out of range 1..{len(frames) - 1}")
-    prev_img = to_intensity(frames[k - 1], cfg.accumulation.count_cap, cfg.merge)
-    curr_img = to_intensity(frames[k], cfg.accumulation.count_cap, cfg.merge)
-    field = compute_flow(prev_img, curr_img, cfg.flow, cfg.window_s)
+    if k < 1:
+        raise ConfigError(f"pair index must be >= 1, got {k}")
+    # streaming: frames before k - 1 are accumulated and dropped one by one
+    pair = list(islice(iter_frames(events, cfg.accumulation), k - 1, k + 1))
+    if len(pair) < 2:
+        raise ConfigError(f"pair index {k} is past the last frame pair")
+    field = process_frame_pair(*pair, cfg, pair_index=k, imu=imu).flow
     out_dir = Path(args.out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"flow_{k:05d}.csv"

@@ -57,8 +57,7 @@ class _KV:
         return default
 
     def get_str(self, key: str, default=None) -> str:
-        v = self._raw(key, default)
-        return v if isinstance(v, str) else v
+        return self._raw(key, default)
 
     def get_int(self, key: str, default=None) -> int:
         v = self._raw(key, default)
@@ -159,12 +158,10 @@ class RunConfig:
     mapping: AxisMapping = AxisMapping()
     events_path: str = ""
     imu_path: str = ""
-    ground_truth_path: str = ""
     out_dir: str = "out"
     stride: int = 8
     merge: str = "sum"
     omega_source: str = "flow"
-    alignment_tolerance_s: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -180,12 +177,6 @@ class RunConfig:
     @property
     def window_s(self) -> float:
         return self.accumulation.window_us * 1e-6
-
-    @property
-    def tolerance_s(self) -> float:
-        if self.alignment_tolerance_s is not None:
-            return self.alignment_tolerance_s
-        return self.window_s / 2
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "RunConfig":
@@ -219,12 +210,10 @@ class RunConfig:
             extrinsics=_extrinsics_from(kv), mapping=mapping,
             events_path=kv.get_str("io.events", ""),
             imu_path=kv.get_str("io.imu", ""),
-            ground_truth_path=kv.get_str("io.ground_truth", ""),
             out_dir=kv.get_str("io.out_dir", "out"),
             stride=kv.get_int("flow.stride", 8),
             merge=kv.get_str("intensity.merge", "sum"),
             omega_source=kv.get_str("omega.source", "flow"),
-            alignment_tolerance_s=kv.get_float("eval.alignment_tolerance_s", None),
             seed=kv.get_int("seed", 0))
         kv.reject_unknown()
         return cfg
@@ -242,8 +231,6 @@ class RunConfig:
             lines.append(f"io.events = {self.events_path}")
         if self.imu_path:
             lines.append(f"io.imu = {self.imu_path}")
-        if self.ground_truth_path:
-            lines.append(f"io.ground_truth = {self.ground_truth_path}")
         lines.append(f"io.out_dir = {self.out_dir}")
         lines += _camera_lines(self.camera)
         lines += [
@@ -268,8 +255,6 @@ class RunConfig:
             f"mapping.omega_sign = {self.mapping.omega_sign}",
             f"omega.source = {self.omega_source}",
         ]
-        if self.alignment_tolerance_s is not None:
-            lines.append(f"eval.alignment_tolerance_s = {_fmt_value(self.alignment_tolerance_s)}")
         lines.append(f"seed = {self.seed}")
         return "\n".join(lines) + "\n"
 

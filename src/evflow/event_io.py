@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import EventBoundsError, InputFormatError
 from .events import EVENT_DTYPE, validate_events
 
 CSV_HEADER = "t_us,x,y,p"
@@ -41,15 +41,15 @@ def load_events_csv(path: str | Path, width: int | None = None,
             raise InputFormatError(f"unparsable event CSV row: {exc}") from exc
         if raw.shape[1] != 4:
             raise InputFormatError(f"event CSV rows need 4 fields, got {raw.shape[1]}")
-        if np.any(raw[:, :3] < 0):
-            raise InputFormatError("negative timestamp or pixel coordinate in event CSV")
     else:
         raw = np.empty((0, 4), dtype=np.int64)
     ev = np.empty(raw.shape[0], dtype=EVENT_DTYPE)
-    ev["t_us"] = raw[:, 0].astype(np.uint64)
-    ev["x"] = raw[:, 1].astype(np.uint16)
-    ev["y"] = raw[:, 2].astype(np.uint16)
-    ev["p"] = raw[:, 3].astype(np.int8)
+    for name, column in zip(EVENT_DTYPE.names, raw.T):
+        # range-check before the narrowing cast, which would wrap silently
+        info = np.iinfo(EVENT_DTYPE[name])
+        if column.size and (column.min() < info.min or column.max() > info.max):
+            raise EventBoundsError(f"event CSV {name} value outside the {info.dtype} range")
+        ev[name] = column
     validate_events(ev, width, height)
     return ev
 

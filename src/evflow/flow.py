@@ -21,14 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-try:
-    import numba
-    from numba import njit, prange
-    numba.config.THREADING_LAYER = "workqueue"
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a soft dependency
-    _HAVE_NUMBA = False
-
 RCOND_INVALID = 1e-6  # normal-matrix reciprocal condition number below this marks a pixel invalid
 _MIN_LEVEL_SIZE = 16
 
@@ -226,8 +218,16 @@ def _stack_expansion(e: PolyExpansion) -> np.ndarray:
     return np.stack([e.axx, e.ayy, 0.5 * e.axy, e.bx, e.by]).astype(np.float32)
 
 
-def _normal_equations_numpy(s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
-                            v: np.ndarray, border: np.ndarray, out: np.ndarray):
+def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
+                      v: np.ndarray, border: np.ndarray) -> np.ndarray:
+    """Build per-pixel 2x2 normal equations G d = h for the displacement.
+
+    The second expansion is sampled at the warped position p + (u, v) with
+    bilinear interpolation (coordinates clamped to the frame), the two A
+    matrices are averaged, and the current displacement is folded into the
+    right-hand side so the solve yields the full displacement, not an
+    increment.  Channels of the result: [G11, G12, G22, h1, h2].
+    """
     _, h, w = s0.shape
     xs = np.arange(w, dtype=np.float32)[None, :] + u
     ys = np.arange(h, dtype=np.float32)[:, None] + v
@@ -259,87 +259,12 @@ def _normal_equations_numpy(s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
     dbx = dbx * border
     dby = dby * border
 
+    out = np.empty_like(s0)
     out[0] = axx * axx + aoff * aoff
     out[1] = (axx + ayy) * aoff
     out[2] = ayy * ayy + aoff * aoff
     out[3] = axx * dbx + aoff * dby
     out[4] = aoff * dbx + ayy * dby
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _normal_equations_jit(s0, s1, u, v, border, out):  # pragma: no cover - exercised via wrapper
-        _, h, w = s0.shape
-        for y in prange(h):
-            for x in range(w):
-                xs = x + u[y, x]
-                if xs < 0.0:
-                    xs = 0.0
-                elif xs > w - 1.0:
-                    xs = np.float32(w - 1.0)
-                ys = y + v[y, x]
-                if ys < 0.0:
-                    ys = 0.0
-                elif ys > h - 1.0:
-                    ys = np.float32(h - 1.0)
-                x0 = min(int(xs), w - 2)
-                y0 = min(int(ys), h - 2)
-                fx = xs - x0
-                fy = ys - y0
-                w00 = (1.0 - fx) * (1.0 - fy)
-                w01 = fx * (1.0 - fy)
-                w10 = (1.0 - fx) * fy
-                w11 = fx * fy
-
-                sw = border[y, x]
-                axx = np.float32(0.5) * (s0[0, y, x]
-                                         + (w00 * s1[0, y0, x0] + w01 * s1[0, y0, x0 + 1]
-                                            + w10 * s1[0, y0 + 1, x0] + w11 * s1[0, y0 + 1, x0 + 1]))
-                ayy = np.float32(0.5) * (s0[1, y, x]
-                                         + (w00 * s1[1, y0, x0] + w01 * s1[1, y0, x0 + 1]
-                                            + w10 * s1[1, y0 + 1, x0] + w11 * s1[1, y0 + 1, x0 + 1]))
-                aoff = np.float32(0.5) * (s0[2, y, x]
-                                          + (w00 * s1[2, y0, x0] + w01 * s1[2, y0, x0 + 1]
-                                             + w10 * s1[2, y0 + 1, x0] + w11 * s1[2, y0 + 1, x0 + 1]))
-                dbx = np.float32(0.5) * (s0[3, y, x]
-                                         - (w00 * s1[3, y0, x0] + w01 * s1[3, y0, x0 + 1]
-                                            + w10 * s1[3, y0 + 1, x0] + w11 * s1[3, y0 + 1, x0 + 1]))
-                dby = np.float32(0.5) * (s0[4, y, x]
-                                         - (w00 * s1[4, y0, x0] + w01 * s1[4, y0, x0 + 1]
-                                            + w10 * s1[4, y0 + 1, x0] + w11 * s1[4, y0 + 1, x0 + 1]))
-                dbx = dbx + axx * u[y, x] + aoff * v[y, x]
-                dby = dby + aoff * u[y, x] + ayy * v[y, x]
-
-                axx *= sw
-                ayy *= sw
-                aoff *= sw
-                dbx *= sw
-                dby *= sw
-
-                out[0, y, x] = axx * axx + aoff * aoff
-                out[1, y, x] = (axx + ayy) * aoff
-                out[2, y, x] = ayy * ayy + aoff * aoff
-                out[3, y, x] = axx * dbx + aoff * dby
-                out[4, y, x] = aoff * dbx + ayy * dby
-
-
-def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
-                      v: np.ndarray, border: np.ndarray) -> np.ndarray:
-    """Build per-pixel 2x2 normal equations G d = h for the displacement.
-
-    The second expansion is sampled at the warped position p + (u, v) with
-    bilinear interpolation (coordinates clamped to the frame), the two A
-    matrices are averaged, and the current displacement is folded into the
-    right-hand side so the solve yields the full displacement, not an
-    increment.  Channels of the result: [G11, G12, G22, h1, h2].
-    """
-    out = np.empty_like(s0)
-    if _HAVE_NUMBA:
-        _normal_equations_jit(s0, s1, np.ascontiguousarray(u),
-                              np.ascontiguousarray(v), border, out)
-    else:
-        _normal_equations_numpy(s0, s1, u, v, border, out)
     return out
 
 

@@ -18,8 +18,9 @@ import numpy as np
 from .config import RunConfig
 from .errors import DegenerateConsensusError, InsufficientDataError
 from .events import EventFrame, iter_frames, to_intensity
-from .flow import compute_flow, subsample_flow
-from .rigid import EstimateQuality, estimate_rigid, ransac_estimate, to_camera_velocity
+from .flow import FlowField, compute_flow, subsample_flow
+from .rigid import (CameraVelocity, EstimateQuality, estimate_rigid, ransac_estimate,
+                    to_camera_velocity)
 from .vehicle import ImuSeries, VelocityEstimate, substitute_imu_yaw, transform_to_axle
 
 PAIR_STAGES = ("intensity", "flow", "subsample", "estimate", "transform")
@@ -54,6 +55,21 @@ class StageTimings:
         return stats["pair"]["mean"] - staged
 
 
+@dataclass(frozen=True)
+class PairResult:
+    """Outcome of one frame pair.
+
+    ``estimate`` is the output row and carries the reason code of an
+    invalid pair.  ``camera`` is the camera-frame velocity before the axle
+    transfer, or None when no rigid fit was reached.  ``flow`` is always
+    set, since dense flow runs before any stage can fail.
+    """
+
+    estimate: VelocityEstimate
+    camera: CameraVelocity | None
+    flow: FlowField
+
+
 @dataclass
 class PipelineResult:
     estimates: list[VelocityEstimate]
@@ -72,7 +88,7 @@ def _invalid(t_mid: float, reason: str, omega_source: str) -> VelocityEstimate:
 
 def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
                        pair_index: int, imu: ImuSeries | None = None,
-                       timings: StageTimings | None = None) -> VelocityEstimate:
+                       timings: StageTimings | None = None) -> PairResult:
     """Run every per-pair stage for one consecutive frame pair.
 
     ``pair_index`` seeds the RANSAC draw together with the run seed, so
@@ -95,27 +111,26 @@ def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
     t0 = time.perf_counter()
     p, q = subsample_flow(flow, cfg.stride)
     rec("subsample", time.perf_counter() - t0)
-    if p.shape[0] == 0:
-        rec("pair", time.perf_counter() - t_pair)
-        return _invalid(t_mid, "textureless", cfg.omega_source)
 
-    t0 = time.perf_counter()
-    center = np.array([cfg.camera.cx, cfg.camera.cy])
-    try:
-        if cfg.ransac.enabled:
-            motion, _ = ransac_estimate(p - center, q - center, cfg.ransac,
-                                        rng_seed=(cfg.seed, pair_index))
-        else:
-            motion = estimate_rigid(p - center, q - center)
-    except InsufficientDataError:
+    reason = "textureless"
+    if p.shape[0]:
+        t0 = time.perf_counter()
+        center = np.array([cfg.camera.cx, cfg.camera.cy])
+        try:
+            if cfg.ransac.enabled:
+                motion, _ = ransac_estimate(p - center, q - center, cfg.ransac,
+                                            rng_seed=(cfg.seed, pair_index))
+            else:
+                motion = estimate_rigid(p - center, q - center)
+            reason = ""
+        except InsufficientDataError:
+            reason = "insufficient_correspondences"
+        except DegenerateConsensusError:
+            reason = "degenerate_consensus"
         rec("estimate", time.perf_counter() - t0)
+    if reason:
         rec("pair", time.perf_counter() - t_pair)
-        return _invalid(t_mid, "insufficient_correspondences", cfg.omega_source)
-    except DegenerateConsensusError:
-        rec("estimate", time.perf_counter() - t0)
-        rec("pair", time.perf_counter() - t_pair)
-        return _invalid(t_mid, "degenerate_consensus", cfg.omega_source)
-    rec("estimate", time.perf_counter() - t0)
+        return PairResult(_invalid(t_mid, reason, cfg.omega_source), None, flow)
 
     t0 = time.perf_counter()
     cam_vel = to_camera_velocity(motion, cfg.camera, dt, t_mid=t_mid,
@@ -127,7 +142,7 @@ def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
         est = transform_to_axle(cam_vel, cfg.extrinsics)
     rec("transform", time.perf_counter() - t0)
     rec("pair", time.perf_counter() - t_pair)
-    return est
+    return PairResult(est, cam_vel, flow)
 
 
 def run_pipeline(events: np.ndarray, cfg: RunConfig,
@@ -162,7 +177,7 @@ def run_pipeline(events: np.ndarray, cfg: RunConfig,
             reasons["no_previous_frame"] = 1
         else:
             est = process_frame_pair(prev, frame, cfg, pair_index=frames_in - 1,
-                                     imu=imu, timings=timings)
+                                     imu=imu, timings=timings).estimate
             if not est.valid:
                 reasons[est.reason] = reasons.get(est.reason, 0) + 1
             estimates.append(est)

@@ -21,6 +21,13 @@ IMU_HEADER = "t_us,yaw_rate_rad_s"
 VELOCITY_HEADER = "t_s,v_lon,v_lat,omega,omega_source,n_inliers,inlier_fraction,valid"
 
 
+def _open_input(path: str | Path, kind: str):
+    try:
+        return open(path, "r")
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {kind} CSV {path}: {exc.strerror}") from exc
+
+
 def write_imu_csv(path: str | Path, imu: ImuSeries) -> None:
     with open(path, "w", newline="") as f:
         f.write(IMU_HEADER + "\n")
@@ -29,7 +36,7 @@ def write_imu_csv(path: str | Path, imu: ImuSeries) -> None:
 
 
 def load_imu_csv(path: str | Path) -> ImuSeries:
-    with open(path, "r") as f:
+    with _open_input(path, "IMU") as f:
         header = f.readline().strip()
         if header != IMU_HEADER:
             raise InputFormatError(f"bad IMU CSV header {header!r}; expected {IMU_HEADER!r}")
@@ -70,7 +77,7 @@ def write_velocity_csv(path: str | Path, estimates: list[VelocityEstimate]) -> N
 
 def load_velocity_csv(path: str | Path) -> list[VelocityEstimate]:
     out = []
-    with open(path, "r") as f:
+    with _open_input(path, "velocity") as f:
         header = f.readline().strip()
         if header != VELOCITY_HEADER:
             raise InputFormatError(

@@ -51,9 +51,7 @@ class VelocityEstimate:
 class ImuSeries:
     """Time-sorted yaw-rate samples with interpolating lookup.
 
-    The sample arrays are immutable snapshots; ``extended`` returns a new
-    series rather than mutating, so concurrent readers of an existing
-    series never observe partial updates.
+    The sample arrays are read-only, so a series never changes once built.
     """
 
     def __init__(self, t_us, yaw_rate):
@@ -78,10 +76,6 @@ class ImuSeries:
     @property
     def yaw_rate(self) -> np.ndarray:
         return self._w
-
-    def extended(self, t_us, yaw_rate) -> "ImuSeries":
-        return ImuSeries(np.concatenate([self._t, np.atleast_1d(t_us)]),
-                         np.concatenate([self._w, np.atleast_1d(yaw_rate)]))
 
     def yaw_at(self, t_s: float, staleness_s: float) -> float | None:
         """Yaw rate at ``t_s``: linear interpolation between the bracketing

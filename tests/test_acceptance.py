@@ -10,12 +10,11 @@ import pytest
 from evflow import state_io
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig
-from evflow.errors import EvflowError
 from evflow.evaluate import evaluate
-from evflow.events import (AccumulationConfig, CameraModel, accumulate,
+from evflow.events import (AccumulationConfig, CameraModel, accumulate, iter_frames,
                            make_events, relative_motion_blur, to_intensity)
 from evflow.flow import FlowParams, compute_flow, subsample_flow
-from evflow.pipeline import StageTimings, process_frame_pair, run_pipeline
+from evflow.pipeline import StageTimings, process_frame_pair
 from evflow.rigid import (CameraVelocity, RansacParams, RigidMotion2D,
                           estimate_rigid, ransac_estimate, reconstruct_flow,
                           to_camera_velocity)
@@ -26,30 +25,16 @@ from evflow.vehicle import (Extrinsics, ImuSeries, substitute_imu_yaw,
 
 
 def camera_level_estimates(events, cfg, span_us):
-    """Per-pair chain up to CameraVelocity (before the axle transfer)."""
-    frames = accumulate(events, cfg.accumulation, t_start_us=0, t_end_us=span_us)
-    center = np.array([cfg.camera.cx, cfg.camera.cy])
+    """Camera-frame velocities (before the axle transfer) of every pair with a rigid fit."""
     out = []
     prev = None
+    frames = iter_frames(events, cfg.accumulation, t_start_us=0, t_end_us=span_us)
     for i, frame in enumerate(frames):
-        img = to_intensity(frame, cfg.accumulation.count_cap, cfg.merge)
         if prev is not None:
-            field = compute_flow(prev, img, cfg.flow, cfg.window_s)
-            p, q = subsample_flow(field, cfg.stride)
-            if p.shape[0] >= 2:
-                try:
-                    if cfg.ransac.enabled:
-                        motion, _ = ransac_estimate(p - center, q - center, cfg.ransac,
-                                                    rng_seed=(cfg.seed, i))
-                    else:
-                        motion = estimate_rigid(p - center, q - center)
-                    out.append(to_camera_velocity(motion, cfg.camera, cfg.window_s,
-                                                  t_mid=frame.t_mid_s,
-                                                  mapping=cfg.mapping,
-                                                  n_total=p.shape[0]))
-                except EvflowError:
-                    pass
-        prev = img
+            cv = process_frame_pair(prev, frame, cfg, pair_index=i).camera
+            if cv is not None:
+                out.append(cv)
+        prev = frame
     return out
 
 
@@ -360,7 +345,7 @@ def test_c10_latency_ceiling(announce):
         order = np.argsort(ev["t_us"], kind="stable")
         frames.extend(accumulate(ev[order], cfg.accumulation, t_start_us=k * 33_000,
                                  t_end_us=(k + 1) * 33_000))
-    for _ in range(2):  # warm caches and the jitted kernel
+    for _ in range(2):  # warm caches
         process_frame_pair(frames[0], frames[1], cfg, pair_index=1)
 
     timings = StageTimings()

@@ -62,7 +62,6 @@ class TestRunConfig:
         assert cfg.stride == 6 and cfg.seed == 17
         assert cfg.extrinsics.ca_x == 0.25 and cfg.extrinsics.ca_y == 0.0
         assert cfg.mapping.image_x == "+x" and cfg.mapping.omega_sign == 1
-        assert cfg.tolerance_s == pytest.approx(0.0165)
 
     def test_round_trip_lossless(self):
         cfg = RunConfig.from_text(RUN_TEXT)

@@ -37,9 +37,10 @@ def test_csv_bad_header(tmp_path):
 
 def test_csv_bad_polarity(tmp_path):
     path = tmp_path / "events.csv"
-    path.write_text("t_us,x,y,p\n1,2,3,0\n")
-    with pytest.raises(EventBoundsError):
-        load_events_csv(path)
+    for p in (0, 257):  # 257 would wrap to 1 in the int8 field
+        path.write_text(f"t_us,x,y,p\n1,2,3,{p}\n")
+        with pytest.raises(EventBoundsError):
+            load_events_csv(path)
 
 
 def test_csv_non_monotone(tmp_path):
@@ -55,6 +56,10 @@ def test_csv_bounds_checked_on_load(tmp_path):
     with pytest.raises(EventBoundsError):
         load_events_csv(path, width=346, height=260)
     load_events_csv(path)  # without dimensions only stream-level checks apply
+    path.write_text("t_us,x,y,p\n1,65541,3,1\n")  # would wrap to x = 5 in the uint16 field
+    for dims in ({"width": 346, "height": 260}, {}):
+        with pytest.raises(EventBoundsError):
+            load_events_csv(path, **dims)
 
 
 def test_binary_round_trip(tmp_path, sample_events):

@@ -75,11 +75,6 @@ class TestImuSeries:
         with pytest.raises(InputFormatError):
             ImuSeries([10, 5], [0.0, 0.0])
 
-    def test_extended_is_a_new_series(self):
-        imu = ImuSeries([0], [1.0])
-        longer = imu.extended([100], [2.0])
-        assert len(imu) == 1 and len(longer) == 2
-
 
 class TestSubstituteImuYaw:
     def test_interpolated_yaw_replaces_flow(self):
