@@ -9,6 +9,7 @@ Both readers validate the stream invariants on load.
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from .events import EVENT_DTYPE, validate_events
 
 CSV_HEADER = "t_us,x,y,p"
 BINARY_MAGIC = b"EVT1"
+_HEADER_BYTES = 8  # magic plus u16 width and u16 height
 
 
 def write_events_csv(path: str | Path, events: np.ndarray) -> None:
@@ -63,14 +65,24 @@ def write_events_binary(path: str | Path, events: np.ndarray,
 
 
 def load_events_binary(path: str | Path) -> tuple[np.ndarray, int, int]:
-    """Read an EVT1 file; returns (events, width, height)."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 8 or blob[:4] != BINARY_MAGIC:
+    """Read an EVT1 file; returns (events, width, height).
+
+    The records are memory-mapped read-only, not copied: the returned array
+    is a view of the file and cannot be written to.
+    """
+    with open(path, "rb") as f:
+        header = f.read(_HEADER_BYTES)
+        size = os.fstat(f.fileno()).st_size
+    if len(header) < _HEADER_BYTES or header[:4] != BINARY_MAGIC:
         raise InputFormatError("missing EVT1 magic in event binary")
-    width, height = (int(v) for v in np.frombuffer(blob[4:8], dtype="<u2"))
-    payload = blob[8:]
-    if len(payload) % EVENT_DTYPE.itemsize != 0:
+    width, height = (int(v) for v in np.frombuffer(header[4:], dtype="<u2"))
+    n, partial = divmod(size - _HEADER_BYTES, EVENT_DTYPE.itemsize)
+    if partial:
         raise InputFormatError("event binary payload is not a whole number of records")
-    ev = np.frombuffer(payload, dtype=EVENT_DTYPE).copy()
+    if n:
+        ev = np.asarray(np.memmap(path, dtype=EVENT_DTYPE, mode="r",
+                                  offset=_HEADER_BYTES, shape=(n,)))
+    else:  # a zero-length mapping is an error
+        ev = np.frombuffer(b"", dtype=EVENT_DTYPE)
     validate_events(ev, width, height)
     return ev, width, height

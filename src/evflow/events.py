@@ -9,6 +9,7 @@ in separate per-pixel count histograms.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ EVENT_DTYPE = np.dtype([
     ("y", "<u2"),
     ("p", "<i1"),
 ])
+_U64_END = 2 ** 64  # one past the largest uint64 timestamp
 
 
 def make_events(t_us, x, y, p) -> np.ndarray:
@@ -46,14 +48,17 @@ def validate_events(events: np.ndarray, width: int | None = None,
         raise EventBoundsError(f"expected event dtype {EVENT_DTYPE}, got {events.dtype}")
     if events.size == 0:
         return
-    if np.any(np.diff(events["t_us"].astype(np.int64)) < 0):
-        i = int(np.argmax(np.diff(events["t_us"].astype(np.int64)) < 0))
-        raise EventOrderError(f"timestamps decrease at record {i + 1}")
-    if not np.all(np.isin(events["p"], (-1, 1))):
+    t = events["t_us"]
+    # compared in uint64, so a step past 2**63 is an increase, not a wrap
+    back = t[1:] < t[:-1]
+    if back.any():
+        raise EventOrderError(f"timestamps decrease at record {int(np.argmax(back)) + 1}")
+    # abs(-128) stays -128 in int8, so that value is rejected too
+    if np.any(np.abs(events["p"]) != 1):
         raise EventBoundsError("polarity values must be +1 or -1")
-    if width is not None and np.any(events["x"] >= width):
+    if width is not None and int(events["x"].max()) >= width:
         raise EventBoundsError(f"event x out of range for width {width}")
-    if height is not None and np.any(events["y"] >= height):
+    if height is not None and int(events["y"].max()) >= height:
         raise EventBoundsError(f"event y out of range for height {height}")
 
 
@@ -153,47 +158,56 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
                 t_end_us: int | None = None):
     """Lazily bin a time-sorted event stream into consecutive fixed windows.
 
-    Windows are anchored at the first event's timestamp unless
-    ``t_start_us`` is given; ``t_end_us`` extends the covered span so that
-    trailing (or, for an empty stream, all) windows are emitted as all-zero
-    frames.  Every event lands in exactly one window; per-pixel counts clip
-    at ``cfg.count_cap``.  Yielding one frame at a time keeps consumers at
-    bounded memory regardless of stream length.
+    Windows are anchored at the first event's timestamp unless a
+    non-negative ``t_start_us`` is given; ``t_end_us`` extends the covered
+    span so that trailing (or, for an empty stream, all) windows are
+    emitted as all-zero frames.  Every event lands in exactly one window;
+    per-pixel counts clip at ``cfg.count_cap``.  Yielding one frame at a
+    time keeps consumers at bounded memory regardless of stream length.
     """
     validate_events(events, cfg.sensor_width, cfg.sensor_height)
+    if t_start_us is not None and t_start_us < 0:
+        raise ValueError(f"accumulation start time must be non-negative, got {t_start_us}")
     w = cfg.window_us
+    times = events["t_us"]
     if t_start_us is None:
         if events.size == 0:
             return
-        t_start_us = int(events["t_us"][0])
-    if events.size and int(events["t_us"][0]) < t_start_us:
+        t_start_us = int(times[0])
+    if events.size and int(times[0]) < t_start_us:
         raise EventOrderError("events precede the accumulation start time")
 
-    last = int(events["t_us"][-1]) if events.size else t_start_us
+    last = int(times[-1]) if events.size else t_start_us
     span_end = max(last + 1, t_end_us if t_end_us is not None else 0)
     n_frames = max(1, -(-(span_end - t_start_us) // w))
 
-    # events are time-sorted, so each window is a contiguous slice
-    times = events["t_us"].astype(np.int64)
-    shape = (cfg.sensor_height, cfg.sensor_width)
+    # Events are time-sorted, so each window is a contiguous slice.  A window
+    # holds the events at or before its end - 1, a bound that fits in uint64
+    # even when the end is 2**64 or beyond.  bisect compares in uint64 and
+    # reads the time column in place, where np.searchsorted would first copy
+    # the strided column of the whole stream.
+    height, width = cfg.sensor_height, cfg.sensor_width
+    lo = 0
     for k in range(n_frames):
-        lo, hi = np.searchsorted(times, [t_start_us + k * w, t_start_us + (k + 1) * w])
+        last_in = np.uint64(min(t_start_us + (k + 1) * w, _U64_END) - 1)
+        hi = bisect.bisect_right(times, last_in, lo)
         sel = events[lo:hi]
-        pos = np.zeros(shape, dtype=np.int32)
-        neg = np.zeros(shape, dtype=np.int32)
-        if sel.size:
-            on = sel["p"] > 0
-            np.add.at(pos, (sel["y"][on], sel["x"][on]), 1)
-            np.add.at(neg, (sel["y"][~on], sel["x"][~on]), 1)
-            np.clip(pos, 0, cfg.count_cap, out=pos)
-            np.clip(neg, 0, cfg.count_cap, out=neg)
+        # one histogram for both polarities: negative events count in the second half
+        idx = sel["y"].astype(np.intp)
+        idx *= width
+        idx += sel["x"]
+        idx += (sel["p"] < 0) * (height * width)
+        counts = np.bincount(idx, minlength=2 * height * width)
+        np.minimum(counts, cfg.count_cap, out=counts)
+        pos, neg = counts.astype(np.int32).reshape(2, height, width)
         yield EventFrame(
             t_start_us=t_start_us + k * w,
             t_end_us=t_start_us + (k + 1) * w,
             pos_counts=pos,
             neg_counts=neg,
-            event_total=int(sel.size),
+            event_total=hi - lo,
         )
+        lo = hi
 
 
 def accumulate(events: np.ndarray, cfg: AccumulationConfig,

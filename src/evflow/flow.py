@@ -7,7 +7,9 @@ satisfies ``A_avg d = db`` where ``A_avg`` averages the two expansions and
 ``db`` is half the difference of the linear coefficients; the solve is
 stabilized by Gaussian-averaging the normal equations over ``window_size``
 and iterated, warping the second expansion by the current displacement.
-A pyramid of downscaled images extends the capture range.
+A pyramid of downscaled images extends the capture range.  The expansions
+depend on a single frame, so ``flow_pyramid`` builds them once per frame
+and ``compute_flow`` refines the displacement between two pyramids.
 
 Conventions: pixel centers sit at integer coordinates, x is the column
 axis, y the row axis, and flow (u, v) maps a point p in the first frame to
@@ -197,9 +199,10 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def _smooth(channel: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _smooth(channel: np.ndarray, kernel: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     tmp = ndimage.correlate1d(channel, kernel, axis=0, mode="nearest")
-    return ndimage.correlate1d(tmp, kernel, axis=1, mode="nearest")
+    return ndimage.correlate1d(tmp, kernel, axis=1, mode="nearest", output=out)
 
 
 _BORDER_RAMP = 5
@@ -235,17 +238,23 @@ def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
     np.clip(ys, 0.0, h - 1.0, out=ys)
     x0 = np.minimum(xs.astype(np.intp), w - 2)
     y0 = np.minimum(ys.astype(np.intp), h - 2)
+    # float32 coordinates minus intp indices give float64 weights, so the
+    # warped expansion and the normal equations are float64 until they are
+    # stored into the float32 ``out``.  Flow outputs are pinned to this: a
+    # warp stored in float32 moves the flow by up to 3e-6 px.
     fx = (xs - x0).ravel()
     fy = (ys - y0).ravel()
-    idx = (y0 * w + x0).ravel()
-
-    flat1 = s1.reshape(5, -1)
+    i00 = (y0 * w + x0).ravel()
+    i01 = i00 + 1
+    i10 = i00 + w
+    i11 = i10 + 1
     w00 = (1 - fx) * (1 - fy)
     w01 = fx * (1 - fy)
     w10 = (1 - fx) * fy
     w11 = fx * fy
-    s1w = (flat1[:, idx] * w00 + flat1[:, idx + 1] * w01
-           + flat1[:, idx + w] * w10 + flat1[:, idx + w + 1] * w11).reshape(s0.shape)
+    s1w = [(ch.take(i00) * w00 + ch.take(i01) * w01
+            + ch.take(i10) * w10 + ch.take(i11) * w11).reshape(h, w)
+           for ch in s1.reshape(5, -1)]
 
     axx = 0.5 * (s0[0] + s1w[0])
     ayy = 0.5 * (s0[1] + s1w[1])
@@ -287,26 +296,25 @@ def _rcond(g11, g12, g22):
     return np.nan_to_num(rc, nan=0.0)
 
 
-def compute_flow(prev: np.ndarray, next_: np.ndarray, params: FlowParams,
-                 dt: float) -> FlowField:
-    """Dense displacement field from ``prev`` to ``next_``.
+@dataclass(frozen=True)
+class FlowPyramid:
+    """One frame's stacked expansions, one per pyramid level, coarsest first.
 
-    Deterministic: identical inputs and parameters give bit-identical
-    fields.  Textureless regions are reported through the validity mask
-    rather than an exception.
+    Each level is a (5, h, w) float32 array of the channels the refinement
+    reads.  The expansion depends on the frame alone, so a stream builds one
+    pyramid per frame and pairs each with its neighbours on both sides.
     """
-    a = np.asarray(prev, dtype=np.float64)
-    b = np.asarray(next_, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 2 or min(a.shape) < 2:
-        raise ValueError("flow needs 2-d frames at least 2 pixels on a side")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
 
-    a = a.astype(np.float32)
-    b = b.astype(np.float32)
-    h0, w0 = a.shape
+    params: FlowParams
+    levels: tuple[np.ndarray, ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The frame's shape, which the finest level keeps."""
+        return self.levels[-1].shape[1:]
+
+
+def _level_count(h0: int, w0: int, params: FlowParams) -> int:
     levels = 1
     scale = 1.0
     while levels < params.pyramid_levels:
@@ -314,26 +322,58 @@ def compute_flow(prev: np.ndarray, next_: np.ndarray, params: FlowParams,
         if min(h0, w0) * scale < _MIN_LEVEL_SIZE:
             break
         levels += 1
+    return levels
 
-    win_kernel = _gaussian_kernel(params.window_size,
-                                  0.3 * (params.window_size // 2)).astype(np.float32)
-    u = v = None
-    m = None
-    for k in range(levels - 1, -1, -1):
+
+def flow_pyramid(image: np.ndarray, params: FlowParams) -> FlowPyramid:
+    """Blur, resize and polynomially expand ``image`` at every pyramid level."""
+    a = np.asarray(image, dtype=np.float64)
+    if a.ndim != 2 or min(a.shape) < 2:
+        raise ValueError("flow needs 2-d frames at least 2 pixels on a side")
+    a = a.astype(np.float32)
+    h0, w0 = a.shape
+    levels = []
+    for k in range(_level_count(h0, w0, params) - 1, -1, -1):
         scale = params.pyramid_scale ** k
         lh = max(2, int(round(h0 * scale)))
         lw = max(2, int(round(w0 * scale)))
         if k > 0:
             sigma = (1.0 / scale - 1.0) * 0.5
             size = max(3, int(round(sigma * 5)) | 1)
-            blur = _gaussian_kernel(size, sigma).astype(np.float32)
-            ia = _smooth(a, blur)
-            ib = _smooth(b, blur)
+            img = _smooth(a, _gaussian_kernel(size, sigma).astype(np.float32))
         else:
-            ia, ib = a, b
-        ia = _resize_bilinear(ia, lh, lw)
-        ib = _resize_bilinear(ib, lh, lw)
+            img = a
+        img = _resize_bilinear(img, lh, lw)
+        levels.append(_stack_expansion(
+            polynomial_expansion(img, params.poly_n, params.poly_sigma)))
+    return FlowPyramid(params=params, levels=tuple(levels))
 
+
+def compute_flow(prev: np.ndarray | FlowPyramid, next_: np.ndarray | FlowPyramid,
+                 params: FlowParams, dt: float) -> FlowField:
+    """Dense displacement field from ``prev`` to ``next_``.
+
+    Each frame is an image or its ``flow_pyramid`` built with ``params``;
+    passing pyramids lets a stream expand every frame once.  Deterministic:
+    identical inputs and parameters give bit-identical fields.  Textureless
+    regions are reported through the validity mask rather than an
+    exception.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    a = prev if isinstance(prev, FlowPyramid) else flow_pyramid(prev, params)
+    b = next_ if isinstance(next_, FlowPyramid) else flow_pyramid(next_, params)
+    if a.shape != b.shape:
+        raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
+    if a.params != params or b.params != params:
+        raise ValueError("flow pyramid was built with other flow parameters")
+
+    win_kernel = _gaussian_kernel(params.window_size,
+                                  0.3 * (params.window_size // 2)).astype(np.float32)
+    u = v = None
+    m = None
+    for s0, s1 in zip(a.levels, b.levels):
+        _, lh, lw = s0.shape
         if u is None:
             u = np.zeros((lh, lw), dtype=np.float32)
             v = np.zeros((lh, lw), dtype=np.float32)
@@ -342,13 +382,11 @@ def compute_flow(prev: np.ndarray, next_: np.ndarray, params: FlowParams,
             u = _resize_bilinear(u, lh, lw) * np.float32(lw / pw)
             v = _resize_bilinear(v, lh, lw) * np.float32(lh / ph)
 
-        s0 = _stack_expansion(polynomial_expansion(ia, params.poly_n, params.poly_sigma))
-        s1 = _stack_expansion(polynomial_expansion(ib, params.poly_n, params.poly_sigma))
         border = _border_weights(lh, lw)
         for _ in range(params.iterations):
             m = _normal_equations(s0, s1, u, v, border)
-            m = ndimage.correlate1d(m, win_kernel, axis=1, mode="nearest")
-            m = ndimage.correlate1d(m, win_kernel, axis=2, mode="nearest")
+            for ch in m:
+                _smooth(ch, win_kernel, out=ch)
             u, v = _solve_flow(m)
 
     valid = _rcond(m[0], m[1], m[2]) >= RCOND_INVALID

@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import DegenerateConsensusError, InsufficientDataError
 from .events import EventFrame, iter_frames, to_intensity
-from .flow import FlowField, compute_flow, subsample_flow
+from .flow import FlowField, FlowPyramid, compute_flow, flow_pyramid, subsample_flow
 from .rigid import (CameraVelocity, EstimateQuality, estimate_rigid, ransac_estimate,
                     to_camera_velocity)
 from .vehicle import ImuSeries, VelocityEstimate, substitute_imu_yaw, transform_to_axle
@@ -62,12 +62,15 @@ class PairResult:
     ``estimate`` is the output row and carries the reason code of an
     invalid pair.  ``camera`` is the camera-frame velocity before the axle
     transfer, or None when no rigid fit was reached.  ``flow`` is always
-    set, since dense flow runs before any stage can fail.
+    set, since dense flow runs before any stage can fail.  ``pyramid`` is
+    the current frame's flow pyramid, which the next pair takes as its
+    ``prev_pyramid``.
     """
 
     estimate: VelocityEstimate
     camera: CameraVelocity | None
     flow: FlowField
+    pyramid: FlowPyramid
 
 
 @dataclass
@@ -88,11 +91,14 @@ def _invalid(t_mid: float, reason: str, omega_source: str) -> VelocityEstimate:
 
 def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
                        pair_index: int, imu: ImuSeries | None = None,
-                       timings: StageTimings | None = None) -> PairResult:
+                       timings: StageTimings | None = None,
+                       prev_pyramid: FlowPyramid | None = None) -> PairResult:
     """Run every per-pair stage for one consecutive frame pair.
 
     ``pair_index`` seeds the RANSAC draw together with the run seed, so
-    results do not depend on processing order.
+    results do not depend on processing order.  ``prev_pyramid`` is the
+    ``pyramid`` of the pair that ended at ``prev``; without it ``prev`` is
+    converted and expanded here, with the same result.
     """
     rec = timings.add if timings is not None else (lambda stage, s: None)
     t_pair = time.perf_counter()
@@ -100,12 +106,16 @@ def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
     t_mid = curr.t_mid_s
 
     t0 = time.perf_counter()
-    img_prev = to_intensity(prev, cfg.accumulation.count_cap, cfg.merge)
+    if prev_pyramid is None:
+        img_prev = to_intensity(prev, cfg.accumulation.count_cap, cfg.merge)
     img_curr = to_intensity(curr, cfg.accumulation.count_cap, cfg.merge)
     rec("intensity", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    flow = compute_flow(img_prev, img_curr, cfg.flow, dt)
+    if prev_pyramid is None:
+        prev_pyramid = flow_pyramid(img_prev, cfg.flow)
+    pyramid = flow_pyramid(img_curr, cfg.flow)
+    flow = compute_flow(prev_pyramid, pyramid, cfg.flow, dt)
     rec("flow", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -130,7 +140,7 @@ def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
         rec("estimate", time.perf_counter() - t0)
     if reason:
         rec("pair", time.perf_counter() - t_pair)
-        return PairResult(_invalid(t_mid, reason, cfg.omega_source), None, flow)
+        return PairResult(_invalid(t_mid, reason, cfg.omega_source), None, flow, pyramid)
 
     t0 = time.perf_counter()
     cam_vel = to_camera_velocity(motion, cfg.camera, dt, t_mid=t_mid,
@@ -142,7 +152,7 @@ def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
         est = transform_to_axle(cam_vel, cfg.extrinsics)
     rec("transform", time.perf_counter() - t0)
     rec("pair", time.perf_counter() - t_pair)
-    return PairResult(est, cam_vel, flow)
+    return PairResult(est, cam_vel, flow, pyramid)
 
 
 def run_pipeline(events: np.ndarray, cfg: RunConfig,
@@ -161,11 +171,13 @@ def run_pipeline(events: np.ndarray, cfg: RunConfig,
         raise InsufficientDataError("omega source is imu but no IMU stream was supplied")
     timings = StageTimings()
 
-    # streaming: only the previous and current frame stay resident
+    # streaming: only the previous and current frame, and the previous
+    # frame's flow pyramid, stay resident
     estimates: list[VelocityEstimate] = []
     reasons: dict[str, int] = {}
     frames_in = 0
     prev: EventFrame | None = None
+    pyramid: FlowPyramid | None = None
     t0 = time.perf_counter()
     for frame in iter_frames(events, cfg.accumulation, t_start_us=t_start_us,
                              t_end_us=t_end_us):
@@ -176,8 +188,9 @@ def run_pipeline(events: np.ndarray, cfg: RunConfig,
                                       cfg.omega_source))
             reasons["no_previous_frame"] = 1
         else:
-            est = process_frame_pair(prev, frame, cfg, pair_index=frames_in - 1,
-                                     imu=imu, timings=timings).estimate
+            pair = process_frame_pair(prev, frame, cfg, pair_index=frames_in - 1,
+                                      imu=imu, timings=timings, prev_pyramid=pyramid)
+            est, pyramid = pair.estimate, pair.pyramid
             if not est.valid:
                 reasons[est.reason] = reasons.get(est.reason, 0) + 1
             estimates.append(est)

@@ -4,7 +4,7 @@ import pytest
 from evflow.errors import EventBoundsError, EventOrderError, InputFormatError
 from evflow.event_io import (load_events_binary, load_events_csv,
                              write_events_binary, write_events_csv)
-from evflow.events import make_events
+from evflow.events import EVENT_DTYPE, AccumulationConfig, accumulate, make_events
 
 
 @pytest.fixture
@@ -70,9 +70,40 @@ def test_binary_round_trip(tmp_path, sample_events):
     assert np.array_equal(back, sample_events)
 
 
+def test_binary_header_only_is_empty(tmp_path):
+    path = tmp_path / "events.evt"
+    write_events_binary(path, make_events([], [], [], []), 346, 260)
+    back, width, height = load_events_binary(path)
+    assert (width, height) == (346, 260)
+    assert back.dtype == EVENT_DTYPE and back.size == 0
+
+
+def test_binary_loads_read_only_and_writes_back_identically(tmp_path, sample_events):
+    path = tmp_path / "events.evt"
+    write_events_binary(path, sample_events, 346, 260)
+    back, width, height = load_events_binary(path)
+    assert not back.flags.writeable
+    with pytest.raises(ValueError):
+        back["x"][0] = 1
+    frames = accumulate(back, AccumulationConfig(window_us=1000, sensor_width=width,
+                                                 sensor_height=height))
+    assert sum(f.event_total for f in frames) == sample_events.size
+    copy = tmp_path / "copy.evt"
+    write_events_binary(copy, back, width, height)
+    assert copy.read_bytes() == path.read_bytes()
+
+
 def test_binary_magic_rejected(tmp_path):
     path = tmp_path / "events.evt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
+    with pytest.raises(InputFormatError):
+        load_events_binary(path)
+
+
+@pytest.mark.parametrize("blob", [b"", b"EVT1\x5a\x01"])
+def test_binary_shorter_than_header_rejected(tmp_path, blob):
+    path = tmp_path / "events.evt"
+    path.write_bytes(blob)
     with pytest.raises(InputFormatError):
         load_events_binary(path)
 

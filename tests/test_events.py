@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from evflow.errors import EventBoundsError, EventOrderError
 from evflow.events import (AccumulationConfig, CameraModel, accumulate,
-                           make_events, max_exposure_for_blur,
-                           relative_motion_blur, to_intensity)
+                           iter_frames, make_events, max_exposure_for_blur,
+                           relative_motion_blur, to_intensity, validate_events)
 
 CAM_640 = CameraModel(width=640, height=480, height_z=0.6, fov_alpha=math.radians(60))
 
@@ -16,6 +16,27 @@ CAM_640 = CameraModel(width=640, height=480, height_z=0.6, fov_alpha=math.radian
 def cfg(window=100, w=16, h=12, cap=15):
     return AccumulationConfig(window_us=window, sensor_width=w, sensor_height=h,
                               count_cap=cap)
+
+
+def add_at_reference(events, c, t_start_us, t_end_us):
+    """Window-by-window ``np.add.at`` histograms clipped at the cap:
+    (t_start, t_end, pos, neg, total) per window."""
+    t = [int(v) for v in events["t_us"]]
+    span_end = max(max(t, default=t_start_us) + 1, t_end_us or 0)
+    out = []
+    start = t_start_us
+    while True:
+        end = start + c.window_us
+        sel = np.array([start <= v < end for v in t], dtype=bool)
+        grids = []
+        for on in (events["p"] > 0, events["p"] < 0):
+            grid = np.zeros((c.sensor_height, c.sensor_width), dtype=np.int32)
+            np.add.at(grid, (events["y"][sel & on], events["x"][sel & on]), 1)
+            grids.append(np.clip(grid, 0, c.count_cap))
+        out.append((start, end, *grids, int(sel.sum())))
+        if end >= span_end:
+            return out
+        start = end
 
 
 class TestAccumulate:
@@ -83,6 +104,54 @@ class TestAccumulate:
         ev = make_events([10, 5], [0, 0], [0, 0], [1, 1])
         with pytest.raises(EventOrderError):
             accumulate(ev, cfg())
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_add_at_reference(self, data, cap, window):
+        c = cfg(window=window, cap=cap)
+        # timestamps drawn from window edges as well as anywhere in the span;
+        # few pixels, so counts pass the cap
+        edge = st.integers(0, 4).map(lambda k: k * window)
+        rows = data.draw(st.lists(st.tuples(st.one_of(edge, st.integers(0, 1000)),
+                                            st.integers(0, 2), st.integers(0, 1),
+                                            st.sampled_from([-1, 1])), max_size=80))
+        rows.sort(key=lambda r: r[0])
+        ev = make_events(*(list(col) for col in zip(*rows))) if rows else make_events([], [], [], [])
+        first = rows[0][0] if rows else 0
+        t_start = data.draw(st.integers(0, first))
+        t_end = data.draw(st.one_of(st.none(), st.integers(0, 1500)))
+        frames = accumulate(ev, c, t_start_us=t_start, t_end_us=t_end)
+        want = add_at_reference(ev, c, t_start, t_end)
+        assert len(frames) == len(want)
+        for f, (start, end, pos, neg, total) in zip(frames, want):
+            assert (f.t_start_us, f.t_end_us, f.event_total) == (start, end, total)
+            assert np.array_equal(f.pos_counts, pos) and np.array_equal(f.neg_counts, neg)
+
+    def test_timestamps_past_2_63(self):
+        # an int64 cast of these times wraps negative and drops both events
+        ev = make_events([2 ** 63 - 10, 2 ** 63 + 5], [1, 2], [3, 3], [1, -1])
+        frames = accumulate(ev, cfg())
+        assert len(frames) == 1 and frames[0].event_total == 2
+        assert frames[0].pos_counts[3, 1] == 1 and frames[0].neg_counts[3, 2] == 1
+        # the last uint64 timestamp falls in a window that ends past 2**64
+        ev = make_events([2 ** 64 - 50, 2 ** 64 - 1], [0, 0], [0, 0], [1, 1])
+        frames = accumulate(ev, cfg())
+        assert len(frames) == 1 and frames[0].t_end_us == 2 ** 64 + 50
+        assert frames[0].event_total == 2 and frames[0].pos_counts[0, 0] == 2
+
+    def test_step_past_2_63_is_in_order(self):
+        ev = make_events([0, 2 ** 63 + 1], [0, 1], [0, 1], [1, 1])
+        validate_events(ev, 16, 12)  # an int64 difference would read this step as negative
+        # windows are produced lazily, so the long gap allocates nothing up front
+        frames = iter_frames(ev, cfg())
+        first = next(frames)
+        assert first.event_total == 1 and first.pos_counts[0, 0] == 1
+        assert next(frames).event_total == 0
+
+    def test_negative_start_rejected(self):
+        ev = make_events([10], [0], [0], [1])
+        with pytest.raises(ValueError):
+            accumulate(ev, cfg(), t_start_us=-100)
 
     @given(st.lists(st.tuples(st.integers(0, 999), st.integers(0, 15),
                               st.integers(0, 11), st.sampled_from([-1, 1])),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
-from evflow.flow import (FlowField, FlowParams, compute_flow,
+from evflow.flow import (FlowField, FlowParams, compute_flow, flow_pyramid,
                          polynomial_expansion, subsample_flow)
 
 PARAMS = FlowParams()
@@ -123,6 +123,16 @@ class TestComputeFlow:
         b = compute_flow(img, nxt, PARAMS, 0.01)
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
         assert np.array_equal(a.valid, b.valid)
+
+    def test_pyramids_give_the_image_result(self, noise_image):
+        img = noise_image()
+        nxt = np.roll(img, 2, axis=1)
+        a = compute_flow(img, nxt, PARAMS, 0.01)
+        b = compute_flow(flow_pyramid(img, PARAMS), flow_pyramid(nxt, PARAMS), PARAMS, 0.01)
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+        assert np.array_equal(a.valid, b.valid)
+        with pytest.raises(ValueError):
+            compute_flow(flow_pyramid(img, FlowParams(poly_n=3)), nxt, PARAMS, 0.01)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from evflow import state_io
+from evflow import flow, pipeline, state_io
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig, Scenario
 from evflow.errors import EvaluationError
@@ -82,6 +82,30 @@ class TestRunPipeline:
         a = run_pipeline(events, cfg).estimates
         b = run_pipeline(events, cfg).estimates
         assert a == b
+
+    def test_each_frame_converted_and_expanded_once(self, monkeypatch):
+        cfg, events, _ = small_scenario()
+        frames = accumulate(events, cfg.accumulation)
+        cold = [process_frame_pair(prev, curr, cfg, pair_index=i + 1).estimate
+                for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
+        blank = np.zeros((cfg.camera.height, cfg.camera.width))
+        n_levels = len(flow.flow_pyramid(blank, cfg.flow).levels)
+        calls = {"expand": 0, "intensity": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(flow, "polynomial_expansion",
+                            counted("expand", flow.polynomial_expansion))
+        monkeypatch.setattr(pipeline, "to_intensity",
+                            counted("intensity", pipeline.to_intensity))
+        result = run_pipeline(events, cfg)
+        assert result.frames_in == len(frames) == 5
+        assert calls == {"expand": len(frames) * n_levels, "intensity": len(frames)}
+        assert result.estimates[1:] == cold
 
     def test_latency_accounting_sums(self):
         cfg, events, _ = small_scenario(duration=0.132)
@@ -294,6 +318,9 @@ trajectory.omega = 0.3, 0.3
         bad = tmp_path / "bad.csv"
         bad.write_text("t_us,x,y,p\n10,0,0,1\n5,0,0,1\n")
         assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(bad)]) == 3
+        short = tmp_path / "short.evt"
+        short.write_bytes(b"EVT1")
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(short)]) == 3
 
     def test_missing_input_exit_3(self, workspace):
         tmp_path, _, _ = workspace
