@@ -20,13 +20,16 @@ from .events import EVENT_DTYPE, validate_events
 CSV_HEADER = "t_us,x,y,p"
 BINARY_MAGIC = b"EVT1"
 _HEADER_BYTES = 8  # magic plus u16 width and u16 height
+_CSV_CHUNK = 1 << 16  # rows formatted per write, which bounds the text held at once
 
 
 def write_events_csv(path: str | Path, events: np.ndarray) -> None:
     with open(path, "w", newline="") as f:
         f.write(CSV_HEADER + "\n")
-        for t, x, y, p in zip(events["t_us"], events["x"], events["y"], events["p"]):
-            f.write(f"{int(t)},{int(x)},{int(y)},{int(p)}\n")
+        for start in range(0, events.size, _CSV_CHUNK):
+            part = events[start:start + _CSV_CHUNK]
+            columns = (part[name].tolist() for name in ("t_us", "x", "y", "p"))
+            f.write("\n".join(map("{},{},{},{}".format, *columns)) + "\n")
 
 
 def load_events_csv(path: str | Path, width: int | None = None,
@@ -61,7 +64,7 @@ def write_events_binary(path: str | Path, events: np.ndarray,
     header = BINARY_MAGIC + np.array([width, height], dtype="<u2").tobytes()
     with open(path, "wb") as f:
         f.write(header)
-        f.write(events.astype(EVENT_DTYPE, copy=False).tobytes())
+        f.write(np.ascontiguousarray(events, dtype=EVENT_DTYPE).data)
 
 
 def load_events_binary(path: str | Path) -> tuple[np.ndarray, int, int]:

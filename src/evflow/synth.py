@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,22 @@ def _hash_unit(ix: np.ndarray, iy: np.ndarray, salt: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class GridCoord:
+    """A plane coordinate over a pixel grid, written as a per-column term
+    plus a per-row term: the value at row i, column j is ``row[i] + col[j]``.
+
+    A pixel raster under a similarity has this form, and band-limited noise
+    evaluates it without forming the grid.
+    """
+
+    col: np.ndarray
+    row: np.ndarray
+
+    def full(self) -> np.ndarray:
+        return self.row[:, None] + self.col[None, :]
+
+
+@dataclass(frozen=True)
 class NoiseTexture:
     """Band-limited noise: a seeded sum of random plane waves.
 
@@ -63,28 +80,40 @@ class NoiseTexture:
     amplitude: float = 0.6
     n_waves: int = 32
 
-    def _waves(self):
+    @cached_property
+    def _waves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         rng = np.random.default_rng(self.seed)
         mag = 2 * math.pi * rng.uniform(0.2 * self.cutoff, self.cutoff, self.n_waves)
         ang = rng.uniform(0.0, 2 * math.pi, self.n_waves)
         phase = rng.uniform(0.0, 2 * math.pi, self.n_waves)
-        return mag * np.cos(ang), mag * np.sin(ang), phase
-
-    def values(self, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-        kx, ky, phase = self._waves()
         amp = self.amplitude * math.sqrt(2.0 / self.n_waves)
-        # single-precision phases: the error (~1e-4 log units) sits far
-        # below any usable contrast threshold, and the evaluation is 3x
-        # faster, which dominates simulator runtime
-        pts = np.stack([np.asarray(tx, dtype=np.float32).ravel(),
-                        np.asarray(ty, dtype=np.float32).ravel()], axis=1)
-        phases = pts @ np.stack([kx, ky]).astype(np.float32) + phase.astype(np.float32)
-        cosines = np.cos(phases, out=phases)
-        summed = cosines @ np.full(self.n_waves, amp, dtype=np.float32)
-        return summed.astype(np.float64).reshape(np.shape(tx))
+        return mag * np.cos(ang), mag * np.sin(ang), phase, amp
+
+    def values(self, tx, ty) -> np.ndarray:
+        """Texture at points (arrays of one shape) or on a grid (both
+        ``GridCoord``), in float64.
+
+        A wave's phase is a column term plus a row term (a point is a column
+        with a zero row term), so the sum of cosines is the real part of one
+        rank-``n_waves`` contraction of per-column factors
+        exp(i(kx x_col + ky y_col)) with per-row factors
+        amp exp(i(kx x_row + ky y_row + phase)).  On a grid it runs as one
+        matrix product.
+        """
+        kx, ky, phase, amp = self._waves
+        if isinstance(tx, GridCoord):
+            x_col, y_col = tx.col, ty.col
+            x_row, y_row = tx.row[:, None], ty.row[:, None]
+        else:
+            x_col = np.asarray(tx, dtype=np.float64)
+            y_col = np.asarray(ty, dtype=np.float64)
+            x_row = y_row = np.zeros(())
+        col = np.exp(1j * (x_col[..., None] * kx + y_col[..., None] * ky))
+        row = amp * np.exp(1j * (x_row[..., None] * kx + y_row[..., None] * ky + phase))
+        return np.einsum("...k,...k->...", col, row, optimize=True).real.copy()
 
     def lattice(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        return self.values(np.asarray(ix, dtype=np.float64), np.asarray(iy, dtype=np.float64))
+        return self.values(ix, iy)
 
 
 @dataclass(frozen=True)
@@ -132,17 +161,42 @@ class DotTexture:
         cxb = np.floor((x + r) / s).astype(np.int64)
         cya = np.floor((y - r) / s).astype(np.int64)
         cyb = np.floor((y + r) / s).astype(np.int64)
-        value = np.zeros(x.shape, dtype=np.float64)
-        for nx in (cxa, cxb):
-            for ny in (cya, cyb):
-                jx = 0.25 + 0.5 * _hash_unit(nx, ny, self.seed * 2 + 1)
-                jy = 0.25 + 0.5 * _hash_unit(nx, ny, self.seed * 2 + 2)
-                dist = np.hypot(x - (nx + jx) * s, y - (ny + jy) * s)
-                np.maximum(value, 1.0 - dist / r, out=value)
+        # the four cells around each point; each cell's dot center is hashed once
+        nx = np.stack([cxa, cxb, cxa, cxb])
+        ny = np.stack([cya, cya, cyb, cyb])
+        salt_x, salt_y = self.seed * 2 + 1, self.seed * 2 + 2
+        dot_x = _box_gather(lambda cx, cy: (cx + (0.25 + 0.5 * _hash_unit(cx, cy, salt_x))) * s,
+                            nx, ny)
+        dot_y = _box_gather(lambda cx, cy: (cy + (0.25 + 0.5 * _hash_unit(cx, cy, salt_y))) * s,
+                            nx, ny)
+        value = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.float64)
+        for cx, cy in zip(dot_x, dot_y):
+            np.maximum(value, 1.0 - np.hypot(x - cx, y - cy) / r, out=value)
         return self.amplitude * np.maximum(value, 0.0)
 
     def values(self, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
         return _bilinear_lattice(self, tx, ty)
+
+
+def _box_gather(fn, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """``fn(ix, iy)`` for a function ``fn`` applied elementwise to integer
+    points given as arrays that broadcast together.
+
+    ``fn`` runs once on the integer box the points span, given as a row of
+    x values and a column of y values, and its values are gathered per
+    point, so a point repeated (or shared with a neighbour's corner) costs
+    one evaluation.  When the box holds more cells than there are points,
+    as for scattered points, ``fn`` runs on the points instead.
+    """
+    n_points = np.broadcast(ix, iy).size
+    if n_points == 0:
+        return fn(ix, iy)
+    x_lo, y_lo = int(ix.min()), int(iy.min())
+    nx, ny = int(ix.max()) - x_lo + 1, int(iy.max()) - y_lo + 1
+    if nx * ny > n_points:
+        return fn(ix, iy)
+    box = fn(np.arange(x_lo, x_lo + nx)[None, :], np.arange(y_lo, y_lo + ny)[:, None])
+    return box.ravel().take((iy - y_lo) * nx + (ix - x_lo))
 
 
 def _bilinear_lattice(texture, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
@@ -150,20 +204,23 @@ def _bilinear_lattice(texture, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     y0 = np.floor(ty).astype(np.int64)
     fx = tx - x0
     fy = ty - y0
-    v00 = texture.lattice(x0, y0)
-    v01 = texture.lattice(x0 + 1, y0)
-    v10 = texture.lattice(x0, y0 + 1)
-    v11 = texture.lattice(x0 + 1, y0 + 1)
+    v00, v01, v10, v11 = _box_gather(texture.lattice, np.stack([x0, x0 + 1, x0, x0 + 1]),
+                                     np.stack([y0, y0, y0 + 1, y0 + 1]))
     return (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
             + v10 * (1 - fx) * fy + v11 * fx * fy)
 
 
-def sample_texture(texture, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+def sample_texture(texture, tx, ty) -> np.ndarray:
     """Texture value at arbitrary plane coordinates (pixel units).
 
-    Discontinuous textures are realized on the integer lattice and sampled
-    bilinearly; band-limited noise is evaluated analytically.
+    ``tx`` and ``ty`` are arrays of one shape, or both ``GridCoord`` for a
+    pixel grid.  Discontinuous textures are realized on the integer lattice
+    and sampled bilinearly; band-limited noise is evaluated analytically.
     """
+    if isinstance(texture, NoiseTexture):
+        return texture.values(tx, ty)
+    if isinstance(tx, GridCoord):
+        tx, ty = tx.full(), ty.full()
     return texture.values(np.asarray(tx, dtype=np.float64), np.asarray(ty, dtype=np.float64))
 
 
@@ -231,14 +288,11 @@ class SimConfig:
 def _render(texture, psi: float, c_px: np.ndarray, cam: CameraModel) -> np.ndarray:
     """Log intensity under the texture-to-image similarity (rotation psi
     about the principal point, translation c_px pixels)."""
-    xs = np.arange(cam.width, dtype=np.float64) - cam.cx
-    ys = np.arange(cam.height, dtype=np.float64) - cam.cy
-    u = np.broadcast_to(xs[None, :], (cam.height, cam.width)) - c_px[0]
-    v = np.broadcast_to(ys[:, None], (cam.height, cam.width)) - c_px[1]
+    u = np.arange(cam.width, dtype=np.float64) - cam.cx - c_px[0]
+    v = np.arange(cam.height, dtype=np.float64) - cam.cy - c_px[1]
     c, s = math.cos(psi), math.sin(psi)
-    tx = c * u + s * v
-    ty = -s * u + c * v
-    return sample_texture(texture, tx, ty)
+    # tx = c u + s v and ty = -s u + c v: a column term plus a row term each
+    return sample_texture(texture, GridCoord(c * u, s * v), GridCoord(-s * u, c * v))
 
 
 def render_plane(texture, pose: tuple[float, float, float], cam: CameraModel) -> np.ndarray:
@@ -294,6 +348,18 @@ def _axle_truth(traj: Trajectory, ext: Extrinsics, t: np.ndarray) -> list[Veloci
             for ti, vl, vt, om in zip(t, v_lon, v_lat, omega)]
 
 
+def _time_order(t_us: np.ndarray) -> np.ndarray:
+    """``np.argsort(t_us, kind="stable")`` for one substep's timestamps.
+
+    Offsets inside a substep shorter than 65.536 ms fit 16 bits, and numpy
+    sorts 16-bit keys stably by radix.
+    """
+    t_lo = t_us.min()
+    span = t_us.max() - t_lo
+    return np.argsort((t_us - t_lo).astype(np.uint16 if span < 1 << 16 else np.int64),
+                      kind="stable")
+
+
 def generate_events(cfg: SimConfig, traj: Trajectory,
                     initial_state: SimState | None = None
                     ) -> tuple[np.ndarray, list[VelocityEstimate], SimState]:
@@ -330,9 +396,7 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
     # half-threshold traversal, every further one a full threshold.
     band_prev = np.floor((level_prev - anchor) / cfg.contrast + 0.5).astype(np.int64)
 
-    ys_grid, xs_grid = np.mgrid[0:cam.height, 0:cam.width]
-    xs_grid = xs_grid.astype(np.uint16)
-    ys_grid = ys_grid.astype(np.uint16)
+    t_last_us = round(cfg.duration * 1e6) - 1
     chunks = []
     expected_noise = cfg.noise_rate * h * cam.width * cam.height
     for k in range(n_sub):
@@ -347,21 +411,29 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
         band_new = np.floor((level_new - anchor) / cfg.contrast + 0.5).astype(np.int64)
         diff = band_new - band_prev
 
+        # the pixels that cross a level, in raster order
+        idx = np.flatnonzero(diff)
+        n_cross = diff.ravel()[idx]
+        band0 = band_prev.ravel()[idx]
+        anchor_px = anchor.ravel()[idx]
+        level0 = level_prev.ravel()[idx]
+        rise = level_new.ravel()[idx] - level0
+        ys_px, xs_px = (a.astype(np.uint16) for a in np.divmod(idx, cam.width))
+        # emitted per level, then rising before falling, then in raster order:
+        # the stable time sort below keeps that order among equal timestamps
         ts, xs, ys, ps = [], [], [], []
-        max_up = int(diff.max(initial=0))
-        max_dn = int(-diff.min(initial=0))
-        for i in range(1, max(max_up, max_dn) + 1):
+        for i in range(1, int(np.abs(n_cross).max(initial=0)) + 1):
             for sign in (1, -1):
-                mask = diff >= i if sign > 0 else diff <= -i
-                if not mask.any():
+                sel = np.flatnonzero(n_cross >= i if sign > 0 else n_cross <= -i)
+                if not sel.size:
                     continue
-                level_idx = band_prev[mask] + (i if sign > 0 else 1 - i)
-                target = anchor[mask] + (level_idx - 0.5) * cfg.contrast
-                frac = (target - level_prev[mask]) / (level_new[mask] - level_prev[mask])
+                level_idx = band0[sel] + (i if sign > 0 else 1 - i)
+                target = anchor_px[sel] + (level_idx - 0.5) * cfg.contrast
+                frac = (target - level0[sel]) / rise[sel]
                 ts.append((t0 + np.clip(frac, 0.0, 1.0) * h) * 1e6)
-                xs.append(xs_grid[mask])
-                ys.append(ys_grid[mask])
-                ps.append(np.full(int(mask.sum()), sign, dtype=np.int8))
+                xs.append(xs_px[sel])
+                ys.append(ys_px[sel])
+                ps.append(np.full(sel.size, sign, dtype=np.int8))
         if cfg.noise_rate > 0:
             n_noise = int(rng.poisson(expected_noise))
             if n_noise:
@@ -372,8 +444,8 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
         if ts:
             t_us = np.floor(np.concatenate(ts) + 0.5).astype(np.int64)
             # keep boundary-rounded timestamps inside the simulated span
-            np.clip(t_us, 0, int(cfg.duration * 1e6) - 1, out=t_us)
-            order = np.argsort(t_us, kind="stable")
+            np.clip(t_us, 0, t_last_us, out=t_us)
+            order = _time_order(t_us)
             chunks.append(make_events(t_us[order].astype(np.uint64),
                                       np.concatenate(xs)[order],
                                       np.concatenate(ys)[order], np.concatenate(ps)[order]))

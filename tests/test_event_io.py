@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evflow import event_io
 from evflow.errors import EventBoundsError, EventOrderError, InputFormatError
 from evflow.event_io import (load_events_binary, load_events_csv,
                              write_events_binary, write_events_csv)
@@ -13,6 +14,36 @@ def sample_events():
     n = 500
     return make_events(np.sort(rng.integers(0, 10_000, n)), rng.integers(0, 346, n),
                        rng.integers(0, 260, n), rng.choice([-1, 1], n))
+
+
+def reference_write_csv(path, events):
+    """The CSV writer as a per-row Python loop: the byte oracle."""
+    with open(path, "w", newline="") as f:
+        f.write("t_us,x,y,p\n")
+        for t, x, y, p in zip(events["t_us"], events["x"], events["y"], events["p"]):
+            f.write(f"{int(t)},{int(x)},{int(y)},{int(p)}\n")
+
+
+def reference_write_binary(path, events, width, height):
+    """The EVT1 writer through a full ``tobytes`` copy: the byte oracle."""
+    with open(path, "wb") as f:
+        f.write(b"EVT1" + np.array([width, height], dtype="<u2").tobytes())
+        f.write(events.astype(EVENT_DTYPE, copy=False).tobytes())
+
+
+@pytest.mark.parametrize("pick", [lambda ev: ev[::3], lambda ev: ev[:0], lambda ev: ev[7:8],
+                                  lambda ev: ev], ids=["strided", "empty", "one", "all"])
+def test_writers_match_the_reference_bytes(tmp_path, monkeypatch, sample_events, pick):
+    # a row chunk shorter than the stream, so rows cross chunk boundaries
+    monkeypatch.setattr(event_io, "_CSV_CHUNK", 7)
+    events = pick(sample_events)
+    ours, ref = tmp_path / "ours", tmp_path / "ref"
+    write_events_csv(ours, events)
+    reference_write_csv(ref, events)
+    assert ours.read_bytes() == ref.read_bytes()
+    write_events_binary(ours, events, 346, 260)
+    reference_write_binary(ref, events, 346, 260)
+    assert ours.read_bytes() == ref.read_bytes()
 
 
 def test_csv_round_trip(tmp_path, sample_events):

@@ -3,13 +3,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evflow.events import CameraModel, validate_events
 from evflow.flow import FlowField
 from evflow.rigid import RansacParams, estimate_rigid, ransac_estimate, reconstruct_flow
 from evflow.synth import (CheckerTexture, DotTexture, NoiseTexture, SimConfig,
-                          Trajectory, generate_events, inject_outliers,
-                          render_plane, sample_texture)
+                          Trajectory, _bilinear_lattice, _time_order, generate_events,
+                          inject_outliers, render_plane, sample_texture)
 from evflow.vehicle import Extrinsics
 
 CAM = CameraModel(width=101, height=81, height_z=0.5, f_px=100.0)
@@ -36,6 +38,74 @@ class FourFoldTexture:
         return self.values(np.asarray(ix, float), np.asarray(iy, float))
 
 
+def plane_coords(pose, cam):
+    """Texture coordinates of every pixel under a plane pose (x, y, yaw)."""
+    x, y, yaw = pose
+    scale = cam.f_px / cam.height_z
+    u = (np.arange(cam.width, dtype=np.float64) - cam.cx)[None, :] - x * scale
+    v = (np.arange(cam.height, dtype=np.float64) - cam.cy)[:, None] - y * scale
+    c, s = math.cos(yaw), math.sin(yaw)
+    return c * u + s * v, -s * u + c * v
+
+
+def reference_noise(tex, tx, ty):
+    """The noise texture as a per-wave float64 sum of cosines."""
+    rng = np.random.default_rng(tex.seed)
+    mag = 2 * math.pi * rng.uniform(0.2 * tex.cutoff, tex.cutoff, tex.n_waves)
+    ang = rng.uniform(0.0, 2 * math.pi, tex.n_waves)
+    phase = rng.uniform(0.0, 2 * math.pi, tex.n_waves)
+    amp = tex.amplitude * math.sqrt(2.0 / tex.n_waves)
+    out = np.zeros(np.broadcast_shapes(np.shape(tx), np.shape(ty)))
+    for m, a, ph in zip(mag, ang, phase):
+        out += amp * np.cos(m * np.cos(a) * tx + m * np.sin(a) * ty + ph)
+    return out
+
+
+def _splitmix64(z):
+    z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _hash_unit(ix, iy, salt):
+    h = _splitmix64(ix.astype(np.int64).view(np.uint64)
+                    ^ _splitmix64(iy.astype(np.int64).view(np.uint64)
+                                  ^ np.uint64(salt & 0xFFFFFFFFFFFFFFFF)))
+    return h.astype(np.float64) / 2.0 ** 64
+
+
+def reference_dot_lattice(tex, ix, iy):
+    """The dot lattice hashing the four candidate cells at every point."""
+    s, r = tex.cell_px, tex.radius_px
+    x = np.asarray(ix, dtype=np.float64)
+    y = np.asarray(iy, dtype=np.float64)
+    cxa = np.floor((x - r) / s).astype(np.int64)
+    cxb = np.floor((x + r) / s).astype(np.int64)
+    cya = np.floor((y - r) / s).astype(np.int64)
+    cyb = np.floor((y + r) / s).astype(np.int64)
+    value = np.zeros(x.shape, dtype=np.float64)
+    for nx in (cxa, cxb):
+        for ny in (cya, cyb):
+            jx = 0.25 + 0.5 * _hash_unit(nx, ny, tex.seed * 2 + 1)
+            jy = 0.25 + 0.5 * _hash_unit(nx, ny, tex.seed * 2 + 2)
+            dist = np.hypot(x - (nx + jx) * s, y - (ny + jy) * s)
+            np.maximum(value, 1.0 - dist / r, out=value)
+    return tex.amplitude * np.maximum(value, 0.0)
+
+
+def reference_bilinear(lattice, tx, ty):
+    """Bilinear sampling that evaluates the lattice at each corner of each point."""
+    x0 = np.floor(tx).astype(np.int64)
+    y0 = np.floor(ty).astype(np.int64)
+    fx, fy = tx - x0, ty - y0
+    return (lattice(x0, y0) * (1 - fx) * (1 - fy) + lattice(x0 + 1, y0) * fx * (1 - fy)
+            + lattice(x0, y0 + 1) * (1 - fx) * fy + lattice(x0 + 1, y0 + 1) * fx * fy)
+
+
 class TestRenderPlane:
     def test_checker_identity_pose(self):
         img = render_plane(CheckerTexture(period_px=16.0), (0.0, 0.0, 0.0), CAM)
@@ -54,9 +124,8 @@ class TestRenderPlane:
         dx_m = 0.03  # 6 px at f/z = 200
         moved = render_plane(tex, (dx_m, 0.0, 0.0), CAM)
         shift = round(dx_m * CAM.f_px / CAM.height_z)
-        # tolerance covers single-precision evaluation noise, far below any
-        # usable contrast threshold
-        assert np.abs(moved[:, shift:] - base[:, :-shift]).max() < 1e-6
+        # the texture is float64; the tolerance covers its rounding
+        assert np.abs(moved[:, shift:] - base[:, :-shift]).max() < 1e-12
 
     def test_translation_shift_oracle_lattice_texture(self):
         tex = CheckerTexture(period_px=16.0)
@@ -100,6 +169,42 @@ class TestTextures:
         grid = tex.lattice(*np.meshgrid(np.arange(60), np.arange(60)))
         assert grid.max() > 0.5 * tex.amplitude
         assert (grid == 0).mean() > 0.3  # background between dots
+
+    @pytest.mark.parametrize("pose", [(0.0, 0.0, 0.0), (0.37, -0.81, 0.6),
+                                      (-2.5, 1.9, -2.2), (4.0, 3.0, math.pi / 4)])
+    def test_noise_matches_per_wave_cosines(self, pose):
+        tex = NoiseTexture(seed=17)
+        tx, ty = plane_coords(pose, CAM)
+        grid = render_plane(tex, pose, CAM)
+        assert np.abs(grid - reference_noise(tex, tx, ty)).max() < 1e-12
+        # the point path gives the grid path's values, and a scalar point a 0-d value
+        assert np.abs(sample_texture(tex, tx, ty) - grid).max() < 1e-12
+        point = sample_texture(tex, tx[5, 7], ty[5, 7])
+        assert np.shape(point) == () and abs(point - grid[5, 7]) < 1e-12
+
+    @given(x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0), yaw=st.floats(-4.0, 4.0),
+           seed=st.integers(0, 2 ** 31),
+           points=st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                                     st.integers(-10 ** 6, 10 ** 6)), min_size=1, max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_lattice_textures_match_per_point_evaluation(self, x, y, yaw, seed, points):
+        cam = CameraModel(width=41, height=33, height_z=0.5, f_px=100.0)
+        tx, ty = plane_coords((x, y, yaw), cam)
+        dots = DotTexture(density=0.01, radius_px=2.5, seed=seed)
+        checker = CheckerTexture(period_px=7.0)
+        ref_dots = lambda ix, iy: reference_dot_lattice(dots, ix, iy)
+        assert np.array_equal(render_plane(dots, (x, y, yaw), cam),
+                              reference_bilinear(ref_dots, tx, ty))
+        assert np.array_equal(_bilinear_lattice(dots, tx, ty), reference_bilinear(ref_dots, tx, ty))
+        assert np.array_equal(render_plane(checker, (x, y, yaw), cam),
+                              reference_bilinear(checker.lattice, tx, ty))
+        ix, iy = np.floor(tx).astype(np.int64), np.floor(ty).astype(np.int64)
+        assert np.array_equal(dots.lattice(ix, iy), reference_dot_lattice(dots, ix, iy))
+        # scattered points, whose box is far larger than their count
+        px, py = (np.array(c, dtype=np.int64) for c in zip(*points))
+        assert np.array_equal(dots.lattice(px, py), reference_dot_lattice(dots, px, py))
+        fx, fy = px + 0.25, py - 0.5
+        assert np.array_equal(sample_texture(dots, fx, fy), reference_bilinear(ref_dots, fx, fy))
 
     def test_textures_deterministic(self):
         a = NoiseTexture(seed=5).values(np.arange(10.0), np.arange(10.0))
@@ -191,6 +296,35 @@ class TestGenerateEvents:
         ev, _, _ = generate_events(sim(duration=0.02, noise_rate=2.0, seed=5),
                                    Trajectory.constant(0.02, v_lon=2.0))
         assert ev["t_us"].max() <= 19_999
+
+    def test_equal_timestamps_keep_emission_order(self):
+        # slow enough that no pixel crosses two levels in one substep, so
+        # inside a substep equal timestamps hold rising events first, then
+        # each polarity in raster order; substep boundaries (whole ms) can
+        # tie events of two substeps and are left out
+        ev, _, _ = generate_events(sim(DotTexture(seed=4), duration=0.02),
+                                   Trajectory.constant(0.02, v_lon=0.5, omega=2.0))
+        ev = ev[ev["t_us"] % 1000 != 0]
+        order = np.lexsort((ev["x"], ev["y"], -ev["p"].astype(np.int64), ev["t_us"]))
+        assert np.array_equal(order, np.arange(ev.size))
+        t_mixed = np.intersect1d(ev["t_us"][ev["p"] > 0], ev["t_us"][ev["p"] < 0])
+        assert t_mixed.size > 100  # ties between polarities do occur
+
+    def test_last_microsecond_kept(self):
+        d = 0.000249  # d * 1e6 is 248.99999999999997, which int() truncates to 248
+        cam = CameraModel(width=8, height=8, height_z=0.5, f_px=100.0)
+        ev, _, _ = generate_events(sim(cam=cam, duration=d, noise_rate=2e5, seed=1),
+                                   Trajectory.constant(d))
+        assert ev["t_us"].max() == round(d * 1e6) - 1 == 248
+
+    @given(base=st.integers(0, 2 ** 40), hi=st.sampled_from([0, 3, 65_535, 65_536, 300_000]),
+           offsets=st.lists(st.integers(0, 300_000), min_size=1, max_size=200))
+    @example(base=5, hi=300_000, offsets=[65_536, 0, 7, 65_536, 7])
+    @example(base=0, hi=65_535, offsets=[65_535, 0, 65_535, 1, 0])
+    @settings(max_examples=60, deadline=None)
+    def test_time_order_is_the_stable_argsort(self, base, hi, offsets):
+        t_us = base + np.minimum(offsets, hi).astype(np.int64)
+        assert np.array_equal(_time_order(t_us), np.argsort(t_us, kind="stable"))
 
 
 class TestInjectOutliers:

@@ -88,3 +88,49 @@ def test_traced_estimate_spans_cover_its_wall_time(tmp_path):
     top = sum(end - start for name, start, end, parent, _ in spans
               if parent == -1 and name in module.TOP_LEVEL)
     assert top >= COVERAGE * wall, f"top-level spans cover {top / wall:.1%} of the run"
+
+
+SCENARIO_TEXT = """
+camera.width = 160
+camera.height = 120
+camera.height_z = 0.5
+camera.f_px = 120.0
+texture.kind = noise
+texture.seed = 11
+accumulation.window_us = 33000
+sim.duration_s = 0.264
+sim.noise_rate = 0.05
+sim.seed = 3
+trajectory.t_s = 0.0, 0.264
+trajectory.v_lon = 1.0, 1.0
+trajectory.v_lat = 0.1, 0.1
+trajectory.omega = 0.3, 0.3
+"""
+
+
+def test_traced_simulate_spans_cover_its_wall_time(tmp_path):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO_TEXT)
+    n_sub = 64  # 0.264 s in steps of an eighth of the 33 ms window
+    argv = ["simulate", str(scenario), "--events", str(tmp_path / "events.evt")]
+    assert cli_main(argv) == 0  # first-call costs stay out of the traced run
+
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        code = cli_main(argv)
+        wall = time.perf_counter() - t0
+    finally:
+        assert tracer.restore()
+    assert code == 0
+
+    spans = tracer.spans
+    names = [s[0] for s in spans]
+    # one texture evaluation per rendered image: the initial one plus one per substep
+    assert names.count("synth.texture") == n_sub + 1
+    assert "synth.make_events" in names
+    top = sum(end - start for name, start, end, parent, _ in spans
+              if parent == -1 and name in ("synth.generate", "event_io.write"))
+    assert top >= COVERAGE * wall, f"top-level spans cover {top / wall:.1%} of the run"
