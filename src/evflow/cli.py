@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import event_io, state_io
-from .config import RunConfig, Scenario
+from .config import RunConfig, Scenario, parse_seed
 from .errors import ConfigError, EvaluationError, InputFormatError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
@@ -42,9 +42,10 @@ def _seed(configured: int) -> int:
     if seed_env is None:
         return configured
     try:
-        return int(seed_env)
+        return parse_seed(seed_env)
     except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV} must be an integer, got {seed_env!r}") from exc
+        raise ConfigError(f"{SEED_ENV} must be a non-negative integer, "
+                          f"got {seed_env!r}") from exc
 
 
 def _load_run_config(path: str) -> RunConfig:
@@ -52,24 +53,11 @@ def _load_run_config(path: str) -> RunConfig:
     return replace(cfg, seed=_seed(cfg.seed))
 
 
-def _load_events(path: str, cfg: RunConfig) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        raise InputFormatError(f"events file not found: {p}")
-    if p.suffix == ".evt":
-        events, width, height = event_io.load_events_binary(p)
-        if (width, height) != (cfg.camera.width, cfg.camera.height):
-            raise InputFormatError(
-                f"event file is {width}x{height} but the config camera is "
-                f"{cfg.camera.width}x{cfg.camera.height}")
-        return events
-    return event_io.load_events_csv(p, cfg.camera.width, cfg.camera.height)
-
-
 def _load_estimate_inputs(args) -> tuple[RunConfig, np.ndarray, ImuSeries | None]:
     """Run config, event stream and (for omega.source = imu) IMU series."""
     cfg = _load_run_config(args.config)
-    events = _load_events(args.events or cfg.events_path, cfg)
+    events = event_io.load_events(args.events or cfg.events_path,
+                                  cfg.camera.width, cfg.camera.height)
     imu = state_io.load_imu_csv(cfg.imu_path) if cfg.omega_source == "imu" else None
     return cfg, events, imu
 
@@ -80,10 +68,7 @@ def _cmd_simulate(args) -> int:
     events, truth, _ = generate_events(sim, scenario.trajectory)
     out_events = Path(args.events)
     out_events.parent.mkdir(parents=True, exist_ok=True)
-    if out_events.suffix == ".evt":
-        event_io.write_events_binary(out_events, events, sim.cam.width, sim.cam.height)
-    else:
-        event_io.write_events_csv(out_events, events)
+    event_io.write_events(out_events, events, sim.cam.width, sim.cam.height)
     if args.ground_truth:
         Path(args.ground_truth).parent.mkdir(parents=True, exist_ok=True)
         state_io.write_velocity_csv(args.ground_truth, truth)

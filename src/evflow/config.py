@@ -1,18 +1,18 @@
 """Flat ``section.key = value`` configuration files.
 
 One assignment per line, ``#`` starts a comment, keys carry their section
-as a dotted prefix.  The same format backs run configurations (estimation)
-and scenario configurations (simulation); both round-trip losslessly
-through their ``to_text`` serializers.
+as a dotted prefix.  Run configurations (estimation) round-trip through
+``RunConfig.to_text``; scenarios (simulation) are only read.  Each key is
+declared once, in a table mapping it to the dataclass field it sets and
+its value's parser; an absent key keeps the field's default.  Floats must
+be finite and seeds non-negative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError
 from .events import AccumulationConfig, CameraModel
@@ -40,114 +40,147 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-class _KV:
-    """Typed accessors over a parsed key/value map, tracking consumed keys."""
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("must be true or false")
+    return text.lower() == "true"
 
-    def __init__(self, data: dict[str, str], source: str):
-        self.data = data
-        self.source = source
-        self.used: set[str] = set()
 
-    def _raw(self, key: str, default):
-        if key in self.data:
-            self.used.add(key)
-            return self.data[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"{self.source}: missing required key {key!r}")
-        return default
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
 
-    def get_str(self, key: str, default=None) -> str:
-        return self._raw(key, default)
 
-    def get_int(self, key: str, default=None) -> int:
-        v = self._raw(key, default)
-        if isinstance(v, str):
-            try:
-                return int(v)
-            except ValueError as exc:
-                raise ConfigError(f"{self.source}: key {key!r}: {exc}") from exc
-        return v
+def _floats(text: str) -> list[float]:
+    return [_finite(part) for part in text.split(",")]
 
-    def get_float(self, key: str, default=None) -> float:
-        v = self._raw(key, default)
-        if isinstance(v, str):
-            try:
-                return float(v)
-            except ValueError as exc:
-                raise ConfigError(f"{self.source}: key {key!r}: {exc}") from exc
-        return v
 
-    def get_bool(self, key: str, default=None) -> bool:
-        v = self._raw(key, default)
-        if isinstance(v, str):
-            if v.lower() not in ("true", "false"):
-                raise ConfigError(f"{self.source}: key {key!r} must be true or false")
-            return v.lower() == "true"
-        return v
+def parse_seed(text: str) -> int:
+    """A random seed: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
+    return value
 
-    def get_floats(self, key: str, default=None) -> list[float]:
-        v = self._raw(key, default)
-        if isinstance(v, str):
-            try:
-                return [float(p) for p in v.split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"{self.source}: key {key!r}: {exc}") from exc
-        return v
 
-    def reject_unknown(self):
-        unknown = set(self.data) - self.used
-        if unknown:
-            raise ConfigError(f"{self.source}: unknown keys {sorted(unknown)}")
+# config key -> (dataclass field, parser of its value)
+CAMERA = {
+    "camera.width": ("width", int),
+    "camera.height": ("height", int),
+    "camera.height_z": ("height_z", _finite),
+    "camera.f_px": ("f_px", _finite),
+    "camera.cx": ("cx", _finite),
+    "camera.cy": ("cy", _finite),
+}
+_WINDOW_US = "accumulation.window_us"  # a scenario reads it for its default time step
+ACCUMULATION = {_WINDOW_US: ("window_us", int), "accumulation.count_cap": ("count_cap", int)}
+FLOW = {
+    "flow.pyramid_levels": ("pyramid_levels", int),
+    "flow.pyramid_scale": ("pyramid_scale", _finite),
+    "flow.window_size": ("window_size", int),
+    "flow.iterations": ("iterations", int),
+    "flow.poly_n": ("poly_n", int),
+    "flow.poly_sigma": ("poly_sigma", _finite),
+}
+RANSAC = {
+    "ransac.enabled": ("enabled", _bool),
+    "ransac.iterations": ("iterations", int),
+    "ransac.inlier_threshold_px": ("inlier_threshold", _finite),
+    "ransac.min_inlier_fraction": ("min_inlier_fraction", _finite),
+}
+EXTRINSICS = {"extrinsics.ca_x": ("ca_x", _finite), "extrinsics.ca_y": ("ca_y", _finite)}
+MAPPING = {
+    "mapping.image_x": ("image_x", str),
+    "mapping.image_y": ("image_y", str),
+    "mapping.omega_sign": ("omega_sign", int),
+}
+RUN = {
+    "io.events": ("events_path", str),
+    "io.imu": ("imu_path", str),
+    "io.out_dir": ("out_dir", str),
+    "flow.stride": ("stride", int),
+    "intensity.merge": ("merge", str),
+    "omega.source": ("omega_source", str),
+    "seed": ("seed", parse_seed),
+}
+# a texture kind accepts the rows whose field it has
+TEXTURE = {
+    "texture.seed": ("seed", parse_seed),
+    "texture.cutoff": ("cutoff", _finite),
+    "texture.amplitude": ("amplitude", _finite),
+    "texture.period_px": ("period_px", _finite),
+    "texture.density": ("density", _finite),
+    "texture.radius_px": ("radius_px", _finite),
+}
+TEXTURE_KINDS = {"noise": NoiseTexture, "checker": CheckerTexture, "dots": DotTexture}
+SIM = {
+    "sim.contrast": ("contrast", _finite),
+    "sim.noise_rate": ("noise_rate", _finite),
+    "sim.seed": ("seed", parse_seed),
+}
 
 
 _REQUIRED = object()
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+@dataclass
+class _KV:
+    """Parsed key/value map of one file; ``take`` removes the keys it reads."""
+
+    data: dict[str, str]
+    source: str
+
+    def take(self, key: str, parse, default=_REQUIRED):
+        if key not in self.data:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.source}: missing required key {key!r}")
+            return default
+        try:
+            return parse(self.data.pop(key))
+        except ValueError as exc:
+            raise ConfigError(f"{self.source}: key {key!r}: {exc}") from exc
+
+    def build(self, cls, table: dict, **given):
+        """``cls(**given)`` plus the table's fields; a field without a default needs its key."""
+        required = {f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING}
+        values = {name: self.take(key, parse) for key, (name, parse) in table.items()
+                  if key in self.data or name in required}
+        return cls(**given, **values)
+
+    def camera(self) -> CameraModel:
+        fov_deg = self.take("camera.fov_deg", _finite, None)
+        return self.build(CameraModel, CAMERA,
+                          fov_alpha=math.radians(fov_deg) if fov_deg is not None else None)
 
 
-def _camera_from(kv: _KV) -> CameraModel:
-    width = kv.get_int("camera.width", _REQUIRED)
-    height = kv.get_int("camera.height", _REQUIRED)
-    height_z = kv.get_float("camera.height_z", _REQUIRED)
-    f_px = kv.get_float("camera.f_px", None)
-    fov_deg = kv.get_float("camera.fov_deg", None)
-    cx = kv.get_float("camera.cx", None)
-    cy = kv.get_float("camera.cy", None)
-    try:
-        return CameraModel(width=width, height=height, height_z=height_z, f_px=f_px,
-                           fov_alpha=math.radians(fov_deg) if fov_deg is not None else None,
-                           cx=cx, cy=cy)
-    except ValueError as exc:
-        raise ConfigError(f"{kv.source}: camera: {exc}") from exc
+class _KeyFile:
+    """``from_text`` and ``from_file`` over a class's ``_from_kv``."""
 
+    @classmethod
+    def from_text(cls, text: str, source: str = "<config>"):
+        kv = _KV(parse_kv_text(text), source)
+        try:
+            parsed = cls._from_kv(kv)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
+        if kv.data:
+            raise ConfigError(f"{source}: unknown keys {sorted(kv.data)}")
+        return parsed
 
-def _camera_lines(cam: CameraModel) -> list[str]:
-    return [
-        f"camera.width = {cam.width}",
-        f"camera.height = {cam.height}",
-        f"camera.height_z = {_fmt_value(cam.height_z)}",
-        f"camera.f_px = {_fmt_value(cam.f_px)}",
-        f"camera.cx = {_fmt_value(cam.cx)}",
-        f"camera.cy = {_fmt_value(cam.cy)}",
-    ]
-
-
-def _extrinsics_from(kv: _KV) -> Extrinsics:
-    try:
-        return Extrinsics(ca_x=kv.get_float("extrinsics.ca_x", 0.0),
-                          ca_y=kv.get_float("extrinsics.ca_y", 0.0))
-    except ValueError as exc:
-        raise ConfigError(f"{kv.source}: extrinsics: {exc}") from exc
+    @classmethod
+    def from_file(cls, path: str | Path):
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        return cls.from_text(text, source=str(path))
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_KeyFile):
     """Everything the estimation pipeline needs for one run."""
 
     camera: CameraModel
@@ -179,140 +212,49 @@ class RunConfig:
         return self.accumulation.window_us * 1e-6
 
     @classmethod
-    def from_text(cls, text: str, source: str = "<config>") -> "RunConfig":
-        kv = _KV(parse_kv_text(text), source)
-        cam = _camera_from(kv)
-        try:
-            acc = AccumulationConfig(
-                window_us=kv.get_int("accumulation.window_us", _REQUIRED),
-                sensor_width=cam.width, sensor_height=cam.height,
-                count_cap=kv.get_int("accumulation.count_cap", 15))
-            flow = FlowParams(
-                pyramid_levels=kv.get_int("flow.pyramid_levels", 3),
-                pyramid_scale=kv.get_float("flow.pyramid_scale", 0.5),
-                window_size=kv.get_int("flow.window_size", 15),
-                iterations=kv.get_int("flow.iterations", 3),
-                poly_n=kv.get_int("flow.poly_n", 5),
-                poly_sigma=kv.get_float("flow.poly_sigma", 1.1))
-            ransac = RansacParams(
-                iterations=kv.get_int("ransac.iterations", 16),
-                inlier_threshold=kv.get_float("ransac.inlier_threshold_px", 0.5),
-                min_inlier_fraction=kv.get_float("ransac.min_inlier_fraction", 0.3),
-                enabled=kv.get_bool("ransac.enabled", True))
-            mapping = AxisMapping(
-                image_x=kv.get_str("mapping.image_x", "+x"),
-                image_y=kv.get_str("mapping.image_y", "+y"),
-                omega_sign=kv.get_int("mapping.omega_sign", 1))
-        except ValueError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
-        cfg = cls(
-            camera=cam, accumulation=acc, flow=flow, ransac=ransac,
-            extrinsics=_extrinsics_from(kv), mapping=mapping,
-            events_path=kv.get_str("io.events", ""),
-            imu_path=kv.get_str("io.imu", ""),
-            out_dir=kv.get_str("io.out_dir", "out"),
-            stride=kv.get_int("flow.stride", 8),
-            merge=kv.get_str("intensity.merge", "sum"),
-            omega_source=kv.get_str("omega.source", "flow"),
-            seed=kv.get_int("seed", 0))
-        kv.reject_unknown()
-        return cfg
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        return cls.from_text(p.read_text(), source=str(p))
+    def _from_kv(cls, kv: _KV) -> "RunConfig":
+        cam = kv.camera()
+        return kv.build(
+            cls, RUN, camera=cam,
+            accumulation=kv.build(AccumulationConfig, ACCUMULATION,
+                                  sensor_width=cam.width, sensor_height=cam.height),
+            flow=kv.build(FlowParams, FLOW), ransac=kv.build(RansacParams, RANSAC),
+            extrinsics=kv.build(Extrinsics, EXTRINSICS), mapping=kv.build(AxisMapping, MAPPING))
 
     def to_text(self) -> str:
-        lines = []
-        if self.events_path:
-            lines.append(f"io.events = {self.events_path}")
-        if self.imu_path:
-            lines.append(f"io.imu = {self.imu_path}")
-        lines.append(f"io.out_dir = {self.out_dir}")
-        lines += _camera_lines(self.camera)
-        lines += [
-            f"accumulation.window_us = {self.accumulation.window_us}",
-            f"accumulation.count_cap = {self.accumulation.count_cap}",
-            f"flow.pyramid_levels = {self.flow.pyramid_levels}",
-            f"flow.pyramid_scale = {_fmt_value(self.flow.pyramid_scale)}",
-            f"flow.window_size = {self.flow.window_size}",
-            f"flow.iterations = {self.flow.iterations}",
-            f"flow.poly_n = {self.flow.poly_n}",
-            f"flow.poly_sigma = {_fmt_value(self.flow.poly_sigma)}",
-            f"flow.stride = {self.stride}",
-            f"intensity.merge = {self.merge}",
-            f"ransac.enabled = {_fmt_value(self.ransac.enabled)}",
-            f"ransac.iterations = {self.ransac.iterations}",
-            f"ransac.inlier_threshold_px = {_fmt_value(self.ransac.inlier_threshold)}",
-            f"ransac.min_inlier_fraction = {_fmt_value(self.ransac.min_inlier_fraction)}",
-            f"extrinsics.ca_x = {_fmt_value(self.extrinsics.ca_x)}",
-            f"extrinsics.ca_y = {_fmt_value(self.extrinsics.ca_y)}",
-            f"mapping.image_x = {self.mapping.image_x}",
-            f"mapping.image_y = {self.mapping.image_y}",
-            f"mapping.omega_sign = {self.mapping.omega_sign}",
-            f"omega.source = {self.omega_source}",
-        ]
-        lines.append(f"seed = {self.seed}")
-        return "\n".join(lines) + "\n"
+        sections = ((self, RUN), (self.camera, CAMERA), (self.accumulation, ACCUMULATION),
+                    (self.flow, FLOW), (self.ransac, RANSAC), (self.extrinsics, EXTRINSICS),
+                    (self.mapping, MAPPING))
+        values = ((key, getattr(obj, name)) for obj, table in sections
+                  for key, (name, _) in table.items())
+        return "".join(f"{key} = {str(v).lower() if isinstance(v, bool) else v}\n"
+                       for key, v in values)
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_KeyFile):
     """A simulator run: texture, camera, trajectory and event-model knobs."""
 
     sim: SimConfig
     trajectory: Trajectory
 
     @classmethod
-    def from_text(cls, text: str, source: str = "<scenario>") -> "Scenario":
-        kv = _KV(parse_kv_text(text), source)
-        cam = _camera_from(kv)
-        kind = kv.get_str("texture.kind", _REQUIRED)
-        try:
-            if kind == "noise":
-                texture = NoiseTexture(seed=kv.get_int("texture.seed", 0),
-                                       cutoff=kv.get_float("texture.cutoff", 0.15),
-                                       amplitude=kv.get_float("texture.amplitude", 0.6))
-            elif kind == "checker":
-                texture = CheckerTexture(period_px=kv.get_float("texture.period_px", 16.0),
-                                         amplitude=kv.get_float("texture.amplitude", 1.0))
-            elif kind == "dots":
-                texture = DotTexture(density=kv.get_float("texture.density", 0.01),
-                                     radius_px=kv.get_float("texture.radius_px", 2.5),
-                                     amplitude=kv.get_float("texture.amplitude", 1.5),
-                                     seed=kv.get_int("texture.seed", 0))
-            else:
-                raise ConfigError(f"{source}: texture.kind must be noise, checker or dots")
-            duration = kv.get_float("sim.duration_s", _REQUIRED)
-            t = kv.get_floats("trajectory.t_s", _REQUIRED)
-            traj = Trajectory(np.array(t),
-                              np.array(kv.get_floats("trajectory.v_lon", [0.0] * len(t))),
-                              np.array(kv.get_floats("trajectory.v_lat", [0.0] * len(t))),
-                              np.array(kv.get_floats("trajectory.omega", [0.0] * len(t))))
-            sim = SimConfig(texture=texture, cam=cam, ext=_extrinsics_from(kv),
-                            contrast=kv.get_float("sim.contrast", 0.2),
-                            noise_rate=kv.get_float("sim.noise_rate", 0.1),
-                            duration=duration,
-                            time_step=kv.get_float("sim.time_step_s",
-                                                   _default_step(kv, duration)),
-                            seed=kv.get_int("sim.seed", 0))
-        except ValueError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
-        kv.reject_unknown()
-        return cls(sim=sim, trajectory=traj)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Scenario":
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"scenario file not found: {p}")
-        return cls.from_text(p.read_text(), source=str(p))
-
-
-def _default_step(kv: _KV, duration: float) -> float:
-    # an eighth of the accumulation window when declared, else 1 ms
-    window_us = kv.get_int("accumulation.window_us", 0)
-    return window_us * 1e-6 / 8 if window_us else min(1e-3, duration / 8)
+    def _from_kv(cls, kv: _KV) -> "Scenario":
+        kind = kv.take("texture.kind", str)
+        if kind not in TEXTURE_KINDS:
+            raise ConfigError(f"{kv.source}: texture.kind must be noise, checker or dots")
+        names = {f.name for f in fields(TEXTURE_KINDS[kind])}
+        texture = kv.build(TEXTURE_KINDS[kind],
+                           {key: row for key, row in TEXTURE.items() if row[0] in names})
+        duration = kv.take("sim.duration_s", _finite)
+        # an eighth of the accumulation window when declared, else 1 ms
+        window_us = kv.take(_WINDOW_US, int, 0)
+        default_step = window_us * 1e-6 / 8 if window_us else min(1e-3, duration / 8)
+        t = kv.take("trajectory.t_s", _floats)
+        trajectory = Trajectory(t, *(kv.take(key, _floats, [0.0] * len(t)) for key in (
+            "trajectory.v_lon", "trajectory.v_lat", "trajectory.omega")))
+        trajectory.check_covers(duration)
+        sim = kv.build(SimConfig, SIM, texture=texture, cam=kv.camera(),
+                       ext=kv.build(Extrinsics, EXTRINSICS), duration=duration,
+                       time_step=kv.take("sim.time_step_s", _finite, default_step))
+        return cls(sim=sim, trajectory=trajectory)

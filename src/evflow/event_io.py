@@ -3,7 +3,9 @@
 CSV: header ``t_us,x,y,p`` with one event per line, p in {1,-1}.
 Binary: ASCII magic ``EVT1`` followed by little-endian u16 width and u16
 height, then packed records of (u64 t_us, u16 x, u16 y, i8 p).
-Both readers validate the stream invariants on load.
+Both readers validate the stream invariants on load.  ``load_events`` and
+``write_events`` pick the format from the file suffix: ``.evt`` is EVT1,
+anything else CSV.
 """
 
 from __future__ import annotations
@@ -89,3 +91,28 @@ def load_events_binary(path: str | Path) -> tuple[np.ndarray, int, int]:
         ev = np.frombuffer(b"", dtype=EVENT_DTYPE)
     validate_events(ev, width, height)
     return ev, width, height
+
+
+def load_events(path: str | Path, width: int, height: int) -> np.ndarray:
+    """Read the event file at ``path`` for a width x height sensor.
+
+    An unreadable file and an EVT1 header of another size raise
+    InputFormatError.
+    """
+    try:
+        if Path(path).suffix != ".evt":
+            return load_events_csv(path, width, height)
+        events, file_width, file_height = load_events_binary(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read events file {path}: {exc}") from exc
+    if (file_width, file_height) != (width, height):
+        raise InputFormatError(f"event file is {file_width}x{file_height} but the "
+                               f"camera is {width}x{height}")
+    return events
+
+
+def write_events(path: str | Path, events: np.ndarray, width: int, height: int) -> None:
+    if Path(path).suffix == ".evt":
+        write_events_binary(path, events, width, height)
+    else:
+        write_events_csv(path, events)

@@ -125,6 +125,8 @@ class CameraModel:
     cy: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError("sensor dimensions must be positive")
         if self.height_z <= 0:
             raise ValueError("camera height above ground must be positive")
         if self.f_px is None and self.fov_alpha is None:

@@ -121,6 +121,10 @@ class CheckerTexture:
     period_px: float = 16.0
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if not self.period_px > 0:
+            raise ValueError("checker period must be positive")
+
     def lattice(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         par = np.floor(ix / self.period_px) + np.floor(iy / self.period_px)
         return self.amplitude * (np.asarray(par, dtype=np.int64) % 2).astype(np.float64)
@@ -145,6 +149,8 @@ class DotTexture:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.density > 0:
+            raise ValueError("dot density must be positive")
         if self.radius_px > 0.25 * self.cell_px:
             raise ValueError("dot radius must not exceed a quarter of the cell pitch")
 
@@ -251,6 +257,12 @@ class Trajectory:
                  omega: float = 0.0) -> "Trajectory":
         return cls(np.array([0.0, duration]), np.array([v_lon] * 2),
                    np.array([v_lat] * 2), np.array([omega] * 2))
+
+    def check_covers(self, duration: float) -> None:
+        """Raise ValueError unless the samples span [0, duration]."""
+        if self.t_s[0] > 0 or self.t_s[-1] < duration:
+            raise ValueError(
+                f"trajectory [{self.t_s[0]}, {self.t_s[-1]}] does not cover [0, {duration}]")
 
     def at(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = np.asarray(t, dtype=np.float64)
@@ -373,9 +385,7 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
     array, ground truth sampled at substep boundaries, and the final
     simulator state so runs can be chained.
     """
-    if traj.t_s[0] > 0 or traj.t_s[-1] < cfg.duration:
-        raise ValueError(
-            f"trajectory [{traj.t_s[0]}, {traj.t_s[-1]}] does not cover [0, {cfg.duration}]")
+    traj.check_covers(cfg.duration)
     cam = cfg.cam
     scale = cam.f_px / cam.height_z
     n_sub = max(1, math.ceil(cfg.duration / cfg.time_step))

@@ -1,5 +1,11 @@
-import pytest
+import dataclasses
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evflow import config
 from evflow.config import RunConfig, Scenario, parse_kv_text
 from evflow.errors import ConfigError
 from evflow.synth import CheckerTexture, DotTexture, NoiseTexture
@@ -126,3 +132,240 @@ class TestScenario:
         with pytest.raises(ConfigError):
             Scenario.from_text(SCENARIO_TEXT.replace(
                 "trajectory.v_lon = 1.0, 2.0, 1.0", "trajectory.v_lon = 1.0"))
+
+
+# The keys each parser accepted before the key tables, copied from its code.
+RUN_KEYS = {
+    "io.events", "io.imu", "io.out_dir",
+    "camera.width", "camera.height", "camera.height_z", "camera.f_px", "camera.fov_deg",
+    "camera.cx", "camera.cy",
+    "accumulation.window_us", "accumulation.count_cap",
+    "flow.pyramid_levels", "flow.pyramid_scale", "flow.window_size", "flow.iterations",
+    "flow.poly_n", "flow.poly_sigma", "flow.stride",
+    "intensity.merge",
+    "ransac.enabled", "ransac.iterations", "ransac.inlier_threshold_px",
+    "ransac.min_inlier_fraction",
+    "extrinsics.ca_x", "extrinsics.ca_y",
+    "mapping.image_x", "mapping.image_y", "mapping.omega_sign",
+    "omega.source", "seed",
+}
+SCENARIO_KEYS = {
+    "camera.width", "camera.height", "camera.height_z", "camera.f_px", "camera.fov_deg",
+    "camera.cx", "camera.cy",
+    "accumulation.window_us",
+    "extrinsics.ca_x", "extrinsics.ca_y",
+    "texture.kind",
+    "sim.duration_s", "sim.contrast", "sim.noise_rate", "sim.time_step_s", "sim.seed",
+    "trajectory.t_s", "trajectory.v_lon", "trajectory.v_lat", "trajectory.omega",
+}
+TEXTURE_KEYS = {
+    "noise": {"texture.seed", "texture.cutoff", "texture.amplitude"},
+    "checker": {"texture.period_px", "texture.amplitude"},
+    "dots": {"texture.density", "texture.radius_px", "texture.amplitude", "texture.seed"},
+}
+TABLES = (config.CAMERA, config.ACCUMULATION, config.FLOW, config.RANSAC, config.EXTRINSICS,
+          config.MAPPING, config.RUN, config.TEXTURE, config.SIM)
+CANDIDATE_KEYS = (RUN_KEYS | SCENARIO_KEYS | set().union(*TEXTURE_KEYS.values())
+                  | set().union(*TABLES))
+
+# every run key with a value other than its default: key -> (value, field path, parsed)
+RUN_VALUES = {
+    "io.events": ("ev.evt", "events_path", "ev.evt"),
+    "io.imu": ("imu.csv", "imu_path", "imu.csv"),
+    "io.out_dir": ("results", "out_dir", "results"),
+    "camera.width": ("200", "camera.width", 200),
+    "camera.height": ("150", "camera.height", 150),
+    "camera.height_z": ("0.7", "camera.height_z", 0.7),
+    "camera.f_px": ("180.0", "camera.f_px", 180.0),
+    "camera.fov_deg": ("58.07", "camera.fov_alpha", math.radians(58.07)),
+    "camera.cx": ("99.0", "camera.cx", 99.0),
+    "camera.cy": ("70.5", "camera.cy", 70.5),
+    "accumulation.window_us": ("20000", "accumulation.window_us", 20000),
+    "accumulation.count_cap": ("9", "accumulation.count_cap", 9),
+    "flow.pyramid_levels": ("2", "flow.pyramid_levels", 2),
+    "flow.pyramid_scale": ("0.6", "flow.pyramid_scale", 0.6),
+    "flow.window_size": ("11", "flow.window_size", 11),
+    "flow.iterations": ("4", "flow.iterations", 4),
+    "flow.poly_n": ("7", "flow.poly_n", 7),
+    "flow.poly_sigma": ("1.5", "flow.poly_sigma", 1.5),
+    "flow.stride": ("5", "stride", 5),
+    "intensity.merge": ("pos", "merge", "pos"),
+    "ransac.enabled": ("false", "ransac.enabled", False),
+    "ransac.iterations": ("20", "ransac.iterations", 20),
+    "ransac.inlier_threshold_px": ("0.75", "ransac.inlier_threshold", 0.75),
+    "ransac.min_inlier_fraction": ("0.4", "ransac.min_inlier_fraction", 0.4),
+    "extrinsics.ca_x": ("0.3", "extrinsics.ca_x", 0.3),
+    "extrinsics.ca_y": ("-0.1", "extrinsics.ca_y", -0.1),
+    "mapping.image_x": ("-y", "mapping.image_x", "-y"),
+    "mapping.image_y": ("+x", "mapping.image_y", "+x"),
+    "mapping.omega_sign": ("-1", "mapping.omega_sign", -1),
+    "omega.source": ("imu", "omega_source", "imu"),
+    "seed": ("42", "seed", 42),
+}
+SCENARIO_VALUES = {
+    "camera.width": ("200", "sim.cam.width", 200),
+    "camera.height": ("150", "sim.cam.height", 150),
+    "camera.height_z": ("0.7", "sim.cam.height_z", 0.7),
+    "camera.f_px": ("180.0", "sim.cam.f_px", 180.0),
+    "camera.fov_deg": ("58.07", "sim.cam.fov_alpha", math.radians(58.07)),
+    "camera.cx": ("99.0", "sim.cam.cx", 99.0),
+    "camera.cy": ("70.5", "sim.cam.cy", 70.5),
+    "accumulation.window_us": ("16000", None, None),  # only a default for sim.time_step_s
+    "extrinsics.ca_x": ("0.3", "sim.ext.ca_x", 0.3),
+    "extrinsics.ca_y": ("-0.1", "sim.ext.ca_y", -0.1),
+    "sim.duration_s": ("0.5", "sim.duration", 0.5),
+    "sim.contrast": ("0.3", "sim.contrast", 0.3),
+    "sim.noise_rate": ("0.05", "sim.noise_rate", 0.05),
+    "sim.time_step_s": ("0.003", "sim.time_step", 0.003),
+    "sim.seed": ("5", "sim.seed", 5),
+    "trajectory.t_s": ("0.0, 0.5", "trajectory.t_s", [0.0, 0.5]),
+    "trajectory.v_lon": ("1.0, 2.0", "trajectory.v_lon", [1.0, 2.0]),
+    "trajectory.v_lat": ("0.1, 0.2", "trajectory.v_lat", [0.1, 0.2]),
+    "trajectory.omega": ("0.3, -0.3", "trajectory.omega", [0.3, -0.3]),
+}
+TEXTURE_VALUES = {
+    "noise": {"texture.seed": ("7", "seed", 7), "texture.cutoff": ("0.2", "cutoff", 0.2),
+              "texture.amplitude": ("0.9", "amplitude", 0.9)},
+    "checker": {"texture.period_px": ("12.0", "period_px", 12.0),
+                "texture.amplitude": ("0.9", "amplitude", 0.9)},
+    "dots": {"texture.density": ("0.02", "density", 0.02),
+             "texture.radius_px": ("1.5", "radius_px", 1.5),
+             "texture.amplitude": ("0.9", "amplitude", 0.9),
+             "texture.seed": ("7", "seed", 7)},
+}
+
+
+def _text(values: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+def _field(obj, path: str):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def _default(obj, path: str):
+    *parents, name = path.split(".")
+    owner = _field(obj, ".".join(parents)) if parents else obj
+    return {f.name: f.default for f in dataclasses.fields(owner)}[name]
+
+
+def _scenario_values(kind: str) -> dict:
+    return {**SCENARIO_VALUES,
+            **{key: (value, f"sim.texture.{name}", parsed)
+               for key, (value, name, parsed) in TEXTURE_VALUES[kind].items()}}
+
+
+def _scenario_text(kind: str) -> str:
+    values = {key: value for key, (value, _, _) in _scenario_values(kind).items()}
+    return _text({"texture.kind": kind, **values})
+
+
+def _unknown_rejected(parse, text: str, key: str) -> bool:
+    with pytest.raises(ConfigError) as info:
+        parse(text + f"{key} = 1\n")
+    return "unknown keys" in str(info.value)
+
+
+class TestKeyTables:
+    def test_every_run_key_lands_in_its_field(self):
+        assert set(RUN_VALUES) == RUN_KEYS
+        cfg = RunConfig.from_text(_text({k: v for k, (v, _, _) in RUN_VALUES.items()}))
+        for key, (_, path, parsed) in RUN_VALUES.items():
+            assert _field(cfg, path) == pytest.approx(parsed), key
+            if path != "camera.fov_alpha":  # derived from f_px when not given
+                assert _default(cfg, path) != parsed, key
+
+    def test_every_run_key_round_trips(self):
+        # to_text writes f_px and not fov_deg, so fov_deg is left out here
+        text = _text({k: v for k, (v, _, _) in RUN_VALUES.items() if k != "camera.fov_deg"})
+        cfg = RunConfig.from_text(text)
+        again = RunConfig.from_text(cfg.to_text())
+        assert again == cfg
+        assert again.to_text() == cfg.to_text()
+        assert set(parse_kv_text(cfg.to_text())) == RUN_KEYS - {"camera.fov_deg"}
+
+    @pytest.mark.parametrize("kind", sorted(TEXTURE_KEYS))
+    def test_every_scenario_key_lands_in_its_field(self, kind):
+        sc = Scenario.from_text(_scenario_text(kind))
+        assert type(sc.sim.texture) is config.TEXTURE_KINDS[kind]
+        for key, (_, path, parsed) in _scenario_values(kind).items():
+            if path is None:
+                continue
+            value = _field(sc, path)
+            assert (value.tolist() if path.startswith("trajectory") else value) \
+                == pytest.approx(parsed), key
+            if path != "sim.cam.fov_alpha":
+                assert _default(sc, path) != parsed, key
+
+    def test_run_key_set_matches(self):
+        text = _text({k: v for k, (v, _, _) in RUN_VALUES.items()})
+        for key in CANDIDATE_KEYS - RUN_KEYS:
+            assert _unknown_rejected(RunConfig.from_text, text, key), key
+
+    @pytest.mark.parametrize("kind", sorted(TEXTURE_KEYS))
+    def test_scenario_key_set_matches(self, kind):
+        accepted = SCENARIO_KEYS | TEXTURE_KEYS[kind]
+        assert set(parse_kv_text(_scenario_text(kind))) == accepted
+        for key in CANDIDATE_KEYS - accepted:
+            assert _unknown_rejected(Scenario.from_text, _scenario_text(kind), key), key
+
+
+_ANY_VALUE = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr),
+                       st.lists(st.floats().map(repr), max_size=4).map(", ".join))
+
+
+class TestDomains:
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.sampled_from(sorted(RUN_KEYS)), _ANY_VALUE, max_size=6))
+    def test_arbitrary_run_values_parse_or_raise_config_error(self, overrides):
+        values = {k: v for k, (v, _, _) in RUN_VALUES.items()}
+        try:
+            RunConfig.from_text(_text({**values, **overrides}))
+        except ConfigError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(TEXTURE_KEYS)),
+           st.dictionaries(st.sampled_from(sorted(SCENARIO_KEYS | config.TEXTURE.keys())),
+                           _ANY_VALUE, max_size=6))
+    def test_arbitrary_scenario_values_parse_or_raise_config_error(self, kind, overrides):
+        values = parse_kv_text(_scenario_text(kind))
+        try:
+            Scenario.from_text(_text({**values, **overrides}))
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("line", [
+        "camera.height_z = nan", "camera.f_px = inf", "extrinsics.ca_x = -inf",
+        "flow.poly_sigma = nan", "ransac.inlier_threshold_px = inf", "seed = -2",
+        "camera.width = 1" + "0" * 400,
+    ])
+    def test_run_out_of_domain(self, line):
+        key = line.split(" = ")[0]
+        values = {k: v for k, (v, _, _) in RUN_VALUES.items() if k != key}
+        with pytest.raises(ConfigError):
+            RunConfig.from_text(_text(values) + line + "\n")
+
+    @pytest.mark.parametrize("kind, line", [
+        ("noise", "sim.duration_s = nan"), ("noise", "camera.height_z = nan"),
+        ("noise", "sim.contrast = inf"), ("noise", "texture.seed = -1"),
+        ("noise", "sim.seed = -3"), ("dots", "texture.density = 0"),
+        ("checker", "texture.period_px = 0"), ("noise", "trajectory.v_lat = 0.0, nan"),
+        ("noise", "trajectory.t_s = 0.0, 0.1"), ("noise", "camera.width = 0"),
+    ])
+    def test_scenario_out_of_domain(self, kind, line):
+        key = line.split(" = ")[0]
+        values = {k: v for k, v in parse_kv_text(_scenario_text(kind)).items() if k != key}
+        with pytest.raises(ConfigError):
+            Scenario.from_text(_text(values) + line + "\n")
+
+    def test_unreadable_file(self, tmp_path):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for path in (tmp_path, binary):
+            with pytest.raises(ConfigError):
+                RunConfig.from_file(path)
+            with pytest.raises(ConfigError):
+                Scenario.from_file(path)

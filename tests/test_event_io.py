@@ -154,3 +154,28 @@ def test_binary_validates_bounds(tmp_path):
     write_events_binary(path, ev, 100, 100)
     with pytest.raises(EventBoundsError):
         load_events_binary(path)
+
+
+@pytest.mark.parametrize("name", ["events.evt", "events.csv", "events"])
+def test_suffix_picks_the_format(tmp_path, sample_events, name):
+    path = tmp_path / name
+    event_io.write_events(path, sample_events, 346, 260)
+    assert path.read_bytes().startswith(b"EVT1" if name.endswith(".evt") else b"t_us,")
+    np.testing.assert_array_equal(event_io.load_events(path, 346, 260), sample_events)
+
+
+def test_load_events_checks_the_binary_size(tmp_path, sample_events):
+    path = tmp_path / "events.evt"
+    write_events_binary(path, sample_events, 346, 260)
+    with pytest.raises(InputFormatError, match="346x260"):
+        event_io.load_events(path, 640, 480)
+
+
+@pytest.mark.parametrize("name", ["absent.csv", "absent.evt", "folder.csv", "folder.evt",
+                                  "binary.csv"])
+def test_load_events_unreadable_is_a_format_error(tmp_path, name):
+    (tmp_path / "folder.csv").mkdir()
+    (tmp_path / "folder.evt").mkdir()
+    (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00\x01")
+    with pytest.raises(InputFormatError):
+        event_io.load_events(tmp_path / name, 346, 260)

@@ -348,11 +348,62 @@ trajectory.omega = 0.3, 0.3
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
-        monkeypatch.setenv("EVFLOW_SEED", "not-a-number")
-        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 2
-        assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 2
+        for bad in ("not-a-number", "-5"):
+            monkeypatch.setenv("EVFLOW_SEED", bad)
+            assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 2
+            assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 2
         monkeypatch.setenv("EVFLOW_SEED", "99")
         assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 0
+
+    @pytest.mark.parametrize("old, new", [
+        ("sim.duration_s = 0.132", "sim.duration_s = nan"),
+        ("camera.height_z = 0.5", "camera.height_z = nan"),
+        ("sim.noise_rate = 0.05", "sim.contrast = inf"),
+        ("texture.seed = 11", "texture.seed = -1"),
+        ("sim.seed = 3", "sim.seed = -3"),
+        ("texture.kind = noise\ntexture.seed = 11", "texture.kind = dots\ntexture.density = 0"),
+        ("texture.kind = noise\ntexture.seed = 11",
+         "texture.kind = checker\ntexture.period_px = 0"),
+        ("trajectory.t_s = 0.0, 0.132", "trajectory.t_s = 0.0, 0.1"),
+    ], ids=["duration_nan", "height_z_nan", "contrast_inf", "texture_seed_negative",
+            "sim_seed_negative", "density_zero", "period_zero", "trajectory_short"])
+    def test_scenario_out_of_domain_exit_2(self, workspace, capsys, old, new):
+        tmp_path, scenario, _ = workspace
+        bad = tmp_path / "bad_scenario.cfg"
+        text = scenario.read_text()
+        assert old in text
+        bad.write_text(text.replace(old, new))
+        assert cli_main(["simulate", str(bad), "--events", str(tmp_path / "ev.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new", [
+        ("camera.height_z = 0.5", "camera.height_z = nan"),
+        ("seed = 5", "seed = -2"),
+    ], ids=["height_z_nan", "seed_negative"])
+    def test_run_config_out_of_domain_exit_2(self, workspace, capsys, old, new):
+        tmp_path, scenario, run_cfg = workspace
+        ev = tmp_path / "events.csv"
+        assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
+        bad = tmp_path / "bad_run.cfg"
+        bad.write_text(run_cfg.read_text().replace(old, new))
+        capsys.readouterr()
+        assert cli_main(["estimate", "--config", str(bad), "--events", str(ev)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_directory_inputs(self, workspace, capsys):
+        tmp_path, scenario, run_cfg = workspace
+        ev = tmp_path / "events.csv"
+        assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        capsys.readouterr()
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(folder)]) == 3
+        assert cli_main(["estimate", "--config", str(folder), "--events", str(ev)]) == 2
+        assert cli_main(["simulate", str(folder), "--events", str(ev)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count(" error:") == 3
 
     def test_flow_debug_pair_past_last_frame_exit_2(self, workspace):
         tmp_path, scenario, run_cfg = workspace
