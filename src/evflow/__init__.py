@@ -10,7 +10,7 @@ end-to-end verification.
 
 from .errors import (ConfigError, DegenerateConsensusError, EvaluationError,
                      EventBoundsError, EventOrderError, EvflowError,
-                     InputFormatError, InsufficientDataError)
+                     InputFormatError, InsufficientDataError, OutputError)
 from .events import (AccumulationConfig, CameraModel, EventFrame, EVENT_DTYPE,
                      accumulate, iter_frames, make_events, max_exposure_for_blur,
                      relative_motion_blur, to_intensity, validate_events)

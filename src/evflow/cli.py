@@ -6,9 +6,9 @@ truth -> metric report), ``plot`` (overlay + residual SVGs),
 ``blur-budget`` (exposure ceilings CSV/SVG), ``flow-debug`` (one frame
 pair's flow as CSV + quiver SVG).
 
-Exit codes: 0 success, 2 configuration error, 3 input format error,
-4 evaluation error.  The environment variable EVFLOW_SEED overrides the
-configured seed.
+Exit codes: 0 success, 2 configuration error or an output path that
+cannot be written, 3 input format error, 4 evaluation error.  The
+environment variable EVFLOW_SEED overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import event_io, state_io
 from .config import RunConfig, Scenario, parse_seed
-from .errors import ConfigError, EvaluationError, InputFormatError
+from .errors import ConfigError, EvaluationError, InputFormatError, OutputError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
 from .pipeline import process_frame_pair, run_pipeline
@@ -48,6 +49,16 @@ def _seed(configured: int) -> int:
                           f"got {seed_env!r}") from exc
 
 
+@contextmanager
+def _writing():
+    """Turn an OSError from creating or writing an output into OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {exc.filename or 'the output'}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def _load_run_config(path: str) -> RunConfig:
     cfg = RunConfig.from_file(path)
     return replace(cfg, seed=_seed(cfg.seed))
@@ -66,17 +77,19 @@ def _cmd_simulate(args) -> int:
     scenario = Scenario.from_file(args.scenario)
     sim = replace(scenario.sim, seed=_seed(scenario.sim.seed))
     events, truth, _ = generate_events(sim, scenario.trajectory)
-    out_events = Path(args.events)
-    out_events.parent.mkdir(parents=True, exist_ok=True)
-    event_io.write_events(out_events, events, sim.cam.width, sim.cam.height)
-    if args.ground_truth:
-        Path(args.ground_truth).parent.mkdir(parents=True, exist_ok=True)
-        state_io.write_velocity_csv(args.ground_truth, truth)
-    if args.imu:
-        t = np.array([g.t_mid for g in truth])
-        omega = np.array([g.omega for g in truth])
-        Path(args.imu).parent.mkdir(parents=True, exist_ok=True)
-        state_io.write_imu_csv(args.imu, ImuSeries((t * 1e6).round().astype(np.int64), omega))
+    with _writing():
+        out_events = Path(args.events)
+        out_events.parent.mkdir(parents=True, exist_ok=True)
+        event_io.write_events(out_events, events, sim.cam.width, sim.cam.height)
+        if args.ground_truth:
+            Path(args.ground_truth).parent.mkdir(parents=True, exist_ok=True)
+            state_io.write_velocity_csv(args.ground_truth, truth)
+        if args.imu:
+            t = np.array([g.t_mid for g in truth])
+            omega = np.array([g.omega for g in truth])
+            Path(args.imu).parent.mkdir(parents=True, exist_ok=True)
+            state_io.write_imu_csv(args.imu,
+                                   ImuSeries((t * 1e6).round().astype(np.int64), omega))
     print(f"simulated {events.size} events over {sim.duration} s "
           f"({sim.cam.width}x{sim.cam.height})")
     return 0
@@ -86,18 +99,19 @@ def _cmd_estimate(args) -> int:
     cfg, events, imu = _load_estimate_inputs(args)
     result = run_pipeline(events, cfg, imu=imu)
     out_dir = Path(args.out_dir or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     est_path = out_dir / "estimates.csv"
-    state_io.write_velocity_csv(est_path, result.estimates)
     stats = result.timings.stats_ms()
-    with open(out_dir / "timings.json", "w") as f:
-        json.dump({"stages_ms": stats,
-                   "overhead_ms": result.timings.overhead_ms(),
-                   "accumulate_s": result.timings.accumulate_s,
-                   "frames_in": result.frames_in,
-                   "frames_valid": result.frames_valid,
-                   "frames_invalid": result.frames_invalid,
-                   "invalid_reasons": result.invalid_reasons}, f, indent=2)
+    with _writing():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        state_io.write_velocity_csv(est_path, result.estimates)
+        with open(out_dir / "timings.json", "w") as f:
+            json.dump({"stages_ms": stats,
+                       "overhead_ms": result.timings.overhead_ms(),
+                       "accumulate_s": result.timings.accumulate_s,
+                       "frames_in": result.frames_in,
+                       "frames_valid": result.frames_valid,
+                       "frames_invalid": result.frames_invalid,
+                       "invalid_reasons": result.invalid_reasons}, f, indent=2)
     print(f"wrote {est_path} ({result.frames_in} frames: {result.frames_valid} valid, "
           f"{result.frames_invalid} invalid)")
     for stage, st in stats.items():
@@ -117,14 +131,16 @@ def _cmd_evaluate(args) -> int:
     for line in report.lines():
         print(line)
     if args.report:
-        Path(args.report).write_text("\n".join(report.lines()) + "\n")
+        with _writing():
+            Path(args.report).write_text("\n".join(report.lines()) + "\n")
     return 0
 
 
 def _cmd_plot(args) -> int:
     estimates = state_io.load_velocity_csv(args.estimates)
     truth = state_io.load_velocity_csv(args.ground_truth)
-    written = emit_plots(estimates, truth, args.out_dir)
+    with _writing():
+        written = emit_plots(estimates, truth, args.out_dir)
     print("\n".join(str(p) for p in written))
     return 0
 
@@ -135,7 +151,8 @@ def _cmd_blur_budget(args) -> int:
                       fov_alpha=np.radians(args.fov_deg))
     speeds = [float(s) for s in args.speeds.split(",")]
     budgets = [float(b) for b in args.budgets.split(",")]
-    csv_path, svg_path = write_blur_budget(speeds, budgets, cam, args.out_dir)
+    with _writing():
+        csv_path, svg_path = write_blur_budget(speeds, budgets, cam, args.out_dir)
     print(f"{csv_path}\n{svg_path}")
     return 0
 
@@ -151,11 +168,12 @@ def _cmd_flow_debug(args) -> int:
         raise ConfigError(f"pair index {k} is past the last frame pair")
     field = process_frame_pair(*pair, cfg, pair_index=k, imu=imu).flow
     out_dir = Path(args.out_dir or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"flow_{k:05d}.csv"
     svg_path = out_dir / f"flow_{k:05d}.svg"
-    dump_flow_csv(field, cfg.stride, csv_path)
-    svg_path.write_text(flow_quiver_svg(field, cfg.stride, title=f"flow, pair {k}"))
+    with _writing():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        dump_flow_csv(field, cfg.stride, csv_path)
+        svg_path.write_text(flow_quiver_svg(field, cfg.stride, title=f"flow, pair {k}"))
     print(f"{csv_path}\n{svg_path}")
     return 0
 
@@ -220,6 +238,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except InputFormatError as exc:
         print(f"input format error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, InputFormatError
-(and subclasses) -> 3, EvaluationError -> 4.
+The CLI maps these onto exit codes: ConfigError and OutputError -> 2,
+InputFormatError (and subclasses) -> 3, EvaluationError -> 4.
 """
 
 
@@ -11,6 +11,10 @@ class EvflowError(Exception):
 
 class ConfigError(EvflowError):
     """A run or scenario configuration is missing, malformed, or inconsistent."""
+
+
+class OutputError(EvflowError):
+    """An output path given to the program cannot be created or written."""
 
 
 class InputFormatError(EvflowError):

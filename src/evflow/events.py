@@ -72,8 +72,8 @@ class AccumulationConfig:
     count_cap: int = 15
 
     def __post_init__(self):
-        if self.window_us <= 0:
-            raise ValueError("accumulation window must be positive")
+        if not 0 < self.window_us < 2 ** 64:  # event times are u64 microseconds
+            raise ValueError("accumulation window must lie in (0, 2**64) us")
         if self.count_cap < 1:
             raise ValueError("count_cap must be >= 1")
         if self.sensor_width < 1 or self.sensor_height < 1:

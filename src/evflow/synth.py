@@ -28,6 +28,7 @@ from .flow import FlowField
 from .rigid import EstimateQuality
 from .vehicle import Extrinsics, VelocityEstimate
 
+MAX_SUBSTEPS = 10 ** 6  # ceiling on duration / time_step, the simulator's loop count
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -279,6 +280,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulator run.  ``duration / time_step``, the number of rendered
+    substeps, may not exceed ``MAX_SUBSTEPS``."""
+
     texture: object
     cam: CameraModel
     ext: Extrinsics = Extrinsics()
@@ -295,6 +299,8 @@ class SimConfig:
             raise ValueError("noise rate must be non-negative")
         if self.duration <= 0 or self.time_step <= 0:
             raise ValueError("duration and time_step must be positive")
+        if not self.duration / self.time_step <= MAX_SUBSTEPS:
+            raise ValueError(f"duration / time_step must be at most {MAX_SUBSTEPS} substeps")
 
 
 def _render(texture, psi: float, c_px: np.ndarray, cam: CameraModel) -> np.ndarray:

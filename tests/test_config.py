@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from evflow import config
 from evflow.config import RunConfig, Scenario, parse_kv_text
 from evflow.errors import ConfigError
-from evflow.synth import CheckerTexture, DotTexture, NoiseTexture
+from evflow.synth import MAX_SUBSTEPS, CheckerTexture, DotTexture, NoiseTexture
 
 RUN_TEXT = """
 # comment line
@@ -340,7 +340,8 @@ class TestDomains:
     @pytest.mark.parametrize("line", [
         "camera.height_z = nan", "camera.f_px = inf", "extrinsics.ca_x = -inf",
         "flow.poly_sigma = nan", "ransac.inlier_threshold_px = inf", "seed = -2",
-        "camera.width = 1" + "0" * 400,
+        "camera.width = 1" + "0" * 400, "accumulation.window_us = 1" + "0" * 400,
+        f"accumulation.window_us = {2 ** 64}",
     ])
     def test_run_out_of_domain(self, line):
         key = line.split(" = ")[0]
@@ -354,12 +355,27 @@ class TestDomains:
         ("noise", "sim.seed = -3"), ("dots", "texture.density = 0"),
         ("checker", "texture.period_px = 0"), ("noise", "trajectory.v_lat = 0.0, nan"),
         ("noise", "trajectory.t_s = 0.0, 0.1"), ("noise", "camera.width = 0"),
+        ("noise", "sim.time_step_s = 1e-300"), ("noise", "sim.time_step_s = 1e-9"),
     ])
     def test_scenario_out_of_domain(self, kind, line):
         key = line.split(" = ")[0]
         values = {k: v for k, v in parse_kv_text(_scenario_text(kind)).items() if k != key}
         with pytest.raises(ConfigError):
             Scenario.from_text(_text(values) + line + "\n")
+
+    def test_window_below_2_pow_64_us_parses(self):
+        values = {k: v for k, (v, _, _) in RUN_VALUES.items() if k != "accumulation.window_us"}
+        cfg = RunConfig.from_text(_text(values) + f"accumulation.window_us = {2 ** 64 - 1}\n")
+        assert cfg.accumulation.window_us == 2 ** 64 - 1
+
+    def test_substep_ceiling(self):
+        values = parse_kv_text(_scenario_text("noise"))
+        duration = float(values["sim.duration_s"])
+        at_ceiling = {**values, "sim.time_step_s": repr(duration / MAX_SUBSTEPS)}
+        assert Scenario.from_text(_text(at_ceiling)).sim.time_step == duration / MAX_SUBSTEPS
+        over = {**values, "sim.time_step_s": repr(duration / (MAX_SUBSTEPS + 1))}
+        with pytest.raises(ConfigError, match="substeps"):
+            Scenario.from_text(_text(over))
 
     def test_unreadable_file(self, tmp_path):
         binary = tmp_path / "binary.cfg"

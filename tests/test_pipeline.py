@@ -107,6 +107,20 @@ class TestRunPipeline:
         assert calls == {"expand": len(frames) * n_levels, "intensity": len(frames)}
         assert result.estimates[1:] == cold
 
+    def test_estimates_do_not_depend_on_the_band_count(self, monkeypatch):
+        # 346x260 is the one level size that refines in several bands
+        cfg = RunConfig.from_text(RUN_TEXT.replace("width = 120", "width = 346")
+                                  .replace("height = 90", "height = 260"))
+        sim = SimConfig(texture=NoiseTexture(seed=11), cam=cfg.camera, noise_rate=0.05,
+                        duration=0.099, time_step=33e-3 / 8, seed=3)
+        events, _, _ = generate_events(sim, Trajectory.constant(0.099, v_lon=1.0, v_lat=0.1,
+                                                                omega=0.3))
+        default = run_pipeline(events, cfg).estimates
+        assert sum(e.valid for e in default) == 2
+        for cpus in (1, 2):
+            monkeypatch.setattr(flow, "_cpu_count", lambda: cpus)
+            assert run_pipeline(events, cfg).estimates == default, cpus
+
     def test_latency_accounting_sums(self):
         cfg, events, _ = small_scenario(duration=0.132)
         result = run_pipeline(events, cfg)
@@ -365,8 +379,10 @@ trajectory.omega = 0.3, 0.3
         ("texture.kind = noise\ntexture.seed = 11",
          "texture.kind = checker\ntexture.period_px = 0"),
         ("trajectory.t_s = 0.0, 0.132", "trajectory.t_s = 0.0, 0.1"),
+        ("sim.time_step_s = 0.004125", "sim.time_step_s = 1e-300"),
     ], ids=["duration_nan", "height_z_nan", "contrast_inf", "texture_seed_negative",
-            "sim_seed_negative", "density_zero", "period_zero", "trajectory_short"])
+            "sim_seed_negative", "density_zero", "period_zero", "trajectory_short",
+            "substeps_past_ceiling"])
     def test_scenario_out_of_domain_exit_2(self, workspace, capsys, old, new):
         tmp_path, scenario, _ = workspace
         bad = tmp_path / "bad_scenario.cfg"
@@ -380,7 +396,8 @@ trajectory.omega = 0.3, 0.3
     @pytest.mark.parametrize("old, new", [
         ("camera.height_z = 0.5", "camera.height_z = nan"),
         ("seed = 5", "seed = -2"),
-    ], ids=["height_z_nan", "seed_negative"])
+        ("accumulation.window_us = 33000", "accumulation.window_us = 1" + "0" * 400),
+    ], ids=["height_z_nan", "seed_negative", "window_past_u64"])
     def test_run_config_out_of_domain_exit_2(self, workspace, capsys, old, new):
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
@@ -404,6 +421,32 @@ trajectory.omega = 0.3, 0.3
         assert cli_main(["simulate", str(folder), "--events", str(ev)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count(" error:") == 3
+
+    def test_unwritable_outputs_exit_2(self, workspace, capsys):
+        tmp_path, scenario, run_cfg = workspace
+        ev, gt = tmp_path / "events.csv", tmp_path / "gt.csv"
+        assert cli_main(["simulate", str(scenario), "--events", str(ev),
+                         "--ground-truth", str(gt)]) == 0
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 0
+        est = tmp_path / "out" / "estimates.csv"
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        fresh = str(tmp_path / "fresh.csv")
+        compare = ["--estimates", str(est), "--ground-truth", str(gt)]
+        for argv in (["simulate", scenario, "--events", folder],
+                     ["simulate", scenario, "--events", fresh, "--ground-truth", folder],
+                     ["simulate", scenario, "--events", fresh, "--imu", a_file / "imu.csv"],
+                     ["estimate", "--config", run_cfg, "--events", ev, "--out-dir", a_file],
+                     ["evaluate", *compare, "--tolerance", "0.0165", "--report", folder],
+                     ["plot", *compare, "--out-dir", a_file],
+                     ["blur-budget", "--out-dir", a_file / "bb"],
+                     ["flow-debug", "--config", run_cfg, "--events", ev, "--out-dir", a_file]):
+            capsys.readouterr()
+            assert cli_main([str(a) for a in argv]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("output error:") and "Traceback" not in err, argv
 
     def test_flow_debug_pair_past_last_frame_exit_2(self, workspace):
         tmp_path, scenario, run_cfg = workspace
