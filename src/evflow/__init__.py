@@ -18,7 +18,7 @@ from .flow import FlowField, FlowParams, PolyExpansion, compute_flow, \
     polynomial_expansion, subsample_flow
 from .rigid import (AxisMapping, CameraVelocity, EstimateQuality, RansacParams,
                     RigidMotion2D, estimate_rigid, ransac_estimate,
-                    reconstruct_flow, svd2x2, to_camera_velocity)
+                    reconstruct_flow, to_camera_velocity)
 from .vehicle import (Extrinsics, ImuSeries, VelocityEstimate,
                       substitute_imu_yaw, transform_to_axle)
 from .synth import (CheckerTexture, DotTexture, NoiseTexture, SimConfig,

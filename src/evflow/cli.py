@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import event_io, state_io
-from .config import RunConfig, Scenario, parse_seed
+from .config import RunConfig, Scenario, _finite, _floats, parse_seed
 from .errors import ConfigError, EvaluationError, InputFormatError, OutputError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
@@ -120,13 +120,28 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _load_latency(path: Path) -> dict[str, dict[str, float]]:
+    """The ``stages_ms`` table of an estimate run's timings.json; {} without one."""
+    if not path.exists():
+        return {}
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    stages = doc.get("stages_ms", {}) if isinstance(doc, dict) else None
+    if not (isinstance(stages, dict) and all(
+            isinstance(st, dict) and all(isinstance(st.get(k), (int, float))
+                                         for k in ("mean", "std", "p95", "count"))
+            for st in stages.values())):
+        raise InputFormatError(f"{path}: expected an object whose stages_ms maps each "
+                               "stage to numeric mean, std, p95 and count")
+    return stages
+
+
 def _cmd_evaluate(args) -> int:
     estimates = state_io.load_velocity_csv(args.estimates)
     truth = state_io.load_velocity_csv(args.ground_truth)
-    latency = {}
-    timings_path = Path(args.estimates).parent / "timings.json"
-    if timings_path.exists():
-        latency = json.loads(timings_path.read_text()).get("stages_ms", {})
+    latency = _load_latency(Path(args.estimates).parent / "timings.json")
     report = evaluate(estimates, truth, tolerance_s=args.tolerance, latency_ms=latency)
     for line in report.lines():
         print(line)
@@ -146,13 +161,16 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_blur_budget(args) -> int:
-    cam = CameraModel(width=args.sensor_width, height=args.sensor_height,
-                      height_z=args.height_z,
-                      fov_alpha=np.radians(args.fov_deg))
-    speeds = [float(s) for s in args.speeds.split(",")]
-    budgets = [float(b) for b in args.budgets.split(",")]
-    with _writing():
-        csv_path, svg_path = write_blur_budget(speeds, budgets, cam, args.out_dir)
+    try:
+        cam = CameraModel(width=args.sensor_width, height=args.sensor_height,
+                          height_z=args.height_z,
+                          fov_alpha=np.radians(args.fov_deg))
+        speeds = _floats(args.speeds)
+        budgets = _floats(args.budgets)
+        with _writing():
+            csv_path, svg_path = write_blur_budget(speeds, budgets, cam, args.out_dir)
+    except ValueError as exc:
+        raise ConfigError(f"blur-budget: {exc}") from exc
     print(f"{csv_path}\n{svg_path}")
     return 0
 
@@ -215,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speeds", default="5,10,15,20,25,30,35,40",
                    help="comma-separated speeds in m/s")
     p.add_argument("--budgets", default="0.01,0.02,0.05", help="blur fractions")
-    p.add_argument("--height-z", type=float, default=0.6)
-    p.add_argument("--fov-deg", type=float, default=60.0)
+    p.add_argument("--height-z", type=_finite, default=0.6)
+    p.add_argument("--fov-deg", type=_finite, default=60.0)
     p.add_argument("--sensor-width", type=int, default=640)
     p.add_argument("--sensor-height", type=int, default=480)
     p.add_argument("--out-dir", required=True)

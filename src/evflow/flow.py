@@ -111,8 +111,7 @@ class PolyExpansion:
 
 def _applicability_kernels(n: int, sigma: float):
     k = np.arange(-n, n + 1, dtype=np.float64)
-    g = np.exp(-(k * k) / (2.0 * sigma * sigma))
-    g /= g.sum()
+    g = _gaussian_kernel(2 * n + 1, sigma)
     return g, k * g, k * k * g
 
 
@@ -177,27 +176,22 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> P
 
 
 def _resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Separable bilinear resample with half-pixel alignment and edge clamp."""
+    """Separable bilinear resample with half-pixel alignment and edge clamp.
+
+    ``img`` is at least 2 px on a side, as every pyramid level is.
+    """
     h0, w0 = img.shape
 
     def axis_coords(n_out, n_in):
         c = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
         np.clip(c, 0.0, n_in - 1.0, out=c)
-        i0 = np.floor(c).astype(np.intp)
-        i0 = np.minimum(i0, n_in - 2) if n_in > 1 else np.zeros_like(i0)
+        i0 = np.minimum(np.floor(c).astype(np.intp), n_in - 2)
         return i0, (c - i0).astype(img.dtype)
 
     yi, yf = axis_coords(height, h0)
     xi, xf = axis_coords(width, w0)
-    if w0 > 1:
-        rows = img[:, xi] * (1.0 - xf) + img[:, xi + 1] * xf
-    else:
-        rows = img[:, xi]
-    if h0 > 1:
-        out = rows[yi, :] * (1.0 - yf)[:, None] + rows[yi + 1, :] * yf[:, None]
-    else:
-        out = rows[yi, :]
-    return out
+    rows = img[:, xi] * (1.0 - xf) + img[:, xi + 1] * xf
+    return rows[yi, :] * (1.0 - yf)[:, None] + rows[yi + 1, :] * yf[:, None]
 
 
 def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:

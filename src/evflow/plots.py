@@ -90,9 +90,9 @@ def blur_budget_table(speeds: list[float], budgets: list[float],
 def write_blur_budget(speeds: list[float], budgets: list[float], cam: CameraModel,
                       out_dir: str | Path) -> tuple[Path, Path]:
     """Exposure ceilings against speed for each blur budget, CSV + SVG."""
+    rows = blur_budget_table(speeds, budgets, cam)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = blur_budget_table(speeds, budgets, cam)
     csv_path = out / "blur_budget.csv"
     cols = ["v_mps"] + [f"t_exp_us_at_{b:g}" for b in budgets]
     with open(csv_path, "w", newline="") as f:

@@ -1,10 +1,12 @@
 """Planar rigid-motion estimation from point correspondences.
 
 Solves ``argmin over rotations R and translations t of
-sum_i |R p_i + t - q_i|^2`` in closed form through the SVD of the 2x2
-cross-covariance (centroid-subtracted) matrix, guarded against outliers by
-a 2-point-sample RANSAC loop, and converts the pixel-space solution to a
-metric camera velocity.
+sum_i |R p_i + t - q_i|^2`` in closed form: with H the cross-covariance of
+the centroid-subtracted point sets, the optimal angle is
+``atan2(H[0,1] - H[1,0], H[0,0] + H[1,1])`` (the planar case of the SVD
+solution of Arun, Huang & Blostein and of Umeyama, always a proper
+rotation).  A 2-point-sample RANSAC loop guards the fit against outliers,
+and the pixel-space solution is converted to a metric camera velocity.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ class AxisMapping:
         return np.column_stack([AXIS_MAPPINGS[self.image_x], AXIS_MAPPINGS[self.image_y]])
 
 
+def _rotation(theta: float) -> np.ndarray:
+    """Counter-clockwise rotation matrix by ``theta`` radians."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 @dataclass(frozen=True)
 class RigidMotion2D:
     """One frame pair's rotation (radians, counter-clockwise in image axes)
@@ -73,12 +81,14 @@ class RigidMotion2D:
 
     @property
     def rotation(self) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return np.array([[c, -s], [s, c]])
+        return _rotation(self.theta)
 
 
 @dataclass(frozen=True)
 class RansacParams:
+    """RANSAC settings; ``enabled`` tells the pipeline whether to run the
+    consensus loop or a plain ``estimate_rigid`` on all correspondences."""
+
     iterations: int = 16
     inlier_threshold: float = 0.5
     min_inlier_fraction: float = 0.3
@@ -114,43 +124,12 @@ class CameraVelocity:
             raise ValueError("camera velocity components must be finite")
 
 
-def svd2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form SVD of a 2x2 matrix via two Givens angles.
-
-    Returns (U, s, Vt) with U, Vt proper or improper orthogonal matrices
-    and s the singular values in descending order, s[0] >= s[1] >= 0, such
-    that m = U @ diag(s) @ Vt.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    e = 0.5 * (m[0, 0] + m[1, 1])
-    f = 0.5 * (m[0, 0] - m[1, 1])
-    g = 0.5 * (m[1, 0] + m[0, 1])
-    h = 0.5 * (m[1, 0] - m[0, 1])
-    q = math.hypot(e, h)
-    r = math.hypot(f, g)
-    s1 = q + r
-    s2 = q - r
-    a1 = math.atan2(g, f)
-    a2 = math.atan2(h, e)
-    beta = 0.5 * (a2 - a1)
-    gamma = 0.5 * (a2 + a1)
-
-    cu, su = math.cos(gamma), math.sin(gamma)
-    cv, sv = math.cos(beta), math.sin(beta)
-    u_mat = np.array([[cu, -su], [su, cu]])
-    vt = np.array([[cv, -sv], [sv, cv]])
-    if s2 < 0:
-        s2 = -s2
-        vt = np.diag([1.0, -1.0]) @ vt
-    return u_mat, np.array([s1, s2]), vt
-
-
 def estimate_rigid(p: np.ndarray, q: np.ndarray) -> RigidMotion2D:
     """Optimal rotation + translation mapping points p onto q.
 
-    Cross-covariance of the centered point sets is decomposed by SVD and
-    the rotation assembled with a determinant correction so it is always
-    proper (never a reflection), then t = q_mean - R p_mean.
+    The angle comes in closed form from the cross-covariance H of the
+    centered point sets, theta = atan2(H01 - H10, H00 + H11), which
+    maximises trace(R H); then t = q_mean - R p_mean.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -164,14 +143,11 @@ def estimate_rigid(p: np.ndarray, q: np.ndarray) -> RigidMotion2D:
     pc = p - p_mean
     if not np.any(np.abs(pc) > 1e-12):
         raise InsufficientDataError("all source points coincide")
-    qc = q - q_mean
-    h_cov = pc.T @ qc
-    u_mat, _, vt = svd2x2(h_cov)
-    d = np.sign(np.linalg.det(vt.T @ u_mat.T))
-    if d == 0:
-        d = 1.0
-    rot = vt.T @ np.diag([1.0, d]) @ u_mat.T
-    theta = math.atan2(rot[1, 0], rot[0, 0])
+    h_cov = pc.T @ (q - q_mean)
+    theta = math.atan2(h_cov[0, 1] - h_cov[1, 0], h_cov[0, 0] + h_cov[1, 1])
+    if theta == -math.pi:  # a half turn whose sine is -0 or rounds away
+        theta = math.pi
+    rot = _rotation(theta)
     t = q_mean - rot @ p_mean
     residual = float(np.mean(np.linalg.norm(p @ rot.T + t - q, axis=1)))
     return RigidMotion2D(theta=theta, t=t, n_points=n, mean_residual=residual)
@@ -190,8 +166,7 @@ def ransac_estimate(p: np.ndarray, q: np.ndarray, params: RansacParams,
     Runs ``params.iterations`` hypotheses from seeded 2-point samples,
     keeps the largest inlier set (end-point error below the threshold),
     and refits on it.  Coincident samples are redrawn up to a global cap
-    of 10x the iteration count.  With ``enabled=False`` this is exactly
-    ``estimate_rigid`` on all pairs with a full inlier mask.
+    of 10x the iteration count.
 
     Raises DegenerateConsensusError when the best inlier fraction falls
     below ``params.min_inlier_fraction``.
@@ -199,9 +174,6 @@ def ransac_estimate(p: np.ndarray, q: np.ndarray, params: RansacParams,
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     n = p.shape[0]
-    if not params.enabled:
-        motion = estimate_rigid(p, q)
-        return motion, np.ones(n, dtype=bool)
     if n < 2:
         raise InsufficientDataError(f"RANSAC needs >= 2 correspondences, got {n}")
 
@@ -217,9 +189,8 @@ def ransac_estimate(p: np.ndarray, q: np.ndarray, params: RansacParams,
             retries -= 1
             if retries < 0:
                 raise InsufficientDataError("could not sample two distinct source points")
-        sample_idx = (i, j)
         try:
-            hyp = estimate_rigid(p[list(sample_idx)], q[list(sample_idx)])
+            hyp = estimate_rigid(p[[i, j]], q[[i, j]])
         except InsufficientDataError:
             continue
         epe = np.linalg.norm(reconstruct_flow(hyp, p) - q, axis=1)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .events import EVENT_DTYPE, CameraModel, make_events
 from .flow import FlowField
-from .rigid import EstimateQuality
-from .vehicle import Extrinsics, VelocityEstimate
+from .rigid import CameraVelocity, EstimateQuality
+from .vehicle import Extrinsics, VelocityEstimate, transform_to_axle
 
 MAX_SUBSTEPS = 10 ** 6  # ceiling on duration / time_step, the simulator's loop count
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -360,9 +360,9 @@ def _twist_increment(v_lon: float, v_lat: float, omega: float, scale: float,
 def _axle_truth(traj: Trajectory, ext: Extrinsics, t: np.ndarray) -> list[VelocityEstimate]:
     v_lon, v_lat, omega = traj.at(t)
     quality = EstimateQuality(n_inliers=0, inlier_fraction=1.0, mean_residual=0.0)
-    return [VelocityEstimate(t_mid=float(ti), v_lon=float(vl - om * ext.ca_y),
-                             v_lat=float(vt + om * ext.ca_x), omega=float(om),
-                             omega_source="truth", quality=quality, valid=True)
+    return [transform_to_axle(CameraVelocity(v=np.array([vl, vt]), omega=float(om),
+                                             t_mid=float(ti), quality=quality),
+                              ext, omega_source="truth")
             for ti, vl, vt, om in zip(t, v_lon, v_lat, omega)]
 
 

@@ -350,6 +350,30 @@ trajectory.omega = 0.3, 0.3
         run_cfg.write_text(RUN_TEXT + f"io.imu = {absent}\nomega.source = imu\n")
         assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 3
 
+    @pytest.mark.parametrize("timings", [None, "{", "[]", '{"stages_ms": {"pair": 5}}'],
+                             ids=["directory", "truncated", "array", "stage_not_an_object"])
+    def test_bad_timings_json_exit_3(self, tmp_path, capsys, timings):
+        est = tmp_path / "estimates.csv"
+        state_io.write_velocity_csv(est, [vel(0.0, 1.0)])
+        path = tmp_path / "timings.json"
+        if timings is None:
+            path.mkdir()
+        else:
+            path.write_text(timings)
+        assert cli_main(["evaluate", "--estimates", str(est), "--ground-truth", str(est),
+                         "--tolerance", "0.01"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input format error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("arg", ["--speeds=abc", "--speeds=-5", "--speeds=nan",
+                                     "--budgets=0", "--fov-deg=200", "--sensor-width=0"])
+    def test_blur_budget_bad_arguments_exit_2(self, tmp_path, capsys, arg):
+        out = tmp_path / "bb"
+        assert cli_main(["blur-budget", "--out-dir", str(out), arg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_evaluation_error_exit_4(self, workspace, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evflow.errors import DegenerateConsensusError, InsufficientDataError
 from evflow.events import CameraModel
 from evflow.rigid import (AxisMapping, RansacParams, RigidMotion2D,
                           estimate_rigid, ransac_estimate, reconstruct_flow,
-                          svd2x2, to_camera_velocity)
+                          to_camera_velocity)
 
 CAM = CameraModel(width=640, height=480, height_z=0.6, f_px=554.26)
 
@@ -34,7 +34,31 @@ def objective(motion, p, q):
     return float(np.sum((reconstruct_flow(motion, p) - q) ** 2))
 
 
+def kabsch_theta(h):
+    """Reference angle: the generic SVD solution for cross-covariance h,
+    with the determinant fix that keeps the rotation proper."""
+    u, _, vt = np.linalg.svd(h)
+    d = 1.0 if np.linalg.det(vt.T @ u.T) >= 0 else -1.0
+    r = vt.T @ np.diag([1.0, d]) @ u.T
+    return math.atan2(r[1, 0], r[0, 0])
+
+
+def angle_gap(a, b):
+    return abs(math.remainder(a - b, 2 * math.pi))
+
+
+# Centered source points whose cross-covariance with cross_q(m) is m itself.
+CROSS_P = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+def cross_q(m):
+    return 0.5 * np.vstack([m, -m])
+
+
 class TestSvd2x2:
+    """The closed-form angle for a given 2x2 cross-covariance against the
+    generic SVD solution."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_generic_svd(self, seed):
         rng = np.random.default_rng(seed)
@@ -44,17 +68,18 @@ class TestSvd2x2:
                 m[1] = m[0]  # rank deficient
             if rng.random() < 0.1:
                 m = np.diag(rng.standard_normal(2))
-            u, s, vt = svd2x2(m)
-            assert np.allclose(u @ np.diag(s) @ vt, m, atol=1e-12 * (1 + np.abs(m).max()))
-            assert s[0] >= s[1] >= 0
-            assert np.allclose(u @ u.T, np.eye(2), atol=1e-13)
-            assert np.allclose(vt @ vt.T, np.eye(2), atol=1e-13)
-            assert np.allclose(s, np.linalg.svd(m, compute_uv=False), atol=1e-10 * (1 + s[0]))
+            motion = estimate_rigid(CROSS_P, cross_q(m))
+            s = np.linalg.svd(m, compute_uv=False)
+            # the angle is as well determined as s1 / |(m00 + m11, m01 - m10)|
+            spread = s[0] / math.hypot(m[0, 0] + m[1, 1], m[0, 1] - m[1, 0])
+            assert angle_gap(motion.theta, kabsch_theta(m)) <= 1e-14 * (1 + spread)
+            assert np.linalg.det(motion.rotation) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_matrix(self):
-        u, s, vt = svd2x2(np.zeros((2, 2)))
-        assert np.allclose(s, 0)
-        assert np.allclose(u @ np.diag(s) @ vt, np.zeros((2, 2)))
+        motion = estimate_rigid(CROSS_P, cross_q(np.zeros((2, 2))))
+        assert motion.theta == 0.0
+        assert np.array_equal(motion.rotation, np.eye(2))
+        assert np.array_equal(motion.t, np.zeros(2))
 
 
 class TestEstimateRigid:
@@ -146,6 +171,36 @@ class TestEstimateRigid:
         assert back.theta == pytest.approx(motion.theta, abs=1e-9)
         assert np.allclose(back.t, motion.t, atol=1e-7)
 
+    @given(st.sampled_from(["random", "mirrored", "collinear", "half_turn", "two_points"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_kabsch_reference(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 if kind == "two_points" else int(rng.integers(3, 61))
+        if kind == "collinear":
+            p = np.outer(rng.standard_normal(n), rng.standard_normal(2)) * 20
+        else:
+            p = rng.standard_normal((n, 2)) * 20
+        p += rng.standard_normal(2) * 50
+        theta = math.pi if kind == "half_turn" else rng.uniform(-math.pi, math.pi)
+        q = p @ rot(theta).T + rng.standard_normal(2) * 10
+        if kind == "mirrored":
+            q[:, 0] *= -1.0
+        elif kind != "half_turn":
+            q += rng.standard_normal((n, 2)) * 0.5
+        h = (p - p.mean(0)).T @ (q - q.mean(0))
+        # a mirrored isotropic set makes every angle optimal
+        assume(math.hypot(h[0, 0] + h[1, 1], h[0, 1] - h[1, 0]) > 1e-3 * np.abs(h).max())
+        motion = estimate_rigid(p, q)
+        assert angle_gap(motion.theta, kabsch_theta(h)) <= 1e-12
+        assert -math.pi < motion.theta <= math.pi
+        assert np.linalg.det(motion.rotation) == pytest.approx(1.0, abs=1e-15)
+
+    def test_half_turn_is_plus_pi(self):
+        p = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        q = np.array([[-1.0, 0.0], [1.0, 1e-300]])  # atan2 alone gives -pi here
+        assert estimate_rigid(p, q).theta == math.pi
+
 
 class TestReconstructFlow:
     def test_translation_only(self):
@@ -194,13 +249,6 @@ class TestRansac:
         _, m1 = ransac_estimate(p, q, RansacParams(), rng_seed=(3, 7))
         _, m2 = ransac_estimate(p, q, RansacParams(), rng_seed=(3, 7))
         assert np.array_equal(m1, m2)
-
-    def test_disabled_is_plain_fit(self):
-        p, q = self.make_contaminated()
-        motion, mask = ransac_estimate(p, q, RansacParams(enabled=False), rng_seed=0)
-        plain = estimate_rigid(p, q)
-        assert mask.all()
-        assert motion.theta == pytest.approx(plain.theta)
 
     def test_degenerate_consensus_raises(self):
         rng = np.random.default_rng(6)
