@@ -1,6 +1,7 @@
-"""Readers and writers for the event CSV and EVT1 binary formats.
+"""Readers and writers for the event CSV and EVT1 binary formats, and the
+CSV table reader that every CSV input (events, IMU, velocity) goes through.
 
-CSV: header ``t_us,x,y,p`` with one event per line, p in {1,-1}.
+CSV: header ``t_us,x,y,p`` with one event per line, t_us a u64, p in {1,-1}.
 Binary: ASCII magic ``EVT1`` followed by little-endian u16 width and u16
 height, then packed records of (u64 t_us, u16 x, u16 y, i8 p).
 Both readers validate the stream invariants on load.  ``load_events`` and
@@ -10,8 +11,8 @@ anything else CSV.
 
 from __future__ import annotations
 
-import io
 import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ CSV_HEADER = "t_us,x,y,p"
 BINARY_MAGIC = b"EVT1"
 _HEADER_BYTES = 8  # magic plus u16 width and u16 height
 _CSV_CHUNK = 1 << 16  # rows formatted per write, which bounds the text held at once
+# parsed wide enough that an out-of-range x, y or p is caught before narrowing
+_CSV_COLUMNS = np.dtype([("t_us", "u8"), ("x", "i8"), ("y", "i8"), ("p", "i8")])
 
 
 def write_events_csv(path: str | Path, events: np.ndarray) -> None:
@@ -34,26 +37,38 @@ def write_events_csv(path: str | Path, events: np.ndarray) -> None:
             f.write("\n".join(map("{},{},{},{}".format, *columns)) + "\n")
 
 
+def read_csv(path: str | Path, header: str, dtype: np.dtype) -> np.ndarray:
+    """The rows below the exact ``header`` line of the CSV file at ``path``,
+    as a 1-d array of the structured ``dtype`` (one field per column).
+
+    Empty lines are skipped.  An unreadable file, another header,
+    undecodable bytes, a row with another field count and a value its field
+    cannot hold (an integer out of range included) raise InputFormatError.
+    """
+    try:
+        with open(path) as f:
+            found = f.readline().strip()
+            if found != header:
+                raise InputFormatError(f"bad CSV header {found!r} in {path}; "
+                                       f"expected {header!r}")
+            # loadtxt warns on input without rows, so a body without one stops here
+            first = next((line for line in f if line != "\n"), None)
+            if first is None:
+                return np.empty(0, dtype=dtype)
+            return np.loadtxt(chain([first], f), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def load_events_csv(path: str | Path, width: int | None = None,
                     height: int | None = None) -> np.ndarray:
-    with open(path, "r") as f:
-        header = f.readline().strip()
-        if header != CSV_HEADER:
-            raise InputFormatError(f"bad event CSV header {header!r}; expected {CSV_HEADER!r}")
-        body = f.read()
-    if body.strip():
-        try:
-            raw = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError as exc:
-            raise InputFormatError(f"unparsable event CSV row: {exc}") from exc
-        if raw.shape[1] != 4:
-            raise InputFormatError(f"event CSV rows need 4 fields, got {raw.shape[1]}")
-    else:
-        raw = np.empty((0, 4), dtype=np.int64)
-    ev = np.empty(raw.shape[0], dtype=EVENT_DTYPE)
-    for name, column in zip(EVENT_DTYPE.names, raw.T):
+    rows = read_csv(path, CSV_HEADER, _CSV_COLUMNS)
+    ev = np.empty(rows.size, dtype=EVENT_DTYPE)
+    for name in EVENT_DTYPE.names:
         # range-check before the narrowing cast, which would wrap silently
         info = np.iinfo(EVENT_DTYPE[name])
+        column = rows[name]
         if column.size and (column.min() < info.min or column.max() > info.max):
             raise EventBoundsError(f"event CSV {name} value outside the {info.dtype} range")
         ev[name] = column
@@ -99,11 +114,11 @@ def load_events(path: str | Path, width: int, height: int) -> np.ndarray:
     An unreadable file and an EVT1 header of another size raise
     InputFormatError.
     """
+    if Path(path).suffix != ".evt":
+        return load_events_csv(path, width, height)
     try:
-        if Path(path).suffix != ".evt":
-            return load_events_csv(path, width, height)
         events, file_width, file_height = load_events_binary(path)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise InputFormatError(f"cannot read events file {path}: {exc}") from exc
     if (file_width, file_height) != (width, height):
         raise InputFormatError(f"event file is {file_width}x{file_height} but the "

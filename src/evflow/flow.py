@@ -92,6 +92,25 @@ class FlowField:
         return self.u.shape
 
 
+def inject_outliers(field: FlowField, fraction: float, magnitude: float,
+                    rng_seed) -> FlowField:
+    """Replace a seeded random subset of valid flow vectors with uniformly
+    oriented vectors of the given magnitude."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must lie in [0, 1]")
+    idx = np.flatnonzero(field.valid)
+    n_out = int(round(fraction * idx.size))
+    u = field.u.copy()
+    v = field.v.copy()
+    if n_out:
+        rng = np.random.default_rng(rng_seed)
+        chosen = rng.choice(idx, size=n_out, replace=False)
+        angles = rng.uniform(0.0, 2 * np.pi, n_out)
+        u.ravel()[chosen] = magnitude * np.cos(angles)
+        v.ravel()[chosen] = magnitude * np.sin(angles)
+    return FlowField(u=u, v=v, valid=field.valid.copy(), dt=field.dt)
+
+
 @dataclass(frozen=True)
 class PolyExpansion:
     """Per-pixel quadratic coefficients.

@@ -214,12 +214,12 @@ def to_camera_velocity(motion: RigidMotion2D, cam: CameraModel, dt: float,
                        n_total: int | None = None) -> CameraVelocity:
     """Convert a pixel-space motion over dt seconds to metric velocity.
 
-    Per image axis v = t * (height_z / f_px) / dt and omega = theta / dt,
+    Per image axis v = t * meters_per_px / dt and omega = theta / dt,
     then the configured mounting mapping carries both into vehicle axes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    v_img = motion.t * (cam.height_z / cam.f_px) / dt
+    v_img = motion.t * cam.meters_per_px / dt
     omega = mapping.omega_sign * motion.theta / dt
     total = n_total if n_total is not None else motion.n_points
     quality = EstimateQuality(

@@ -13,19 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFormatError
+from .event_io import read_csv
 from .rigid import EstimateQuality
 from .vehicle import ImuSeries, VelocityEstimate
 
 IMU_HEADER = "t_us,yaw_rate_rad_s"
 VELOCITY_HEADER = "t_s,v_lon,v_lat,omega,omega_source,n_inliers,inlier_fraction,valid"
-
-
-def _open_input(path: str | Path, kind: str):
-    try:
-        return open(path, "r")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {kind} CSV {path}: {exc.strerror}") from exc
+_IMU_COLUMNS = np.dtype([("t_us", "i8"), ("yaw_rate", "f8")])
+_VELOCITY_COLUMNS = np.dtype([("t_s", "f8"), ("v_lon", "f8"), ("v_lat", "f8"),
+                              ("omega", "f8"), ("omega_source", "O"), ("n_inliers", "i8"),
+                              ("inlier_fraction", "f8"), ("valid", "O")])
 
 
 def write_imu_csv(path: str | Path, imu: ImuSeries) -> None:
@@ -36,24 +33,8 @@ def write_imu_csv(path: str | Path, imu: ImuSeries) -> None:
 
 
 def load_imu_csv(path: str | Path) -> ImuSeries:
-    with _open_input(path, "IMU") as f:
-        header = f.readline().strip()
-        if header != IMU_HEADER:
-            raise InputFormatError(f"bad IMU CSV header {header!r}; expected {IMU_HEADER!r}")
-        ts, ws = [], []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise InputFormatError(f"IMU CSV line {lineno}: expected 2 fields")
-            try:
-                ts.append(int(parts[0]))
-                ws.append(float(parts[1]))
-            except ValueError as exc:
-                raise InputFormatError(f"IMU CSV line {lineno}: {exc}") from exc
-    return ImuSeries(np.array(ts, dtype=np.int64), np.array(ws))
+    rows = read_csv(path, IMU_HEADER, _IMU_COLUMNS)
+    return ImuSeries(rows["t_us"], rows["yaw_rate"])
 
 
 def _fmt(x: float) -> str:
@@ -76,28 +57,10 @@ def write_velocity_csv(path: str | Path, estimates: list[VelocityEstimate]) -> N
 
 
 def load_velocity_csv(path: str | Path) -> list[VelocityEstimate]:
-    out = []
-    with _open_input(path, "velocity") as f:
-        header = f.readline().strip()
-        if header != VELOCITY_HEADER:
-            raise InputFormatError(
-                f"bad velocity CSV header {header!r}; expected {VELOCITY_HEADER!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise InputFormatError(f"velocity CSV line {lineno}: expected 8 fields")
-            try:
-                quality = EstimateQuality(n_inliers=int(parts[5]),
-                                          inlier_fraction=float(parts[6]),
-                                          mean_residual=0.0)
-                out.append(VelocityEstimate(
-                    t_mid=float(parts[0]), v_lon=float(parts[1]),
-                    v_lat=float(parts[2]), omega=float(parts[3]),
-                    omega_source=parts[4], quality=quality,
-                    valid=parts[7] == "true"))
-            except ValueError as exc:
-                raise InputFormatError(f"velocity CSV line {lineno}: {exc}") from exc
-    return out
+    rows = read_csv(path, VELOCITY_HEADER, _VELOCITY_COLUMNS)
+    return [VelocityEstimate(t_mid=t, v_lon=v_lon, v_lat=v_lat, omega=omega,
+                             omega_source=source,
+                             quality=EstimateQuality(n_inliers=n, inlier_fraction=frac,
+                                                     mean_residual=0.0),
+                             valid=valid.strip() == "true")
+            for t, v_lon, v_lat, omega, source, n, frac, valid in rows.tolist()]

@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .events import EVENT_DTYPE, CameraModel, make_events
-from .flow import FlowField
 from .rigid import CameraVelocity, EstimateQuality
 from .vehicle import Extrinsics, VelocityEstimate, transform_to_axle
 
@@ -471,22 +470,3 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
     events = np.concatenate(chunks) if chunks else np.empty(0, dtype=EVENT_DTYPE)
     truth = _axle_truth(traj, cfg.ext, np.arange(n_sub + 1) * h)
     return events, truth, SimState(psi=psi, c_px=c_px, anchor=anchor)
-
-
-def inject_outliers(field: FlowField, fraction: float, magnitude: float,
-                    rng_seed) -> FlowField:
-    """Replace a seeded random subset of valid flow vectors with uniformly
-    oriented vectors of the given magnitude."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
-    idx = np.flatnonzero(field.valid)
-    n_out = int(round(fraction * idx.size))
-    u = field.u.copy()
-    v = field.v.copy()
-    if n_out:
-        rng = np.random.default_rng(rng_seed)
-        chosen = rng.choice(idx, size=n_out, replace=False)
-        angles = rng.uniform(0.0, 2 * math.pi, n_out)
-        u.ravel()[chosen] = magnitude * np.cos(angles)
-        v.ravel()[chosen] = magnitude * np.sin(angles)
-    return FlowField(u=u, v=v, valid=field.valid.copy(), dt=field.dt)

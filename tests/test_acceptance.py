@@ -13,13 +13,12 @@ from evflow.config import RunConfig
 from evflow.evaluate import evaluate
 from evflow.events import (AccumulationConfig, CameraModel, accumulate, iter_frames,
                            make_events, relative_motion_blur, to_intensity)
-from evflow.flow import FlowParams, compute_flow, subsample_flow
+from evflow.flow import FlowParams, compute_flow, inject_outliers, subsample_flow
 from evflow.pipeline import StageTimings, process_frame_pair
 from evflow.rigid import (CameraVelocity, RansacParams, RigidMotion2D,
                           estimate_rigid, ransac_estimate, reconstruct_flow,
                           to_camera_velocity)
-from evflow.synth import (DotTexture, NoiseTexture, SimConfig, Trajectory,
-                          generate_events, inject_outliers)
+from evflow.synth import DotTexture, NoiseTexture, SimConfig, Trajectory, generate_events
 from evflow.vehicle import (Extrinsics, ImuSeries, substitute_imu_yaw,
                             transform_to_axle)
 

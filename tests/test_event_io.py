@@ -59,6 +59,20 @@ def test_csv_empty_round_trip(tmp_path):
     assert load_events_csv(path).size == 0
 
 
+def test_csv_round_trip_full_u64_range(tmp_path):
+    path = tmp_path / "events.csv"
+    events = make_events([0, 2**63, 2**64 - 1], [0, 1, 2], [0, 1, 2], [1, -1, 1])
+    write_events_csv(path, events)
+    assert np.array_equal(load_events_csv(path, 346, 260), events)
+
+
+def test_csv_t_us_beyond_u64(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text(f"t_us,x,y,p\n{2**64},2,3,1\n")
+    with pytest.raises(InputFormatError, match="events.csv"):
+        load_events_csv(path)
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("time,x,y,pol\n1,2,3,1\n")

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evflow import flow, pipeline, state_io
 from evflow.cli import main as cli_main
@@ -173,6 +179,17 @@ class TestVelocityCsv:
         with pytest.raises(InputFormatError):
             state_io.load_velocity_csv(path)
 
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n"], ids=["none", "blank", "blanks"])
+    def test_header_only_is_empty(self, tmp_path, body):
+        # an empty body must not reach np.loadtxt, which warns on it
+        path = tmp_path / "in.csv"
+        path.write_text(state_io.IMU_HEADER + "\n" + body)
+        assert len(state_io.load_imu_csv(path)) == 0
+        path.write_text(state_io.VELOCITY_HEADER + "\n" + body)
+        assert state_io.load_velocity_csv(path) == []
+        path.write_text("t_us,x,y,p\n" + body)
+        assert load_events_csv(path).size == 0
+
 
 class TestEvaluate:
     def test_identical_streams_zero_metrics(self):
@@ -256,6 +273,34 @@ class TestEmitPlots:
         text = (tmp_path / "velocity_v_lon.svg").read_text()
         assert "no valid estimates" in text
         ET.parse(files[0])
+
+
+# one window spans any u64 time range, so a parsed stream is at most two frames
+FUZZ_RUN_TEXT = RUN_TEXT.replace("accumulation.window_us = 33000",
+                                 "accumulation.window_us = 10000000000000000000")
+CSV_HEADERS = {"events": "t_us,x,y,p", "imu": state_io.IMU_HEADER,
+               "velocity": state_io.VELOCITY_HEADER}
+
+
+def run_csv_input(work: Path, kind: str, body: bytes) -> int:
+    """Exit code of the CLI command that reads ``body`` as its ``kind`` CSV input:
+    ``estimate`` for events and IMU samples, ``evaluate`` for velocities."""
+    path = work / f"{kind}.csv"
+    path.write_bytes(CSV_HEADERS[kind].encode() + b"\n" + body)
+    run_cfg = work / "run.cfg"
+    events = work / "events.csv"
+    if kind == "velocity":
+        truth = work / "truth.csv"
+        state_io.write_velocity_csv(truth, [vel(0.0, 1.0)])
+        return cli_main(["evaluate", "--estimates", str(path), "--ground-truth", str(truth),
+                         "--tolerance", "0.01"])
+    if kind == "imu":
+        events.write_text("t_us,x,y,p\n")
+        run_cfg.write_text(FUZZ_RUN_TEXT + f"io.imu = {path}\nomega.source = imu\n")
+    else:
+        run_cfg.write_text(FUZZ_RUN_TEXT)
+    return cli_main(["estimate", "--config", str(run_cfg), "--events", str(events),
+                     "--out-dir", str(work / "out")])
 
 
 class TestCli:
@@ -349,6 +394,29 @@ trajectory.omega = 0.3, 0.3
         run_cfg = tmp_path / "run_imu.cfg"
         run_cfg.write_text(RUN_TEXT + f"io.imu = {absent}\nomega.source = imu\n")
         assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 3
+
+    @pytest.mark.parametrize("kind, body", [
+        ("imu", b"1,0.5\n2,0.\xff5\n"),
+        ("imu", b"99999999999999999999999,0.5\n"),
+        ("velocity", b"0.0,1.0,0.0,0.0,fl\xe9w,10,1.0,true\n"),
+        ("velocity", b"0.0,1.0,0.0,0.0,flow,10,1.0\n"),
+    ], ids=["imu_not_utf8", "imu_t_beyond_int64", "velocity_not_utf8", "velocity_7_fields"])
+    def test_malformed_csv_exit_3(self, tmp_path, capsys, kind, body):
+        assert run_csv_input(tmp_path, kind, body) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input format error:") and err.count("\n") == 1
+        assert f"{kind}.csv" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", sorted(CSV_HEADERS))
+    @settings(max_examples=50, deadline=None)
+    @given(body=st.binary(max_size=24)
+           | st.text("0123456789,.-e\n ", max_size=24).map(str.encode))
+    def test_arbitrary_csv_body_exits_cleanly(self, kind, body):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as work, contextlib.redirect_stderr(err):
+            code = run_csv_input(Path(work), kind, body)
+        assert code in (0, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize("timings", [None, "{", "[]", '{"stages_ms": {"pair": 5}}'],
                              ids=["directory", "truncated", "array", "stage_not_an_object"])

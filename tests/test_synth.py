@@ -1,17 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import evflow
 from evflow.events import CameraModel, validate_events
-from evflow.flow import FlowField
+from evflow.flow import FlowField, inject_outliers
 from evflow.rigid import RansacParams, estimate_rigid, ransac_estimate, reconstruct_flow
 from evflow.synth import (CheckerTexture, DotTexture, NoiseTexture, SimConfig,
                           Trajectory, _bilinear_lattice, _time_order, generate_events,
-                          inject_outliers, render_plane, sample_texture)
+                          render_plane, sample_texture)
 from evflow.vehicle import Extrinsics
 
 CAM = CameraModel(width=101, height=81, height_z=0.5, f_px=100.0)
@@ -378,3 +383,15 @@ class TestInjectOutliers:
     def test_fraction_domain(self):
         with pytest.raises(ValueError):
             inject_outliers(self.field(), 1.5, 50.0, rng_seed=0)
+
+
+def test_simulator_and_file_io_import_without_scipy():
+    # simulate, evaluate and plot need neither scipy nor its import time
+    code = ("import sys, evflow.synth, evflow.event_io, evflow.state_io; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(evflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
