@@ -24,6 +24,7 @@ CSV_HEADER = "t_us,x,y,p"
 BINARY_MAGIC = b"EVT1"
 _HEADER_BYTES = 8  # magic plus u16 width and u16 height
 _CSV_CHUNK = 1 << 16  # rows formatted per write, which bounds the text held at once
+_RESCAN_LINES = 1 << 12  # rows per parse when a failed read looks for its bad line
 # parsed wide enough that an out-of-range x, y or p is caught before narrowing
 _CSV_COLUMNS = np.dtype([("t_us", "u8"), ("x", "i8"), ("y", "i8"), ("p", "i8")])
 
@@ -43,7 +44,8 @@ def read_csv(path: str | Path, header: str, dtype: np.dtype) -> np.ndarray:
 
     Empty lines are skipped.  An unreadable file, another header,
     undecodable bytes, a row with another field count and a value its field
-    cannot hold (an integer out of range included) raise InputFormatError.
+    cannot hold (an integer out of range included) raise InputFormatError;
+    it names the file and, for a bad line, its 1-based line number.
     """
     try:
         with open(path) as f:
@@ -55,10 +57,56 @@ def read_csv(path: str | Path, header: str, dtype: np.dtype) -> np.ndarray:
             first = next((line for line in f if line != "\n"), None)
             if first is None:
                 return np.empty(0, dtype=dtype)
-            return np.loadtxt(chain([first], f), dtype=dtype, delimiter=",",
-                              comments=None, ndmin=1)
-    except (OSError, ValueError) as exc:
+            return _parse_rows(chain([first], f), dtype)
+    except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise InputFormatError(f"cannot read {path}: {_bad_line(path, dtype) or exc}") from exc
+
+
+def _parse_rows(lines, dtype: np.dtype) -> np.ndarray:
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _bad_line(path: str | Path, dtype: np.dtype) -> str | None:
+    """``"line N: reason"`` for the first line of the CSV file at ``path``
+    that does not decode or whose row does not parse as ``dtype`` (the
+    header is line 1); None when every line reads.
+
+    The error path alone rescans the file, ``_RESCAN_LINES`` rows per
+    parse, and only a failing block is parsed again row by row.
+    """
+    def first_failure(block):
+        try:
+            _parse_rows([line for _, line in block], dtype)
+            return None
+        except ValueError:
+            pass
+        for lineno, line in block:
+            if line.count(",") + 1 != len(dtype.names):
+                return (f"line {lineno}: {line.count(',') + 1} fields, "
+                        f"expected {len(dtype.names)}")
+            try:
+                _parse_rows([line], dtype)
+            except ValueError as exc:  # numpy names the row of its one-line input
+                return f"line {lineno}: " + str(exc).replace(" at row 0,", " in")
+        return None
+
+    with open(path, errors="surrogateescape") as f:
+        block = []
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.encode(f.encoding)
+            except UnicodeEncodeError:
+                return f"line {lineno}: bytes that are not valid {f.encoding}"
+            if lineno > 1 and line != "\n":
+                block.append((lineno, line))
+            if len(block) == _RESCAN_LINES:
+                found = first_failure(block)
+                if found:
+                    return found
+                block = []
+        return first_failure(block) if block else None
 
 
 def load_events_csv(path: str | Path, width: int | None = None,

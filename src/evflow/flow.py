@@ -23,7 +23,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 RCOND_INVALID = 1e-6  # normal-matrix reciprocal condition number below this marks a pixel invalid
 _MIN_LEVEL_SIZE = 16
@@ -167,6 +166,8 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> P
         img = img.astype(np.float64)
     if img.ndim != 2 or img.size == 0:
         raise ValueError("expansion needs a non-empty 2-d image")
+    from scipy import ndimage  # imported on first use: commands without flow never load scipy
+
     g, xg, xxg = (k.astype(img.dtype) for k in _applicability_kernels(poly_n, poly_sigma))
     ig00, ig03, ig11, ig33, ig55 = _gram_inverse_entries(g.astype(np.float64), poly_n)
 
@@ -220,6 +221,8 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 def _smooth(channel: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    from scipy import ndimage
+
     tmp = ndimage.correlate1d(channel, kernel, axis=0, mode="nearest")
     return ndimage.correlate1d(tmp, kernel, axis=1, mode="nearest")
 
@@ -380,6 +383,8 @@ def _refine(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarray,
     rows and everything else is per pixel, so no band needs a halo and the
     result is bit-identical for every band count.
     """
+    from scipy import ndimage  # here, not in the band closures, so no pool thread imports
+
     _, h, w = s0.shape
     m = np.empty_like(s0)
     scratch = np.empty_like(s0)

@@ -164,7 +164,8 @@ def run_pipeline(events: np.ndarray, cfg: RunConfig,
     Every accumulated frame yields exactly one output row: the first frame
     (which only primes the pair chain) an invalid row with reason
     ``no_previous_frame``, each later frame the estimate of its pair with
-    the previous one.  Invalid frames carry reason codes, never vanish,
+    the previous one (a pair of two empty windows is ``textureless``
+    without running flow).  Invalid frames carry reason codes, never vanish,
     and frames_in = frames_valid + frames_invalid holds on every run.
     """
     if cfg.omega_source == "imu" and imu is None:
@@ -184,16 +185,19 @@ def run_pipeline(events: np.ndarray, cfg: RunConfig,
         timings.accumulate_s += time.perf_counter() - t0
         frames_in += 1
         if prev is None:
-            estimates.append(_invalid(frame.t_mid_s, "no_previous_frame",
-                                      cfg.omega_source))
-            reasons["no_previous_frame"] = 1
+            est = _invalid(frame.t_mid_s, "no_previous_frame", cfg.omega_source)
+        elif prev.event_total == frame.event_total == 0:
+            # two blank images have no texture to track; the next pair
+            # expands this frame itself, with the same result
+            est = _invalid(frame.t_mid_s, "textureless", cfg.omega_source)
+            pyramid = None
         else:
             pair = process_frame_pair(prev, frame, cfg, pair_index=frames_in - 1,
                                       imu=imu, timings=timings, prev_pyramid=pyramid)
             est, pyramid = pair.estimate, pair.pyramid
-            if not est.valid:
-                reasons[est.reason] = reasons.get(est.reason, 0) + 1
-            estimates.append(est)
+        if not est.valid:
+            reasons[est.reason] = reasons.get(est.reason, 0) + 1
+        estimates.append(est)
         prev = frame
         t0 = time.perf_counter()
 

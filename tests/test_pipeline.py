@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from evflow.config import RunConfig, Scenario
 from evflow.errors import EvaluationError
 from evflow.evaluate import evaluate
 from evflow.event_io import load_events_csv
-from evflow.events import accumulate, make_events
+from evflow.events import EVENT_DTYPE, accumulate, make_events
 from evflow.pipeline import process_frame_pair, run_pipeline
 from evflow.plots import dump_flow_csv, emit_plots
 from evflow.rigid import EstimateQuality
@@ -50,6 +51,14 @@ def small_scenario(duration=0.165, v_lon=1.0, v_lat=0.1, omega=0.3, noise_rate=0
 def vel(t, v_lon, v_lat=0.0, omega=0.0, valid=True, source="flow"):
     return VelocityEstimate(t_mid=t, v_lon=v_lon, v_lat=v_lat, omega=omega,
                             omega_source=source, quality=QUALITY, valid=valid)
+
+
+def counting(calls: dict, name: str, fn):
+    """``fn`` that also counts its calls in ``calls[name]``."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 class TestRunPipeline:
@@ -97,21 +106,39 @@ class TestRunPipeline:
         blank = np.zeros((cfg.camera.height, cfg.camera.width))
         n_levels = len(flow.flow_pyramid(blank, cfg.flow).levels)
         calls = {"expand": 0, "intensity": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         monkeypatch.setattr(flow, "polynomial_expansion",
-                            counted("expand", flow.polynomial_expansion))
+                            counting(calls, "expand", flow.polynomial_expansion))
         monkeypatch.setattr(pipeline, "to_intensity",
-                            counted("intensity", pipeline.to_intensity))
+                            counting(calls, "intensity", pipeline.to_intensity))
         result = run_pipeline(events, cfg)
         assert result.frames_in == len(frames) == 5
         assert calls == {"expand": len(frames) * n_levels, "intensity": len(frames)}
         assert result.estimates[1:] == cold
+
+    def test_pairs_of_empty_windows_skip_flow(self, monkeypatch):
+        cfg, events, _ = small_scenario(duration=0.099)
+        # the same three windows again, after six empty ones
+        later = events.copy()
+        later["t_us"] += 9 * cfg.accumulation.window_us
+        events = np.concatenate([events, later])
+        frames = accumulate(events, cfg.accumulation)
+        empty = [f.event_total == 0 for f in frames]
+        assert len(frames) == 12 and sum(empty) == 6
+        cold = [process_frame_pair(prev, curr, cfg, pair_index=i + 1).estimate
+                for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
+        calls = {"pyramid": 0, "flow": 0}
+        monkeypatch.setattr(pipeline, "flow_pyramid",
+                            counting(calls, "pyramid", pipeline.flow_pyramid))
+        monkeypatch.setattr(pipeline, "compute_flow",
+                            counting(calls, "flow", pipeline.compute_flow))
+        result = run_pipeline(events, cfg)
+        assert result.estimates[1:] == cold
+        run = [k for k in range(1, len(frames)) if not (empty[k - 1] and empty[k])]
+        assert len(run) == 6  # 2 + 1 + 3: five empty pairs are skipped
+        assert calls == {"pyramid": len({j for k in run for j in (k - 1, k)}),
+                         "flow": len(run)}
+        assert result.invalid_reasons == dict(Counter(
+            ["no_previous_frame"] + [e.reason for e in cold if not e.valid]))
 
     def test_estimates_do_not_depend_on_the_band_count(self, monkeypatch):
         # 346x260 is the one level size that refines in several bands
@@ -303,6 +330,19 @@ def run_csv_input(work: Path, kind: str, body: bytes) -> int:
                      "--out-dir", str(work / "out")])
 
 
+EVT_HEADER = b"EVT1" + np.array([120, 90], dtype="<u2").tobytes()
+CONFIG_ALPHABET = "abcdefghijklmnopqrstuvwxyz._=#,0123456789- \n"
+
+
+def assert_exits_cleanly(argv) -> None:
+    """The CLI ends ``argv`` with a documented exit code and no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main([str(a) for a in argv])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 class TestCli:
     @pytest.fixture
     def workspace(self, tmp_path):
@@ -407,6 +447,17 @@ trajectory.omega = 0.3, 0.3
         assert err.startswith("input format error:") and err.count("\n") == 1
         assert f"{kind}.csv" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("body, line", [
+        (b"1,0,0,1\n2,0,0\n", 3),
+        (b"1,0,0,1\nzz,0,0,1\n", 3),
+        (b"\n1,0,0,1\n\n2,0,\xff,1\n", 5),
+    ], ids=["three_fields", "not_a_number", "not_utf8_after_empty_lines"])
+    def test_malformed_csv_names_the_file_line(self, tmp_path, capsys, body, line):
+        assert run_csv_input(tmp_path, "events", body) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input format error:") and f"events.csv: line {line}:" in err
+        assert "usecols" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("kind", sorted(CSV_HEADERS))
     @settings(max_examples=50, deadline=None)
     @given(body=st.binary(max_size=24)
@@ -417,6 +468,37 @@ trajectory.omega = 0.3, 0.3
             code = run_csv_input(Path(work), kind, body)
         assert code in (0, 3, 4)
         assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(blob=st.binary(max_size=40)
+           | st.binary(max_size=40).map(EVT_HEADER.__add__)
+           | st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 130),
+                                st.integers(0, 100), st.sampled_from([-1, 0, 1])),
+                      max_size=4).map(lambda rows: EVT_HEADER + np.array(
+                          rows, dtype=EVENT_DTYPE).tobytes()))
+    def test_arbitrary_event_binary_exits_cleanly(self, blob):
+        with tempfile.TemporaryDirectory() as work:
+            events = Path(work) / "events.evt"
+            events.write_bytes(blob)
+            run_cfg = Path(work) / "run.cfg"
+            run_cfg.write_text(FUZZ_RUN_TEXT)
+            assert_exits_cleanly(["estimate", "--config", run_cfg, "--events", events,
+                                  "--out-dir", Path(work) / "out"])
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    @settings(max_examples=40, deadline=None)
+    @given(text=st.binary(max_size=60) | st.text(CONFIG_ALPHABET, max_size=60).map(str.encode))
+    def test_arbitrary_config_text_exits_cleanly(self, command, text):
+        with tempfile.TemporaryDirectory() as work:
+            config, events = Path(work) / "given.cfg", Path(work) / "events.csv"
+            config.write_bytes(text)
+            if command == "estimate":
+                events.write_text("t_us,x,y,p\n1,0,0,1\n")
+                argv = ["estimate", "--config", config, "--events", events,
+                        "--out-dir", Path(work) / "out"]
+            else:
+                argv = ["simulate", config, "--events", events]
+            assert_exits_cleanly(argv)
 
     @pytest.mark.parametrize("timings", [None, "{", "[]", '{"stages_ms": {"pair": 5}}'],
                              ids=["directory", "truncated", "array", "stage_not_an_object"])

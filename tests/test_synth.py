@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -385,13 +386,66 @@ class TestInjectOutliers:
             inject_outliers(self.field(), 1.5, 50.0, rng_seed=0)
 
 
-def test_simulator_and_file_io_import_without_scipy():
-    # simulate, evaluate and plot need neither scipy nor its import time
-    code = ("import sys, evflow.synth, evflow.event_io, evflow.state_io; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _fresh_python(code: str, *args) -> str:
+    """Stdout of ``code`` run with ``args`` in a new interpreter that imports
+    evflow from this tree."""
     src = str(Path(evflow.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_simulator_and_file_io_import_without_scipy():
+    # simulate, evaluate and plot need neither scipy nor its import time
+    out = _fresh_python("import sys, evflow.synth, evflow.event_io, evflow.state_io, "
+                        f"evflow.cli; print({_SCIPY_MODULES})")
     assert out.strip() == "[]"
+
+
+TINY_SCENARIO = """
+camera.width = 48
+camera.height = 36
+camera.height_z = 0.5
+camera.f_px = 40.0
+texture.kind = noise
+sim.duration_s = 0.066
+sim.time_step_s = 0.004125
+trajectory.t_s = 0.0, 0.066
+trajectory.v_lon = 1.0, 1.0
+"""
+
+TINY_RUN = """
+camera.width = 48
+camera.height = 36
+camera.height_z = 0.5
+camera.f_px = 40.0
+accumulation.window_us = 33000
+"""
+
+
+def test_only_the_flow_commands_load_scipy(tmp_path):
+    """Each command in a fresh interpreter: ``estimate`` runs flow and loads
+    scipy, the commands without flow load none of it."""
+    def run(*argv):
+        code = ("import json, sys; from evflow.cli import main; code = main(sys.argv[1:]); "
+                f"print(json.dumps([code, {_SCIPY_MODULES}]))")
+        code, modules = json.loads(_fresh_python(code, *argv).splitlines()[-1])
+        assert code == 0, argv
+        return modules
+
+    scenario, run_cfg = tmp_path / "scenario.cfg", tmp_path / "run.cfg"
+    scenario.write_text(TINY_SCENARIO)
+    run_cfg.write_text(TINY_RUN)
+    events, truth = tmp_path / "events.evt", tmp_path / "truth.csv"
+    assert run("simulate", scenario, "--events", events, "--ground-truth", truth) == []
+    assert run("evaluate", "--estimates", truth, "--ground-truth", truth,
+               "--tolerance", "0.0165") == []
+    assert run("plot", "--estimates", truth, "--ground-truth", truth,
+               "--out-dir", tmp_path / "plots") == []
+    assert run("blur-budget", "--out-dir", tmp_path / "bb") == []
+    assert "scipy.ndimage" in run("estimate", "--config", run_cfg, "--events", events,
+                                  "--out-dir", tmp_path / "out")
