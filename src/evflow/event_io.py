@@ -11,6 +11,7 @@ anything else CSV.
 
 from __future__ import annotations
 
+import mmap
 import os
 from itertools import chain
 from pathlib import Path
@@ -24,6 +25,7 @@ CSV_HEADER = "t_us,x,y,p"
 BINARY_MAGIC = b"EVT1"
 _HEADER_BYTES = 8  # magic plus u16 width and u16 height
 _CSV_CHUNK = 1 << 16  # rows formatted per write, which bounds the text held at once
+_CHECK_BLOCK = 1 << 18  # EVT1 records read per block when a file is validated on load
 _RESCAN_LINES = 1 << 12  # rows per parse when a failed read looks for its bad line
 # parsed wide enough that an out-of-range x, y or p is caught before narrowing
 _CSV_COLUMNS = np.dtype([("t_us", "u8"), ("x", "i8"), ("y", "i8"), ("p", "i8")])
@@ -136,24 +138,44 @@ def load_events_binary(path: str | Path) -> tuple[np.ndarray, int, int]:
     """Read an EVT1 file; returns (events, width, height).
 
     The records are memory-mapped read-only, not copied: the returned array
-    is a view of the file and cannot be written to.
+    is a view of the file and cannot be written to.  They are validated here
+    through buffered reads, so loading maps in no page of the file.
     """
     with open(path, "rb") as f:
         header = f.read(_HEADER_BYTES)
-        size = os.fstat(f.fileno()).st_size
-    if len(header) < _HEADER_BYTES or header[:4] != BINARY_MAGIC:
-        raise InputFormatError("missing EVT1 magic in event binary")
-    width, height = (int(v) for v in np.frombuffer(header[4:], dtype="<u2"))
-    n, partial = divmod(size - _HEADER_BYTES, EVENT_DTYPE.itemsize)
-    if partial:
-        raise InputFormatError("event binary payload is not a whole number of records")
-    if n:
-        ev = np.asarray(np.memmap(path, dtype=EVENT_DTYPE, mode="r",
-                                  offset=_HEADER_BYTES, shape=(n,)))
-    else:  # a zero-length mapping is an error
-        ev = np.frombuffer(b"", dtype=EVENT_DTYPE)
-    validate_events(ev, width, height)
-    return ev, width, height
+        if len(header) < _HEADER_BYTES or header[:4] != BINARY_MAGIC:
+            raise InputFormatError("missing EVT1 magic in event binary")
+        width, height = (int(v) for v in np.frombuffer(header[4:], dtype="<u2"))
+        n, partial = divmod(os.fstat(f.fileno()).st_size - _HEADER_BYTES,
+                            EVENT_DTYPE.itemsize)
+        if partial:
+            raise InputFormatError("event binary payload is not a whole number of records")
+        _check_records(f, n, width, height)
+        if not n:  # a zero-length mapping is an error
+            return np.frombuffer(b"", dtype=EVENT_DTYPE), width, height
+        mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    return np.frombuffer(mapping, dtype=EVENT_DTYPE, offset=_HEADER_BYTES), width, height
+
+
+def _check_records(f, n: int, width: int, height: int) -> None:
+    """``validate_events`` over the ``n`` records of the open EVT1 file
+    ``f``, read ``_CHECK_BLOCK`` records at a time.
+
+    Each block is read with the record before it, which checks the order
+    across the seam.  As in one check of the whole stream, an order error
+    anywhere wins over a bounds error.
+    """
+    bounds_error = None
+    for start in range(0, n, _CHECK_BLOCK):
+        first = max(start - 1, 0)
+        f.seek(_HEADER_BYTES + first * EVENT_DTYPE.itemsize)
+        block = np.fromfile(f, dtype=EVENT_DTYPE, count=min(start + _CHECK_BLOCK, n) - first)
+        try:
+            validate_events(block, width, height, first_record=first)
+        except EventBoundsError as exc:
+            bounds_error = bounds_error or exc
+    if bounds_error is not None:
+        raise bounds_error
 
 
 def load_events(path: str | Path, width: int, height: int) -> np.ndarray:

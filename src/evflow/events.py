@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ EVENT_DTYPE = np.dtype([
     ("p", "<i1"),
 ])
 _U64_END = 2 ** 64  # one past the largest uint64 timestamp
+_GALLOP = 4096  # first step, in records, of the search for a window's end
 
 
 def make_events(t_us, x, y, p) -> np.ndarray:
@@ -38,11 +40,14 @@ def make_events(t_us, x, y, p) -> np.ndarray:
 
 
 def validate_events(events: np.ndarray, width: int | None = None,
-                    height: int | None = None) -> None:
+                    height: int | None = None, first_record: int = 0) -> None:
     """Check stream invariants: polarity domain, time order, pixel bounds.
 
     Raises EventOrderError on a non-monotone timestamp and EventBoundsError
     on an out-of-range pixel (only checked when dimensions are given).
+    ``events`` may be a part of a stream that starts at its record
+    ``first_record``; an order error names the record counted from the
+    stream's start.
     """
     if events.dtype != EVENT_DTYPE:
         raise EventBoundsError(f"expected event dtype {EVENT_DTYPE}, got {events.dtype}")
@@ -52,7 +57,8 @@ def validate_events(events: np.ndarray, width: int | None = None,
     # compared in uint64, so a step past 2**63 is an increase, not a wrap
     back = t[1:] < t[:-1]
     if back.any():
-        raise EventOrderError(f"timestamps decrease at record {int(np.argmax(back)) + 1}")
+        raise EventOrderError("timestamps decrease at record "
+                              f"{first_record + int(np.argmax(back)) + 1}")
     # abs(-128) stays -128 in int8, so that value is rejected too
     if np.any(np.abs(events["p"]) != 1):
         raise EventBoundsError("polarity values must be +1 or -1")
@@ -166,8 +172,15 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
     emitted as all-zero frames.  Every event lands in exactly one window;
     per-pixel counts clip at ``cfg.count_cap``.  Yielding one frame at a
     time keeps consumers at bounded memory regardless of stream length.
+
+    The records are validated window by window, just before they are
+    counted, so an invalid stream raises after the frames that precede
+    its first bad window.  For a stream that views a file mapping
+    (``event_io.load_events_binary``), the pages of each finished window
+    are dropped from the process, so only the current window stays
+    resident.
     """
-    validate_events(events, cfg.sensor_width, cfg.sensor_height)
+    validate_events(events[:0])  # the dtype alone, before any field is read
     if t_start_us is not None and t_start_us < 0:
         raise ValueError(f"accumulation start time must be non-negative, got {t_start_us}")
     w = cfg.window_us
@@ -185,14 +198,16 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
 
     # Events are time-sorted, so each window is a contiguous slice.  A window
     # holds the events at or before its end - 1, a bound that fits in uint64
-    # even when the end is 2**64 or beyond.  bisect compares in uint64 and
-    # reads the time column in place, where np.searchsorted would first copy
-    # the strided column of the whole stream.
+    # even when the end is 2**64 or beyond.
     height, width = cfg.sensor_height, cfg.sensor_width
     lo = 0
     for k in range(n_frames):
         last_in = np.uint64(min(t_start_us + (k + 1) * w, _U64_END) - 1)
-        hi = bisect.bisect_right(times, last_in, lo)
+        hi = _window_end(times, last_in, lo)
+        if hi > lo:
+            # the record before the window checks the order across the seam
+            first = max(lo - 1, 0)
+            validate_events(events[first:hi], width, height, first_record=first)
         sel = events[lo:hi]
         # one histogram for both polarities: negative events count in the second half
         idx = sel["y"].astype(np.intp)
@@ -209,7 +224,55 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
             neg_counts=neg,
             event_total=hi - lo,
         )
+        if hi > lo:
+            _release_pages(events, hi)
         lo = hi
+    if lo < events.size:
+        # Records past the last window, which ends after the last record's
+        # time, mean the stream is out of order: checking them from the
+        # record before raises that order error.
+        first = max(lo - 1, 0)
+        validate_events(events[first:], first_record=first)
+
+
+def _window_end(times: np.ndarray, last_in: np.uint64, lo: int) -> int:
+    """The index of the first time after ``last_in`` at or past ``lo``.
+
+    The search gallops from ``lo`` and bisects only the last step, so it
+    reads the time column near the window and not at pages far ahead.
+    bisect compares in uint64 and reads the strided column in place, where
+    np.searchsorted would first copy it.
+    """
+    n = len(times)
+    step = _GALLOP
+    while lo + step < n and times[lo + step] <= last_in:
+        lo += step
+        step *= 2
+    return bisect.bisect_right(times, last_in, lo, min(lo + step, n))
+
+
+def _release_pages(events: np.ndarray, end: int) -> None:
+    """Drop from the process the mapped file pages that hold only records
+    before ``events[end]``.
+
+    Acts on an array that views a read-only ``mmap``, as
+    ``event_io.load_events_binary`` returns; a no-op for an array in memory
+    and where the platform has no ``MADV_DONTNEED``.  A dropped page is read
+    from the file again on its next access, so values never change.
+    """
+    advice = getattr(mmap, "MADV_DONTNEED", None)
+    base = events.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if advice is None or not isinstance(base, memoryview) \
+            or not isinstance(base.obj, mmap.mmap):
+        return
+    mapping = base.obj
+    end_address = events.__array_interface__["data"][0] + end * events.strides[0]
+    done = end_address - np.frombuffer(mapping, dtype=np.uint8).__array_interface__["data"][0]
+    length = min(done - done % mmap.PAGESIZE, len(mapping))
+    if length > 0:
+        mapping.madvise(advice, 0, length)
 
 
 def accumulate(events: np.ndarray, cfg: AccumulationConfig,

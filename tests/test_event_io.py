@@ -1,3 +1,7 @@
+import mmap
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,8 @@ from evflow import event_io
 from evflow.errors import EventBoundsError, EventOrderError, InputFormatError
 from evflow.event_io import (load_events_binary, load_events_csv,
                              write_events_binary, write_events_csv)
-from evflow.events import EVENT_DTYPE, AccumulationConfig, accumulate, make_events
+from evflow.events import (EVENT_DTYPE, AccumulationConfig, _release_pages, accumulate,
+                           iter_frames, make_events)
 
 
 @pytest.fixture
@@ -168,6 +173,93 @@ def test_binary_validates_bounds(tmp_path):
     write_events_binary(path, ev, 100, 100)
     with pytest.raises(EventBoundsError):
         load_events_binary(path)
+
+
+def test_binary_validates_in_blocks(tmp_path, monkeypatch, sample_events):
+    monkeypatch.setattr(event_io, "_CHECK_BLOCK", 7)
+    path = tmp_path / "events.evt"
+    write_events_binary(path, sample_events, 346, 260)
+    assert np.array_equal(load_events_binary(path)[0], sample_events)
+    # a decrease from the last record of one block to the first of the next
+    ev = make_events([0, 1, 2, 3, 4, 5, 6, 5, 8, 9], [0] * 10, [0] * 10, [1] * 10)
+    write_events_binary(path, ev, 346, 260)
+    with pytest.raises(EventOrderError, match="at record 7$"):
+        load_events_binary(path)
+    # an order error in a later block wins over a bounds error in an earlier one
+    ev["x"][1] = 400
+    write_events_binary(path, ev, 346, 260)
+    with pytest.raises(EventOrderError, match="at record 7$"):
+        load_events_binary(path)
+    ev["t_us"][7] = 7
+    write_events_binary(path, ev, 346, 260)
+    with pytest.raises(EventBoundsError):
+        load_events_binary(path)
+
+
+def mapped_rss_kb() -> int | None:
+    """This process's resident file-backed pages in kB, None where the
+    kernel does not report them."""
+    try:
+        status = Path("/proc/self/status").read_text()
+    except OSError:
+        return None
+    fields = dict(re.findall(r"^(RssFile|RssShmem):\s+(\d+) kB", status, re.M))
+    return sum(map(int, fields.values())) if "RssFile" in fields else None
+
+
+@pytest.mark.skipif(mapped_rss_kb() is None or not hasattr(mmap, "MADV_DONTNEED"),
+                    reason="needs RssFile in /proc/self/status and MADV_DONTNEED")
+def test_binary_frames_keep_one_window_resident(tmp_path):
+    # 5M records (65 MB) in 16 windows of 4 MB
+    n, width, height = 5_000_000, 346, 260
+    i = np.arange(n)
+    ev = np.empty(n, dtype=EVENT_DTYPE)
+    ev["t_us"] = i // 8
+    ev["x"] = i % width
+    ev["y"] = i // width % height
+    ev["p"] = 1
+    path = tmp_path / "long.evt"
+    write_events_binary(path, ev, width, height)
+    del ev, i
+    before = mapped_rss_kb()
+    events, _, _ = load_events_binary(path)
+    growth, total = mapped_rss_kb() - before, 0
+    for frame in iter_frames(events, AccumulationConfig(window_us=40_000, sensor_width=width,
+                                                        sensor_height=height)):
+        total += frame.event_total
+        growth = max(growth, mapped_rss_kb() - before)
+    assert total == n
+    assert growth < 16 * 1024, f"file pages resident grew by {growth} kB"
+
+
+@pytest.mark.parametrize("drop", [True, False], ids=["madvise", "no_madvise"])
+def test_mapped_frames_equal_in_memory_frames(tmp_path, monkeypatch, drop):
+    if not drop:
+        monkeypatch.delattr(mmap, "MADV_DONTNEED", raising=False)
+    rng = np.random.default_rng(5)
+    n = 200_000  # 2.6 MB, so each window spans many pages
+    ev = make_events(np.sort(rng.integers(0, 100_000, n)), rng.integers(0, 346, n),
+                     rng.integers(0, 260, n), rng.choice([-1, 1], n))
+    path = tmp_path / "events.evt"
+    write_events_binary(path, ev, 346, 260)
+    mapped, width, height = load_events_binary(path)
+    cfg = AccumulationConfig(window_us=7_000, sensor_width=width, sensor_height=height)
+    want = accumulate(ev, cfg)
+    # the second pass reads pages the first one dropped
+    for _ in range(2):
+        got = accumulate(mapped, cfg)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.event_total == b.event_total
+            assert np.array_equal(a.pos_counts, b.pos_counts)
+            assert np.array_equal(a.neg_counts, b.neg_counts)
+    # the header-only file maps nothing, and an array in memory has no pages to drop
+    write_events_binary(path, make_events([], [], [], []), 346, 260)
+    empty, _, _ = load_events_binary(path)
+    frames = accumulate(empty, cfg, t_start_us=0, t_end_us=10_000)
+    assert len(frames) == 2 and all(f.event_total == 0 for f in frames)
+    _release_pages(empty, 0)
+    _release_pages(ev, n)
 
 
 @pytest.mark.parametrize("name", ["events.evt", "events.csv", "events"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evflow.errors import EventBoundsError, EventOrderError
+from evflow.errors import EventBoundsError, EventOrderError, InputFormatError
 from evflow.events import (AccumulationConfig, CameraModel, accumulate,
                            iter_frames, make_events, max_exposure_for_blur,
                            relative_motion_blur, to_intensity, validate_events)
@@ -147,6 +147,42 @@ class TestAccumulate:
         first = next(frames)
         assert first.event_total == 1 and first.pos_counts[0, 0] == 1
         assert next(frames).event_total == 0
+
+    @pytest.mark.parametrize("times, record", [
+        ([0, 10, 150, 160, 155, 170], 4),  # inside the second window
+        ([10, 50, 120, 130, 60, 140], 4),  # from the second window back into the first
+        ([10, 50, 120, 30], 3),  # a record left past the last window
+    ], ids=["later_window", "window_seam", "tail"])
+    def test_order_error_names_the_stream_record(self, times, record):
+        ev = make_events(times, [0] * len(times), [0] * len(times), [1] * len(times))
+        frames = iter_frames(ev, cfg(window=100))
+        assert next(frames).event_total == 2  # windows before the bad one are yielded
+        with pytest.raises(EventOrderError, match=f"at record {record}$"):
+            list(frames)
+
+    @given(st.lists(st.tuples(st.integers(0, 400), st.integers(0, 17), st.integers(0, 13),
+                              st.sampled_from([1, -1, 1, -1, 0, 2, -128])), max_size=40),
+           st.integers(1, 150), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_validation_raises_when_validate_events_does(self, rows, window, sort):
+        # an order error past a bounds error may now surface as the bounds
+        # error: the class may differ, both are input format errors (exit 3)
+        if sort:
+            rows.sort(key=lambda r: r[0])
+        ev = make_events(*(list(col) for col in zip(*rows))) if rows else make_events([], [], [], [])
+        c = cfg(window=window)
+        try:
+            validate_events(ev, c.sensor_width, c.sensor_height)
+        except InputFormatError:
+            with pytest.raises(InputFormatError):
+                accumulate(ev, c)
+            return
+        frames = accumulate(ev, c)
+        want = add_at_reference(ev, c, rows[0][0], None) if rows else []
+        assert len(frames) == len(want)
+        for f, (start, end, pos, neg, total) in zip(frames, want):
+            assert (f.t_start_us, f.t_end_us, f.event_total) == (start, end, total)
+            assert np.array_equal(f.pos_counts, pos) and np.array_equal(f.neg_counts, neg)
 
     def test_negative_start_rejected(self):
         ev = make_events([10], [0], [0], [1])

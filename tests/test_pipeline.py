@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evflow import flow, pipeline, state_io
+from evflow import event_io, flow, pipeline, state_io
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig, Scenario
 from evflow.errors import EvaluationError
 from evflow.evaluate import evaluate
-from evflow.event_io import load_events_csv
+from evflow.event_io import load_events_csv, write_events_binary
 from evflow.events import EVENT_DTYPE, accumulate, make_events
 from evflow.pipeline import process_frame_pair, run_pipeline
 from evflow.plots import dump_flow_csv, emit_plots
@@ -420,6 +420,23 @@ trajectory.omega = 0.3, 0.3
         short = tmp_path / "short.evt"
         short.write_bytes(b"EVT1")
         assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(short)]) == 3
+
+    @pytest.mark.parametrize("times, record, block", [
+        ([0, 1_000, 40_000, 50_000, 45_000, 60_000], 4, None),  # inside the second window
+        ([0, 10_000, 40_000, 50_000, 20_000], 4, None),  # back into the first window
+        ([0, 1, 2, 3, 4, 5, 6, 7, 5, 9], 8, 4),  # the first record of the third load block
+    ], ids=["later_window", "window_seam", "load_block_seam"])
+    def test_order_error_names_the_stream_record(self, workspace, capsys, monkeypatch,
+                                                 times, record, block):
+        tmp_path, _, run_cfg = workspace
+        if block:
+            monkeypatch.setattr(event_io, "_CHECK_BLOCK", block)
+        path = tmp_path / "events.evt"
+        zeros = [0] * len(times)
+        write_events_binary(path, make_events(times, zeros, zeros, [1] * len(times)), 120, 90)
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"timestamps decrease at record {record}\n" in err and "Traceback" not in err
 
     def test_missing_input_exit_3(self, workspace):
         tmp_path, _, _ = workspace
