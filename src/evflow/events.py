@@ -213,7 +213,7 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
         idx = sel["y"].astype(np.intp)
         idx *= width
         idx += sel["x"]
-        idx += (sel["p"] < 0) * (height * width)
+        np.add(idx, height * width, out=idx, where=sel["p"] < 0)
         counts = np.bincount(idx, minlength=2 * height * width)
         np.minimum(counts, cfg.count_cap, out=counts)
         pos, neg = counts.astype(np.int32).reshape(2, height, width)

@@ -18,18 +18,15 @@ p + (u, v) in the second.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 RCOND_INVALID = 1e-6  # normal-matrix reciprocal condition number below this marks a pixel invalid
 _MIN_LEVEL_SIZE = 16
-_MIN_BAND_PX = 25_000  # pixels per refinement band; smaller bands lose to the hand-off
 # Pixels per normal-equations tile.  Built whole, a 346x260 frame's float64
 # temporaries (about 14 MB) go back to the OS and are faulted in again every
-# iteration; much smaller tiles make the bands trade the GIL too often.
+# iteration.
 _TILE_PX = 16_384
 
 
@@ -244,21 +241,20 @@ def _stack_expansion(e: PolyExpansion) -> np.ndarray:
 
 
 def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarray,
-                      border: np.ndarray, rows: slice, cols: slice, out: np.ndarray) -> None:
+                      border: np.ndarray, rows: slice, out: np.ndarray) -> None:
     """Build per-pixel 2x2 normal equations G d = h for the displacement.
 
     The second expansion is sampled at the warped position p + (u, v) with
     bilinear interpolation (coordinates clamped to the frame), the two A
     matrices are averaged, and the current displacement is folded into the
     right-hand side so the solve yields the full displacement, not an
-    increment.  Only the tile ``rows`` x ``cols`` is built, into
-    ``out[:, rows, cols]``; the warp gathers from all of ``s1``.  Channels:
-    [G11, G12, G22, h1, h2].
+    increment.  Only the rows ``rows`` are built, into ``out[:, rows]``;
+    the warp gathers from all of ``s1``.  Channels: [G11, G12, G22, h1, h2].
     """
     _, h, w = s0.shape
-    s0, out = s0[:, rows, cols], out[:, rows, cols]
-    u, v, border = u[rows, cols], v[rows, cols], border[rows, cols]
-    xs = np.arange(cols.start, cols.stop, dtype=np.float32)[None, :] + u
+    s0, out = s0[:, rows], out[:, rows]
+    u, v, border = u[rows], v[rows], border[rows]
+    xs = np.arange(w, dtype=np.float32)[None, :] + u
     ys = np.arange(rows.start, rows.stop, dtype=np.float32)[:, None] + v
     np.clip(xs, 0.0, w - 1.0, out=xs)
     np.clip(ys, 0.0, h - 1.0, out=ys)
@@ -320,95 +316,27 @@ def _rcond(g11, g12, g22):
     return np.nan_to_num(rc, nan=0.0)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on (``taskset`` narrows them)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _band_count(h: int, w: int) -> int:
-    """Threads that refine an h x w level: one per CPU, each with at least
-    ``_MIN_BAND_PX`` pixels, since a banded iteration pays a hand-off."""
-    return max(1, min(_cpu_count(), h * w // _MIN_BAND_PX))
-
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor(workers: int):
-    """The band pool, made on first use with ``workers`` threads.  A later
-    call that brings more bands queues the surplus; no band waits on another."""
-    global _pool
-    import concurrent.futures
-    with _pool_lock:
-        if _pool is None:
-            _pool = concurrent.futures.ThreadPoolExecutor(workers,
-                                                          thread_name_prefix="evflow-band")
-        return _pool
-
-
-def _in_bands(task, n: int, bands: int) -> None:
-    """Run ``task(lo, hi)`` over ``bands`` contiguous parts of ``range(n)``.
-
-    The calling thread takes the first part and the pool the others; every
-    part finishes before an error from any of them is re-raised.
-    """
-    edges = [n * i // bands for i in range(bands + 1)]
-    parts = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
-    if len(parts) == 1:
-        task(*parts[0])
-        return
-    pool = _executor(len(parts) - 1)
-    futures = [pool.submit(task, *part) for part in parts[1:]]
-    try:
-        task(*parts[0])
-    finally:
-        errors = [f.exception() for f in futures]  # waits for every part
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def _refine(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarray,
-            border: np.ndarray, kernel: np.ndarray,
-            bands: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            border: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One refinement iteration; returns the new (u, v) and the
     window-smoothed normal equations.
 
-    Column bands build the normal equations, ``_TILE_PX`` pixels at a time,
-    and run the vertical window pass into ``scratch``; row bands run the
-    horizontal pass back into ``m`` and solve.  The vertical pass needs whole columns, the horizontal pass whole
-    rows and everything else is per pixel, so no band needs a halo and the
-    result is bit-identical for every band count.
+    The normal equations are built ``_TILE_PX`` pixels at a time, then each
+    channel is window-smoothed vertically and horizontally and the solve
+    runs per pixel.
     """
-    from scipy import ndimage  # here, not in the band closures, so no pool thread imports
+    from scipy import ndimage
 
     _, h, w = s0.shape
     m = np.empty_like(s0)
-    scratch = np.empty_like(s0)
-    u_new = np.empty_like(u)
-    v_new = np.empty_like(v)
-
-    def columns(c0: int, c1: int) -> None:
-        cols = slice(c0, c1)
-        step = max(1, _TILE_PX // (c1 - c0))
-        for r0 in range(0, h, step):
-            _normal_equations(s0, s1, u, v, border, slice(r0, min(r0 + step, h)), cols, m)
-        for ch, tmp in zip(m, scratch):
-            ndimage.correlate1d(ch[:, cols], kernel, axis=0, mode="nearest",
-                                output=tmp[:, cols])
-
-    def rows(r0: int, r1: int) -> None:
-        for ch, tmp in zip(m, scratch):
-            ndimage.correlate1d(tmp[r0:r1], kernel, axis=1, mode="nearest",
-                                output=ch[r0:r1])
-        u_new[r0:r1], v_new[r0:r1] = _solve_flow(m[:, r0:r1])
-
-    _in_bands(columns, w, bands)
-    _in_bands(rows, h, bands)
-    return u_new, v_new, m
+    step = max(1, _TILE_PX // w)
+    for r0 in range(0, h, step):
+        _normal_equations(s0, s1, u, v, border, slice(r0, min(r0 + step, h)), m)
+    tmp = np.empty_like(s0[0])
+    for ch in m:
+        ndimage.correlate1d(ch, kernel, axis=0, mode="nearest", output=tmp)
+        ndimage.correlate1d(tmp, kernel, axis=1, mode="nearest", output=ch)
+    return (*_solve_flow(m), m)
 
 
 @dataclass(frozen=True)
@@ -498,9 +426,8 @@ def compute_flow(prev: np.ndarray | FlowPyramid, next_: np.ndarray | FlowPyramid
             v = _resize_bilinear(v, lh, lw) * np.float32(lh / ph)
 
         border = _border_weights(lh, lw)
-        bands = _band_count(lh, lw)
         for _ in range(params.iterations):
-            u, v, m = _refine(s0, s1, u, v, border, win_kernel, bands)
+            u, v, m = _refine(s0, s1, u, v, border, win_kernel)
 
     valid = _rcond(m[0], m[1], m[2]) >= RCOND_INVALID
     u = np.where(valid, u, np.float32(0.0)).astype(np.float64)

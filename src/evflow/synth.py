@@ -28,6 +28,7 @@ from .rigid import CameraVelocity, EstimateQuality
 from .vehicle import Extrinsics, VelocityEstimate, transform_to_axle
 
 MAX_SUBSTEPS = 10 ** 6  # ceiling on duration / time_step, the simulator's loop count
+_INITIAL_EVENTS = 1 << 16  # first capacity of the simulator's event buffer
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -412,7 +413,14 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
     band_prev = np.floor((level_prev - anchor) / cfg.contrast + 0.5).astype(np.int64)
 
     t_last_us = round(cfg.duration * 1e6) - 1
-    chunks = []
+    # The stream is written into one buffer that grows in place: ndarray.resize
+    # is realloc, which moves a large block by remapping its pages, so the
+    # stream is never copied or held twice.  resize zero-fills the added
+    # records, which makes them resident, so the buffer grows by a quarter
+    # rather than doubling.  No view of the buffer outlives a statement before
+    # the final resize, which makes refcheck=False safe.
+    events = np.empty(_INITIAL_EVENTS, dtype=EVENT_DTYPE)
+    n = 0
     expected_noise = cfg.noise_rate * h * cam.width * cam.height
     for k in range(n_sub):
         t0 = k * h
@@ -461,12 +469,16 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
             # keep boundary-rounded timestamps inside the simulated span
             np.clip(t_us, 0, t_last_us, out=t_us)
             order = _time_order(t_us)
-            chunks.append(make_events(t_us[order].astype(np.uint64),
-                                      np.concatenate(xs)[order],
-                                      np.concatenate(ys)[order], np.concatenate(ps)[order]))
+            records = make_events(t_us[order].astype(np.uint64), np.concatenate(xs)[order],
+                                  np.concatenate(ys)[order], np.concatenate(ps)[order])
+            if n + records.size > events.size:
+                events.resize(max(events.size + events.size // 4, n + records.size),
+                              refcheck=False)
+            events[n:n + records.size] = records
+            n += records.size
         level_prev = level_new
         band_prev = band_new
 
-    events = np.concatenate(chunks) if chunks else np.empty(0, dtype=EVENT_DTYPE)
+    events.resize(n, refcheck=False)
     truth = _axle_truth(traj, cfg.ext, np.arange(n_sub + 1) * h)
     return events, truth, SimState(psi=psi, c_px=c_px, anchor=anchor)

@@ -1,5 +1,3 @@
-import sys
-import threading
 from unittest import mock
 
 import numpy as np
@@ -155,7 +153,7 @@ class TestComputeFlow:
 def whole_frame_refinement(s0, s1, u, v, border, kernel):
     """One refinement iteration computed on the whole frame at once: normal
     equations, then each channel smoothed vertically and horizontally, then
-    the solve.  The banded ``flow._refine`` must reproduce it bit for bit."""
+    the solve.  The tiled ``flow._refine`` must reproduce it bit for bit."""
     _, h, w = s0.shape
     xs = np.clip(np.arange(w, dtype=np.float32)[None, :] + u, 0.0, w - 1.0)
     ys = np.clip(np.arange(h, dtype=np.float32)[:, None] + v, 0.0, h - 1.0)
@@ -182,14 +180,14 @@ def whole_frame_refinement(s0, s1, u, v, border, kernel):
     return (g22 * h1 - g12 * h2) * inv, (g11 * h2 - g12 * h1) * inv, m
 
 
-class TestRefinementBands:
-    """The full-resolution refinement runs in column and row bands on
-    several threads; the band count must never change a bit of the flow."""
+class TestRefinementTiles:
+    """The refinement builds the normal equations in tiles of ``_TILE_PX``
+    pixels; the tile size must never change a bit of the flow."""
 
     @settings(max_examples=40, deadline=None)
     @given(h=st.integers(2, 24), w=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
            half_window=st.integers(1, 7), reach=st.floats(0.0, 6.0), tile=st.integers(1, 80))
-    def test_bands_reproduce_the_whole_frame_iteration(self, h, w, seed, half_window, reach,
+    def test_tiles_reproduce_the_whole_frame_iteration(self, h, w, seed, half_window, reach,
                                                        tile):
         rng = np.random.default_rng(seed)
         s0, s1 = rng.standard_normal((2, 5, h, w)).astype(np.float32)
@@ -198,75 +196,12 @@ class TestRefinementBands:
         size = 2 * half_window + 1
         kernel = flow._gaussian_kernel(size, 0.3 * half_window).astype(np.float32)
         want_u, want_v, want_m = whole_frame_refinement(s0, s1, u, v, border, kernel)
-        # tiles of a few pixels split the normal equations of a band into many row blocks
+        # tiles of a few pixels split the normal equations into many row blocks
         with mock.patch.object(flow, "_TILE_PX", tile):
-            for bands in (1, 2, 3):
-                got_u, got_v, got_m = flow._refine(s0, s1, u, v, border, kernel, bands)
-                assert np.array_equal(got_u, want_u), bands
-                assert np.array_equal(got_v, want_v), bands
-                assert np.array_equal(got_m, want_m), bands
-
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_full_resolution_pair_matches_one_band(self, noise_image, monkeypatch, cpus):
-        params = FlowParams(pyramid_levels=4)
-        img = noise_image((260, 346), seed=4)
-        nxt = np.roll(img, (2, -3), axis=(0, 1))
-        pyramids = flow_pyramid(img, params), flow_pyramid(nxt, params)
-        monkeypatch.setattr(flow, "_cpu_count", lambda: 1)
-        serial = compute_flow(*pyramids, params, 0.033)
-        monkeypatch.setattr(flow, "_cpu_count", lambda: cpus)
-        assert flow._band_count(260, 346) == cpus
-        banded = compute_flow(*pyramids, params, 0.033)
-        for name in ("u", "v", "valid"):
-            assert np.array_equal(getattr(banded, name), getattr(serial, name)), name
-
-    def test_only_full_resolution_levels_are_banded(self, monkeypatch):
-        monkeypatch.setattr(flow, "_cpu_count", lambda: 64)
-        assert flow._band_count(120, 160) == 1
-        assert flow._band_count(130, 173) == 1
-        assert flow._band_count(260, 346) == 3
-        monkeypatch.setattr(flow, "_cpu_count", lambda: 1)
-        assert flow._band_count(2000, 2000) == 1
-
-    def test_more_bands_than_cores_under_frequent_thread_switches(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        s0, s1 = rng.standard_normal((2, 5, 64, 80)).astype(np.float32)
-        u, v = (3 * rng.standard_normal((2, 64, 80))).astype(np.float32)
-        border = flow._border_weights(64, 80)
-        kernel = flow._gaussian_kernel(15, 2.1).astype(np.float32)
-        want = flow._refine(s0, s1, u, v, border, kernel, 1)
-        monkeypatch.setattr(flow, "_pool", None)  # a fresh pool with a thread per extra band
-        mismatches = []
-
-        def stress():
-            for _ in range(20):
-                got = flow._refine(s0, s1, u, v, border, kernel, 6)
-                mismatches.append(not all(map(np.array_equal, got, want)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=stress)
-            worker.start()
-            worker.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive()
-        assert mismatches == [False] * 20
-
-    def test_a_failing_band_waits_for_every_band(self):
-        done = []
-        lock = threading.Lock()
-
-        def task(lo, hi):
-            if lo == 4:
-                raise RuntimeError("band failed")
-            with lock:
-                done.append(lo)
-
-        with pytest.raises(RuntimeError, match="band failed"):
-            flow._in_bands(task, 12, 3)
-        assert sorted(done) == [0, 8]
+            got_u, got_v, got_m = flow._refine(s0, s1, u, v, border, kernel)
+        assert np.array_equal(got_u, want_u)
+        assert np.array_equal(got_v, want_v)
+        assert np.array_equal(got_m, want_m)
 
 
 class TestSubsampleFlow:

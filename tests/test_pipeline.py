@@ -140,20 +140,6 @@ class TestRunPipeline:
         assert result.invalid_reasons == dict(Counter(
             ["no_previous_frame"] + [e.reason for e in cold if not e.valid]))
 
-    def test_estimates_do_not_depend_on_the_band_count(self, monkeypatch):
-        # 346x260 is the one level size that refines in several bands
-        cfg = RunConfig.from_text(RUN_TEXT.replace("width = 120", "width = 346")
-                                  .replace("height = 90", "height = 260"))
-        sim = SimConfig(texture=NoiseTexture(seed=11), cam=cfg.camera, noise_rate=0.05,
-                        duration=0.099, time_step=33e-3 / 8, seed=3)
-        events, _, _ = generate_events(sim, Trajectory.constant(0.099, v_lon=1.0, v_lat=0.1,
-                                                                omega=0.3))
-        default = run_pipeline(events, cfg).estimates
-        assert sum(e.valid for e in default) == 2
-        for cpus in (1, 2):
-            monkeypatch.setattr(flow, "_cpu_count", lambda: cpus)
-            assert run_pipeline(events, cfg).estimates == default, cpus
-
     def test_latency_accounting_sums(self):
         cfg, events, _ = small_scenario(duration=0.132)
         result = run_pipeline(events, cfg)

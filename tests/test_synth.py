@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evflow
-from evflow.events import CameraModel, validate_events
+from evflow import synth
+from evflow.events import EVENT_DTYPE, CameraModel, make_events, validate_events
 from evflow.flow import FlowField, inject_outliers
 from evflow.rigid import RansacParams, estimate_rigid, ransac_estimate, reconstruct_flow
 from evflow.synth import (CheckerTexture, DotTexture, NoiseTexture, SimConfig,
@@ -333,6 +336,62 @@ class TestGenerateEvents:
         assert np.array_equal(_time_order(t_us), np.argsort(t_us, kind="stable"))
 
 
+def pinned_scenario(name):
+    """Two short streams with noise on: a 346x260 noise-texture drive and a
+    160x120 spinning dot disk."""
+    if name == "noise_drive":
+        cam = CameraModel(width=346, height=260, height_z=1.2, fov_alpha=math.radians(90))
+        return (SimConfig(texture=NoiseTexture(seed=11), cam=cam, noise_rate=0.5,
+                          duration=0.02, time_step=33e-3 / 8, seed=1),
+                Trajectory([0.0, 0.02], [0.5, 2.5], [0.0, 0.2], [0.0, 0.5]))
+    cam = CameraModel(width=160, height=120, height_z=0.5, f_px=100.0)
+    return (SimConfig(texture=DotTexture(density=0.01, radius_px=2.5, seed=21), cam=cam,
+                      noise_rate=0.1, duration=0.01, time_step=1e-3 / 8, seed=13),
+            Trajectory.constant(0.01, omega=37.70))
+
+
+# (event count, SHA-256 of the records), recorded when the simulator still
+# concatenated per-substep chunks
+PINNED_STREAMS = {
+    "noise_drive": (418_647, "7787a74a67d5485edb963dc90d3ef2ac193ed73845610d30772d988647f2baf6"),
+    "dot_disk": (137_102, "e7d6dbab4becace5d21e49eba484867684cdcbad6401f8902ee0c39fd2c6fdc6"),
+}
+
+
+class TestEventBuffer:
+    """``generate_events`` writes each substep's records into one buffer
+    that grows in place."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+    def test_stream_bytes_are_pinned(self, name):
+        ev, _, _ = generate_events(*pinned_scenario(name))
+        assert (ev.size, hashlib.sha256(ev.tobytes()).hexdigest()) == PINNED_STREAMS[name]
+
+    @given(duration=st.floats(1e-3, 0.012), noise_rate=st.sampled_from([0.0, 50.0, 2e3]),
+           v_lon=st.floats(0.0, 3.0), omega=st.floats(-20.0, 20.0),
+           seed=st.integers(0, 2 ** 32 - 1), capacity=st.integers(1, 64))
+    @example(duration=0.012, noise_rate=2e3, v_lon=3.0, omega=20.0, seed=0, capacity=1)
+    @example(duration=1e-3, noise_rate=0.0, v_lon=0.0, omega=0.0, seed=0, capacity=1)
+    @settings(max_examples=40, deadline=None)
+    def test_buffer_equals_the_concatenated_substep_records(self, duration, noise_rate, v_lon,
+                                                            omega, seed, capacity):
+        records = []
+
+        def recording(*args):
+            records.append(make_events(*args))
+            return records[-1]
+
+        cfg = sim(duration=duration, noise_rate=noise_rate, seed=seed)
+        # small first capacities make the buffer grow many times
+        with mock.patch.object(synth, "_INITIAL_EVENTS", capacity), \
+                mock.patch.object(synth, "make_events", recording):
+            ev, _, _ = generate_events(cfg, Trajectory.constant(duration, v_lon=v_lon,
+                                                                omega=omega))
+        want = np.concatenate(records) if records else np.empty(0, dtype=EVENT_DTYPE)
+        assert ev.dtype == EVENT_DTYPE and ev.size == want.size
+        assert ev.tobytes() == want.tobytes()
+
+
 class TestInjectOutliers:
     def field(self, n=20, u=3.0):
         return FlowField(u=np.full((n, n), u), v=np.zeros((n, n)),
@@ -449,3 +508,41 @@ def test_only_the_flow_commands_load_scipy(tmp_path):
     assert run("blur-budget", "--out-dir", tmp_path / "bb") == []
     assert "scipy.ndimage" in run("estimate", "--config", run_cfg, "--events", events,
                                   "--out-dir", tmp_path / "out")
+
+
+DRIVE_SCENARIO = """
+camera.width = 346
+camera.height = 260
+camera.height_z = 1.2
+camera.fov_deg = 90.0
+texture.kind = noise
+texture.seed = 31
+sim.duration_s = {duration}
+sim.time_step_s = 0.004125
+trajectory.t_s = 0.0, {duration}
+trajectory.v_lon = 2.5, 2.5
+trajectory.v_lat = 0.2, 0.2
+trajectory.omega = 0.5, 0.5
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
+def test_simulate_holds_the_stream_once(tmp_path):
+    """``evflow simulate`` at two durations in fresh interpreters: the peak
+    RSS grows by about the stream's bytes, not by twice them.
+
+    The peak is the process's own ``VmHWM``; ``ru_maxrss`` would carry the
+    peak of the process that started it across exec.
+    """
+    code = ("import sys; from evflow.cli import main; main(sys.argv[1:]); "
+            "print(next(line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')))")
+    peak_bytes, stream_bytes = [], []
+    for duration in (0.033, 0.132):  # about 1.2M and 4.6M events
+        scenario, events = tmp_path / f"{duration}.cfg", tmp_path / f"{duration}.evt"
+        scenario.write_text(DRIVE_SCENARIO.format(duration=duration))
+        peak_kb = _fresh_python(code, "simulate", scenario, "--events", events).split()[-1]
+        peak_bytes.append(int(peak_kb) * 1024)
+        stream_bytes.append(events.stat().st_size)
+    growth = (peak_bytes[1] - peak_bytes[0]) / (stream_bytes[1] - stream_bytes[0])
+    assert growth < 1.4, f"peak RSS grew {growth:.2f}x the stream's bytes"

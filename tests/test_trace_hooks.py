@@ -9,7 +9,6 @@ import inspect
 import time
 from pathlib import Path
 
-from evflow import flow
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig
 from evflow.event_io import write_events_binary
@@ -53,9 +52,9 @@ def test_every_traced_attribute_resolves():
         assert inspect.isgeneratorfunction(fn) == is_generator, f"{module_name}.{attr}"
 
 
-def assert_traced_estimate_covers_its_wall_time(tmp_path, run_text, windows):
-    cfg = RunConfig.from_text(run_text)
-    duration = windows * cfg.window_s
+def test_traced_estimate_spans_cover_its_wall_time(tmp_path):
+    cfg = RunConfig.from_text(RUN_TEXT)
+    duration = 12 * cfg.window_s
     sim = SimConfig(texture=NoiseTexture(seed=11), cam=cfg.camera, noise_rate=0.05,
                     duration=duration, time_step=cfg.window_s / 8, seed=3)
     events, _, _ = generate_events(sim, Trajectory.constant(duration, v_lon=1.0,
@@ -63,7 +62,7 @@ def assert_traced_estimate_covers_its_wall_time(tmp_path, run_text, windows):
     ev_path = tmp_path / "events.evt"
     write_events_binary(ev_path, events, cfg.camera.width, cfg.camera.height)
     run_cfg = tmp_path / "run.cfg"
-    run_cfg.write_text(run_text)
+    run_cfg.write_text(RUN_TEXT)
     argv = ["estimate", "--config", str(run_cfg), "--events", str(ev_path),
             "--out-dir", str(tmp_path / "out")]
     assert cli_main(argv) == 0  # first-call costs stay out of the traced run
@@ -89,19 +88,6 @@ def assert_traced_estimate_covers_its_wall_time(tmp_path, run_text, windows):
     top = sum(end - start for name, start, end, parent, _ in spans
               if parent == -1 and name in module.TOP_LEVEL)
     assert top >= COVERAGE * wall, f"top-level spans cover {top / wall:.1%} of the run"
-
-
-def test_traced_estimate_spans_cover_its_wall_time(tmp_path):
-    assert_traced_estimate_covers_its_wall_time(tmp_path, RUN_TEXT, windows=12)
-
-
-def test_traced_banded_estimate_spans_cover_its_wall_time(tmp_path, monkeypatch):
-    # the 346x260 level refines in two bands, on the calling thread and a pool thread
-    monkeypatch.setattr(flow, "_cpu_count", lambda: 2)
-    assert flow._band_count(260, 346) == 2
-    run_text = RUN_TEXT.replace("width = 160", "width = 346").replace("height = 120",
-                                                                       "height = 260")
-    assert_traced_estimate_covers_its_wall_time(tmp_path, run_text, windows=4)
 
 
 SCENARIO_TEXT = """
