@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice
@@ -29,7 +30,7 @@ from .config import RunConfig, Scenario, _finite, _floats, parse_seed
 from .errors import ConfigError, EvaluationError, InputFormatError, OutputError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
-from .pipeline import process_frame_pair, run_pipeline
+from .pipeline import StageTimings, iter_pairs, process_frame_pair
 from .plots import dump_flow_csv, emit_plots, flow_quiver_svg, write_blur_budget
 from .synth import generate_events
 from .vehicle import ImuSeries
@@ -97,26 +98,36 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg, events, imu = _load_estimate_inputs(args)
-    result = run_pipeline(events, cfg, imu=imu)
     out_dir = Path(args.out_dir or cfg.out_dir)
     est_path = out_dir / "estimates.csv"
-    stats = result.timings.stats_ms()
+    timings = StageTimings()
+    counts = Counter()  # None for valid rows, else the reason, in first-seen order
+
+    def rows():
+        for pair in iter_pairs(events, cfg, imu=imu, timings=timings):
+            counts[None if pair.estimate.valid else pair.estimate.reason] += 1
+            yield pair.estimate
+
     with _writing():
         out_dir.mkdir(parents=True, exist_ok=True)
-        state_io.write_velocity_csv(est_path, result.estimates)
+        (out_dir / "timings.json").unlink(missing_ok=True)  # a failed run leaves none
+        state_io.write_velocity_csv(est_path, rows())
+        frames_in = sum(counts.values())
+        frames_valid = counts.pop(None, 0)
+        stats = timings.stats_ms()
         with open(out_dir / "timings.json", "w") as f:
             json.dump({"stages_ms": stats,
-                       "overhead_ms": result.timings.overhead_ms(),
-                       "accumulate_s": result.timings.accumulate_s,
-                       "frames_in": result.frames_in,
-                       "frames_valid": result.frames_valid,
-                       "frames_invalid": result.frames_invalid,
-                       "invalid_reasons": result.invalid_reasons}, f, indent=2)
-    print(f"wrote {est_path} ({result.frames_in} frames: {result.frames_valid} valid, "
-          f"{result.frames_invalid} invalid)")
+                       "overhead_ms": timings.overhead_ms(),
+                       "accumulate_s": timings.accumulate_s,
+                       "frames_in": frames_in,
+                       "frames_valid": frames_valid,
+                       "frames_invalid": frames_in - frames_valid,
+                       "invalid_reasons": counts}, f, indent=2)
+    print(f"wrote {est_path} ({frames_in} frames: {frames_valid} valid, "
+          f"{frames_in - frames_valid} invalid)")
     for stage, st in stats.items():
         print(f"  {stage:10s} mean {st['mean']:8.2f} ms  p95 {st['p95']:8.2f} ms")
-    print(f"  overhead   mean {result.timings.overhead_ms():8.2f} ms")
+    print(f"  overhead   mean {timings.overhead_ms():8.2f} ms")
     return 0
 
 
@@ -176,10 +187,10 @@ def _cmd_blur_budget(args) -> int:
 
 
 def _cmd_flow_debug(args) -> int:
-    cfg, events, imu = _load_estimate_inputs(args)
     k = args.pair_index
     if k < 1:
         raise ConfigError(f"pair index must be >= 1, got {k}")
+    cfg, events, imu = _load_estimate_inputs(args)
     # streaming: frames before k - 1 are accumulated and dropped one by one
     pair = list(islice(iter_frames(events, cfg.accumulation), k - 1, k + 1))
     if len(pair) < 2:

@@ -11,6 +11,7 @@ timings are recorded per stage and per pair.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,26 +62,16 @@ class PairResult:
 
     ``estimate`` is the output row and carries the reason code of an
     invalid pair.  ``camera`` is the camera-frame velocity before the axle
-    transfer, or None when no rigid fit was reached.  ``flow`` is always
-    set, since dense flow runs before any stage can fail.  ``pyramid`` is
-    the current frame's flow pyramid, which the next pair takes as its
-    ``prev_pyramid``.
+    transfer, or None when no rigid fit was reached.  ``flow`` and
+    ``pyramid`` are None when the row was decided without running flow;
+    otherwise ``pyramid`` is the current frame's flow pyramid, which the
+    next pair takes as its ``prev_pyramid``.
     """
 
     estimate: VelocityEstimate
-    camera: CameraVelocity | None
-    flow: FlowField
-    pyramid: FlowPyramid
-
-
-@dataclass
-class PipelineResult:
-    estimates: list[VelocityEstimate]
-    timings: StageTimings
-    frames_in: int
-    frames_valid: int
-    frames_invalid: int
-    invalid_reasons: dict[str, int]
+    camera: CameraVelocity | None = None
+    flow: FlowField | None = None
+    pyramid: FlowPyramid | None = None
 
 
 def _invalid(t_mid: float, reason: str, omega_source: str) -> VelocityEstimate:
@@ -155,54 +146,36 @@ def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
     return PairResult(est, cam_vel, flow, pyramid)
 
 
-def run_pipeline(events: np.ndarray, cfg: RunConfig,
-                 imu: ImuSeries | None = None,
-                 t_start_us: int | None = None,
-                 t_end_us: int | None = None) -> PipelineResult:
-    """Accumulate an event stream and estimate velocity for every frame pair.
+def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
+               timings: StageTimings | None = None, t_start_us: int | None = None,
+               t_end_us: int | None = None) -> Iterator[PairResult]:
+    """Accumulate an event stream and yield one PairResult per frame, in frame order.
 
-    Every accumulated frame yields exactly one output row: the first frame
-    (which only primes the pair chain) an invalid row with reason
-    ``no_previous_frame``, each later frame the estimate of its pair with
-    the previous one (a pair of two empty windows is ``textureless``
-    without running flow).  Invalid frames carry reason codes, never vanish,
-    and frames_in = frames_valid + frames_invalid holds on every run.
+    The first frame only primes the pair chain: its row is invalid with
+    reason ``no_previous_frame``.  Each later frame yields the estimate of
+    its pair with the previous one; a pair of two empty windows is
+    ``textureless`` without running flow.  Invalid frames carry reason
+    codes and never vanish.  Only the previous frame and the previous
+    PairResult stay resident.  ``timings`` receives the per-pair stage times, and in
+    ``accumulate_s`` the time spent accumulating frames alone.
     """
     if cfg.omega_source == "imu" and imu is None:
         raise InsufficientDataError("omega source is imu but no IMU stream was supplied")
-    timings = StageTimings()
-
-    # streaming: only the previous and current frame, and the previous
-    # frame's flow pyramid, stay resident
-    estimates: list[VelocityEstimate] = []
-    reasons: dict[str, int] = {}
-    frames_in = 0
-    prev: EventFrame | None = None
-    pyramid: FlowPyramid | None = None
+    prev = pair = None
     t0 = time.perf_counter()
-    for frame in iter_frames(events, cfg.accumulation, t_start_us=t_start_us,
-                             t_end_us=t_end_us):
-        timings.accumulate_s += time.perf_counter() - t0
-        frames_in += 1
+    for pair_index, frame in enumerate(iter_frames(events, cfg.accumulation,
+                                                   t_start_us=t_start_us, t_end_us=t_end_us)):
+        if timings is not None:
+            timings.accumulate_s += time.perf_counter() - t0
         if prev is None:
-            est = _invalid(frame.t_mid_s, "no_previous_frame", cfg.omega_source)
+            pair = PairResult(_invalid(frame.t_mid_s, "no_previous_frame", cfg.omega_source))
         elif prev.event_total == frame.event_total == 0:
             # two blank images have no texture to track; the next pair
             # expands this frame itself, with the same result
-            est = _invalid(frame.t_mid_s, "textureless", cfg.omega_source)
-            pyramid = None
+            pair = PairResult(_invalid(frame.t_mid_s, "textureless", cfg.omega_source))
         else:
-            pair = process_frame_pair(prev, frame, cfg, pair_index=frames_in - 1,
-                                      imu=imu, timings=timings, prev_pyramid=pyramid)
-            est, pyramid = pair.estimate, pair.pyramid
-        if not est.valid:
-            reasons[est.reason] = reasons.get(est.reason, 0) + 1
-        estimates.append(est)
+            pair = process_frame_pair(prev, frame, cfg, pair_index, imu=imu, timings=timings,
+                                      prev_pyramid=pair.pyramid)
+        yield pair
         prev = frame
-        t0 = time.perf_counter()
-
-    n_valid = sum(1 for e in estimates if e.valid)
-    return PipelineResult(estimates=estimates, timings=timings,
-                          frames_in=frames_in, frames_valid=n_valid,
-                          frames_invalid=len(estimates) - n_valid,
-                          invalid_reasons=reasons)
+        t0 = time.perf_counter()  # the consumer's time between frames is not accumulation

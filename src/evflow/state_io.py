@@ -4,15 +4,17 @@ IMU: header ``t_us,yaw_rate_rad_s``.
 Velocity (estimates and ground truth share the schema): header
 ``t_s,v_lon,v_lat,omega,omega_source,n_inliers,inlier_fraction,valid``.
 Invalid rows carry zeros in the numeric fields; readers must honor the
-``valid`` flag.
+``valid`` flag.  Every float field must be finite.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
+from .errors import InputFormatError
 from .event_io import read_csv
 from .rigid import EstimateQuality
 from .vehicle import ImuSeries, VelocityEstimate
@@ -32,8 +34,20 @@ def write_imu_csv(path: str | Path, imu: ImuSeries) -> None:
             f.write(f"{int(t)},{float(w)!r}\n")
 
 
+def _finite_rows(path: str | Path, header: str, columns: np.dtype) -> np.ndarray:
+    """``read_csv`` that also rejects a NaN or infinite value in any float column."""
+    rows = read_csv(path, header, columns)
+    for column, name in zip(header.split(","), columns.names):
+        if columns[name].kind == "f":
+            bad = np.flatnonzero(~np.isfinite(rows[name]))
+            if bad.size:
+                raise InputFormatError(f"cannot read {path}: data row {bad[0] + 1} "
+                                       f"has a non-finite {column}")
+    return rows
+
+
 def load_imu_csv(path: str | Path) -> ImuSeries:
-    rows = read_csv(path, IMU_HEADER, _IMU_COLUMNS)
+    rows = _finite_rows(path, IMU_HEADER, _IMU_COLUMNS)
     return ImuSeries(rows["t_us"], rows["yaw_rate"])
 
 
@@ -42,7 +56,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_velocity_csv(path: str | Path, estimates: list[VelocityEstimate]) -> None:
+def write_velocity_csv(path: str | Path, estimates: Iterable[VelocityEstimate]) -> None:
+    """Write ``estimates`` to ``path``, each row as the iterable yields it."""
     with open(path, "w", newline="") as f:
         f.write(VELOCITY_HEADER + "\n")
         for e in estimates:
@@ -57,7 +72,7 @@ def write_velocity_csv(path: str | Path, estimates: list[VelocityEstimate]) -> N
 
 
 def load_velocity_csv(path: str | Path) -> list[VelocityEstimate]:
-    rows = read_csv(path, VELOCITY_HEADER, _VELOCITY_COLUMNS)
+    rows = _finite_rows(path, VELOCITY_HEADER, _VELOCITY_COLUMNS)
     return [VelocityEstimate(t_mid=t, v_lon=v_lon, v_lat=v_lat, omega=omega,
                              omega_source=source,
                              quality=EstimateQuality(n_inliers=n, inlier_fraction=frac,

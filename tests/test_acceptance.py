@@ -11,10 +11,10 @@ from evflow import state_io
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig
 from evflow.evaluate import evaluate
-from evflow.events import (AccumulationConfig, CameraModel, accumulate, iter_frames,
+from evflow.events import (AccumulationConfig, CameraModel, accumulate,
                            make_events, relative_motion_blur, to_intensity)
 from evflow.flow import FlowParams, compute_flow, inject_outliers, subsample_flow
-from evflow.pipeline import StageTimings, process_frame_pair
+from evflow.pipeline import StageTimings, iter_pairs, process_frame_pair
 from evflow.rigid import (CameraVelocity, RansacParams, RigidMotion2D,
                           estimate_rigid, ransac_estimate, reconstruct_flow,
                           to_camera_velocity)
@@ -25,16 +25,8 @@ from evflow.vehicle import (Extrinsics, ImuSeries, substitute_imu_yaw,
 
 def camera_level_estimates(events, cfg, span_us):
     """Camera-frame velocities (before the axle transfer) of every pair with a rigid fit."""
-    out = []
-    prev = None
-    frames = iter_frames(events, cfg.accumulation, t_start_us=0, t_end_us=span_us)
-    for i, frame in enumerate(frames):
-        if prev is not None:
-            cv = process_frame_pair(prev, frame, cfg, pair_index=i).camera
-            if cv is not None:
-                out.append(cv)
-        prev = frame
-    return out
+    return [pair.camera for pair in iter_pairs(events, cfg, t_start_us=0, t_end_us=span_us)
+            if pair.camera is not None]
 
 
 def run_config(cam, window_us, ransac_enabled, stride=8, levels=3, seed=7):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 from evflow import event_io, flow, pipeline, state_io
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig, Scenario
-from evflow.errors import EvaluationError
+from evflow.errors import EvaluationError, InputFormatError
 from evflow.evaluate import evaluate
 from evflow.event_io import load_events_csv, write_events_binary
 from evflow.events import EVENT_DTYPE, accumulate, make_events
-from evflow.pipeline import process_frame_pair, run_pipeline
+from evflow.pipeline import StageTimings, iter_pairs, process_frame_pair
 from evflow.plots import dump_flow_csv, emit_plots
 from evflow.rigid import EstimateQuality
 from evflow.synth import NoiseTexture, SimConfig, Trajectory, generate_events
@@ -53,6 +54,11 @@ def vel(t, v_lon, v_lat=0.0, omega=0.0, valid=True, source="flow"):
                             omega_source=source, quality=QUALITY, valid=valid)
 
 
+def estimates(events, cfg, **kwargs) -> list[VelocityEstimate]:
+    """The output row of every frame ``iter_pairs`` yields."""
+    return [pair.estimate for pair in iter_pairs(events, cfg, **kwargs)]
+
+
 def counting(calls: dict, name: str, fn):
     """``fn`` that also counts its calls in ``calls[name]``."""
     def wrapper(*args, **kwargs):
@@ -64,39 +70,32 @@ def counting(calls: dict, name: str, fn):
 class TestRunPipeline:
     def test_row_count_and_accounting(self):
         cfg, events, truth = small_scenario()
-        result = run_pipeline(events, cfg)
-        assert result.frames_in == 5  # 0.165 s / 33 ms
-        assert len(result.estimates) == result.frames_in
-        assert result.frames_valid + result.frames_invalid == result.frames_in
-        assert result.invalid_reasons.get("no_previous_frame") == 1
-        assert result.frames_valid == 4
+        rows = estimates(events, cfg)
+        assert len(rows) == 5  # 0.165 s / 33 ms
+        assert [e.reason for e in rows if not e.valid] == ["no_previous_frame"]
+        assert sum(e.valid for e in rows) == 4
 
     def test_estimates_track_truth(self):
         cfg, events, truth = small_scenario()
-        result = run_pipeline(events, cfg)
-        report = evaluate(result.estimates, truth, tolerance_s=cfg.window_s / 2)
+        report = evaluate(estimates(events, cfg), truth, tolerance_s=cfg.window_s / 2)
         assert report.channels["v_lon"].rmse < 0.03
         assert report.channels["omega"].rmse < 0.03
 
     def test_zero_event_input_all_invalid(self):
         cfg = RunConfig.from_text(RUN_TEXT)
         ev = make_events([], [], [], [])
-        result = run_pipeline(ev, cfg, t_start_us=0, t_end_us=99_000)
-        assert result.frames_in == 3
-        assert result.frames_valid == 0
-        assert all(not e.valid for e in result.estimates)
-        assert {e.reason for e in result.estimates[1:]} == {"textureless"}
+        rows = estimates(ev, cfg, t_start_us=0, t_end_us=99_000)
+        assert len(rows) == 3
+        assert all(not e.valid for e in rows)
+        assert {e.reason for e in rows[1:]} == {"textureless"}
 
     def test_empty_stream_without_span(self):
         cfg = RunConfig.from_text(RUN_TEXT)
-        result = run_pipeline(make_events([], [], [], []), cfg)
-        assert result.frames_in == 0 and result.estimates == []
+        assert estimates(make_events([], [], [], []), cfg) == []
 
     def test_deterministic_output_rows(self):
         cfg, events, _ = small_scenario(duration=0.099)
-        a = run_pipeline(events, cfg).estimates
-        b = run_pipeline(events, cfg).estimates
-        assert a == b
+        assert estimates(events, cfg) == estimates(events, cfg)
 
     def test_each_frame_converted_and_expanded_once(self, monkeypatch):
         cfg, events, _ = small_scenario()
@@ -110,12 +109,12 @@ class TestRunPipeline:
                             counting(calls, "expand", flow.polynomial_expansion))
         monkeypatch.setattr(pipeline, "to_intensity",
                             counting(calls, "intensity", pipeline.to_intensity))
-        result = run_pipeline(events, cfg)
-        assert result.frames_in == len(frames) == 5
+        rows = estimates(events, cfg)
+        assert len(rows) == len(frames) == 5
         assert calls == {"expand": len(frames) * n_levels, "intensity": len(frames)}
-        assert result.estimates[1:] == cold
+        assert rows[1:] == cold
 
-    def test_pairs_of_empty_windows_skip_flow(self, monkeypatch):
+    def test_pairs_of_empty_windows_skip_flow(self, monkeypatch, tmp_path):
         cfg, events, _ = small_scenario(duration=0.099)
         # the same three windows again, after six empty ones
         later = events.copy()
@@ -131,31 +130,45 @@ class TestRunPipeline:
                             counting(calls, "pyramid", pipeline.flow_pyramid))
         monkeypatch.setattr(pipeline, "compute_flow",
                             counting(calls, "flow", pipeline.compute_flow))
-        result = run_pipeline(events, cfg)
-        assert result.estimates[1:] == cold
+        pairs = list(iter_pairs(events, cfg))
+        assert [pair.estimate for pair in pairs[1:]] == cold
         run = [k for k in range(1, len(frames)) if not (empty[k - 1] and empty[k])]
         assert len(run) == 6  # 2 + 1 + 3: five empty pairs are skipped
         assert calls == {"pyramid": len({j for k in run for j in (k - 1, k)}),
                          "flow": len(run)}
-        assert result.invalid_reasons == dict(Counter(
-            ["no_previous_frame"] + [e.reason for e in cold if not e.valid]))
+        assert [k for k, pair in enumerate(pairs) if pair.flow is not None] == run
+
+        # estimate writes the same rows and counts each reason in first-seen order
+        ev_path, run_cfg = tmp_path / "events.evt", tmp_path / "run.cfg"
+        write_events_binary(ev_path, events, cfg.camera.width, cfg.camera.height)
+        run_cfg.write_text(RUN_TEXT)
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev_path),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        state_io.write_velocity_csv(tmp_path / "expected.csv", (p.estimate for p in pairs))
+        assert ((tmp_path / "out" / "estimates.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+        timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+        reasons = Counter(e.reason for e in [pairs[0].estimate, *cold] if not e.valid)
+        assert list(timings["invalid_reasons"].items()) == list(reasons.items())
+        assert (timings["frames_in"], timings["frames_valid"], timings["frames_invalid"]) == (
+            len(frames), len(frames) - reasons.total(), reasons.total())
 
     def test_latency_accounting_sums(self):
         cfg, events, _ = small_scenario(duration=0.132)
-        result = run_pipeline(events, cfg)
-        stats = result.timings.stats_ms()
+        timings = StageTimings()
+        assert len(estimates(events, cfg, timings=timings)) == 4
+        stats = timings.stats_ms()
         stage_sum = sum(stats[s]["mean"] for s in
                         ("intensity", "flow", "subsample", "estimate", "transform"))
         e2e = stats["pair"]["mean"]
         assert stage_sum <= e2e
         assert (e2e - stage_sum) / e2e < 0.05
-        assert result.timings.overhead_ms() == pytest.approx(e2e - stage_sum, rel=1e-9)
+        assert timings.overhead_ms() == pytest.approx(e2e - stage_sum, rel=1e-9)
 
     def test_constant_speed_recovery_within_2pct(self):
         cfg, events, truth = small_scenario(duration=0.165, v_lon=1.5, v_lat=0.0,
                                             omega=0.0)
-        result = run_pipeline(events, cfg)
-        valid = [e for e in result.estimates if e.valid]
+        valid = [e for e in estimates(events, cfg) if e.valid]
         mean_v = float(np.mean([e.v_lon for e in valid]))
         assert abs(mean_v - 1.5) / 1.5 < 0.02
 
@@ -167,8 +180,7 @@ class TestRunPipeline:
         t = np.array([g.t_mid for g in truth])
         imu = ImuSeries((t * 1e6).round().astype(np.int64),
                         np.array([g.omega for g in truth]))
-        result = run_pipeline(events, cfg, imu=imu)
-        valid = [e for e in result.estimates if e.valid]
+        valid = [e for e in estimates(events, cfg, imu=imu) if e.valid]
         assert valid and all(e.omega_source == "imu" for e in valid)
         assert all(abs(e.omega - 0.4) < 1e-9 for e in valid)
 
@@ -188,7 +200,6 @@ class TestVelocityCsv:
     def test_header_checked(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("wrong,header\n")
-        from evflow.errors import InputFormatError
         with pytest.raises(InputFormatError):
             state_io.load_velocity_csv(path)
 
@@ -443,7 +454,18 @@ trajectory.omega = 0.3, 0.3
         ("imu", b"99999999999999999999999,0.5\n"),
         ("velocity", b"0.0,1.0,0.0,0.0,fl\xe9w,10,1.0,true\n"),
         ("velocity", b"0.0,1.0,0.0,0.0,flow,10,1.0\n"),
-    ], ids=["imu_not_utf8", "imu_t_beyond_int64", "velocity_not_utf8", "velocity_7_fields"])
+        ("imu", b"0,nan\n"),
+        ("imu", b"0,inf\n"),
+        ("imu", b"0,1e999\n"),
+        ("velocity", b"nan,1.0,0.0,0.0,flow,10,1.0,true\n"),
+        ("velocity", b"0.0,inf,0.0,0.0,flow,10,1.0,true\n"),
+        ("velocity", b"0.0,1.0,-inf,0.0,flow,10,1.0,true\n"),
+        ("velocity", b"0.0,1.0,0.0,1e999,flow,10,1.0,true\n"),
+        ("velocity", b"0.0,1.0,0.0,0.0,flow,10,nan,false\n"),
+    ], ids=["imu_not_utf8", "imu_t_beyond_int64", "velocity_not_utf8", "velocity_7_fields",
+            "imu_yaw_nan", "imu_yaw_inf", "imu_yaw_overflow", "velocity_t_nan",
+            "velocity_v_lon_inf", "velocity_v_lat_minus_inf", "velocity_omega_overflow",
+            "velocity_inlier_fraction_nan"])
     def test_malformed_csv_exit_3(self, tmp_path, capsys, kind, body):
         assert run_csv_input(tmp_path, kind, body) == 3
         err = capsys.readouterr().err
@@ -599,7 +621,7 @@ trajectory.omega = 0.3, 0.3
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count(" error:") == 3
 
-    def test_unwritable_outputs_exit_2(self, workspace, capsys):
+    def test_unwritable_outputs_exit_2(self, workspace, capsys, monkeypatch):
         tmp_path, scenario, run_cfg = workspace
         ev, gt = tmp_path / "events.csv", tmp_path / "gt.csv"
         assert cli_main(["simulate", str(scenario), "--events", str(ev),
@@ -612,6 +634,8 @@ trajectory.omega = 0.3, 0.3
         a_file.write_text("")
         fresh = str(tmp_path / "fresh.csv")
         compare = ["--estimates", str(est), "--ground-truth", str(gt)]
+        flowed = []
+        monkeypatch.setattr(pipeline, "process_frame_pair", lambda *a, **k: flowed.append(a))
         for argv in (["simulate", scenario, "--events", folder],
                      ["simulate", scenario, "--events", fresh, "--ground-truth", folder],
                      ["simulate", scenario, "--events", fresh, "--imu", a_file / "imu.csv"],
@@ -624,6 +648,27 @@ trajectory.omega = 0.3, 0.3
             assert cli_main([str(a) for a in argv]) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("output error:") and "Traceback" not in err, argv
+        assert not flowed  # estimate fails on its output directory before any pair runs
+
+    def test_failed_estimate_keeps_the_rows_before_the_failure(self, workspace, monkeypatch):
+        tmp_path, scenario, run_cfg = workspace
+        ev, out = tmp_path / "events.csv", tmp_path / "out"
+        argv = ["estimate", "--config", str(run_cfg), "--events", str(ev)]
+        assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
+        assert cli_main(argv) == 0
+        full = state_io.load_velocity_csv(out / "estimates.csv")
+        assert len(full) == 4
+        real = pipeline.process_frame_pair
+
+        def fail_at_pair_3(prev, curr, cfg, pair_index, **kwargs):
+            if pair_index == 3:
+                raise InputFormatError("stopped at pair 3")
+            return real(prev, curr, cfg, pair_index, **kwargs)
+
+        monkeypatch.setattr(pipeline, "process_frame_pair", fail_at_pair_3)
+        assert cli_main(argv) == 3
+        assert state_io.load_velocity_csv(out / "estimates.csv") == full[:3]
+        assert not (out / "timings.json").exists()
 
     def test_flow_debug_pair_past_last_frame_exit_2(self, workspace):
         tmp_path, scenario, run_cfg = workspace
@@ -633,8 +678,37 @@ trajectory.omega = 0.3, 0.3
         for k in (0, n_frames):
             assert cli_main(["flow-debug", "--config", str(run_cfg), "--events", str(ev),
                              "--pair-index", str(k)]) == 2
+        # the index is checked before any input is read
+        assert cli_main(["flow-debug", "--config", str(run_cfg), "--events",
+                         str(tmp_path / "absent.csv"), "--pair-index", "0"]) == 2
         assert cli_main(["flow-debug", "--config", str(run_cfg), "--events", str(ev),
                          "--pair-index", str(n_frames - 1)]) == 0
+
+    def test_estimate_does_not_hold_its_rows(self, tmp_path):
+        # two events on a tiny sensor: all but the first and last pairs are
+        # textureless, so the stream's length is all that grows with it
+        window_us, n = 1000, 1000
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text("camera.width = 16\ncamera.height = 12\ncamera.height_z = 0.5\n"
+                           f"camera.f_px = 20.0\naccumulation.window_us = {window_us}\n"
+                           "flow.pyramid_levels = 1\n")
+
+        def traced_peak(windows: int) -> int:
+            events = tmp_path / f"events_{windows}.csv"
+            events.write_text(f"t_us,x,y,p\n0,1,1,1\n{(windows - 1) * window_us},2,2,1\n")
+            argv = ["estimate", "--config", str(run_cfg), "--events", str(events),
+                    "--out-dir", str(tmp_path / f"out_{windows}")]
+            tracemalloc.start()
+            try:
+                assert cli_main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(3)  # first-call imports and caches stay out of the comparison
+        grown = traced_peak(4 * n) - traced_peak(n)
+        # a held VelocityEstimate row costs about 190 B
+        assert grown < 3 * n * 190 / 4, f"{grown / (3 * n):.0f} B per added row"
 
     def test_flow_debug_dumps_the_pair_flow(self, workspace):
         tmp_path, scenario, run_cfg = workspace
