@@ -188,8 +188,8 @@ def _cmd_blur_budget(args) -> int:
 
 def _cmd_flow_debug(args) -> int:
     k = args.pair_index
-    if k < 1:
-        raise ConfigError(f"pair index must be >= 1, got {k}")
+    if not 1 <= k < sys.maxsize:
+        raise ConfigError(f"pair index must lie in [1, {sys.maxsize}), got {k}")
     cfg, events, imu = _load_estimate_inputs(args)
     # streaming: frames before k - 1 are accumulated and dropped one by one
     pair = list(islice(iter_frames(events, cfg.accumulation), k - 1, k + 1))

@@ -204,6 +204,8 @@ class RunConfig(_KeyFile):
             raise ConfigError(f"intensity.merge must be sum, pos or neg, got {self.merge!r}")
         if self.stride < 1:
             raise ConfigError("flow.stride must be >= 1")
+        if min(self.camera.width, self.camera.height) < 2:
+            raise ConfigError("flow needs a camera at least 2 px on a side")
         if self.omega_source == "imu" and not self.imu_path:
             raise ConfigError("omega.source = imu requires io.imu")
 

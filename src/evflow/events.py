@@ -80,8 +80,9 @@ class AccumulationConfig:
     def __post_init__(self):
         if not 0 < self.window_us < 2 ** 64:  # event times are u64 microseconds
             raise ValueError("accumulation window must lie in (0, 2**64) us")
-        if self.count_cap < 1:
-            raise ValueError("count_cap must be >= 1")
+        # to_intensity sums the two capped polarity grids in int32
+        if not 1 <= self.count_cap <= 2 ** 30 - 1:
+            raise ValueError("count_cap must lie in [1, 2**30 - 1]")
         if self.sensor_width < 1 or self.sensor_height < 1:
             raise ValueError("sensor dimensions must be positive")
 
@@ -102,10 +103,6 @@ class EventFrame:
     pos_counts: np.ndarray
     neg_counts: np.ndarray
     event_total: int
-
-    @property
-    def window_us(self) -> int:
-        return self.t_end_us - self.t_start_us
 
     @property
     def t_mid_s(self) -> float:
@@ -131,8 +128,8 @@ class CameraModel:
     cy: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("sensor dimensions must be positive")
+        if not (1 <= self.width <= 65535 and 1 <= self.height <= 65535):
+            raise ValueError("sensor sides must lie in [1, 65535] px (event x/y are u16)")
         if self.height_z <= 0:
             raise ValueError("camera height above ground must be positive")
         if self.f_px is None and self.fov_alpha is None:

@@ -66,20 +66,16 @@ class FlowField:
 
     ``u``/``v`` hold the x and y displacement in pixels per frame pair;
     ``valid`` is False where the local normal matrix was too close to
-    singular (textureless or aperture-limited neighborhoods).  ``dt`` is
-    the time between the source frames in seconds.
+    singular (textureless or aperture-limited neighborhoods).
     """
 
     u: np.ndarray
     v: np.ndarray
     valid: np.ndarray
-    dt: float
 
     def __post_init__(self):
         if self.u.shape != self.v.shape or self.u.shape != self.valid.shape:
             raise ValueError("flow component shapes disagree")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if np.any(~np.isfinite(self.u[self.valid])) or np.any(~np.isfinite(self.v[self.valid])):
             raise ValueError("non-finite displacement marked valid")
 
@@ -104,24 +100,7 @@ def inject_outliers(field: FlowField, fraction: float, magnitude: float,
         angles = rng.uniform(0.0, 2 * np.pi, n_out)
         u.ravel()[chosen] = magnitude * np.cos(angles)
         v.ravel()[chosen] = magnitude * np.sin(angles)
-    return FlowField(u=u, v=v, valid=field.valid.copy(), dt=field.dt)
-
-
-@dataclass(frozen=True)
-class PolyExpansion:
-    """Per-pixel quadratic coefficients.
-
-    The fitted surface is ``axx*x^2 + ayy*y^2 + axy*x*y + bx*x + by*y + c``
-    in local coordinates, i.e. A = [[axx, axy/2], [axy/2, ayy]] and
-    b = (bx, by).
-    """
-
-    axx: np.ndarray
-    ayy: np.ndarray
-    axy: np.ndarray
-    bx: np.ndarray
-    by: np.ndarray
-    c: np.ndarray
+    return FlowField(u=u, v=v, valid=field.valid.copy())
 
 
 def _applicability_kernels(n: int, sigma: float):
@@ -134,7 +113,7 @@ def _gram_inverse_entries(g: np.ndarray, n: int):
     """Invert the 6x6 Gram matrix of the basis (1, x, y, x^2, y^2, xy).
 
     The separable Gaussian applicability makes the inverse sparse; only
-    five distinct entries are needed to read off all coefficients.
+    four distinct entries are needed to read off A and b.
     """
     k = np.arange(-n, n + 1, dtype=np.float64)
     m2 = float(np.sum(g * k * k))
@@ -147,16 +126,20 @@ def _gram_inverse_entries(g: np.ndarray, n: int):
     G[0, 3] = G[3, 0] = G[0, 4] = G[4, 0] = m2
     G[3, 4] = G[4, 3] = m2 * m2
     inv = np.linalg.inv(G)
-    return inv[0, 0], inv[0, 3], inv[1, 1], inv[3, 3], inv[5, 5]
+    return inv[0, 3], inv[1, 1], inv[3, 3], inv[5, 5]
 
 
-def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpansion:
+def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> np.ndarray:
     """Weighted least-squares quadratic fit around every pixel.
 
+    The fitted surface is ``axx*x^2 + ayy*y^2 + axy*x*y + bx*x + by*y + c``
+    in local coordinates, i.e. A = [[axx, axy/2], [axy/2, ayy]] and
+    b = (bx, by).  Returns the (5, h, w) channels the refinement reads,
+    ``[axx, ayy, axy/2, bx, by]``; the constant term ``c`` is not computed.
     Borders use replicated (clamped) samples.  The fit is exact for inputs
     that are polynomials of degree <= 2, e.g. a constant image yields
-    A = 0, b = 0 and c equal to the constant.  Float inputs keep their
-    dtype; everything else is promoted to float64.
+    A = 0 and b = 0.  Float inputs keep their dtype; everything else is
+    promoted to float64.
     """
     img = np.asarray(image)
     if img.dtype not in (np.float32, np.float64):
@@ -166,7 +149,7 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> P
     from scipy import ndimage  # imported on first use: commands without flow never load scipy
 
     g, xg, xxg = (k.astype(img.dtype) for k in _applicability_kernels(poly_n, poly_sigma))
-    ig00, ig03, ig11, ig33, ig55 = _gram_inverse_entries(g.astype(np.float64), poly_n)
+    ig03, ig11, ig33, ig55 = _gram_inverse_entries(g.astype(np.float64), poly_n)
 
     # Vertical moment pass (y axis), then horizontal (x axis); correlate1d
     # applies kernels unflipped so the odd kernel measures +offset moments.
@@ -182,14 +165,8 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> P
     b6 = ndimage.correlate1d(r1, xg, axis=1, mode="nearest")
 
     dt = img.dtype.type
-    return PolyExpansion(
-        axx=dt(ig03) * b1 + dt(ig33) * b4,
-        ayy=dt(ig03) * b1 + dt(ig33) * b5,
-        axy=dt(ig55) * b6,
-        bx=dt(ig11) * b2,
-        by=dt(ig11) * b3,
-        c=dt(ig00) * b1 + dt(ig03) * (b4 + b5),
-    )
+    return np.stack([dt(ig03) * b1 + dt(ig33) * b4, dt(ig03) * b1 + dt(ig33) * b5,
+                     0.5 * (dt(ig55) * b6), dt(ig11) * b2, dt(ig11) * b3])
 
 
 def _resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -217,11 +194,12 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def _smooth(channel: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _smooth(channel: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Separable smoothing, vertical then horizontal, into ``out`` if given."""
     from scipy import ndimage
 
     tmp = ndimage.correlate1d(channel, kernel, axis=0, mode="nearest")
-    return ndimage.correlate1d(tmp, kernel, axis=1, mode="nearest")
+    return ndimage.correlate1d(tmp, kernel, axis=1, mode="nearest", output=out)
 
 
 _BORDER_RAMP = 5
@@ -233,11 +211,6 @@ def _border_weights(height: int, width: int, dtype=np.float32) -> np.ndarray:
     wy = np.minimum(y, _BORDER_RAMP) / _BORDER_RAMP
     wx = np.minimum(x, _BORDER_RAMP) / _BORDER_RAMP
     return (wy[:, None] * wx[None, :]).astype(dtype)
-
-
-def _stack_expansion(e: PolyExpansion) -> np.ndarray:
-    """Channels [axx, ayy, a_off, bx, by] with a_off the A off-diagonal."""
-    return np.stack([e.axx, e.ayy, 0.5 * e.axy, e.bx, e.by]).astype(np.float32)
 
 
 def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -325,17 +298,13 @@ def _refine(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarray,
     channel is window-smoothed vertically and horizontally and the solve
     runs per pixel.
     """
-    from scipy import ndimage
-
     _, h, w = s0.shape
     m = np.empty_like(s0)
     step = max(1, _TILE_PX // w)
     for r0 in range(0, h, step):
         _normal_equations(s0, s1, u, v, border, slice(r0, min(r0 + step, h)), m)
-    tmp = np.empty_like(s0[0])
     for ch in m:
-        ndimage.correlate1d(ch, kernel, axis=0, mode="nearest", output=tmp)
-        ndimage.correlate1d(tmp, kernel, axis=1, mode="nearest", output=ch)
+        _smooth(ch, kernel, out=ch)
     return (*_solve_flow(m), m)
 
 
@@ -387,13 +356,12 @@ def flow_pyramid(image: np.ndarray, params: FlowParams) -> FlowPyramid:
         else:
             img = a
         img = _resize_bilinear(img, lh, lw)
-        levels.append(_stack_expansion(
-            polynomial_expansion(img, params.poly_n, params.poly_sigma)))
+        levels.append(polynomial_expansion(img, params.poly_n, params.poly_sigma))
     return FlowPyramid(params=params, levels=tuple(levels))
 
 
 def compute_flow(prev: np.ndarray | FlowPyramid, next_: np.ndarray | FlowPyramid,
-                 params: FlowParams, dt: float) -> FlowField:
+                 params: FlowParams) -> FlowField:
     """Dense displacement field from ``prev`` to ``next_``.
 
     Each frame is an image or its ``flow_pyramid`` built with ``params``;
@@ -402,8 +370,6 @@ def compute_flow(prev: np.ndarray | FlowPyramid, next_: np.ndarray | FlowPyramid
     regions are reported through the validity mask rather than an
     exception.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     a = prev if isinstance(prev, FlowPyramid) else flow_pyramid(prev, params)
     b = next_ if isinstance(next_, FlowPyramid) else flow_pyramid(next_, params)
     if a.shape != b.shape:
@@ -432,7 +398,7 @@ def compute_flow(prev: np.ndarray | FlowPyramid, next_: np.ndarray | FlowPyramid
     valid = _rcond(m[0], m[1], m[2]) >= RCOND_INVALID
     u = np.where(valid, u, np.float32(0.0)).astype(np.float64)
     v = np.where(valid, v, np.float32(0.0)).astype(np.float64)
-    return FlowField(u=u, v=v, valid=valid, dt=float(dt))
+    return FlowField(u=u, v=v, valid=valid)
 
 
 def subsample_flow(field: FlowField, stride: int) -> tuple[np.ndarray, np.ndarray]:

@@ -93,7 +93,6 @@ def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
     """
     rec = timings.add if timings is not None else (lambda stage, s: None)
     t_pair = time.perf_counter()
-    dt = cfg.window_s
     t_mid = curr.t_mid_s
 
     t0 = time.perf_counter()
@@ -106,7 +105,7 @@ def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
     if prev_pyramid is None:
         prev_pyramid = flow_pyramid(img_prev, cfg.flow)
     pyramid = flow_pyramid(img_curr, cfg.flow)
-    flow = compute_flow(prev_pyramid, pyramid, cfg.flow, dt)
+    flow = compute_flow(prev_pyramid, pyramid, cfg.flow)
     rec("flow", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -134,7 +133,7 @@ def process_frame_pair(prev: EventFrame, curr: EventFrame, cfg: RunConfig,
         return PairResult(_invalid(t_mid, reason, cfg.omega_source), None, flow, pyramid)
 
     t0 = time.perf_counter()
-    cam_vel = to_camera_velocity(motion, cfg.camera, dt, t_mid=t_mid,
+    cam_vel = to_camera_velocity(motion, cfg.camera, cfg.window_s, t_mid=t_mid,
                                  mapping=cfg.mapping, n_total=p.shape[0])
     if cfg.omega_source == "imu":
         est = substitute_imu_yaw(cam_vel, imu, cfg.extrinsics,

@@ -66,9 +66,6 @@ class ImuSeries:
         self._t.setflags(write=False)
         self._w.setflags(write=False)
 
-    def __len__(self) -> int:
-        return self._t.size
-
     @property
     def t_us(self) -> np.ndarray:
         return self._t

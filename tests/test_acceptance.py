@@ -155,7 +155,7 @@ def test_c05_ransac_robustness(announce):
     for i, frame in enumerate(frames):
         img = to_intensity(frame, cfg.accumulation.count_cap)
         if prev is not None:
-            field = compute_flow(prev, img, cfg.flow, cfg.window_s)
+            field = compute_flow(prev, img, cfg.flow)
             dirty = inject_outliers(field, 0.2, 50.0, rng_seed=(23, i))
             p, q = subsample_flow(dirty, cfg.stride)
             scale = cam.height_z / cam.f_px / cfg.window_s
@@ -208,17 +208,17 @@ def test_c07_flow_oracle(announce, noise_image):
     interior = (slice(24, -24), slice(24, -24))
     errs = []
     for shift in (1, 2, 3, 5):
-        field = compute_flow(img, np.roll(img, shift, axis=1), params, 0.033)
+        field = compute_flow(img, np.roll(img, shift, axis=1), params)
         eu = abs(float(field.u[interior].mean()) - shift)
         ev = abs(float(field.v[interior].mean()))
         errs.append(max(eu, ev))
         assert eu < 0.2 and ev < 0.2
 
-    ident = compute_flow(img, img, params, 0.033)
+    ident = compute_flow(img, img, params)
     ident_mean = float(np.hypot(ident.u, ident.v)[ident.valid].mean())
     assert ident_mean < 0.05
 
-    uniform = compute_flow(np.full((64, 64), 5.0), np.full((64, 64), 5.0), params, 0.033)
+    uniform = compute_flow(np.full((64, 64), 5.0), np.full((64, 64), 5.0), params)
     assert uniform.valid.sum() == 0
     announce(f"PASS criterion 7: shift errors max {max(errs):.4f} px, identity "
              f"{ident_mean:.4f} px, uniform valid pixels 0")

@@ -341,7 +341,8 @@ class TestDomains:
         "camera.height_z = nan", "camera.f_px = inf", "extrinsics.ca_x = -inf",
         "flow.poly_sigma = nan", "ransac.inlier_threshold_px = inf", "seed = -2",
         "camera.width = 1" + "0" * 400, "accumulation.window_us = 1" + "0" * 400,
-        f"accumulation.window_us = {2 ** 64}",
+        f"accumulation.window_us = {2 ** 64}", f"accumulation.count_cap = {2 ** 30}",
+        f"accumulation.count_cap = {10 ** 20}",
     ])
     def test_run_out_of_domain(self, line):
         key = line.split(" = ")[0]
@@ -356,12 +357,37 @@ class TestDomains:
         ("checker", "texture.period_px = 0"), ("noise", "trajectory.v_lat = 0.0, nan"),
         ("noise", "trajectory.t_s = 0.0, 0.1"), ("noise", "camera.width = 0"),
         ("noise", "sim.time_step_s = 1e-300"), ("noise", "sim.time_step_s = 1e-9"),
+        ("noise", "camera.width = 70000"), ("noise", "camera.height = 65536"),
     ])
     def test_scenario_out_of_domain(self, kind, line):
         key = line.split(" = ")[0]
         values = {k: v for k, v in parse_kv_text(_scenario_text(kind)).items() if k != key}
         with pytest.raises(ConfigError):
             Scenario.from_text(_text(values) + line + "\n")
+
+    @pytest.mark.parametrize("width, height, run_ok, scenario_ok", [
+        (1, 1, False, True), (1, 150, False, True), (2, 2, True, True),
+        (65535, 65535, True, True), (65536, 150, False, False), (200, 70000, False, False),
+    ])
+    def test_camera_side_bounds(self, width, height, run_ok, scenario_ok):
+        # f_px alone fixes the camera, so no fov/f_px disagreement can reject it
+        sides = {"camera.width": width, "camera.height": height}
+        dropped = ("camera.fov_deg", "camera.cx", "camera.cy")
+        run = {k: v for k, (v, _, _) in RUN_VALUES.items() if k not in dropped}
+        scenario = {k: v for k, v in parse_kv_text(_scenario_text("noise")).items()
+                    if k not in dropped}
+        for parse, values, ok in ((RunConfig.from_text, run, run_ok),
+                                  (Scenario.from_text, scenario, scenario_ok)):
+            if ok:
+                assert parse(_text({**values, **sides})) is not None
+            else:
+                with pytest.raises(ConfigError, match="px"):
+                    parse(_text({**values, **sides}))
+
+    def test_count_cap_upper_bound_parses(self):
+        values = {k: v for k, (v, _, _) in RUN_VALUES.items() if k != "accumulation.count_cap"}
+        cfg = RunConfig.from_text(_text(values) + f"accumulation.count_cap = {2 ** 30 - 1}\n")
+        assert cfg.accumulation.count_cap == 2 ** 30 - 1
 
     def test_window_below_2_pow_64_us_parses(self):
         values = {k: v for k, (v, _, _) in RUN_VALUES.items() if k != "accumulation.window_us"}

@@ -17,7 +17,8 @@ INTERIOR = (slice(24, -24), slice(24, -24))
 
 def wls_quadratic_oracle(img, y0, x0, n, sigma):
     """Independent dense weighted least-squares fit of
-    c + bx*x + by*y + axx*x^2 + ayy*y^2 + axy*x*y on the clamped patch."""
+    c + bx*x + by*y + axx*x^2 + ayy*y^2 + axy*x*y on the clamped patch,
+    returned in the expansion's channel order [axx, ayy, axy/2, bx, by]."""
     offs = np.arange(-n, n + 1)
     u, v = np.meshgrid(offs, offs)  # u: x offset, v: y offset
     ys = np.clip(y0 + v, 0, img.shape[0] - 1)
@@ -29,34 +30,36 @@ def wls_quadratic_oracle(img, y0, x0, n, sigma):
     design = np.stack([np.ones_like(u), u, v, u * u, v * v, u * v], axis=1)
     sw = np.sqrt(w)
     coef, *_ = np.linalg.lstsq(design * sw[:, None], f * sw, rcond=None)
-    return {"c": coef[0], "bx": coef[1], "by": coef[2],
-            "axx": coef[3], "ayy": coef[4], "axy": coef[5]}
+    return {"axx": coef[3], "ayy": coef[4], "aoff": coef[5] / 2, "bx": coef[1], "by": coef[2]}
+
+
+CHANNELS = ("axx", "ayy", "aoff", "bx", "by")
 
 
 class TestPolynomialExpansion:
     def test_constant_image(self):
         e = polynomial_expansion(np.full((20, 24), 7.25), 5, 1.1)
         inner = (slice(6, -6), slice(6, -6))
-        assert np.allclose(e.c[inner], 7.25, atol=1e-10)
-        for ch in (e.bx, e.by, e.axx, e.ayy, e.axy):
+        assert e.shape == (5, 20, 24) and e.dtype == np.float64
+        for ch in e:
             assert np.allclose(ch[inner], 0.0, atol=1e-10)
 
     def test_linear_ramp(self):
         X = np.tile(np.arange(30, dtype=float), (30, 1))
-        e = polynomial_expansion(3.0 * X, 5, 1.1)
+        axx, _, _, bx, by = polynomial_expansion(3.0 * X, 5, 1.1)
         inner = (slice(6, -6), slice(6, -6))
-        assert np.allclose(e.bx[inner], 3.0, atol=1e-9)
-        assert np.allclose(e.by[inner], 0.0, atol=1e-9)
-        assert np.allclose(e.axx[inner], 0.0, atol=1e-9)
+        assert np.allclose(bx[inner], 3.0, atol=1e-9)
+        assert np.allclose(by[inner], 0.0, atol=1e-9)
+        assert np.allclose(axx[inner], 0.0, atol=1e-9)
 
     def test_pure_quadratic(self):
         X = np.tile(np.arange(30, dtype=float), (30, 1))
-        e = polynomial_expansion(X ** 2, 5, 1.1)
+        axx, ayy, aoff, _, _ = polynomial_expansion(X ** 2, 5, 1.1)
         inner = (slice(6, -6), slice(6, -6))
-        assert np.all(e.axx[inner] > 0)
-        assert np.allclose(e.axx[inner], 1.0, atol=1e-9)
-        assert np.allclose(e.axy[inner], 0.0, atol=1e-9)
-        assert np.allclose(e.ayy[inner], 0.0, atol=1e-9)
+        assert np.all(axx[inner] > 0)
+        assert np.allclose(axx[inner], 1.0, atol=1e-9)
+        assert np.allclose(aoff[inner], 0.0, atol=1e-9)
+        assert np.allclose(ayy[inner], 0.0, atol=1e-9)
 
     @pytest.mark.parametrize("pixel", [(10, 11), (15, 20), (8, 25), (22, 7), (16, 16)])
     def test_against_independent_wls_solve(self, pixel, noise_image):
@@ -65,17 +68,15 @@ class TestPolynomialExpansion:
         e = polynomial_expansion(img, n, sigma)
         y0, x0 = pixel
         oracle = wls_quadratic_oracle(img, y0, x0, n, sigma)
-        got = {"c": e.c[y0, x0], "bx": e.bx[y0, x0], "by": e.by[y0, x0],
-               "axx": e.axx[y0, x0], "ayy": e.ayy[y0, x0], "axy": e.axy[y0, x0]}
-        for key, want in oracle.items():
-            assert got[key] == pytest.approx(want, abs=1e-8), key
+        for key, got in zip(CHANNELS, e[:, y0, x0]):
+            assert got == pytest.approx(oracle[key], abs=1e-8), key
 
     def test_border_uses_clamped_patch(self, noise_image):
         img = noise_image((32, 36), seed=10)
         e = polynomial_expansion(img, 5, 1.1)
         oracle = wls_quadratic_oracle(img, 0, 0, 5, 1.1)
-        assert e.c[0, 0] == pytest.approx(oracle["c"], abs=1e-8)
-        assert e.bx[0, 0] == pytest.approx(oracle["bx"], abs=1e-8)
+        for key, got in zip(CHANNELS, e[:, 0, 0]):
+            assert got == pytest.approx(oracle[key], abs=1e-8), key
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -85,20 +86,20 @@ class TestPolynomialExpansion:
 class TestComputeFlow:
     def test_identity_pair(self, noise_image):
         img = noise_image()
-        field = compute_flow(img, img, PARAMS, 0.033)
+        field = compute_flow(img, img, PARAMS)
         mag = np.hypot(field.u, field.v)[field.valid]
         assert mag.mean() < 0.05
 
     @pytest.mark.parametrize("shift", [1, 2, 3, 5])
     def test_integer_shift_oracle(self, shift, noise_image):
         img = noise_image()
-        field = compute_flow(img, np.roll(img, shift, axis=1), PARAMS, 0.033)
+        field = compute_flow(img, np.roll(img, shift, axis=1), PARAMS)
         assert abs(field.u[INTERIOR].mean() - shift) < 0.2
         assert abs(field.v[INTERIOR].mean()) < 0.2
 
     def test_vertical_shift(self, noise_image):
         img = noise_image()
-        field = compute_flow(img, np.roll(img, 2, axis=0), PARAMS, 0.033)
+        field = compute_flow(img, np.roll(img, 2, axis=0), PARAMS)
         assert abs(field.v[INTERIOR].mean() - 2) < 0.2
         assert abs(field.u[INTERIOR].mean()) < 0.2
 
@@ -112,42 +113,37 @@ class TestComputeFlow:
         rot = map_coordinates(img, [cy - (X - cx) * s + (Y - cy) * c,
                                     cx + (X - cx) * c + (Y - cy) * s],
                               order=3, mode="nearest")
-        field = compute_flow(img, rot, PARAMS, 0.033)
+        field = compute_flow(img, rot, PARAMS)
         u_true = -ang * (Y - cy)
         v_true = ang * (X - cx)
         epe = np.hypot(field.u - u_true, field.v - v_true)[INTERIOR]
         assert epe.mean() < 0.3
 
     def test_uniform_image_all_invalid(self):
-        field = compute_flow(np.full((64, 64), 9.0), np.full((64, 64), 9.0), PARAMS, 0.01)
+        field = compute_flow(np.full((64, 64), 9.0), np.full((64, 64), 9.0), PARAMS)
         assert field.valid.sum() == 0
 
     def test_determinism(self, noise_image):
         img = noise_image()
         nxt = np.roll(img, 2, axis=0)
-        a = compute_flow(img, nxt, PARAMS, 0.01)
-        b = compute_flow(img, nxt, PARAMS, 0.01)
+        a = compute_flow(img, nxt, PARAMS)
+        b = compute_flow(img, nxt, PARAMS)
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
         assert np.array_equal(a.valid, b.valid)
 
     def test_pyramids_give_the_image_result(self, noise_image):
         img = noise_image()
         nxt = np.roll(img, 2, axis=1)
-        a = compute_flow(img, nxt, PARAMS, 0.01)
-        b = compute_flow(flow_pyramid(img, PARAMS), flow_pyramid(nxt, PARAMS), PARAMS, 0.01)
+        a = compute_flow(img, nxt, PARAMS)
+        b = compute_flow(flow_pyramid(img, PARAMS), flow_pyramid(nxt, PARAMS), PARAMS)
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
         assert np.array_equal(a.valid, b.valid)
         with pytest.raises(ValueError):
-            compute_flow(flow_pyramid(img, FlowParams(poly_n=3)), nxt, PARAMS, 0.01)
+            compute_flow(flow_pyramid(img, FlowParams(poly_n=3)), nxt, PARAMS)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compute_flow(np.zeros((10, 10)), np.zeros((10, 12)), PARAMS, 0.01)
-
-    def test_invalid_dt(self, noise_image):
-        img = noise_image((32, 32))
-        with pytest.raises(ValueError):
-            compute_flow(img, img, PARAMS, 0.0)
+            compute_flow(np.zeros((10, 10)), np.zeros((10, 12)), PARAMS)
 
 
 def whole_frame_refinement(s0, s1, u, v, border, kernel):
@@ -207,7 +203,7 @@ class TestRefinementTiles:
 class TestSubsampleFlow:
     def make_field(self, h=4, w=4, u=1.0, v=0.0):
         return FlowField(u=np.full((h, w), u), v=np.full((h, w), v),
-                         valid=np.ones((h, w), dtype=bool), dt=0.033)
+                         valid=np.ones((h, w), dtype=bool))
 
     def test_stride_grid(self):
         p, q = subsample_flow(self.make_field(), stride=2)
@@ -228,7 +224,7 @@ class TestSubsampleFlow:
 
     def test_empty_when_all_invalid(self):
         field = FlowField(u=np.zeros((4, 4)), v=np.zeros((4, 4)),
-                          valid=np.zeros((4, 4), dtype=bool), dt=0.01)
+                          valid=np.zeros((4, 4), dtype=bool))
         p, q = subsample_flow(field, stride=1)
         assert p.shape == (0, 2) and q.shape == (0, 2)
 

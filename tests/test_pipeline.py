@@ -208,7 +208,7 @@ class TestVelocityCsv:
         # an empty body must not reach np.loadtxt, which warns on it
         path = tmp_path / "in.csv"
         path.write_text(state_io.IMU_HEADER + "\n" + body)
-        assert len(state_io.load_imu_csv(path)) == 0
+        assert state_io.load_imu_csv(path).t_us.size == 0
         path.write_text(state_io.VELOCITY_HEADER + "\n" + body)
         assert state_io.load_velocity_csv(path) == []
         path.write_text("t_us,x,y,p\n" + body)
@@ -541,7 +541,8 @@ trajectory.omega = 0.3, 0.3
         assert err.startswith("input format error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("arg", ["--speeds=abc", "--speeds=-5", "--speeds=nan",
-                                     "--budgets=0", "--fov-deg=200", "--sensor-width=0"])
+                                     "--budgets=0", "--fov-deg=200", "--sensor-width=0",
+                                     "--sensor-width=70000"])
     def test_blur_budget_bad_arguments_exit_2(self, tmp_path, capsys, arg):
         out = tmp_path / "bb"
         assert cli_main(["blur-budget", "--out-dir", str(out), arg]) == 2
@@ -596,7 +597,11 @@ trajectory.omega = 0.3, 0.3
         ("camera.height_z = 0.5", "camera.height_z = nan"),
         ("seed = 5", "seed = -2"),
         ("accumulation.window_us = 33000", "accumulation.window_us = 1" + "0" * 400),
-    ], ids=["height_z_nan", "seed_negative", "window_past_u64"])
+        ("camera.width = 120\ncamera.height = 90", "camera.width = 1\ncamera.height = 1"),
+        ("seed = 5", f"seed = 5\naccumulation.count_cap = {3 * 10 ** 9}"),
+        ("seed = 5", f"seed = 5\naccumulation.count_cap = {10 ** 20}"),
+    ], ids=["height_z_nan", "seed_negative", "window_past_u64", "camera_1px",
+            "count_cap_past_int32", "count_cap_past_int64"])
     def test_run_config_out_of_domain_exit_2(self, workspace, capsys, old, new):
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
@@ -675,12 +680,13 @@ trajectory.omega = 0.3, 0.3
         ev = tmp_path / "events.csv"
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
         n_frames = len(accumulate(load_events_csv(ev), RunConfig.from_file(run_cfg).accumulation))
-        for k in (0, n_frames):
+        for k in (0, n_frames, 10 ** 20):
             assert cli_main(["flow-debug", "--config", str(run_cfg), "--events", str(ev),
                              "--pair-index", str(k)]) == 2
         # the index is checked before any input is read
-        assert cli_main(["flow-debug", "--config", str(run_cfg), "--events",
-                         str(tmp_path / "absent.csv"), "--pair-index", "0"]) == 2
+        for k in (0, 10 ** 20):
+            assert cli_main(["flow-debug", "--config", str(run_cfg), "--events",
+                             str(tmp_path / "absent.csv"), "--pair-index", str(k)]) == 2
         assert cli_main(["flow-debug", "--config", str(run_cfg), "--events", str(ev),
                          "--pair-index", str(n_frames - 1)]) == 0
 

@@ -46,7 +46,7 @@ class TestFlowDebugDump:
         rng = np.random.default_rng(0)
         h = w = 12
         return FlowField(u=rng.standard_normal((h, w)), v=rng.standard_normal((h, w)),
-                         valid=rng.random((h, w)) > 0.2, dt=0.01)
+                         valid=rng.random((h, w)) > 0.2)
 
     def test_csv_layout(self, tmp_path):
         field = self.field()

@@ -395,7 +395,7 @@ class TestEventBuffer:
 class TestInjectOutliers:
     def field(self, n=20, u=3.0):
         return FlowField(u=np.full((n, n), u), v=np.zeros((n, n)),
-                         valid=np.ones((n, n), dtype=bool), dt=1e-3)
+                         valid=np.ones((n, n), dtype=bool))
 
     def test_zero_fraction_identity(self):
         f = self.field()
@@ -420,7 +420,7 @@ class TestInjectOutliers:
         h = w = 24
         u = np.full((h, w), 4.0) + rng.standard_normal((h, w)) * 0.02
         v = rng.standard_normal((h, w)) * 0.02
-        clean = FlowField(u=u, v=v, valid=np.ones((h, w), bool), dt=1e-3)
+        clean = FlowField(u=u, v=v, valid=np.ones((h, w), bool))
         dirty = inject_outliers(clean, 0.2, 50.0, rng_seed=4)
 
         def pairs(field):
