@@ -30,7 +30,8 @@ from .config import RunConfig, Scenario, _finite, _floats, parse_seed
 from .errors import ConfigError, EvaluationError, InputFormatError, OutputError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
-from .pipeline import StageTimings, iter_pairs, process_frame_pair
+from .pipeline import (MAX_WORKERS, StageTimings, default_workers, iter_pairs,
+                       process_frame_pair)
 from .plots import dump_flow_csv, emit_plots, flow_quiver_svg, write_blur_budget
 from .synth import generate_events
 from .vehicle import ImuSeries
@@ -96,7 +97,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _workers(text: str | None) -> int:
+    """The ``--workers`` value: an integer in [1, MAX_WORKERS], by default ``default_workers()``."""
+    if text is None:
+        return default_workers()
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigError(f"--workers must be an integer in [1, {MAX_WORKERS}], got {text!r}")
+    return workers
+
+
 def _cmd_estimate(args) -> int:
+    workers = _workers(args.workers)
     cfg, events, imu = _load_estimate_inputs(args)
     out_dir = Path(args.out_dir or cfg.out_dir)
     est_path = out_dir / "estimates.csv"
@@ -104,7 +119,7 @@ def _cmd_estimate(args) -> int:
     counts = Counter()  # None for valid rows, else the reason, in first-seen order
 
     def rows():
-        for pair in iter_pairs(events, cfg, imu=imu, timings=timings):
+        for pair in iter_pairs(events, cfg, imu=imu, timings=timings, workers=workers):
             counts[None if pair.estimate.valid else pair.estimate.reason] += 1
             yield pair.estimate
 
@@ -119,6 +134,7 @@ def _cmd_estimate(args) -> int:
             json.dump({"stages_ms": stats,
                        "overhead_ms": timings.overhead_ms(),
                        "accumulate_s": timings.accumulate_s,
+                       "workers": workers,
                        "frames_in": frames_in,
                        "frames_valid": frames_valid,
                        "frames_invalid": frames_in - frames_valid,
@@ -150,10 +166,16 @@ def _load_latency(path: Path) -> dict[str, dict[str, float]]:
 
 
 def _cmd_evaluate(args) -> int:
+    try:
+        tolerance = _finite(args.tolerance)
+    except ValueError as exc:
+        raise ConfigError(f"--tolerance: {exc}") from exc
+    if tolerance < 0:
+        raise ConfigError(f"--tolerance must not be negative, got {args.tolerance!r}")
     estimates = state_io.load_velocity_csv(args.estimates)
     truth = state_io.load_velocity_csv(args.ground_truth)
     latency = _load_latency(Path(args.estimates).parent / "timings.json")
-    report = evaluate(estimates, truth, tolerance_s=args.tolerance, latency_ms=latency)
+    report = evaluate(estimates, truth, tolerance_s=tolerance, latency_ms=latency)
     for line in report.lines():
         print(line)
     if args.report:
@@ -224,12 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run config file")
     p.add_argument("--events", default="", help="override io.events from the config")
     p.add_argument("--out-dir", default="", help="override io.out_dir from the config")
+    p.add_argument("--workers", help=f"frame pairs run at once, 1 to {MAX_WORKERS} "
+                   "(default: 2, or 1 where only one CPU is usable)")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("evaluate", help="compare estimates against ground truth")
     p.add_argument("--estimates", required=True)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--tolerance", type=float, required=True,
+    p.add_argument("--tolerance", required=True,
                    help="pairing tolerance in seconds (half the window is typical)")
     p.add_argument("--report", default="", help="also write the report to this file")
     p.set_defaults(func=_cmd_evaluate)

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -59,12 +61,32 @@ def estimates(events, cfg, **kwargs) -> list[VelocityEstimate]:
     return [pair.estimate for pair in iter_pairs(events, cfg, **kwargs)]
 
 
-def counting(calls: dict, name: str, fn):
-    """``fn`` that also counts its calls in ``calls[name]``."""
+def counting(calls: list, name: str, fn):
+    """``fn`` that also appends ``name`` to ``calls`` on each call; an append
+    stays exact when pairs run on several threads."""
     def wrapper(*args, **kwargs):
-        calls[name] += 1
+        calls.append(name)
         return fn(*args, **kwargs)
     return wrapper
+
+
+def with_gaps(events, present, window_us):
+    """A stream of ``len(present)`` windows: window j holds the events of
+    window ``j % 5`` of ``events`` moved to it where ``present[j]``, else none."""
+    parts = [events[:0]]
+    for j in [j for j, keep in enumerate(present) if keep]:
+        src = (j % 5) * window_us
+        part = events[(events["t_us"] >= src) & (events["t_us"] < src + window_us)].copy()
+        part["t_us"] += j * window_us - src
+        parts.append(part)
+    return np.concatenate(parts)
+
+
+@pytest.fixture(scope="module")
+def small_stream():
+    """``small_scenario()``'s config and events, simulated once per module."""
+    cfg, events, _ = small_scenario()
+    return cfg, events
 
 
 class TestRunPipeline:
@@ -104,14 +126,14 @@ class TestRunPipeline:
                 for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
         blank = np.zeros((cfg.camera.height, cfg.camera.width))
         n_levels = len(flow.flow_pyramid(blank, cfg.flow).levels)
-        calls = {"expand": 0, "intensity": 0}
+        calls = []
         monkeypatch.setattr(flow, "polynomial_expansion",
                             counting(calls, "expand", flow.polynomial_expansion))
         monkeypatch.setattr(pipeline, "to_intensity",
                             counting(calls, "intensity", pipeline.to_intensity))
         rows = estimates(events, cfg)
         assert len(rows) == len(frames) == 5
-        assert calls == {"expand": len(frames) * n_levels, "intensity": len(frames)}
+        assert Counter(calls) == {"expand": len(frames) * n_levels, "intensity": len(frames)}
         assert rows[1:] == cold
 
     def test_pairs_of_empty_windows_skip_flow(self, monkeypatch, tmp_path):
@@ -125,7 +147,7 @@ class TestRunPipeline:
         assert len(frames) == 12 and sum(empty) == 6
         cold = [process_frame_pair(prev, curr, cfg, pair_index=i + 1).estimate
                 for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
-        calls = {"pyramid": 0, "flow": 0}
+        calls = []
         monkeypatch.setattr(pipeline, "flow_pyramid",
                             counting(calls, "pyramid", pipeline.flow_pyramid))
         monkeypatch.setattr(pipeline, "compute_flow",
@@ -134,8 +156,8 @@ class TestRunPipeline:
         assert [pair.estimate for pair in pairs[1:]] == cold
         run = [k for k in range(1, len(frames)) if not (empty[k - 1] and empty[k])]
         assert len(run) == 6  # 2 + 1 + 3: five empty pairs are skipped
-        assert calls == {"pyramid": len({j for k in run for j in (k - 1, k)}),
-                         "flow": len(run)}
+        assert Counter(calls) == {"pyramid": len({j for k in run for j in (k - 1, k)}),
+                                  "flow": len(run)}
         assert [k for k, pair in enumerate(pairs) if pair.flow is not None] == run
 
         # estimate writes the same rows and counts each reason in first-seen order
@@ -152,6 +174,59 @@ class TestRunPipeline:
         assert list(timings["invalid_reasons"].items()) == list(reasons.items())
         assert (timings["frames_in"], timings["frames_valid"], timings["frames_invalid"]) == (
             len(frames), len(frames) - reasons.total(), reasons.total())
+
+    @settings(max_examples=8, deadline=None)
+    @given(present=st.lists(st.booleans(), min_size=1, max_size=8).map(lambda p: [False, *p]))
+    def test_rows_do_not_depend_on_the_worker_count(self, small_stream, present):
+        # the first window is blank; the rest are random with empty-window gaps
+        cfg, source = small_stream
+        window_us = cfg.accumulation.window_us
+        events = with_gaps(source, present, window_us)
+        written = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for workers in (1, 2, 3):
+                path = Path(tmp) / f"estimates_{workers}.csv"
+                state_io.write_velocity_csv(path, estimates(
+                    events, cfg, t_start_us=0, t_end_us=len(present) * window_us,
+                    workers=workers))
+                written.append(path.read_bytes())
+        assert written[0].count(b"\n") == len(present) + 1
+        assert written[1] == written[0] and written[2] == written[0]
+
+    def test_each_frame_expanded_once_with_more_workers_than_cores(self, small_stream,
+                                                                   monkeypatch):
+        cfg, events = small_stream
+        frames = accumulate(events, cfg.accumulation)
+        cold = [process_frame_pair(prev, curr, cfg, pair_index=i + 1).estimate
+                for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
+        calls, out = [], {}
+        monkeypatch.setattr(pipeline, "flow_pyramid",
+                            counting(calls, "pyramid", pipeline.flow_pyramid))
+
+        def run():
+            timings = StageTimings()
+            out["rows"] = estimates(events, cfg, timings=timings, workers=4)
+            out["timings"] = timings
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+        try:
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert out["rows"][1:] == cold
+        assert calls == ["pyramid"] * len(frames)
+        assert {s: len(v) for s, v in out["timings"].stages.items()} == {
+            s: len(cold) for s in (*pipeline.PAIR_STAGES, "pair")}
+
+    def test_workers_out_of_range_rejected(self):
+        cfg, events, _ = small_scenario(duration=0.066)
+        for workers in (0, pipeline.MAX_WORKERS + 1):
+            with pytest.raises(ValueError, match="workers"):
+                next(iter_pairs(events, cfg, workers=workers))
 
     def test_latency_accounting_sums(self):
         cfg, events, _ = small_scenario(duration=0.132)
@@ -550,6 +625,16 @@ trajectory.omega = 0.3, 0.3
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "1e400"])
+    def test_evaluate_bad_tolerance_exit_2(self, tmp_path, capsys, tolerance):
+        est = tmp_path / "estimates.csv"
+        state_io.write_velocity_csv(est, [vel(0.0, 1.0)])
+        assert cli_main(["evaluate", "--estimates", str(est), "--ground-truth", str(est),
+                         "--tolerance", tolerance]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--tolerance" in err
+        assert "Traceback" not in err
+
     def test_evaluation_error_exit_4(self, workspace, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -674,6 +759,56 @@ trajectory.omega = 0.3, 0.3
         assert cli_main(argv) == 3
         assert state_io.load_velocity_csv(out / "estimates.csv") == full[:3]
         assert not (out / "timings.json").exists()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_failed_pair_under_two_workers_keeps_the_rows_before_it(self, workspace,
+                                                                     monkeypatch, k):
+        # batches of two frames: pair 2 runs on the calling thread, pair 3 on the pool
+        tmp_path, scenario, run_cfg = workspace
+        ev, out = tmp_path / "events.csv", tmp_path / "out"
+        argv = ["estimate", "--config", str(run_cfg), "--events", str(ev), "--workers", "2"]
+        assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
+        assert cli_main(argv) == 0
+        full = state_io.load_velocity_csv(out / "estimates.csv")
+        real = pipeline.process_frame_pair
+
+        def fail_at_pair_k(prev, curr, cfg, pair_index, **kwargs):
+            if pair_index == k:
+                raise InputFormatError(f"stopped at pair {k}")
+            return real(prev, curr, cfg, pair_index, **kwargs)
+
+        monkeypatch.setattr(pipeline, "process_frame_pair", fail_at_pair_k)
+        assert cli_main(argv) == 3
+        assert state_io.load_velocity_csv(out / "estimates.csv") == full[:k]
+        assert not (out / "timings.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "17", "two"])
+    def test_bad_workers_exit_2_before_any_thread(self, workspace, capsys, monkeypatch,
+                                                  workers):
+        tmp_path, _, run_cfg = workspace
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        # the events file is absent: reading it would exit 3
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events",
+                         str(tmp_path / "absent.csv"), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--workers" in err
+        assert "Traceback" not in err and not started
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_workers_start_at_most_workers_minus_one_threads(self, workspace, monkeypatch,
+                                                             workers):
+        tmp_path, scenario, run_cfg = workspace
+        ev, out = tmp_path / "events.csv", tmp_path / "out"
+        assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), real_start(thread)))
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev),
+                         "--workers", str(workers)]) == 0
+        assert len(started) <= workers - 1
+        assert json.loads((out / "timings.json").read_text())["workers"] == workers
 
     def test_flow_debug_pair_past_last_frame_exit_2(self, workspace):
         tmp_path, scenario, run_cfg = workspace
