@@ -30,8 +30,7 @@ from .config import RunConfig, Scenario, _finite, _floats, parse_seed
 from .errors import ConfigError, EvaluationError, InputFormatError, OutputError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
-from .pipeline import (MAX_WORKERS, StageTimings, default_workers, iter_pairs,
-                       process_frame_pair)
+from .pipeline import StageTimings, iter_pairs, process_frame_pair
 from .plots import dump_flow_csv, emit_plots, flow_quiver_svg, write_blur_budget
 from .synth import generate_events
 from .vehicle import ImuSeries
@@ -97,21 +96,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _workers(text: str | None) -> int:
-    """The ``--workers`` value: an integer in [1, MAX_WORKERS], by default ``default_workers()``."""
-    if text is None:
-        return default_workers()
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ConfigError(f"--workers must be an integer in [1, {MAX_WORKERS}], got {text!r}")
-    return workers
-
-
 def _cmd_estimate(args) -> int:
-    workers = _workers(args.workers)
     cfg, events, imu = _load_estimate_inputs(args)
     out_dir = Path(args.out_dir or cfg.out_dir)
     est_path = out_dir / "estimates.csv"
@@ -119,7 +104,7 @@ def _cmd_estimate(args) -> int:
     counts = Counter()  # None for valid rows, else the reason, in first-seen order
 
     def rows():
-        for pair in iter_pairs(events, cfg, imu=imu, timings=timings, workers=workers):
+        for pair in iter_pairs(events, cfg, imu=imu, timings=timings):
             counts[None if pair.estimate.valid else pair.estimate.reason] += 1
             yield pair.estimate
 
@@ -134,7 +119,6 @@ def _cmd_estimate(args) -> int:
             json.dump({"stages_ms": stats,
                        "overhead_ms": timings.overhead_ms(),
                        "accumulate_s": timings.accumulate_s,
-                       "workers": workers,
                        "frames_in": frames_in,
                        "frames_valid": frames_valid,
                        "frames_invalid": frames_in - frames_valid,
@@ -246,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run config file")
     p.add_argument("--events", default="", help="override io.events from the config")
     p.add_argument("--out-dir", default="", help="override io.out_dir from the config")
-    p.add_argument("--workers", help=f"frame pairs run at once, 1 to {MAX_WORKERS} "
-                   "(default: 2, or 1 where only one CPU is usable)")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("evaluate", help="compare estimates against ground truth")

@@ -4,8 +4,8 @@ Frames are accumulated strictly in timestamp order; each consecutive frame
 pair runs intensity conversion, dense flow, correspondence subsampling,
 the (optionally RANSAC-guarded) rigid fit, metric conversion and the axle
 transfer.  A pair depends only on its two frames, the config and its index,
-so a few pairs run at once on a small thread pool while the rows still come
-out in frame order.  A frame pair that fails any stage produces an estimate
+so on large frames two pairs run at once while the rows still come out in
+frame order.  A frame pair that fails any stage produces an estimate
 with ``valid = False`` and a reason code instead of being dropped.
 Wall-clock timings are recorded per stage and per pair.
 """
@@ -30,13 +30,20 @@ from .rigid import (CameraVelocity, EstimateQuality, estimate_rigid, ransac_esti
 from .vehicle import ImuSeries, VelocityEstimate, substitute_imu_yaw, transform_to_axle
 
 PAIR_STAGES = ("intensity", "flow", "subsample", "estimate", "transform")
-MAX_WORKERS = 16  # ceiling on pairs run at once, so no setting starts unbounded threads
+# Frames of fewer pixels run one pair at a time.  On a 2-vCPU host two
+# threads ran the pair loop 1.12-1.16x faster at 160x120 and 208x156 but
+# 1.21-1.35x at 240x180 to 346x260; the small gain does not pay for a second
+# working set, nor show in a run whose wall is mostly loading and accumulation.
+PARALLEL_MIN_PIXELS = 40_000
 
 _INVALID_QUALITY = EstimateQuality(n_inliers=0, inlier_fraction=0.0, mean_residual=0.0)
 
 
-def default_workers() -> int:
-    """Pairs run at once by default: two where two CPUs are usable, else one."""
+def default_workers(cfg: RunConfig) -> int:
+    """Pairs run at once: two on frames of ``PARALLEL_MIN_PIXELS`` or more
+    where two CPUs are usable, else one."""
+    if cfg.camera.width * cfg.camera.height < PARALLEL_MIN_PIXELS:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return min(2, len(os.sched_getaffinity(0)))
     return min(2, os.cpu_count() or 1)
@@ -226,17 +233,14 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     ``textureless`` without running flow.  Invalid frames carry reason
     codes and never vanish.
 
-    Frames are accumulated ``workers`` at a time (``default_workers()`` when
-    None, at most ``MAX_WORKERS``), and their pairs run at once on this
-    thread and a pool of ``workers - 1`` threads.  A batch's rows are yielded
-    once all of its pairs are done, so at most ``workers + 1`` frames and
-    their pyramids are resident, and when a pair raises, every row before
-    it has been yielded.  ``timings`` receives the per-pair stage times, and
+    Frames are accumulated ``workers`` at a time (``default_workers(cfg)``
+    when None), and their pairs run at once on this thread and a pool of
+    ``workers - 1`` threads.  A batch's rows are yielded once all of its
+    pairs are done, so at most ``workers + 1`` frames and their pyramids are
+    resident, and when a pair raises, every row before it has been yielded.  ``timings`` receives the per-pair stage times, and
     in ``accumulate_s`` the time spent accumulating frames alone.
     """
-    workers = default_workers() if workers is None else workers
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    workers = default_workers(cfg) if workers is None else workers
     if cfg.omega_source == "imu" and imu is None:
         raise InsufficientDataError("omega source is imu but no IMU stream was supplied")
     # flow imports scipy on first use; importing it here keeps it out of the first pair

@@ -222,11 +222,16 @@ class TestRunPipeline:
         assert {s: len(v) for s, v in out["timings"].stages.items()} == {
             s: len(cold) for s in (*pipeline.PAIR_STAGES, "pair")}
 
-    def test_workers_out_of_range_rejected(self):
-        cfg, events, _ = small_scenario(duration=0.066)
-        for workers in (0, pipeline.MAX_WORKERS + 1):
-            with pytest.raises(ValueError, match="workers"):
-                next(iter_pairs(events, cfg, workers=workers))
+    def test_default_workers_follow_frame_size_and_usable_cpus(self, monkeypatch):
+        small = RunConfig.from_text(RUN_TEXT)  # 120x90
+        large = RunConfig.from_text(RUN_TEXT.replace("camera.width = 120", "camera.width = 346")
+                                    .replace("camera.height = 90", "camera.height = 260"))
+        assert large.camera.width * large.camera.height >= pipeline.PARALLEL_MIN_PIXELS
+        for cpus, expect_large in ((1, 1), (2, 2), (8, 2)):
+            monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            assert pipeline.default_workers(small) == 1
+            assert pipeline.default_workers(large) == expect_large
 
     def test_latency_accounting_sums(self):
         cfg, events, _ = small_scenario(duration=0.132)
@@ -766,7 +771,8 @@ trajectory.omega = 0.3, 0.3
         # batches of two frames: pair 2 runs on the calling thread, pair 3 on the pool
         tmp_path, scenario, run_cfg = workspace
         ev, out = tmp_path / "events.csv", tmp_path / "out"
-        argv = ["estimate", "--config", str(run_cfg), "--events", str(ev), "--workers", "2"]
+        argv = ["estimate", "--config", str(run_cfg), "--events", str(ev)]
+        monkeypatch.setattr(pipeline, "default_workers", lambda cfg: 2)
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
         assert cli_main(argv) == 0
         full = state_io.load_velocity_csv(out / "estimates.csv")
@@ -782,33 +788,19 @@ trajectory.omega = 0.3, 0.3
         assert state_io.load_velocity_csv(out / "estimates.csv") == full[:k]
         assert not (out / "timings.json").exists()
 
-    @pytest.mark.parametrize("workers", ["0", "17", "two"])
-    def test_bad_workers_exit_2_before_any_thread(self, workspace, capsys, monkeypatch,
-                                                  workers):
-        tmp_path, _, run_cfg = workspace
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
-        # the events file is absent: reading it would exit 3
-        assert cli_main(["estimate", "--config", str(run_cfg), "--events",
-                         str(tmp_path / "absent.csv"), "--workers", workers]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "--workers" in err
-        assert "Traceback" not in err and not started
-
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_workers_start_at_most_workers_minus_one_threads(self, workspace, monkeypatch,
-                                                             workers):
+    def test_estimate_starts_at_most_workers_minus_one_threads(self, workspace, monkeypatch,
+                                                               workers):
         tmp_path, scenario, run_cfg = workspace
-        ev, out = tmp_path / "events.csv", tmp_path / "out"
+        ev = tmp_path / "events.csv"
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
+        monkeypatch.setattr(pipeline, "default_workers", lambda cfg: workers)
         started = []
         real_start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: (started.append(thread), real_start(thread)))
-        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev),
-                         "--workers", str(workers)]) == 0
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 0
         assert len(started) <= workers - 1
-        assert json.loads((out / "timings.json").read_text())["workers"] == workers
 
     def test_flow_debug_pair_past_last_frame_exit_2(self, workspace):
         tmp_path, scenario, run_cfg = workspace
