@@ -50,7 +50,7 @@ class EvalReport:
                    f"invalid {self.frames_invalid}; paired {self.pairs_used}, "
                    f"unpaired {self.unpaired}")
         for stage, st in self.latency_ms.items():
-            out.append(f"latency {stage:10s} mean {st['mean']:.2f} ms  std {st['std']:.2f}"
+            out.append(f"wall {stage:10s} mean {st['mean']:.2f} ms  std {st['std']:.2f}"
                        f"  p95 {st['p95']:.2f}  n {st['count']}")
         return out
 

@@ -4,8 +4,9 @@ Frames are accumulated strictly in timestamp order; each consecutive frame
 pair runs intensity conversion, dense flow, correspondence subsampling,
 the (optionally RANSAC-guarded) rigid fit, metric conversion and the axle
 transfer.  A pair depends only on its two frames, the config and its index,
-so on large frames two pairs run at once while the rows still come out in
-frame order.  A frame pair that fails any stage produces an estimate
+so on large frames two pairs run at once, one on the calling thread and one
+as a future on a small thread pool, while the rows still come out in frame
+order.  A frame pair that fails any stage produces an estimate
 with ``valid = False`` and a reason code instead of being dropped.
 Wall-clock timings are recorded per stage and per pair.
 """
@@ -186,40 +187,15 @@ def process_frame_pair(prev: EventFrame | FrameMemo, curr: EventFrame | FrameMem
     return PairResult(est, cam_vel, flow)
 
 
-def _call(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, or the exception it raised, to raise again in frame order."""
-    try:
-        return fn(*args, **kwargs)
-    except Exception as exc:
-        return exc
-
-
-def _run_batch(memos: list[FrameMemo | None], first_index: int, cfg: RunConfig,
-               imu: ImuSeries | None, timings: StageTimings | None,
-               pool) -> list[PairResult | Exception]:
-    """The row of each frame in ``memos[1:]``, paired with the frame before it.
-
-    ``memos[0]`` is the previous batch's last frame, None before the first
-    frame.  The first pair that runs flow runs on this thread and the others
-    on ``pool``; a pair that raised leaves its exception in its row's place.
-    """
-    rows, jobs = [], []
-    for pair_index, (prev, curr) in enumerate(zip(memos, memos[1:]), first_index):
-        if prev is None:
-            rows.append(PairResult(_invalid(curr.frame.t_mid_s, "no_previous_frame",
-                                            cfg.omega_source)))
-        elif prev.frame.event_total == curr.frame.event_total == 0:
-            # two blank images have no texture to track
-            rows.append(PairResult(_invalid(curr.frame.t_mid_s, "textureless",
-                                            cfg.omega_source)))
-        else:
-            rows.append(None)
-            jobs.append((prev, curr, cfg, pair_index))
-    futures = [pool.submit(_call, process_frame_pair, *job, imu=imu, timings=timings)
-               for job in jobs[1:]]
-    first = [_call(process_frame_pair, *job, imu=imu, timings=timings) for job in jobs[:1]]
-    done = iter(first + [f.result() for f in futures])
-    return [next(done) if row is None else row for row in rows]
+def _pair(prev: FrameMemo | None, curr: FrameMemo, cfg: RunConfig, pair_index: int,
+          imu: ImuSeries | None, timings: StageTimings | None) -> PairResult:
+    """The row of ``curr`` paired with ``prev``, the frame before it (None before the first)."""
+    if prev is None:
+        return PairResult(_invalid(curr.frame.t_mid_s, "no_previous_frame", cfg.omega_source))
+    if prev.frame.event_total == curr.frame.event_total == 0:
+        # two blank images have no texture to track
+        return PairResult(_invalid(curr.frame.t_mid_s, "textureless", cfg.omega_source))
+    return process_frame_pair(prev, curr, cfg, pair_index, imu=imu, timings=timings)
 
 
 def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
@@ -234,23 +210,24 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     codes and never vanish.
 
     Frames are accumulated ``workers`` at a time (``default_workers(cfg)``
-    when None), and their pairs run at once on this thread and a pool of
-    ``workers - 1`` threads.  A batch's rows are yielded once all of its
-    pairs are done, so at most ``workers + 1`` frames and their pyramids are
-    resident, and when a pair raises, every row before it has been yielded.  ``timings`` receives the per-pair stage times, and
-    in ``accumulate_s`` the time spent accumulating frames alone.
+    when None).  A batch's first pair runs on this thread while the others
+    run on a pool of ``workers - 1`` threads.  Each row is yielded once it
+    and the rows before it are done, and the next batch is accumulated only
+    after every pair of this one, so at most ``workers + 1`` frames and
+    their pyramids are resident.  When a pair raises, every row before it
+    has been yielded.  ``timings`` receives the per-pair stage times, and in
+    ``accumulate_s`` the time spent accumulating frames alone.
     """
     workers = default_workers(cfg) if workers is None else workers
     if cfg.omega_source == "imu" and imu is None:
         raise InsufficientDataError("omega source is imu but no IMU stream was supplied")
     # flow imports scipy on first use; importing it here keeps it out of the first pair
     from scipy import ndimage  # noqa: F401
+    from concurrent.futures import ThreadPoolExecutor  # scipy has already loaded it
     frames = iter_frames(events, cfg.accumulation, t_start_us=t_start_us, t_end_us=t_end_us)
-    prev = pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # its import costs a few ms
-        pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="evflow-pair")
-    try:
+    prev = None
+    # the pool starts a thread only on a submit, so one pair at a time starts none
+    with ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="evflow-pair") as pool:
         for first_index in count(0, workers):
             t0 = time.perf_counter()
             batch = [FrameMemo(frame) for frame in islice(frames, workers)]
@@ -258,13 +235,11 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
                 timings.accumulate_s += time.perf_counter() - t0
             if not batch:
                 return
-            rows = _run_batch([prev, *batch], first_index, cfg, imu, timings, pool)
+            pairs = [(a, b, cfg, i, imu, timings)
+                     for i, (a, b) in enumerate(zip([prev, *batch], batch), first_index)]
             prev = batch[-1]
-            del batch  # only the last frame's memo is carried into the next batch
-            for row in rows:
-                if isinstance(row, Exception):
-                    raise row
-                yield row
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            futures = [pool.submit(_pair, *pair) for pair in pairs[1:]]
+            yield _pair(*pairs[0])
+            del batch, pairs  # only the last frame's memo is carried into the next batch
+            for future in futures:
+                yield future.result()

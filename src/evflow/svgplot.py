@@ -8,6 +8,7 @@ embedded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,20 +23,18 @@ def _f(v: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        return [lo]
+    """Round multiples ``k * step`` across [lo, hi], about ``n`` steps apart;
+    ``[lo]`` when no step of at least one ulp resolves the span."""
     raw = (hi - lo) / n
-    mag = 10 ** math.floor(math.log10(raw))
-    for mult in (1, 2, 2.5, 5, 10):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    start = math.ceil(lo / step) * step
-    ticks = []
-    t = start
-    while t <= hi + 1e-12 * abs(step):
-        ticks.append(round(t, 12))
-        t += step
+    if not (math.isfinite(lo) and math.isfinite(raw) and raw >= sys.float_info.min):
+        return [lo]
+    mag = 10.0 ** math.floor(math.log10(raw))
+    step = next(mult * mag for mult in (1, 2, 2.5, 5, 10) if raw <= mult * mag)
+    ticks = [round(k * step, 12)
+             for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
+    # a step below the ulp of lo and hi makes neighbouring multiples equal
+    if len(set(ticks)) < len(ticks):
+        return [lo]
     return ticks
 
 
@@ -119,8 +118,17 @@ def _data_range(series, pad_frac: float = 0.05) -> tuple[float, float]:
 def line_chart(title: str, x_label: str, y_label: str,
                series: list[tuple[str, str, np.ndarray, np.ndarray]],
                annotation: str = "") -> str:
-    """Overlayed line series; each entry is (label, color, x, y)."""
-    drawn = [(lab, col, x, y) for lab, col, x, y in series if len(x)]
+    """Overlayed line series; each entry is (label, color, x, y).
+
+    Points with a non-finite coordinate (a speed-0 exposure ceiling is
+    ``inf``) are left out of the axis ranges and the lines.
+    """
+    drawn = []
+    for lab, col, x, y in series:
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        finite = np.isfinite(x) & np.isfinite(y)
+        if finite.any():
+            drawn.append((lab, col, x[finite], y[finite]))
     if drawn:
         x_lo, x_hi = _data_range([x for _, _, x, _ in drawn], 0.0)
         y_lo, y_hi = _data_range([y for _, _, _, y in drawn])

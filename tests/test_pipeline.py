@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,34 @@ class TestRunPipeline:
         assert calls == ["pyramid"] * len(frames)
         assert {s: len(v) for s, v in out["timings"].stages.items()} == {
             s: len(cold) for s in (*pipeline.PAIR_STAGES, "pair")}
+
+    @pytest.mark.parametrize("taken", [1, 2, 3])
+    def test_closing_early_leaves_no_pool_thread(self, small_stream, taken):
+        # batches of two frames: rows 1 and 3 come from the pool, which is still
+        # running pair 1 when row 0 is out and pair 3 when row 2 is out
+        cfg, events = small_stream
+        rows = iter_pairs(events, cfg, workers=2)
+        assert len(list(islice(rows, taken))) == taken
+        rows.close()
+        assert not [t for t in threading.enumerate() if t.name.startswith("evflow-pair")]
+
+    def test_first_row_of_a_batch_does_not_wait_for_the_pool(self, small_stream,
+                                                            monkeypatch):
+        cfg, events = small_stream
+        real = pipeline.process_frame_pair
+        first_row = {i: threading.Event() for i in (0, 2)}  # batches of two frames
+        log = []
+
+        def pool_pair_waits_for_the_first_row(prev, curr, cfg, pair_index, **kwargs):
+            if pair_index in (1, 3):
+                log.append((pair_index, first_row[pair_index - 1].wait(timeout=5)))
+            return real(prev, curr, cfg, pair_index, **kwargs)
+
+        monkeypatch.setattr(pipeline, "process_frame_pair", pool_pair_waits_for_the_first_row)
+        for i, _ in enumerate(iter_pairs(events, cfg, workers=2)):
+            if i in first_row:
+                first_row[i].set()
+        assert log == [(1, True), (3, True)]
 
     def test_default_workers_follow_frame_size_and_usable_cpus(self, monkeypatch):
         small = RunConfig.from_text(RUN_TEXT)  # 120x90
@@ -444,7 +473,7 @@ trajectory.omega = 0.3, 0.3
         run_cfg.write_text(RUN_TEXT + f"io.out_dir = {tmp_path / 'out'}\n")
         return tmp_path, scenario, run_cfg
 
-    def test_full_chain_exit_codes(self, workspace):
+    def test_full_chain_exit_codes(self, workspace, capsys):
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
         gt = tmp_path / "gt.csv"
@@ -457,6 +486,10 @@ trajectory.omega = 0.3, 0.3
         assert timings["frames_in"] == timings["frames_valid"] + timings["frames_invalid"]
         assert cli_main(["evaluate", "--estimates", str(out / "estimates.csv"),
                          "--ground-truth", str(gt), "--tolerance", "0.0165"]) == 0
+        # timings.json's stage times are per-pair walls, which overlap across pairs
+        stage_lines = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
+                       if line.split()[0] in ("wall", "latency")]
+        assert stage_lines == [["wall", s] for s in (*pipeline.PAIR_STAGES, "pair")]
         assert cli_main(["plot", "--estimates", str(out / "estimates.csv"),
                          "--ground-truth", str(gt),
                          "--out-dir", str(tmp_path / "plots")]) == 0

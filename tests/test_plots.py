@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evflow
 from evflow.events import CameraModel
 from evflow.flow import FlowField
 from evflow.plots import (blur_budget_table, dump_flow_csv, flow_quiver_svg,
@@ -39,6 +44,44 @@ class TestBlurBudget:
         ET.parse(svg1)
         header = csv1.read_text().splitlines()[0]
         assert header == "v_mps,t_exp_us_at_0.01,t_exp_us_at_0.02"
+
+    def test_speed_zero_keeps_inf_in_csv_and_out_of_svg(self, tmp_path):
+        # at speed 0 no exposure blurs, so the ceiling is inf by design
+        csv_path, svg_path = write_blur_budget([0.0, 5.0], [0.01, 0.02], CAM, tmp_path)
+        assert csv_path.read_text().splitlines()[1] == "0.0,inf,inf"
+        svg = svg_path.read_text()
+        ET.fromstring(svg)
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count("<polyline") == 2
+
+
+EMIT_PLOTS = """
+import sys
+from evflow.plots import emit_plots
+from evflow.rigid import EstimateQuality
+from evflow.vehicle import VelocityEstimate
+quality = EstimateQuality(n_inliers=10, inlier_fraction=1.0, mean_residual=0.0)
+rows = [VelocityEstimate(t_mid=t, v_lon=float(v), v_lat=0.0, omega=0.0, omega_source="flow",
+                         quality=quality, valid=True) for t, v in zip((0.0, 0.033), sys.argv[2:])]
+emit_plots(rows, rows, sys.argv[1])
+"""
+
+
+@pytest.mark.parametrize("v_lon", [
+    ("1.0", "1.0000000000000004"),  # a span of two ulps: a tick step below the ulp
+    ("0.0", "5e-324"),  # a span that underflows when divided into ticks
+])
+def test_plot_of_a_span_of_a_few_ulps_finishes(tmp_path, v_lon):
+    # a new interpreter, so a tick loop that never ends fails on the timeout; such a
+    # loop grows its tick list by about 50 MB/s, so the timeout is kept short
+    src = str(Path(evflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", EMIT_PLOTS,
+                    str(tmp_path), *v_lon], env=env, check=True, timeout=10)
+    svg = (tmp_path / "velocity_v_lon.svg").read_text()
+    ET.fromstring(svg)
+    assert "nan" not in svg
 
 
 class TestFlowDebugDump:
