@@ -339,10 +339,9 @@ def _level_count(h0: int, w0: int, params: FlowParams) -> int:
 
 def flow_pyramid(image: np.ndarray, params: FlowParams) -> FlowPyramid:
     """Blur, resize and polynomially expand ``image`` at every pyramid level."""
-    a = np.asarray(image, dtype=np.float64)
+    a = np.asarray(image, dtype=np.float32)
     if a.ndim != 2 or min(a.shape) < 2:
         raise ValueError("flow needs 2-d frames at least 2 pixels on a side")
-    a = a.astype(np.float32)
     h0, w0 = a.shape
     levels = []
     for k in range(_level_count(h0, w0, params) - 1, -1, -1):

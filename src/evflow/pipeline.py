@@ -8,7 +8,7 @@ so on large frames two pairs run at once, one on the calling thread and one
 as a future on a small thread pool, while the rows still come out in frame
 order.  A frame pair that fails any stage produces an estimate
 with ``valid = False`` and a reason code instead of being dropped.
-Wall-clock timings are recorded per stage and per pair.
+Each pair's row carries its own wall-clock seconds per stage.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import threading
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count, islice
 
 import numpy as np
@@ -50,37 +50,6 @@ def default_workers(cfg: RunConfig) -> int:
     return min(2, os.cpu_count() or 1)
 
 
-@dataclass
-class StageTimings:
-    """Per-frame-pair wall-clock seconds for each stage plus end to end.
-
-    Each figure is one pair's wall time on the thread that ran it; pairs
-    that run at once overlap, so the stage times can sum past the run's wall.
-    """
-
-    stages: dict[str, list[float]] = field(default_factory=dict)
-    accumulate_s: float = 0.0
-
-    def add(self, stage: str, seconds: float) -> None:
-        self.stages.setdefault(stage, []).append(seconds)
-
-    def stats_ms(self) -> dict[str, dict[str, float]]:
-        out = {}
-        for stage, vals in self.stages.items():
-            arr = np.asarray(vals) * 1e3
-            out[stage] = {"mean": float(arr.mean()), "std": float(arr.std()),
-                          "p95": float(np.percentile(arr, 95)), "count": int(arr.size)}
-        return out
-
-    def overhead_ms(self) -> float:
-        """Mean per-pair orchestration time not attributed to any stage."""
-        stats = self.stats_ms()
-        if "pair" not in stats:
-            return 0.0
-        staged = sum(stats[s]["mean"] for s in PAIR_STAGES if s in stats)
-        return stats["pair"]["mean"] - staged
-
-
 @dataclass(frozen=True)
 class PairResult:
     """Outcome of one frame pair.
@@ -88,12 +57,18 @@ class PairResult:
     ``estimate`` is the output row and carries the reason code of an
     invalid pair.  ``camera`` is the camera-frame velocity before the axle
     transfer, or None when no rigid fit was reached.  ``flow`` is None when
-    the row was decided without running flow.
+    the row was decided without running flow.  ``stage_s`` holds the pair's
+    wall seconds in each stage it ran and, under ``"pair"``, end to end, on
+    the thread that ran it; it is empty for a row decided without running a
+    stage.  ``accumulate_s`` is the time spent accumulating frames since the
+    previous row.
     """
 
     estimate: VelocityEstimate
     camera: CameraVelocity | None = None
     flow: FlowField | None = None
+    stage_s: dict[str, float] = field(default_factory=dict)
+    accumulate_s: float = 0.0
 
 
 class FrameMemo:
@@ -108,15 +83,17 @@ class FrameMemo:
         self._lock = threading.Lock()
         self._pyramid: FlowPyramid | None = None
 
-    def pyramid(self, cfg: RunConfig, intensity_s: list[float]) -> FlowPyramid:
-        """The frame's pyramid; a build appends its intensity conversion's seconds."""
+    def pyramid(self, cfg: RunConfig) -> tuple[FlowPyramid, float]:
+        """The frame's pyramid and the seconds this call spent converting the
+        frame to intensity: 0.0 when the pyramid was already built."""
         with self._lock:
-            if self._pyramid is None:
-                t0 = time.perf_counter()
-                image = to_intensity(self.frame, cfg.accumulation.count_cap, cfg.merge)
-                intensity_s.append(time.perf_counter() - t0)
-                self._pyramid = flow_pyramid(image, cfg.flow)
-            return self._pyramid
+            if self._pyramid is not None:
+                return self._pyramid, 0.0
+            t0 = time.perf_counter()
+            image = to_intensity(self.frame, cfg.accumulation.count_cap, cfg.merge)
+            intensity_s = time.perf_counter() - t0
+            self._pyramid = flow_pyramid(image, cfg.flow)
+            return self._pyramid, intensity_s
 
 
 def _invalid(t_mid: float, reason: str, omega_source: str) -> VelocityEstimate:
@@ -126,8 +103,8 @@ def _invalid(t_mid: float, reason: str, omega_source: str) -> VelocityEstimate:
 
 
 def process_frame_pair(prev: EventFrame | FrameMemo, curr: EventFrame | FrameMemo,
-                       cfg: RunConfig, pair_index: int, imu: ImuSeries | None = None,
-                       timings: StageTimings | None = None) -> PairResult:
+                       cfg: RunConfig, pair_index: int,
+                       imu: ImuSeries | None = None) -> PairResult:
     """Run every per-pair stage for one consecutive frame pair.
 
     ``pair_index`` seeds the RANSAC draw together with the run seed, so
@@ -135,24 +112,23 @@ def process_frame_pair(prev: EventFrame | FrameMemo, curr: EventFrame | FrameMem
     ``FrameMemo`` is converted and expanded here only if no other pair has
     done so; a bare ``EventFrame`` always is, with the same result.
     """
-    rec = timings.add if timings is not None else (lambda stage, s: None)
     t_pair = time.perf_counter()
+    stage_s = {}
     prev, curr = (f if isinstance(f, FrameMemo) else FrameMemo(f) for f in (prev, curr))
     t_mid = curr.frame.t_mid_s
 
     t0 = time.perf_counter()
-    intensity_s = []
     # the later frame first: its pyramid is this pair's own to build, while
     # the earlier one's may be under way in the pair before
-    pyramid = curr.pyramid(cfg, intensity_s)
-    flow = compute_flow(prev.pyramid(cfg, intensity_s), pyramid, cfg.flow)
-    intensity = sum(intensity_s)
-    rec("intensity", intensity)
-    rec("flow", time.perf_counter() - t0 - intensity)
+    curr_pyramid, curr_s = curr.pyramid(cfg)
+    prev_pyramid, prev_s = prev.pyramid(cfg)
+    flow = compute_flow(prev_pyramid, curr_pyramid, cfg.flow)
+    stage_s["intensity"] = curr_s + prev_s
+    stage_s["flow"] = time.perf_counter() - t0 - stage_s["intensity"]
 
     t0 = time.perf_counter()
     p, q = subsample_flow(flow, cfg.stride)
-    rec("subsample", time.perf_counter() - t0)
+    stage_s["subsample"] = time.perf_counter() - t0
 
     reason = "textureless"
     if p.shape[0]:
@@ -169,10 +145,10 @@ def process_frame_pair(prev: EventFrame | FrameMemo, curr: EventFrame | FrameMem
             reason = "insufficient_correspondences"
         except DegenerateConsensusError:
             reason = "degenerate_consensus"
-        rec("estimate", time.perf_counter() - t0)
+        stage_s["estimate"] = time.perf_counter() - t0
     if reason:
-        rec("pair", time.perf_counter() - t_pair)
-        return PairResult(_invalid(t_mid, reason, cfg.omega_source), None, flow)
+        stage_s["pair"] = time.perf_counter() - t_pair
+        return PairResult(_invalid(t_mid, reason, cfg.omega_source), None, flow, stage_s)
 
     t0 = time.perf_counter()
     cam_vel = to_camera_velocity(motion, cfg.camera, cfg.window_s, t_mid=t_mid,
@@ -182,25 +158,25 @@ def process_frame_pair(prev: EventFrame | FrameMemo, curr: EventFrame | FrameMem
                                  staleness_s=2 * cfg.window_s)
     else:
         est = transform_to_axle(cam_vel, cfg.extrinsics)
-    rec("transform", time.perf_counter() - t0)
-    rec("pair", time.perf_counter() - t_pair)
-    return PairResult(est, cam_vel, flow)
+    stage_s["transform"] = time.perf_counter() - t0
+    stage_s["pair"] = time.perf_counter() - t_pair
+    return PairResult(est, cam_vel, flow, stage_s)
 
 
 def _pair(prev: FrameMemo | None, curr: FrameMemo, cfg: RunConfig, pair_index: int,
-          imu: ImuSeries | None, timings: StageTimings | None) -> PairResult:
+          imu: ImuSeries | None) -> PairResult:
     """The row of ``curr`` paired with ``prev``, the frame before it (None before the first)."""
     if prev is None:
         return PairResult(_invalid(curr.frame.t_mid_s, "no_previous_frame", cfg.omega_source))
     if prev.frame.event_total == curr.frame.event_total == 0:
         # two blank images have no texture to track
         return PairResult(_invalid(curr.frame.t_mid_s, "textureless", cfg.omega_source))
-    return process_frame_pair(prev, curr, cfg, pair_index, imu=imu, timings=timings)
+    return process_frame_pair(prev, curr, cfg, pair_index, imu=imu)
 
 
 def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
-               timings: StageTimings | None = None, t_start_us: int | None = None,
-               t_end_us: int | None = None, workers: int | None = None) -> Iterator[PairResult]:
+               t_start_us: int | None = None, t_end_us: int | None = None,
+               workers: int | None = None) -> Iterator[PairResult]:
     """Accumulate an event stream and yield one PairResult per frame, in frame order.
 
     The first frame only primes the pair chain: its row is invalid with
@@ -215,8 +191,8 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     and the rows before it are done, and the next batch is accumulated only
     after every pair of this one, so at most ``workers + 1`` frames and
     their pyramids are resident.  When a pair raises, every row before it
-    has been yielded.  ``timings`` receives the per-pair stage times, and in
-    ``accumulate_s`` the time spent accumulating frames alone.
+    has been yielded.  A batch's first row carries in ``accumulate_s`` the
+    time spent accumulating the batch.
     """
     workers = default_workers(cfg) if workers is None else workers
     if cfg.omega_source == "imu" and imu is None:
@@ -231,15 +207,14 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
         for first_index in count(0, workers):
             t0 = time.perf_counter()
             batch = [FrameMemo(frame) for frame in islice(frames, workers)]
-            if timings is not None:
-                timings.accumulate_s += time.perf_counter() - t0
+            accumulate_s = time.perf_counter() - t0
             if not batch:
                 return
-            pairs = [(a, b, cfg, i, imu, timings)
+            pairs = [(a, b, cfg, i, imu)
                      for i, (a, b) in enumerate(zip([prev, *batch], batch), first_index)]
             prev = batch[-1]
             futures = [pool.submit(_pair, *pair) for pair in pairs[1:]]
-            yield _pair(*pairs[0])
+            yield replace(_pair(*pairs[0]), accumulate_s=accumulate_s)
             del batch, pairs  # only the last frame's memo is carried into the next batch
             for future in futures:
                 yield future.result()

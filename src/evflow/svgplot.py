@@ -28,9 +28,11 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     raw = (hi - lo) / n
     if not (math.isfinite(lo) and math.isfinite(raw) and raw >= sys.float_info.min):
         return [lo]
-    mag = 10.0 ** math.floor(math.log10(raw))
+    exponent = math.floor(math.log10(raw))
+    mag = 10.0 ** exponent
     step = next(mult * mag for mult in (1, 2, 2.5, 5, 10) if raw <= mult * mag)
-    ticks = [round(k * step, 12)
+    # rounded at the step's last decimal place: one below mag's, for 2.5 * mag
+    ticks = [round(k * step, 1 - exponent)
              for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
     # a step below the ulp of lo and hi makes neighbouring multiples equal
     if len(set(ticks)) < len(ticks):

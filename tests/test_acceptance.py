@@ -14,7 +14,7 @@ from evflow.evaluate import evaluate
 from evflow.events import (AccumulationConfig, CameraModel, accumulate,
                            make_events, relative_motion_blur, to_intensity)
 from evflow.flow import FlowParams, compute_flow, inject_outliers, subsample_flow
-from evflow.pipeline import StageTimings, iter_pairs, process_frame_pair
+from evflow.pipeline import iter_pairs, process_frame_pair
 from evflow.rigid import (CameraVelocity, RansacParams, RigidMotion2D,
                           estimate_rigid, ransac_estimate, reconstruct_flow,
                           to_camera_velocity)
@@ -339,14 +339,12 @@ def test_c10_latency_ceiling(announce):
     for _ in range(2):  # warm caches
         process_frame_pair(frames[0], frames[1], cfg, pair_index=1)
 
-    timings = StageTimings()
     t0 = time.perf_counter()
-    for i in range(10):
-        process_frame_pair(frames[0], frames[1], cfg, pair_index=i, timings=timings)
+    stage_s = [process_frame_pair(frames[0], frames[1], cfg, pair_index=i).stage_s
+               for i in range(10)]
     mean_ms = (time.perf_counter() - t0) / 10 * 1e3
     assert mean_ms < 200.0
-    stats = timings.stats_ms()
-    breakdown = ", ".join(f"{s} {stats[s]['mean']:.1f}" for s in
+    breakdown = ", ".join(f"{s} {np.mean([st[s] for st in stage_s]) * 1e3:.1f}" for s in
                           ("intensity", "flow", "subsample", "estimate", "transform"))
     announce(f"PASS criterion 10: mean per-pair latency {mean_ms:.1f} ms at 346x260 "
              f"(stage means ms: {breakdown})")

@@ -23,7 +23,7 @@ from evflow.errors import EvaluationError, InputFormatError
 from evflow.evaluate import evaluate
 from evflow.event_io import load_events_csv, write_events_binary
 from evflow.events import EVENT_DTYPE, accumulate, make_events
-from evflow.pipeline import StageTimings, iter_pairs, process_frame_pair
+from evflow.pipeline import iter_pairs, process_frame_pair
 from evflow.plots import dump_flow_csv, emit_plots
 from evflow.rigid import EstimateQuality
 from evflow.synth import NoiseTexture, SimConfig, Trajectory, generate_events
@@ -205,9 +205,7 @@ class TestRunPipeline:
                             counting(calls, "pyramid", pipeline.flow_pyramid))
 
         def run():
-            timings = StageTimings()
-            out["rows"] = estimates(events, cfg, timings=timings, workers=4)
-            out["timings"] = timings
+            out["pairs"] = list(iter_pairs(events, cfg, workers=4))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
@@ -218,10 +216,10 @@ class TestRunPipeline:
         finally:
             sys.setswitchinterval(interval)
         assert not thread.is_alive()
-        assert out["rows"][1:] == cold
+        assert [pair.estimate for pair in out["pairs"][1:]] == cold
         assert calls == ["pyramid"] * len(frames)
-        assert {s: len(v) for s, v in out["timings"].stages.items()} == {
-            s: len(cold) for s in (*pipeline.PAIR_STAGES, "pair")}
+        assert [tuple(pair.stage_s) for pair in out["pairs"]] == [()] + [
+            (*pipeline.PAIR_STAGES, "pair")] * len(cold)
 
     @pytest.mark.parametrize("taken", [1, 2, 3])
     def test_closing_early_leaves_no_pool_thread(self, small_stream, taken):
@@ -264,15 +262,34 @@ class TestRunPipeline:
 
     def test_latency_accounting_sums(self):
         cfg, events, _ = small_scenario(duration=0.132)
-        timings = StageTimings()
-        assert len(estimates(events, cfg, timings=timings)) == 4
-        stats = timings.stats_ms()
-        stage_sum = sum(stats[s]["mean"] for s in
-                        ("intensity", "flow", "subsample", "estimate", "transform"))
-        e2e = stats["pair"]["mean"]
-        assert stage_sum <= e2e
-        assert (e2e - stage_sum) / e2e < 0.05
-        assert timings.overhead_ms() == pytest.approx(e2e - stage_sum, rel=1e-9)
+        pairs = list(iter_pairs(events, cfg))
+        assert len(pairs) == 4 and pairs[0].stage_s == {}
+        for pair in pairs[1:]:
+            stage_sum = sum(pair.stage_s[s] for s in pipeline.PAIR_STAGES)
+            e2e = pair.stage_s["pair"]
+            assert stage_sum <= e2e
+            assert (e2e - stage_sum) / e2e < 0.05
+
+    def test_timings_json_layout(self, tmp_path):
+        cfg, events, _ = small_scenario(duration=0.132)
+        pairs = list(iter_pairs(events, cfg))
+        flowed = [pair for pair in pairs if pair.flow is not None]
+        assert flowed and all(pair.estimate.valid for pair in flowed)  # so every stage runs
+        ev_path, run_cfg = tmp_path / "events.evt", tmp_path / "run.cfg"
+        write_events_binary(ev_path, events, cfg.camera.width, cfg.camera.height)
+        run_cfg.write_text(RUN_TEXT)
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev_path),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "timings.json").read_text())
+        assert list(doc) == ["stages_ms", "overhead_ms", "accumulate_s", "frames_in",
+                             "frames_valid", "frames_invalid", "invalid_reasons"]
+        stats = doc["stages_ms"]
+        assert list(stats) == [*pipeline.PAIR_STAGES, "pair"]
+        assert [list(st) for st in stats.values()] == [["mean", "std", "p95", "count"]] * 6
+        assert [st["count"] for st in stats.values()] == [len(flowed)] * 6
+        assert doc["accumulate_s"] > 0
+        assert doc["overhead_ms"] == pytest.approx(stats["pair"]["mean"] - sum(
+            stats[s]["mean"] for s in pipeline.PAIR_STAGES), rel=1e-9)
 
     def test_constant_speed_recovery_within_2pct(self):
         cfg, events, truth = small_scenario(duration=0.165, v_lon=1.5, v_lat=0.0,

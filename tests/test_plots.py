@@ -13,6 +13,7 @@ from evflow.events import CameraModel
 from evflow.flow import FlowField
 from evflow.plots import (blur_budget_table, dump_flow_csv, flow_quiver_svg,
                           write_blur_budget)
+from evflow.svgplot import _nice_ticks
 
 CAM = CameraModel(width=640, height=480, height_z=0.6, fov_alpha=math.radians(60))
 
@@ -82,6 +83,14 @@ def test_plot_of_a_span_of_a_few_ulps_finishes(tmp_path, v_lon):
     svg = (tmp_path / "velocity_v_lon.svg").read_text()
     ET.fromstring(svg)
     assert "nan" not in svg
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e-13), (5.0, 5.0 + 1e-12)])
+def test_ticks_of_a_tiny_span_show_its_scale(lo, hi):
+    ticks = _nice_ticks(lo, hi)
+    assert len(ticks) >= 4
+    assert ticks == sorted(set(ticks))
+    assert lo <= ticks[0] and ticks[-1] <= hi
 
 
 class TestFlowDebugDump:
