@@ -233,12 +233,12 @@ def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarr
     np.clip(ys, 0.0, h - 1.0, out=ys)
     x0 = np.minimum(xs.astype(np.intp), w - 2)
     y0 = np.minimum(ys.astype(np.intp), h - 2)
-    # float32 coordinates minus intp indices give float64 weights, so the
-    # warped expansion and the normal equations are float64 until they are
-    # stored into the float32 ``out``.  Flow outputs are pinned to this: a
-    # warp stored in float32 moves the flow by up to 3e-6 px.
-    fx = (xs - x0).ravel()
-    fy = (ys - y0).ravel()
+    # float32 weights, as the expansions are: the warped expansion and the
+    # normal equations stay float32, which halves the bytes the 20 gathers
+    # move.  Against float64 weights this moved drive_dense's v_lon by at
+    # most 1.2e-8 m/s and disk_sparse's omega by at most 5.6e-7 rad/s.
+    fx = (xs - x0.astype(np.float32)).ravel()
+    fy = (ys - y0.astype(np.float32)).ravel()
     i00 = (y0 * w + x0).ravel()
     i01 = i00 + 1
     i10 = i00 + w

@@ -4,9 +4,9 @@ Frames are accumulated strictly in timestamp order; each consecutive frame
 pair runs intensity conversion, dense flow, correspondence subsampling,
 the (optionally RANSAC-guarded) rigid fit, metric conversion and the axle
 transfer.  A pair depends only on its two frames, the config and its index,
-so on large frames two pairs run at once, one on the calling thread and one
-as a future on a small thread pool, while the rows still come out in frame
-order.  A frame pair that fails any stage produces an estimate
+so on large frames the calling thread keeps accumulating while up to two
+pairs run as futures on a small thread pool, and the rows still come out in
+frame order.  A frame pair that fails any stage produces an estimate
 with ``valid = False`` and a reason code instead of being dropped.
 Each pair's row carries its own wall-clock seconds per stage.
 """
@@ -16,9 +16,11 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections.abc import Iterator
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
-from itertools import count, islice
+from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -31,10 +33,10 @@ from .rigid import (CameraVelocity, EstimateQuality, estimate_rigid, ransac_esti
 from .vehicle import ImuSeries, VelocityEstimate, substitute_imu_yaw, transform_to_axle
 
 PAIR_STAGES = ("intensity", "flow", "subsample", "estimate", "transform")
-# Frames of fewer pixels run one pair at a time.  On a 2-vCPU host two
-# threads ran the pair loop 1.12-1.16x faster at 160x120 and 208x156 but
-# 1.21-1.35x at 240x180 to 346x260; the small gain does not pay for a second
-# working set, nor show in a run whose wall is mostly loading and accumulation.
+# Frames of fewer pixels run one pair at a time.  On a 2-vCPU host, with
+# accumulation overlapping the pairs, two workers ran the pair loop
+# 1.41-1.53x faster than one at 346x260 but 0.95-1.02x as fast at 160x120
+# (RANSAC on and off): small frames do not pay for a second working set.
 PARALLEL_MIN_PIXELS = 40_000
 
 _INVALID_QUALITY = EstimateQuality(n_inliers=0, inlier_fraction=0.0, mean_residual=0.0)
@@ -60,8 +62,8 @@ class PairResult:
     the row was decided without running flow.  ``stage_s`` holds the pair's
     wall seconds in each stage it ran and, under ``"pair"``, end to end, on
     the thread that ran it; it is empty for a row decided without running a
-    stage.  ``accumulate_s`` is the time spent accumulating frames since the
-    previous row.
+    stage.  ``accumulate_s`` is the time spent accumulating the row's own
+    frame, on the calling thread, while earlier pairs may still run.
     """
 
     estimate: VelocityEstimate
@@ -174,6 +176,11 @@ def _pair(prev: FrameMemo | None, curr: FrameMemo, cfg: RunConfig, pair_index: i
     return process_frame_pair(prev, curr, cfg, pair_index, imu=imu)
 
 
+def _timed_pair(accumulate_s: float, *args) -> PairResult:
+    """``_pair(*args)``'s row, carrying the seconds spent accumulating its frame."""
+    return replace(_pair(*args), accumulate_s=accumulate_s)
+
+
 def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
                t_start_us: int | None = None, t_end_us: int | None = None,
                workers: int | None = None) -> Iterator[PairResult]:
@@ -185,14 +192,15 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     ``textureless`` without running flow.  Invalid frames carry reason
     codes and never vanish.
 
-    Frames are accumulated ``workers`` at a time (``default_workers(cfg)``
-    when None).  A batch's first pair runs on this thread while the others
-    run on a pool of ``workers - 1`` threads.  Each row is yielded once it
-    and the rows before it are done, and the next batch is accumulated only
-    after every pair of this one, so at most ``workers + 1`` frames and
-    their pyramids are resident.  When a pair raises, every row before it
-    has been yielded.  A batch's first row carries in ``accumulate_s`` the
-    time spent accumulating the batch.
+    Up to ``workers`` pairs are in flight (``default_workers(cfg)`` when
+    None).  This thread accumulates frame k and submits the pair (k - 1, k)
+    to a pool of ``workers`` threads; once ``workers`` pairs are pending it
+    yields the oldest one's row, so accumulation overlaps the pairs.  One
+    worker runs each pair on this thread and starts no thread.  At most
+    ``workers + 1`` frames and their pyramids are resident: the pending
+    pairs' and the one being accumulated.  When a pair or the accumulation
+    of a frame raises, every row before it has been yielded.  Each row
+    carries in ``accumulate_s`` the time spent accumulating its own frame.
     """
     workers = default_workers(cfg) if workers is None else workers
     if cfg.omega_source == "imu" and imu is None:
@@ -202,19 +210,28 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     from concurrent.futures import ThreadPoolExecutor  # scipy has already loaded it
     frames = iter_frames(events, cfg.accumulation, t_start_us=t_start_us, t_end_us=t_end_us)
     prev = None
-    # the pool starts a thread only on a submit, so one pair at a time starts none
-    with ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="evflow-pair") as pool:
-        for first_index in count(0, workers):
+    pending: deque[Callable[[], PairResult]] = deque()
+    # the pool starts a thread only on a submit, so one worker starts none
+    with ThreadPoolExecutor(workers, thread_name_prefix="evflow-pair") as pool:
+        # a pending pair is a call that returns its row: the pool's future's,
+        # or with one worker the pair itself, run here when its row is due
+        defer = partial if workers == 1 else lambda *call: pool.submit(*call).result
+        for index in count():
             t0 = time.perf_counter()
-            batch = [FrameMemo(frame) for frame in islice(frames, workers)]
+            try:
+                frame = next(frames, None)
+            except Exception:
+                # the frames before the one that failed to accumulate keep their rows
+                while pending:
+                    yield pending.popleft()()
+                raise
             accumulate_s = time.perf_counter() - t0
-            if not batch:
-                return
-            pairs = [(a, b, cfg, i, imu)
-                     for i, (a, b) in enumerate(zip([prev, *batch], batch), first_index)]
-            prev = batch[-1]
-            futures = [pool.submit(_pair, *pair) for pair in pairs[1:]]
-            yield replace(_pair(*pairs[0]), accumulate_s=accumulate_s)
-            del batch, pairs  # only the last frame's memo is carried into the next batch
-            for future in futures:
-                yield future.result()
+            if frame is None:
+                break
+            curr = FrameMemo(frame)
+            pending.append(defer(_timed_pair, accumulate_s, prev, curr, cfg, index, imu))
+            prev = curr
+            if len(pending) == workers:
+                yield pending.popleft()()
+        while pending:
+            yield pending.popleft()()

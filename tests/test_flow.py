@@ -155,8 +155,9 @@ def whole_frame_refinement(s0, s1, u, v, border, kernel):
     ys = np.clip(np.arange(h, dtype=np.float32)[:, None] + v, 0.0, h - 1.0)
     x0 = np.minimum(xs.astype(np.intp), w - 2)
     y0 = np.minimum(ys.astype(np.intp), h - 2)
-    fx = xs - x0
-    fy = ys - y0
+    # float32 weights, so the warp and the normal equations stay float32
+    fx = xs - x0.astype(np.float32)
+    fy = ys - y0.astype(np.float32)
     s1w = [ch[y0, x0] * ((1 - fx) * (1 - fy)) + ch[y0, x0 + 1] * (fx * (1 - fy))
            + ch[y0 + 1, x0] * ((1 - fx) * fy) + ch[y0 + 1, x0 + 1] * (fx * fy)
            for ch in s1]

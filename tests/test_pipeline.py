@@ -6,6 +6,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import weakref
 import xml.etree.ElementTree as ET
 from collections import Counter
 from itertools import islice
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from evflow import event_io, flow, pipeline, state_io
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig, Scenario
-from evflow.errors import EvaluationError, InputFormatError
+from evflow.errors import EvaluationError, EventOrderError, InputFormatError
 from evflow.evaluate import evaluate
 from evflow.event_io import load_events_csv, write_events_binary
 from evflow.events import EVENT_DTYPE, accumulate, make_events
@@ -194,6 +195,21 @@ class TestRunPipeline:
         assert written[0].count(b"\n") == len(present) + 1
         assert written[1] == written[0] and written[2] == written[0]
 
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_every_row_before_a_failed_accumulation_is_yielded(self, small_stream, window):
+        cfg, events = small_stream
+        events = events.copy()
+        times = events["t_us"]
+        # a record earlier than the one before it, halfway into the window
+        i = np.searchsorted(times, times[0] + (2 * window + 1) * cfg.accumulation.window_us // 2)
+        times[i] = times[i - 1] - 1
+        want = estimates(events[:i], cfg, workers=1)[:window]
+        for workers in (1, 2, 3):
+            rows = []
+            with pytest.raises(EventOrderError):
+                rows.extend(pair.estimate for pair in iter_pairs(events, cfg, workers=workers))
+            assert rows == want
+
     def test_each_frame_expanded_once_with_more_workers_than_cores(self, small_stream,
                                                                    monkeypatch):
         cfg, events = small_stream
@@ -221,10 +237,26 @@ class TestRunPipeline:
         assert [tuple(pair.stage_s) for pair in out["pairs"]] == [()] + [
             (*pipeline.PAIR_STAGES, "pair")] * len(cold)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_workers_plus_one_frames_are_resident(self, small_stream, monkeypatch,
+                                                          workers):
+        cfg, events = small_stream
+        live, peak = weakref.WeakSet(), []
+        real_init = pipeline.FrameMemo.__init__
+
+        def tracked_init(memo, frame):
+            real_init(memo, frame)
+            live.add(memo)
+            peak.append(len(live))
+
+        monkeypatch.setattr(pipeline.FrameMemo, "__init__", tracked_init)
+        rows = list(iter_pairs(events, cfg, workers=workers))
+        assert len(peak) == len(rows) == 5
+        assert max(peak) <= workers + 1
+
     @pytest.mark.parametrize("taken", [1, 2, 3])
     def test_closing_early_leaves_no_pool_thread(self, small_stream, taken):
-        # batches of two frames: rows 1 and 3 come from the pool, which is still
-        # running pair 1 when row 0 is out and pair 3 when row 2 is out
+        # two pairs in flight: the pool is still running pair k + 1 when row k is out
         cfg, events = small_stream
         rows = iter_pairs(events, cfg, workers=2)
         assert len(list(islice(rows, taken))) == taken
@@ -235,7 +267,8 @@ class TestRunPipeline:
                                                             monkeypatch):
         cfg, events = small_stream
         real = pipeline.process_frame_pair
-        first_row = {i: threading.Event() for i in (0, 2)}  # batches of two frames
+        # two pairs in flight: pair k + 1 is submitted before row k is out
+        first_row = {i: threading.Event() for i in (0, 2)}
         log = []
 
         def pool_pair_waits_for_the_first_row(prev, curr, cfg, pair_index, **kwargs):
@@ -428,6 +461,32 @@ class TestEmitPlots:
 # one window spans any u64 time range, so a parsed stream is at most two frames
 FUZZ_RUN_TEXT = RUN_TEXT.replace("accumulation.window_us = 33000",
                                  "accumulation.window_us = 10000000000000000000")
+# values at the edges of each FUZZ_RUN_TEXT key's domain; camera sides stay
+# at most 64 px, so that no case allocates a large frame
+FUZZ_RUN_VALUES = {
+    "camera.width": st.integers(-1, 64),
+    "camera.height": st.integers(-1, 64),
+    "camera.height_z": st.floats(),
+    "camera.f_px": st.floats(),
+    "accumulation.window_us": st.sampled_from([-1, 0, 1, 2 ** 64 - 1, 2 ** 64]),
+    "flow.stride": st.sampled_from([-1, 0, 1, 2 ** 63]),
+    "ransac.enabled": st.sampled_from(["true", "false", "yes"]),
+    "seed": st.sampled_from([-1, 0, 2 ** 64, 10 ** 400]),
+}
+
+
+@st.composite
+def perturbed_run_text(draw) -> str:
+    """FUZZ_RUN_TEXT with one value swapped for a drawn one: an edge of the
+    key's domain, a non-finite value or empty text."""
+    key = draw(st.sampled_from(sorted(FUZZ_RUN_VALUES)))
+    value = draw(FUZZ_RUN_VALUES[key].map(str) | st.sampled_from(["", "nan", "inf", "-inf"]))
+    lines = FUZZ_RUN_TEXT.splitlines()
+    at = [line.split(" = ")[0] for line in lines].index(key)
+    lines[at] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
 CSV_HEADERS = {"events": "t_us,x,y,p", "imu": state_io.IMU_HEADER,
                "velocity": state_io.VELOCITY_HEADER}
 
@@ -655,6 +714,17 @@ trajectory.omega = 0.3, 0.3
                 argv = ["simulate", config, "--events", events]
             assert_exits_cleanly(argv)
 
+    @settings(max_examples=60, deadline=None)
+    @given(text=perturbed_run_text())
+    def test_perturbed_run_config_exits_cleanly(self, text):
+        with tempfile.TemporaryDirectory() as work:
+            config, events = Path(work) / "run.cfg", Path(work) / "events.csv"
+            config.write_text(text)
+            # two windows of one event each once the window is 1 us
+            events.write_text("t_us,x,y,p\n1,0,0,1\n2,1,1,-1\n")
+            assert_exits_cleanly(["estimate", "--config", config, "--events", events,
+                                  "--out-dir", Path(work) / "out"])
+
     @pytest.mark.parametrize("timings", [None, "{", "[]", '{"stages_ms": {"pair": 5}}'],
                              ids=["directory", "truncated", "array", "stage_not_an_object"])
     def test_bad_timings_json_exit_3(self, tmp_path, capsys, timings):
@@ -818,7 +888,7 @@ trajectory.omega = 0.3, 0.3
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_failed_pair_under_two_workers_keeps_the_rows_before_it(self, workspace,
                                                                      monkeypatch, k):
-        # batches of two frames: pair 2 runs on the calling thread, pair 3 on the pool
+        # two pairs in flight on the pool: pair k + 1 may run while pair k fails
         tmp_path, scenario, run_cfg = workspace
         ev, out = tmp_path / "events.csv", tmp_path / "out"
         argv = ["estimate", "--config", str(run_cfg), "--events", str(ev)]
@@ -839,8 +909,8 @@ trajectory.omega = 0.3, 0.3
         assert not (out / "timings.json").exists()
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_estimate_starts_at_most_workers_minus_one_threads(self, workspace, monkeypatch,
-                                                               workers):
+    def test_estimate_starts_no_thread_for_one_worker_else_at_most_workers(
+            self, workspace, monkeypatch, workers):
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
@@ -850,7 +920,10 @@ trajectory.omega = 0.3, 0.3
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: (started.append(thread), real_start(thread)))
         assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 0
-        assert len(started) <= workers - 1
+        if workers == 1:
+            assert started == []
+        else:
+            assert len(started) <= workers
 
     def test_flow_debug_pair_past_last_frame_exit_2(self, workspace):
         tmp_path, scenario, run_cfg = workspace
