@@ -75,9 +75,15 @@ def _load_estimate_inputs(args) -> tuple[RunConfig, np.ndarray, ImuSeries | None
 
 
 def _cmd_simulate(args) -> int:
-    scenario = Scenario.from_file(args.scenario)
-    sim = replace(scenario.sim, seed=_seed(scenario.sim.seed))
-    events, truth, _ = generate_events(sim, scenario.trajectory)
+    try:
+        # a value that overflows the simulation raises here instead of
+        # putting non-finite levels or wrapped integers into the stream
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            scenario = Scenario.from_file(args.scenario)
+            sim = replace(scenario.sim, seed=_seed(scenario.sim.seed))
+            events, truth, _ = generate_events(sim, scenario.trajectory)
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"{args.scenario}: cannot simulate this scenario: {exc}") from exc
     with _writing():
         out_events = Path(args.events)
         out_events.parent.mkdir(parents=True, exist_ok=True)

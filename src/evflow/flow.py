@@ -19,6 +19,7 @@ p + (u, v) in the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,23 +147,22 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> n
         img = img.astype(np.float64)
     if img.ndim != 2 or img.size == 0:
         raise ValueError("expansion needs a non-empty 2-d image")
-    from scipy import ndimage  # imported on first use: commands without flow never load scipy
 
     g, xg, xxg = (k.astype(img.dtype) for k in _applicability_kernels(poly_n, poly_sigma))
     ig03, ig11, ig33, ig55 = _gram_inverse_entries(g.astype(np.float64), poly_n)
 
-    # Vertical moment pass (y axis), then horizontal (x axis); correlate1d
+    # Vertical moment pass (y axis), then horizontal (x axis); _correlate1d
     # applies kernels unflipped so the odd kernel measures +offset moments.
-    r0 = ndimage.correlate1d(img, g, axis=0, mode="nearest")
-    r1 = ndimage.correlate1d(img, xg, axis=0, mode="nearest")
-    r2 = ndimage.correlate1d(img, xxg, axis=0, mode="nearest")
+    r0 = _correlate1d(img, g, axis=0)
+    r1 = _correlate1d(img, xg, axis=0)
+    r2 = _correlate1d(img, xxg, axis=0)
 
-    b1 = ndimage.correlate1d(r0, g, axis=1, mode="nearest")
-    b2 = ndimage.correlate1d(r0, xg, axis=1, mode="nearest")
-    b3 = ndimage.correlate1d(r1, g, axis=1, mode="nearest")
-    b4 = ndimage.correlate1d(r0, xxg, axis=1, mode="nearest")
-    b5 = ndimage.correlate1d(r2, g, axis=1, mode="nearest")
-    b6 = ndimage.correlate1d(r1, xg, axis=1, mode="nearest")
+    b1 = _correlate1d(r0, g, axis=1)
+    b2 = _correlate1d(r0, xg, axis=1)
+    b3 = _correlate1d(r1, g, axis=1)
+    b4 = _correlate1d(r0, xxg, axis=1)
+    b5 = _correlate1d(r2, g, axis=1)
+    b6 = _correlate1d(r1, xg, axis=1)
 
     dt = img.dtype.type
     return np.stack([dt(ig03) * b1 + dt(ig33) * b4, dt(ig03) * b1 + dt(ig33) * b5,
@@ -194,12 +194,80 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
+# Output lines per band-matrix product.  A tile reads 2r input lines beyond
+# its own, so wider tiles multiply more of the band's zeros.
+_CORR_TILE = 16
+# OpenBLAS runs a product on one thread while m*n*k stays at or below this.
+_BLAS_SINGLE_THREAD_MNK = 1 << 18
+
+
+@lru_cache(maxsize=128)
+def _band_tiles(n: int, kernel: tuple[float, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The band of the (n, n) matrix whose product with a length-n column
+    correlates it with ``kernel``, taps past an end falling on the edge
+    sample, cut into tiles of ``_CORR_TILE`` rows.
+
+    Tile t holds rows ``t * _CORR_TILE`` on (zero past row n) and the
+    ``min(n, _CORR_TILE + 2r)`` columns from ``starts[t]`` on, which hold all
+    of their nonzero entries.  Returns ``starts`` and the read-only tiles.
+    """
+    r = len(kernel) // 2
+    width = min(n, _CORR_TILE + 2 * r)
+    count = -(-n // _CORR_TILE)
+    starts = np.clip(np.arange(count) * _CORR_TILE - r, 0, n - width)
+    rows = np.arange(n)[:, None]
+    cols = np.clip(rows + np.arange(-r, r + 1), 0, n - 1) - starts[rows // _CORR_TILE]
+    tiles = np.bincount((rows * width + cols).ravel(), weights=np.tile(kernel, n),
+                        minlength=count * _CORR_TILE * width)
+    tiles = tiles.reshape(count, _CORR_TILE, width)
+    tiles.flags.writeable = False
+    return tuple(starts.tolist()), tiles
+
+
+def _correlate1d(x: np.ndarray, kernel: np.ndarray, axis: int,
+                 output: np.ndarray | None = None) -> np.ndarray:
+    """Correlate ``x`` with the odd-length ``kernel`` along ``axis``, one of
+    its last two, replicating edge samples; into ``output`` if given, which
+    may be ``x``.
+
+    Each tile of ``_CORR_TILE`` output lines is a band tile times the input
+    lines it reaches, multiplied and summed in float64 and stored in ``x``'s
+    dtype, so float32 data are rounded once.  The kernel is applied
+    unflipped.
+    """
+    if output is not None and np.shares_memory(x, output):
+        x = x.copy()
+    out = np.empty_like(x) if output is None else output
+    n = x.shape[axis]
+    starts, tiles = _band_tiles(n, tuple(np.asarray(kernel, dtype=np.float64).tolist()))
+    width = tiles.shape[-1]
+    # correlate along axis -2 of these views; for the last axis they are transposed
+    last = axis % x.ndim == x.ndim - 1
+    xs, out_v = (x.swapaxes(-1, -2), out.swapaxes(-1, -2)) if last else (x, out)
+    free = xs.shape[-1]
+    # long lines are split so that no product is threaded
+    step = min(free, max(1, _BLAS_SINGLE_THREAD_MNK // (_CORR_TILE * width)))
+
+    def scratch(lines):
+        # float64 lines laid out like ``x``, so copies in and out run along its rows
+        a = np.empty(x.shape[:-2] + ((step, lines) if last else (lines, step)))
+        return a.swapaxes(-1, -2) if last else a
+
+    src, prod = scratch(width), scratch(_CORR_TILE)
+    for tile, lo, t0 in zip(tiles, starts, range(0, n, _CORR_TILE)):
+        t1 = min(t0 + _CORR_TILE, n)
+        for c0 in range(0, free, step):
+            c1 = min(c0 + step, free)
+            s, p = src[..., :c1 - c0], prod[..., :t1 - t0, :c1 - c0]
+            s[...] = xs[..., lo:lo + width, c0:c1]
+            np.matmul(tile[:t1 - t0], s, out=p)
+            out_v[..., t0:t1, c0:c1] = p
+    return out
+
+
 def _smooth(channel: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Separable smoothing, vertical then horizontal, into ``out`` if given."""
-    from scipy import ndimage
-
-    tmp = ndimage.correlate1d(channel, kernel, axis=0, mode="nearest")
-    return ndimage.correlate1d(tmp, kernel, axis=1, mode="nearest", output=out)
+    return _correlate1d(_correlate1d(channel, kernel, axis=-2), kernel, axis=-1, output=out)
 
 
 _BORDER_RAMP = 5
@@ -303,8 +371,7 @@ def _refine(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarray,
     step = max(1, _TILE_PX // w)
     for r0 in range(0, h, step):
         _normal_equations(s0, s1, u, v, border, slice(r0, min(r0 + step, h)), m)
-    for ch in m:
-        _smooth(ch, kernel, out=ch)
+    _smooth(m, kernel, out=m)
     return (*_solve_flow(m), m)
 
 

@@ -205,9 +205,7 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     workers = default_workers(cfg) if workers is None else workers
     if cfg.omega_source == "imu" and imu is None:
         raise InsufficientDataError("omega source is imu but no IMU stream was supplied")
-    # flow imports scipy on first use; importing it here keeps it out of the first pair
-    from scipy import ndimage  # noqa: F401
-    from concurrent.futures import ThreadPoolExecutor  # scipy has already loaded it
+    from concurrent.futures import ThreadPoolExecutor  # imported here: only pair runs pay for it
     frames = iter_frames(events, cfg.accumulation, t_start_us=t_start_us, t_end_us=t_end_us)
     prev = None
     pending: deque[Callable[[], PairResult]] = deque()

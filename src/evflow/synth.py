@@ -28,6 +28,8 @@ from .rigid import CameraVelocity, EstimateQuality
 from .vehicle import Extrinsics, VelocityEstimate, transform_to_axle
 
 MAX_SUBSTEPS = 10 ** 6  # ceiling on duration / time_step, the simulator's loop count
+MAX_CROSSINGS = 1000  # ceiling on the contrast levels one pixel crosses in one substep
+MAX_NOISE_RATE = 1e6  # noise events per pixel per second: one per timestamp tick
 _INITIAL_EVENTS = 1 << 16  # first capacity of the simulator's event buffer
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -80,6 +82,10 @@ class NoiseTexture:
     cutoff: float = 0.15
     amplitude: float = 0.6
     n_waves: int = 32
+
+    def __post_init__(self):
+        if not 0 < self.cutoff <= 0.5:
+            raise ValueError("noise cutoff must lie in (0, 0.5] cycles per pixel")
 
     @cached_property
     def _waves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -295,10 +301,11 @@ class SimConfig:
     def __post_init__(self):
         if self.contrast <= 0:
             raise ValueError("contrast threshold must be positive")
-        if self.noise_rate < 0:
-            raise ValueError("noise rate must be non-negative")
-        if self.duration <= 0 or self.time_step <= 0:
-            raise ValueError("duration and time_step must be positive")
+        if not 0 <= self.noise_rate <= MAX_NOISE_RATE:
+            raise ValueError(f"noise rate must lie in [0, {MAX_NOISE_RATE:g}] per pixel per second")
+        if self.duration < 1e-6 or self.time_step <= 0:
+            raise ValueError("duration must be at least 1 us (one timestamp tick) "
+                             "and time_step positive")
         if not self.duration / self.time_step <= MAX_SUBSTEPS:
             raise ValueError(f"duration / time_step must be at most {MAX_SUBSTEPS} substeps")
 
@@ -445,7 +452,12 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
         # emitted per level, then rising before falling, then in raster order:
         # the stable time sort below keeps that order among equal timestamps
         ts, xs, ys, ps = [], [], [], []
-        for i in range(1, int(np.abs(n_cross).max(initial=0)) + 1):
+        crossed = int(np.abs(n_cross).max(initial=0))
+        if crossed > MAX_CROSSINGS:
+            raise ValueError(f"a pixel crosses {crossed} contrast levels in one substep, "
+                             f"more than {MAX_CROSSINGS}: shorten the time step or raise "
+                             "the contrast")
+        for i in range(1, crossed + 1):
             for sign in (1, -1):
                 sel = np.flatnonzero(n_cross >= i if sign > 0 else n_cross <= -i)
                 if not sel.size:

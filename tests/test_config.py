@@ -358,6 +358,8 @@ class TestDomains:
         ("noise", "trajectory.t_s = 0.0, 0.1"), ("noise", "camera.width = 0"),
         ("noise", "sim.time_step_s = 1e-300"), ("noise", "sim.time_step_s = 1e-9"),
         ("noise", "camera.width = 70000"), ("noise", "camera.height = 65536"),
+        ("noise", "texture.cutoff = -0.1"), ("noise", "texture.cutoff = 0.6"),
+        ("noise", "sim.noise_rate = 2e6"), ("noise", "sim.duration_s = 5e-7"),
     ])
     def test_scenario_out_of_domain(self, kind, line):
         key = line.split(" = ")[0]

@@ -201,6 +201,78 @@ class TestRefinementTiles:
         assert np.array_equal(got_m, want_m)
 
 
+# the kernels flow correlates with: the window smoothing, the expansion's
+# applicability at two neighborhood radii, and the pyramid blur of a level an
+# eighth of the frame's size
+CORR_KERNELS = {
+    "window": flow._gaussian_kernel(15, 0.3 * 7),
+    **{f"{name}{n}": k for n, sigma in ((2, 0.7), (5, 1.1))
+       for name, k in zip(("g", "xg", "xxg"), flow._applicability_kernels(n, sigma))},
+    "blur": flow._gaussian_kernel(17, 3.5),
+}
+CORR_SIDES = (2, 3, 15, 16, 17, 31, 120, 260, 346)
+
+
+def corr_cases(rng, dtype):
+    """(x, axis) with every side in ``CORR_SIDES`` along each axis."""
+    for i, n in enumerate(CORR_SIDES):
+        other = CORR_SIDES[(i + 4) % len(CORR_SIDES)]
+        for axis, shape in ((0, (n, other)), (1, (other, n))):
+            yield (50.0 * rng.standard_normal(shape)).astype(dtype), axis
+
+
+class TestCorrelate1d:
+    """``flow._correlate1d`` against ``scipy.ndimage.correlate1d`` with
+    replicated edges, which sums float32 data in double as well."""
+
+    @pytest.mark.parametrize("name", sorted(CORR_KERNELS))
+    def test_float32_matches_scipy_bit_for_bit(self, name):
+        kernel = CORR_KERNELS[name].astype(np.float32)
+        for x, axis in corr_cases(np.random.default_rng(7), np.float32):
+            got = flow._correlate1d(x, kernel, axis)
+            assert got.dtype == np.float32
+            assert np.array_equal(got, ndimage.correlate1d(x, kernel, axis=axis, mode="nearest"))
+
+    @pytest.mark.parametrize("name", sorted(CORR_KERNELS))
+    def test_float64_agrees_to_rounding(self, name):
+        kernel = CORR_KERNELS[name]
+        for x, axis in corr_cases(np.random.default_rng(8), np.float64):
+            got = flow._correlate1d(x, kernel, axis)
+            want = ndimage.correlate1d(x, kernel, axis=axis, mode="nearest")
+            # relative to the summed terms' size, as the sums cancel
+            scale = ndimage.correlate1d(np.abs(x), np.abs(kernel), axis=axis, mode="nearest")
+            assert got.dtype == np.float64
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_stacked_channels_and_aliased_output(self):
+        x = np.random.default_rng(9).standard_normal((5, 260, 346)).astype(np.float32)
+        kernel = CORR_KERNELS["window"].astype(np.float32)
+        for axis in (1, 2):
+            want = ndimage.correlate1d(x, kernel, axis=axis, mode="nearest")
+            assert np.array_equal(flow._correlate1d(x, kernel, axis - 3), want)
+            y = x.copy()
+            assert flow._correlate1d(y, kernel, axis, output=y) is y
+            assert np.array_equal(y, want)
+        smoothed = x.copy()
+        flow._smooth(smoothed, kernel, out=smoothed)
+        for ch, got in zip(x, smoothed):
+            tmp = ndimage.correlate1d(ch, kernel, axis=0, mode="nearest")
+            assert np.array_equal(got, ndimage.correlate1d(tmp, kernel, axis=1, mode="nearest"))
+
+    @pytest.mark.parametrize("value", [0.0, 9.0, 255.0, 0.1, 7.25, 183.7, np.pi])
+    def test_constant_image_stays_constant(self, value):
+        """Exactly: on any float32 constant for the symmetric kernels, and on
+        the 8-bit intensities flow is given for the odd ones too."""
+        for name, kernel in CORR_KERNELS.items():
+            if name.startswith("xg") and value != int(value):
+                continue
+            for x, axis in corr_cases(np.random.default_rng(0), np.float32):
+                got = flow._correlate1d(np.full_like(x, value), kernel.astype(np.float32), axis)
+                assert np.all(got == got.flat[0]), (name, x.shape, axis)
+                if name.startswith("xg"):
+                    assert got.flat[0] == 0.0
+
+
 class TestSubsampleFlow:
     def make_field(self, h=4, w=4, u=1.0, v=0.0):
         return FlowField(u=np.full((h, w), u), v=np.full((h, w), v),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evflow import event_io, flow, pipeline, state_io
@@ -475,16 +475,76 @@ FUZZ_RUN_VALUES = {
 }
 
 
-@st.composite
-def perturbed_run_text(draw) -> str:
-    """FUZZ_RUN_TEXT with one value swapped for a drawn one: an edge of the
-    key's domain, a non-finite value or empty text."""
-    key = draw(st.sampled_from(sorted(FUZZ_RUN_VALUES)))
-    value = draw(FUZZ_RUN_VALUES[key].map(str) | st.sampled_from(["", "nan", "inf", "-inf"]))
-    lines = FUZZ_RUN_TEXT.splitlines()
+def with_value(text: str, key: str, value) -> str:
+    """Config ``text`` with the value of its line for ``key`` replaced."""
+    lines = text.splitlines()
     at = [line.split(" = ")[0] for line in lines].index(key)
     lines[at] = f"{key} = {value}"
     return "\n".join(lines) + "\n"
+
+
+def perturbed_text(text: str, values: dict):
+    """``text`` with one value swapped for a drawn one: an edge of the key's
+    domain drawn from ``values``, a non-finite value or empty text."""
+    return st.sampled_from(sorted(values)).flatmap(
+        lambda key: (values[key].map(str) | st.sampled_from(["", "nan", "inf", "-inf"]))
+        .map(lambda value: with_value(text, key, value)))
+
+
+def perturbed_run_text():
+    return perturbed_text(FUZZ_RUN_TEXT, FUZZ_RUN_VALUES)
+
+
+FUZZ_SCENARIO_TEXT = """\
+camera.width = 32
+camera.height = 24
+camera.height_z = 0.5
+camera.f_px = 40.0
+extrinsics.ca_x = 0.25
+texture.kind = noise
+texture.seed = 3
+texture.cutoff = 0.15
+texture.amplitude = 0.6
+sim.duration_s = 0.004
+sim.time_step_s = 0.0005
+sim.contrast = 0.2
+sim.noise_rate = 0.1
+sim.seed = 1
+trajectory.t_s = 0.0, 0.004
+trajectory.v_lon = 1.0, 1.0
+trajectory.v_lat = 0.0, 0.0
+trajectory.omega = 0.5, 0.5
+"""
+# values at the edges of each FUZZ_SCENARIO_TEXT key's domain, or any float;
+# camera sides stay at most 64 px.  The time step and the noise rate take
+# values just past their ceilings rather than any float, so that no case
+# renders up to a million substeps or draws millions of noise events.
+FUZZ_SCENARIO_VALUES = {
+    "camera.width": st.integers(-1, 64),
+    "camera.height": st.integers(-1, 64),
+    "camera.height_z": st.floats(),
+    "camera.f_px": st.floats(),
+    "extrinsics.ca_x": st.floats(),
+    "texture.kind": st.sampled_from(["noise", "checker", "dots", "stripes"]),
+    "texture.seed": st.sampled_from([-1, 0, 2 ** 64, 10 ** 400]),
+    "texture.cutoff": st.floats(),
+    "texture.amplitude": st.floats(),
+    "sim.duration_s": st.floats(),
+    "sim.time_step_s": st.sampled_from([-1.0, 0.0, 5e-324, 4e-9 * (1 - 2 ** -52), 0.004,
+                                        1e308]),
+    "sim.contrast": st.floats(),
+    "sim.noise_rate": st.sampled_from([-1.0, 0.0, 5e-324, 1e6 * (1 + 2 ** -52), 1e308]),
+    "sim.seed": st.sampled_from([-1, 0, 2 ** 64, 10 ** 400]),
+    "trajectory.t_s": st.sampled_from(["0.0", "0.004, 0.0", "0.0, 0.0, 0.004",
+                                       "-1e308, 1e308"]),
+    "trajectory.v_lon": st.floats().map("{}, 1.0".format),
+    "trajectory.v_lat": st.floats().map("0.0, {}".format),
+    "trajectory.omega": st.floats().map("{}, 0.5".format),
+}
+
+
+def perturbed_scenario_text():
+    return perturbed_text(FUZZ_SCENARIO_TEXT, FUZZ_SCENARIO_VALUES)
 
 
 CSV_HEADERS = {"events": "t_us,x,y,p", "imu": state_io.IMU_HEADER,
@@ -724,6 +784,19 @@ trajectory.omega = 0.3, 0.3
             events.write_text("t_us,x,y,p\n1,0,0,1\n2,1,1,-1\n")
             assert_exits_cleanly(["estimate", "--config", config, "--events", events,
                                   "--out-dir", Path(work) / "out"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=perturbed_scenario_text())
+    # non-finite levels, a million levels crossed per substep, a negative cutoff
+    @example(text=with_value(FUZZ_SCENARIO_TEXT, "camera.height_z", "5e-324"))
+    @example(text=with_value(FUZZ_SCENARIO_TEXT, "texture.amplitude", "1e6"))
+    @example(text=with_value(FUZZ_SCENARIO_TEXT, "texture.cutoff", "-0.1"))
+    def test_perturbed_scenario_exits_cleanly(self, text):
+        with tempfile.TemporaryDirectory() as work:
+            scenario = Path(work) / "scenario.cfg"
+            scenario.write_text(text)
+            assert_exits_cleanly(["simulate", scenario, "--events", Path(work) / "events.evt",
+                                  "--ground-truth", Path(work) / "truth.csv"])
 
     @pytest.mark.parametrize("timings", [None, "{", "[]", '{"stages_ms": {"pair": 5}}'],
                              ids=["directory", "truncated", "array", "stage_not_an_object"])

@@ -445,11 +445,11 @@ class TestInjectOutliers:
             inject_outliers(self.field(), 1.5, 50.0, rng_seed=0)
 
 
-def _fresh_python(code: str, *args) -> str:
+def _fresh_python(code: str, *args, **env: str) -> str:
     """Stdout of ``code`` run with ``args`` in a new interpreter that imports
-    evflow from this tree."""
+    evflow from this tree, with ``env`` added to its environment."""
     src = str(Path(evflow.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, check=True).stdout
@@ -486,9 +486,9 @@ accumulation.window_us = 33000
 """
 
 
-def test_only_the_flow_commands_load_scipy(tmp_path):
-    """Each command in a fresh interpreter: ``estimate`` runs flow and loads
-    scipy, the commands without flow load none of it."""
+def test_no_command_loads_scipy(tmp_path):
+    """Each command in a fresh interpreter, the flow commands included, loads
+    none of scipy: the estimator runs on numpy alone."""
     def run(*argv):
         code = ("import json, sys; from evflow.cli import main; code = main(sys.argv[1:]); "
                 f"print(json.dumps([code, {_SCIPY_MODULES}]))")
@@ -506,8 +506,12 @@ def test_only_the_flow_commands_load_scipy(tmp_path):
     assert run("plot", "--estimates", truth, "--ground-truth", truth,
                "--out-dir", tmp_path / "plots") == []
     assert run("blur-budget", "--out-dir", tmp_path / "bb") == []
-    assert "scipy.ndimage" in run("estimate", "--config", run_cfg, "--events", events,
-                                  "--out-dir", tmp_path / "out")
+    assert run("estimate", "--config", run_cfg, "--events", events,
+               "--out-dir", tmp_path / "out") == []
+    assert run("flow-debug", "--config", run_cfg, "--events", events,
+               "--out-dir", tmp_path / "debug") == []
+    assert (tmp_path / "out" / "estimates.csv").is_file()
+    assert any((tmp_path / "debug").iterdir())
 
 
 DRIVE_SCENARIO = """
@@ -524,6 +528,26 @@ trajectory.v_lon = 2.5, 2.5
 trajectory.v_lat = 0.2, 0.2
 trajectory.omega = 0.5, 0.5
 """
+
+
+def test_estimate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Flow's correlations are BLAS products: ``estimate`` on a 3-window
+    346x260 stream writes the same bytes with one BLAS thread and with two."""
+    cli = "import sys; from evflow.cli import main; sys.exit(main(sys.argv[1:]))"
+    scenario, events = tmp_path / "drive.cfg", tmp_path / "drive.evt"
+    run_cfg = tmp_path / "run.cfg"
+    scenario.write_text(DRIVE_SCENARIO.format(duration=0.099))
+    run_cfg.write_text("camera.width = 346\ncamera.height = 260\ncamera.height_z = 1.2\n"
+                       "camera.fov_deg = 90.0\naccumulation.window_us = 33000\n")
+    _fresh_python(cli, "simulate", scenario, "--events", events)
+    rows = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        _fresh_python(cli, "estimate", "--config", run_cfg, "--events", events,
+                      "--out-dir", out, OPENBLAS_NUM_THREADS=threads)
+        rows.append((out / "estimates.csv").read_bytes())
+    assert rows[0] == rows[1]
+    assert len(rows[0].splitlines()) == 4  # header and one row per window
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
