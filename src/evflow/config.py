@@ -1,11 +1,11 @@
 """Flat ``section.key = value`` configuration files.
 
 One assignment per line, ``#`` starts a comment, keys carry their section
-as a dotted prefix.  Run configurations (estimation) round-trip through
-``RunConfig.to_text``; scenarios (simulation) are only read.  Each key is
-declared once, in a table mapping it to the dataclass field it sets and
-its value's parser; an absent key keeps the field's default.  Floats must
-be finite and seeds non-negative.
+as a dotted prefix.  Run configurations (estimation) and scenarios
+(simulation) are only read, never written.  Each key is declared once, in
+a table mapping it to the dataclass field it sets and its value's parser;
+an absent key keeps the field's default.  Floats must be finite and seeds
+non-negative.
 """
 
 from __future__ import annotations
@@ -222,15 +222,6 @@ class RunConfig(_KeyFile):
                                   sensor_width=cam.width, sensor_height=cam.height),
             flow=kv.build(FlowParams, FLOW), ransac=kv.build(RansacParams, RANSAC),
             extrinsics=kv.build(Extrinsics, EXTRINSICS), mapping=kv.build(AxisMapping, MAPPING))
-
-    def to_text(self) -> str:
-        sections = ((self, RUN), (self.camera, CAMERA), (self.accumulation, ACCUMULATION),
-                    (self.flow, FLOW), (self.ransac, RANSAC), (self.extrinsics, EXTRINSICS),
-                    (self.mapping, MAPPING))
-        values = ((key, getattr(obj, name)) for obj, table in sections
-                  for key, (name, _) in table.items())
-        return "".join(f"{key} = {str(v).lower() if isinstance(v, bool) else v}\n"
-                       for key, v in values)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ EVENT_DTYPE = np.dtype([
 ])
 _U64_END = 2 ** 64  # one past the largest uint64 timestamp
 _GALLOP = 4096  # first step, in records, of the search for a window's end
+# Largest sensor, in pixels: over three times a 1280x960 event sensor.  Each
+# window holds two int64 counts per pixel, 64 MB at this size.
+MAX_SENSOR_PX = 2 ** 22
 
 
 def make_events(t_us, x, y, p) -> np.ndarray:
@@ -130,6 +133,8 @@ class CameraModel:
     def __post_init__(self):
         if not (1 <= self.width <= 65535 and 1 <= self.height <= 65535):
             raise ValueError("sensor sides must lie in [1, 65535] px (event x/y are u16)")
+        if self.width * self.height > MAX_SENSOR_PX:
+            raise ValueError(f"sensor {self.width}x{self.height} exceeds {MAX_SENSOR_PX} px")
         if self.height_z <= 0:
             raise ValueError("camera height above ground must be positive")
         if self.f_px is None and self.fov_alpha is None:

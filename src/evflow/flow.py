@@ -25,9 +25,9 @@ import numpy as np
 
 RCOND_INVALID = 1e-6  # normal-matrix reciprocal condition number below this marks a pixel invalid
 _MIN_LEVEL_SIZE = 16
-# Pixels per normal-equations tile.  Built whole, a 346x260 frame's float64
-# temporaries (about 14 MB) go back to the OS and are faulted in again every
-# iteration.
+# Pixels per normal-equations tile, which bounds the warp's temporaries.  On
+# 346x260 driving frames (2-vCPU VM), building them whole raised peak RSS from
+# 92 to 100 MB for a 3-4% faster run.
 _TILE_PX = 16_384
 
 
@@ -151,18 +151,14 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> n
     g, xg, xxg = (k.astype(img.dtype) for k in _applicability_kernels(poly_n, poly_sigma))
     ig03, ig11, ig33, ig55 = _gram_inverse_entries(g.astype(np.float64), poly_n)
 
-    # Vertical moment pass (y axis), then horizontal (x axis); _correlate1d
+    # Vertical moment passes (y axis), then horizontal (x axis); _correlate1d
     # applies kernels unflipped so the odd kernel measures +offset moments.
-    r0 = _correlate1d(img, g, axis=0)
-    r1 = _correlate1d(img, xg, axis=0)
-    r2 = _correlate1d(img, xxg, axis=0)
-
-    b1 = _correlate1d(r0, g, axis=1)
-    b2 = _correlate1d(r0, xg, axis=1)
-    b3 = _correlate1d(r1, g, axis=1)
-    b4 = _correlate1d(r0, xxg, axis=1)
-    b5 = _correlate1d(r2, g, axis=1)
-    b6 = _correlate1d(r1, xg, axis=1)
+    r = np.empty((3,) + img.shape, img.dtype)
+    for kernel, row in zip((g, xg, xxg), r):
+        _correlate1d(img, kernel, axis=0, output=row)
+    b1, b3, b5 = _correlate1d(r, g, axis=-1)
+    b2, b6 = _correlate1d(r[:2], xg, axis=-1)
+    b4, = _correlate1d(r[:1], xxg, axis=-1)
 
     dt = img.dtype.type
     return np.stack([dt(ig03) * b1 + dt(ig33) * b4, dt(ig03) * b1 + dt(ig33) * b5,
@@ -241,27 +237,18 @@ def _correlate1d(x: np.ndarray, kernel: np.ndarray, axis: int,
     n = x.shape[axis]
     starts, tiles = _band_tiles(n, tuple(np.asarray(kernel, dtype=np.float64).tolist()))
     width = tiles.shape[-1]
-    # correlate along axis -2 of these views; for the last axis they are transposed
     last = axis % x.ndim == x.ndim - 1
-    xs, out_v = (x.swapaxes(-1, -2), out.swapaxes(-1, -2)) if last else (x, out)
-    free = xs.shape[-1]
+    free = x.shape[-2 if last else -1]
     # long lines are split so that no product is threaded
     step = min(free, max(1, _BLAS_SINGLE_THREAD_MNK // (_CORR_TILE * width)))
-
-    def scratch(lines):
-        # float64 lines laid out like ``x``, so copies in and out run along its rows
-        a = np.empty(x.shape[:-2] + ((step, lines) if last else (lines, step)))
-        return a.swapaxes(-1, -2) if last else a
-
-    src, prod = scratch(width), scratch(_CORR_TILE)
     for tile, lo, t0 in zip(tiles, starts, range(0, n, _CORR_TILE)):
-        t1 = min(t0 + _CORR_TILE, n)
+        band, t = tile[:n - t0], slice(t0, t0 + _CORR_TILE)
         for c0 in range(0, free, step):
-            c1 = min(c0 + step, free)
-            s, p = src[..., :c1 - c0], prod[..., :t1 - t0, :c1 - c0]
-            s[...] = xs[..., lo:lo + width, c0:c1]
-            np.matmul(tile[:t1 - t0], s, out=p)
-            out_v[..., t0:t1, c0:c1] = p
+            c = slice(c0, c0 + step)
+            if last:
+                out[..., c, t] = x[..., c, lo:lo + width] @ band.T
+            else:
+                out[..., t, c] = band @ x[..., lo:lo + width, c]
     return out
 
 

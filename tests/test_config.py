@@ -69,12 +69,6 @@ class TestRunConfig:
         assert cfg.extrinsics.ca_x == 0.25 and cfg.extrinsics.ca_y == 0.0
         assert cfg.mapping.image_x == "+x" and cfg.mapping.omega_sign == 1
 
-    def test_round_trip_lossless(self):
-        cfg = RunConfig.from_text(RUN_TEXT)
-        again = RunConfig.from_text(cfg.to_text())
-        assert again == cfg
-        assert again.to_text() == cfg.to_text()
-
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_text(RUN_TEXT + "nonsense.key = 1\n")
@@ -277,15 +271,6 @@ class TestKeyTables:
             if path != "camera.fov_alpha":  # derived from f_px when not given
                 assert _default(cfg, path) != parsed, key
 
-    def test_every_run_key_round_trips(self):
-        # to_text writes f_px and not fov_deg, so fov_deg is left out here
-        text = _text({k: v for k, (v, _, _) in RUN_VALUES.items() if k != "camera.fov_deg"})
-        cfg = RunConfig.from_text(text)
-        again = RunConfig.from_text(cfg.to_text())
-        assert again == cfg
-        assert again.to_text() == cfg.to_text()
-        assert set(parse_kv_text(cfg.to_text())) == RUN_KEYS - {"camera.fov_deg"}
-
     @pytest.mark.parametrize("kind", sorted(TEXTURE_KEYS))
     def test_every_scenario_key_lands_in_its_field(self, kind):
         sc = Scenario.from_text(_scenario_text(kind))
@@ -369,7 +354,8 @@ class TestDomains:
 
     @pytest.mark.parametrize("width, height, run_ok, scenario_ok", [
         (1, 1, False, True), (1, 150, False, True), (2, 2, True, True),
-        (65535, 65535, True, True), (65536, 150, False, False), (200, 70000, False, False),
+        (65535, 65535, False, False), (65536, 150, False, False), (200, 70000, False, False),
+        (2048, 2048, True, True), (2049, 2048, False, False),
     ])
     def test_camera_side_bounds(self, width, height, run_ok, scenario_ok):
         # f_px alone fixes the camera, so no fov/f_px disagreement can reject it

@@ -36,6 +36,24 @@ def wls_quadratic_oracle(img, y0, x0, n, sigma):
 CHANNELS = ("axx", "ayy", "aoff", "bx", "by")
 
 
+def nine_pass_expansion(img, n, sigma):
+    """The expansion as nine separate ``scipy.ndimage.correlate1d`` passes,
+    three vertical and six horizontal, combined as ``polynomial_expansion``
+    combines them."""
+    g, xg, xxg = (k.astype(img.dtype) for k in flow._applicability_kernels(n, sigma))
+    ig03, ig11, ig33, ig55 = flow._gram_inverse_entries(g.astype(np.float64), n)
+
+    def corr(x, kernel, axis):
+        return ndimage.correlate1d(x, kernel, axis=axis, mode="nearest")
+
+    r0, r1, r2 = corr(img, g, 0), corr(img, xg, 0), corr(img, xxg, 0)
+    b1, b2, b3 = corr(r0, g, 1), corr(r0, xg, 1), corr(r1, g, 1)
+    b4, b5, b6 = corr(r0, xxg, 1), corr(r2, g, 1), corr(r1, xg, 1)
+    dt = img.dtype.type
+    return np.stack([dt(ig03) * b1 + dt(ig33) * b4, dt(ig03) * b1 + dt(ig33) * b5,
+                     0.5 * (dt(ig55) * b6), dt(ig11) * b2, dt(ig11) * b3])
+
+
 class TestPolynomialExpansion:
     def test_constant_image(self):
         e = polynomial_expansion(np.full((20, 24), 7.25), 5, 1.1)
@@ -81,6 +99,20 @@ class TestPolynomialExpansion:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             polynomial_expansion(np.zeros((0, 4)), 5, 1.1)
+
+    @pytest.mark.parametrize("n, sigma", [(2, 0.7), (5, 1.1)])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (260, 346), (24, 1000),
+                                       (1000, 24)], ids="{0[0]}x{0[1]}".format)
+    def test_equals_nine_scipy_passes(self, n, sigma, shape):
+        img = 50.0 * np.random.default_rng(11).standard_normal(shape)
+        for dtype in (np.float32, np.float64):
+            x = img.astype(dtype)
+            got, want = polynomial_expansion(x, n, sigma), nine_pass_expansion(x, n, sigma)
+            assert got.dtype == dtype
+            if dtype == np.float32:
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(img).max())
 
 
 class TestComputeFlow:
@@ -210,7 +242,9 @@ CORR_KERNELS = {
        for name, k in zip(("g", "xg", "xxg"), flow._applicability_kernels(n, sigma))},
     "blur": flow._gaussian_kernel(17, 3.5),
 }
-CORR_SIDES = (2, 3, 15, 16, 17, 31, 120, 260, 346)
+# 1024 lines along the free axis split each product into chunks (past 512 to
+# 819 lines, by kernel length)
+CORR_SIDES = (2, 3, 15, 16, 17, 31, 120, 260, 346, 1024)
 
 
 def corr_cases(rng, dtype):
