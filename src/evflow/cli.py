@@ -60,14 +60,10 @@ def _writing():
                           f"{exc.strerror or exc}") from exc
 
 
-def _load_run_config(path: str) -> RunConfig:
-    cfg = RunConfig.from_file(path)
-    return replace(cfg, seed=_seed(cfg.seed))
-
-
 def _load_estimate_inputs(args) -> tuple[RunConfig, np.ndarray, ImuSeries | None]:
     """Run config, event stream and (for omega.source = imu) IMU series."""
-    cfg = _load_run_config(args.config)
+    cfg = RunConfig.from_file(args.config)
+    cfg = replace(cfg, seed=_seed(cfg.seed))
     events = event_io.load_events(args.events or cfg.events_path,
                                   cfg.camera.width, cfg.camera.height)
     imu = state_io.load_imu_csv(cfg.imu_path) if cfg.omega_source == "imu" else None

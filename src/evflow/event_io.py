@@ -27,7 +27,8 @@ _HEADER_BYTES = 8  # magic plus u16 width and u16 height
 _CSV_CHUNK = 1 << 16  # rows formatted per write, which bounds the text held at once
 _CHECK_BLOCK = 1 << 18  # EVT1 records read per block when a file is validated on load
 _RESCAN_LINES = 1 << 12  # rows per parse when a failed read looks for its bad line
-# parsed wide enough that an out-of-range x, y or p is caught before narrowing
+# parsed wide so that an x, y or p outside its field is caught before narrowing: the
+# cast wraps silently, and not every numpy version allowed rejects it in loadtxt
 _CSV_COLUMNS = np.dtype([("t_us", "u8"), ("x", "i8"), ("y", "i8"), ("p", "i8")])
 
 
@@ -114,14 +115,11 @@ def _bad_line(path: str | Path, dtype: np.dtype) -> str | None:
 def load_events_csv(path: str | Path, width: int | None = None,
                     height: int | None = None) -> np.ndarray:
     rows = read_csv(path, CSV_HEADER, _CSV_COLUMNS)
-    ev = np.empty(rows.size, dtype=EVENT_DTYPE)
     for name in EVENT_DTYPE.names:
-        # range-check before the narrowing cast, which would wrap silently
         info = np.iinfo(EVENT_DTYPE[name])
-        column = rows[name]
-        if column.size and (column.min() < info.min or column.max() > info.max):
+        if rows.size and (rows[name].min() < info.min or rows[name].max() > info.max):
             raise EventBoundsError(f"event CSV {name} value outside the {info.dtype} range")
-        ev[name] = column
+    ev = rows.astype(EVENT_DTYPE)
     validate_events(ev, width, height)
     return ev
 

@@ -277,13 +277,6 @@ def _release_pages(events: np.ndarray, end: int) -> None:
         mapping.madvise(advice, 0, length)
 
 
-def accumulate(events: np.ndarray, cfg: AccumulationConfig,
-               t_start_us: int | None = None,
-               t_end_us: int | None = None) -> list[EventFrame]:
-    """Materialized form of ``iter_frames``."""
-    return list(iter_frames(events, cfg, t_start_us, t_end_us))
-
-
 def to_intensity(frame: EventFrame, count_cap: int, merge: str = "sum") -> np.ndarray:
     """Render an event frame as an 8-bit grayscale image.
 

@@ -26,8 +26,8 @@ import numpy as np
 RCOND_INVALID = 1e-6  # normal-matrix reciprocal condition number below this marks a pixel invalid
 _MIN_LEVEL_SIZE = 16
 # Pixels per normal-equations tile, which bounds the warp's temporaries.  On
-# 346x260 driving frames (2-vCPU VM), building them whole raised peak RSS from
-# 92 to 100 MB for a 3-4% faster run.
+# 346x260 driving frames (2-vCPU VM, alternating fresh-process runs), building
+# them whole was no faster (5 of 10 runs) and raised peak RSS from 91 to 100 MB.
 _TILE_PX = 16_384
 
 
@@ -224,15 +224,13 @@ def _correlate1d(x: np.ndarray, kernel: np.ndarray, axis: int,
                  output: np.ndarray | None = None) -> np.ndarray:
     """Correlate ``x`` with the odd-length ``kernel`` along ``axis``, one of
     its last two, replicating edge samples; into ``output`` if given, which
-    may be ``x``.
+    must not overlap ``x``.
 
     Each tile of ``_CORR_TILE`` output lines is a band tile times the input
     lines it reaches, multiplied and summed in float64 and stored in ``x``'s
     dtype, so float32 data are rounded once.  The kernel is applied
     unflipped.
     """
-    if output is not None and np.shares_memory(x, output):
-        x = x.copy()
     out = np.empty_like(x) if output is None else output
     n = x.shape[axis]
     starts, tiles = _band_tiles(n, tuple(np.asarray(kernel, dtype=np.float64).tolist()))
@@ -253,7 +251,7 @@ def _correlate1d(x: np.ndarray, kernel: np.ndarray, axis: int,
 
 
 def _smooth(channel: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Separable smoothing, vertical then horizontal, into ``out`` if given."""
+    """Separable smoothing, vertical then horizontal, into ``out`` (may be ``channel``)."""
     return _correlate1d(_correlate1d(channel, kernel, axis=-2), kernel, axis=-1, output=out)
 
 
@@ -432,14 +430,11 @@ def compute_flow(prev: np.ndarray | FlowPyramid, next_: np.ndarray | FlowPyramid
 
     win_kernel = _gaussian_kernel(params.window_size,
                                   0.3 * (params.window_size // 2)).astype(np.float32)
-    u = v = None
-    m = None
-    for s0, s1 in zip(a.levels, b.levels):
+    u = np.zeros(a.levels[0].shape[1:], dtype=np.float32)
+    v = np.zeros_like(u)
+    for level, (s0, s1) in enumerate(zip(a.levels, b.levels)):
         _, lh, lw = s0.shape
-        if u is None:
-            u = np.zeros((lh, lw), dtype=np.float32)
-            v = np.zeros((lh, lw), dtype=np.float32)
-        else:
+        if level:
             ph, pw = u.shape
             u = _resize_bilinear(u, lh, lw) * np.float32(lw / pw)
             v = _resize_bilinear(v, lh, lw) * np.float32(lh / ph)

@@ -166,19 +166,17 @@ def process_frame_pair(prev: EventFrame | FrameMemo, curr: EventFrame | FrameMem
 
 
 def _pair(prev: FrameMemo | None, curr: FrameMemo, cfg: RunConfig, pair_index: int,
-          imu: ImuSeries | None) -> PairResult:
-    """The row of ``curr`` paired with ``prev``, the frame before it (None before the first)."""
+          imu: ImuSeries | None, accumulate_s: float) -> PairResult:
+    """The row of ``curr`` paired with ``prev``, the frame before it (None
+    before the first), carrying the seconds spent accumulating ``curr``."""
     if prev is None:
-        return PairResult(_invalid(curr.frame.t_mid_s, "no_previous_frame", cfg.omega_source))
-    if prev.frame.event_total == curr.frame.event_total == 0:
+        result = PairResult(_invalid(curr.frame.t_mid_s, "no_previous_frame", cfg.omega_source))
+    elif prev.frame.event_total == curr.frame.event_total == 0:
         # two blank images have no texture to track
-        return PairResult(_invalid(curr.frame.t_mid_s, "textureless", cfg.omega_source))
-    return process_frame_pair(prev, curr, cfg, pair_index, imu=imu)
-
-
-def _timed_pair(accumulate_s: float, *args) -> PairResult:
-    """``_pair(*args)``'s row, carrying the seconds spent accumulating its frame."""
-    return replace(_pair(*args), accumulate_s=accumulate_s)
+        result = PairResult(_invalid(curr.frame.t_mid_s, "textureless", cfg.omega_source))
+    else:
+        result = process_frame_pair(prev, curr, cfg, pair_index, imu=imu)
+    return replace(result, accumulate_s=accumulate_s)
 
 
 def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
@@ -227,7 +225,7 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
             if frame is None:
                 break
             curr = FrameMemo(frame)
-            pending.append(defer(_timed_pair, accumulate_s, prev, curr, cfg, index, imu))
+            pending.append(defer(_pair, prev, curr, cfg, index, imu, accumulate_s))
             prev = curr
             if len(pending) == workers:
                 yield pending.popleft()()

@@ -73,9 +73,14 @@ def write_velocity_csv(path: str | Path, estimates: Iterable[VelocityEstimate]) 
 
 def load_velocity_csv(path: str | Path) -> list[VelocityEstimate]:
     rows = _finite_rows(path, VELOCITY_HEADER, _VELOCITY_COLUMNS)
+    flags = [valid.strip() for valid in rows["valid"].tolist()]
+    bad = [i for i, flag in enumerate(flags) if flag not in ("true", "false")]
+    if bad:
+        raise InputFormatError(f"cannot read {path}: data row {bad[0] + 1} has valid "
+                               f"{flags[bad[0]]!r}, expected true or false")
     return [VelocityEstimate(t_mid=t, v_lon=v_lon, v_lat=v_lat, omega=omega,
                              omega_source=source,
                              quality=EstimateQuality(n_inliers=n, inlier_fraction=frac,
                                                      mean_residual=0.0),
-                             valid=valid.strip() == "true")
-            for t, v_lon, v_lat, omega, source, n, frac, valid in rows.tolist()]
+                             valid=flag == "true")
+            for (t, v_lon, v_lat, omega, source, n, frac, _), flag in zip(rows.tolist(), flags)]

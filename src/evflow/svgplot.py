@@ -90,9 +90,9 @@ def _axes_svg(ax: Axes, x_label: str, y_label: str) -> list[str]:
     return parts
 
 
-def _polyline(ax: Axes, xs, ys, color: str, width: float = 1.3) -> str:
+def _polyline(ax: Axes, xs, ys, color: str) -> str:
     pts = " ".join(f"{_f(ax.sx(x))},{_f(ax.sy(y))}" for x, y in zip(xs, ys))
-    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>'
 
 
 def _legend(entries: list[tuple[str, str]]) -> list[str]:
@@ -115,6 +115,14 @@ def _data_range(series, pad_frac: float = 0.05) -> tuple[float, float]:
         hi += 0.5
     pad = (hi - lo) * pad_frac
     return lo - pad, hi + pad
+
+
+def _finish(parts: list[str], annotation: str = "") -> str:
+    """The document of ``parts``, with ``annotation`` centred over the plot if given."""
+    if annotation:
+        parts.append(f'<text x="{WIDTH // 2}" y="{HEIGHT // 2}" font-family="sans-serif" '
+                     f'font-size="13" fill="#b03030" text-anchor="middle">{annotation}</text>')
+    return "\n".join(parts + ["</svg>"]) + "\n"
 
 
 def line_chart(title: str, x_label: str, y_label: str,
@@ -142,15 +150,10 @@ def line_chart(title: str, x_label: str, y_label: str,
     for label, color, xs, ys in drawn:
         parts.append(_polyline(ax, xs, ys, color))
     parts += _legend([(lab, col) for lab, col, _, _ in drawn])
-    if annotation:
-        parts.append(f'<text x="{WIDTH // 2}" y="{HEIGHT // 2}" font-family="sans-serif" '
-                     f'font-size="13" fill="#b03030" text-anchor="middle">{annotation}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _finish(parts, annotation)
 
 
-def histogram(title: str, x_label: str, values: np.ndarray, bins: int = 30,
-              color: str = "#2c7fb8", annotation: str = "") -> str:
+def histogram(title: str, x_label: str, values: np.ndarray, annotation: str = "") -> str:
     values = np.asarray(values, dtype=np.float64)
     parts = _header(title)
     if values.size:
@@ -158,7 +161,7 @@ def histogram(title: str, x_label: str, values: np.ndarray, bins: int = 30,
         if hi - lo <= 1e-9 * max(1.0, abs(lo)):
             pad = max(0.5, abs(lo) * 0.01)
             lo, hi = lo - pad, hi + pad
-        counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+        counts, edges = np.histogram(values, bins=30, range=(lo, hi))
         ax = Axes(float(edges[0]), float(edges[-1]), 0.0, float(counts.max()) * 1.05 or 1.0)
         parts += _axes_svg(ax, x_label, "count")
         for c, e0, e1 in zip(counts, edges[:-1], edges[1:]):
@@ -167,20 +170,16 @@ def histogram(title: str, x_label: str, values: np.ndarray, bins: int = 30,
             x0, x1 = ax.sx(float(e0)), ax.sx(float(e1))
             y0, y1 = ax.sy(0.0), ax.sy(float(c))
             parts.append(f'<rect x="{_f(x0)}" y="{_f(y1)}" width="{_f(x1 - x0)}" '
-                         f'height="{_f(y0 - y1)}" fill="{color}" stroke="none"/>')
+                         f'height="{_f(y0 - y1)}" fill="#2c7fb8" stroke="none"/>')
     else:
         ax = Axes(0.0, 1.0, 0.0, 1.0)
         parts += _axes_svg(ax, x_label, "count")
         annotation = annotation or "no data"
-    if annotation:
-        parts.append(f'<text x="{WIDTH // 2}" y="{HEIGHT // 2}" font-family="sans-serif" '
-                     f'font-size="13" fill="#b03030" text-anchor="middle">{annotation}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _finish(parts, annotation)
 
 
 def quiver(title: str, width_px: int, height_px: int,
-           p: np.ndarray, q: np.ndarray, arrow_scale: float = 1.0) -> str:
+           p: np.ndarray, q: np.ndarray) -> str:
     """Flow arrows over the pixel frame, y axis pointing down as in images."""
     scale = min((WIDTH - MARGIN_L - MARGIN_R) / max(width_px, 1),
                 (HEIGHT - MARGIN_T - MARGIN_B) / max(height_px, 1))
@@ -191,8 +190,8 @@ def quiver(title: str, width_px: int, height_px: int,
     for (px, py), (qx, qy) in zip(np.asarray(p), np.asarray(q)):
         x0 = ox + px * scale
         y0 = oy + py * scale
-        x1 = ox + (px + (qx - px) * arrow_scale) * scale
-        y1 = oy + (py + (qy - py) * arrow_scale) * scale
+        x1 = ox + qx * scale
+        y1 = oy + qy * scale
         parts.append(f'<line x1="{_f(x0)}" y1="{_f(y0)}" x2="{_f(x1)}" y2="{_f(y1)}" '
                      f'stroke="#d95f02" stroke-width="1"/>')
         ang = math.atan2(y1 - y0, x1 - x0)
@@ -200,5 +199,4 @@ def quiver(title: str, width_px: int, height_px: int,
             parts.append(f'<line x1="{_f(x1)}" y1="{_f(y1)}" '
                          f'x2="{_f(x1 + 3 * math.cos(rot))}" y2="{_f(y1 + 3 * math.sin(rot))}" '
                          f'stroke="#d95f02" stroke-width="1"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _finish(parts)

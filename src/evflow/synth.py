@@ -75,7 +75,7 @@ class NoiseTexture:
     ``cutoff`` bounds the spatial frequency in cycles per pixel, so the
     smallest features span about 1/cutoff pixels.  Being band-limited the
     texture is evaluated analytically at arbitrary coordinates (it is its
-    own interpolant); ``lattice`` gives the values on integer pixels.
+    own interpolant).
     """
 
     seed: int = 0
@@ -118,9 +118,6 @@ class NoiseTexture:
         col = np.exp(1j * (x_col[..., None] * kx + y_col[..., None] * ky))
         row = amp * np.exp(1j * (x_row[..., None] * kx + y_row[..., None] * ky + phase))
         return np.einsum("...k,...k->...", col, row, optimize=True).real.copy()
-
-    def lattice(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        return self.values(ix, iy)
 
 
 @dataclass(frozen=True)
@@ -406,13 +403,12 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
 
     if initial_state is None:
         psi, c_px = 0.0, np.zeros(2)
-        level_prev = _render(cfg.texture, psi, c_px, cam)
-        anchor = level_prev.copy()
     else:
         psi = float(initial_state.psi)
         c_px = np.asarray(initial_state.c_px, dtype=np.float64).copy()
-        anchor = initial_state.anchor.copy()
-        level_prev = _render(cfg.texture, psi, c_px, cam)
+    level_prev = _render(cfg.texture, psi, c_px, cam)
+    # a fresh run anchors each pixel's threshold ladder at its first level
+    anchor = (level_prev if initial_state is None else initial_state.anchor).copy()
     rng = np.random.default_rng(cfg.seed)
     # Threshold lines sit at anchor + (j - 1/2) * C so a fresh pixel starts
     # centered in band 0; the first crossing in either direction needs a

@@ -79,18 +79,18 @@ class ImuSeries:
         samples, nearest-sample hold at the stream edges.
 
         Returns None when the nearest sample is further than
-        ``staleness_s`` away.
+        ``staleness_s`` away, inside a gap between samples too.
         """
         if self._t.size == 0:
             return None
         t_query = t_s * 1e6
         hi = int(np.searchsorted(self._t, t_query))
-        if hi == 0:
-            return float(self._w[0]) if (self._t[0] - t_query) <= staleness_s * 1e6 else None
-        if hi == self._t.size:
-            return float(self._w[-1]) if (t_query - self._t[-1]) <= staleness_s * 1e6 else None
-        t0, t1 = float(self._t[hi - 1]), float(self._t[hi])
-        w0, w1 = float(self._w[hi - 1]), float(self._w[hi])
+        # past an edge both bracketing samples are the edge sample
+        lo, hi = max(hi - 1, 0), min(hi, self._t.size - 1)
+        t0, t1 = float(self._t[lo]), float(self._t[hi])
+        if min(abs(t_query - t0), abs(t1 - t_query)) > staleness_s * 1e6:
+            return None
+        w0, w1 = float(self._w[lo]), float(self._w[hi])
         if t1 == t0:
             return w1
         frac = (t_query - t0) / (t1 - t0)

@@ -11,7 +11,7 @@ from evflow import state_io
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig
 from evflow.evaluate import evaluate
-from evflow.events import (AccumulationConfig, CameraModel, accumulate,
+from evflow.events import (AccumulationConfig, CameraModel, iter_frames,
                            make_events, relative_motion_blur, to_intensity)
 from evflow.flow import FlowParams, compute_flow, inject_outliers, subsample_flow
 from evflow.pipeline import iter_pairs, process_frame_pair
@@ -146,8 +146,8 @@ def test_c05_ransac_robustness(announce):
     events, _, _ = generate_events(sim, Trajectory.constant(duration, v_lon=v_true))
 
     cfg = run_config(cam, window_us, ransac_enabled=True, stride=4, levels=2)
-    frames = accumulate(events, cfg.accumulation, t_start_us=0,
-                        t_end_us=int(duration * 1e6))
+    frames = list(iter_frames(events, cfg.accumulation, t_start_us=0,
+                              t_end_us=int(duration * 1e6)))
     center = np.array([cam.cx, cam.cy])
     params = RansacParams(iterations=16, inlier_threshold=0.5)
     speeds_ransac, speeds_plain = [], []
@@ -334,8 +334,8 @@ def test_c10_latency_ceiling(announce):
         t = np.sort(rng.integers(0, 33_000, n)) + k * 33_000
         ev = make_events(t, (xs + shift) % 346, ys, ps)
         order = np.argsort(ev["t_us"], kind="stable")
-        frames.extend(accumulate(ev[order], cfg.accumulation, t_start_us=k * 33_000,
-                                 t_end_us=(k + 1) * 33_000))
+        frames.extend(iter_frames(ev[order], cfg.accumulation, t_start_us=k * 33_000,
+                                  t_end_us=(k + 1) * 33_000))
     for _ in range(2):  # warm caches
         process_frame_pair(frames[0], frames[1], cfg, pair_index=1)
 

@@ -9,8 +9,8 @@ from evflow import event_io
 from evflow.errors import EventBoundsError, EventOrderError, InputFormatError
 from evflow.event_io import (load_events_binary, load_events_csv,
                              write_events_binary, write_events_csv)
-from evflow.events import (EVENT_DTYPE, AccumulationConfig, _release_pages, accumulate,
-                           iter_frames, make_events)
+from evflow.events import (EVENT_DTYPE, AccumulationConfig, _release_pages, iter_frames,
+                           make_events)
 
 
 @pytest.fixture
@@ -106,10 +106,11 @@ def test_csv_bounds_checked_on_load(tmp_path):
     with pytest.raises(EventBoundsError):
         load_events_csv(path, width=346, height=260)
     load_events_csv(path)  # without dimensions only stream-level checks apply
-    path.write_text("t_us,x,y,p\n1,65541,3,1\n")  # would wrap to x = 5 in the uint16 field
-    for dims in ({"width": 346, "height": 260}, {}):
-        with pytest.raises(EventBoundsError):
-            load_events_csv(path, **dims)
+    for x in (65541, -1):  # would wrap to x = 5 or 65535 in the uint16 field
+        path.write_text(f"t_us,x,y,p\n1,{x},3,1\n")
+        for dims in ({"width": 346, "height": 260}, {}):
+            with pytest.raises(EventBoundsError):
+                load_events_csv(path, **dims)
 
 
 def test_binary_round_trip(tmp_path, sample_events):
@@ -135,8 +136,8 @@ def test_binary_loads_read_only_and_writes_back_identically(tmp_path, sample_eve
     assert not back.flags.writeable
     with pytest.raises(ValueError):
         back["x"][0] = 1
-    frames = accumulate(back, AccumulationConfig(window_us=1000, sensor_width=width,
-                                                 sensor_height=height))
+    frames = list(iter_frames(back, AccumulationConfig(window_us=1000, sensor_width=width,
+                                                       sensor_height=height)))
     assert sum(f.event_total for f in frames) == sample_events.size
     copy = tmp_path / "copy.evt"
     write_events_binary(copy, back, width, height)
@@ -244,10 +245,10 @@ def test_mapped_frames_equal_in_memory_frames(tmp_path, monkeypatch, drop):
     write_events_binary(path, ev, 346, 260)
     mapped, width, height = load_events_binary(path)
     cfg = AccumulationConfig(window_us=7_000, sensor_width=width, sensor_height=height)
-    want = accumulate(ev, cfg)
+    want = list(iter_frames(ev, cfg))
     # the second pass reads pages the first one dropped
     for _ in range(2):
-        got = accumulate(mapped, cfg)
+        got = list(iter_frames(mapped, cfg))
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.event_total == b.event_total
@@ -256,7 +257,7 @@ def test_mapped_frames_equal_in_memory_frames(tmp_path, monkeypatch, drop):
     # the header-only file maps nothing, and an array in memory has no pages to drop
     write_events_binary(path, make_events([], [], [], []), 346, 260)
     empty, _, _ = load_events_binary(path)
-    frames = accumulate(empty, cfg, t_start_us=0, t_end_us=10_000)
+    frames = list(iter_frames(empty, cfg, t_start_us=0, t_end_us=10_000))
     assert len(frames) == 2 and all(f.event_total == 0 for f in frames)
     _release_pages(empty, 0)
     _release_pages(ev, n)

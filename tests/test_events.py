@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evflow.errors import EventBoundsError, EventOrderError, InputFormatError
-from evflow.events import (AccumulationConfig, CameraModel, accumulate,
+from evflow.events import (AccumulationConfig, CameraModel,
                            iter_frames, make_events, max_exposure_for_blur,
                            relative_motion_blur, to_intensity, validate_events)
 
@@ -42,7 +42,7 @@ def add_at_reference(events, c, t_start_us, t_end_us):
 class TestAccumulate:
     def test_three_events_one_pixel(self):
         ev = make_events([10, 20, 30], [5, 5, 5], [5, 5, 5], [1, 1, 1])
-        frames = accumulate(ev, cfg())
+        frames = list(iter_frames(ev, cfg()))
         assert len(frames) == 1
         assert frames[0].pos_counts[5, 5] == 3
         assert frames[0].pos_counts.sum() == 3
@@ -50,13 +50,13 @@ class TestAccumulate:
         assert frames[0].event_total == 3
 
     def test_empty_stream_explicit_window(self):
-        frames = accumulate(make_events([], [], [], []), cfg(), t_start_us=0, t_end_us=100)
+        frames = list(iter_frames(make_events([], [], [], []), cfg(), t_start_us=0, t_end_us=100))
         assert len(frames) == 1
         assert frames[0].event_total == 0
         assert not frames[0].pos_counts.any() and not frames[0].neg_counts.any()
 
     def test_empty_stream_no_anchor(self):
-        assert accumulate(make_events([], [], [], []), cfg()) == []
+        assert list(iter_frames(make_events([], [], [], []), cfg())) == []
 
     def test_uniform_random_against_counting_oracle(self):
         rng = np.random.default_rng(7)
@@ -67,7 +67,7 @@ class TestAccumulate:
         x = rng.integers(0, 346, n)
         y = rng.integers(0, 260, n)
         p = rng.choice([-1, 1], n)
-        frames = accumulate(make_events(t, x, y, p), c)
+        frames = list(iter_frames(make_events(t, x, y, p), c))
         assert len(frames) == 1
         assert frames[0].pos_counts.sum() + frames[0].neg_counts.sum() == n
 
@@ -81,7 +81,7 @@ class TestAccumulate:
 
     def test_empty_middle_window(self):
         ev = make_events([10, 250], [0, 1], [0, 1], [1, -1])
-        frames = accumulate(ev, cfg(window=100))
+        frames = list(iter_frames(ev, cfg(window=100)))
         assert len(frames) == 3
         assert frames[0].event_total == 1
         assert frames[1].event_total == 0
@@ -90,7 +90,7 @@ class TestAccumulate:
 
     def test_count_cap_clips(self):
         ev = make_events(range(20), [3] * 20, [4] * 20, [1] * 20)
-        frames = accumulate(ev, cfg(cap=5))
+        frames = list(iter_frames(ev, cfg(cap=5)))
         assert frames[0].pos_counts[4, 3] == 5
         assert frames[0].event_total == 20
         assert frames[0].pos_counts.sum() + frames[0].neg_counts.sum() <= frames[0].event_total
@@ -98,12 +98,12 @@ class TestAccumulate:
     def test_out_of_bounds_rejected(self):
         ev = make_events([1], [16], [0], [1])
         with pytest.raises(EventBoundsError):
-            accumulate(ev, cfg())
+            list(iter_frames(ev, cfg()))
 
     def test_non_monotone_rejected(self):
         ev = make_events([10, 5], [0, 0], [0, 0], [1, 1])
         with pytest.raises(EventOrderError):
-            accumulate(ev, cfg())
+            list(iter_frames(ev, cfg()))
 
     @given(st.data(), st.integers(1, 4), st.integers(1, 300))
     @settings(max_examples=60, deadline=None)
@@ -120,7 +120,7 @@ class TestAccumulate:
         first = rows[0][0] if rows else 0
         t_start = data.draw(st.integers(0, first))
         t_end = data.draw(st.one_of(st.none(), st.integers(0, 1500)))
-        frames = accumulate(ev, c, t_start_us=t_start, t_end_us=t_end)
+        frames = list(iter_frames(ev, c, t_start_us=t_start, t_end_us=t_end))
         want = add_at_reference(ev, c, t_start, t_end)
         assert len(frames) == len(want)
         for f, (start, end, pos, neg, total) in zip(frames, want):
@@ -130,12 +130,12 @@ class TestAccumulate:
     def test_timestamps_past_2_63(self):
         # an int64 cast of these times wraps negative and drops both events
         ev = make_events([2 ** 63 - 10, 2 ** 63 + 5], [1, 2], [3, 3], [1, -1])
-        frames = accumulate(ev, cfg())
+        frames = list(iter_frames(ev, cfg()))
         assert len(frames) == 1 and frames[0].event_total == 2
         assert frames[0].pos_counts[3, 1] == 1 and frames[0].neg_counts[3, 2] == 1
         # the last uint64 timestamp falls in a window that ends past 2**64
         ev = make_events([2 ** 64 - 50, 2 ** 64 - 1], [0, 0], [0, 0], [1, 1])
-        frames = accumulate(ev, cfg())
+        frames = list(iter_frames(ev, cfg()))
         assert len(frames) == 1 and frames[0].t_end_us == 2 ** 64 + 50
         assert frames[0].event_total == 2 and frames[0].pos_counts[0, 0] == 2
 
@@ -175,9 +175,9 @@ class TestAccumulate:
             validate_events(ev, c.sensor_width, c.sensor_height)
         except InputFormatError:
             with pytest.raises(InputFormatError):
-                accumulate(ev, c)
+                list(iter_frames(ev, c))
             return
-        frames = accumulate(ev, c)
+        frames = list(iter_frames(ev, c))
         want = add_at_reference(ev, c, rows[0][0], None) if rows else []
         assert len(frames) == len(want)
         for f, (start, end, pos, neg, total) in zip(frames, want):
@@ -187,7 +187,7 @@ class TestAccumulate:
     def test_negative_start_rejected(self):
         ev = make_events([10], [0], [0], [1])
         with pytest.raises(ValueError):
-            accumulate(ev, cfg(), t_start_us=-100)
+            list(iter_frames(ev, cfg(), t_start_us=-100))
 
     @given(st.lists(st.tuples(st.integers(0, 999), st.integers(0, 15),
                               st.integers(0, 11), st.sampled_from([-1, 1])),
@@ -196,7 +196,7 @@ class TestAccumulate:
     def test_partition_property(self, rows):
         rows.sort(key=lambda r: r[0])
         ev = make_events(*(list(col) for col in zip(*rows))) if rows else make_events([], [], [], [])
-        frames = accumulate(ev, cfg(window=137))
+        frames = list(iter_frames(ev, cfg(window=137)))
         assert sum(f.event_total for f in frames) == len(rows)
         total = sum(int(f.pos_counts.sum() + f.neg_counts.sum()) for f in frames)
         assert total <= len(rows)
@@ -209,21 +209,21 @@ class TestAccumulate:
         x = rng.integers(0, 16, n)
         y = rng.integers(0, 12, n)
         p = rng.choice([-1, 1], n)
-        a = accumulate(make_events(t, x, y, p), cfg(), t_start_us=0)[0]
+        a = list(iter_frames(make_events(t, x, y, p), cfg(), t_start_us=0))[0]
         perm = rng.permutation(n)
-        b = accumulate(make_events(t, x[perm], y[perm], p[perm]), cfg(), t_start_us=0)[0]
+        b = list(iter_frames(make_events(t, x[perm], y[perm], p[perm]), cfg(), t_start_us=0))[0]
         assert np.array_equal(a.pos_counts, b.pos_counts)
         assert np.array_equal(a.neg_counts, b.neg_counts)
 
 
 class TestToIntensity:
     def test_all_zero(self):
-        frame = accumulate(make_events([], [], [], []), cfg(), t_start_us=0, t_end_us=100)[0]
+        frame = list(iter_frames(make_events([], [], [], []), cfg(), t_start_us=0, t_end_us=100))[0]
         assert not to_intensity(frame, 15).any()
 
     def test_saturated_pixel(self):
         ev = make_events(range(15), [2] * 15, [3] * 15, [1] * 15)
-        frame = accumulate(ev, cfg())[0]
+        frame = list(iter_frames(ev, cfg()))[0]
         img = to_intensity(frame, 15)
         assert img[3, 2] == 255
         assert img.sum() == 255
@@ -233,13 +233,13 @@ class TestToIntensity:
         # rounds half up to 128
         ev = make_events([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
                          [1] * 4 + [2] * 8, [0] * 12, [1] * 12)
-        frame = accumulate(ev, cfg(cap=8))[0]
+        frame = list(iter_frames(ev, cfg(cap=8)))[0]
         img = to_intensity(frame, 8)
         assert img[0, 0] == 0 and img[0, 1] == 128 and img[0, 2] == 255
 
     def test_merge_modes(self):
         ev = make_events([0, 1], [0, 0], [0, 0], [1, -1])
-        frame = accumulate(ev, cfg(cap=4))[0]
+        frame = list(iter_frames(ev, cfg(cap=4)))[0]
         assert to_intensity(frame, 4, "pos")[0, 0] == 64
         assert to_intensity(frame, 4, "neg")[0, 0] == 64
         assert to_intensity(frame, 4, "sum")[0, 0] == 128
@@ -255,7 +255,7 @@ class TestToIntensity:
                          np.repeat(np.arange(40) % 16, counts),
                          np.repeat(np.arange(40) // 16 % 12, counts),
                          np.ones(counts.sum(), dtype=np.int8))
-        frame = accumulate(ev, cfg(cap=15), t_start_us=0)[0]
+        frame = list(iter_frames(ev, cfg(cap=15), t_start_us=0))[0]
         img = to_intensity(frame, 15)
         merged = frame.pos_counts + frame.neg_counts
         order = np.argsort(merged.ravel(), kind="stable")

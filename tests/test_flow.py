@@ -284,9 +284,6 @@ class TestCorrelate1d:
         for axis in (1, 2):
             want = ndimage.correlate1d(x, kernel, axis=axis, mode="nearest")
             assert np.array_equal(flow._correlate1d(x, kernel, axis - 3), want)
-            y = x.copy()
-            assert flow._correlate1d(y, kernel, axis, output=y) is y
-            assert np.array_equal(y, want)
         smoothed = x.copy()
         flow._smooth(smoothed, kernel, out=smoothed)
         for ch, got in zip(x, smoothed):

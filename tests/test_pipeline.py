@@ -23,7 +23,7 @@ from evflow.config import RunConfig, Scenario
 from evflow.errors import EvaluationError, EventOrderError, InputFormatError
 from evflow.evaluate import evaluate
 from evflow.event_io import load_events_csv, write_events_binary
-from evflow.events import EVENT_DTYPE, accumulate, make_events
+from evflow.events import EVENT_DTYPE, iter_frames, make_events
 from evflow.pipeline import iter_pairs, process_frame_pair
 from evflow.plots import dump_flow_csv, emit_plots
 from evflow.rigid import EstimateQuality
@@ -123,7 +123,7 @@ class TestRunPipeline:
 
     def test_each_frame_converted_and_expanded_once(self, monkeypatch):
         cfg, events, _ = small_scenario()
-        frames = accumulate(events, cfg.accumulation)
+        frames = list(iter_frames(events, cfg.accumulation))
         cold = [process_frame_pair(prev, curr, cfg, pair_index=i + 1).estimate
                 for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
         blank = np.zeros((cfg.camera.height, cfg.camera.width))
@@ -144,7 +144,7 @@ class TestRunPipeline:
         later = events.copy()
         later["t_us"] += 9 * cfg.accumulation.window_us
         events = np.concatenate([events, later])
-        frames = accumulate(events, cfg.accumulation)
+        frames = list(iter_frames(events, cfg.accumulation))
         empty = [f.event_total == 0 for f in frames]
         assert len(frames) == 12 and sum(empty) == 6
         cold = [process_frame_pair(prev, curr, cfg, pair_index=i + 1).estimate
@@ -213,7 +213,7 @@ class TestRunPipeline:
     def test_each_frame_expanded_once_with_more_workers_than_cores(self, small_stream,
                                                                    monkeypatch):
         cfg, events = small_stream
-        frames = accumulate(events, cfg.accumulation)
+        frames = list(iter_frames(events, cfg.accumulation))
         cold = [process_frame_pair(prev, curr, cfg, pair_index=i + 1).estimate
                 for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
         calls, out = [], {}
@@ -721,6 +721,14 @@ trajectory.omega = 0.3, 0.3
         assert err.startswith("input format error:") and err.count("\n") == 1
         assert f"{kind}.csv" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["yes", "True", "1", ""], ids=["yes", "True", "1", "empty"])
+    def test_velocity_valid_not_true_or_false_exit_3(self, tmp_path, capsys, flag):
+        body = f"0.0,1.0,0.0,0.0,flow,10,1.0, true \n0.1,1.0,0.0,0.0,flow,10,1.0,{flag}\n"
+        assert run_csv_input(tmp_path, "velocity", body.encode()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input format error:") and "Traceback" not in err
+        assert f"velocity.csv: data row 2 has valid {flag!r}, expected true or false" in err
+
     @pytest.mark.parametrize("body, line", [
         (b"1,0,0,1\n2,0,0\n", 3),
         (b"1,0,0,1\nzz,0,0,1\n", 3),
@@ -1002,7 +1010,8 @@ trajectory.omega = 0.3, 0.3
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
-        n_frames = len(accumulate(load_events_csv(ev), RunConfig.from_file(run_cfg).accumulation))
+        n_frames = len(list(iter_frames(load_events_csv(ev),
+                                        RunConfig.from_file(run_cfg).accumulation)))
         for k in (0, n_frames, 10 ** 20):
             assert cli_main(["flow-debug", "--config", str(run_cfg), "--events", str(ev),
                              "--pair-index", str(k)]) == 2
@@ -1046,8 +1055,8 @@ trajectory.omega = 0.3, 0.3
         assert cli_main(["flow-debug", "--config", str(run_cfg), "--events", str(ev),
                          "--pair-index", "2"]) == 0
         cfg = RunConfig.from_file(run_cfg)
-        frames = accumulate(load_events_csv(ev, cfg.camera.width, cfg.camera.height),
-                            cfg.accumulation)
+        frames = list(iter_frames(load_events_csv(ev, cfg.camera.width, cfg.camera.height),
+                                  cfg.accumulation))
         field = process_frame_pair(frames[1], frames[2], cfg, pair_index=2).flow
         dump_flow_csv(field, cfg.stride, tmp_path / "expected.csv")
         assert ((tmp_path / "out" / "flow_00002.csv").read_bytes()

@@ -157,11 +157,6 @@ class TestRenderPlane:
 
 
 class TestTextures:
-    def test_noise_lattice_matches_values(self):
-        tex = NoiseTexture(seed=8)
-        ix, iy = np.arange(-5, 5), np.arange(3, 13)
-        assert np.allclose(tex.lattice(ix, iy), tex.values(ix.astype(float), iy.astype(float)))
-
     def test_sample_texture_bilinear_between_lattice(self):
         tex = CheckerTexture(period_px=4.0)
         v0 = tex.lattice(np.array([3]), np.array([0]))[0]

@@ -71,6 +71,18 @@ class TestImuSeries:
         imu = ImuSeries([0], [1.0])
         assert imu.yaw_at(1.0, staleness_s=0.066) is None
 
+    def test_stale_inside_a_gap_returns_none(self):
+        imu = ImuSeries([0, 10_000_000], [0.0, 1.0])
+        assert imu.yaw_at(5.0, staleness_s=0.066) is None
+        assert imu.yaw_at(0.05, staleness_s=0.066) == pytest.approx(0.005)
+        assert imu.yaw_at(9.95, staleness_s=0.066) == pytest.approx(0.995)
+
+    def test_equal_timestamps(self):
+        imu = ImuSeries([1000, 1000, 2000, 2000], [1.0, 3.0, 5.0, 7.0])
+        assert imu.yaw_at(0.0005, staleness_s=0.001) == 1.0  # the first sample held
+        assert imu.yaw_at(0.0025, staleness_s=0.001) == 7.0  # the last sample held
+        assert imu.yaw_at(0.0015, staleness_s=0.001) == pytest.approx(4.0)
+
     def test_rejects_unsorted(self):
         with pytest.raises(InputFormatError):
             ImuSeries([10, 5], [0.0, 0.0])
@@ -95,8 +107,9 @@ class TestSubstituteImuYaw:
         assert a.omega == pytest.approx(b.omega)
 
     def test_staleness_marks_invalid(self):
-        imu = ImuSeries([0], [1.0])
-        est = substitute_imu_yaw(cam_vel(1.0, 0.0, omega=0.0, t_mid=5.0), imu,
-                                 Extrinsics(), staleness_s=0.066)
-        assert not est.valid
-        assert est.reason == "imu_stale"
+        # the only sample 5 s before t_mid, or t_mid inside a 10 s gap between samples
+        for imu in (ImuSeries([0], [1.0]), ImuSeries([0, 10_000_000], [1.0, 2.0])):
+            est = substitute_imu_yaw(cam_vel(1.0, 0.0, omega=0.0, t_mid=5.0), imu,
+                                     Extrinsics(), staleness_s=0.066)
+            assert not est.valid
+            assert est.reason == "imu_stale"
