@@ -33,10 +33,12 @@ from .rigid import (CameraVelocity, EstimateQuality, estimate_rigid, ransac_esti
 from .vehicle import ImuSeries, VelocityEstimate, substitute_imu_yaw, transform_to_axle
 
 PAIR_STAGES = ("intensity", "flow", "subsample", "estimate", "transform")
-# Frames of fewer pixels run one pair at a time.  On a 2-vCPU host, with
-# accumulation overlapping the pairs, two workers ran the pair loop
-# 1.41-1.53x faster than one at 346x260 but 0.95-1.02x as fast at 160x120
-# (RANSAC on and off): small frames do not pay for a second working set.
+# Frames of fewer pixels run one pair at a time.  On a 2-vCPU host (fresh
+# `evflow estimate` processes, one BLAS thread, alternating runs), two
+# workers ran the whole command 1.28x faster than one at 346x260 (median
+# 1.67 -> 1.25 s over 12 pairs of runs, 1.02-1.87x per pair) but 0.83x as
+# fast at 160x120 (RANSAC on, 10 pairs): small frames do not pay for a
+# second working set.
 PARALLEL_MIN_PIXELS = 40_000
 
 _INVALID_QUALITY = EstimateQuality(n_inliers=0, inlier_fraction=0.0, mean_residual=0.0)

@@ -4,7 +4,9 @@ IMU: header ``t_us,yaw_rate_rad_s``.
 Velocity (estimates and ground truth share the schema): header
 ``t_s,v_lon,v_lat,omega,omega_source,n_inliers,inlier_fraction,valid``.
 Invalid rows carry zeros in the numeric fields; readers must honor the
-``valid`` flag.  Every float field must be finite.
+``valid`` flag.  Every float field must be finite; ``omega_source`` is
+``flow``, ``imu`` or ``truth``, ``n_inliers`` at least 0 and
+``inlier_fraction`` within [0, 1].
 """
 
 from __future__ import annotations
@@ -73,14 +75,23 @@ def write_velocity_csv(path: str | Path, estimates: Iterable[VelocityEstimate]) 
 
 def load_velocity_csv(path: str | Path) -> list[VelocityEstimate]:
     rows = _finite_rows(path, VELOCITY_HEADER, _VELOCITY_COLUMNS)
+    sources = [source.strip() for source in rows["omega_source"].tolist()]
     flags = [valid.strip() for valid in rows["valid"].tolist()]
-    bad = [i for i, flag in enumerate(flags) if flag not in ("true", "false")]
-    if bad:
-        raise InputFormatError(f"cannot read {path}: data row {bad[0] + 1} has valid "
-                               f"{flags[bad[0]]!r}, expected true or false")
+    domains = (("omega_source", sources, lambda s: s in ("flow", "imu", "truth"),
+                "flow, imu or truth"),
+               ("n_inliers", rows["n_inliers"].tolist(), lambda n: n >= 0, "at least 0"),
+               ("inlier_fraction", rows["inlier_fraction"].tolist(), lambda f: 0 <= f <= 1,
+                "within [0, 1]"),
+               ("valid", flags, lambda f: f in ("true", "false"), "true or false"))
+    for column, values, ok, expected in domains:
+        bad = next((i for i, value in enumerate(values) if not ok(value)), None)
+        if bad is not None:
+            raise InputFormatError(f"cannot read {path}: data row {bad + 1} has {column} "
+                                   f"{values[bad]!r}, expected {expected}")
     return [VelocityEstimate(t_mid=t, v_lon=v_lon, v_lat=v_lat, omega=omega,
                              omega_source=source,
                              quality=EstimateQuality(n_inliers=n, inlier_fraction=frac,
                                                      mean_residual=0.0),
                              valid=flag == "true")
-            for (t, v_lon, v_lat, omega, source, n, frac, _), flag in zip(rows.tolist(), flags)]
+            for (t, v_lon, v_lat, omega, _, n, frac, _), source, flag
+            in zip(rows.tolist(), sources, flags)]

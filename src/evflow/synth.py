@@ -133,9 +133,6 @@ class CheckerTexture:
         par = np.floor(ix / self.period_px) + np.floor(iy / self.period_px)
         return self.amplitude * (np.asarray(par, dtype=np.int64) % 2).astype(np.float64)
 
-    def values(self, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-        return _bilinear_lattice(self, tx, ty)
-
 
 @dataclass(frozen=True)
 class DotTexture:
@@ -184,8 +181,72 @@ class DotTexture:
             np.maximum(value, 1.0 - np.hypot(x - cx, y - cy) / r, out=value)
         return self.amplitude * np.maximum(value, 0.0)
 
-    def values(self, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-        return _bilinear_lattice(self, tx, ty)
+
+class LatticeBox:
+    """Values of an elementwise function of integer points over an integer
+    rectangle, kept so that later gathers inside it evaluate nothing.
+
+    A simulator run keeps one for a lattice texture.  A render whose corner
+    rectangle it does not cover refills it around that rectangle with a
+    margin of half the rectangle's extent on each side: the box holds at
+    most 4 times the cells of the largest corner rectangle of the run,
+    however long the run or its path.
+    """
+
+    def __init__(self):
+        self.x_lo = self.y_lo = 0
+        self.values = np.zeros((0, 0))
+
+    def fill(self, fn, x_lo: int, y_lo: int, nx: int, ny: int, strip_cells: int) -> None:
+        """Evaluate float64-valued ``fn`` on the ``nx`` by ``ny`` rectangle at
+        (``x_lo``, ``y_lo``), in strips of whole rows of at most
+        ``strip_cells`` cells (one row at least), which bound ``fn``'s
+        temporaries."""
+        self.x_lo, self.y_lo = x_lo, y_lo
+        self.values = np.empty((ny, nx))
+        xs = np.arange(x_lo, x_lo + nx)[None, :]
+        rows = max(1, strip_cells // nx)
+        for r in range(0, ny, rows):
+            self.values[r:r + rows] = fn(xs, np.arange(y_lo + r, y_lo + min(r + rows, ny))[:, None])
+
+    def cover(self, fn, x_lo: int, y_lo: int, nx: int, ny: int) -> None:
+        """Refill around the rectangle unless the box holds it already."""
+        rows, cols = self.values.shape
+        if not (self.x_lo <= x_lo and x_lo + nx <= self.x_lo + cols
+                and self.y_lo <= y_lo and y_lo + ny <= self.y_lo + rows):
+            # strips the rectangle's size keep fn's temporaries those of one render
+            self.fill(fn, x_lo - nx // 2, y_lo - ny // 2, 2 * nx, 2 * ny, nx * ny)
+
+    def take(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        return self.values.ravel().take((iy - self.y_lo) * self.values.shape[1] + (ix - self.x_lo))
+
+    def corners(self, x0: np.ndarray, y0: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Values at (x0, y0), (x0 + 1, y0), (x0, y0 + 1) and (x0 + 1, y0 + 1)."""
+        flat, cols = self.values.ravel(), self.values.shape[1]
+        i = (y0 - self.y_lo) * cols + (x0 - self.x_lo)
+        return flat.take(i), flat.take(i + 1), flat.take(i + cols), flat.take(i + cols + 1)
+
+
+def _covering_box(fn, x0: np.ndarray, y0: np.ndarray, reach: int, n_points: int,
+                  box: LatticeBox | None = None) -> LatticeBox | None:
+    """A box of ``fn`` holding every point from (``x0``, ``y0``) to
+    (``x0 + reach``, ``y0 + reach``), for ``n_points`` points in all.
+
+    Without a run ``box`` the box is exactly the rectangle those points
+    span; a run box is refilled only when it does not hold the rectangle.
+    None when the rectangle holds more cells than there are points, as for
+    scattered points, which ``fn`` then evaluates one by one.
+    """
+    x_lo, y_lo = int(x0.min()), int(y0.min())
+    nx, ny = int(x0.max()) - x_lo + 1 + reach, int(y0.max()) - y_lo + 1 + reach
+    if nx * ny > n_points:
+        return None
+    if box is None:
+        box = LatticeBox()
+        box.fill(fn, x_lo, y_lo, nx, ny, nx * ny)
+    else:
+        box.cover(fn, x_lo, y_lo, nx, ny)
+    return box
 
 
 def _box_gather(fn, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
@@ -199,39 +260,42 @@ def _box_gather(fn, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     as for scattered points, ``fn`` runs on the points instead.
     """
     n_points = np.broadcast(ix, iy).size
-    if n_points == 0:
-        return fn(ix, iy)
-    x_lo, y_lo = int(ix.min()), int(iy.min())
-    nx, ny = int(ix.max()) - x_lo + 1, int(iy.max()) - y_lo + 1
-    if nx * ny > n_points:
-        return fn(ix, iy)
-    box = fn(np.arange(x_lo, x_lo + nx)[None, :], np.arange(y_lo, y_lo + ny)[:, None])
-    return box.ravel().take((iy - y_lo) * nx + (ix - x_lo))
+    box = _covering_box(fn, ix, iy, 0, n_points) if n_points else None
+    return fn(ix, iy) if box is None else box.take(ix, iy)
 
 
-def _bilinear_lattice(texture, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+def _bilinear_lattice(texture, tx: np.ndarray, ty: np.ndarray,
+                      box: LatticeBox | None = None) -> np.ndarray:
+    """Bilinear samples of ``texture.lattice``, whose corner values come
+    from the run ``box`` when given (see ``_covering_box``)."""
     x0 = np.floor(tx).astype(np.int64)
     y0 = np.floor(ty).astype(np.int64)
     fx = tx - x0
     fy = ty - y0
-    v00, v01, v10, v11 = _box_gather(texture.lattice, np.stack([x0, x0 + 1, x0, x0 + 1]),
-                                     np.stack([y0, y0, y0 + 1, y0 + 1]))
+    box = _covering_box(texture.lattice, x0, y0, 1, 4 * x0.size, box) if x0.size else None
+    if box is None:
+        v00, v01, v10, v11 = texture.lattice(np.stack([x0, x0 + 1, x0, x0 + 1]),
+                                             np.stack([y0, y0, y0 + 1, y0 + 1]))
+    else:
+        v00, v01, v10, v11 = box.corners(x0, y0)
     return (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
             + v10 * (1 - fx) * fy + v11 * fx * fy)
 
 
-def sample_texture(texture, tx, ty) -> np.ndarray:
+def sample_texture(texture, tx, ty, box: LatticeBox | None = None) -> np.ndarray:
     """Texture value at arbitrary plane coordinates (pixel units).
 
     ``tx`` and ``ty`` are arrays of one shape, or both ``GridCoord`` for a
     pixel grid.  Discontinuous textures are realized on the integer lattice
-    and sampled bilinearly; band-limited noise is evaluated analytically.
+    and sampled bilinearly, their lattice values gathered from the run
+    ``box`` when given; band-limited noise is evaluated analytically.
     """
     if isinstance(texture, NoiseTexture):
         return texture.values(tx, ty)
     if isinstance(tx, GridCoord):
         tx, ty = tx.full(), ty.full()
-    return texture.values(np.asarray(tx, dtype=np.float64), np.asarray(ty, dtype=np.float64))
+    return _bilinear_lattice(texture, np.asarray(tx, dtype=np.float64),
+                             np.asarray(ty, dtype=np.float64), box)
 
 
 @dataclass(frozen=True)
@@ -256,12 +320,6 @@ class Trajectory:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"trajectory {name} must be finite")
 
-    @classmethod
-    def constant(cls, duration: float, v_lon: float = 0.0, v_lat: float = 0.0,
-                 omega: float = 0.0) -> "Trajectory":
-        return cls(np.array([0.0, duration]), np.array([v_lon] * 2),
-                   np.array([v_lat] * 2), np.array([omega] * 2))
-
     def check_covers(self, duration: float) -> None:
         """Raise ValueError unless the samples span [0, duration]."""
         if self.t_s[0] > 0 or self.t_s[-1] < duration:
@@ -273,12 +331,6 @@ class Trajectory:
         return (np.interp(t, self.t_s, self.v_lon),
                 np.interp(t, self.t_s, self.v_lat),
                 np.interp(t, self.t_s, self.omega))
-
-    def reversed(self) -> "Trajectory":
-        """Velocity profile retracing the motion backwards in time."""
-        end = self.t_s[-1]
-        return Trajectory(end - self.t_s[::-1], -self.v_lon[::-1],
-                          -self.v_lat[::-1], -self.omega[::-1])
 
 
 @dataclass(frozen=True)
@@ -307,28 +359,16 @@ class SimConfig:
             raise ValueError(f"duration / time_step must be at most {MAX_SUBSTEPS} substeps")
 
 
-def _render(texture, psi: float, c_px: np.ndarray, cam: CameraModel) -> np.ndarray:
+def _render(texture, psi: float, c_px: np.ndarray, cam: CameraModel,
+            box: LatticeBox | None = None) -> np.ndarray:
     """Log intensity under the texture-to-image similarity (rotation psi
-    about the principal point, translation c_px pixels)."""
+    about the principal point, translation c_px pixels), a lattice
+    texture's values gathered from ``box`` when given."""
     u = np.arange(cam.width, dtype=np.float64) - cam.cx - c_px[0]
     v = np.arange(cam.height, dtype=np.float64) - cam.cy - c_px[1]
     c, s = math.cos(psi), math.sin(psi)
     # tx = c u + s v and ty = -s u + c v: a column term plus a row term each
-    return sample_texture(texture, GridCoord(c * u, s * v), GridCoord(-s * u, c * v))
-
-
-def render_plane(texture, pose: tuple[float, float, float], cam: CameraModel) -> np.ndarray:
-    """Log-intensity image for a plane pose (x, y, yaw), meters and radians.
-
-    The plane-to-image similarity scales by f_px / height_z, rotates by
-    yaw about the principal point, and translates by (x, y) * f_px /
-    height_z pixels.  Deterministic in (texture, pose).
-    """
-    x, y, yaw = pose
-    if not all(math.isfinite(p) for p in (x, y, yaw)):
-        raise ValueError("pose must be finite")
-    scale = cam.f_px / cam.height_z
-    return _render(texture, yaw, np.array([x * scale, y * scale]), cam)
+    return sample_texture(texture, GridCoord(c * u, s * v), GridCoord(-s * u, c * v), box)
 
 
 @dataclass(frozen=True)
@@ -406,7 +446,10 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
     else:
         psi = float(initial_state.psi)
         c_px = np.asarray(initial_state.c_px, dtype=np.float64).copy()
-    level_prev = _render(cfg.texture, psi, c_px, cam)
+    # a lattice texture is evaluated on one box per run, refilled only when a
+    # render's footprint leaves it
+    box = LatticeBox()
+    level_prev = _render(cfg.texture, psi, c_px, cam, box)
     # a fresh run anchors each pixel's threshold ladder at its first level
     anchor = (level_prev if initial_state is None else initial_state.anchor).copy()
     rng = np.random.default_rng(cfg.seed)
@@ -433,7 +476,7 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
         c_px = np.array([cr * c_px[0] - sr * c_px[1] + ux,
                          sr * c_px[0] + cr * c_px[1] + uy])
         psi += dtheta
-        level_new = _render(cfg.texture, psi, c_px, cam)
+        level_new = _render(cfg.texture, psi, c_px, cam, box)
         band_new = np.floor((level_new - anchor) / cfg.contrast + 0.5).astype(np.int64)
         diff = band_new - band_prev
 

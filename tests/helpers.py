@@ -1,0 +1,57 @@
+"""Scenario and field builders that only the tests use."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from evflow.events import CameraModel
+from evflow.flow import FlowField
+from evflow.synth import Trajectory, _render
+
+
+def constant_trajectory(duration: float, v_lon: float = 0.0, v_lat: float = 0.0,
+                        omega: float = 0.0) -> Trajectory:
+    return Trajectory(np.array([0.0, duration]), np.array([v_lon] * 2),
+                      np.array([v_lat] * 2), np.array([omega] * 2))
+
+
+def reversed_trajectory(traj: Trajectory) -> Trajectory:
+    """Velocity profile retracing the motion of ``traj`` backwards in time."""
+    end = traj.t_s[-1]
+    return Trajectory(end - traj.t_s[::-1], -traj.v_lon[::-1],
+                      -traj.v_lat[::-1], -traj.omega[::-1])
+
+
+def render_plane(texture, pose: tuple[float, float, float], cam: CameraModel) -> np.ndarray:
+    """Log-intensity image for a plane pose (x, y, yaw), meters and radians.
+
+    The plane-to-image similarity scales by f_px / height_z, rotates by
+    yaw about the principal point, and translates by (x, y) * f_px /
+    height_z pixels.  Deterministic in (texture, pose).
+    """
+    x, y, yaw = pose
+    if not all(math.isfinite(p) for p in (x, y, yaw)):
+        raise ValueError("pose must be finite")
+    scale = cam.f_px / cam.height_z
+    return _render(texture, yaw, np.array([x * scale, y * scale]), cam)
+
+
+def inject_outliers(field: FlowField, fraction: float, magnitude: float,
+                    rng_seed) -> FlowField:
+    """Replace a seeded random subset of valid flow vectors with uniformly
+    oriented vectors of the given magnitude."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must lie in [0, 1]")
+    idx = np.flatnonzero(field.valid)
+    n_out = int(round(fraction * idx.size))
+    u = field.u.copy()
+    v = field.v.copy()
+    if n_out:
+        rng = np.random.default_rng(rng_seed)
+        chosen = rng.choice(idx, size=n_out, replace=False)
+        angles = rng.uniform(0.0, 2 * np.pi, n_out)
+        u.ravel()[chosen] = magnitude * np.cos(angles)
+        v.ravel()[chosen] = magnitude * np.sin(angles)
+    return FlowField(u=u, v=v, valid=field.valid.copy())

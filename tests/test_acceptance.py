@@ -13,7 +13,7 @@ from evflow.config import RunConfig
 from evflow.evaluate import evaluate
 from evflow.events import (AccumulationConfig, CameraModel, iter_frames,
                            make_events, relative_motion_blur, to_intensity)
-from evflow.flow import FlowParams, compute_flow, inject_outliers, subsample_flow
+from evflow.flow import FlowParams, compute_flow, subsample_flow
 from evflow.pipeline import iter_pairs, process_frame_pair
 from evflow.rigid import (CameraVelocity, RansacParams, RigidMotion2D,
                           estimate_rigid, ransac_estimate, reconstruct_flow,
@@ -21,6 +21,7 @@ from evflow.rigid import (CameraVelocity, RansacParams, RigidMotion2D,
 from evflow.synth import DotTexture, NoiseTexture, SimConfig, Trajectory, generate_events
 from evflow.vehicle import (Extrinsics, ImuSeries, substitute_imu_yaw,
                             transform_to_axle)
+from helpers import constant_trajectory, inject_outliers
 
 
 def camera_level_estimates(events, cfg, span_us):
@@ -75,7 +76,7 @@ def test_c03_spinning_disk_analog(announce):
     sim = SimConfig(texture=DotTexture(density=0.01, radius_px=2.5, seed=21),
                     cam=cam, noise_rate=0.1, duration=duration,
                     time_step=window_us * 1e-6 / 8, seed=13)
-    events, _, _ = generate_events(sim, Trajectory.constant(duration, omega=omega_true))
+    events, _, _ = generate_events(sim, constant_trajectory(duration, omega=omega_true))
     cfg = run_config(cam, window_us, ransac_enabled=True, stride=4)
     cvs = camera_level_estimates(events, cfg, span_us=int(duration * 1e6))
     assert len(cvs) > 100
@@ -143,7 +144,7 @@ def test_c05_ransac_robustness(announce):
     sim = SimConfig(texture=NoiseTexture(seed=41, cutoff=0.12, amplitude=0.4),
                     cam=cam, noise_rate=0.0, duration=duration,
                     time_step=window_us * 1e-6 / 8, seed=19)
-    events, _, _ = generate_events(sim, Trajectory.constant(duration, v_lon=v_true))
+    events, _, _ = generate_events(sim, constant_trajectory(duration, v_lon=v_true))
 
     cfg = run_config(cam, window_us, ransac_enabled=True, stride=4, levels=2)
     frames = list(iter_frames(events, cfg.accumulation, t_start_us=0,

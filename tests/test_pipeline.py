@@ -27,8 +27,9 @@ from evflow.events import EVENT_DTYPE, iter_frames, make_events
 from evflow.pipeline import iter_pairs, process_frame_pair
 from evflow.plots import dump_flow_csv, emit_plots
 from evflow.rigid import EstimateQuality
-from evflow.synth import NoiseTexture, SimConfig, Trajectory, generate_events
+from evflow.synth import NoiseTexture, SimConfig, generate_events
 from evflow.vehicle import VelocityEstimate
+from helpers import constant_trajectory
 
 QUALITY = EstimateQuality(n_inliers=10, inlier_fraction=1.0, mean_residual=0.0)
 
@@ -48,7 +49,7 @@ def small_scenario(duration=0.165, v_lon=1.0, v_lat=0.1, omega=0.3, noise_rate=0
     cfg = RunConfig.from_text(RUN_TEXT)
     sim = SimConfig(texture=NoiseTexture(seed=11), cam=cfg.camera, noise_rate=noise_rate,
                     duration=duration, time_step=33e-3 / 8, seed=3)
-    traj = Trajectory.constant(duration, v_lon=v_lon, v_lat=v_lat, omega=omega)
+    traj = constant_trajectory(duration, v_lon=v_lon, v_lat=v_lat, omega=omega)
     events, truth, _ = generate_events(sim, traj)
     return cfg, events, truth
 
@@ -728,6 +729,18 @@ trajectory.omega = 0.3, 0.3
         err = capsys.readouterr().err
         assert err.startswith("input format error:") and "Traceback" not in err
         assert f"velocity.csv: data row 2 has valid {flag!r}, expected true or false" in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.1,1.0,0.0,0.0,bogus,10,1.0,true", "omega_source 'bogus', expected flow, imu or truth"),
+        ("0.1,1.0,0.0,0.0,flow,-5,1.0,true", "n_inliers -5, expected at least 0"),
+        ("0.1,1.0,0.0,0.0,flow,10,7.0,true", "inlier_fraction 7.0, expected within [0, 1]"),
+    ], ids=["omega_source_bogus", "n_inliers_negative", "inlier_fraction_above_1"])
+    def test_velocity_field_out_of_domain_exit_3(self, tmp_path, capsys, row, message):
+        body = f"0.0,1.0,0.0,0.0, imu ,0,0.0,true\n{row}\n"
+        assert run_csv_input(tmp_path, "velocity", body.encode()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input format error:") and "Traceback" not in err
+        assert f"velocity.csv: data row 2 has {message}" in err
 
     @pytest.mark.parametrize("body, line", [
         (b"1,0,0,1\n2,0,0\n", 3),

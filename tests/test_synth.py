@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 import evflow
 from evflow import synth
 from evflow.events import EVENT_DTYPE, CameraModel, make_events, validate_events
-from evflow.flow import FlowField, inject_outliers
+from evflow.flow import FlowField
 from evflow.rigid import RansacParams, estimate_rigid, ransac_estimate, reconstruct_flow
 from evflow.synth import (CheckerTexture, DotTexture, NoiseTexture, SimConfig,
                           Trajectory, _bilinear_lattice, _time_order, generate_events,
-                          render_plane, sample_texture)
+                          sample_texture)
 from evflow.vehicle import Extrinsics
+from helpers import constant_trajectory, inject_outliers, render_plane, reversed_trajectory
 
 CAM = CameraModel(width=101, height=81, height_z=0.5, f_px=100.0)
 
@@ -216,6 +217,72 @@ class TestTextures:
         assert np.array_equal(a, b)
 
 
+class TestLatticeBox:
+    """``generate_events`` gathers a lattice texture's corners from one box
+    per run, refilled only when a render's corner rectangle leaves it."""
+
+    @given(start=st.tuples(st.floats(-4.0, 4.0), st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+           steps=st.lists(st.tuples(st.floats(-0.6, 0.6), st.floats(-30.0, 30.0),
+                                    st.floats(-30.0, 30.0)), min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 31))
+    @settings(max_examples=25, deadline=None)
+    def test_run_box_renders_equal_per_render_boxes(self, start, steps, seed):
+        cam = CameraModel(width=41, height=33, height_z=0.5, f_px=100.0)
+        poses = [start]
+        for step in steps:
+            poses.append(tuple(a + b for a, b in zip(poses[-1], step)))
+        # a last jump of three footprints leaves whatever box the path built
+        psi, cx, cy = poses[-1]
+        poses.append((psi, cx + 3 * cam.width, cy - 3 * cam.height))
+        for tex in (DotTexture(density=0.01, radius_px=2.5, seed=seed),
+                    CheckerTexture(period_px=7.0)):
+            box = synth.LatticeBox()
+            with mock.patch.object(box, "fill", wraps=box.fill) as fill:
+                for psi, cx, cy in poses:
+                    c_px = np.array([cx, cy])
+                    assert np.array_equal(synth._render(tex, psi, c_px, cam, box),
+                                          synth._render(tex, psi, c_px, cam))
+            assert fill.call_count >= 2
+
+    def test_box_holds_at_most_four_footprints(self):
+        """A long turning drive: every render's box holds its corner rectangle
+        and at most 4 times the cells of the largest one so far."""
+        cam = CameraModel(width=41, height=33, height_z=0.5, f_px=100.0)
+        cfg = sim(DotTexture(seed=2), cam=cam, duration=0.2, time_step=1e-3)
+        records = []
+        real = synth._covering_box
+
+        def recording(fn, x0, y0, reach, n_points, box=None):
+            out = real(fn, x0, y0, reach, n_points, box)
+            if box is not None:
+                footprint = ((int(x0.max()) - int(x0.min()) + 2)
+                             * (int(y0.max()) - int(y0.min()) + 2))
+                rows, cols = out.values.shape
+                assert out.x_lo <= x0.min() and x0.max() + 1 < out.x_lo + cols
+                assert out.y_lo <= y0.min() and y0.max() + 1 < out.y_lo + rows
+                records.append((footprint, out.values.size, out.x_lo, out.y_lo))
+            return out
+
+        with mock.patch.object(synth, "_covering_box", recording):
+            generate_events(cfg, Trajectory([0.0, 0.2], [5.0, 3.0], [1.0, -2.0], [8.0, 8.0]))
+        assert len(records) == 201  # the first level and one per substep
+        largest = 0
+        for footprint, cells, _, _ in records:
+            largest = max(largest, footprint)
+            assert cells <= 4 * largest
+        assert len({(x_lo, y_lo) for _, _, x_lo, y_lo in records}) >= 4  # refilled on the way
+
+    @pytest.mark.parametrize("name, fills", [("dot_disk", 1), ("dot_drive", 2)])
+    def test_lattice_box_fills_per_run(self, name, fills):
+        """The spinning disk never leaves its first box; the dot drive does."""
+        cfg, traj = pinned_scenario(name)
+        with mock.patch.object(synth.LatticeBox, "fill", autospec=True,
+                               side_effect=synth.LatticeBox.fill) as fill:
+            generate_events(cfg, traj)
+        # fills with another function are DotTexture.lattice's own dot-center boxes
+        assert sum(c.args[1] == cfg.texture.lattice for c in fill.call_args_list) == fills
+
+
 class TestTrajectory:
     def test_piecewise_linear_interp(self):
         tr = Trajectory([0.0, 1.0], [0.0, 2.0], [0.0, 0.0], [1.0, 3.0])
@@ -230,7 +297,7 @@ class TestTrajectory:
 
     def test_reversed_profile(self):
         tr = Trajectory([0.0, 1.0, 3.0], [1.0, 2.0, 0.5], [0.1, 0.0, 0.0], [0.0, 1.0, 0.0])
-        rev = tr.reversed()
+        rev = reversed_trajectory(tr)
         assert np.allclose(rev.t_s, [0.0, 2.0, 3.0])
         v, _, _ = rev.at(0.0)
         assert v == pytest.approx(-0.5)
@@ -238,25 +305,25 @@ class TestTrajectory:
 
 class TestGenerateEvents:
     def test_zero_velocity_zero_events(self):
-        ev, truth, _ = generate_events(sim(duration=0.01), Trajectory.constant(0.01))
+        ev, truth, _ = generate_events(sim(duration=0.01), constant_trajectory(0.01))
         assert ev.size == 0
         assert len(truth) == 11  # substep-boundary ground truth rows
 
     def test_stream_invariants_hold(self):
         ev, _, _ = generate_events(sim(noise_rate=5.0, seed=2),
-                                   Trajectory.constant(0.05, v_lon=1.0))
+                                   constant_trajectory(0.05, v_lon=1.0))
         validate_events(ev, CAM.width, CAM.height)
         assert ev["t_us"].max() < 50_000
 
     def test_event_count_scales_with_speed(self):
         cfg = sim()
-        n1 = generate_events(cfg, Trajectory.constant(0.05, v_lon=1.0))[0].size
-        n2 = generate_events(cfg, Trajectory.constant(0.05, v_lon=2.0))[0].size
+        n1 = generate_events(cfg, constant_trajectory(0.05, v_lon=1.0))[0].size
+        n2 = generate_events(cfg, constant_trajectory(0.05, v_lon=2.0))[0].size
         assert n2 == pytest.approx(2 * n1, rel=0.25)
 
     def test_bit_identical_given_seeds(self):
         cfg = sim(noise_rate=3.0, seed=12)
-        tr = Trajectory.constant(0.05, v_lon=1.2, omega=1.0)
+        tr = constant_trajectory(0.05, v_lon=1.2, omega=1.0)
         a, _, _ = generate_events(cfg, tr)
         b, _, _ = generate_events(cfg, tr)
         assert np.array_equal(a, b)
@@ -277,7 +344,7 @@ class TestGenerateEvents:
         tr = Trajectory([0.0, 0.02, 0.05], [0.5, 1.5, 0.2], [0.0, 0.2, 0.0],
                         [0.0, 2.0, -1.0])
         fwd, _, state = generate_events(cfg, tr)
-        rev, _, state2 = generate_events(cfg, tr.reversed(), initial_state=state)
+        rev, _, state2 = generate_events(cfg, reversed_trajectory(tr), initial_state=state)
         assert fwd.size == rev.size
         assert abs(state2.psi) < 1e-12 and np.abs(state2.c_px).max() < 1e-9
 
@@ -294,11 +361,11 @@ class TestGenerateEvents:
 
     def test_trajectory_must_cover_duration(self):
         with pytest.raises(ValueError):
-            generate_events(sim(duration=0.2), Trajectory.constant(0.1, v_lon=1.0))
+            generate_events(sim(duration=0.2), constant_trajectory(0.1, v_lon=1.0))
 
     def test_timestamps_clamped_inside_duration(self):
         ev, _, _ = generate_events(sim(duration=0.02, noise_rate=2.0, seed=5),
-                                   Trajectory.constant(0.02, v_lon=2.0))
+                                   constant_trajectory(0.02, v_lon=2.0))
         assert ev["t_us"].max() <= 19_999
 
     def test_equal_timestamps_keep_emission_order(self):
@@ -307,7 +374,7 @@ class TestGenerateEvents:
         # each polarity in raster order; substep boundaries (whole ms) can
         # tie events of two substeps and are left out
         ev, _, _ = generate_events(sim(DotTexture(seed=4), duration=0.02),
-                                   Trajectory.constant(0.02, v_lon=0.5, omega=2.0))
+                                   constant_trajectory(0.02, v_lon=0.5, omega=2.0))
         ev = ev[ev["t_us"] % 1000 != 0]
         order = np.lexsort((ev["x"], ev["y"], -ev["p"].astype(np.int64), ev["t_us"]))
         assert np.array_equal(order, np.arange(ev.size))
@@ -318,7 +385,7 @@ class TestGenerateEvents:
         d = 0.000249  # d * 1e6 is 248.99999999999997, which int() truncates to 248
         cam = CameraModel(width=8, height=8, height_z=0.5, f_px=100.0)
         ev, _, _ = generate_events(sim(cam=cam, duration=d, noise_rate=2e5, seed=1),
-                                   Trajectory.constant(d))
+                                   constant_trajectory(d))
         assert ev["t_us"].max() == round(d * 1e6) - 1 == 248
 
     @given(base=st.integers(0, 2 ** 40), hi=st.sampled_from([0, 3, 65_535, 65_536, 300_000]),
@@ -332,24 +399,33 @@ class TestGenerateEvents:
 
 
 def pinned_scenario(name):
-    """Two short streams with noise on: a 346x260 noise-texture drive and a
-    160x120 spinning dot disk."""
+    """Three short streams with noise on: a 346x260 noise-texture drive, a
+    160x120 spinning dot disk, and a 160x120 dot drive that translates about
+    130 px while it turns, far enough to leave its first lattice box."""
     if name == "noise_drive":
         cam = CameraModel(width=346, height=260, height_z=1.2, fov_alpha=math.radians(90))
         return (SimConfig(texture=NoiseTexture(seed=11), cam=cam, noise_rate=0.5,
                           duration=0.02, time_step=33e-3 / 8, seed=1),
                 Trajectory([0.0, 0.02], [0.5, 2.5], [0.0, 0.2], [0.0, 0.5]))
     cam = CameraModel(width=160, height=120, height_z=0.5, f_px=100.0)
-    return (SimConfig(texture=DotTexture(density=0.01, radius_px=2.5, seed=21), cam=cam,
-                      noise_rate=0.1, duration=0.01, time_step=1e-3 / 8, seed=13),
-            Trajectory.constant(0.01, omega=37.70))
+    dots = DotTexture(density=0.01, radius_px=2.5, seed=21)
+    if name == "dot_drive":
+        return (SimConfig(texture=dots, cam=cam, contrast=0.5, noise_rate=0.1,
+                          duration=0.06, time_step=1e-3, seed=17),
+                Trajectory([0.0, 0.03, 0.06], [10.0, 12.0, 9.0], [2.0, -3.0, 1.0],
+                           [1.0, 6.0, -4.0]))
+    return (SimConfig(texture=dots, cam=cam, noise_rate=0.1, duration=0.01,
+                      time_step=1e-3 / 8, seed=13),
+            constant_trajectory(0.01, omega=37.70))
 
 
-# (event count, SHA-256 of the records), recorded when the simulator still
-# concatenated per-substep chunks
+# (event count, SHA-256 of the records): noise_drive and dot_disk recorded
+# when the simulator still concatenated per-substep chunks, dot_drive when it
+# still evaluated the lattice afresh for every render
 PINNED_STREAMS = {
     "noise_drive": (418_647, "7787a74a67d5485edb963dc90d3ef2ac193ed73845610d30772d988647f2baf6"),
     "dot_disk": (137_102, "e7d6dbab4becace5d21e49eba484867684cdcbad6401f8902ee0c39fd2c6fdc6"),
+    "dot_drive": (293_107, "231ea9363acf59bd4bbf60d3ec98dffd5caf95659bae04482920fb79fd71efa2"),
 }
 
 
@@ -380,7 +456,7 @@ class TestEventBuffer:
         # small first capacities make the buffer grow many times
         with mock.patch.object(synth, "_INITIAL_EVENTS", capacity), \
                 mock.patch.object(synth, "make_events", recording):
-            ev, _, _ = generate_events(cfg, Trajectory.constant(duration, v_lon=v_lon,
+            ev, _, _ = generate_events(cfg, constant_trajectory(duration, v_lon=v_lon,
                                                                 omega=omega))
         want = np.concatenate(records) if records else np.empty(0, dtype=EVENT_DTYPE)
         assert ev.dtype == EVENT_DTYPE and ev.size == want.size

@@ -12,7 +12,8 @@ from pathlib import Path
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig
 from evflow.event_io import write_events_binary
-from evflow.synth import NoiseTexture, SimConfig, Trajectory, generate_events
+from evflow.synth import NoiseTexture, SimConfig, generate_events
+from helpers import constant_trajectory
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,7 +58,7 @@ def test_traced_estimate_spans_cover_its_wall_time(tmp_path):
     duration = 12 * cfg.window_s
     sim = SimConfig(texture=NoiseTexture(seed=11), cam=cfg.camera, noise_rate=0.05,
                     duration=duration, time_step=cfg.window_s / 8, seed=3)
-    events, _, _ = generate_events(sim, Trajectory.constant(duration, v_lon=1.0,
+    events, _, _ = generate_events(sim, constant_trajectory(duration, v_lon=1.0,
                                                             v_lat=0.1, omega=0.3))
     ev_path = tmp_path / "events.evt"
     write_events_binary(ev_path, events, cfg.camera.width, cfg.camera.height)
