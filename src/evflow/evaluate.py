@@ -1,7 +1,7 @@
 """Comparison of a velocity estimate stream against ground truth.
 
-Valid estimates are paired with the nearest ground-truth row inside an
-alignment tolerance; per channel the report carries the RMSE of the
+Valid estimates are paired with the nearest valid ground-truth row inside
+an alignment tolerance; per channel the report carries the RMSE of the
 paired errors and the standard deviation of the signed error, plus the
 relative error for the longitudinal channel (the only one whose ground
 truth cannot be identically zero over a run).
@@ -70,13 +70,16 @@ def evaluate(estimates: list[VelocityEstimate], truth: list[VelocityEstimate],
              latency_ms: dict[str, dict[str, float]] | None = None) -> EvalReport:
     """Pair estimates with ground truth and compute per-channel metrics.
 
-    Only estimates marked valid participate; estimates without a
-    ground-truth row within ``tolerance_s`` are excluded and counted as
-    unpaired.  Raises EvaluationError when either stream is empty or no
-    pair falls inside the tolerance.
+    Only estimates and ground-truth rows marked valid participate;
+    estimates without a valid ground-truth row within ``tolerance_s`` are
+    excluded and counted as unpaired.  Raises EvaluationError when the
+    estimate stream is empty, the ground truth has no valid row, or no pair
+    falls inside the tolerance.
     """
+    truth = [g for g in truth if g.valid]
     if not estimates or not truth:
-        raise EvaluationError("need non-empty estimate and ground-truth streams")
+        raise EvaluationError("need a non-empty estimate stream and at least one valid "
+                              "ground-truth row")
     valid = [e for e in estimates if e.valid]
     truth_t = np.array([g.t_mid for g in truth])
     order = np.argsort(truth_t, kind="stable")

@@ -4,9 +4,10 @@ CSV table reader that every CSV input (events, IMU, velocity) goes through.
 CSV: header ``t_us,x,y,p`` with one event per line, t_us a u64, p in {1,-1}.
 Binary: ASCII magic ``EVT1`` followed by little-endian u16 width and u16
 height, then packed records of (u64 t_us, u16 x, u16 y, i8 p).
-Both readers validate the stream invariants on load.  ``load_events`` and
-``write_events`` pick the format from the file suffix: ``.evt`` is EVT1,
-anything else CSV.
+Both readers validate the stream invariants on load, the only check a
+stream gets: ``events.iter_frames`` counts what they return.
+``load_events`` and ``write_events`` pick the format from the file suffix:
+``.evt`` is EVT1, anything else CSV.
 """
 
 from __future__ import annotations

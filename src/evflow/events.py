@@ -175,14 +175,13 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
     per-pixel counts clip at ``cfg.count_cap``.  Yielding one frame at a
     time keeps consumers at bounded memory regardless of stream length.
 
-    The records are validated window by window, just before they are
-    counted, so an invalid stream raises after the frames that precede
-    its first bad window.  For a stream that views a file mapping
+    ``events`` must be a stream that ``validate_events`` accepts for the
+    sensor of ``cfg``, as every ``event_io`` loader returns; it is counted
+    without another check.  For a stream that views a file mapping
     (``event_io.load_events_binary``), the pages of each finished window
     are dropped from the process, so only the current window stays
     resident.
     """
-    validate_events(events[:0])  # the dtype alone, before any field is read
     if t_start_us is not None and t_start_us < 0:
         raise ValueError(f"accumulation start time must be non-negative, got {t_start_us}")
     w = cfg.window_us
@@ -206,10 +205,6 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
     for k in range(n_frames):
         last_in = np.uint64(min(t_start_us + (k + 1) * w, _U64_END) - 1)
         hi = _window_end(times, last_in, lo)
-        if hi > lo:
-            # the record before the window checks the order across the seam
-            first = max(lo - 1, 0)
-            validate_events(events[first:hi], width, height, first_record=first)
         sel = events[lo:hi]
         # one histogram for both polarities: negative events count in the second half
         idx = sel["y"].astype(np.intp)
@@ -229,12 +224,6 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
         if hi > lo:
             _release_pages(events, hi)
         lo = hi
-    if lo < events.size:
-        # Records past the last window, which ends after the last record's
-        # time, mean the stream is out of order: checking them from the
-        # record before raises that order error.
-        first = max(lo - 1, 0)
-        validate_events(events[first:], first_record=first)
 
 
 def _window_end(times: np.ndarray, last_in: np.uint64, lo: int) -> int:

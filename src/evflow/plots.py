@@ -26,10 +26,12 @@ TRUTH_COLOR = "#c0392b"
 def emit_plots(estimates: list[VelocityEstimate], truth: list[VelocityEstimate],
                out_dir: str | Path) -> list[Path]:
     """One estimate-vs-truth time series and one residual histogram per
-    channel; six SVG files with fixed names, byte-deterministic."""
+    channel; six SVG files with fixed names, byte-deterministic.  Rows of
+    either stream marked invalid are left out."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     valid = [e for e in estimates if e.valid]
+    truth = [g for g in truth if g.valid]
     est_t = np.array([e.t_mid for e in valid])
     truth_t = np.array([g.t_mid for g in truth])
     written = []

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from evflow.events import CameraModel
+from evflow.events import AccumulationConfig, CameraModel
 from evflow.flow import FlowField
 from evflow.synth import Trajectory, _render
 
@@ -55,3 +55,25 @@ def inject_outliers(field: FlowField, fraction: float, magnitude: float,
         u.ravel()[chosen] = magnitude * np.cos(angles)
         v.ravel()[chosen] = magnitude * np.sin(angles)
     return FlowField(u=u, v=v, valid=field.valid.copy())
+
+
+def add_at_reference(events: np.ndarray, c: AccumulationConfig, t_start_us: int,
+                     t_end_us: int | None) -> list[tuple]:
+    """Window-by-window ``np.add.at`` histograms clipped at the cap:
+    (t_start, t_end, pos, neg, total) per window."""
+    t = [int(v) for v in events["t_us"]]
+    span_end = max(max(t, default=t_start_us) + 1, t_end_us or 0)
+    out = []
+    start = t_start_us
+    while True:
+        end = start + c.window_us
+        sel = np.array([start <= v < end for v in t], dtype=bool)
+        grids = []
+        for on in (events["p"] > 0, events["p"] < 0):
+            grid = np.zeros((c.sensor_height, c.sensor_width), dtype=np.int32)
+            np.add.at(grid, (events["y"][sel & on], events["x"][sel & on]), 1)
+            grids.append(np.clip(grid, 0, c.count_cap))
+        out.append((start, end, *grids, int(sel.sum())))
+        if end >= span_end:
+            return out
+        start = end

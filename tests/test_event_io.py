@@ -1,16 +1,21 @@
 import mmap
 import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evflow import event_io
 from evflow.errors import EventBoundsError, EventOrderError, InputFormatError
 from evflow.event_io import (load_events_binary, load_events_csv,
                              write_events_binary, write_events_csv)
 from evflow.events import (EVENT_DTYPE, AccumulationConfig, _release_pages, iter_frames,
-                           make_events)
+                           make_events, validate_events)
+from helpers import add_at_reference
 
 
 @pytest.fixture
@@ -195,6 +200,45 @@ def test_binary_validates_in_blocks(tmp_path, monkeypatch, sample_events):
     write_events_binary(path, ev, 346, 260)
     with pytest.raises(EventBoundsError):
         load_events_binary(path)
+
+
+@given(st.lists(st.tuples(st.integers(0, 400), st.integers(0, 17), st.integers(0, 13),
+                          st.sampled_from([1, -1, 1, -1, 0, 2, -128])), max_size=40),
+       st.integers(1, 150), st.sampled_from(["sorted", "one_back", "unsorted"]),
+       st.integers(0, 39), st.integers(1, 400))
+@settings(max_examples=300, deadline=None)
+def test_loaders_reject_what_validate_events_rejects(rows, window, order, k, back):
+    # a 16x12 sensor: x and y are drawn past it, p off {1, -1}, times unsorted
+    # or sorted but for one record set ``back`` earlier, which may sit at a seam
+    if order != "unsorted":
+        rows.sort(key=lambda r: r[0])
+    if order == "one_back" and rows:
+        k %= len(rows)
+        rows[k] = (max(rows[k][0] - back, 0), *rows[k][1:])
+    ev = make_events(*(list(col) for col in zip(*rows))) if rows else make_events([], [], [], [])
+    cfg = AccumulationConfig(window_us=window, sensor_width=16, sensor_height=12)
+    try:
+        validate_events(ev, 16, 12)
+        want = None
+    except InputFormatError as exc:
+        want = exc
+    # EVT1 records are checked three at a time, so rows cross block seams
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(event_io, "_CHECK_BLOCK", 3):
+        for name in ("events.evt", "events.csv"):
+            path = Path(tmp) / name
+            event_io.write_events(path, ev, 16, 12)
+            if want is not None:
+                with pytest.raises(type(want)) as got:
+                    event_io.load_events(path, 16, 12)
+                if isinstance(want, EventOrderError):  # names the same record
+                    assert str(got.value) == str(want)
+                continue
+            frames = list(iter_frames(event_io.load_events(path, 16, 12), cfg))
+            reference = add_at_reference(ev, cfg, rows[0][0], None) if rows else []
+            assert len(frames) == len(reference)
+            for f, (start, end, pos, neg, total) in zip(frames, reference):
+                assert (f.t_start_us, f.t_end_us, f.event_total) == (start, end, total)
+                assert np.array_equal(f.pos_counts, pos) and np.array_equal(f.neg_counts, neg)
 
 
 def mapped_rss_kb() -> int | None:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evflow.errors import EventBoundsError, EventOrderError, InputFormatError
 from evflow.events import (AccumulationConfig, CameraModel,
                            iter_frames, make_events, max_exposure_for_blur,
                            relative_motion_blur, to_intensity, validate_events)
+from helpers import add_at_reference
 
 CAM_640 = CameraModel(width=640, height=480, height_z=0.6, fov_alpha=math.radians(60))
 
@@ -16,27 +16,6 @@ CAM_640 = CameraModel(width=640, height=480, height_z=0.6, fov_alpha=math.radian
 def cfg(window=100, w=16, h=12, cap=15):
     return AccumulationConfig(window_us=window, sensor_width=w, sensor_height=h,
                               count_cap=cap)
-
-
-def add_at_reference(events, c, t_start_us, t_end_us):
-    """Window-by-window ``np.add.at`` histograms clipped at the cap:
-    (t_start, t_end, pos, neg, total) per window."""
-    t = [int(v) for v in events["t_us"]]
-    span_end = max(max(t, default=t_start_us) + 1, t_end_us or 0)
-    out = []
-    start = t_start_us
-    while True:
-        end = start + c.window_us
-        sel = np.array([start <= v < end for v in t], dtype=bool)
-        grids = []
-        for on in (events["p"] > 0, events["p"] < 0):
-            grid = np.zeros((c.sensor_height, c.sensor_width), dtype=np.int32)
-            np.add.at(grid, (events["y"][sel & on], events["x"][sel & on]), 1)
-            grids.append(np.clip(grid, 0, c.count_cap))
-        out.append((start, end, *grids, int(sel.sum())))
-        if end >= span_end:
-            return out
-        start = end
 
 
 class TestAccumulate:
@@ -95,16 +74,6 @@ class TestAccumulate:
         assert frames[0].event_total == 20
         assert frames[0].pos_counts.sum() + frames[0].neg_counts.sum() <= frames[0].event_total
 
-    def test_out_of_bounds_rejected(self):
-        ev = make_events([1], [16], [0], [1])
-        with pytest.raises(EventBoundsError):
-            list(iter_frames(ev, cfg()))
-
-    def test_non_monotone_rejected(self):
-        ev = make_events([10, 5], [0, 0], [0, 0], [1, 1])
-        with pytest.raises(EventOrderError):
-            list(iter_frames(ev, cfg()))
-
     @given(st.data(), st.integers(1, 4), st.integers(1, 300))
     @settings(max_examples=60, deadline=None)
     def test_matches_add_at_reference(self, data, cap, window):
@@ -147,42 +116,6 @@ class TestAccumulate:
         first = next(frames)
         assert first.event_total == 1 and first.pos_counts[0, 0] == 1
         assert next(frames).event_total == 0
-
-    @pytest.mark.parametrize("times, record", [
-        ([0, 10, 150, 160, 155, 170], 4),  # inside the second window
-        ([10, 50, 120, 130, 60, 140], 4),  # from the second window back into the first
-        ([10, 50, 120, 30], 3),  # a record left past the last window
-    ], ids=["later_window", "window_seam", "tail"])
-    def test_order_error_names_the_stream_record(self, times, record):
-        ev = make_events(times, [0] * len(times), [0] * len(times), [1] * len(times))
-        frames = iter_frames(ev, cfg(window=100))
-        assert next(frames).event_total == 2  # windows before the bad one are yielded
-        with pytest.raises(EventOrderError, match=f"at record {record}$"):
-            list(frames)
-
-    @given(st.lists(st.tuples(st.integers(0, 400), st.integers(0, 17), st.integers(0, 13),
-                              st.sampled_from([1, -1, 1, -1, 0, 2, -128])), max_size=40),
-           st.integers(1, 150), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_lazy_validation_raises_when_validate_events_does(self, rows, window, sort):
-        # an order error past a bounds error may now surface as the bounds
-        # error: the class may differ, both are input format errors (exit 3)
-        if sort:
-            rows.sort(key=lambda r: r[0])
-        ev = make_events(*(list(col) for col in zip(*rows))) if rows else make_events([], [], [], [])
-        c = cfg(window=window)
-        try:
-            validate_events(ev, c.sensor_width, c.sensor_height)
-        except InputFormatError:
-            with pytest.raises(InputFormatError):
-                list(iter_frames(ev, c))
-            return
-        frames = list(iter_frames(ev, c))
-        want = add_at_reference(ev, c, rows[0][0], None) if rows else []
-        assert len(frames) == len(want)
-        for f, (start, end, pos, neg, total) in zip(frames, want):
-            assert (f.t_start_us, f.t_end_us, f.event_total) == (start, end, total)
-            assert np.array_equal(f.pos_counts, pos) and np.array_equal(f.neg_counts, neg)
 
     def test_negative_start_rejected(self):
         ev = make_events([10], [0], [0], [1])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import threading
@@ -20,12 +21,12 @@ from hypothesis import strategies as st
 from evflow import event_io, flow, pipeline, state_io
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig, Scenario
-from evflow.errors import EvaluationError, EventOrderError, InputFormatError
+from evflow.errors import EvaluationError, InputFormatError
 from evflow.evaluate import evaluate
 from evflow.event_io import load_events_csv, write_events_binary
 from evflow.events import EVENT_DTYPE, iter_frames, make_events
 from evflow.pipeline import iter_pairs, process_frame_pair
-from evflow.plots import dump_flow_csv, emit_plots
+from evflow.plots import CHANNEL_FILES, dump_flow_csv, emit_plots
 from evflow.rigid import EstimateQuality
 from evflow.synth import NoiseTexture, SimConfig, generate_events
 from evflow.vehicle import VelocityEstimate
@@ -197,17 +198,20 @@ class TestRunPipeline:
         assert written[1] == written[0] and written[2] == written[0]
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    def test_every_row_before_a_failed_accumulation_is_yielded(self, small_stream, window):
+    def test_every_row_before_a_failed_accumulation_is_yielded(self, small_stream, window,
+                                                               monkeypatch):
         cfg, events = small_stream
-        events = events.copy()
-        times = events["t_us"]
-        # a record earlier than the one before it, halfway into the window
-        i = np.searchsorted(times, times[0] + (2 * window + 1) * cfg.accumulation.window_us // 2)
-        times[i] = times[i - 1] - 1
-        want = estimates(events[:i], cfg, workers=1)[:window]
+        want = estimates(events, cfg, workers=1)[:window]
+
+        def failing_frames(*args, **kwargs):
+            # the frame source raises where it would accumulate frame ``window``
+            yield from islice(iter_frames(*args, **kwargs), window)
+            raise RuntimeError("accumulation failed")
+
+        monkeypatch.setattr(pipeline, "iter_frames", failing_frames)
         for workers in (1, 2, 3):
             rows = []
-            with pytest.raises(EventOrderError):
+            with pytest.raises(RuntimeError, match="accumulation failed"):
                 rows.extend(pair.estimate for pair in iter_pairs(events, cfg, workers=workers))
             assert rows == want
 
@@ -548,8 +552,17 @@ def perturbed_scenario_text():
     return perturbed_text(FUZZ_SCENARIO_TEXT, FUZZ_SCENARIO_VALUES)
 
 
-CSV_HEADERS = {"events": "t_us,x,y,p", "imu": state_io.IMU_HEADER,
+CSV_HEADERS = {"events": event_io.CSV_HEADER, "imu": state_io.IMU_HEADER,
                "velocity": state_io.VELOCITY_HEADER}
+
+
+def test_readme_lists_each_csv_header():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    formats = text.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    # each "- **<Name> CSV**" entry and the first code span in it, wrapped lines included
+    listed = dict(re.findall(r"^- \*\*(\w+) CSV\*\*[^`]*`([^`]*)`", formats, re.M))
+    assert listed == {"Event": CSV_HEADERS["events"], "IMU": CSV_HEADERS["imu"],
+                      "Velocity": CSV_HEADERS["velocity"]}
 
 
 def run_csv_input(work: Path, kind: str, body: bytes) -> int:
@@ -861,6 +874,43 @@ trajectory.omega = 0.3, 0.3
         state_io.write_velocity_csv(b, [vel(99.0, 1.0)])
         assert cli_main(["evaluate", "--estimates", str(a), "--ground-truth", str(b),
                          "--tolerance", "0.01"]) == 4
+
+    @pytest.fixture
+    def invalid_truth_row(self, tmp_path):
+        """An estimate at 0.1 s, and truth whose row at 0.1 s is invalid
+        between two valid rows 0.1 s away."""
+        est, truth = tmp_path / "estimates.csv", tmp_path / "truth.csv"
+        state_io.write_velocity_csv(est, [vel(0.1, 1.0)])
+        state_io.write_velocity_csv(truth, [vel(0.0, 1.0), vel(0.1, 0.0, valid=False),
+                                            vel(0.2, 1.0)])
+        return est, truth
+
+    def test_evaluate_pairs_only_valid_truth_rows(self, invalid_truth_row, capsys):
+        est, truth = invalid_truth_row
+        assert cli_main(["evaluate", "--estimates", str(est), "--ground-truth", str(truth),
+                         "--tolerance", "0.15"]) == 0
+        out = capsys.readouterr().out
+        assert "v_lon  RMSE 0.000000 m/s" in out and "E 0.00%" in out
+        assert "paired 1, unpaired 0" in out
+
+    def test_evaluate_without_a_valid_truth_row_exit_4(self, invalid_truth_row, capsys):
+        est, truth = invalid_truth_row
+        state_io.write_velocity_csv(truth, [vel(0.1, 0.0, valid=False)])
+        assert cli_main(["evaluate", "--estimates", str(est), "--ground-truth", str(truth),
+                         "--tolerance", "0.15"]) == 4
+        assert capsys.readouterr().err.startswith("evaluation error:")
+
+    def test_plot_leaves_out_invalid_truth_rows(self, invalid_truth_row, tmp_path):
+        est, truth = invalid_truth_row
+        valid_only = tmp_path / "valid_truth.csv"
+        state_io.write_velocity_csv(valid_only, [vel(0.0, 1.0), vel(0.2, 1.0)])
+        for name, gt in (("all", truth), ("valid", valid_only)):
+            assert cli_main(["plot", "--estimates", str(est), "--ground-truth", str(gt),
+                             "--out-dir", str(tmp_path / name)]) == 0
+        for series, residual, _ in CHANNEL_FILES.values():
+            for svg in (series, residual):
+                assert (tmp_path / "all" / svg).read_bytes() == \
+                    (tmp_path / "valid" / svg).read_bytes()
 
     def test_seed_env_override(self, workspace, monkeypatch, capsys):
         tmp_path, scenario, run_cfg = workspace
