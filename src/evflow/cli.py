@@ -30,7 +30,7 @@ from .config import RunConfig, Scenario, _finite, _floats, parse_seed
 from .errors import ConfigError, EvaluationError, InputFormatError, OutputError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
-from .pipeline import PAIR_STAGES, iter_pairs, process_frame_pair
+from .pipeline import FrameMemo, iter_pairs, process_frame_pair
 from .plots import dump_flow_csv, emit_plots, flow_quiver_svg, write_blur_budget
 from .synth import generate_events
 from .vehicle import ImuSeries
@@ -111,15 +111,16 @@ def _cmd_estimate(args) -> int:
     est_path = out_dir / "estimates.csv"
     counts = Counter()  # None for valid rows, else the reason, in first-seen order
     stage_s = {}  # every pair's seconds per stage, stages in first-seen order
-    accumulate_s = 0.0
+    accumulate_s = overhead_s = 0.0  # overhead_s: the pairs' time outside their own stages
 
     def rows():
-        nonlocal accumulate_s
+        nonlocal accumulate_s, overhead_s
         for pair in iter_pairs(events, cfg, imu=imu):
             counts[None if pair.estimate.valid else pair.estimate.reason] += 1
             accumulate_s += pair.accumulate_s
             for stage, seconds in pair.stage_s.items():
                 stage_s.setdefault(stage, []).append(seconds)
+                overhead_s += seconds if stage == "pair" else -seconds
             yield pair.estimate
 
     with _writing():
@@ -129,9 +130,8 @@ def _cmd_estimate(args) -> int:
         frames_in = sum(counts.values())
         frames_valid = counts.pop(None, 0)
         stats = {stage: _stats_ms(samples) for stage, samples in stage_s.items()}
-        # the mean per-pair time outside every stage
-        overhead_ms = stats["pair"]["mean"] - sum(
-            stats[s]["mean"] for s in PAIR_STAGES if s in stats) if "pair" in stats else 0.0
+        # the mean of each pair's own overhead: a pair that stops early runs fewer stages
+        overhead_ms = overhead_s * 1e3 / stats["pair"]["count"] if "pair" in stats else 0.0
         with open(out_dir / "timings.json", "w") as f:
             json.dump({"stages_ms": stats,
                        "overhead_ms": overhead_ms,
@@ -215,7 +215,7 @@ def _cmd_flow_debug(args) -> int:
         raise ConfigError(f"pair index must lie in [1, {sys.maxsize}), got {k}")
     cfg, events, imu = _load_estimate_inputs(args)
     # streaming: frames before k - 1 are accumulated and dropped one by one
-    pair = list(islice(iter_frames(events, cfg.accumulation), k - 1, k + 1))
+    pair = [FrameMemo(f) for f in islice(iter_frames(events, cfg.accumulation), k - 1, k + 1)]
     if len(pair) < 2:
         raise ConfigError(f"pair index {k} is past the last frame pair")
     field = process_frame_pair(*pair, cfg, pair_index=k, imu=imu).flow

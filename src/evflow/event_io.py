@@ -113,8 +113,8 @@ def _bad_line(path: str | Path, dtype: np.dtype) -> str | None:
         return first_failure(block) if block else None
 
 
-def load_events_csv(path: str | Path, width: int | None = None,
-                    height: int | None = None) -> np.ndarray:
+def load_events_csv(path: str | Path, width: int, height: int) -> np.ndarray:
+    """The events of the CSV file at ``path``, checked for a ``width`` x ``height`` sensor."""
     rows = read_csv(path, CSV_HEADER, _CSV_COLUMNS)
     for name in EVENT_DTYPE.names:
         info = np.iinfo(EVENT_DTYPE[name])

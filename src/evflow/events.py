@@ -42,15 +42,14 @@ def make_events(t_us, x, y, p) -> np.ndarray:
     return ev
 
 
-def validate_events(events: np.ndarray, width: int | None = None,
-                    height: int | None = None, first_record: int = 0) -> None:
-    """Check stream invariants: polarity domain, time order, pixel bounds.
+def validate_events(events: np.ndarray, width: int, height: int,
+                    first_record: int = 0) -> None:
+    """Check polarity domain, time order and pixel bounds for a ``width`` x ``height`` sensor.
 
     Raises EventOrderError on a non-monotone timestamp and EventBoundsError
-    on an out-of-range pixel (only checked when dimensions are given).
-    ``events`` may be a part of a stream that starts at its record
-    ``first_record``; an order error names the record counted from the
-    stream's start.
+    on an out-of-range pixel.  ``events`` may be a part of a stream that
+    starts at its record ``first_record``; an order error names the record
+    counted from the stream's start.
     """
     if events.dtype != EVENT_DTYPE:
         raise EventBoundsError(f"expected event dtype {EVENT_DTYPE}, got {events.dtype}")
@@ -65,9 +64,9 @@ def validate_events(events: np.ndarray, width: int | None = None,
     # abs(-128) stays -128 in int8, so that value is rejected too
     if np.any(np.abs(events["p"]) != 1):
         raise EventBoundsError("polarity values must be +1 or -1")
-    if width is not None and int(events["x"].max()) >= width:
+    if int(events["x"].max()) >= width:
         raise EventBoundsError(f"event x out of range for width {width}")
-    if height is not None and int(events["y"].max()) >= height:
+    if int(events["y"].max()) >= height:
         raise EventBoundsError(f"event y out of range for height {height}")
 
 

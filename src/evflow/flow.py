@@ -392,23 +392,19 @@ def flow_pyramid(image: np.ndarray, params: FlowParams) -> FlowPyramid:
     return FlowPyramid(params=params, levels=tuple(levels))
 
 
-def compute_flow(prev: np.ndarray | FlowPyramid, next_: np.ndarray | FlowPyramid,
-                 params: FlowParams) -> FlowField:
-    """Dense displacement field from ``prev`` to ``next_``.
+def compute_flow(a: FlowPyramid, b: FlowPyramid) -> FlowField:
+    """Dense displacement field from the frame of pyramid ``a`` to that of ``b``.
 
-    Each frame is an image or its ``flow_pyramid`` built with ``params``;
-    passing pyramids lets a stream expand every frame once.  Deterministic:
-    identical inputs and parameters give bit-identical fields.  Textureless
-    regions are reported through the validity mask rather than an
-    exception.
+    Both pyramids come from ``flow_pyramid`` with the same parameters, so a
+    stream expands every frame once.  Deterministic: identical pyramids give
+    bit-identical fields.  Textureless regions are reported through the
+    validity mask rather than an exception.
     """
-    a = prev if isinstance(prev, FlowPyramid) else flow_pyramid(prev, params)
-    b = next_ if isinstance(next_, FlowPyramid) else flow_pyramid(next_, params)
     if a.shape != b.shape:
         raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    if a.params != params or b.params != params:
-        raise ValueError("flow pyramid was built with other flow parameters")
-
+    if a.params != b.params:
+        raise ValueError("flow pyramids were built with different flow parameters")
+    params = a.params
     win_kernel = _gaussian_kernel(params.window_size,
                                   0.3 * (params.window_size // 2)).astype(np.float32)
     u = np.zeros(a.levels[0].shape[1:], dtype=np.float32)

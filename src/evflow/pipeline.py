@@ -106,19 +106,16 @@ def _invalid(t_mid: float, reason: str, omega_source: str) -> VelocityEstimate:
                             valid=False, reason=reason)
 
 
-def process_frame_pair(prev: EventFrame | FrameMemo, curr: EventFrame | FrameMemo,
-                       cfg: RunConfig, pair_index: int,
+def process_frame_pair(prev: FrameMemo, curr: FrameMemo, cfg: RunConfig, pair_index: int,
                        imu: ImuSeries | None = None) -> PairResult:
     """Run every per-pair stage for one consecutive frame pair.
 
     ``pair_index`` seeds the RANSAC draw together with the run seed, so
-    results do not depend on processing order.  A frame given as a
-    ``FrameMemo`` is converted and expanded here only if no other pair has
-    done so; a bare ``EventFrame`` always is, with the same result.
+    results do not depend on processing order.  Each frame is converted
+    and expanded here only if the other pair it belongs to has not done so.
     """
     t_pair = time.perf_counter()
     stage_s = {}
-    prev, curr = (f if isinstance(f, FrameMemo) else FrameMemo(f) for f in (prev, curr))
     t_mid = curr.frame.t_mid_s
 
     t0 = time.perf_counter()
@@ -126,7 +123,7 @@ def process_frame_pair(prev: EventFrame | FrameMemo, curr: EventFrame | FrameMem
     # the earlier one's may be under way in the pair before
     curr_pyramid, curr_s = curr.pyramid(cfg)
     prev_pyramid, prev_s = prev.pyramid(cfg)
-    flow = compute_flow(prev_pyramid, curr_pyramid, cfg.flow)
+    flow = compute_flow(prev_pyramid, curr_pyramid)
     stage_s["intensity"] = curr_s + prev_s
     stage_s["flow"] = time.perf_counter() - t0 - stage_s["intensity"]
 
@@ -155,8 +152,7 @@ def process_frame_pair(prev: EventFrame | FrameMemo, curr: EventFrame | FrameMem
         return PairResult(_invalid(t_mid, reason, cfg.omega_source), None, flow, stage_s)
 
     t0 = time.perf_counter()
-    cam_vel = to_camera_velocity(motion, cfg.camera, cfg.window_s, t_mid=t_mid,
-                                 mapping=cfg.mapping, n_total=p.shape[0])
+    cam_vel = to_camera_velocity(motion, cfg.camera, cfg.window_s, t_mid, cfg.mapping, p.shape[0])
     if cfg.omega_source == "imu":
         est = substitute_imu_yaw(cam_vel, imu, cfg.extrinsics,
                                  staleness_s=2 * cfg.window_s)

@@ -208,24 +208,19 @@ def ransac_estimate(p: np.ndarray, q: np.ndarray, params: RansacParams,
     return motion, best_mask
 
 
-def to_camera_velocity(motion: RigidMotion2D, cam: CameraModel, dt: float,
-                       t_mid: float = 0.0,
-                       mapping: AxisMapping = AxisMapping(),
-                       n_total: int | None = None) -> CameraVelocity:
+def to_camera_velocity(motion: RigidMotion2D, cam: CameraModel, dt: float, t_mid: float,
+                       mapping: AxisMapping, n_total: int) -> CameraVelocity:
     """Convert a pixel-space motion over dt seconds to metric velocity.
 
     Per image axis v = t * meters_per_px / dt and omega = theta / dt,
     then the configured mounting mapping carries both into vehicle axes.
+    ``motion`` was fitted to ``n_total`` correspondences, at least one.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     v_img = motion.t * cam.meters_per_px / dt
     omega = mapping.omega_sign * motion.theta / dt
-    total = n_total if n_total is not None else motion.n_points
-    quality = EstimateQuality(
-        n_inliers=motion.n_points,
-        inlier_fraction=motion.n_points / total if total else 0.0,
-        mean_residual=motion.mean_residual,
-    )
+    quality = EstimateQuality(n_inliers=motion.n_points, inlier_fraction=motion.n_points / n_total,
+                              mean_residual=motion.mean_residual)
     return CameraVelocity(v=mapping.matrix @ v_img, omega=omega,
                           t_mid=t_mid, quality=quality)

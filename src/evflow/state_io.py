@@ -50,7 +50,10 @@ def _finite_rows(path: str | Path, header: str, columns: np.dtype) -> np.ndarray
 
 def load_imu_csv(path: str | Path) -> ImuSeries:
     rows = _finite_rows(path, IMU_HEADER, _IMU_COLUMNS)
-    return ImuSeries(rows["t_us"], rows["yaw_rate"])
+    try:
+        return ImuSeries(rows["t_us"], rows["yaw_rate"])
+    except InputFormatError as exc:  # the rows are out of time order
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:

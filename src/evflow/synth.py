@@ -96,27 +96,17 @@ class NoiseTexture:
         amp = self.amplitude * math.sqrt(2.0 / self.n_waves)
         return mag * np.cos(ang), mag * np.sin(ang), phase, amp
 
-    def values(self, tx, ty) -> np.ndarray:
-        """Texture at points (arrays of one shape) or on a grid (both
-        ``GridCoord``), in float64.
+    def values(self, tx: GridCoord, ty: GridCoord) -> np.ndarray:
+        """Texture on the grid of ``tx`` and ``ty``, in float64.
 
-        A wave's phase is a column term plus a row term (a point is a column
-        with a zero row term), so the sum of cosines is the real part of one
-        rank-``n_waves`` contraction of per-column factors
-        exp(i(kx x_col + ky y_col)) with per-row factors
-        amp exp(i(kx x_row + ky y_row + phase)).  On a grid it runs as one
-        matrix product.
+        A wave's phase is a column term plus a row term, so the sum of cosines
+        is the real part of one matrix product, over the waves, of per-column
+        factors exp(i(kx x_col + ky y_col)) and per-row factors
+        amp exp(i(kx x_row + ky y_row + phase)).
         """
         kx, ky, phase, amp = self._waves
-        if isinstance(tx, GridCoord):
-            x_col, y_col = tx.col, ty.col
-            x_row, y_row = tx.row[:, None], ty.row[:, None]
-        else:
-            x_col = np.asarray(tx, dtype=np.float64)
-            y_col = np.asarray(ty, dtype=np.float64)
-            x_row = y_row = np.zeros(())
-        col = np.exp(1j * (x_col[..., None] * kx + y_col[..., None] * ky))
-        row = amp * np.exp(1j * (x_row[..., None] * kx + y_row[..., None] * ky + phase))
+        col = np.exp(1j * (tx.col[:, None] * kx + ty.col[:, None] * ky))
+        row = amp * np.exp(1j * (tx.row[:, None, None] * kx + ty.row[:, None, None] * ky + phase))
         return np.einsum("...k,...k->...", col, row, optimize=True).real.copy()
 
 
@@ -282,20 +272,18 @@ def _bilinear_lattice(texture, tx: np.ndarray, ty: np.ndarray,
             + v10 * (1 - fx) * fy + v11 * fx * fy)
 
 
-def sample_texture(texture, tx, ty, box: LatticeBox | None = None) -> np.ndarray:
-    """Texture value at arbitrary plane coordinates (pixel units).
+def sample_texture(texture, tx: GridCoord, ty: GridCoord,
+                   box: LatticeBox | None = None) -> np.ndarray:
+    """Texture value on the grid of plane coordinates ``tx`` and ``ty``
+    (pixel units); scattered points are a grid of one zero row.
 
-    ``tx`` and ``ty`` are arrays of one shape, or both ``GridCoord`` for a
-    pixel grid.  Discontinuous textures are realized on the integer lattice
-    and sampled bilinearly, their lattice values gathered from the run
-    ``box`` when given; band-limited noise is evaluated analytically.
+    Discontinuous textures are realized on the integer lattice and sampled
+    bilinearly, their lattice values gathered from the run ``box`` when
+    given; band-limited noise is evaluated analytically.
     """
     if isinstance(texture, NoiseTexture):
         return texture.values(tx, ty)
-    if isinstance(tx, GridCoord):
-        tx, ty = tx.full(), ty.full()
-    return _bilinear_lattice(texture, np.asarray(tx, dtype=np.float64),
-                             np.asarray(ty, dtype=np.float64), box)
+    return _bilinear_lattice(texture, tx.full(), ty.full(), box)
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,10 @@ class ImuSeries:
         w = np.asarray(yaw_rate, dtype=np.float64)
         if t.shape != w.shape or t.ndim != 1:
             raise InputFormatError("IMU times and rates must be matching 1-d sequences")
-        if t.size and np.any(np.diff(t) < 0):
-            raise InputFormatError("IMU timestamps must be non-decreasing")
+        back = np.flatnonzero(t[1:] < t[:-1])
+        if back.size:
+            raise InputFormatError(f"data row {back[0] + 2} has t_us {t[back[0] + 1]}, below "
+                                   "the row before it")
         self._t = t
         self._w = w
         self._t.setflags(write=False)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from evflow.events import AccumulationConfig, CameraModel
-from evflow.flow import FlowField
+from evflow.flow import FlowField, FlowParams, compute_flow, flow_pyramid
 from evflow.synth import Trajectory, _render
 
 
@@ -36,6 +36,11 @@ def render_plane(texture, pose: tuple[float, float, float], cam: CameraModel) ->
         raise ValueError("pose must be finite")
     scale = cam.f_px / cam.height_z
     return _render(texture, yaw, np.array([x * scale, y * scale]), cam)
+
+
+def image_flow(prev: np.ndarray, next_: np.ndarray, params: FlowParams) -> FlowField:
+    """``compute_flow`` from image ``prev`` to image ``next_``, each expanded with ``params``."""
+    return compute_flow(flow_pyramid(prev, params), flow_pyramid(next_, params))
 
 
 def inject_outliers(field: FlowField, fraction: float, magnitude: float,

@@ -13,15 +13,15 @@ from evflow.config import RunConfig
 from evflow.evaluate import evaluate
 from evflow.events import (AccumulationConfig, CameraModel, iter_frames,
                            make_events, relative_motion_blur, to_intensity)
-from evflow.flow import FlowParams, compute_flow, subsample_flow
-from evflow.pipeline import iter_pairs, process_frame_pair
-from evflow.rigid import (CameraVelocity, RansacParams, RigidMotion2D,
+from evflow.flow import FlowParams, compute_flow, flow_pyramid, subsample_flow
+from evflow.pipeline import FrameMemo, iter_pairs, process_frame_pair
+from evflow.rigid import (AxisMapping, CameraVelocity, RansacParams, RigidMotion2D,
                           estimate_rigid, ransac_estimate, reconstruct_flow,
                           to_camera_velocity)
 from evflow.synth import DotTexture, NoiseTexture, SimConfig, Trajectory, generate_events
 from evflow.vehicle import (Extrinsics, ImuSeries, substitute_imu_yaw,
                             transform_to_axle)
-from helpers import constant_trajectory, inject_outliers
+from helpers import constant_trajectory, image_flow, inject_outliers
 
 
 def camera_level_estimates(events, cfg, span_us):
@@ -62,7 +62,7 @@ def test_c02_pixel_speed_anchor(announce):
     cam = CameraModel(width=640, height=480, height_z=0.6, f_px=554.26)
     motion = RigidMotion2D(theta=0.0, t=np.array([185.0, 0.0]), n_points=10,
                            mean_residual=0.0)
-    cv = to_camera_velocity(motion, cam, dt=0.005)
+    cv = to_camera_velocity(motion, cam, 0.005, 0.0, AxisMapping(), motion.n_points)
     speed = float(np.linalg.norm(cv.v))
     assert speed == pytest.approx(40.0, abs=0.1)
     announce(f"PASS criterion 2: 185 px over 5 ms converts to {speed:.3f} m/s")
@@ -154,9 +154,9 @@ def test_c05_ransac_robustness(announce):
     speeds_ransac, speeds_plain = [], []
     prev = None
     for i, frame in enumerate(frames):
-        img = to_intensity(frame, cfg.accumulation.count_cap)
+        pyramid = flow_pyramid(to_intensity(frame, cfg.accumulation.count_cap), cfg.flow)
         if prev is not None:
-            field = compute_flow(prev, img, cfg.flow)
+            field = compute_flow(prev, pyramid)
             dirty = inject_outliers(field, 0.2, 50.0, rng_seed=(23, i))
             p, q = subsample_flow(dirty, cfg.stride)
             scale = cam.height_z / cam.f_px / cfg.window_s
@@ -164,7 +164,7 @@ def test_c05_ransac_robustness(announce):
             speeds_ransac.append(float(np.linalg.norm(robust.t)) * scale)
             plain = estimate_rigid(p - center, q - center)
             speeds_plain.append(float(np.linalg.norm(plain.t)) * scale)
-        prev = img
+        prev = pyramid
     speeds_ransac = np.array(speeds_ransac)
     speeds_plain = np.array(speeds_plain)
     assert speeds_ransac.size >= 150
@@ -209,17 +209,17 @@ def test_c07_flow_oracle(announce, noise_image):
     interior = (slice(24, -24), slice(24, -24))
     errs = []
     for shift in (1, 2, 3, 5):
-        field = compute_flow(img, np.roll(img, shift, axis=1), params)
+        field = image_flow(img, np.roll(img, shift, axis=1), params)
         eu = abs(float(field.u[interior].mean()) - shift)
         ev = abs(float(field.v[interior].mean()))
         errs.append(max(eu, ev))
         assert eu < 0.2 and ev < 0.2
 
-    ident = compute_flow(img, img, params)
+    ident = image_flow(img, img, params)
     ident_mean = float(np.hypot(ident.u, ident.v)[ident.valid].mean())
     assert ident_mean < 0.05
 
-    uniform = compute_flow(np.full((64, 64), 5.0), np.full((64, 64), 5.0), params)
+    uniform = image_flow(np.full((64, 64), 5.0), np.full((64, 64), 5.0), params)
     assert uniform.valid.sum() == 0
     announce(f"PASS criterion 7: shift errors max {max(errs):.4f} px, identity "
              f"{ident_mean:.4f} px, uniform valid pixels 0")
@@ -338,10 +338,12 @@ def test_c10_latency_ceiling(announce):
         frames.extend(iter_frames(ev[order], cfg.accumulation, t_start_us=k * 33_000,
                                   t_end_us=(k + 1) * 33_000))
     for _ in range(2):  # warm caches
-        process_frame_pair(frames[0], frames[1], cfg, pair_index=1)
+        process_frame_pair(FrameMemo(frames[0]), FrameMemo(frames[1]), cfg, pair_index=1)
 
     t0 = time.perf_counter()
-    stage_s = [process_frame_pair(frames[0], frames[1], cfg, pair_index=i).stage_s
+    # fresh memos, so each pair converts and expands both of its frames
+    stage_s = [process_frame_pair(FrameMemo(frames[0]), FrameMemo(frames[1]), cfg,
+                                  pair_index=i).stage_s
                for i in range(10)]
     mean_ms = (time.perf_counter() - t0) / 10 * 1e3
     assert mean_ms < 200.0

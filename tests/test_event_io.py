@@ -66,7 +66,7 @@ def test_csv_round_trip(tmp_path, sample_events):
 def test_csv_empty_round_trip(tmp_path):
     path = tmp_path / "events.csv"
     write_events_csv(path, make_events([], [], [], []))
-    assert load_events_csv(path).size == 0
+    assert load_events_csv(path, 346, 260).size == 0
 
 
 def test_csv_round_trip_full_u64_range(tmp_path):
@@ -80,14 +80,14 @@ def test_csv_t_us_beyond_u64(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text(f"t_us,x,y,p\n{2**64},2,3,1\n")
     with pytest.raises(InputFormatError, match="events.csv"):
-        load_events_csv(path)
+        load_events_csv(path, 346, 260)
 
 
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("time,x,y,pol\n1,2,3,1\n")
     with pytest.raises(InputFormatError):
-        load_events_csv(path)
+        load_events_csv(path, 346, 260)
 
 
 def test_csv_bad_polarity(tmp_path):
@@ -95,27 +95,25 @@ def test_csv_bad_polarity(tmp_path):
     for p in (0, 257):  # 257 would wrap to 1 in the int8 field
         path.write_text(f"t_us,x,y,p\n1,2,3,{p}\n")
         with pytest.raises(EventBoundsError):
-            load_events_csv(path)
+            load_events_csv(path, 346, 260)
 
 
 def test_csv_non_monotone(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("t_us,x,y,p\n10,2,3,1\n5,2,3,1\n")
     with pytest.raises(EventOrderError):
-        load_events_csv(path)
+        load_events_csv(path, 346, 260)
 
 
 def test_csv_bounds_checked_on_load(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("t_us,x,y,p\n1,400,3,1\n")
     with pytest.raises(EventBoundsError):
-        load_events_csv(path, width=346, height=260)
-    load_events_csv(path)  # without dimensions only stream-level checks apply
+        load_events_csv(path, 346, 260)
     for x in (65541, -1):  # would wrap to x = 5 or 65535 in the uint16 field
         path.write_text(f"t_us,x,y,p\n1,{x},3,1\n")
-        for dims in ({"width": 346, "height": 260}, {}):
-            with pytest.raises(EventBoundsError):
-                load_events_csv(path, **dims)
+        with pytest.raises(EventBoundsError, match="uint16"):
+            load_events_csv(path, 346, 260)
 
 
 def test_binary_round_trip(tmp_path, sample_events):

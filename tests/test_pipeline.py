@@ -10,6 +10,7 @@ import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from evflow.errors import EvaluationError, InputFormatError
 from evflow.evaluate import evaluate
 from evflow.event_io import load_events_csv, write_events_binary
 from evflow.events import EVENT_DTYPE, iter_frames, make_events
-from evflow.pipeline import iter_pairs, process_frame_pair
+from evflow.pipeline import FrameMemo, PairResult, iter_pairs, process_frame_pair
 from evflow.plots import CHANNEL_FILES, dump_flow_csv, emit_plots
 from evflow.rigid import EstimateQuality
 from evflow.synth import NoiseTexture, SimConfig, generate_events
@@ -53,6 +54,12 @@ def small_scenario(duration=0.165, v_lon=1.0, v_lat=0.1, omega=0.3, noise_rate=0
     traj = constant_trajectory(duration, v_lon=v_lon, v_lat=v_lat, omega=omega)
     events, truth, _ = generate_events(sim, traj)
     return cfg, events, truth
+
+
+def cold_estimates(frames, cfg):
+    """Each consecutive pair's estimate, its two frames converted and expanded afresh."""
+    return [process_frame_pair(FrameMemo(prev), FrameMemo(curr), cfg, pair_index=i + 1).estimate
+            for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
 
 
 def vel(t, v_lon, v_lat=0.0, omega=0.0, valid=True, source="flow"):
@@ -126,8 +133,7 @@ class TestRunPipeline:
     def test_each_frame_converted_and_expanded_once(self, monkeypatch):
         cfg, events, _ = small_scenario()
         frames = list(iter_frames(events, cfg.accumulation))
-        cold = [process_frame_pair(prev, curr, cfg, pair_index=i + 1).estimate
-                for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
+        cold = cold_estimates(frames, cfg)
         blank = np.zeros((cfg.camera.height, cfg.camera.width))
         n_levels = len(flow.flow_pyramid(blank, cfg.flow).levels)
         calls = []
@@ -149,8 +155,7 @@ class TestRunPipeline:
         frames = list(iter_frames(events, cfg.accumulation))
         empty = [f.event_total == 0 for f in frames]
         assert len(frames) == 12 and sum(empty) == 6
-        cold = [process_frame_pair(prev, curr, cfg, pair_index=i + 1).estimate
-                for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
+        cold = cold_estimates(frames, cfg)
         calls = []
         monkeypatch.setattr(pipeline, "flow_pyramid",
                             counting(calls, "pyramid", pipeline.flow_pyramid))
@@ -219,8 +224,7 @@ class TestRunPipeline:
                                                                    monkeypatch):
         cfg, events = small_stream
         frames = list(iter_frames(events, cfg.accumulation))
-        cold = [process_frame_pair(prev, curr, cfg, pair_index=i + 1).estimate
-                for i, (prev, curr) in enumerate(zip(frames, frames[1:]))]
+        cold = cold_estimates(frames, cfg)
         calls, out = [], {}
         monkeypatch.setattr(pipeline, "flow_pyramid",
                             counting(calls, "pyramid", pipeline.flow_pyramid))
@@ -338,7 +342,6 @@ class TestRunPipeline:
 
     def test_imu_omega_source(self):
         cfg, events, truth = small_scenario(duration=0.132, omega=0.4)
-        from dataclasses import replace
         from evflow.vehicle import ImuSeries
         cfg = replace(cfg, omega_source="imu", imu_path="unused.csv")
         t = np.array([g.t_mid for g in truth])
@@ -376,7 +379,7 @@ class TestVelocityCsv:
         path.write_text(state_io.VELOCITY_HEADER + "\n" + body)
         assert state_io.load_velocity_csv(path) == []
         path.write_text("t_us,x,y,p\n" + body)
-        assert load_events_csv(path).size == 0
+        assert load_events_csv(path, 120, 90).size == 0
 
 
 class TestEvaluate:
@@ -586,6 +589,9 @@ def run_csv_input(work: Path, kind: str, body: bytes) -> int:
                      "--out-dir", str(work / "out")])
 
 
+VALID_VELOCITY_ROW = ("0.0", "1.0", "0.0", "0.0", "flow", "10", "1.0", "true")
+VELOCITY_FIELD_VALUES = st.sampled_from(["nan", "inf", "-1", "2", "1e400",
+                                         "9223372036854775808", "bogus", ""])
 EVT_HEADER = b"EVT1" + np.array([120, 90], dtype="<u2").tobytes()
 CONFIG_ALPHABET = "abcdefghijklmnopqrstuvwxyz._=#,0123456789- \n"
 
@@ -776,6 +782,46 @@ trajectory.omega = 0.3, 0.3
             code = run_csv_input(Path(work), kind, body)
         assert code in (0, 3, 4)
         assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(column=st.integers(0, len(VALID_VELOCITY_ROW) - 1),
+           value=VELOCITY_FIELD_VALUES | VELOCITY_FIELD_VALUES.map(" {} ".format)
+           | st.text("0123456789,.-e abcdefghijklmnopqrstuvwxyz", max_size=8))
+    def test_velocity_row_with_one_drawn_field_exits_cleanly(self, column, value):
+        row = list(VALID_VELOCITY_ROW)
+        row[column] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as work, contextlib.redirect_stderr(err):
+            code = run_csv_input(Path(work), "velocity", (",".join(row) + "\n").encode())
+        assert code in (0, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    def test_imu_out_of_time_order_names_the_file_row_and_column(self, tmp_path, capsys):
+        assert run_csv_input(tmp_path, "imu", b"0,0.1\n200,0.1\n200,0.1\n100,0.1\n") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input format error:") and "Traceback" not in err
+        assert "imu.csv: data row 4 has t_us 100, below the row before it" in err
+
+    def test_overhead_is_the_mean_of_each_pairs_own(self, tmp_path, monkeypatch):
+        # a full pair 2 ms outside its stages, and a textureless one that stops
+        # after subsample 1 ms outside its own
+        def ms(**stages):
+            return {stage: t / 1e3 for stage, t in stages.items()}
+
+        pairs = [PairResult(vel(0.033, 1.0), None, None,
+                            ms(intensity=1, flow=10, subsample=1, estimate=5, transform=1,
+                               pair=20)),
+                 PairResult(replace(vel(0.066, 0.0), valid=False, reason="textureless"),
+                            None, None, ms(intensity=1, flow=10, subsample=1, pair=13))]
+        monkeypatch.setattr("evflow.cli.iter_pairs", lambda *args, **kwargs: iter(pairs))
+        events, run_cfg = tmp_path / "events.csv", tmp_path / "run.cfg"
+        events.write_text(event_io.CSV_HEADER + "\n")
+        run_cfg.write_text(RUN_TEXT)
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(events),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "timings.json").read_text())
+        assert [doc["stages_ms"][s]["count"] for s in ("subsample", "estimate")] == [2, 1]
+        assert doc["overhead_ms"] == pytest.approx(1.5)
 
     @settings(max_examples=40, deadline=None)
     @given(blob=st.binary(max_size=40)
@@ -1073,8 +1119,9 @@ trajectory.omega = 0.3, 0.3
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
-        n_frames = len(list(iter_frames(load_events_csv(ev),
-                                        RunConfig.from_file(run_cfg).accumulation)))
+        cfg = RunConfig.from_file(run_cfg)
+        n_frames = len(list(iter_frames(load_events_csv(ev, cfg.camera.width, cfg.camera.height),
+                                        cfg.accumulation)))
         for k in (0, n_frames, 10 ** 20):
             assert cli_main(["flow-debug", "--config", str(run_cfg), "--events", str(ev),
                              "--pair-index", str(k)]) == 2
@@ -1120,7 +1167,8 @@ trajectory.omega = 0.3, 0.3
         cfg = RunConfig.from_file(run_cfg)
         frames = list(iter_frames(load_events_csv(ev, cfg.camera.width, cfg.camera.height),
                                   cfg.accumulation))
-        field = process_frame_pair(frames[1], frames[2], cfg, pair_index=2).flow
+        field = process_frame_pair(FrameMemo(frames[1]), FrameMemo(frames[2]), cfg,
+                                   pair_index=2).flow
         dump_flow_csv(field, cfg.stride, tmp_path / "expected.csv")
         assert ((tmp_path / "out" / "flow_00002.csv").read_bytes()
                 == (tmp_path / "expected.csv").read_bytes())

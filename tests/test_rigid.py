@@ -292,30 +292,33 @@ class TestToCameraVelocity:
         return RigidMotion2D(theta=theta, t=np.array(t, dtype=float), n_points=100,
                              mean_residual=0.1)
 
+    def convert(self, motion, dt, mapping=AxisMapping(), n_total=100):
+        return to_camera_velocity(motion, CAM, dt, 0.0, mapping, n_total)
+
     def test_pixel_speed_anchor(self):
-        cv = to_camera_velocity(self.make_motion(t=(185.0, 0.0)), CAM, dt=0.005)
+        cv = self.convert(self.make_motion(t=(185.0, 0.0)), dt=0.005)
         assert np.linalg.norm(cv.v) == pytest.approx(40.05, abs=0.01)
 
     def test_zero_motion(self):
-        cv = to_camera_velocity(self.make_motion(), CAM, dt=0.005)
+        cv = self.convert(self.make_motion(), dt=0.005)
         assert np.allclose(cv.v, 0.0) and cv.omega == 0.0
 
     def test_disk_omega_anchor(self):
-        cv = to_camera_velocity(self.make_motion(theta=0.03766), CAM, dt=0.001)
+        cv = self.convert(self.make_motion(theta=0.03766), dt=0.001)
         assert cv.omega == pytest.approx(37.66, abs=1e-9)
         assert cv.omega * 60 / (2 * math.pi) == pytest.approx(359.6, abs=0.05)
 
     def test_axis_mapping_permutes_and_flips(self):
         mapping = AxisMapping(image_x="-y", image_y="+x", omega_sign=-1)
-        cv = to_camera_velocity(self.make_motion(theta=0.01, t=(10.0, 20.0)), CAM,
-                                dt=0.01, mapping=mapping)
+        cv = self.convert(self.make_motion(theta=0.01, t=(10.0, 20.0)), dt=0.01,
+                          mapping=mapping)
         scale = CAM.height_z / CAM.f_px / 0.01
         assert cv.v[0] == pytest.approx(20.0 * scale)   # image +y -> vehicle +x
         assert cv.v[1] == pytest.approx(-10.0 * scale)  # image +x -> vehicle -y
         assert cv.omega == pytest.approx(-1.0)
 
     def test_quality_fraction(self):
-        cv = to_camera_velocity(self.make_motion(t=(1.0, 0.0)), CAM, dt=0.01, n_total=200)
+        cv = self.convert(self.make_motion(t=(1.0, 0.0)), dt=0.01, n_total=200)
         assert cv.quality.n_inliers == 100
         assert cv.quality.inlier_fraction == pytest.approx(0.5)
 

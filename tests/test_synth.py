@@ -18,7 +18,7 @@ from evflow import synth
 from evflow.events import EVENT_DTYPE, CameraModel, make_events, validate_events
 from evflow.flow import FlowField
 from evflow.rigid import RansacParams, estimate_rigid, ransac_estimate, reconstruct_flow
-from evflow.synth import (CheckerTexture, DotTexture, NoiseTexture, SimConfig,
+from evflow.synth import (CheckerTexture, DotTexture, GridCoord, NoiseTexture, SimConfig,
                           Trajectory, _bilinear_lattice, _time_order, generate_events,
                           sample_texture)
 from evflow.vehicle import Extrinsics
@@ -46,6 +46,12 @@ class FourFoldTexture:
 
     def lattice(self, ix, iy):
         return self.values(np.asarray(ix, float), np.asarray(iy, float))
+
+
+def scattered(xs, ys):
+    """Plane points (``xs[j]``, ``ys[j]``) as the coordinates of a grid of one zero row."""
+    return (GridCoord(np.asarray(xs, dtype=np.float64), np.zeros(1)),
+            GridCoord(np.asarray(ys, dtype=np.float64), np.zeros(1)))
 
 
 def plane_coords(pose, cam):
@@ -162,7 +168,7 @@ class TestTextures:
         tex = CheckerTexture(period_px=4.0)
         v0 = tex.lattice(np.array([3]), np.array([0]))[0]
         v1 = tex.lattice(np.array([4]), np.array([0]))[0]
-        mid = sample_texture(tex, np.array([3.5]), np.array([0.0]))[0]
+        mid = sample_texture(tex, *scattered([3.5], [0.0]))[0, 0]
         assert mid == pytest.approx(0.5 * (v0 + v1))
 
     def test_dot_radius_cap(self):
@@ -182,10 +188,6 @@ class TestTextures:
         tx, ty = plane_coords(pose, CAM)
         grid = render_plane(tex, pose, CAM)
         assert np.abs(grid - reference_noise(tex, tx, ty)).max() < 1e-12
-        # the point path gives the grid path's values, and a scalar point a 0-d value
-        assert np.abs(sample_texture(tex, tx, ty) - grid).max() < 1e-12
-        point = sample_texture(tex, tx[5, 7], ty[5, 7])
-        assert np.shape(point) == () and abs(point - grid[5, 7]) < 1e-12
 
     @given(x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0), yaw=st.floats(-4.0, 4.0),
            seed=st.integers(0, 2 ** 31),
@@ -209,11 +211,12 @@ class TestTextures:
         px, py = (np.array(c, dtype=np.int64) for c in zip(*points))
         assert np.array_equal(dots.lattice(px, py), reference_dot_lattice(dots, px, py))
         fx, fy = px + 0.25, py - 0.5
-        assert np.array_equal(sample_texture(dots, fx, fy), reference_bilinear(ref_dots, fx, fy))
+        assert np.array_equal(sample_texture(dots, *scattered(fx, fy))[0],
+                              reference_bilinear(ref_dots, fx, fy))
 
     def test_textures_deterministic(self):
-        a = NoiseTexture(seed=5).values(np.arange(10.0), np.arange(10.0))
-        b = NoiseTexture(seed=5).values(np.arange(10.0), np.arange(10.0))
+        a = NoiseTexture(seed=5).values(*scattered(np.arange(10.0), np.arange(10.0)))
+        b = NoiseTexture(seed=5).values(*scattered(np.arange(10.0), np.arange(10.0)))
         assert np.array_equal(a, b)
 
 
