@@ -30,7 +30,8 @@ from .config import RunConfig, Scenario, _finite, _floats, parse_seed
 from .errors import ConfigError, EvaluationError, InputFormatError, OutputError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
-from .pipeline import FrameMemo, iter_pairs, process_frame_pair
+from .flow import compute_flow
+from .pipeline import FrameMemo, iter_pairs
 from .plots import dump_flow_csv, emit_plots, flow_quiver_svg, write_blur_budget
 from .synth import generate_events
 from .vehicle import ImuSeries
@@ -60,14 +61,13 @@ def _writing():
                           f"{exc.strerror or exc}") from exc
 
 
-def _load_estimate_inputs(args) -> tuple[RunConfig, np.ndarray, ImuSeries | None]:
-    """Run config, event stream and (for omega.source = imu) IMU series."""
+def _load_estimate_inputs(args) -> tuple[RunConfig, np.ndarray]:
+    """Run config and event stream of ``estimate`` and ``flow-debug``."""
     cfg = RunConfig.from_file(args.config)
     cfg = replace(cfg, seed=_seed(cfg.seed))
     events = event_io.load_events(args.events or cfg.events_path,
                                   cfg.camera.width, cfg.camera.height)
-    imu = state_io.load_imu_csv(cfg.imu_path) if cfg.omega_source == "imu" else None
-    return cfg, events, imu
+    return cfg, events
 
 
 def _cmd_simulate(args) -> int:
@@ -106,7 +106,8 @@ def _stats_ms(samples: list[float]) -> dict[str, float]:
 
 
 def _cmd_estimate(args) -> int:
-    cfg, events, imu = _load_estimate_inputs(args)
+    cfg, events = _load_estimate_inputs(args)
+    imu = state_io.load_imu_csv(cfg.imu_path) if cfg.omega_source == "imu" else None
     out_dir = Path(args.out_dir or cfg.out_dir)
     est_path = out_dir / "estimates.csv"
     counts = Counter()  # None for valid rows, else the reason, in first-seen order
@@ -213,12 +214,12 @@ def _cmd_flow_debug(args) -> int:
     k = args.pair_index
     if not 1 <= k < sys.maxsize:
         raise ConfigError(f"pair index must lie in [1, {sys.maxsize}), got {k}")
-    cfg, events, imu = _load_estimate_inputs(args)
+    cfg, events = _load_estimate_inputs(args)
     # streaming: frames before k - 1 are accumulated and dropped one by one
     pair = [FrameMemo(f) for f in islice(iter_frames(events, cfg.accumulation), k - 1, k + 1)]
     if len(pair) < 2:
         raise ConfigError(f"pair index {k} is past the last frame pair")
-    field = process_frame_pair(*pair, cfg, pair_index=k, imu=imu).flow
+    field = compute_flow(*(memo.pyramid(cfg)[0] for memo in pair))
     out_dir = Path(args.out_dir or cfg.out_dir)
     csv_path = out_dir / f"flow_{k:05d}.csv"
     svg_path = out_dir / f"flow_{k:05d}.svg"

@@ -246,7 +246,9 @@ class Scenario(_KeyFile):
         t = kv.take("trajectory.t_s", _floats)
         trajectory = Trajectory(t, *(kv.take(key, _floats, [0.0] * len(t)) for key in (
             "trajectory.v_lon", "trajectory.v_lat", "trajectory.omega")))
-        trajectory.check_covers(duration)
+        if trajectory.t_s[0] > 0 or trajectory.t_s[-1] < duration:
+            raise ValueError(f"trajectory [{trajectory.t_s[0]}, {trajectory.t_s[-1]}] "
+                             f"does not cover [0, {duration}]")
         sim = kv.build(SimConfig, SIM, texture=texture, cam=kv.camera(),
                        ext=kv.build(Extrinsics, EXTRINSICS), duration=duration,
                        time_step=kv.take("sim.time_step_s", _finite, default_step))

@@ -55,6 +55,13 @@ class EvalReport:
         return out
 
 
+def _valid_series(rows: list[VelocityEstimate]) -> tuple[np.ndarray, np.ndarray]:
+    """Times and (n, 3) ``CHANNELS`` values of the valid rows, in stable time order."""
+    rows = sorted((r for r in rows if r.valid), key=lambda r: r.t_mid)
+    return (np.array([r.t_mid for r in rows]),
+            np.array([[r.v_lon, r.v_lat, r.omega] for r in rows]).reshape(-1, 3))
+
+
 def _pair_series(est_t: np.ndarray, truth_t: np.ndarray, tolerance: float):
     idx = np.searchsorted(truth_t, est_t)
     idx = np.clip(idx, 1, truth_t.size - 1) if truth_t.size > 1 else np.zeros_like(idx)
@@ -76,44 +83,30 @@ def evaluate(estimates: list[VelocityEstimate], truth: list[VelocityEstimate],
     estimate stream is empty, the ground truth has no valid row, or no pair
     falls inside the tolerance.
     """
-    truth = [g for g in truth if g.valid]
-    if not estimates or not truth:
+    truth_t, truth_arr = _valid_series(truth)
+    if not estimates or not truth_t.size:
         raise EvaluationError("need a non-empty estimate stream and at least one valid "
                               "ground-truth row")
-    valid = [e for e in estimates if e.valid]
-    truth_t = np.array([g.t_mid for g in truth])
-    order = np.argsort(truth_t, kind="stable")
-    truth_t = truth_t[order]
-    truth_arr = np.array([[truth[i].v_lon, truth[i].v_lat, truth[i].omega] for i in order])
-
-    pairs_used = 0
-    unpaired = 0
-    errors = []
-    truths = []
-    if valid:
-        est_t = np.array([e.t_mid for e in valid])
-        est_arr = np.array([[e.v_lon, e.v_lat, e.omega] for e in valid])
-        nearest, ok = _pair_series(est_t, truth_t, tolerance_s)
-        pairs_used = int(ok.sum())
-        unpaired = int((~ok).sum())
-        errors = est_arr[ok] - truth_arr[nearest[ok]]
-        truths = truth_arr[nearest[ok]]
+    est_t, est_arr = _valid_series(estimates)
+    nearest, ok = _pair_series(est_t, truth_t, tolerance_s)
+    pairs_used = int(ok.sum())
     if pairs_used == 0:
         raise EvaluationError("no estimate/ground-truth pair within the alignment tolerance")
+    truths = truth_arr[nearest[ok]]
+    errors = est_arr[ok] - truths
 
     channels = {}
     for c, name in enumerate(CHANNELS):
-        err = np.asarray(errors)[:, c]
+        err = errors[:, c]
         rmse = float(np.sqrt(np.mean(err * err)))
         sigma = float(np.std(err))
         rel = None
         if name == "v_lon":
-            denom = float(np.mean(np.abs(np.asarray(truths)[:, 0])))
+            denom = float(np.mean(np.abs(truths[:, 0])))
             rel = rmse / denom * 100.0 if denom > 0 else math.inf
         channels[name] = ChannelMetrics(rmse=rmse, sigma=sigma, relative_pct=rel)
 
-    n_valid = len(valid)
     return EvalReport(channels=channels, frames_total=len(estimates),
-                      frames_valid=n_valid, frames_invalid=len(estimates) - n_valid,
-                      pairs_used=pairs_used, unpaired=unpaired,
+                      frames_valid=est_t.size, frames_invalid=len(estimates) - est_t.size,
+                      pairs_used=pairs_used, unpaired=ok.size - pairs_used,
                       latency_ms=latency_ms or {})

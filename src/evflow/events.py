@@ -49,10 +49,9 @@ def validate_events(events: np.ndarray, width: int, height: int,
     Raises EventOrderError on a non-monotone timestamp and EventBoundsError
     on an out-of-range pixel.  ``events`` may be a part of a stream that
     starts at its record ``first_record``; an order error names the record
-    counted from the stream's start.
+    counted from the stream's start.  Its records are ``EVENT_DTYPE``'s, as
+    both ``event_io`` loaders read them.
     """
-    if events.dtype != EVENT_DTYPE:
-        raise EventBoundsError(f"expected event dtype {EVENT_DTYPE}, got {events.dtype}")
     if events.size == 0:
         return
     t = events["t_us"]
@@ -72,7 +71,7 @@ def validate_events(events: np.ndarray, width: int, height: int,
 
 @dataclass(frozen=True)
 class AccumulationConfig:
-    """Fixed-time accumulation parameters."""
+    """Fixed-time accumulation parameters; the sensor sides are a ``CameraModel``'s."""
 
     window_us: int
     sensor_width: int
@@ -85,8 +84,6 @@ class AccumulationConfig:
         # to_intensity sums the two capped polarity grids in int32
         if not 1 <= self.count_cap <= 2 ** 30 - 1:
             raise ValueError("count_cap must lie in [1, 2**30 - 1]")
-        if self.sensor_width < 1 or self.sensor_height < 1:
-            raise ValueError("sensor dimensions must be positive")
 
 
 @dataclass(frozen=True)

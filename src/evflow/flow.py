@@ -121,13 +121,11 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> n
     Borders use replicated (clamped) samples.  The fit is exact for inputs
     that are polynomials of degree <= 2, e.g. a constant image yields
     A = 0 and b = 0.  Float inputs keep their dtype; everything else is
-    promoted to float64.
+    promoted to float64.  ``flow_pyramid`` passes 2-d images 2 px a side or more.
     """
     img = np.asarray(image)
     if img.dtype not in (np.float32, np.float64):
         img = img.astype(np.float64)
-    if img.ndim != 2 or img.size == 0:
-        raise ValueError("expansion needs a non-empty 2-d image")
 
     g, xg, xxg = (k.astype(img.dtype) for k in _applicability_kernels(poly_n, poly_sigma))
     ig03, ig11, ig33, ig55 = _gram_inverse_entries(g.astype(np.float64), poly_n)
@@ -430,10 +428,8 @@ def subsample_flow(field: FlowField, stride: int) -> tuple[np.ndarray, np.ndarra
     """Correspondences (p, q = p + flow) on a stride grid of valid pixels.
 
     Returns two (N, 2) arrays of (x, y) pixel-center coordinates, row-major
-    over grid points whose mask is set.
+    over grid points whose mask is set.  ``RunConfig`` keeps ``stride`` >= 1.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     h, w = field.shape
     ys, xs = np.mgrid[0:h:stride, 0:w:stride]
     keep = field.valid[ys, xs]

@@ -27,7 +27,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import DegenerateConsensusError, InsufficientDataError
 from .events import EventFrame, iter_frames, to_intensity
-from .flow import FlowField, FlowPyramid, compute_flow, flow_pyramid, subsample_flow
+from .flow import FlowPyramid, compute_flow, flow_pyramid, subsample_flow
 from .rigid import (CameraVelocity, EstimateQuality, estimate_rigid, ransac_estimate,
                     to_camera_velocity)
 from .vehicle import ImuSeries, VelocityEstimate, substitute_imu_yaw, transform_to_axle
@@ -60,17 +60,15 @@ class PairResult:
 
     ``estimate`` is the output row and carries the reason code of an
     invalid pair.  ``camera`` is the camera-frame velocity before the axle
-    transfer, or None when no rigid fit was reached.  ``flow`` is None when
-    the row was decided without running flow.  ``stage_s`` holds the pair's
-    wall seconds in each stage it ran and, under ``"pair"``, end to end, on
-    the thread that ran it; it is empty for a row decided without running a
-    stage.  ``accumulate_s`` is the time spent accumulating the row's own
-    frame, on the calling thread, while earlier pairs may still run.
+    transfer, or None when no rigid fit was reached.  ``stage_s`` holds the
+    pair's wall seconds in each stage it ran and, under ``"pair"``, end to
+    end, on the thread that ran it; it is empty for a row decided without
+    running a stage.  ``accumulate_s`` is the time spent accumulating the
+    row's own frame, on the calling thread, while earlier pairs may still run.
     """
 
     estimate: VelocityEstimate
     camera: CameraVelocity | None = None
-    flow: FlowField | None = None
     stage_s: dict[str, float] = field(default_factory=dict)
     accumulate_s: float = 0.0
 
@@ -149,7 +147,7 @@ def process_frame_pair(prev: FrameMemo, curr: FrameMemo, cfg: RunConfig, pair_in
         stage_s["estimate"] = time.perf_counter() - t0
     if reason:
         stage_s["pair"] = time.perf_counter() - t_pair
-        return PairResult(_invalid(t_mid, reason, cfg.omega_source), None, flow, stage_s)
+        return PairResult(_invalid(t_mid, reason, cfg.omega_source), None, stage_s)
 
     t0 = time.perf_counter()
     cam_vel = to_camera_velocity(motion, cfg.camera, cfg.window_s, t_mid, cfg.mapping, p.shape[0])
@@ -160,7 +158,7 @@ def process_frame_pair(prev: FrameMemo, curr: FrameMemo, cfg: RunConfig, pair_in
         est = transform_to_axle(cam_vel, cfg.extrinsics)
     stage_s["transform"] = time.perf_counter() - t0
     stage_s["pair"] = time.perf_counter() - t_pair
-    return PairResult(est, cam_vel, flow, stage_s)
+    return PairResult(est, cam_vel, stage_s)
 
 
 def _pair(prev: FrameMemo | None, curr: FrameMemo, cfg: RunConfig, pair_index: int,
@@ -197,10 +195,9 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     pairs' and the one being accumulated.  When a pair or the accumulation
     of a frame raises, every row before it has been yielded.  Each row
     carries in ``accumulate_s`` the time spent accumulating its own frame.
+    ``imu`` is given for ``omega.source = imu``, which requires ``io.imu``.
     """
     workers = default_workers(cfg) if workers is None else workers
-    if cfg.omega_source == "imu" and imu is None:
-        raise InsufficientDataError("omega source is imu but no IMU stream was supplied")
     from concurrent.futures import ThreadPoolExecutor  # imported here: only pair runs pay for it
     frames = iter_frames(events, cfg.accumulation, t_start_us=t_start_us, t_end_us=t_end_us)
     prev = None

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import _pair_series
+from .evaluate import CHANNELS, _pair_series, _valid_series
 from .events import CameraModel, max_exposure_for_blur
 from .flow import FlowField, subsample_flow
 from .svgplot import histogram, line_chart, quiver
@@ -27,17 +27,16 @@ def emit_plots(estimates: list[VelocityEstimate], truth: list[VelocityEstimate],
                out_dir: str | Path) -> list[Path]:
     """One estimate-vs-truth time series and one residual histogram per
     channel; six SVG files with fixed names, byte-deterministic.  Rows of
-    either stream marked invalid are left out."""
+    either stream marked invalid are left out; each is drawn in time order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    valid = [e for e in estimates if e.valid]
-    truth = [g for g in truth if g.valid]
-    est_t = np.array([e.t_mid for e in valid])
-    truth_t = np.array([g.t_mid for g in truth])
+    est_t, est_values = _valid_series(estimates)
+    truth_t, truth_values = _valid_series(truth)
+    valid = est_t.size > 0
     written = []
-    for chan, (series_name, resid_name, unit) in CHANNEL_FILES.items():
-        est_v = np.array([getattr(e, chan) for e in valid])
-        truth_v = np.array([getattr(g, chan) for g in truth])
+    for c, chan in enumerate(CHANNELS):
+        series_name, resid_name, unit = CHANNEL_FILES[chan]
+        est_v, truth_v = est_values[:, c], truth_values[:, c]
         note = "" if valid else "no valid estimates"
         series = [("truth", TRUTH_COLOR, truth_t, truth_v)]
         if valid:

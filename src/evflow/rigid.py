@@ -129,12 +129,11 @@ def estimate_rigid(p: np.ndarray, q: np.ndarray) -> RigidMotion2D:
 
     The angle comes in closed form from the cross-covariance H of the
     centered point sets, theta = atan2(H01 - H10, H00 + H11), which
-    maximises trace(R H); then t = q_mean - R p_mean.
+    maximises trace(R H); then t = q_mean - R p_mean.  ``p`` and ``q`` are
+    ``subsample_flow``'s matching (N, 2) arrays, or RANSAC's rows of them.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] != 2 or p.shape != q.shape:
-        raise ValueError("expected matching (N, 2) point arrays")
     n = p.shape[0]
     if n < 2:
         raise InsufficientDataError(f"rigid fit needs >= 2 correspondences, got {n}")
@@ -215,9 +214,8 @@ def to_camera_velocity(motion: RigidMotion2D, cam: CameraModel, dt: float, t_mid
     Per image axis v = t * meters_per_px / dt and omega = theta / dt,
     then the configured mounting mapping carries both into vehicle axes.
     ``motion`` was fitted to ``n_total`` correspondences, at least one.
+    ``dt`` is the accumulation window, which ``AccumulationConfig`` keeps > 0.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     v_img = motion.t * cam.meters_per_px / dt
     omega = mapping.omega_sign * motion.theta / dt
     quality = EstimateQuality(n_inliers=motion.n_points, inlier_fraction=motion.n_points / n_total,

@@ -308,12 +308,6 @@ class Trajectory:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"trajectory {name} must be finite")
 
-    def check_covers(self, duration: float) -> None:
-        """Raise ValueError unless the samples span [0, duration]."""
-        if self.t_s[0] > 0 or self.t_s[-1] < duration:
-            raise ValueError(
-                f"trajectory [{self.t_s[0]}, {self.t_s[-1]}] does not cover [0, {duration}]")
-
     def at(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = np.asarray(t, dtype=np.float64)
         return (np.interp(t, self.t_s, self.v_lon),
@@ -421,9 +415,9 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
     interpolated linearly within the substep; spurious Poisson events are
     appended at ``noise_rate`` per pixel per second.  Returns the event
     array, ground truth sampled at substep boundaries, and the final
-    simulator state so runs can be chained.
+    simulator state so runs can be chained.  ``Scenario`` checks that
+    ``traj`` covers [0, ``cfg.duration``].
     """
-    traj.check_covers(cfg.duration)
     cam = cfg.cam
     scale = cam.f_px / cam.height_z
     n_sub = max(1, math.ceil(cfg.duration / cfg.time_step))

@@ -52,13 +52,13 @@ class ImuSeries:
     """Time-sorted yaw-rate samples with interpolating lookup.
 
     The sample arrays are read-only, so a series never changes once built.
+    ``t_us`` and ``yaw_rate`` are matching 1-d sequences (two columns of
+    one file, or of one truth list); only their time order is checked.
     """
 
     def __init__(self, t_us, yaw_rate):
         t = np.asarray(t_us, dtype=np.int64)
         w = np.asarray(yaw_rate, dtype=np.float64)
-        if t.shape != w.shape or t.ndim != 1:
-            raise InputFormatError("IMU times and rates must be matching 1-d sequences")
         back = np.flatnonzero(t[1:] < t[:-1])
         if back.size:
             raise InputFormatError(f"data row {back[0] + 2} has t_us {t[back[0] + 1]}, below "

@@ -167,7 +167,7 @@ class TestRunPipeline:
         assert len(run) == 6  # 2 + 1 + 3: five empty pairs are skipped
         assert Counter(calls) == {"pyramid": len({j for k in run for j in (k - 1, k)}),
                                   "flow": len(run)}
-        assert [k for k, pair in enumerate(pairs) if pair.flow is not None] == run
+        assert [k for k, pair in enumerate(pairs) if "flow" in pair.stage_s] == run
 
         # estimate writes the same rows and counts each reason in first-seen order
         ev_path, run_cfg = tmp_path / "events.evt", tmp_path / "run.cfg"
@@ -315,7 +315,7 @@ class TestRunPipeline:
     def test_timings_json_layout(self, tmp_path):
         cfg, events, _ = small_scenario(duration=0.132)
         pairs = list(iter_pairs(events, cfg))
-        flowed = [pair for pair in pairs if pair.flow is not None]
+        flowed = [pair for pair in pairs if "flow" in pair.stage_s]
         assert flowed and all(pair.estimate.valid for pair in flowed)  # so every stage runs
         ev_path, run_cfg = tmp_path / "events.evt", tmp_path / "run.cfg"
         write_events_binary(ev_path, events, cfg.camera.width, cfg.camera.height)
@@ -808,11 +808,11 @@ trajectory.omega = 0.3, 0.3
         def ms(**stages):
             return {stage: t / 1e3 for stage, t in stages.items()}
 
-        pairs = [PairResult(vel(0.033, 1.0), None, None,
+        pairs = [PairResult(vel(0.033, 1.0), None,
                             ms(intensity=1, flow=10, subsample=1, estimate=5, transform=1,
                                pair=20)),
                  PairResult(replace(vel(0.066, 0.0), valid=False, reason="textureless"),
-                            None, None, ms(intensity=1, flow=10, subsample=1, pair=13))]
+                            None, ms(intensity=1, flow=10, subsample=1, pair=13))]
         monkeypatch.setattr("evflow.cli.iter_pairs", lambda *args, **kwargs: iter(pairs))
         events, run_cfg = tmp_path / "events.csv", tmp_path / "run.cfg"
         events.write_text(event_io.CSV_HEADER + "\n")
@@ -957,6 +957,20 @@ trajectory.omega = 0.3, 0.3
             for svg in (series, residual):
                 assert (tmp_path / "all" / svg).read_bytes() == \
                     (tmp_path / "valid" / svg).read_bytes()
+
+    def test_plot_pairs_with_truth_in_time_order(self, tmp_path):
+        # the estimates equal the truth, so each residual is 0 when paired right
+        rows = [vel(0.0, 1.0, 0.1, 0.2), vel(0.1, 2.0, 0.3, 0.5), vel(0.2, 4.0, 0.6, 1.0)]
+        est = tmp_path / "estimates.csv"
+        state_io.write_velocity_csv(est, rows)
+        for name, truth in (("sorted", rows), ("shuffled", [rows[2], rows[0], rows[1]])):
+            state_io.write_velocity_csv(tmp_path / f"{name}.csv", truth)
+            assert cli_main(["plot", "--estimates", str(est), "--ground-truth",
+                             str(tmp_path / f"{name}.csv"), "--out-dir", str(tmp_path / name)]) == 0
+        for series, residual, _ in CHANNEL_FILES.values():
+            for svg in (series, residual):
+                assert (tmp_path / "shuffled" / svg).read_bytes() == \
+                    (tmp_path / "sorted" / svg).read_bytes()
 
     def test_seed_env_override(self, workspace, monkeypatch, capsys):
         tmp_path, scenario, run_cfg = workspace
@@ -1167,8 +1181,22 @@ trajectory.omega = 0.3, 0.3
         cfg = RunConfig.from_file(run_cfg)
         frames = list(iter_frames(load_events_csv(ev, cfg.camera.width, cfg.camera.height),
                                   cfg.accumulation))
-        field = process_frame_pair(FrameMemo(frames[1]), FrameMemo(frames[2]), cfg,
-                                   pair_index=2).flow
+        field = flow.compute_flow(*(FrameMemo(frame).pyramid(cfg)[0] for frame in frames[1:3]))
         dump_flow_csv(field, cfg.stride, tmp_path / "expected.csv")
         assert ((tmp_path / "out" / "flow_00002.csv").read_bytes()
                 == (tmp_path / "expected.csv").read_bytes())
+
+    def test_flow_debug_reads_no_imu_file(self, workspace):
+        tmp_path, scenario, run_cfg = workspace
+        ev = tmp_path / "events.csv"
+        assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
+        imu_cfg = tmp_path / "imu_run.cfg"
+        imu_cfg.write_text(run_cfg.read_text()
+                           + f"omega.source = imu\nio.imu = {tmp_path / 'absent.csv'}\n")
+        for cfg, out in ((run_cfg, "flow"), (imu_cfg, "imu")):
+            assert cli_main(["flow-debug", "--config", str(cfg), "--events", str(ev),
+                             "--pair-index", "2", "--out-dir", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "imu" / "flow_00002.csv").read_bytes()
+                == (tmp_path / "flow" / "flow_00002.csv").read_bytes())
+        # estimate, which uses the yaw rates, still needs the file
+        assert cli_main(["estimate", "--config", str(imu_cfg), "--events", str(ev)]) == 3

@@ -362,10 +362,6 @@ class TestGenerateEvents:
         for key, seq in f.items():
             assert r[key] == [-p for p in reversed(seq)]
 
-    def test_trajectory_must_cover_duration(self):
-        with pytest.raises(ValueError):
-            generate_events(sim(duration=0.2), constant_trajectory(0.1, v_lon=1.0))
-
     def test_timestamps_clamped_inside_duration(self):
         ev, _, _ = generate_events(sim(duration=0.02, noise_rate=2.0, seed=5),
                                    constant_trajectory(0.02, v_lon=2.0))
