@@ -120,26 +120,23 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> n
     ``[axx, ayy, axy/2, bx, by]``; the constant term ``c`` is not computed.
     Borders use replicated (clamped) samples.  The fit is exact for inputs
     that are polynomials of degree <= 2, e.g. a constant image yields
-    A = 0 and b = 0.  Float inputs keep their dtype; everything else is
-    promoted to float64.  ``flow_pyramid`` passes 2-d images 2 px a side or more.
+    A = 0 and b = 0.  ``image`` is a float32 or float64 array, 2-d and 2 px
+    a side or more, as ``flow_pyramid`` passes its levels; the channels keep
+    its dtype.
     """
-    img = np.asarray(image)
-    if img.dtype not in (np.float32, np.float64):
-        img = img.astype(np.float64)
-
-    g, xg, xxg = (k.astype(img.dtype) for k in _applicability_kernels(poly_n, poly_sigma))
+    g, xg, xxg = (k.astype(image.dtype) for k in _applicability_kernels(poly_n, poly_sigma))
     ig03, ig11, ig33, ig55 = _gram_inverse_entries(g.astype(np.float64), poly_n)
 
     # Vertical moment passes (y axis), then horizontal (x axis); _correlate1d
     # applies kernels unflipped so the odd kernel measures +offset moments.
-    r = np.empty((3,) + img.shape, img.dtype)
+    r = np.empty((3,) + image.shape, image.dtype)
     for kernel, row in zip((g, xg, xxg), r):
-        _correlate1d(img, kernel, axis=0, output=row)
+        _correlate1d(image, kernel, axis=0, output=row)
     b1, b3, b5 = _correlate1d(r, g, axis=-1)
     b2, b6 = _correlate1d(r[:2], xg, axis=-1)
     b4, = _correlate1d(r[:1], xxg, axis=-1)
 
-    dt = img.dtype.type
+    dt = image.dtype.type
     return np.stack([dt(ig03) * b1 + dt(ig33) * b4, dt(ig03) * b1 + dt(ig33) * b5,
                      0.5 * (dt(ig55) * b6), dt(ig11) * b2, dt(ig11) * b3])
 

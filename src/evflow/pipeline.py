@@ -13,17 +13,14 @@ Each pair's row carries its own wall-clock seconds per stage.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import count
 
 import numpy as np
 
+from . import parallel
 from .config import RunConfig
 from .errors import DegenerateConsensusError, InsufficientDataError
 from .events import EventFrame, iter_frames, to_intensity
@@ -33,25 +30,8 @@ from .rigid import (CameraVelocity, EstimateQuality, estimate_rigid, ransac_esti
 from .vehicle import ImuSeries, VelocityEstimate, substitute_imu_yaw, transform_to_axle
 
 PAIR_STAGES = ("intensity", "flow", "subsample", "estimate", "transform")
-# Frames of fewer pixels run one pair at a time.  On a 2-vCPU host (fresh
-# `evflow estimate` processes, one BLAS thread, alternating runs), two
-# workers ran the whole command 1.28x faster than one at 346x260 (median
-# 1.67 -> 1.25 s over 12 pairs of runs, 1.02-1.87x per pair) but 0.83x as
-# fast at 160x120 (RANSAC on, 10 pairs): small frames do not pay for a
-# second working set.
-PARALLEL_MIN_PIXELS = 40_000
 
 _INVALID_QUALITY = EstimateQuality(n_inliers=0, inlier_fraction=0.0, mean_residual=0.0)
-
-
-def default_workers(cfg: RunConfig) -> int:
-    """Pairs run at once: two on frames of ``PARALLEL_MIN_PIXELS`` or more
-    where two CPUs are usable, else one."""
-    if cfg.camera.width * cfg.camera.height < PARALLEL_MIN_PIXELS:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return min(2, len(os.sched_getaffinity(0)))
-    return min(2, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -186,43 +166,25 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     ``textureless`` without running flow.  Invalid frames carry reason
     codes and never vanish.
 
-    Up to ``workers`` pairs are in flight (``default_workers(cfg)`` when
-    None).  This thread accumulates frame k and submits the pair (k - 1, k)
-    to a pool of ``workers`` threads; once ``workers`` pairs are pending it
-    yields the oldest one's row, so accumulation overlaps the pairs.  One
-    worker runs each pair on this thread and starts no thread.  At most
-    ``workers + 1`` frames and their pyramids are resident: the pending
-    pairs' and the one being accumulated.  When a pair or the accumulation
+    Up to ``workers`` pairs are in flight (``parallel.default_workers`` of
+    the camera when None).  This thread accumulates frame k and hands the
+    pair (k - 1, k) to ``parallel.in_order``: once ``workers`` pairs are
+    pending it yields the oldest one's row, so accumulation overlaps the
+    pairs.  One worker runs each pair on this thread and starts no thread.
+    At most ``workers + 1`` frames and their pyramids are resident: the
+    pending pairs' and the one being accumulated.  When a pair or the accumulation
     of a frame raises, every row before it has been yielded.  Each row
     carries in ``accumulate_s`` the time spent accumulating its own frame.
     ``imu`` is given for ``omega.source = imu``, which requires ``io.imu``.
     """
-    workers = default_workers(cfg) if workers is None else workers
-    from concurrent.futures import ThreadPoolExecutor  # imported here: only pair runs pay for it
+    workers = parallel.default_workers(cfg.camera) if workers is None else workers
     frames = iter_frames(events, cfg.accumulation, t_start_us=t_start_us, t_end_us=t_end_us)
-    prev = None
-    pending: deque[Callable[[], PairResult]] = deque()
-    # the pool starts a thread only on a submit, so one worker starts none
-    with ThreadPoolExecutor(workers, thread_name_prefix="evflow-pair") as pool:
-        # a pending pair is a call that returns its row: the pool's future's,
-        # or with one worker the pair itself, run here when its row is due
-        defer = partial if workers == 1 else lambda *call: pool.submit(*call).result
-        for index in count():
-            t0 = time.perf_counter()
-            try:
-                frame = next(frames, None)
-            except Exception:
-                # the frames before the one that failed to accumulate keep their rows
-                while pending:
-                    yield pending.popleft()()
-                raise
-            accumulate_s = time.perf_counter() - t0
-            if frame is None:
-                break
+
+    def pairs():
+        prev, t0 = None, time.perf_counter()
+        for index, frame in enumerate(frames):
             curr = FrameMemo(frame)
-            pending.append(defer(_pair, prev, curr, cfg, index, imu, accumulate_s))
-            prev = curr
-            if len(pending) == workers:
-                yield pending.popleft()()
-        while pending:
-            yield pending.popleft()()
+            yield _pair, prev, curr, cfg, index, imu, time.perf_counter() - t0
+            prev, t0 = curr, time.perf_counter()
+
+    yield from parallel.in_order(pairs(), workers)

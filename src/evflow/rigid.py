@@ -130,10 +130,9 @@ def estimate_rigid(p: np.ndarray, q: np.ndarray) -> RigidMotion2D:
     The angle comes in closed form from the cross-covariance H of the
     centered point sets, theta = atan2(H01 - H10, H00 + H11), which
     maximises trace(R H); then t = q_mean - R p_mean.  ``p`` and ``q`` are
-    ``subsample_flow``'s matching (N, 2) arrays, or RANSAC's rows of them.
+    ``subsample_flow``'s matching float64 (N, 2) arrays, or RANSAC's rows
+    of them.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
     n = p.shape[0]
     if n < 2:
         raise InsufficientDataError(f"rigid fit needs >= 2 correspondences, got {n}")
@@ -167,11 +166,10 @@ def ransac_estimate(p: np.ndarray, q: np.ndarray, params: RansacParams,
     and refits on it.  Coincident samples are redrawn up to a global cap
     of 10x the iteration count.
 
-    Raises DegenerateConsensusError when the best inlier fraction falls
-    below ``params.min_inlier_fraction``.
+    ``p`` and ``q`` are ``subsample_flow``'s matching float64 (N, 2)
+    arrays.  Raises DegenerateConsensusError when the best inlier fraction
+    falls below ``params.min_inlier_fraction``.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
     n = p.shape[0]
     if n < 2:
         raise InsufficientDataError(f"RANSAC needs >= 2 correspondences, got {n}")

@@ -18,11 +18,13 @@ conventions in the run configuration instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, cycle
 
 import numpy as np
 
+from . import parallel
 from .events import EVENT_DTYPE, CameraModel, make_events
 from .rigid import CameraVelocity, EstimateQuality
 from .vehicle import Extrinsics, VelocityEstimate, transform_to_axle
@@ -30,7 +32,7 @@ from .vehicle import Extrinsics, VelocityEstimate, transform_to_axle
 MAX_SUBSTEPS = 10 ** 6  # ceiling on duration / time_step, the simulator's loop count
 MAX_CROSSINGS = 1000  # ceiling on the contrast levels one pixel crosses in one substep
 MAX_NOISE_RATE = 1e6  # noise events per pixel per second: one per timestamp tick
-_INITIAL_EVENTS = 1 << 16  # first capacity of the simulator's event buffer
+_CHUNK_SUBSTEPS = 4  # substeps per simulator work unit: see generate_events
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -404,6 +406,127 @@ def _time_order(t_us: np.ndarray) -> np.ndarray:
                       kind="stable")
 
 
+def _bands(level: np.ndarray, anchor: np.ndarray, contrast: float) -> np.ndarray:
+    """The threshold band each pixel's log intensity ``level`` lies in."""
+    return np.floor((level - anchor) / contrast + 0.5).astype(np.int64)
+
+
+def _crossings(level_prev: np.ndarray, band_prev: np.ndarray, level_new: np.ndarray,
+               band_new: np.ndarray, anchor: np.ndarray, contrast: float, t0: float,
+               h: float) -> list[tuple[np.ndarray, ...]]:
+    """The contrast-level crossings of a substep from ``t0`` to ``t0 + h``
+    seconds, as (timestamp in float us, x, y, polarity) parts: per level,
+    then rising before falling, then in raster order.
+
+    Only the crossing pixels' indices and level counts are kept for the
+    whole frame; each part gathers its own pixels' values.
+    """
+    width = level_new.shape[1]
+    level_prev, band_prev, level_new, band_new, anchor = (
+        a.ravel() for a in (level_prev, band_prev, level_new, band_new, anchor))
+    # the rising and the falling pixels in raster order, with the levels each
+    # crosses; each level keeps those that reach it
+    sides = []
+    for crosses in (band_new > band_prev, band_new < band_prev):
+        px = np.flatnonzero(crosses)
+        sides.append([px, np.abs(band_new[px] - band_prev[px])])
+    crossed = max(int(n.max(initial=0)) for _, n in sides)
+    if crossed > MAX_CROSSINGS:
+        raise ValueError(f"a pixel crosses {crossed} contrast levels in one substep, "
+                         f"more than {MAX_CROSSINGS}: shorten the time step or raise "
+                         "the contrast")
+    parts = []
+    for i in range(1, crossed + 1):
+        for side, sign in zip(sides, (1, -1)):
+            if i > 1:
+                reach = side[1] >= i
+                side[:] = side[0][reach], side[1][reach]
+            px = side[0]
+            if not px.size:
+                continue
+            level0 = level_prev[px]
+            target = anchor[px] + (band_prev[px] + (i if sign > 0 else 1 - i) - 0.5) * contrast
+            frac = (target - level0) / (level_new[px] - level0)
+            y, x = np.divmod(px, width)
+            parts.append(((t0 + np.clip(frac, 0.0, 1.0) * h) * 1e6, x.astype(np.uint16),
+                          y.astype(np.uint16), np.full(px.size, sign, dtype=np.int8)))
+    return parts
+
+
+def _sorted_records(parts: list[tuple[np.ndarray, ...]], t_last_us: int) -> np.ndarray:
+    """One substep's records from its (timestamp in float us, x, y,
+    polarity) ``parts``, which it empties, rounded to whole microseconds
+    up to ``t_last_us`` and sorted by time; the stable sort keeps the parts'
+    order among equal timestamps."""
+    t, x, y, p = (np.concatenate(column) for column in zip(*parts))
+    parts.clear()
+    t += 0.5
+    t_us = np.floor(t, out=t).astype(np.int64)
+    del t  # with the parts, freed before the sort's temporaries exist
+    # keep boundary-rounded timestamps inside the simulated span
+    np.clip(t_us, 0, t_last_us, out=t_us)
+    order = _time_order(t_us)
+    return make_events(t_us.view(np.uint64)[order], x[order], y[order], p[order])
+
+
+@dataclass
+class _Worker:
+    """One simulator worker's state, kept for the run: the box of a lattice
+    texture's values, refilled only when a render's footprint leaves it, the
+    log intensity and threshold band it rendered last (those at the start
+    of substep ``k``), and the buffer its chunks' records are written to.
+
+    The buffer grows to the largest chunk and is reused, so the records
+    waiting for the calling thread are neither allocated nor freed among
+    the worker's temporaries.
+    """
+
+    box: LatticeBox = field(default_factory=LatticeBox)
+    k: int = -1
+    level: np.ndarray | None = None
+    band: np.ndarray | None = None
+    records: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=EVENT_DTYPE))
+
+
+def _chunk_records(cfg: SimConfig, anchor: np.ndarray, worker: _Worker, k0: int,
+                   poses: list, noise: list, h: float) -> int:
+    """Write the records of substeps ``k0``, ``k0 + 1``, ... of ``h`` seconds
+    each, every substep's sorted by time, to the start of ``worker.records``;
+    returns how many there are.
+
+    ``poses[i]`` is the plane pose (psi, c_px) at the start of substep
+    ``k0 + i`` and the last one the pose at the end of the chunk;
+    ``noise[i]`` holds substep ``k0 + i``'s noise events (timestamp in
+    float us, x, y, polarity), or None.  The worker's last image is reused
+    when it is that of the chunk's start, else it is rendered once more.
+    """
+    cam = cfg.cam
+    if worker.k != k0:
+        worker.level = _render(cfg.texture, *poses[0], cam, worker.box)
+        worker.band = _bands(worker.level, anchor, cfg.contrast)
+    level_prev, band_prev = worker.level, worker.band
+    t_last_us = round(cfg.duration * 1e6) - 1
+    n = 0
+    for k, pose, drawn in zip(count(k0), poses[1:], noise):
+        level_new = _render(cfg.texture, *pose, cam, worker.box)
+        band_new = _bands(level_new, anchor, cfg.contrast)
+        parts = _crossings(level_prev, band_prev, level_new, band_new, anchor, cfg.contrast,
+                           k * h, h)
+        if drawn is not None:
+            parts.append(drawn)
+        if parts:
+            records = _sorted_records(parts, t_last_us)
+            if n + records.size > worker.records.size:
+                # no view of the buffer outlives a statement: refcheck=False is safe
+                worker.records.resize(n + records.size, refcheck=False)
+            worker.records[n:n + records.size] = records
+            n += records.size
+            del records  # freed before the next substep's temporaries exist
+        level_prev, band_prev = level_new, band_new
+    worker.k, worker.level, worker.band = k0 + len(noise), level_prev, band_prev
+    return n
+
+
 def generate_events(cfg: SimConfig, traj: Trajectory,
                     initial_state: SimState | None = None
                     ) -> tuple[np.ndarray, list[VelocityEstimate], SimState]:
@@ -417,6 +540,13 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
     array, ground truth sampled at substep boundaries, and the final
     simulator state so runs can be chained.  ``Scenario`` checks that
     ``traj`` covers [0, ``cfg.duration``].
+
+    This thread integrates the poses and draws each substep's noise from
+    the one seeded generator, in substep order; chunks of
+    ``_CHUNK_SUBSTEPS`` substeps then run through ``parallel.in_order`` on
+    ``parallel.default_workers`` threads.  A substep's events depend only on
+    its two images, the anchor and its noise, so the stream does not depend
+    on the number of workers.
     """
     cam = cfg.cam
     scale = cam.f_px / cam.height_z
@@ -428,90 +558,51 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
     else:
         psi = float(initial_state.psi)
         c_px = np.asarray(initial_state.c_px, dtype=np.float64).copy()
-    # a lattice texture is evaluated on one box per run, refilled only when a
-    # render's footprint leaves it
-    box = LatticeBox()
-    level_prev = _render(cfg.texture, psi, c_px, cam, box)
+    # the chunks take the workers in turn: in_order keeps at most that many
+    # chunks pending, so no two chunks use one worker at once
+    workers = [_Worker() for _ in range(parallel.default_workers(cam))]
+    first = workers[0]
+    first.level = _render(cfg.texture, psi, c_px, cam, first.box)
     # a fresh run anchors each pixel's threshold ladder at its first level
-    anchor = (level_prev if initial_state is None else initial_state.anchor).copy()
-    rng = np.random.default_rng(cfg.seed)
+    anchor = (first.level if initial_state is None else initial_state.anchor).copy()
     # Threshold lines sit at anchor + (j - 1/2) * C so a fresh pixel starts
     # centered in band 0; the first crossing in either direction needs a
     # half-threshold traversal, every further one a full threshold.
-    band_prev = np.floor((level_prev - anchor) / cfg.contrast + 0.5).astype(np.int64)
-
-    t_last_us = round(cfg.duration * 1e6) - 1
-    # The stream is written into one buffer that grows in place: ndarray.resize
-    # is realloc, which moves a large block by remapping its pages, so the
-    # stream is never copied or held twice.  resize zero-fills the added
-    # records, which makes them resident, so the buffer grows by a quarter
-    # rather than doubling.  No view of the buffer outlives a statement before
-    # the final resize, which makes refcheck=False safe.
-    events = np.empty(_INITIAL_EVENTS, dtype=EVENT_DTYPE)
-    n = 0
+    first.k, first.band = 0, _bands(first.level, anchor, cfg.contrast)
+    rng = np.random.default_rng(cfg.seed)
     expected_noise = cfg.noise_rate * h * cam.width * cam.height
-    for k in range(n_sub):
-        t0 = k * h
-        v_lon, v_lat, omega = traj.at(t0 + 0.5 * h)
-        dtheta, ux, uy = _twist_increment(float(v_lon), float(v_lat), float(omega), scale, h)
-        cr, sr = math.cos(dtheta), math.sin(dtheta)
-        c_px = np.array([cr * c_px[0] - sr * c_px[1] + ux,
-                         sr * c_px[0] + cr * c_px[1] + uy])
-        psi += dtheta
-        level_new = _render(cfg.texture, psi, c_px, cam, box)
-        band_new = np.floor((level_new - anchor) / cfg.contrast + 0.5).astype(np.int64)
-        diff = band_new - band_prev
 
-        # the pixels that cross a level, in raster order
-        idx = np.flatnonzero(diff)
-        n_cross = diff.ravel()[idx]
-        band0 = band_prev.ravel()[idx]
-        anchor_px = anchor.ravel()[idx]
-        level0 = level_prev.ravel()[idx]
-        rise = level_new.ravel()[idx] - level0
-        ys_px, xs_px = (a.astype(np.uint16) for a in np.divmod(idx, cam.width))
-        # emitted per level, then rising before falling, then in raster order:
-        # the stable time sort below keeps that order among equal timestamps
-        ts, xs, ys, ps = [], [], [], []
-        crossed = int(np.abs(n_cross).max(initial=0))
-        if crossed > MAX_CROSSINGS:
-            raise ValueError(f"a pixel crosses {crossed} contrast levels in one substep, "
-                             f"more than {MAX_CROSSINGS}: shorten the time step or raise "
-                             "the contrast")
-        for i in range(1, crossed + 1):
-            for sign in (1, -1):
-                sel = np.flatnonzero(n_cross >= i if sign > 0 else n_cross <= -i)
-                if not sel.size:
-                    continue
-                level_idx = band0[sel] + (i if sign > 0 else 1 - i)
-                target = anchor_px[sel] + (level_idx - 0.5) * cfg.contrast
-                frac = (target - level0[sel]) / rise[sel]
-                ts.append((t0 + np.clip(frac, 0.0, 1.0) * h) * 1e6)
-                xs.append(xs_px[sel])
-                ys.append(ys_px[sel])
-                ps.append(np.full(sel.size, sign, dtype=np.int8))
-        if cfg.noise_rate > 0:
-            n_noise = int(rng.poisson(expected_noise))
-            if n_noise:
-                ts.append((t0 + rng.random(n_noise) * h) * 1e6)
-                xs.append(rng.integers(0, cam.width, n_noise).astype(np.uint16))
-                ys.append(rng.integers(0, cam.height, n_noise).astype(np.uint16))
-                ps.append(rng.choice(np.array([-1, 1], dtype=np.int8), n_noise))
-        if ts:
-            t_us = np.floor(np.concatenate(ts) + 0.5).astype(np.int64)
-            # keep boundary-rounded timestamps inside the simulated span
-            np.clip(t_us, 0, t_last_us, out=t_us)
-            order = _time_order(t_us)
-            records = make_events(t_us[order].astype(np.uint64), np.concatenate(xs)[order],
-                                  np.concatenate(ys)[order], np.concatenate(ps)[order])
-            if n + records.size > events.size:
-                events.resize(max(events.size + events.size // 4, n + records.size),
-                              refcheck=False)
-            events[n:n + records.size] = records
-            n += records.size
-        level_prev = level_new
-        band_prev = band_new
+    def chunks():
+        nonlocal psi, c_px
+        for k0, worker in zip(range(0, n_sub, _CHUNK_SUBSTEPS), cycle(workers)):
+            poses, noise = [(psi, c_px)], []
+            for k in range(k0, min(k0 + _CHUNK_SUBSTEPS, n_sub)):
+                t0 = k * h
+                v_lon, v_lat, omega = traj.at(t0 + 0.5 * h)
+                dtheta, ux, uy = _twist_increment(float(v_lon), float(v_lat), float(omega),
+                                                  scale, h)
+                cr, sr = math.cos(dtheta), math.sin(dtheta)
+                c_px = np.array([cr * c_px[0] - sr * c_px[1] + ux,
+                                 sr * c_px[0] + cr * c_px[1] + uy])
+                psi += dtheta
+                poses.append((psi, c_px))
+                n_noise = int(rng.poisson(expected_noise)) if cfg.noise_rate > 0 else 0
+                noise.append(((t0 + rng.random(n_noise) * h) * 1e6,
+                              rng.integers(0, cam.width, n_noise).astype(np.uint16),
+                              rng.integers(0, cam.height, n_noise).astype(np.uint16),
+                              rng.choice(np.array([-1, 1], dtype=np.int8), n_noise))
+                             if n_noise else None)
+            yield _chunk_records, cfg, anchor, worker, k0, poses, noise, h
 
-    events.resize(n, refcheck=False)
+    # The stream is written into one buffer that grows in place by exactly
+    # each chunk's records: ndarray.resize is realloc, which moves a large
+    # block by remapping its pages, so the stream is never copied or held
+    # twice, and no zero-filled slack is resident ahead of need.  No view of
+    # the buffer outlives a statement, which makes refcheck=False safe.
+    events = np.empty(0, dtype=EVENT_DTYPE)
+    for worker, size in zip(cycle(workers), parallel.in_order(chunks(), len(workers))):
+        n = events.size
+        events.resize(n + size, refcheck=False)
+        events[n:] = worker.records[:size]
     truth = _axle_truth(traj, cfg.ext, np.arange(n_sub + 1) * h)
     return events, truth, SimState(psi=psi, c_px=c_px, anchor=anchor)

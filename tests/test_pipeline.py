@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evflow import event_io, flow, pipeline, state_io
+from evflow import event_io, flow, parallel, pipeline, state_io
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig, Scenario
 from evflow.errors import EvaluationError, InputFormatError
@@ -270,7 +270,7 @@ class TestRunPipeline:
         rows = iter_pairs(events, cfg, workers=2)
         assert len(list(islice(rows, taken))) == taken
         rows.close()
-        assert not [t for t in threading.enumerate() if t.name.startswith("evflow-pair")]
+        assert not [t for t in threading.enumerate() if t.name.startswith("evflow-worker")]
 
     def test_first_row_of_a_batch_does_not_wait_for_the_pool(self, small_stream,
                                                             monkeypatch):
@@ -295,12 +295,12 @@ class TestRunPipeline:
         small = RunConfig.from_text(RUN_TEXT)  # 120x90
         large = RunConfig.from_text(RUN_TEXT.replace("camera.width = 120", "camera.width = 346")
                                     .replace("camera.height = 90", "camera.height = 260"))
-        assert large.camera.width * large.camera.height >= pipeline.PARALLEL_MIN_PIXELS
+        assert large.camera.width * large.camera.height >= parallel.PARALLEL_MIN_PIXELS
         for cpus, expect_large in ((1, 1), (2, 2), (8, 2)):
-            monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+            monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
-            assert pipeline.default_workers(small) == 1
-            assert pipeline.default_workers(large) == expect_large
+            assert parallel.default_workers(small.camera) == 1
+            assert parallel.default_workers(large.camera) == expect_large
 
     def test_latency_accounting_sums(self):
         cfg, events, _ = small_scenario(duration=0.132)
@@ -1096,7 +1096,7 @@ trajectory.omega = 0.3, 0.3
         tmp_path, scenario, run_cfg = workspace
         ev, out = tmp_path / "events.csv", tmp_path / "out"
         argv = ["estimate", "--config", str(run_cfg), "--events", str(ev)]
-        monkeypatch.setattr(pipeline, "default_workers", lambda cfg: 2)
+        monkeypatch.setattr(parallel, "default_workers", lambda cam: 2)
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
         assert cli_main(argv) == 0
         full = state_io.load_velocity_csv(out / "estimates.csv")
@@ -1118,7 +1118,7 @@ trajectory.omega = 0.3, 0.3
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
-        monkeypatch.setattr(pipeline, "default_workers", lambda cfg: workers)
+        monkeypatch.setattr(parallel, "default_workers", lambda cam: workers)
         started = []
         real_start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evflow
-from evflow import synth
+from evflow import parallel, synth
+from evflow.cli import main as cli_main
+from evflow.config import Scenario
 from evflow.events import EVENT_DTYPE, CameraModel, make_events, validate_events
 from evflow.flow import FlowField
 from evflow.rigid import RansacParams, estimate_rigid, ransac_estimate, reconstruct_flow
@@ -439,12 +442,13 @@ class TestEventBuffer:
 
     @given(duration=st.floats(1e-3, 0.012), noise_rate=st.sampled_from([0.0, 50.0, 2e3]),
            v_lon=st.floats(0.0, 3.0), omega=st.floats(-20.0, 20.0),
-           seed=st.integers(0, 2 ** 32 - 1), capacity=st.integers(1, 64))
-    @example(duration=0.012, noise_rate=2e3, v_lon=3.0, omega=20.0, seed=0, capacity=1)
-    @example(duration=1e-3, noise_rate=0.0, v_lon=0.0, omega=0.0, seed=0, capacity=1)
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(duration=0.012, noise_rate=2e3, v_lon=3.0, omega=20.0, seed=0)
+    @example(duration=1e-3, noise_rate=0.0, v_lon=0.0, omega=0.0, seed=0)
     @settings(max_examples=40, deadline=None)
     def test_buffer_equals_the_concatenated_substep_records(self, duration, noise_rate, v_lon,
-                                                            omega, seed, capacity):
+                                                            omega, seed):
+        # CAM's 101x81 frames run one worker, so make_events is called in stream order
         records = []
 
         def recording(*args):
@@ -452,14 +456,78 @@ class TestEventBuffer:
             return records[-1]
 
         cfg = sim(duration=duration, noise_rate=noise_rate, seed=seed)
-        # small first capacities make the buffer grow many times
-        with mock.patch.object(synth, "_INITIAL_EVENTS", capacity), \
-                mock.patch.object(synth, "make_events", recording):
+        with mock.patch.object(synth, "make_events", recording):
             ev, _, _ = generate_events(cfg, constant_trajectory(duration, v_lon=v_lon,
                                                                 omega=omega))
         want = np.concatenate(records) if records else np.empty(0, dtype=EVENT_DTYPE)
         assert ev.dtype == EVENT_DTYPE and ev.size == want.size
         assert ev.tobytes() == want.tobytes()
+
+
+WIDE_SCENARIO = """
+camera.width = 200
+camera.height = 200
+camera.height_z = 0.5
+camera.f_px = 100.0
+texture.kind = noise
+sim.duration_s = 0.012
+sim.time_step_s = 0.001
+trajectory.t_s = 0.0, 0.012
+trajectory.v_lon = 1.0, 1.0
+"""
+
+
+class TestWorkers:
+    """``generate_events`` runs chunks of substeps on ``parallel.default_workers``
+    threads."""
+
+    @given(first=st.floats(1e-3, 0.014), second=st.floats(1e-3, 0.014),
+           texture=st.sampled_from(["noise", "dots"]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(first=0.005, second=0.0105, texture="dots", seed=3)  # 5 and 11 substeps
+    @settings(max_examples=12, deadline=None)
+    def test_stream_does_not_depend_on_the_worker_count(self, first, second, texture, seed):
+        tex = NoiseTexture(seed=3) if texture == "noise" else DotTexture(seed=4)
+        traj = Trajectory([0.0, 0.03], [1.0, 3.0], [0.5, -0.5], [2.0, -6.0])
+        runs = []
+        for workers in (1, 2, 3):
+            with mock.patch.object(parallel, "default_workers", lambda cam: workers):
+                a, _, state = generate_events(
+                    sim(tex, duration=first, noise_rate=2e3, seed=seed), traj)
+                b, _, end = generate_events(
+                    sim(tex, duration=second, noise_rate=2e3, seed=seed + 1), traj,
+                    initial_state=state)
+            runs.append((a.tobytes(), b.tobytes(), end.psi, end.c_px.tobytes(),
+                         end.anchor.tobytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_workers_keep_the_callers_error_state(self, tmp_path, capsys):
+        """A render that turns infinite after the first chunk raises on a pool
+        thread under the caller's ``np.errstate``, and ``simulate`` exits 2."""
+        real = synth.sample_texture
+
+        def infinite_after_the_first_chunk():
+            calls = itertools.count()
+
+            def sample(*args):
+                level = real(*args)
+                # the first image and the first chunk's renders stay finite
+                finite = next(calls) <= synth._CHUNK_SUBSTEPS
+                return level if finite else np.full_like(level, np.inf)
+            return mock.patch.object(synth, "sample_texture", sample)
+
+        scenario = tmp_path / "wide.cfg"
+        scenario.write_text(WIDE_SCENARIO)
+        cfg = Scenario.from_file(scenario)
+        assert cfg.sim.cam.width * cfg.sim.cam.height >= parallel.PARALLEL_MIN_PIXELS
+        with mock.patch.object(parallel, "default_workers", lambda cam: 2):
+            with infinite_after_the_first_chunk(), np.errstate(invalid="raise"), \
+                    pytest.raises(FloatingPointError):
+                generate_events(cfg.sim, cfg.trajectory)
+            with infinite_after_the_first_chunk():
+                assert cli_main(["simulate", str(scenario),
+                                 "--events", str(tmp_path / "events.evt")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot simulate this scenario" in err and "Traceback" not in err
 
 
 class TestInjectOutliers:

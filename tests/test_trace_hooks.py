@@ -6,9 +6,11 @@ run, so each wrapped attribute must resolve, and the spans of a traced
 import importlib
 import importlib.util
 import inspect
+import math
 import time
 from pathlib import Path
 
+from evflow import parallel, synth
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig
 from evflow.event_io import write_events_binary
@@ -109,10 +111,13 @@ trajectory.omega = 0.3, 0.3
 """
 
 
-def test_traced_simulate_spans_cover_its_wall_time(tmp_path):
+N_SUB = 64  # 0.264 s in steps of an eighth of the 33 ms window
+
+
+def traced_simulate(tmp_path):
+    """The spans and wall seconds of one traced ``simulate`` of SCENARIO_TEXT."""
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(SCENARIO_TEXT)
-    n_sub = 64  # 0.264 s in steps of an eighth of the 33 ms window
     argv = ["simulate", str(scenario), "--events", str(tmp_path / "events.evt")]
     assert cli_main(argv) == 0  # first-call costs stay out of the traced run
 
@@ -126,12 +131,28 @@ def test_traced_simulate_spans_cover_its_wall_time(tmp_path):
     finally:
         assert tracer.restore()
     assert code == 0
+    return tracer.spans, wall
 
-    spans = tracer.spans
+
+def test_traced_simulate_spans_cover_its_wall_time(tmp_path):
+    spans, wall = traced_simulate(tmp_path)
     names = [s[0] for s in spans]
     # one texture evaluation per rendered image: the initial one plus one per substep
-    assert names.count("synth.texture") == n_sub + 1
+    assert names.count("synth.texture") == N_SUB + 1
     assert "synth.make_events" in names
+    top = sum(end - start for name, start, end, parent, _ in spans
+              if parent == -1 and name in ("synth.generate", "event_io.write"))
+    assert top >= COVERAGE * wall, f"top-level spans cover {top / wall:.1%} of the run"
+
+
+def test_traced_simulate_on_two_workers_renders_each_later_chunk_start_again(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "default_workers", lambda cam: 2)
+    spans, wall = traced_simulate(tmp_path)
+    names = [s[0] for s in spans]
+    extra_chunks = math.ceil(N_SUB / synth._CHUNK_SUBSTEPS) - 1
+    assert names.count("synth.texture") == N_SUB + 1 + extra_chunks
+    assert names.count("synth.generate") == 1
     top = sum(end - start for name, start, end, parent, _ in spans
               if parent == -1 and name in ("synth.generate", "event_io.write"))
     assert top >= COVERAGE * wall, f"top-level spans cover {top / wall:.1%} of the run"
