@@ -219,14 +219,15 @@ def _cmd_flow_debug(args) -> int:
     pair = [FrameMemo(f) for f in islice(iter_frames(events, cfg.accumulation), k - 1, k + 1)]
     if len(pair) < 2:
         raise ConfigError(f"pair index {k} is past the last frame pair")
-    field = compute_flow(*(memo.pyramid(cfg)[0] for memo in pair))
+    pyramids = [memo.pyramid(cfg)[0] for memo in pair]
+    field = compute_flow(*pyramids, cfg.stride)
     out_dir = Path(args.out_dir or cfg.out_dir)
     csv_path = out_dir / f"flow_{k:05d}.csv"
     svg_path = out_dir / f"flow_{k:05d}.svg"
     with _writing():
         out_dir.mkdir(parents=True, exist_ok=True)
-        dump_flow_csv(field, cfg.stride, csv_path)
-        svg_path.write_text(flow_quiver_svg(field, cfg.stride, title=f"flow, pair {k}"))
+        dump_flow_csv(field, csv_path)
+        svg_path.write_text(flow_quiver_svg(field, pyramids[0].shape, title=f"flow, pair {k}"))
     print(f"{csv_path}\n{svg_path}")
     return 0
 

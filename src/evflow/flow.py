@@ -9,7 +9,8 @@ stabilized by Gaussian-averaging the normal equations over ``window_size``
 and iterated, warping the second expansion by the current displacement.
 A pyramid of downscaled images extends the capture range.  The expansions
 depend on a single frame, so ``flow_pyramid`` builds them once per frame
-and ``compute_flow`` refines the displacement between two pyramids.
+and ``compute_flow`` refines the displacement between two pyramids.  Its
+last pass smooths and solves only on the stride grid the caller reads.
 
 Conventions: pixel centers sit at integer coordinates, x is the column
 axis, y the row axis, and flow (u, v) maps a point p in the first frame to
@@ -63,26 +64,25 @@ class FlowParams:
 
 @dataclass(frozen=True)
 class FlowField:
-    """Dense per-pixel displacement with a validity mask.
+    """Displacement with a validity mask on the frame's ``stride`` grid.
 
+    Element ``[i, j]`` belongs to the pixel ``(x, y) = (j, i) * stride``.
     ``u``/``v`` hold the x and y displacement in pixels per frame pair;
     ``valid`` is False where the local normal matrix was too close to
-    singular (textureless or aperture-limited neighborhoods).
+    singular (textureless or aperture-limited neighborhoods).  Stride 1 is
+    the dense per-pixel field.
     """
 
     u: np.ndarray
     v: np.ndarray
     valid: np.ndarray
+    stride: int = 1
 
     def __post_init__(self):
         if self.u.shape != self.v.shape or self.u.shape != self.valid.shape:
             raise ValueError("flow component shapes disagree")
         if np.any(~np.isfinite(self.u[self.valid])) or np.any(~np.isfinite(self.v[self.valid])):
             raise ValueError("non-finite displacement marked valid")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.u.shape
 
 
 def _applicability_kernels(n: int, sigma: float):
@@ -197,18 +197,24 @@ def _band_tiles(n: int, kernel: tuple[float, ...]) -> tuple[tuple[int, ...], np.
 
 
 def _correlate1d(x: np.ndarray, kernel: np.ndarray, axis: int,
-                 output: np.ndarray | None = None) -> np.ndarray:
+                 output: np.ndarray | None = None, stride: int = 1) -> np.ndarray:
     """Correlate ``x`` with the odd-length ``kernel`` along ``axis``, one of
-    its last two, replicating edge samples; into ``output`` if given, which
-    must not overlap ``x``.
+    its last two, replicating edge samples, at every ``stride``-th line
+    from the first; into ``output`` if given, which must not overlap ``x``.
 
     Each tile of ``_CORR_TILE`` output lines is a band tile times the input
     lines it reaches, multiplied and summed in float64 and stored in ``x``'s
-    dtype, so float32 data are rounded once.  The kernel is applied
-    unflipped.
+    dtype, so float32 data are rounded once.  A stride multiplies only the
+    band rows of the lines it outputs.  BLAS may sum a product of fewer rows
+    with another kernel, which moves some float64 sums by about an ulp;
+    rounded to float32, none of 10.5 million such sums of random data
+    changed.  The kernel is applied unflipped.
     """
-    out = np.empty_like(x) if output is None else output
     n = x.shape[axis]
+    if output is None:
+        shape = list(x.shape)
+        shape[axis] = -(-n // stride)
+        output = np.empty(shape, x.dtype)
     starts, tiles = _band_tiles(n, tuple(np.asarray(kernel, dtype=np.float64).tolist()))
     width = tiles.shape[-1]
     last = axis % x.ndim == x.ndim - 1
@@ -216,19 +222,24 @@ def _correlate1d(x: np.ndarray, kernel: np.ndarray, axis: int,
     # long lines are split so that no product is threaded
     step = min(free, max(1, _BLAS_SINGLE_THREAD_MNK // (_CORR_TILE * width)))
     for tile, lo, t0 in zip(tiles, starts, range(0, n, _CORR_TILE)):
-        band, t = tile[:n - t0], slice(t0, t0 + _CORR_TILE)
+        first = -(-t0 // stride)  # the tile's first output line
+        band = tile[first * stride - t0:n - t0:stride]
+        t = slice(first, first + len(band))
         for c0 in range(0, free, step):
             c = slice(c0, c0 + step)
             if last:
-                out[..., c, t] = x[..., c, lo:lo + width] @ band.T
+                output[..., c, t] = x[..., c, lo:lo + width] @ band.T
             else:
-                out[..., t, c] = band @ x[..., lo:lo + width, c]
-    return out
+                output[..., t, c] = band @ x[..., lo:lo + width, c]
+    return output
 
 
-def _smooth(channel: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Separable smoothing, vertical then horizontal, into ``out`` (may be ``channel``)."""
-    return _correlate1d(_correlate1d(channel, kernel, axis=-2), kernel, axis=-1, output=out)
+def _smooth(channel: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None,
+            stride: int = 1) -> np.ndarray:
+    """Separable smoothing, vertical then horizontal, at every ``stride``-th
+    row and column, into ``out`` (may be ``channel`` at stride 1)."""
+    return _correlate1d(_correlate1d(channel, kernel, axis=-2, stride=stride), kernel,
+                        axis=-1, output=out, stride=stride)
 
 
 _BORDER_RAMP = 5
@@ -240,6 +251,30 @@ def _border_weights(height: int, width: int, dtype=np.float32) -> np.ndarray:
     wy = np.minimum(y, _BORDER_RAMP) / _BORDER_RAMP
     wx = np.minimum(x, _BORDER_RAMP) / _BORDER_RAMP
     return (wy[:, None] * wx[None, :]).astype(dtype)
+
+
+def _bilinear_taps(u: np.ndarray, v: np.ndarray, rows: slice,
+                   h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into an (h, w) frame of the four pixels around p + (u, v)
+    for each pixel p of ``rows`` (coordinates clamped to the frame), and
+    their bilinear weights: two (4, N) stacks, the corners in the order
+    (y, x) + (0, 0), (0, 1), (1, 0), (1, 1).  ``u`` and ``v`` cover ``rows``.
+    """
+    xs = np.arange(w, dtype=np.float32)[None, :] + u
+    ys = np.arange(rows.start, rows.stop, dtype=np.float32)[:, None] + v
+    np.clip(xs, 0.0, w - 1.0, out=xs)
+    np.clip(ys, 0.0, h - 1.0, out=ys)
+    x0 = np.minimum(xs.astype(np.intp), w - 2)
+    y0 = np.minimum(ys.astype(np.intp), h - 2)
+    # float32 weights, as the expansions are: the warped expansion and the
+    # normal equations stay float32, which halves the bytes the gathers
+    # move.  Against float64 weights this moved drive_dense's v_lon by at
+    # most 1.2e-8 m/s and disk_sparse's omega by at most 5.6e-7 rad/s.
+    fx = (xs - x0.astype(np.float32)).ravel()
+    fy = (ys - y0.astype(np.float32)).ravel()
+    corners = (y0 * w + x0).ravel() + np.array([0, 1, w, w + 1])[:, None]
+    weights = (np.stack([1 - fy, fy])[:, None] * np.stack([1 - fx, fx])).reshape(4, -1)
+    return corners, weights
 
 
 def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -256,47 +291,34 @@ def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarr
     _, h, w = s0.shape
     s0, out = s0[:, rows], out[:, rows]
     u, v, border = u[rows], v[rows], border[rows]
-    xs = np.arange(w, dtype=np.float32)[None, :] + u
-    ys = np.arange(rows.start, rows.stop, dtype=np.float32)[:, None] + v
-    np.clip(xs, 0.0, w - 1.0, out=xs)
-    np.clip(ys, 0.0, h - 1.0, out=ys)
-    x0 = np.minimum(xs.astype(np.intp), w - 2)
-    y0 = np.minimum(ys.astype(np.intp), h - 2)
-    # float32 weights, as the expansions are: the warped expansion and the
-    # normal equations stay float32, which halves the bytes the 20 gathers
-    # move.  Against float64 weights this moved drive_dense's v_lon by at
-    # most 1.2e-8 m/s and disk_sparse's omega by at most 5.6e-7 rad/s.
-    fx = (xs - x0.astype(np.float32)).ravel()
-    fy = (ys - y0.astype(np.float32)).ravel()
-    i00 = (y0 * w + x0).ravel()
-    i01 = i00 + 1
-    i10 = i00 + w
-    i11 = i10 + 1
-    w00 = (1 - fx) * (1 - fy)
-    w01 = fx * (1 - fy)
-    w10 = (1 - fx) * fy
-    w11 = fx * fy
-    s1w = [(ch.take(i00) * w00 + ch.take(i01) * w01
-            + ch.take(i10) * w10 + ch.take(i11) * w11).reshape(u.shape)
-           for ch in s1.reshape(5, -1)]
+    corners, weights = _bilinear_taps(u, v, rows, h, w)
+    # one gather per channel; the axis-0 sum adds the weighted corners in
+    # order, ((c00 w00 + c01 w01) + c10 w10) + c11 w11.  Each gather is freed
+    # before the next and the taps before the arithmetic, for peak memory.
+    e = np.empty_like(s0)
+    for ch, warped in zip(s1.reshape(5, -1), e.reshape(5, -1)):
+        taken = ch.take(corners)
+        taken *= weights
+        taken.sum(axis=0, out=warped)
+        del taken
+    del corners, weights
 
-    axx = 0.5 * (s0[0] + s1w[0])
-    ayy = 0.5 * (s0[1] + s1w[1])
-    aoff = 0.5 * (s0[2] + s1w[2])
-    dbx = 0.5 * (s0[3] - s1w[3]) + axx * u + aoff * v
-    dby = 0.5 * (s0[4] - s1w[4]) + aoff * u + ayy * v
+    # e becomes [axx, ayy, aoff, dbx, dby]: the averaged A and half the
+    # difference of b, plus A d for the current displacement d = (u, v)
+    np.add(s0[:3], e[:3], out=e[:3])
+    np.subtract(s0[3:], e[3:], out=e[3:])
+    e *= 0.5
+    axx, ayy, aoff, dbx, dby = e
+    e[3:] += e[0:3:2] * u  # (axx, aoff) u
+    e[3:] += e[2:0:-1] * v  # (aoff, ayy) v
+    e *= border
 
-    axx = axx * border
-    ayy = ayy * border
-    aoff = aoff * border
-    dbx = dbx * border
-    dby = dby * border
-
-    out[0] = axx * axx + aoff * aoff
-    out[1] = (axx + ayy) * aoff
-    out[2] = ayy * ayy + aoff * aoff
-    out[3] = axx * dbx + aoff * dby
-    out[4] = aoff * dbx + ayy * dby
+    square = e[:3] * e[:3]
+    np.add(square[:2], square[2], out=out[0:3:2])  # axx^2 + aoff^2, ayy^2 + aoff^2
+    np.add(axx, ayy, out=out[1])
+    out[1] *= aoff
+    np.multiply(e[0:3:2], dbx, out=out[3:])
+    out[3:] += e[2:0:-1] * dby  # axx dbx + aoff dby, aoff dbx + ayy dby
 
 
 def _solve_flow(m: np.ndarray):
@@ -319,20 +341,22 @@ def _rcond(g11, g12, g22):
 
 
 def _refine(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarray,
-            border: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            border: np.ndarray, kernel: np.ndarray,
+            stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One refinement iteration; returns the new (u, v) and the
-    window-smoothed normal equations.
+    window-smoothed normal equations at every ``stride``-th row and column.
 
-    The normal equations are built ``_TILE_PX`` pixels at a time, then each
-    channel is window-smoothed vertically and horizontally and the solve
-    runs per pixel.
+    The normal equations are built whole, ``_TILE_PX`` pixels at a time,
+    since the window reads each point's neighbours; then each channel is
+    window-smoothed vertically and horizontally and the solve runs per
+    point, both only on the stride grid.
     """
     _, h, w = s0.shape
     m = np.empty_like(s0)
     step = max(1, _TILE_PX // w)
     for r0 in range(0, h, step):
         _normal_equations(s0, s1, u, v, border, slice(r0, min(r0 + step, h)), m)
-    _smooth(m, kernel, out=m)
+    m = _smooth(m, kernel, out=m if stride == 1 else None, stride=stride)
     return (*_solve_flow(m), m)
 
 
@@ -387,23 +411,26 @@ def flow_pyramid(image: np.ndarray, params: FlowParams) -> FlowPyramid:
     return FlowPyramid(params=params, levels=tuple(levels))
 
 
-def compute_flow(a: FlowPyramid, b: FlowPyramid) -> FlowField:
-    """Dense displacement field from the frame of pyramid ``a`` to that of ``b``.
+def compute_flow(a: FlowPyramid, b: FlowPyramid, stride: int) -> FlowField:
+    """Displacement field from the frame of pyramid ``a`` to that of ``b``,
+    on the frame's ``stride`` grid.
 
-    Both pyramids come from ``flow_pyramid`` with the same parameters, so a
-    stream expands every frame once.  Deterministic: identical pyramids give
-    bit-identical fields.  Textureless regions are reported through the
-    validity mask rather than an exception.
+    Both pyramids come from ``flow_pyramid`` with the same parameters, over
+    frames of one sensor (``FrameMemo.pyramid`` builds them), so a stream
+    expands every frame once.  Every refinement pass but the last covers the
+    whole level; the last one smooths and solves only at the grid points,
+    which are all that is read, and equals the dense field sliced
+    ``[::stride, ::stride]``; ``RunConfig`` keeps ``stride`` >= 1.
+    Deterministic: identical pyramids give bit-identical fields.
+    Textureless regions are reported through the validity mask rather than
+    an exception.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    if a.params != b.params:
-        raise ValueError("flow pyramids were built with different flow parameters")
     params = a.params
     win_kernel = _gaussian_kernel(params.window_size,
                                   0.3 * (params.window_size // 2)).astype(np.float32)
     u = np.zeros(a.levels[0].shape[1:], dtype=np.float32)
     v = np.zeros_like(u)
+    finest = len(a.levels) - 1
     for level, (s0, s1) in enumerate(zip(a.levels, b.levels)):
         _, lh, lw = s0.shape
         if level:
@@ -412,26 +439,23 @@ def compute_flow(a: FlowPyramid, b: FlowPyramid) -> FlowField:
             v = _resize_bilinear(v, lh, lw) * np.float32(lh / ph)
 
         border = _border_weights(lh, lw)
-        for _ in range(params.iterations):
-            u, v, m = _refine(s0, s1, u, v, border, win_kernel)
+        for i in range(params.iterations):
+            last = level == finest and i == params.iterations - 1
+            u, v, m = _refine(s0, s1, u, v, border, win_kernel, stride if last else 1)
 
     valid = _rcond(m[0], m[1], m[2]) >= RCOND_INVALID
     u = np.where(valid, u, np.float32(0.0)).astype(np.float64)
     v = np.where(valid, v, np.float32(0.0)).astype(np.float64)
-    return FlowField(u=u, v=v, valid=valid)
+    return FlowField(u=u, v=v, valid=valid, stride=stride)
 
 
-def subsample_flow(field: FlowField, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Correspondences (p, q = p + flow) on a stride grid of valid pixels.
+def subsample_flow(field: FlowField) -> tuple[np.ndarray, np.ndarray]:
+    """Correspondences (p, q = p + flow) at the field's valid grid points.
 
     Returns two (N, 2) arrays of (x, y) pixel-center coordinates, row-major
-    over grid points whose mask is set.  ``RunConfig`` keeps ``stride`` >= 1.
+    over the grid.
     """
-    h, w = field.shape
-    ys, xs = np.mgrid[0:h:stride, 0:w:stride]
-    keep = field.valid[ys, xs]
-    xs = xs[keep]
-    ys = ys[keep]
-    p = np.stack([xs, ys], axis=1).astype(np.float64)
+    ys, xs = np.nonzero(field.valid)
+    p = np.stack([xs, ys], axis=1).astype(np.float64) * field.stride
     q = p + np.stack([field.u[ys, xs], field.v[ys, xs]], axis=1)
     return p, q

@@ -18,11 +18,12 @@ import numpy as np
 from .events import CameraModel
 
 # Frames of fewer pixels run on the calling thread alone.  On a 2-vCPU host
-# (fresh processes, one BLAS thread, 6 alternating pairs of runs), two
-# workers against one ran `evflow estimate` 1.12x as fast on the 346x260
-# drive (median 1.44 -> 1.28 s) and `evflow simulate` 1.18x (1.58 -> 1.33 s),
-# but at 160x120 `estimate` (RANSAC on) only 0.79x and `simulate` 0.93x as
-# fast: small frames do not pay for a second working set.
+# (fresh processes, one BLAS thread, alternating pairs of runs), two workers
+# against one ran `evflow estimate` 1.14x as fast on the 346x260 drive
+# (median of 20 per-pair ratios, quartiles 1.03-1.26) and `evflow simulate`
+# 1.18x (6 pairs, 1.58 -> 1.33 s), but at 160x120 `estimate` (RANSAC on)
+# only 0.85x (10 pairs) and `simulate` 0.93x as fast: small frames do not
+# pay for a second working set.
 PARALLEL_MIN_PIXELS = 40_000
 
 

@@ -1,12 +1,12 @@
 """End-to-end estimation: events in, axle-frame velocity estimates out.
 
 Frames are accumulated strictly in timestamp order; each consecutive frame
-pair runs intensity conversion, dense flow, correspondence subsampling,
-the (optionally RANSAC-guarded) rigid fit, metric conversion and the axle
-transfer.  A pair depends only on its two frames, the config and its index,
-so on large frames the calling thread keeps accumulating while up to two
-pairs run as futures on a small thread pool, and the rows still come out in
-frame order.  A frame pair that fails any stage produces an estimate
+pair runs intensity conversion, flow on the stride grid, correspondence
+subsampling, the (optionally RANSAC-guarded) rigid fit, metric conversion
+and the axle transfer.  A pair depends only on its two frames, the config
+and its index, so on large frames the calling thread keeps accumulating
+while up to two pairs run as futures on a small thread pool, and the rows
+still come out in frame order.  A frame pair that fails any stage produces an estimate
 with ``valid = False`` and a reason code instead of being dropped.
 Each pair's row carries its own wall-clock seconds per stage.
 """
@@ -101,12 +101,12 @@ def process_frame_pair(prev: FrameMemo, curr: FrameMemo, cfg: RunConfig, pair_in
     # the earlier one's may be under way in the pair before
     curr_pyramid, curr_s = curr.pyramid(cfg)
     prev_pyramid, prev_s = prev.pyramid(cfg)
-    flow = compute_flow(prev_pyramid, curr_pyramid)
+    flow = compute_flow(prev_pyramid, curr_pyramid, cfg.stride)
     stage_s["intensity"] = curr_s + prev_s
     stage_s["flow"] = time.perf_counter() - t0 - stage_s["intensity"]
 
     t0 = time.perf_counter()
-    p, q = subsample_flow(flow, cfg.stride)
+    p, q = subsample_flow(flow)
     stage_s["subsample"] = time.perf_counter() - t0
 
     reason = "textureless"
@@ -156,8 +156,8 @@ def _pair(prev: FrameMemo | None, curr: FrameMemo, cfg: RunConfig, pair_index: i
 
 
 def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
-               t_start_us: int | None = None, t_end_us: int | None = None,
-               workers: int | None = None) -> Iterator[PairResult]:
+               t_start_us: int | None = None,
+               t_end_us: int | None = None) -> Iterator[PairResult]:
     """Accumulate an event stream and yield one PairResult per frame, in frame order.
 
     The first frame only primes the pair chain: its row is invalid with
@@ -166,18 +166,18 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     ``textureless`` without running flow.  Invalid frames carry reason
     codes and never vanish.
 
-    Up to ``workers`` pairs are in flight (``parallel.default_workers`` of
-    the camera when None).  This thread accumulates frame k and hands the
-    pair (k - 1, k) to ``parallel.in_order``: once ``workers`` pairs are
-    pending it yields the oldest one's row, so accumulation overlaps the
-    pairs.  One worker runs each pair on this thread and starts no thread.
-    At most ``workers + 1`` frames and their pyramids are resident: the
-    pending pairs' and the one being accumulated.  When a pair or the accumulation
+    Up to ``workers = parallel.default_workers(cfg.camera)`` pairs are in
+    flight.  This thread accumulates frame k and hands the pair (k - 1, k)
+    to ``parallel.in_order``: once ``workers`` pairs are pending it yields
+    the oldest one's row, so accumulation overlaps the pairs.  One worker
+    runs each pair on this thread and starts no thread.  At most
+    ``workers + 1`` frames and their pyramids are resident: the pending
+    pairs' and the one being accumulated.  When a pair or the accumulation
     of a frame raises, every row before it has been yielded.  Each row
     carries in ``accumulate_s`` the time spent accumulating its own frame.
     ``imu`` is given for ``omega.source = imu``, which requires ``io.imu``.
     """
-    workers = parallel.default_workers(cfg.camera) if workers is None else workers
+    workers = parallel.default_workers(cfg.camera)
     frames = iter_frames(events, cfg.accumulation, t_start_us=t_start_us, t_end_us=t_end_us)
 
     def pairs():

@@ -60,20 +60,23 @@ def emit_plots(estimates: list[VelocityEstimate], truth: list[VelocityEstimate],
     return written
 
 
-def dump_flow_csv(field: FlowField, stride: int, path: str | Path) -> None:
+def dump_flow_csv(field: FlowField, path: str | Path) -> None:
     """Debug dump: one row per stride-grid pixel, ``x,y,u,v,valid``."""
-    h, w = field.shape
+    h, w = field.u.shape
+    s = field.stride
     with open(path, "w", newline="") as f:
         f.write("x,y,u,v,valid\n")
-        for y in range(0, h, stride):
-            for x in range(0, w, stride):
-                f.write(f"{x},{y},{float(field.u[y, x])!r},{float(field.v[y, x])!r},"
-                        f"{'true' if field.valid[y, x] else 'false'}\n")
+        for i in range(h):
+            for j in range(w):
+                f.write(f"{j * s},{i * s},{float(field.u[i, j])!r},{float(field.v[i, j])!r},"
+                        f"{'true' if field.valid[i, j] else 'false'}\n")
 
 
-def flow_quiver_svg(field: FlowField, stride: int, title: str = "optical flow") -> str:
-    p, q = subsample_flow(field, stride)
-    h, w = field.shape
+def flow_quiver_svg(field: FlowField, frame_shape: tuple[int, int],
+                    title: str = "optical flow") -> str:
+    """Arrows of the field's valid grid points over a frame of ``frame_shape`` (h, w)."""
+    p, q = subsample_flow(field)
+    h, w = frame_shape
     return quiver(title, w, h, p, q)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,8 +40,15 @@ def render_plane(texture, pose: tuple[float, float, float], cam: CameraModel) ->
 
 
 def image_flow(prev: np.ndarray, next_: np.ndarray, params: FlowParams) -> FlowField:
-    """``compute_flow`` from image ``prev`` to image ``next_``, each expanded with ``params``."""
-    return compute_flow(flow_pyramid(prev, params), flow_pyramid(next_, params))
+    """The dense ``compute_flow`` from image ``prev`` to image ``next_``, each
+    expanded with ``params``."""
+    return compute_flow(flow_pyramid(prev, params), flow_pyramid(next_, params), 1)
+
+
+def on_grid(field: FlowField, stride: int) -> FlowField:
+    """The dense ``field``'s points on the ``stride`` grid."""
+    grid = (slice(None, None, stride),) * 2
+    return FlowField(u=field.u[grid], v=field.v[grid], valid=field.valid[grid], stride=stride)
 
 
 def inject_outliers(field: FlowField, fraction: float, magnitude: float,
@@ -59,7 +67,7 @@ def inject_outliers(field: FlowField, fraction: float, magnitude: float,
         angles = rng.uniform(0.0, 2 * np.pi, n_out)
         u.ravel()[chosen] = magnitude * np.cos(angles)
         v.ravel()[chosen] = magnitude * np.sin(angles)
-    return FlowField(u=u, v=v, valid=field.valid.copy())
+    return replace(field, u=u, v=v, valid=field.valid.copy())
 
 
 def add_at_reference(events: np.ndarray, c: AccumulationConfig, t_start_us: int,

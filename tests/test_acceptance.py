@@ -21,7 +21,7 @@ from evflow.rigid import (AxisMapping, CameraVelocity, RansacParams, RigidMotion
 from evflow.synth import DotTexture, NoiseTexture, SimConfig, Trajectory, generate_events
 from evflow.vehicle import (Extrinsics, ImuSeries, substitute_imu_yaw,
                             transform_to_axle)
-from helpers import constant_trajectory, image_flow, inject_outliers
+from helpers import constant_trajectory, image_flow, inject_outliers, on_grid
 
 
 def camera_level_estimates(events, cfg, span_us):
@@ -156,9 +156,9 @@ def test_c05_ransac_robustness(announce):
     for i, frame in enumerate(frames):
         pyramid = flow_pyramid(to_intensity(frame, cfg.accumulation.count_cap), cfg.flow)
         if prev is not None:
-            field = compute_flow(prev, pyramid)
+            field = compute_flow(prev, pyramid, 1)
             dirty = inject_outliers(field, 0.2, 50.0, rng_seed=(23, i))
-            p, q = subsample_flow(dirty, cfg.stride)
+            p, q = subsample_flow(on_grid(dirty, cfg.stride))
             scale = cam.height_z / cam.f_px / cfg.window_s
             robust, _ = ransac_estimate(p - center, q - center, params, rng_seed=(29, i))
             speeds_ransac.append(float(np.linalg.norm(robust.t)) * scale)

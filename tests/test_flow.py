@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.ndimage import map_coordinates
@@ -10,7 +10,7 @@ from scipy.ndimage import map_coordinates
 from evflow import flow
 from evflow.flow import (FlowField, FlowParams, compute_flow, flow_pyramid,
                          polynomial_expansion, subsample_flow)
-from helpers import image_flow
+from helpers import image_flow, on_grid
 
 PARAMS = FlowParams()
 INTERIOR = (slice(24, -24), slice(24, -24))
@@ -166,15 +166,6 @@ class TestComputeFlow:
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
         assert np.array_equal(a.valid, b.valid)
 
-    def test_pyramids_of_other_parameters_rejected(self, noise_image):
-        img = noise_image()
-        with pytest.raises(ValueError):
-            compute_flow(flow_pyramid(img, FlowParams(poly_n=3)), flow_pyramid(img, PARAMS))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            image_flow(np.zeros((10, 10)), np.zeros((10, 12)), PARAMS)
-
 
 def whole_frame_refinement(s0, s1, u, v, border, kernel):
     """One refinement iteration computed on the whole frame at once: normal
@@ -225,10 +216,35 @@ class TestRefinementTiles:
         want_u, want_v, want_m = whole_frame_refinement(s0, s1, u, v, border, kernel)
         # tiles of a few pixels split the normal equations into many row blocks
         with mock.patch.object(flow, "_TILE_PX", tile):
-            got_u, got_v, got_m = flow._refine(s0, s1, u, v, border, kernel)
+            got_u, got_v, got_m = flow._refine(s0, s1, u, v, border, kernel, 1)
         assert np.array_equal(got_u, want_u)
         assert np.array_equal(got_v, want_v)
         assert np.array_equal(got_m, want_m)
+
+
+class TestStrideGrid:
+    """The last refinement pass smooths and solves only on the stride grid;
+    the field there must be the dense field's grid points, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(stride=st.integers(1, 9), levels=st.integers(1, 4), iterations=st.integers(1, 3),
+           h=st.integers(17, 140).filter(lambda n: n % 16),
+           w=st.integers(17, 180).filter(lambda n: n % 16),
+           dy=st.integers(0, 3), dx=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_field_is_the_dense_field_sliced(self, stride, levels, iterations, h, w,
+                                                  dy, dx, seed):
+        assume(stride == 1 or (h % stride and w % stride))
+        texture = ndimage.gaussian_filter(
+            np.random.default_rng(seed).standard_normal((h + 3, w + 3)), 1.5)
+        texture = 255.0 * (texture - texture.min()) / np.ptp(texture)
+        params = FlowParams(pyramid_levels=levels, iterations=iterations)
+        a = flow_pyramid(texture[:h, :w], params)
+        b = flow_pyramid(texture[dy:dy + h, dx:dx + w], params)
+        want = on_grid(compute_flow(a, b, 1), stride)
+        got = compute_flow(a, b, stride)
+        assert got.stride == stride and got.u.shape == (-(-h // stride), -(-w // stride))
+        assert np.array_equal(got.valid, want.valid)
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
 
 # the kernels flow correlates with: the window smoothing, the expansion's
@@ -303,29 +319,29 @@ class TestCorrelate1d:
 
 
 class TestSubsampleFlow:
-    def make_field(self, h=4, w=4, u=1.0, v=0.0):
+    def make_field(self, h=2, w=2, u=1.0, v=0.0, stride=2):
         return FlowField(u=np.full((h, w), u), v=np.full((h, w), v),
-                         valid=np.ones((h, w), dtype=bool))
+                         valid=np.ones((h, w), dtype=bool), stride=stride)
 
     def test_stride_grid(self):
-        p, q = subsample_flow(self.make_field(), stride=2)
+        p, q = subsample_flow(self.make_field())
         assert p.shape == (4, 2)
         assert np.allclose(q - p, [1.0, 0.0])
         assert set(map(tuple, p)) == {(0, 0), (2, 0), (0, 2), (2, 2)}
 
     def test_mask_removes_point(self):
         field = self.make_field()
-        field.valid[2, 0] = False
-        p, q = subsample_flow(field, stride=2)
+        field.valid[1, 0] = False
+        p, q = subsample_flow(field)
         assert p.shape == (3, 2)
         assert (0.0, 2.0) not in set(map(tuple, p))
 
     def test_stride_one_cardinality(self):
-        p, _ = subsample_flow(self.make_field(h=6, w=5), stride=1)
+        p, _ = subsample_flow(self.make_field(h=6, w=5, stride=1))
         assert p.shape == (30, 2)
 
     def test_empty_when_all_invalid(self):
         field = FlowField(u=np.zeros((4, 4)), v=np.zeros((4, 4)),
                           valid=np.zeros((4, 4), dtype=bool))
-        p, q = subsample_flow(field, stride=1)
+        p, q = subsample_flow(field)
         assert p.shape == (0, 2) and q.shape == (0, 2)

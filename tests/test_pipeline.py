@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,6 +71,11 @@ def vel(t, v_lon, v_lat=0.0, omega=0.0, valid=True, source="flow"):
 def estimates(events, cfg, **kwargs) -> list[VelocityEstimate]:
     """The output row of every frame ``iter_pairs`` yields."""
     return [pair.estimate for pair in iter_pairs(events, cfg, **kwargs)]
+
+
+def workers_patched(workers: int):
+    """``parallel.default_workers`` answering ``workers`` while the context is open."""
+    return mock.patch.object(parallel, "default_workers", lambda cam: workers)
 
 
 def counting(calls: list, name: str, fn):
@@ -195,9 +201,9 @@ class TestRunPipeline:
         with tempfile.TemporaryDirectory() as tmp:
             for workers in (1, 2, 3):
                 path = Path(tmp) / f"estimates_{workers}.csv"
-                state_io.write_velocity_csv(path, estimates(
-                    events, cfg, t_start_us=0, t_end_us=len(present) * window_us,
-                    workers=workers))
+                with workers_patched(workers):
+                    state_io.write_velocity_csv(path, estimates(
+                        events, cfg, t_start_us=0, t_end_us=len(present) * window_us))
                 written.append(path.read_bytes())
         assert written[0].count(b"\n") == len(present) + 1
         assert written[1] == written[0] and written[2] == written[0]
@@ -206,7 +212,8 @@ class TestRunPipeline:
     def test_every_row_before_a_failed_accumulation_is_yielded(self, small_stream, window,
                                                                monkeypatch):
         cfg, events = small_stream
-        want = estimates(events, cfg, workers=1)[:window]
+        with workers_patched(1):
+            want = estimates(events, cfg)[:window]
 
         def failing_frames(*args, **kwargs):
             # the frame source raises where it would accumulate frame ``window``
@@ -216,8 +223,9 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "iter_frames", failing_frames)
         for workers in (1, 2, 3):
             rows = []
-            with pytest.raises(RuntimeError, match="accumulation failed"):
-                rows.extend(pair.estimate for pair in iter_pairs(events, cfg, workers=workers))
+            with workers_patched(workers), pytest.raises(RuntimeError,
+                                                         match="accumulation failed"):
+                rows.extend(pair.estimate for pair in iter_pairs(events, cfg))
             assert rows == want
 
     def test_each_frame_expanded_once_with_more_workers_than_cores(self, small_stream,
@@ -230,7 +238,8 @@ class TestRunPipeline:
                             counting(calls, "pyramid", pipeline.flow_pyramid))
 
         def run():
-            out["pairs"] = list(iter_pairs(events, cfg, workers=4))
+            with workers_patched(4):
+                out["pairs"] = list(iter_pairs(events, cfg))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
@@ -259,15 +268,17 @@ class TestRunPipeline:
             peak.append(len(live))
 
         monkeypatch.setattr(pipeline.FrameMemo, "__init__", tracked_init)
-        rows = list(iter_pairs(events, cfg, workers=workers))
+        monkeypatch.setattr(parallel, "default_workers", lambda cam: workers)
+        rows = list(iter_pairs(events, cfg))
         assert len(peak) == len(rows) == 5
         assert max(peak) <= workers + 1
 
     @pytest.mark.parametrize("taken", [1, 2, 3])
-    def test_closing_early_leaves_no_pool_thread(self, small_stream, taken):
+    def test_closing_early_leaves_no_pool_thread(self, small_stream, taken, monkeypatch):
         # two pairs in flight: the pool is still running pair k + 1 when row k is out
         cfg, events = small_stream
-        rows = iter_pairs(events, cfg, workers=2)
+        monkeypatch.setattr(parallel, "default_workers", lambda cam: 2)
+        rows = iter_pairs(events, cfg)
         assert len(list(islice(rows, taken))) == taken
         rows.close()
         assert not [t for t in threading.enumerate() if t.name.startswith("evflow-worker")]
@@ -286,7 +297,8 @@ class TestRunPipeline:
             return real(prev, curr, cfg, pair_index, **kwargs)
 
         monkeypatch.setattr(pipeline, "process_frame_pair", pool_pair_waits_for_the_first_row)
-        for i, _ in enumerate(iter_pairs(events, cfg, workers=2)):
+        monkeypatch.setattr(parallel, "default_workers", lambda cam: 2)
+        for i, _ in enumerate(iter_pairs(events, cfg)):
             if i in first_row:
                 first_row[i].set()
         assert log == [(1, True), (3, True)]
@@ -1181,8 +1193,9 @@ trajectory.omega = 0.3, 0.3
         cfg = RunConfig.from_file(run_cfg)
         frames = list(iter_frames(load_events_csv(ev, cfg.camera.width, cfg.camera.height),
                                   cfg.accumulation))
-        field = flow.compute_flow(*(FrameMemo(frame).pyramid(cfg)[0] for frame in frames[1:3]))
-        dump_flow_csv(field, cfg.stride, tmp_path / "expected.csv")
+        field = flow.compute_flow(*(FrameMemo(frame).pyramid(cfg)[0] for frame in frames[1:3]),
+                                  cfg.stride)
+        dump_flow_csv(field, tmp_path / "expected.csv")
         assert ((tmp_path / "out" / "flow_00002.csv").read_bytes()
                 == (tmp_path / "expected.csv").read_bytes())
 

@@ -94,26 +94,28 @@ def test_ticks_of_a_tiny_span_show_its_scale(lo, hi):
 
 
 class TestFlowDebugDump:
-    def field(self):
+    def field(self, stride):
         rng = np.random.default_rng(0)
-        h = w = 12
+        h, w = 3, 4
         return FlowField(u=rng.standard_normal((h, w)), v=rng.standard_normal((h, w)),
-                         valid=rng.random((h, w)) > 0.2)
+                         valid=rng.random((h, w)) > 0.2, stride=stride)
 
     def test_csv_layout(self, tmp_path):
-        field = self.field()
+        field = self.field(stride=4)
         path = tmp_path / "flow.csv"
-        dump_flow_csv(field, stride=4, path=path)
+        dump_flow_csv(field, path=path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,u,v,valid"
-        assert len(lines) == 1 + 9  # 3x3 stride grid
-        x, y, u, v, valid = lines[1].split(",")
-        assert (int(x), int(y)) == (0, 0)
-        assert float(u) == field.u[0, 0]
-        assert valid in ("true", "false")
+        assert len(lines) == 1 + 12  # 3x4 stride grid
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(int(x), int(y)) for x, y, *_ in rows] == [(x, y) for y in (0, 4, 8)
+                                                           for x in (0, 4, 8, 12)]
+        x, y, u, v, valid = rows[6]
+        assert (float(u), float(v)) == (field.u[1, 2], field.v[1, 2])
+        assert valid == ("true" if field.valid[1, 2] else "false")
 
     def test_quiver_svg_parses(self):
-        svg = flow_quiver_svg(self.field(), stride=3)
+        svg = flow_quiver_svg(self.field(stride=3), (9, 12))
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert "line" in svg

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -15,16 +16,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evflow
-from evflow import parallel, synth
+from evflow import parallel, state_io, synth
 from evflow.cli import main as cli_main
-from evflow.config import Scenario
+from evflow.config import RunConfig, Scenario
+from evflow.event_io import write_events_binary
 from evflow.events import EVENT_DTYPE, CameraModel, make_events, validate_events
 from evflow.flow import FlowField
+from evflow.pipeline import iter_pairs
 from evflow.rigid import RansacParams, estimate_rigid, ransac_estimate, reconstruct_flow
 from evflow.synth import (CheckerTexture, DotTexture, GridCoord, NoiseTexture, SimConfig,
                           Trajectory, _bilinear_lattice, _time_order, generate_events,
                           sample_texture)
-from evflow.vehicle import Extrinsics
+from evflow.vehicle import Extrinsics, ImuSeries
 from helpers import constant_trajectory, inject_outliers, render_plane, reversed_trajectory
 
 CAM = CameraModel(width=101, height=81, height_z=0.5, f_px=100.0)
@@ -431,13 +434,88 @@ PINNED_STREAMS = {
 }
 
 
+# the estimator's run over each pinned stream: its sensor, window, stride and
+# RANSAC switch; ``dot_drive`` reads its yaw rate from an IMU series of the truth
+PINNED_RUNS = {
+    "noise_drive": "accumulation.window_us = 4000\nflow.stride = 8\nflow.pyramid_levels = 4\n"
+                   "ransac.enabled = false\n",
+    "dot_disk": "accumulation.window_us = 2000\nflow.stride = 7\nransac.enabled = true\n",
+    "dot_drive": "accumulation.window_us = 5000\nflow.stride = 5\nransac.enabled = true\n"
+                 "omega.source = imu\nio.imu = imu.csv\n",
+}
+
+# SHA-256 of the estimates CSV of each pinned run, and of pair 2's flow-debug
+# CSV and SVG on noise_drive; taken with numpy 2.4.6 and its bundled OpenBLAS
+# 0.3.31, whose float64 band products the flow's window passes run through
+PINNED_ESTIMATES = {
+    "noise_drive": "4cb8c7d87831517643065284ea36202e7183f3cf9d335daf1af5b13691c9c684",
+    "dot_disk": "64fcd6752d74bb3a2fedfbe971147ca9a9f6d10bba0e05eb3eb5c7eb53fa1c64",
+    "dot_drive": "f57cdfee828a1036714d1babe336035ef749b4f9c8a20980515a111f41ea2cec",
+    "flow_00002.csv": "b873e4e3a6bc8b7fa8b0c2dce012dae5101bf93140f9ecfbb51e61a367d50fc9",
+    "flow_00002.svg": "fa48762f1e713cb357842206f9167ea77fed811cb47362ca78eb51d339496895",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_stream(name):
+    """``pinned_scenario(name)``'s events and truth, simulated once per test run."""
+    ev, truth, _ = generate_events(*pinned_scenario(name))
+    return ev, truth
+
+
+def pinned_run_config(name, tmp_path):
+    cam = pinned_scenario(name)[0].cam
+    text = (f"camera.width = {cam.width}\ncamera.height = {cam.height}\n"
+            f"camera.height_z = {cam.height_z!r}\ncamera.f_px = {cam.f_px!r}\n"
+            f"io.out_dir = {tmp_path / 'out'}\nseed = 5\n" + PINNED_RUNS[name])
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text)
+    return RunConfig.from_text(text), path
+
+
+def file_sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestPinnedEstimates:
+    """The bytes the estimator writes for the pinned streams; one or two
+    pair workers write the same."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_estimates_bytes_are_pinned(self, name, tmp_path):
+        events, truth = pinned_stream(name)
+        cfg, _ = pinned_run_config(name, tmp_path)
+        imu = None
+        if cfg.omega_source == "imu":
+            t = np.array([g.t_mid for g in truth])
+            imu = ImuSeries((t * 1e6).round().astype(np.int64), [g.omega for g in truth])
+        digests = set()
+        for workers in (1, 2):
+            path = tmp_path / f"estimates_{workers}.csv"
+            with mock.patch.object(parallel, "default_workers", lambda cam: workers):
+                state_io.write_velocity_csv(path, (pair.estimate for pair in
+                                                   iter_pairs(events, cfg, imu=imu)))
+            digests.add(file_sha256(path))
+        assert digests == {PINNED_ESTIMATES[name]}
+
+    def test_flow_debug_bytes_are_pinned(self, tmp_path):
+        events, _ = pinned_stream("noise_drive")
+        cfg, run_cfg = pinned_run_config("noise_drive", tmp_path)
+        ev_path = tmp_path / "events.evt"
+        write_events_binary(ev_path, events, cfg.camera.width, cfg.camera.height)
+        assert cli_main(["flow-debug", "--config", str(run_cfg), "--events", str(ev_path),
+                         "--pair-index", "2"]) == 0
+        for name in ("flow_00002.csv", "flow_00002.svg"):
+            assert file_sha256(tmp_path / "out" / name) == PINNED_ESTIMATES[name], name
+
+
 class TestEventBuffer:
     """``generate_events`` writes each substep's records into one buffer
     that grows in place."""
 
     @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
     def test_stream_bytes_are_pinned(self, name):
-        ev, _, _ = generate_events(*pinned_scenario(name))
+        ev, _ = pinned_stream(name)
         assert (ev.size, hashlib.sha256(ev.tobytes()).hexdigest()) == PINNED_STREAMS[name]
 
     @given(duration=st.floats(1e-3, 0.012), noise_rate=st.sampled_from([0.0, 50.0, 2e3]),
