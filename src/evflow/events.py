@@ -262,22 +262,21 @@ def _release_pages(events: np.ndarray, end: int) -> None:
         mapping.madvise(advice, 0, length)
 
 
-def to_intensity(frame: EventFrame, count_cap: int, merge: str = "sum") -> np.ndarray:
+def to_intensity(frame: EventFrame, count_cap: int, merge: str) -> np.ndarray:
     """Render an event frame as an 8-bit grayscale image.
 
-    ``merge`` selects the channel: "sum" (default) adds positive and
-    negative counts, "pos"/"neg" keep a single polarity.  Counts are
-    clipped at ``count_cap`` and mapped linearly onto [0, 255] with
-    round-half-up, so a zero count is 0 and a saturated count is 255.
+    ``merge`` selects the channel: "sum" adds positive and negative counts,
+    "pos" or "neg" keeps a single polarity (``RunConfig`` checks
+    ``intensity.merge`` is one of them).  Counts are clipped at
+    ``count_cap`` and mapped linearly onto [0, 255] with round-half-up, so a
+    zero count is 0 and a saturated count is 255.
     """
     if merge == "sum":
         counts = frame.pos_counts + frame.neg_counts
     elif merge == "pos":
         counts = frame.pos_counts
-    elif merge == "neg":
-        counts = frame.neg_counts
     else:
-        raise ValueError(f"unknown merge mode {merge!r}")
+        counts = frame.neg_counts
     scaled = np.minimum(counts, count_cap).astype(np.float64) * (255.0 / count_cap)
     return np.floor(scaled + 0.5).astype(np.uint8)
 

@@ -21,9 +21,9 @@ from .events import CameraModel
 # (fresh processes, one BLAS thread, alternating pairs of runs), two workers
 # against one ran `evflow estimate` 1.14x as fast on the 346x260 drive
 # (median of 20 per-pair ratios, quartiles 1.03-1.26) and `evflow simulate`
-# 1.18x (6 pairs, 1.58 -> 1.33 s), but at 160x120 `estimate` (RANSAC on)
-# only 0.85x (10 pairs) and `simulate` 0.93x as fast: small frames do not
-# pay for a second working set.
+# 1.23-1.29x (medians of two sets of 10 pairs), but at 160x120 `estimate`
+# (RANSAC on) only 0.85x (10 pairs) and `simulate` 0.86-0.95x as fast
+# (three sets of 10 pairs): small frames do not pay for a second working set.
 PARALLEL_MIN_PIXELS = 40_000
 
 

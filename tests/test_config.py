@@ -327,7 +327,7 @@ class TestDomains:
         "flow.poly_sigma = nan", "ransac.inlier_threshold_px = inf", "seed = -2",
         "camera.width = 1" + "0" * 400, "accumulation.window_us = 1" + "0" * 400,
         f"accumulation.window_us = {2 ** 64}", f"accumulation.count_cap = {2 ** 30}",
-        f"accumulation.count_cap = {10 ** 20}", "flow.stride = 0",
+        f"accumulation.count_cap = {10 ** 20}", "flow.stride = 0", "intensity.merge = bogus",
     ])
     def test_run_out_of_domain(self, line):
         key = line.split(" = ")[0]

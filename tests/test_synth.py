@@ -25,8 +25,8 @@ from evflow.flow import FlowField
 from evflow.pipeline import iter_pairs
 from evflow.rigid import RansacParams, estimate_rigid, ransac_estimate, reconstruct_flow
 from evflow.synth import (CheckerTexture, DotTexture, GridCoord, NoiseTexture, SimConfig,
-                          Trajectory, _bilinear_lattice, _time_order, generate_events,
-                          sample_texture)
+                          Trajectory, _bands, _bilinear_lattice, _crossings, _sorted_records,
+                          _time_order, generate_events, sample_texture)
 from evflow.vehicle import Extrinsics, ImuSeries
 from helpers import constant_trajectory, inject_outliers, render_plane, reversed_trajectory
 
@@ -393,14 +393,58 @@ class TestGenerateEvents:
                                    constant_trajectory(d))
         assert ev["t_us"].max() == round(d * 1e6) - 1 == 248
 
-    @given(base=st.integers(0, 2 ** 40), hi=st.sampled_from([0, 3, 65_535, 65_536, 300_000]),
-           offsets=st.lists(st.integers(0, 300_000), min_size=1, max_size=200))
-    @example(base=5, hi=300_000, offsets=[65_536, 0, 7, 65_536, 7])
-    @example(base=0, hi=65_535, offsets=[65_535, 0, 65_535, 1, 0])
-    @settings(max_examples=60, deadline=None)
-    def test_time_order_is_the_stable_argsort(self, base, hi, offsets):
-        t_us = base + np.minimum(offsets, hi).astype(np.int64)
-        assert np.array_equal(_time_order(t_us), np.argsort(t_us, kind="stable"))
+    def test_records_of_one_microsecond_keep_the_crossing_order(self):
+        # contrast 1 and anchor 0: a level's band is round(level); pixel (x, y)
+        # crosses new - old bands, 1 to 3 in either direction, and the
+        # crossings and the noise all fall inside microsecond 7
+        old = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.1, 0.0]])
+        new = np.array([[2.0, -1.0, 3.0, 1.0], [-3.0, 1.0, -0.9, 0.3]])
+        anchor = np.zeros_like(old)
+        raster = (np.tile(np.arange(4, dtype=np.uint16), 2),
+                  np.repeat(np.arange(2, dtype=np.uint16), 4))
+        noise = (np.array([7.3, 7.0, 7.1]), np.array([3, 0, 3], dtype=np.uint16),
+                 np.array([1, 0, 1], dtype=np.uint16), np.array([-1, 1, 1], dtype=np.int8))
+        columns = _crossings(old, _bands(old, anchor, 1.0), new, _bands(new, anchor, 1.0),
+                             anchor, 1.0, 7e-6, 0.4e-6, raster, noise)
+        ev = _sorted_records(columns, 100)
+        want = [(0, 0, 1), (2, 0, 1), (3, 0, 1), (1, 1, 1),  # level 1, rising
+                (1, 0, -1), (0, 1, -1), (2, 1, -1),  # level 1, falling
+                (0, 0, 1), (2, 0, 1), (1, 1, 1),  # level 2
+                (1, 0, -1), (0, 1, -1),
+                (2, 0, 1), (0, 1, -1),  # level 3
+                (3, 1, -1), (0, 0, 1), (3, 1, 1)]  # noise, in draw order
+        assert ev["t_us"].tolist() == [7] * len(want)
+        assert list(zip(ev["x"].tolist(), ev["y"].tolist(), ev["p"].tolist())) == want
+
+    # count 5 (3 index bits): spans on either side of the uint32 key's last
+    # bit and of the uint64 key's, past which the stable argsort runs
+    @given(log_count=st.integers(0, 10), count_delta=st.sampled_from([-1, 0, 1]),
+           key_bits=st.sampled_from([8, 32, 64]), span_delta=st.integers(-2, 1),
+           base=st.integers(0, 2 ** 40), distinct=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(log_count=2, count_delta=1, key_bits=32, span_delta=-1, base=3, distinct=4, seed=0)
+    @example(log_count=2, count_delta=1, key_bits=32, span_delta=0, base=3, distinct=4, seed=0)
+    @example(log_count=2, count_delta=1, key_bits=64, span_delta=-1, base=0, distinct=4, seed=1)
+    @example(log_count=2, count_delta=1, key_bits=64, span_delta=0, base=0, distinct=4, seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_time_order_is_the_stable_argsort(self, log_count, count_delta, key_bits,
+                                              span_delta, base, distinct, seed):
+        # the key holds the offset from the first timestamp above b index bits
+        count = max(1, 2 ** log_count + count_delta)
+        b = (count - 1).bit_length()
+        span = min(max(0, 2 ** max(0, key_bits - b) + span_delta), 2 ** 63 - 1)
+        base = min(base, 2 ** 63 - 1 - span)
+        rng = np.random.default_rng(seed)
+        # few distinct timestamps, so that most records tie with others
+        values = base + rng.integers(0, span, distinct, endpoint=True)
+        t_us = rng.choice(values, count)
+        ends = rng.permutation(count)[:2]
+        t_us[ends] = [base, base + span][:ends.size]
+        order, t_sorted = _time_order(t_us)
+        want = np.argsort(t_us, kind="stable")
+        assert np.array_equal(order, want)
+        assert t_sorted.dtype == np.uint64
+        assert np.array_equal(t_sorted, t_us[want].astype(np.uint64))
 
 
 def pinned_scenario(name):
