@@ -30,9 +30,10 @@ from .config import RunConfig, Scenario, _finite, _floats, parse_seed
 from .errors import ConfigError, EvaluationError, InputFormatError, OutputError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
-from .flow import compute_flow
+from .flow import compute_flow, subsample_flow
 from .pipeline import FrameMemo, iter_pairs
-from .plots import dump_flow_csv, emit_plots, flow_quiver_svg, write_blur_budget
+from .plots import dump_flow_csv, emit_plots, write_blur_budget
+from .svgplot import quiver
 from .synth import generate_events
 from .vehicle import ImuSeries
 
@@ -221,13 +222,14 @@ def _cmd_flow_debug(args) -> int:
         raise ConfigError(f"pair index {k} is past the last frame pair")
     pyramids = [memo.pyramid(cfg)[0] for memo in pair]
     field = compute_flow(*pyramids, cfg.stride)
+    h, w = pyramids[0].shape
     out_dir = Path(args.out_dir or cfg.out_dir)
     csv_path = out_dir / f"flow_{k:05d}.csv"
     svg_path = out_dir / f"flow_{k:05d}.svg"
     with _writing():
         out_dir.mkdir(parents=True, exist_ok=True)
         dump_flow_csv(field, csv_path)
-        svg_path.write_text(flow_quiver_svg(field, pyramids[0].shape, title=f"flow, pair {k}"))
+        svg_path.write_text(quiver(f"flow, pair {k}", w, h, *subsample_flow(field)))
     print(f"{csv_path}\n{svg_path}")
     return 0
 

@@ -73,6 +73,7 @@ CAMERA = {
     "camera.f_px": ("f_px", _finite),
     "camera.cx": ("cx", _finite),
     "camera.cy": ("cy", _finite),
+    "camera.fov_deg": ("fov_alpha", lambda text: math.radians(_finite(text))),
 }
 _WINDOW_US = "accumulation.window_us"  # a scenario reads it for its default time step
 ACCUMULATION = {_WINDOW_US: ("window_us", int), "accumulation.count_cap": ("count_cap", int)}
@@ -150,11 +151,6 @@ class _KV:
                   if key in self.data or name in required}
         return cls(**given, **values)
 
-    def camera(self) -> CameraModel:
-        fov_deg = self.take("camera.fov_deg", _finite, None)
-        return self.build(CameraModel, CAMERA,
-                          fov_alpha=math.radians(fov_deg) if fov_deg is not None else None)
-
 
 class _KeyFile:
     """``from_text`` and ``from_file`` over a class's ``_from_kv``."""
@@ -215,7 +211,7 @@ class RunConfig(_KeyFile):
 
     @classmethod
     def _from_kv(cls, kv: _KV) -> "RunConfig":
-        cam = kv.camera()
+        cam = kv.build(CameraModel, CAMERA)
         return kv.build(
             cls, RUN, camera=cam,
             accumulation=kv.build(AccumulationConfig, ACCUMULATION,
@@ -249,7 +245,7 @@ class Scenario(_KeyFile):
         if trajectory.t_s[0] > 0 or trajectory.t_s[-1] < duration:
             raise ValueError(f"trajectory [{trajectory.t_s[0]}, {trajectory.t_s[-1]}] "
                              f"does not cover [0, {duration}]")
-        sim = kv.build(SimConfig, SIM, texture=texture, cam=kv.camera(),
+        sim = kv.build(SimConfig, SIM, texture=texture, cam=kv.build(CameraModel, CAMERA),
                        ext=kv.build(Extrinsics, EXTRINSICS), duration=duration,
                        time_step=kv.take("sim.time_step_s", _finite, default_step))
         return cls(sim=sim, trajectory=trajectory)

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import EventBoundsError, InputFormatError
 from .events import EVENT_DTYPE, validate_events
 
-CSV_HEADER = "t_us,x,y,p"
 BINARY_MAGIC = b"EVT1"
 _HEADER_BYTES = 8  # magic plus u16 width and u16 height
 _CSV_CHUNK = 1 << 16  # rows formatted per write, which bounds the text held at once
@@ -31,6 +30,7 @@ _RESCAN_LINES = 1 << 12  # rows per parse when a failed read looks for its bad l
 # parsed wide so that an x, y or p outside its field is caught before narrowing: the
 # cast wraps silently, and not every numpy version allowed rejects it in loadtxt
 _CSV_COLUMNS = np.dtype([("t_us", "u8"), ("x", "i8"), ("y", "i8"), ("p", "i8")])
+CSV_HEADER = ",".join(_CSV_COLUMNS.names)
 
 
 def write_events_csv(path: str | Path, events: np.ndarray) -> None:
@@ -38,19 +38,21 @@ def write_events_csv(path: str | Path, events: np.ndarray) -> None:
         f.write(CSV_HEADER + "\n")
         for start in range(0, events.size, _CSV_CHUNK):
             part = events[start:start + _CSV_CHUNK]
-            columns = (part[name].tolist() for name in ("t_us", "x", "y", "p"))
+            columns = (part[name].tolist() for name in _CSV_COLUMNS.names)
             f.write("\n".join(map("{},{},{},{}".format, *columns)) + "\n")
 
 
-def read_csv(path: str | Path, header: str, dtype: np.dtype) -> np.ndarray:
-    """The rows below the exact ``header`` line of the CSV file at ``path``,
-    as a 1-d array of the structured ``dtype`` (one field per column).
+def read_csv(path: str | Path, dtype: np.dtype) -> np.ndarray:
+    """The rows of the CSV file at ``path`` as a 1-d array of the structured
+    ``dtype``, one field per column: the header line is the field names,
+    joined by commas.
 
     Empty lines are skipped.  An unreadable file, another header,
     undecodable bytes, a row with another field count and a value its field
     cannot hold (an integer out of range included) raise InputFormatError;
     it names the file and, for a bad line, its 1-based line number.
     """
+    header = ",".join(dtype.names)
     try:
         with open(path) as f:
             found = f.readline().strip()
@@ -115,7 +117,7 @@ def _bad_line(path: str | Path, dtype: np.dtype) -> str | None:
 
 def load_events_csv(path: str | Path, width: int, height: int) -> np.ndarray:
     """The events of the CSV file at ``path``, checked for a ``width`` x ``height`` sensor."""
-    rows = read_csv(path, CSV_HEADER, _CSV_COLUMNS)
+    rows = read_csv(path, _CSV_COLUMNS)
     for name in EVENT_DTYPE.names:
         info = np.iinfo(EVENT_DTYPE[name])
         if rows.size and (rows[name].min() < info.min or rows[name].max() > info.max):

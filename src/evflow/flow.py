@@ -120,9 +120,9 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> n
     ``[axx, ayy, axy/2, bx, by]``; the constant term ``c`` is not computed.
     Borders use replicated (clamped) samples.  The fit is exact for inputs
     that are polynomials of degree <= 2, e.g. a constant image yields
-    A = 0 and b = 0.  ``image`` is a float32 or float64 array, 2-d and 2 px
-    a side or more, as ``flow_pyramid`` passes its levels; the channels keep
-    its dtype.
+    A = 0 and b = 0.  ``image`` is a 2-d float32 or float64 array, 2 px a
+    side or more: ``RunConfig`` keeps the camera that large, and
+    ``flow_pyramid`` keeps every level so.  The channels keep its dtype.
     """
     g, xg, xxg = (k.astype(image.dtype) for k in _applicability_kernels(poly_n, poly_sigma))
     ig03, ig11, ig33, ig55 = _gram_inverse_entries(g.astype(np.float64), poly_n)
@@ -144,7 +144,7 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> n
 def _resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
     """Separable bilinear resample with half-pixel alignment and edge clamp.
 
-    ``img`` is at least 2 px on a side, as every pyramid level is.
+    ``img`` is a frame of a ``RunConfig`` camera, so 2 px a side or more.
     """
     h0, w0 = img.shape
 
@@ -391,9 +391,7 @@ def _level_count(h0: int, w0: int, params: FlowParams) -> int:
 
 def flow_pyramid(image: np.ndarray, params: FlowParams) -> FlowPyramid:
     """Blur, resize and polynomially expand ``image`` at every pyramid level."""
-    a = np.asarray(image, dtype=np.float32)
-    if a.ndim != 2 or min(a.shape) < 2:
-        raise ValueError("flow needs 2-d frames at least 2 pixels on a side")
+    a = image.astype(np.float32)
     h0, w0 = a.shape
     levels = []
     for k in range(_level_count(h0, w0, params) - 1, -1, -1):

@@ -25,13 +25,10 @@ from .config import RunConfig
 from .errors import DegenerateConsensusError, InsufficientDataError
 from .events import EventFrame, iter_frames, to_intensity
 from .flow import FlowPyramid, compute_flow, flow_pyramid, subsample_flow
-from .rigid import (CameraVelocity, EstimateQuality, estimate_rigid, ransac_estimate,
-                    to_camera_velocity)
+from .rigid import CameraVelocity, estimate_rigid, ransac_estimate, to_camera_velocity
 from .vehicle import ImuSeries, VelocityEstimate, substitute_imu_yaw, transform_to_axle
 
 PAIR_STAGES = ("intensity", "flow", "subsample", "estimate", "transform")
-
-_INVALID_QUALITY = EstimateQuality(n_inliers=0, inlier_fraction=0.0, mean_residual=0.0)
 
 
 @dataclass(frozen=True)
@@ -78,12 +75,6 @@ class FrameMemo:
             return self._pyramid, intensity_s
 
 
-def _invalid(t_mid: float, reason: str, omega_source: str) -> VelocityEstimate:
-    return VelocityEstimate(t_mid=t_mid, v_lon=0.0, v_lat=0.0, omega=0.0,
-                            omega_source=omega_source, quality=_INVALID_QUALITY,
-                            valid=False, reason=reason)
-
-
 def process_frame_pair(prev: FrameMemo, curr: FrameMemo, cfg: RunConfig, pair_index: int,
                        imu: ImuSeries | None = None) -> PairResult:
     """Run every per-pair stage for one consecutive frame pair.
@@ -127,7 +118,7 @@ def process_frame_pair(prev: FrameMemo, curr: FrameMemo, cfg: RunConfig, pair_in
         stage_s["estimate"] = time.perf_counter() - t0
     if reason:
         stage_s["pair"] = time.perf_counter() - t_pair
-        return PairResult(_invalid(t_mid, reason, cfg.omega_source), None, stage_s)
+        return PairResult(VelocityEstimate.invalid(t_mid, reason, cfg.omega_source), None, stage_s)
 
     t0 = time.perf_counter()
     cam_vel = to_camera_velocity(motion, cfg.camera, cfg.window_s, t_mid, cfg.mapping, p.shape[0])
@@ -145,11 +136,10 @@ def _pair(prev: FrameMemo | None, curr: FrameMemo, cfg: RunConfig, pair_index: i
           imu: ImuSeries | None, accumulate_s: float) -> PairResult:
     """The row of ``curr`` paired with ``prev``, the frame before it (None
     before the first), carrying the seconds spent accumulating ``curr``."""
-    if prev is None:
-        result = PairResult(_invalid(curr.frame.t_mid_s, "no_previous_frame", cfg.omega_source))
-    elif prev.frame.event_total == curr.frame.event_total == 0:
-        # two blank images have no texture to track
-        result = PairResult(_invalid(curr.frame.t_mid_s, "textureless", cfg.omega_source))
+    if prev is None or prev.frame.event_total == curr.frame.event_total == 0:
+        # the first frame has no pair, and two blank images have no texture to track
+        reason = "no_previous_frame" if prev is None else "textureless"
+        result = PairResult(VelocityEstimate.invalid(curr.frame.t_mid_s, reason, cfg.omega_source))
     else:
         result = process_frame_pair(prev, curr, cfg, pair_index, imu=imu)
     return replace(result, accumulate_s=accumulate_s)

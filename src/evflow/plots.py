@@ -1,5 +1,5 @@
 """File emitters for inspection artifacts: velocity overlays, residual
-histograms, flow quivers, and the exposure-budget table."""
+histograms, flow dumps, and the exposure-budget table."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import numpy as np
 
 from .evaluate import CHANNELS, _pair_series, _valid_series
 from .events import CameraModel, max_exposure_for_blur
-from .flow import FlowField, subsample_flow
-from .svgplot import histogram, line_chart, quiver
+from .flow import FlowField
+from .svgplot import histogram, line_chart
 from .vehicle import VelocityEstimate
 
 CHANNEL_FILES = {
@@ -70,14 +70,6 @@ def dump_flow_csv(field: FlowField, path: str | Path) -> None:
             for j in range(w):
                 f.write(f"{j * s},{i * s},{float(field.u[i, j])!r},{float(field.v[i, j])!r},"
                         f"{'true' if field.valid[i, j] else 'false'}\n")
-
-
-def flow_quiver_svg(field: FlowField, frame_shape: tuple[int, int],
-                    title: str = "optical flow") -> str:
-    """Arrows of the field's valid grid points over a frame of ``frame_shape`` (h, w)."""
-    p, q = subsample_flow(field)
-    h, w = frame_shape
-    return quiver(title, w, h, p, q)
 
 
 def blur_budget_table(speeds: list[float], budgets: list[float],

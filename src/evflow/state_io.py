@@ -1,12 +1,13 @@
 """CSV formats for IMU input and velocity output streams.
 
+Each header is its reader's column names (the fields of its dtype).
 IMU: header ``t_us,yaw_rate_rad_s``.
 Velocity (estimates and ground truth share the schema): header
 ``t_s,v_lon,v_lat,omega,omega_source,n_inliers,inlier_fraction,valid``.
-Invalid rows carry zeros in the numeric fields; readers must honor the
-``valid`` flag.  Every float field must be finite; ``omega_source`` is
-``flow``, ``imu`` or ``truth``, ``n_inliers`` at least 0 and
-``inlier_fraction`` within [0, 1].
+Invalid rows, from ``VelocityEstimate.invalid``, carry zeros in the numeric
+fields; readers must honor the ``valid`` flag.  Every float field must be
+finite; ``omega_source`` is ``flow``, ``imu`` or ``truth``, ``n_inliers`` at
+least 0 and ``inlier_fraction`` within [0, 1].
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from .event_io import read_csv
 from .rigid import EstimateQuality
 from .vehicle import ImuSeries, VelocityEstimate
 
-IMU_HEADER = "t_us,yaw_rate_rad_s"
-VELOCITY_HEADER = "t_s,v_lon,v_lat,omega,omega_source,n_inliers,inlier_fraction,valid"
-_IMU_COLUMNS = np.dtype([("t_us", "i8"), ("yaw_rate", "f8")])
+_IMU_COLUMNS = np.dtype([("t_us", "i8"), ("yaw_rate_rad_s", "f8")])
 _VELOCITY_COLUMNS = np.dtype([("t_s", "f8"), ("v_lon", "f8"), ("v_lat", "f8"),
                               ("omega", "f8"), ("omega_source", "O"), ("n_inliers", "i8"),
                               ("inlier_fraction", "f8"), ("valid", "O")])
+IMU_HEADER = ",".join(_IMU_COLUMNS.names)
+VELOCITY_HEADER = ",".join(_VELOCITY_COLUMNS.names)
 
 
 def write_imu_csv(path: str | Path, imu: ImuSeries) -> None:
@@ -36,22 +37,22 @@ def write_imu_csv(path: str | Path, imu: ImuSeries) -> None:
             f.write(f"{int(t)},{float(w)!r}\n")
 
 
-def _finite_rows(path: str | Path, header: str, columns: np.dtype) -> np.ndarray:
+def _finite_rows(path: str | Path, columns: np.dtype) -> np.ndarray:
     """``read_csv`` that also rejects a NaN or infinite value in any float column."""
-    rows = read_csv(path, header, columns)
-    for column, name in zip(header.split(","), columns.names):
+    rows = read_csv(path, columns)
+    for name in columns.names:
         if columns[name].kind == "f":
             bad = np.flatnonzero(~np.isfinite(rows[name]))
             if bad.size:
                 raise InputFormatError(f"cannot read {path}: data row {bad[0] + 1} "
-                                       f"has a non-finite {column}")
+                                       f"has a non-finite {name}")
     return rows
 
 
 def load_imu_csv(path: str | Path) -> ImuSeries:
-    rows = _finite_rows(path, IMU_HEADER, _IMU_COLUMNS)
+    rows = _finite_rows(path, _IMU_COLUMNS)
     try:
-        return ImuSeries(rows["t_us"], rows["yaw_rate"])
+        return ImuSeries(rows["t_us"], rows["yaw_rate_rad_s"])
     except InputFormatError as exc:  # the rows are out of time order
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
@@ -66,18 +67,14 @@ def write_velocity_csv(path: str | Path, estimates: Iterable[VelocityEstimate]) 
     with open(path, "w", newline="") as f:
         f.write(VELOCITY_HEADER + "\n")
         for e in estimates:
-            if e.valid:
-                fields = [_fmt(e.t_mid), _fmt(e.v_lon), _fmt(e.v_lat), _fmt(e.omega),
-                          e.omega_source, str(e.quality.n_inliers),
-                          _fmt(e.quality.inlier_fraction), "true"]
-            else:
-                fields = [_fmt(e.t_mid), "0.0", "0.0", "0.0", e.omega_source,
-                          "0", "0.0", "false"]
+            fields = [_fmt(e.t_mid), _fmt(e.v_lon), _fmt(e.v_lat), _fmt(e.omega), e.omega_source,
+                      str(e.quality.n_inliers), _fmt(e.quality.inlier_fraction),
+                      "true" if e.valid else "false"]
             f.write(",".join(fields) + "\n")
 
 
 def load_velocity_csv(path: str | Path) -> list[VelocityEstimate]:
-    rows = _finite_rows(path, VELOCITY_HEADER, _VELOCITY_COLUMNS)
+    rows = _finite_rows(path, _VELOCITY_COLUMNS)
     sources = [source.strip() for source in rows["omega_source"].tolist()]
     flags = [valid.strip() for valid in rows["valid"].tolist()]
     domains = (("omega_source", sources, lambda s: s in ("flow", "imu", "truth"),

@@ -10,7 +10,7 @@ before the transfer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,8 @@ class Extrinsics:
 
 @dataclass(frozen=True)
 class VelocityEstimate:
-    """Axle-frame velocity sample; numeric fields are meaningless when
-    ``valid`` is False."""
+    """Axle-frame velocity sample; an invalid one, from ``invalid``, holds
+    zeros in every number."""
 
     t_mid: float
     v_lon: float
@@ -47,34 +47,36 @@ class VelocityEstimate:
     valid: bool = True
     reason: str = ""
 
+    @classmethod
+    def invalid(cls, t_mid: float, reason: str, omega_source: str) -> "VelocityEstimate":
+        """The row of a pair the chain could not estimate, and why."""
+        return cls(t_mid=t_mid, v_lon=0.0, v_lat=0.0, omega=0.0, omega_source=omega_source,
+                   quality=EstimateQuality(n_inliers=0, inlier_fraction=0.0, mean_residual=0.0),
+                   valid=False, reason=reason)
 
+
+@dataclass(frozen=True, eq=False)
 class ImuSeries:
     """Time-sorted yaw-rate samples with interpolating lookup.
 
-    The sample arrays are read-only, so a series never changes once built.
-    ``t_us`` and ``yaw_rate`` are matching 1-d sequences (two columns of
-    one file, or of one truth list); only their time order is checked.
+    The series keeps read-only copies of its sample arrays, so it never
+    changes once built and its caller's arrays stay writable.  ``t_us`` and
+    ``yaw_rate`` are matching 1-d sequences (two columns of one file, or of
+    one truth list); only their time order is checked.
     """
 
-    def __init__(self, t_us, yaw_rate):
-        t = np.asarray(t_us, dtype=np.int64)
-        w = np.asarray(yaw_rate, dtype=np.float64)
-        back = np.flatnonzero(t[1:] < t[:-1])
+    t_us: np.ndarray
+    yaw_rate: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("t_us", np.int64), ("yaw_rate", np.float64)):
+            samples = np.array(getattr(self, name), dtype=dtype)
+            samples.setflags(write=False)
+            object.__setattr__(self, name, samples)
+        back = np.flatnonzero(self.t_us[1:] < self.t_us[:-1])
         if back.size:
-            raise InputFormatError(f"data row {back[0] + 2} has t_us {t[back[0] + 1]}, below "
-                                   "the row before it")
-        self._t = t
-        self._w = w
-        self._t.setflags(write=False)
-        self._w.setflags(write=False)
-
-    @property
-    def t_us(self) -> np.ndarray:
-        return self._t
-
-    @property
-    def yaw_rate(self) -> np.ndarray:
-        return self._w
+            raise InputFormatError(f"data row {back[0] + 2} has t_us {self.t_us[back[0] + 1]}, "
+                                   "below the row before it")
 
     def yaw_at(self, t_s: float, staleness_s: float) -> float | None:
         """Yaw rate at ``t_s``: linear interpolation between the bracketing
@@ -83,16 +85,16 @@ class ImuSeries:
         Returns None when the nearest sample is further than
         ``staleness_s`` away, inside a gap between samples too.
         """
-        if self._t.size == 0:
+        if self.t_us.size == 0:
             return None
         t_query = t_s * 1e6
-        hi = int(np.searchsorted(self._t, t_query))
+        hi = int(np.searchsorted(self.t_us, t_query))
         # past an edge both bracketing samples are the edge sample
-        lo, hi = max(hi - 1, 0), min(hi, self._t.size - 1)
-        t0, t1 = float(self._t[lo]), float(self._t[hi])
+        lo, hi = max(hi - 1, 0), min(hi, self.t_us.size - 1)
+        t0, t1 = float(self.t_us[lo]), float(self.t_us[hi])
         if min(abs(t_query - t0), abs(t1 - t_query)) > staleness_s * 1e6:
             return None
-        w0, w1 = float(self._w[lo]), float(self._w[hi])
+        w0, w1 = float(self.yaw_rate[lo]), float(self.yaw_rate[hi])
         if t1 == t0:
             return w1
         frac = (t_query - t0) / (t1 - t0)
@@ -120,11 +122,10 @@ def substitute_imu_yaw(cv: CameraVelocity, imu: ImuSeries, ext: Extrinsics,
 
     The IMU samples bracketing ``cv.t_mid`` are linearly interpolated; if
     the nearest sample is staler than ``staleness_s`` the estimate is
-    returned flagged invalid instead of raising.
+    returned as the invalid row ``imu_stale`` instead of raising.
     """
     yaw = imu.yaw_at(cv.t_mid, staleness_s)
     if yaw is None:
-        est = transform_to_axle(cv, ext, omega_source="imu")
-        return replace(est, valid=False, reason="imu_stale")
+        return VelocityEstimate.invalid(cv.t_mid, "imu_stale", "imu")
     swapped = CameraVelocity(v=cv.v, omega=float(yaw), t_mid=cv.t_mid, quality=cv.quality)
     return transform_to_axle(swapped, ext, omega_source="imu")

@@ -97,12 +97,6 @@ class TestPolynomialExpansion:
         for key, got in zip(CHANNELS, e[:, 0, 0]):
             assert got == pytest.approx(oracle[key], abs=1e-8), key
 
-    def test_rejects_empty(self):
-        # flow_pyramid, the expansion's caller, checks its images
-        for image in (np.zeros((0, 4)), np.zeros((8, 1))):
-            with pytest.raises(ValueError, match="at least 2 pixels"):
-                flow_pyramid(image, FlowParams())
-
     @pytest.mark.parametrize("n, sigma", [(2, 0.7), (5, 1.1)])
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (260, 346), (24, 1000),
                                        (1000, 24)], ids="{0[0]}x{0[1]}".format)

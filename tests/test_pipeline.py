@@ -376,6 +376,11 @@ class TestVelocityCsv:
         assert not back[1].valid
         assert back[2].omega_source == "imu"
 
+    def test_invalid_row_is_written_as_zeros(self, tmp_path):
+        path = tmp_path / "v.csv"
+        state_io.write_velocity_csv(path, [VelocityEstimate.invalid(0.25, "imu_stale", "imu")])
+        assert path.read_text().splitlines()[1] == "0.25,0.0,0.0,0.0,imu,0,0.0,false"
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("wrong,header\n")
@@ -686,6 +691,28 @@ trajectory.omega = 0.3, 0.3
         valid = [r for r in rows if r.valid]
         assert valid and all(r.omega_source == "imu" for r in valid)
         assert all(abs(r.omega - 0.3) < 0.02 for r in valid)
+
+    def test_imu_stale_rows_are_written_as_zeros(self, workspace):
+        tmp_path, scenario, _ = workspace
+        ev, imu = tmp_path / "events.csv", tmp_path / "imu.csv"
+        assert cli_main(["simulate", str(scenario), "--events", str(ev),
+                         "--imu", str(imu)]) == 0
+        lines = imu.read_text().splitlines()
+        kept = lines[:len(lines) // 3]
+        imu.write_text("\n".join(kept) + "\n")
+        run_cfg = tmp_path / "run_imu.cfg"
+        run_cfg.write_text(RUN_TEXT + f"io.out_dir = {tmp_path / 'out_imu'}\n"
+                           f"io.imu = {imu}\nomega.source = imu\n")
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 0
+        out = tmp_path / "out_imu"
+        n_stale = json.loads((out / "timings.json").read_text())["invalid_reasons"]["imu_stale"]
+        # a row is stale when the last kept sample lies more than two windows before it
+        last_s = int(kept[-1].split(",")[0]) * 1e-6
+        rows = [row.split(",") for row in (out / "estimates.csv").read_text().splitlines()[1:]]
+        stale = [fields for fields in rows if float(fields[0]) - last_s > 2 * 0.033]
+        assert n_stale and len(stale) == n_stale
+        assert all(fields[1:] == ["0.0", "0.0", "0.0", "imu", "0", "0.0", "false"]
+                   for fields in stale)
 
     def test_config_error_exit_2(self, tmp_path):
         assert cli_main(["estimate", "--config", str(tmp_path / "nope.cfg")]) == 2

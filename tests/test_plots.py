@@ -10,10 +10,9 @@ import pytest
 
 import evflow
 from evflow.events import CameraModel
-from evflow.flow import FlowField
-from evflow.plots import (blur_budget_table, dump_flow_csv, flow_quiver_svg,
-                          write_blur_budget)
-from evflow.svgplot import _nice_ticks
+from evflow.flow import FlowField, subsample_flow
+from evflow.plots import blur_budget_table, dump_flow_csv, write_blur_budget
+from evflow.svgplot import _nice_ticks, quiver
 
 CAM = CameraModel(width=640, height=480, height_z=0.6, fov_alpha=math.radians(60))
 
@@ -115,7 +114,7 @@ class TestFlowDebugDump:
         assert valid == ("true" if field.valid[1, 2] else "false")
 
     def test_quiver_svg_parses(self):
-        svg = flow_quiver_svg(self.field(stride=3), (9, 12))
+        svg = quiver("optical flow", 12, 9, *subsample_flow(self.field(stride=3)))
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert "line" in svg

@@ -83,6 +83,14 @@ class TestImuSeries:
         assert imu.yaw_at(0.0025, staleness_s=0.001) == 7.0  # the last sample held
         assert imu.yaw_at(0.0015, staleness_s=0.001) == pytest.approx(4.0)
 
+    def test_keeps_read_only_copies(self):
+        t, w = np.array([0, 10]), np.array([1.0, 2.0])
+        imu = ImuSeries(t, w)
+        assert t.flags.writeable and w.flags.writeable
+        assert not (imu.t_us.flags.writeable or imu.yaw_rate.flags.writeable)
+        t[0], w[0] = 5, 9.0
+        assert (imu.t_us[0], imu.yaw_rate[0]) == (0, 1.0)
+
     def test_rejects_unsorted(self):
         with pytest.raises(InputFormatError):
             ImuSeries([10, 5], [0.0, 0.0])
