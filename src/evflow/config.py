@@ -76,7 +76,9 @@ CAMERA = {
     "camera.fov_deg": ("fov_alpha", lambda text: math.radians(_finite(text))),
 }
 _WINDOW_US = "accumulation.window_us"  # a scenario reads it for its default time step
-ACCUMULATION = {_WINDOW_US: ("window_us", int), "accumulation.count_cap": ("count_cap", int)}
+ACCUMULATION = {  # a scenario's window is held to AccumulationConfig's bounds too
+    _WINDOW_US: ("window_us", lambda text: AccumulationConfig(int(text), 1, 1).window_us),
+    "accumulation.count_cap": ("count_cap", int)}
 FLOW = {
     "flow.pyramid_levels": ("pyramid_levels", int),
     "flow.pyramid_scale": ("pyramid_scale", _finite),
@@ -237,7 +239,7 @@ class Scenario(_KeyFile):
                            {key: row for key, row in TEXTURE.items() if row[0] in names})
         duration = kv.take("sim.duration_s", _finite)
         # an eighth of the accumulation window when declared, else 1 ms
-        window_us = kv.take(_WINDOW_US, int, 0)
+        window_us = kv.take(_WINDOW_US, ACCUMULATION[_WINDOW_US][1], 0)
         default_step = window_us * 1e-6 / 8 if window_us else min(1e-3, duration / 8)
         t = kv.take("trajectory.t_s", _floats)
         trajectory = Trajectory(t, *(kv.take(key, _floats, [0.0] * len(t)) for key in (

@@ -417,8 +417,9 @@ def compute_flow(a: FlowPyramid, b: FlowPyramid, stride: int) -> FlowField:
     frames of one sensor (``FrameMemo.pyramid`` builds them), so a stream
     expands every frame once.  Every refinement pass but the last covers the
     whole level; the last one smooths and solves only at the grid points,
-    which are all that is read, and equals the dense field sliced
-    ``[::stride, ::stride]``; ``RunConfig`` keeps ``stride`` >= 1.
+    which are all that is read.  Its grid equals the dense field sliced
+    ``[::stride, ::stride]`` once rounded to float32, not by construction:
+    ``_correlate1d`` says why.  ``RunConfig`` keeps ``stride`` >= 1.
     Deterministic: identical pyramids give bit-identical fields.
     Textureless regions are reported through the validity mask rather than
     an exception.

@@ -74,11 +74,16 @@ def dump_flow_csv(field: FlowField, path: str | Path) -> None:
 
 def blur_budget_table(speeds: list[float], budgets: list[float],
                       cam: CameraModel) -> list[dict]:
+    names = [f"t_exp_us_at_{b:g}" for b in budgets]
+    for i, name in enumerate(names):  # a column named twice holds only its last budget
+        if name in names[:i]:
+            raise ValueError(f"budgets {budgets[names.index(name)]!r} and {budgets[i]!r} "
+                             f"share the column {name}")
     rows = []
     for v in speeds:
         row = {"v_mps": v}
-        for b in budgets:
-            row[f"t_exp_us_at_{b:g}"] = max_exposure_for_blur(b, v, cam) * 1e6
+        for name, b in zip(names, budgets):
+            row[name] = max_exposure_for_blur(b, v, cam) * 1e6
         rows.append(row)
     return rows
 

@@ -171,10 +171,10 @@ class DotTexture:
         nx = np.stack([cxa, cxb, cxa, cxb])
         ny = np.stack([cya, cya, cyb, cyb])
         salt_x, salt_y = self.seed * 2 + 1, self.seed * 2 + 2
-        dot_x = _box_gather(lambda cx, cy: (cx + (0.25 + 0.5 * _hash_unit(cx, cy, salt_x))) * s,
-                            nx, ny)
-        dot_y = _box_gather(lambda cx, cy: (cy + (0.25 + 0.5 * _hash_unit(cx, cy, salt_y))) * s,
-                            nx, ny)
+        dot_x = LatticeBox(lambda cx, cy: (cx + (0.25 + 0.5 * _hash_unit(cx, cy, salt_x))) * s
+                           ).gather(nx, ny)[0]
+        dot_y = LatticeBox(lambda cx, cy: (cy + (0.25 + 0.5 * _hash_unit(cx, cy, salt_y))) * s
+                           ).gather(nx, ny)[0]
         value = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.float64)
         for cx, cy in zip(dot_x, dot_y):
             np.maximum(value, 1.0 - np.hypot(x - cx, y - cy) / r, out=value)
@@ -182,101 +182,64 @@ class DotTexture:
 
 
 class LatticeBox:
-    """Values of an elementwise function of integer points over an integer
-    rectangle, kept so that later gathers inside it evaluate nothing.
+    """Values of an elementwise function ``fn`` of integer points over an
+    integer rectangle, kept so that later gathers inside it evaluate nothing.
 
-    A simulator run keeps one for a lattice texture.  A render whose corner
-    rectangle it does not cover refills it around that rectangle with a
+    A simulator run keeps one for a lattice texture.  A gather whose
+    rectangle it does not hold refills it around that rectangle with a
     margin of half the rectangle's extent on each side: the box holds at
-    most 4 times the cells of the largest corner rectangle of the run,
+    most 4 times the cells of the largest rectangle gathered in the run,
     however long the run or its path.
     """
 
-    def __init__(self):
+    def __init__(self, fn):
+        self.fn = fn
         self.x_lo = self.y_lo = 0
         self.values = np.zeros((0, 0))
 
-    def fill(self, fn, x_lo: int, y_lo: int, nx: int, ny: int, strip_cells: int) -> None:
+    def fill(self, x_lo: int, y_lo: int, nx: int, ny: int) -> None:
         """Evaluate float64-valued ``fn`` on the ``nx`` by ``ny`` rectangle at
-        (``x_lo``, ``y_lo``), in strips of whole rows of at most
-        ``strip_cells`` cells (one row at least), which bound ``fn``'s
-        temporaries."""
+        (``x_lo``, ``y_lo``), a quarter of its rows at a time, which bounds
+        ``fn``'s temporaries by those of one gathered rectangle."""
         self.x_lo, self.y_lo = x_lo, y_lo
         self.values = np.empty((ny, nx))
-        xs = np.arange(x_lo, x_lo + nx)[None, :]
-        rows = max(1, strip_cells // nx)
+        xs, ys = np.arange(x_lo, x_lo + nx)[None, :], np.arange(y_lo, y_lo + ny)[:, None]
+        rows = max(1, ny // 4)
         for r in range(0, ny, rows):
-            self.values[r:r + rows] = fn(xs, np.arange(y_lo + r, y_lo + min(r + rows, ny))[:, None])
+            self.values[r:r + rows] = self.fn(xs, ys[r:r + rows])
 
-    def cover(self, fn, x_lo: int, y_lo: int, nx: int, ny: int) -> None:
-        """Refill around the rectangle unless the box holds it already."""
+    def gather(self, ix: np.ndarray, iy: np.ndarray, reach: int = 0) -> list[np.ndarray]:
+        """``fn(ix + a, iy + b)`` for b and then a in 0..``reach``, one array
+        each, for integer points given as arrays that broadcast together.
+
+        The values are taken from the box, refilled unless it holds the
+        rectangle from the smallest point to ``reach`` cells past the largest,
+        so a point repeated or shared by two offsets costs one evaluation.
+        When that rectangle holds more cells than there are values, as for
+        scattered points, ``fn`` runs on the points instead.
+        """
+        offsets = [(a, b) for b in range(reach + 1) for a in range(reach + 1)]
+        x_lo, y_lo = int(ix.min()), int(iy.min())
+        nx, ny = int(ix.max()) - x_lo + 1 + reach, int(iy.max()) - y_lo + 1 + reach
+        if nx * ny > len(offsets) * np.broadcast(ix, iy).size:
+            return list(self.fn(np.stack([ix + a for a, _ in offsets]),
+                                np.stack([iy + b for _, b in offsets])))
         rows, cols = self.values.shape
         if not (self.x_lo <= x_lo and x_lo + nx <= self.x_lo + cols
                 and self.y_lo <= y_lo and y_lo + ny <= self.y_lo + rows):
-            # strips the rectangle's size keep fn's temporaries those of one render
-            self.fill(fn, x_lo - nx // 2, y_lo - ny // 2, 2 * nx, 2 * ny, nx * ny)
-
-    def take(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        return self.values.ravel().take((iy - self.y_lo) * self.values.shape[1] + (ix - self.x_lo))
-
-    def corners(self, x0: np.ndarray, y0: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Values at (x0, y0), (x0 + 1, y0), (x0, y0 + 1) and (x0 + 1, y0 + 1)."""
+            self.fill(x_lo - nx // 2, y_lo - ny // 2, 2 * nx, 2 * ny)
         flat, cols = self.values.ravel(), self.values.shape[1]
-        i = (y0 - self.y_lo) * cols + (x0 - self.x_lo)
-        return flat.take(i), flat.take(i + 1), flat.take(i + cols), flat.take(i + cols + 1)
+        i = (iy - self.y_lo) * cols + (ix - self.x_lo)
+        return [flat[b * cols + a:].take(i) for a, b in offsets]
 
 
-def _covering_box(fn, x0: np.ndarray, y0: np.ndarray, reach: int, n_points: int,
-                  box: LatticeBox | None = None) -> LatticeBox | None:
-    """A box of ``fn`` holding every point from (``x0``, ``y0``) to
-    (``x0 + reach``, ``y0 + reach``), for ``n_points`` points in all.
-
-    Without a run ``box`` the box is exactly the rectangle those points
-    span; a run box is refilled only when it does not hold the rectangle.
-    None when the rectangle holds more cells than there are points, as for
-    scattered points, which ``fn`` then evaluates one by one.
-    """
-    x_lo, y_lo = int(x0.min()), int(y0.min())
-    nx, ny = int(x0.max()) - x_lo + 1 + reach, int(y0.max()) - y_lo + 1 + reach
-    if nx * ny > n_points:
-        return None
-    if box is None:
-        box = LatticeBox()
-        box.fill(fn, x_lo, y_lo, nx, ny, nx * ny)
-    else:
-        box.cover(fn, x_lo, y_lo, nx, ny)
-    return box
-
-
-def _box_gather(fn, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-    """``fn(ix, iy)`` for a function ``fn`` applied elementwise to integer
-    points given as arrays that broadcast together.
-
-    ``fn`` runs once on the integer box the points span, given as a row of
-    x values and a column of y values, and its values are gathered per
-    point, so a point repeated (or shared with a neighbour's corner) costs
-    one evaluation.  When the box holds more cells than there are points,
-    as for scattered points, ``fn`` runs on the points instead.
-    """
-    n_points = np.broadcast(ix, iy).size
-    box = _covering_box(fn, ix, iy, 0, n_points) if n_points else None
-    return fn(ix, iy) if box is None else box.take(ix, iy)
-
-
-def _bilinear_lattice(texture, tx: np.ndarray, ty: np.ndarray,
-                      box: LatticeBox | None = None) -> np.ndarray:
-    """Bilinear samples of ``texture.lattice``, whose corner values come
-    from the run ``box`` when given (see ``_covering_box``)."""
+def _bilinear_lattice(box: LatticeBox, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """Bilinear samples of the lattice function of ``box``."""
     x0 = np.floor(tx).astype(np.int64)
     y0 = np.floor(ty).astype(np.int64)
     fx = tx - x0
     fy = ty - y0
-    box = _covering_box(texture.lattice, x0, y0, 1, 4 * x0.size, box) if x0.size else None
-    if box is None:
-        v00, v01, v10, v11 = texture.lattice(np.stack([x0, x0 + 1, x0, x0 + 1]),
-                                             np.stack([y0, y0, y0 + 1, y0 + 1]))
-    else:
-        v00, v01, v10, v11 = box.corners(x0, y0)
+    v00, v01, v10, v11 = box.gather(x0, y0, reach=1)
     return (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
             + v10 * (1 - fx) * fy + v11 * fx * fy)
 
@@ -287,12 +250,12 @@ def sample_texture(texture, tx: GridCoord, ty: GridCoord,
     (pixel units); scattered points are a grid of one zero row.
 
     Discontinuous textures are realized on the integer lattice and sampled
-    bilinearly, their lattice values gathered from the run ``box`` when
-    given; band-limited noise is evaluated analytically.
+    bilinearly from ``box``, a fresh one when none is given; band-limited
+    noise is evaluated analytically.
     """
     if isinstance(texture, NoiseTexture):
         return texture.values(tx, ty)
-    return _bilinear_lattice(texture, tx.full(), ty.full(), box)
+    return _bilinear_lattice(box or LatticeBox(texture.lattice), tx.full(), ty.full())
 
 
 @dataclass(frozen=True)
@@ -543,7 +506,7 @@ class _Worker:
     the worker's temporaries.
     """
 
-    box: LatticeBox = field(default_factory=LatticeBox)
+    box: LatticeBox
     k: int = -1
     level: np.ndarray | None = None
     band: np.ndarray | None = None
@@ -621,7 +584,8 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
         c_px = np.asarray(initial_state.c_px, dtype=np.float64).copy()
     # the chunks take the workers in turn: in_order keeps at most that many
     # chunks pending, so no two chunks use one worker at once
-    workers = [_Worker() for _ in range(parallel.default_workers(cam))]
+    lattice = getattr(cfg.texture, "lattice", None)  # noise has none; its box is never gathered
+    workers = [_Worker(LatticeBox(lattice)) for _ in range(parallel.default_workers(cam))]
     first = workers[0]
     first.level = _render(cfg.texture, psi, c_px, cam, first.box)
     # a fresh run anchors each pixel's threshold ladder at its first level

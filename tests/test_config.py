@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evflow import config
+from evflow.cli import main as cli_main
 from evflow.config import RunConfig, Scenario, parse_kv_text
 from evflow.errors import ConfigError
 from evflow.synth import MAX_SUBSTEPS, CheckerTexture, DotTexture, NoiseTexture
@@ -351,6 +352,17 @@ class TestDomains:
         values = {k: v for k, v in parse_kv_text(_scenario_text(kind)).items() if k != key}
         with pytest.raises(ConfigError):
             Scenario.from_text(_text(values) + line + "\n")
+
+    @pytest.mark.parametrize("window_us", ["0", "-1", str(2 ** 64)])
+    def test_scenario_window_out_of_domain_exits_2(self, tmp_path, capsys, window_us):
+        # checked although the scenario's sim.time_step_s leaves the window unused
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(SCENARIO_TEXT + f"accumulation.window_us = {window_us}\n")
+        events = tmp_path / "events.csv"
+        assert cli_main(["simulate", str(scenario), "--events", str(events)]) == 2
+        err = capsys.readouterr().err
+        assert "'accumulation.window_us'" in err and "(0, 2**64)" in err
+        assert not events.exists()
 
     @pytest.mark.parametrize("width, height, run_ok, scenario_ok", [
         (1, 1, False, True), (1, 150, False, True), (2, 2, True, True),

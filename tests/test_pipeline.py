@@ -942,6 +942,16 @@ trajectory.omega = 0.3, 0.3
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("budgets, named", [("0.01,0.01000001", "0.01 and 0.01000001"),
+                                                ("0.02,0.05,0.02", "0.02 and 0.02")])
+    def test_blur_budget_colliding_columns_exit_2(self, tmp_path, capsys, budgets, named):
+        # both budgets print as t_exp_us_at_0.01 (or 0.02), one column's name
+        out = tmp_path / "bb"
+        assert cli_main(["blur-budget", "--out-dir", str(out), f"--budgets={budgets}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"budgets {named} share" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "1e400"])
     def test_evaluate_bad_tolerance_exit_2(self, tmp_path, capsys, tolerance):
         est = tmp_path / "estimates.csv"

@@ -24,9 +24,9 @@ from evflow.events import EVENT_DTYPE, CameraModel, make_events, validate_events
 from evflow.flow import FlowField
 from evflow.pipeline import iter_pairs
 from evflow.rigid import RansacParams, estimate_rigid, ransac_estimate, reconstruct_flow
-from evflow.synth import (CheckerTexture, DotTexture, GridCoord, NoiseTexture, SimConfig,
-                          Trajectory, _bands, _bilinear_lattice, _crossings, _sorted_records,
-                          _time_order, generate_events, sample_texture)
+from evflow.synth import (CheckerTexture, DotTexture, GridCoord, LatticeBox, NoiseTexture,
+                          SimConfig, Trajectory, _bands, _bilinear_lattice, _crossings,
+                          _sorted_records, _time_order, generate_events, sample_texture)
 from evflow.vehicle import Extrinsics, ImuSeries
 from helpers import constant_trajectory, inject_outliers, render_plane, reversed_trajectory
 
@@ -208,7 +208,8 @@ class TestTextures:
         ref_dots = lambda ix, iy: reference_dot_lattice(dots, ix, iy)
         assert np.array_equal(render_plane(dots, (x, y, yaw), cam),
                               reference_bilinear(ref_dots, tx, ty))
-        assert np.array_equal(_bilinear_lattice(dots, tx, ty), reference_bilinear(ref_dots, tx, ty))
+        assert np.array_equal(_bilinear_lattice(LatticeBox(dots.lattice), tx, ty),
+                              reference_bilinear(ref_dots, tx, ty))
         assert np.array_equal(render_plane(checker, (x, y, yaw), cam),
                               reference_bilinear(checker.lattice, tx, ty))
         ix, iy = np.floor(tx).astype(np.int64), np.floor(ty).astype(np.int64)
@@ -245,7 +246,7 @@ class TestLatticeBox:
         poses.append((psi, cx + 3 * cam.width, cy - 3 * cam.height))
         for tex in (DotTexture(density=0.01, radius_px=2.5, seed=seed),
                     CheckerTexture(period_px=7.0)):
-            box = synth.LatticeBox()
+            box = synth.LatticeBox(tex.lattice)
             with mock.patch.object(box, "fill", wraps=box.fill) as fill:
                 for psi, cx, cy in poses:
                     c_px = np.array([cx, cy])
@@ -259,20 +260,20 @@ class TestLatticeBox:
         cam = CameraModel(width=41, height=33, height_z=0.5, f_px=100.0)
         cfg = sim(DotTexture(seed=2), cam=cam, duration=0.2, time_step=1e-3)
         records = []
-        real = synth._covering_box
+        real = synth.LatticeBox.gather
 
-        def recording(fn, x0, y0, reach, n_points, box=None):
-            out = real(fn, x0, y0, reach, n_points, box)
-            if box is not None:
+        def recording(box, x0, y0, reach=0):
+            out = real(box, x0, y0, reach)
+            if box.fn == cfg.texture.lattice:
                 footprint = ((int(x0.max()) - int(x0.min()) + 2)
                              * (int(y0.max()) - int(y0.min()) + 2))
-                rows, cols = out.values.shape
-                assert out.x_lo <= x0.min() and x0.max() + 1 < out.x_lo + cols
-                assert out.y_lo <= y0.min() and y0.max() + 1 < out.y_lo + rows
-                records.append((footprint, out.values.size, out.x_lo, out.y_lo))
+                rows, cols = box.values.shape
+                assert box.x_lo <= x0.min() and x0.max() + 1 < box.x_lo + cols
+                assert box.y_lo <= y0.min() and y0.max() + 1 < box.y_lo + rows
+                records.append((footprint, box.values.size, box.x_lo, box.y_lo))
             return out
 
-        with mock.patch.object(synth, "_covering_box", recording):
+        with mock.patch.object(synth.LatticeBox, "gather", recording):
             generate_events(cfg, Trajectory([0.0, 0.2], [5.0, 3.0], [1.0, -2.0], [8.0, 8.0]))
         assert len(records) == 201  # the first level and one per substep
         largest = 0
@@ -289,7 +290,7 @@ class TestLatticeBox:
                                side_effect=synth.LatticeBox.fill) as fill:
             generate_events(cfg, traj)
         # fills with another function are DotTexture.lattice's own dot-center boxes
-        assert sum(c.args[1] == cfg.texture.lattice for c in fill.call_args_list) == fills
+        assert sum(c.args[0].fn == cfg.texture.lattice for c in fill.call_args_list) == fills
 
 
 class TestTrajectory:
