@@ -201,15 +201,7 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
     for k in range(n_frames):
         last_in = np.uint64(min(t_start_us + (k + 1) * w, _U64_END) - 1)
         hi = _window_end(times, last_in, lo)
-        sel = events[lo:hi]
-        # one histogram for both polarities: negative events count in the second half
-        idx = sel["y"].astype(np.intp)
-        idx *= width
-        idx += sel["x"]
-        np.add(idx, height * width, out=idx, where=sel["p"] < 0)
-        counts = np.bincount(idx, minlength=2 * height * width)
-        np.minimum(counts, cfg.count_cap, out=counts)
-        pos, neg = counts.astype(np.int32).reshape(2, height, width)
+        pos, neg = _histogram(events[lo:hi], height, width, cfg.count_cap)
         yield EventFrame(
             t_start_us=t_start_us + k * w,
             t_end_us=t_start_us + (k + 1) * w,
@@ -220,6 +212,26 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
         if hi > lo:
             _release_pages(events, hi)
         lo = hi
+
+
+def _histogram(window: np.ndarray, height: int, width: int,
+               cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positive and negative event counts of ``window`` per pixel,
+    clipped at ``cap``: two (height, width) int32 grids.
+
+    Its index and int64 counts are freed on return, so a suspended
+    ``iter_frames`` holds only the frame it yielded.
+    """
+    # one histogram for both polarities: negative events count in the second
+    # half, their rows offset by ``height``
+    idx = np.multiply(window["p"] < 0, height, dtype=np.intp)
+    idx += window["y"]
+    idx *= width
+    idx += window["x"]
+    counts = np.bincount(idx, minlength=2 * height * width)
+    np.minimum(counts, cap, out=counts)
+    pos, neg = counts.astype(np.int32).reshape(2, height, width)
+    return pos, neg
 
 
 def _window_end(times: np.ndarray, last_in: np.uint64, lo: int) -> int:

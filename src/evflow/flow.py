@@ -132,13 +132,22 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> n
     r = np.empty((3,) + image.shape, image.dtype)
     for kernel, row in zip((g, xg, xxg), r):
         _correlate1d(image, kernel, axis=0, output=row)
-    b1, b3, b5 = _correlate1d(r, g, axis=-1)
-    b2, b6 = _correlate1d(r[:2], xg, axis=-1)
-    b4, = _correlate1d(r[:1], xxg, axis=-1)
+    # the horizontal passes write the moments b5, b3, b2, b6 and b4 into the
+    # channels they scale to; only b1 is a temporary
+    out = np.empty((5,) + image.shape, image.dtype)
+    b1 = _correlate1d(r[0], g, axis=-1)
+    _correlate1d(r[:0:-1], g, axis=-1, output=out[1::3])
+    _correlate1d(r[:2], xg, axis=-1, output=out[3:1:-1])
+    _correlate1d(r[:1], xxg, axis=-1, output=out[:1])
 
     dt = image.dtype.type
-    return np.stack([dt(ig03) * b1 + dt(ig33) * b4, dt(ig03) * b1 + dt(ig33) * b5,
-                     0.5 * (dt(ig55) * b6), dt(ig11) * b2, dt(ig11) * b3])
+    b1 *= dt(ig03)
+    out[:2] *= dt(ig33)
+    out[:2] += b1  # axx = ig33 b4 + ig03 b1, ayy = ig33 b5 + ig03 b1
+    out[2] *= dt(ig55)
+    out[2] *= 0.5  # axy / 2
+    out[3:] *= dt(ig11)  # bx, by
+    return out
 
 
 def _resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -245,12 +254,17 @@ def _smooth(channel: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = No
 _BORDER_RAMP = 5
 
 
-def _border_weights(height: int, width: int, dtype=np.float32) -> np.ndarray:
+@lru_cache(maxsize=128)
+def _border_weights(height: int, width: int) -> np.ndarray:
+    """The read-only float32 weights that ramp the normal equations down to 0
+    over the ``_BORDER_RAMP`` pixels next to each edge."""
     y = np.minimum(np.arange(height), np.arange(height)[::-1])
     x = np.minimum(np.arange(width), np.arange(width)[::-1])
     wy = np.minimum(y, _BORDER_RAMP) / _BORDER_RAMP
     wx = np.minimum(x, _BORDER_RAMP) / _BORDER_RAMP
-    return (wy[:, None] * wx[None, :]).astype(dtype)
+    weights = (wy[:, None] * wx[None, :]).astype(np.float32)
+    weights.flags.writeable = False
+    return weights
 
 
 def _bilinear_taps(u: np.ndarray, v: np.ndarray, rows: slice,
@@ -278,7 +292,8 @@ def _bilinear_taps(u: np.ndarray, v: np.ndarray, rows: slice,
 
 
 def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarray,
-                      border: np.ndarray, rows: slice, out: np.ndarray) -> None:
+                      border: np.ndarray, rows: slice, out: np.ndarray,
+                      e: np.ndarray) -> None:
     """Build per-pixel 2x2 normal equations G d = h for the displacement.
 
     The second expansion is sampled at the warped position p + (u, v) with
@@ -287,6 +302,8 @@ def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarr
     right-hand side so the solve yields the full displacement, not an
     increment.  Only the rows ``rows`` are built, into ``out[:, rows]``;
     the warp gathers from all of ``s1``.  Channels: [G11, G12, G22, h1, h2].
+    The warped expansion is written into the leading columns of ``e``, a
+    (5, N) buffer of ``s0``'s dtype with N at least the pixels of ``rows``.
     """
     _, h, w = s0.shape
     s0, out = s0[:, rows], out[:, rows]
@@ -295,13 +312,14 @@ def _normal_equations(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarr
     # one gather per channel; the axis-0 sum adds the weighted corners in
     # order, ((c00 w00 + c01 w01) + c10 w10) + c11 w11.  Each gather is freed
     # before the next and the taps before the arithmetic, for peak memory.
-    e = np.empty_like(s0)
-    for ch, warped in zip(s1.reshape(5, -1), e.reshape(5, -1)):
+    e = e[:, :u.size]
+    for ch, warped in zip(s1.reshape(5, -1), e):
         taken = ch.take(corners)
         taken *= weights
         taken.sum(axis=0, out=warped)
         del taken
     del corners, weights
+    e = e.reshape(s0.shape)
 
     # e becomes [axx, ayy, aoff, dbx, dby]: the averaged A and half the
     # difference of b, plus A d for the current displacement d = (u, v)
@@ -341,21 +359,23 @@ def _rcond(g11, g12, g22):
 
 
 def _refine(s0: np.ndarray, s1: np.ndarray, u: np.ndarray, v: np.ndarray,
-            border: np.ndarray, kernel: np.ndarray,
-            stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            border: np.ndarray, kernel: np.ndarray, stride: int,
+            m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One refinement iteration; returns the new (u, v) and the
     window-smoothed normal equations at every ``stride``-th row and column.
 
-    The normal equations are built whole, ``_TILE_PX`` pixels at a time,
-    since the window reads each point's neighbours; then each channel is
+    The normal equations are built whole into ``m``, shaped as ``s0``,
+    since the window reads each point's neighbours, as many rows at a time
+    as the (5, N) buffer ``e`` holds whole; then each channel is
     window-smoothed vertically and horizontally and the solve runs per
-    point, both only on the stride grid.
+    point, both only on the stride grid.  At stride 1 the smoothed
+    equations are ``m`` itself.  Every element of both buffers is written
+    before it is read, so a level's passes can share them.
     """
     _, h, w = s0.shape
-    m = np.empty_like(s0)
-    step = max(1, _TILE_PX // w)
+    step = e.shape[1] // w
     for r0 in range(0, h, step):
-        _normal_equations(s0, s1, u, v, border, slice(r0, min(r0 + step, h)), m)
+        _normal_equations(s0, s1, u, v, border, slice(r0, min(r0 + step, h)), m, e)
     m = _smooth(m, kernel, out=m if stride == 1 else None, stride=stride)
     return (*_solve_flow(m), m)
 
@@ -405,7 +425,11 @@ def flow_pyramid(image: np.ndarray, params: FlowParams) -> FlowPyramid:
         else:
             img = a
         img = _resize_bilinear(img, lh, lw)
-        levels.append(polynomial_expansion(img, params.poly_n, params.poly_sigma))
+        level = polynomial_expansion(img, params.poly_n, params.poly_sigma)
+        # read-only: a frame's pyramid serves both of its pairs, which may
+        # run on two threads at once
+        level.flags.writeable = False
+        levels.append(level)
     return FlowPyramid(params=params, levels=tuple(levels))
 
 
@@ -437,10 +461,14 @@ def compute_flow(a: FlowPyramid, b: FlowPyramid, stride: int) -> FlowField:
             u = _resize_bilinear(u, lh, lw) * np.float32(lw / pw)
             v = _resize_bilinear(v, lh, lw) * np.float32(lh / ph)
 
+        # the level's buffers, which its passes reuse; each call has its own,
+        # so pairs on two threads never share one
+        m = np.empty_like(s0)
+        e = np.empty((5, max(1, _TILE_PX // lw) * lw), s0.dtype)
         border = _border_weights(lh, lw)
         for i in range(params.iterations):
             last = level == finest and i == params.iterations - 1
-            u, v, m = _refine(s0, s1, u, v, border, win_kernel, stride if last else 1)
+            u, v, m = _refine(s0, s1, u, v, border, win_kernel, stride if last else 1, m, e)
 
     valid = _rcond(m[0], m[1], m[2]) >= RCOND_INVALID
     u = np.where(valid, u, np.float32(0.0)).astype(np.float64)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,22 @@ def cfg(window=100, w=16, h=12, cap=15):
 
 
 class TestAccumulate:
+    def test_suspended_generator_holds_only_its_frame(self):
+        rng = np.random.default_rng(5)
+        n = 300_000
+        ev = make_events(np.sort(rng.integers(0, 1000, n)), rng.integers(0, 346, n),
+                         rng.integers(0, 260, n), rng.choice([-1, 1], n))
+        frames = iter_frames(ev, cfg(window=1000, w=346, h=260))
+        tracemalloc.start()
+        try:
+            frame = next(frames)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frame.event_total == n
+        # the window's index and int64 counts are not still referenced
+        assert held - frame.pos_counts.nbytes - frame.neg_counts.nbytes < 1_000_000
+
     def test_three_events_one_pixel(self):
         ev = make_events([10, 20, 30], [5, 5, 5], [5, 5, 5], [1, 1, 1])
         frames = list(iter_frames(ev, cfg()))

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -193,8 +191,9 @@ def whole_frame_refinement(s0, s1, u, v, border, kernel):
 
 
 class TestRefinementTiles:
-    """The refinement builds the normal equations in tiles of ``_TILE_PX``
-    pixels; the tile size must never change a bit of the flow."""
+    """The refinement builds the normal equations in tiles of as many rows
+    as its buffer ``e`` holds; the tile size must never change a bit of the
+    flow, and no element of the reused buffers may be read unwritten."""
 
     @settings(max_examples=40, deadline=None)
     @given(h=st.integers(2, 24), w=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
@@ -208,12 +207,41 @@ class TestRefinementTiles:
         size = 2 * half_window + 1
         kernel = flow._gaussian_kernel(size, 0.3 * half_window).astype(np.float32)
         want_u, want_v, want_m = whole_frame_refinement(s0, s1, u, v, border, kernel)
-        # tiles of a few pixels split the normal equations into many row blocks
-        with mock.patch.object(flow, "_TILE_PX", tile):
-            got_u, got_v, got_m = flow._refine(s0, s1, u, v, border, kernel, 1)
+        # tiles of a few pixels split the normal equations into many row
+        # blocks; NaN in the buffers shows any element a pass reads unwritten
+        m = np.full((5, h, w), np.nan, np.float32)
+        e = np.full((5, max(1, tile // w) * w), np.nan, np.float32)
+        got_u, got_v, got_m = flow._refine(s0, s1, u, v, border, kernel, 1, m, e)
         assert np.array_equal(got_u, want_u)
         assert np.array_equal(got_v, want_v)
         assert np.array_equal(got_m, want_m)
+
+
+class TestSharedArrays:
+    """Arrays that more than one pair or call reads are read-only, so a
+    stray write raises instead of corrupting another pair's flow."""
+
+    def test_pyramids_are_read_only_and_left_intact(self, noise_image):
+        img = noise_image()
+        a = flow_pyramid(img, PARAMS)
+        b = flow_pyramid(np.roll(img, 2, axis=1), PARAMS)
+        before = [level.tobytes() for p in (a, b) for level in p.levels]
+        for level in a.levels + b.levels:
+            with pytest.raises(ValueError):
+                level[0, 0, 0] = 1.0
+        compute_flow(a, b, 1)
+        assert [level.tobytes() for p in (a, b) for level in p.levels] == before
+
+    # every per-shape cache in flow, called twice for one shape
+    @pytest.mark.parametrize("cached", [
+        lambda: flow._band_tiles(40, (0.25, 0.5, 0.25))[1],
+        lambda: flow._border_weights(12, 20),
+    ], ids=["band_tiles", "border_weights"])
+    def test_per_shape_caches_are_read_only(self, cached):
+        array = cached()
+        assert cached() is array
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 class TestStrideGrid:
