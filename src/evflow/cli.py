@@ -160,7 +160,8 @@ def _load_latency(path: Path) -> dict[str, dict[str, float]]:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     stages = doc.get("stages_ms", {}) if isinstance(doc, dict) else None
     if not (isinstance(stages, dict) and all(
-            isinstance(st, dict) and all(isinstance(st.get(k), (int, float))
+            # type, not isinstance: a JSON true or false is a bool, which is an int
+            isinstance(st, dict) and all(type(st.get(k)) in (int, float)
                                          for k in ("mean", "std", "p95", "count"))
             for st in stages.values())):
         raise InputFormatError(f"{path}: expected an object whose stages_ms maps each "

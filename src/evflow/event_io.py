@@ -1,5 +1,6 @@
 """Readers and writers for the event CSV and EVT1 binary formats, and the
-CSV table reader that every CSV input (events, IMU, velocity) goes through.
+CSV table reader and writer that every CSV input (events, IMU, velocity)
+and every CSV output goes through.
 
 CSV: header ``t_us,x,y,p`` with one event per line, t_us a u64, p in {1,-1}.
 Binary: ASCII magic ``EVT1`` followed by little-endian u16 width and u16
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import mmap
 import os
-from itertools import chain
+from collections.abc import Iterable, Sequence
+from itertools import chain, starmap
 from pathlib import Path
 
 import numpy as np
@@ -30,16 +32,24 @@ _RESCAN_LINES = 1 << 12  # rows per parse when a failed read looks for its bad l
 # parsed wide so that an x, y or p outside its field is caught before narrowing: the
 # cast wraps silently, and not every numpy version allowed rejects it in loadtxt
 _CSV_COLUMNS = np.dtype([("t_us", "u8"), ("x", "i8"), ("y", "i8"), ("p", "i8")])
-CSV_HEADER = ",".join(_CSV_COLUMNS.names)
+
+
+def write_csv(path: str | Path, names: Sequence[str], blocks: Iterable[Iterable[tuple]]) -> None:
+    """Write the header ``names`` joined by commas to ``path``, then each
+    block of rows (tuples in ``names`` order) with one write.  Every value is
+    written by ``str``: a float (Python or numpy float64) in its shortest
+    round-trip form, an int or a string as it is."""
+    line = ",".join(["{}"] * len(names)) + "\n"
+    with open(path, "w", newline="") as f:
+        f.write(",".join(names) + "\n")
+        for block in blocks:
+            f.write("".join(starmap(line.format, block)))
 
 
 def write_events_csv(path: str | Path, events: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(CSV_HEADER + "\n")
-        for start in range(0, events.size, _CSV_CHUNK):
-            part = events[start:start + _CSV_CHUNK]
-            columns = (part[name].tolist() for name in _CSV_COLUMNS.names)
-            f.write("\n".join(map("{},{},{},{}".format, *columns)) + "\n")
+    parts = (events[start:start + _CSV_CHUNK] for start in range(0, events.size, _CSV_CHUNK))
+    write_csv(path, _CSV_COLUMNS.names,
+              (zip(*(part[name].tolist() for name in _CSV_COLUMNS.names)) for part in parts))
 
 
 def read_csv(path: str | Path, dtype: np.dtype) -> np.ndarray:
@@ -48,9 +58,10 @@ def read_csv(path: str | Path, dtype: np.dtype) -> np.ndarray:
     joined by commas.
 
     Empty lines are skipped.  An unreadable file, another header,
-    undecodable bytes, a row with another field count and a value its field
-    cannot hold (an integer out of range included) raise InputFormatError;
-    it names the file and, for a bad line, its 1-based line number.
+    undecodable bytes, a row with another field count, a value its field
+    cannot hold (an integer out of range included) and a NaN or infinite
+    float raise InputFormatError; it names the file and the 1-based number
+    of a bad line, or the data row and the column of a non-finite float.
     """
     header = ",".join(dtype.names)
     try:
@@ -63,11 +74,17 @@ def read_csv(path: str | Path, dtype: np.dtype) -> np.ndarray:
             first = next((line for line in f if line != "\n"), None)
             if first is None:
                 return np.empty(0, dtype=dtype)
-            return _parse_rows(chain([first], f), dtype)
+            rows = _parse_rows(chain([first], f), dtype)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise InputFormatError(f"cannot read {path}: {_bad_line(path, dtype) or exc}") from exc
+    for name in (name for name in dtype.names if dtype[name].kind == "f"):
+        bad = np.flatnonzero(~np.isfinite(rows[name]))
+        if bad.size:
+            raise InputFormatError(f"cannot read {path}: data row {bad[0] + 1} "
+                                   f"has a non-finite {name}")
+    return rows
 
 
 def _parse_rows(lines, dtype: np.dtype) -> np.ndarray:

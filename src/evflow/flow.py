@@ -415,16 +415,14 @@ def flow_pyramid(image: np.ndarray, params: FlowParams) -> FlowPyramid:
     h0, w0 = a.shape
     levels = []
     for k in range(_level_count(h0, w0, params) - 1, -1, -1):
-        scale = params.pyramid_scale ** k
-        lh = max(2, int(round(h0 * scale)))
-        lw = max(2, int(round(w0 * scale)))
+        img = a  # the finest level is the frame itself
         if k > 0:
+            scale = params.pyramid_scale ** k
             sigma = (1.0 / scale - 1.0) * 0.5
             size = max(3, int(round(sigma * 5)) | 1)
-            img = _smooth(a, _gaussian_kernel(size, sigma).astype(np.float32))
-        else:
-            img = a
-        img = _resize_bilinear(img, lh, lw)
+            kernel = _gaussian_kernel(size, sigma).astype(np.float32)
+            img = _resize_bilinear(_smooth(a, kernel), max(2, int(round(h0 * scale))),
+                                   max(2, int(round(w0 * scale))))
         level = polynomial_expansion(img, params.poly_n, params.poly_sigma)
         # read-only: a frame's pyramid serves both of its pairs, which may
         # run on two threads at once

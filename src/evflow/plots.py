@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .event_io import write_csv
 from .evaluate import CHANNELS, _pair_series, _valid_series
 from .events import CameraModel, max_exposure_for_blur
 from .flow import FlowField
@@ -62,14 +63,10 @@ def emit_plots(estimates: list[VelocityEstimate], truth: list[VelocityEstimate],
 
 def dump_flow_csv(field: FlowField, path: str | Path) -> None:
     """Debug dump: one row per stride-grid pixel, ``x,y,u,v,valid``."""
-    h, w = field.u.shape
-    s = field.stride
-    with open(path, "w", newline="") as f:
-        f.write("x,y,u,v,valid\n")
-        for i in range(h):
-            for j in range(w):
-                f.write(f"{j * s},{i * s},{float(field.u[i, j])!r},{float(field.v[i, j])!r},"
-                        f"{'true' if field.valid[i, j] else 'false'}\n")
+    y, x = np.indices(field.u.shape) * field.stride
+    valid = np.where(field.valid, "true", "false")
+    write_csv(path, ("x", "y", "u", "v", "valid"),
+              [zip(*(a.ravel().tolist() for a in (x, y, field.u, field.v, valid)))])
 
 
 def blur_budget_table(speeds: list[float], budgets: list[float],
@@ -95,11 +92,8 @@ def write_blur_budget(speeds: list[float], budgets: list[float], cam: CameraMode
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "blur_budget.csv"
-    cols = ["v_mps"] + [f"t_exp_us_at_{b:g}" for b in budgets]
-    with open(csv_path, "w", newline="") as f:
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(repr(float(row[c])) for c in cols) + "\n")
+    write_csv(csv_path, ["v_mps"] + [f"t_exp_us_at_{b:g}" for b in budgets],
+              [map(dict.values, rows)])
 
     palette = ["#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e"]
     xs = np.array(speeds, dtype=np.float64)

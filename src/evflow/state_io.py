@@ -1,4 +1,5 @@
-"""CSV formats for IMU input and velocity output streams.
+"""CSV formats for IMU input and velocity output streams, read by
+``event_io.read_csv`` and written by ``event_io.write_csv``.
 
 Each header is its reader's column names (the fields of its dtype).
 IMU: header ``t_us,yaw_rate_rad_s``.
@@ -6,8 +7,8 @@ Velocity (estimates and ground truth share the schema): header
 ``t_s,v_lon,v_lat,omega,omega_source,n_inliers,inlier_fraction,valid``.
 Invalid rows, from ``VelocityEstimate.invalid``, carry zeros in the numeric
 fields; readers must honor the ``valid`` flag.  Every float field must be
-finite; ``omega_source`` is ``flow``, ``imu`` or ``truth``, ``n_inliers`` at
-least 0 and ``inlier_fraction`` within [0, 1].
+finite (``read_csv`` checks it); ``omega_source`` is ``flow``, ``imu`` or
+``truth``, ``n_inliers`` at least 0 and ``inlier_fraction`` within [0, 1].
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFormatError
-from .event_io import read_csv
+from .event_io import read_csv, write_csv
 from .rigid import EstimateQuality
 from .vehicle import ImuSeries, VelocityEstimate
 
@@ -26,55 +27,30 @@ _IMU_COLUMNS = np.dtype([("t_us", "i8"), ("yaw_rate_rad_s", "f8")])
 _VELOCITY_COLUMNS = np.dtype([("t_s", "f8"), ("v_lon", "f8"), ("v_lat", "f8"),
                               ("omega", "f8"), ("omega_source", "O"), ("n_inliers", "i8"),
                               ("inlier_fraction", "f8"), ("valid", "O")])
-IMU_HEADER = ",".join(_IMU_COLUMNS.names)
-VELOCITY_HEADER = ",".join(_VELOCITY_COLUMNS.names)
 
 
 def write_imu_csv(path: str | Path, imu: ImuSeries) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(IMU_HEADER + "\n")
-        for t, w in zip(imu.t_us, imu.yaw_rate):
-            f.write(f"{int(t)},{float(w)!r}\n")
-
-
-def _finite_rows(path: str | Path, columns: np.dtype) -> np.ndarray:
-    """``read_csv`` that also rejects a NaN or infinite value in any float column."""
-    rows = read_csv(path, columns)
-    for name in columns.names:
-        if columns[name].kind == "f":
-            bad = np.flatnonzero(~np.isfinite(rows[name]))
-            if bad.size:
-                raise InputFormatError(f"cannot read {path}: data row {bad[0] + 1} "
-                                       f"has a non-finite {name}")
-    return rows
+    write_csv(path, _IMU_COLUMNS.names, [zip(imu.t_us.tolist(), imu.yaw_rate.tolist())])
 
 
 def load_imu_csv(path: str | Path) -> ImuSeries:
-    rows = _finite_rows(path, _IMU_COLUMNS)
+    rows = read_csv(path, _IMU_COLUMNS)
     try:
         return ImuSeries(rows["t_us"], rows["yaw_rate_rad_s"])
     except InputFormatError as exc:  # the rows are out of time order
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    # repr round-trips doubles exactly and keeps reruns byte-identical
-    return repr(float(x))
-
-
 def write_velocity_csv(path: str | Path, estimates: Iterable[VelocityEstimate]) -> None:
     """Write ``estimates`` to ``path``, each row as the iterable yields it."""
-    with open(path, "w", newline="") as f:
-        f.write(VELOCITY_HEADER + "\n")
-        for e in estimates:
-            fields = [_fmt(e.t_mid), _fmt(e.v_lon), _fmt(e.v_lat), _fmt(e.omega), e.omega_source,
-                      str(e.quality.n_inliers), _fmt(e.quality.inlier_fraction),
-                      "true" if e.valid else "false"]
-            f.write(",".join(fields) + "\n")
+    write_csv(path, _VELOCITY_COLUMNS.names,
+              ([(e.t_mid, e.v_lon, e.v_lat, e.omega, e.omega_source, e.quality.n_inliers,
+                 e.quality.inlier_fraction, "true" if e.valid else "false")]
+               for e in estimates))
 
 
 def load_velocity_csv(path: str | Path) -> list[VelocityEstimate]:
-    rows = _finite_rows(path, _VELOCITY_COLUMNS)
+    rows = read_csv(path, _VELOCITY_COLUMNS)
     sources = [source.strip() for source in rows["omega_source"].tolist()]
     flags = [valid.strip() for valid in rows["valid"].tolist()]
     domains = (("omega_source", sources, lambda s: s in ("flow", "imu", "truth"),

@@ -22,19 +22,20 @@ from hypothesis import strategies as st
 
 from evflow import event_io, flow, parallel, pipeline, state_io
 from evflow.cli import main as cli_main
-from evflow.config import RunConfig, Scenario
+from evflow.config import RunConfig
 from evflow.errors import EvaluationError, InputFormatError
 from evflow.evaluate import evaluate
 from evflow.event_io import load_events_csv, write_events_binary
 from evflow.events import EVENT_DTYPE, iter_frames, make_events
 from evflow.pipeline import FrameMemo, PairResult, iter_pairs, process_frame_pair
-from evflow.plots import CHANNEL_FILES, dump_flow_csv, emit_plots
+from evflow.plots import CHANNEL_FILES, dump_flow_csv, emit_plots, write_blur_budget
 from evflow.rigid import EstimateQuality
 from evflow.synth import NoiseTexture, SimConfig, generate_events
-from evflow.vehicle import VelocityEstimate
+from evflow.vehicle import ImuSeries, VelocityEstimate
 from helpers import constant_trajectory
 
 QUALITY = EstimateQuality(n_inliers=10, inlier_fraction=1.0, mean_residual=0.0)
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 RUN_TEXT = """
 camera.width = 120
@@ -354,7 +355,6 @@ class TestRunPipeline:
 
     def test_imu_omega_source(self):
         cfg, events, truth = small_scenario(duration=0.132, omega=0.4)
-        from evflow.vehicle import ImuSeries
         cfg = replace(cfg, omega_source="imu", imu_path="unused.csv")
         t = np.array([g.t_mid for g in truth])
         imu = ImuSeries((t * 1e6).round().astype(np.int64),
@@ -391,12 +391,37 @@ class TestVelocityCsv:
     def test_header_only_is_empty(self, tmp_path, body):
         # an empty body must not reach np.loadtxt, which warns on it
         path = tmp_path / "in.csv"
-        path.write_text(state_io.IMU_HEADER + "\n" + body)
+        path.write_text(CSV_HEADERS["imu"] + "\n" + body)
         assert state_io.load_imu_csv(path).t_us.size == 0
-        path.write_text(state_io.VELOCITY_HEADER + "\n" + body)
+        path.write_text(CSV_HEADERS["velocity"] + "\n" + body)
         assert state_io.load_velocity_csv(path) == []
         path.write_text("t_us,x,y,p\n" + body)
         assert load_events_csv(path, 120, 90).size == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(FINITE_FLOATS | FINITE_FLOATS.map(np.float64), min_size=1,
+                           max_size=8))
+    @example(values=[-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, np.float64(0.1 + 0.2),
+                     np.float64(-0.0), np.float64(5e-324)])
+    def test_finite_floats_round_trip_bit_for_bit(self, values):
+        bits = np.array(values, dtype=np.float64).view(np.int64)
+        rows = [VelocityEstimate(t_mid=v, v_lon=v, v_lat=v, omega=v, omega_source="flow",
+                                 quality=EstimateQuality(n_inliers=3,
+                                                         inlier_fraction=min(abs(v), 1.0),
+                                                         mean_residual=0.0))
+                for v in values]
+        with tempfile.TemporaryDirectory() as work:
+            imu_path, velocity_path = Path(work) / "imu.csv", Path(work) / "v.csv"
+            state_io.write_imu_csv(imu_path, ImuSeries(np.arange(len(values)), values))
+            state_io.write_velocity_csv(velocity_path, rows)
+            imu = state_io.load_imu_csv(imu_path)
+            back = state_io.load_velocity_csv(velocity_path)
+        assert np.array_equal(imu.yaw_rate.view(np.int64), bits)
+        columns = [(e.t_mid, e.v_lon, e.v_lat, e.omega, e.quality.inlier_fraction)
+                   for e in back]
+        expected = [(v, v, v, v, min(abs(v), 1.0)) for v in values]
+        assert np.array_equal(np.array(columns).view(np.int64),
+                              np.array(expected, dtype=np.float64).view(np.int64))
 
 
 class TestEvaluate:
@@ -572,17 +597,26 @@ def perturbed_scenario_text():
     return perturbed_text(FUZZ_SCENARIO_TEXT, FUZZ_SCENARIO_VALUES)
 
 
-CSV_HEADERS = {"events": event_io.CSV_HEADER, "imu": state_io.IMU_HEADER,
-               "velocity": state_io.VELOCITY_HEADER}
+CSV_HEADERS = {kind: ",".join(columns.names) for kind, columns in (
+    ("events", event_io._CSV_COLUMNS), ("imu", state_io._IMU_COLUMNS),
+    ("velocity", state_io._VELOCITY_COLUMNS))}
 
 
-def test_readme_lists_each_csv_header():
+def test_readme_lists_each_csv_header(tmp_path):
     text = (Path(__file__).parents[1] / "README.md").read_text()
     formats = text.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
     # each "- **<Name> CSV**" entry and the first code span in it, wrapped lines included
-    listed = dict(re.findall(r"^- \*\*(\w+) CSV\*\*[^`]*`([^`]*)`", formats, re.M))
+    listed = dict(re.findall(r"^- \*\*([\w-]+) CSV\*\*[^`]*`([^`]*)`", formats, re.M))
+    one = np.ones((1, 1))
+    with mock.patch("evflow.plots.write_csv") as write_csv:
+        dump_flow_csv(flow.FlowField(u=one, v=one, valid=one > 0, stride=1), tmp_path / "f.csv")
+    budget_csv, _ = write_blur_budget([1.0], [0.01], RunConfig.from_text(RUN_TEXT).camera,
+                                      tmp_path)
+    budget_header = budget_csv.read_text().splitlines()[0]
     assert listed == {"Event": CSV_HEADERS["events"], "IMU": CSV_HEADERS["imu"],
-                      "Velocity": CSV_HEADERS["velocity"]}
+                      "Velocity": CSV_HEADERS["velocity"],
+                      "Flow-debug": ",".join(write_csv.call_args.args[1]),
+                      "Blur-budget": budget_header.replace("0.01", "<budget>")}
 
 
 def run_csv_input(work: Path, kind: str, body: bytes) -> int:
@@ -854,7 +888,7 @@ trajectory.omega = 0.3, 0.3
                             None, ms(intensity=1, flow=10, subsample=1, pair=13))]
         monkeypatch.setattr("evflow.cli.iter_pairs", lambda *args, **kwargs: iter(pairs))
         events, run_cfg = tmp_path / "events.csv", tmp_path / "run.cfg"
-        events.write_text(event_io.CSV_HEADER + "\n")
+        events.write_text(CSV_HEADERS["events"] + "\n")
         run_cfg.write_text(RUN_TEXT)
         assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(events),
                          "--out-dir", str(tmp_path / "out")]) == 0
@@ -917,8 +951,10 @@ trajectory.omega = 0.3, 0.3
             assert_exits_cleanly(["simulate", scenario, "--events", Path(work) / "events.evt",
                                   "--ground-truth", Path(work) / "truth.csv"])
 
-    @pytest.mark.parametrize("timings", [None, "{", "[]", '{"stages_ms": {"pair": 5}}'],
-                             ids=["directory", "truncated", "array", "stage_not_an_object"])
+    @pytest.mark.parametrize("timings", [
+        None, "{", "[]", '{"stages_ms": {"pair": 5}}',
+        '{"stages_ms": {"pair": {"mean": true, "std": false, "p95": true, "count": true}}}',
+    ], ids=["directory", "truncated", "array", "stage_not_an_object", "boolean_stats"])
     def test_bad_timings_json_exit_3(self, tmp_path, capsys, timings):
         est = tmp_path / "estimates.csv"
         state_io.write_velocity_csv(est, [vel(0.0, 1.0)])
