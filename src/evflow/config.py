@@ -104,7 +104,6 @@ RUN = {
     "io.imu": ("imu_path", str),
     "io.out_dir": ("out_dir", str),
     "flow.stride": ("stride", int),
-    "intensity.merge": ("merge", str),
     "omega.source": ("omega_source", str),
     "seed": ("seed", parse_seed),
 }
@@ -191,15 +190,12 @@ class RunConfig(_KeyFile):
     imu_path: str = ""
     out_dir: str = "out"
     stride: int = 8
-    merge: str = "sum"
     omega_source: str = "flow"
     seed: int = 0
 
     def __post_init__(self):
         if self.omega_source not in ("flow", "imu"):
             raise ConfigError(f"omega.source must be flow or imu, got {self.omega_source!r}")
-        if self.merge not in ("sum", "pos", "neg"):
-            raise ConfigError(f"intensity.merge must be sum, pos or neg, got {self.merge!r}")
         if self.stride < 1:
             raise ConfigError("flow.stride must be >= 1")
         if min(self.camera.width, self.camera.height) < 2:

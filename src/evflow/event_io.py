@@ -16,7 +16,7 @@ from __future__ import annotations
 import mmap
 import os
 from collections.abc import Iterable, Sequence
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +60,8 @@ def read_csv(path: str | Path, dtype: np.dtype) -> np.ndarray:
     Empty lines are skipped.  An unreadable file, another header,
     undecodable bytes, a row with another field count, a value its field
     cannot hold (an integer out of range included) and a NaN or infinite
-    float raise InputFormatError; it names the file and the 1-based number
-    of a bad line, or the data row and the column of a non-finite float.
+    float raise InputFormatError; it names the file and the first bad line,
+    counting the header as line 1, and the column of a non-finite float.
     """
     header = ",".join(dtype.names)
     try:
@@ -82,9 +82,18 @@ def read_csv(path: str | Path, dtype: np.dtype) -> np.ndarray:
     for name in (name for name in dtype.names if dtype[name].kind == "f"):
         bad = np.flatnonzero(~np.isfinite(rows[name]))
         if bad.size:
-            raise InputFormatError(f"cannot read {path}: data row {bad[0] + 1} "
-                                   f"has a non-finite {name}")
+            raise row_error(path, int(bad[0]), f"has a non-finite {name}")
     return rows
+
+
+def row_error(path: str | Path, row: int, message: str) -> InputFormatError:
+    """``message`` about row ``row`` (from 0) of what ``read_csv`` returned
+    for ``path``, after the row's file line: the header is line 1, and an
+    empty line holds no row.  Only this error path counts lines."""
+    with open(path) as f:
+        lines = (n for n, line in enumerate(f, start=1) if n > 1 and line != "\n")
+        return InputFormatError(f"cannot read {path}: line {next(islice(lines, row, None))} "
+                                f"{message}")
 
 
 def _parse_rows(lines, dtype: np.dtype) -> np.ndarray:

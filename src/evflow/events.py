@@ -3,8 +3,8 @@
 An event stream is a numpy structured array with fields ``t_us`` (uint64
 microseconds, non-decreasing), ``x``/``y`` (uint16 pixel coordinates) and
 ``p`` (int8 polarity, +1 or -1).  Accumulation bins a stream into
-consecutive fixed-duration windows, keeping positive and negative events
-in separate per-pixel count histograms.
+consecutive fixed-duration windows, counting the events of either polarity
+per pixel in one clipped histogram per window.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ EVENT_DTYPE = np.dtype([
 _U64_END = 2 ** 64  # one past the largest uint64 timestamp
 _GALLOP = 4096  # first step, in records, of the search for a window's end
 # Largest sensor, in pixels: over three times a 1280x960 event sensor.  Each
-# window holds two int64 counts per pixel, 64 MB at this size.
+# window holds one int64 count per pixel, 32 MB at this size.
 MAX_SENSOR_PX = 2 ** 22
 
 
@@ -81,26 +81,25 @@ class AccumulationConfig:
     def __post_init__(self):
         if not 0 < self.window_us < 2 ** 64:  # event times are u64 microseconds
             raise ValueError("accumulation window must lie in (0, 2**64) us")
-        # to_intensity sums the two capped polarity grids in int32
+        # the clipped counts are held in int32
         if not 1 <= self.count_cap <= 2 ** 30 - 1:
             raise ValueError("count_cap must lie in [1, 2**30 - 1]")
 
 
 @dataclass(frozen=True)
 class EventFrame:
-    """Per-polarity count histograms over one accumulation window.
+    """The event count histogram of one accumulation window.
 
-    ``pos_counts``/``neg_counts`` are (height, width) int32 grids clipped at
-    the configured count cap.  ``event_total`` is the number of events that
-    fell in the window before clipping, so
-    ``pos_counts.sum() + neg_counts.sum() <= event_total`` with equality
-    unless clipping occurred.
+    ``counts`` is a (height, width) int32 grid of the events of either
+    polarity per pixel, clipped at the configured count cap.
+    ``event_total`` is the number of events that fell in the window before
+    clipping, so ``counts.sum() <= event_total`` with equality unless
+    clipping occurred.
     """
 
     t_start_us: int
     t_end_us: int
-    pos_counts: np.ndarray
-    neg_counts: np.ndarray
+    counts: np.ndarray
     event_total: int
 
     @property
@@ -201,12 +200,10 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
     for k in range(n_frames):
         last_in = np.uint64(min(t_start_us + (k + 1) * w, _U64_END) - 1)
         hi = _window_end(times, last_in, lo)
-        pos, neg = _histogram(events[lo:hi], height, width, cfg.count_cap)
         yield EventFrame(
             t_start_us=t_start_us + k * w,
             t_end_us=t_start_us + (k + 1) * w,
-            pos_counts=pos,
-            neg_counts=neg,
+            counts=_histogram(events[lo:hi], height, width, cfg.count_cap),
             event_total=hi - lo,
         )
         if hi > lo:
@@ -214,24 +211,18 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
         lo = hi
 
 
-def _histogram(window: np.ndarray, height: int, width: int,
-               cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The positive and negative event counts of ``window`` per pixel,
-    clipped at ``cap``: two (height, width) int32 grids.
+def _histogram(window: np.ndarray, height: int, width: int, cap: int) -> np.ndarray:
+    """The events of ``window`` per pixel, of either polarity, clipped at
+    ``cap``: a (height, width) int32 grid.
 
     Its index and int64 counts are freed on return, so a suspended
     ``iter_frames`` holds only the frame it yielded.
     """
-    # one histogram for both polarities: negative events count in the second
-    # half, their rows offset by ``height``
-    idx = np.multiply(window["p"] < 0, height, dtype=np.intp)
-    idx += window["y"]
-    idx *= width
+    idx = np.multiply(window["y"], width, dtype=np.intp)
     idx += window["x"]
-    counts = np.bincount(idx, minlength=2 * height * width)
+    counts = np.bincount(idx, minlength=height * width)
     np.minimum(counts, cap, out=counts)
-    pos, neg = counts.astype(np.int32).reshape(2, height, width)
-    return pos, neg
+    return counts.astype(np.int32).reshape(height, width)
 
 
 def _window_end(times: np.ndarray, last_in: np.uint64, lo: int) -> int:
@@ -274,22 +265,13 @@ def _release_pages(events: np.ndarray, end: int) -> None:
         mapping.madvise(advice, 0, length)
 
 
-def to_intensity(frame: EventFrame, count_cap: int, merge: str) -> np.ndarray:
+def to_intensity(frame: EventFrame, count_cap: int) -> np.ndarray:
     """Render an event frame as an 8-bit grayscale image.
 
-    ``merge`` selects the channel: "sum" adds positive and negative counts,
-    "pos" or "neg" keeps a single polarity (``RunConfig`` checks
-    ``intensity.merge`` is one of them).  Counts are clipped at
-    ``count_cap`` and mapped linearly onto [0, 255] with round-half-up, so a
-    zero count is 0 and a saturated count is 255.
+    Counts are clipped at ``count_cap`` and mapped linearly onto [0, 255]
+    with round-half-up, so a zero count is 0 and a saturated count is 255.
     """
-    if merge == "sum":
-        counts = frame.pos_counts + frame.neg_counts
-    elif merge == "pos":
-        counts = frame.pos_counts
-    else:
-        counts = frame.neg_counts
-    scaled = np.minimum(counts, count_cap).astype(np.float64) * (255.0 / count_cap)
+    scaled = np.minimum(frame.counts, count_cap).astype(np.float64) * (255.0 / count_cap)
     return np.floor(scaled + 0.5).astype(np.uint8)
 
 

@@ -69,7 +69,7 @@ class FrameMemo:
             if self._pyramid is not None:
                 return self._pyramid, 0.0
             t0 = time.perf_counter()
-            image = to_intensity(self.frame, cfg.accumulation.count_cap, cfg.merge)
+            image = to_intensity(self.frame, cfg.accumulation.count_cap)
             intensity_s = time.perf_counter() - t0
             self._pyramid = flow_pyramid(image, cfg.flow)
             return self._pyramid, intensity_s

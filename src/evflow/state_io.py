@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFormatError
-from .event_io import read_csv, write_csv
+from .event_io import read_csv, row_error, write_csv
 from .rigid import EstimateQuality
 from .vehicle import ImuSeries, VelocityEstimate
 
@@ -38,7 +38,8 @@ def load_imu_csv(path: str | Path) -> ImuSeries:
     try:
         return ImuSeries(rows["t_us"], rows["yaw_rate_rad_s"])
     except InputFormatError as exc:  # the rows are out of time order
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+        raise row_error(path, exc.row, f"has t_us {rows['t_us'][exc.row]}, "
+                        "below the row before it") from exc
 
 
 def write_velocity_csv(path: str | Path, estimates: Iterable[VelocityEstimate]) -> None:
@@ -62,8 +63,7 @@ def load_velocity_csv(path: str | Path) -> list[VelocityEstimate]:
     for column, values, ok, expected in domains:
         bad = next((i for i, value in enumerate(values) if not ok(value)), None)
         if bad is not None:
-            raise InputFormatError(f"cannot read {path}: data row {bad + 1} has {column} "
-                                   f"{values[bad]!r}, expected {expected}")
+            raise row_error(path, bad, f"has {column} {values[bad]!r}, expected {expected}")
     return [VelocityEstimate(t_mid=t, v_lon=v_lon, v_lat=v_lat, omega=omega,
                              omega_source=source,
                              quality=EstimateQuality(n_inliers=n, inlier_fraction=frac,

@@ -151,8 +151,8 @@ class DotTexture:
     def __post_init__(self):
         if not self.density > 0:
             raise ValueError("dot density must be positive")
-        if self.radius_px > 0.25 * self.cell_px:
-            raise ValueError("dot radius must not exceed a quarter of the cell pitch")
+        if not 0 < self.radius_px <= 0.25 * self.cell_px:
+            raise ValueError("dot radius must be > 0 and at most a quarter of the cell pitch")
 
     @property
     def cell_px(self) -> float:

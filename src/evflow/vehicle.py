@@ -75,8 +75,8 @@ class ImuSeries:
             object.__setattr__(self, name, samples)
         back = np.flatnonzero(self.t_us[1:] < self.t_us[:-1])
         if back.size:
-            raise InputFormatError(f"data row {back[0] + 2} has t_us {self.t_us[back[0] + 1]}, "
-                                   "below the row before it")
+            i = int(back[0]) + 1
+            raise InputFormatError(f"t_us[{i}] = {self.t_us[i]} is below t_us[{i - 1}]", row=i)
 
     def yaw_at(self, t_s: float, staleness_s: float) -> float | None:
         """Yaw rate at ``t_s``: linear interpolation between the bracketing

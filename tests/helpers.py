@@ -72,7 +72,7 @@ def inject_outliers(field: FlowField, fraction: float, magnitude: float,
 
 def add_at_reference(events: np.ndarray, c: AccumulationConfig, t_start_us: int,
                      t_end_us: int | None) -> list[tuple]:
-    """Window-by-window ``np.add.at`` histograms clipped at the cap:
+    """Window-by-window ``np.add.at`` counts of each polarity, not clipped:
     (t_start, t_end, pos, neg, total) per window."""
     t = [int(v) for v in events["t_us"]]
     span_end = max(max(t, default=t_start_us) + 1, t_end_us or 0)
@@ -83,9 +83,9 @@ def add_at_reference(events: np.ndarray, c: AccumulationConfig, t_start_us: int,
         sel = np.array([start <= v < end for v in t], dtype=bool)
         grids = []
         for on in (events["p"] > 0, events["p"] < 0):
-            grid = np.zeros((c.sensor_height, c.sensor_width), dtype=np.int32)
+            grid = np.zeros((c.sensor_height, c.sensor_width), dtype=np.int64)
             np.add.at(grid, (events["y"][sel & on], events["x"][sel & on]), 1)
-            grids.append(np.clip(grid, 0, c.count_cap))
+            grids.append(grid)
         out.append((start, end, *grids, int(sel.sum())))
         if end >= span_end:
             return out

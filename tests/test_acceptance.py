@@ -154,7 +154,7 @@ def test_c05_ransac_robustness(announce):
     speeds_ransac, speeds_plain = [], []
     prev = None
     for i, frame in enumerate(frames):
-        pyramid = flow_pyramid(to_intensity(frame, cfg.accumulation.count_cap, "sum"), cfg.flow)
+        pyramid = flow_pyramid(to_intensity(frame, cfg.accumulation.count_cap), cfg.flow)
         if prev is not None:
             field = compute_flow(prev, pyramid, 1)
             dirty = inject_outliers(field, 0.2, 50.0, rng_seed=(23, i))

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -129,7 +131,8 @@ class TestScenario:
                 "trajectory.v_lon = 1.0, 2.0, 1.0", "trajectory.v_lon = 1.0"))
 
 
-# The keys each parser accepted before the key tables, copied from its code.
+# The keys each parser accepted before the key tables, copied from its code,
+# less those since retired (RETIRED_KEYS).
 RUN_KEYS = {
     "io.events", "io.imu", "io.out_dir",
     "camera.width", "camera.height", "camera.height_z", "camera.f_px", "camera.fov_deg",
@@ -137,7 +140,6 @@ RUN_KEYS = {
     "accumulation.window_us", "accumulation.count_cap",
     "flow.pyramid_levels", "flow.pyramid_scale", "flow.window_size", "flow.iterations",
     "flow.poly_n", "flow.poly_sigma", "flow.stride",
-    "intensity.merge",
     "ransac.enabled", "ransac.iterations", "ransac.inlier_threshold_px",
     "ransac.min_inlier_fraction",
     "extrinsics.ca_x", "extrinsics.ca_y",
@@ -160,8 +162,10 @@ TEXTURE_KEYS = {
 }
 TABLES = (config.CAMERA, config.ACCUMULATION, config.FLOW, config.RANSAC, config.EXTRINSICS,
           config.MAPPING, config.RUN, config.TEXTURE, config.SIM)
+# keys a parser once read and no longer does: each is now rejected as unknown
+RETIRED_KEYS = {"io.ground_truth", "eval.alignment_tolerance_s", "intensity.merge"}
 CANDIDATE_KEYS = (RUN_KEYS | SCENARIO_KEYS | set().union(*TEXTURE_KEYS.values())
-                  | set().union(*TABLES))
+                  | set().union(*TABLES) | RETIRED_KEYS)
 
 # every run key with a value other than its default: key -> (value, field path, parsed)
 RUN_VALUES = {
@@ -184,7 +188,6 @@ RUN_VALUES = {
     "flow.poly_n": ("7", "flow.poly_n", 7),
     "flow.poly_sigma": ("1.5", "flow.poly_sigma", 1.5),
     "flow.stride": ("5", "stride", 5),
-    "intensity.merge": ("pos", "merge", "pos"),
     "ransac.enabled": ("false", "ransac.enabled", False),
     "ransac.iterations": ("20", "ransac.iterations", 20),
     "ransac.inlier_threshold_px": ("0.75", "ransac.inlier_threshold", 0.75),
@@ -297,6 +300,38 @@ class TestKeyTables:
         for key in CANDIDATE_KEYS - accepted:
             assert _unknown_rejected(Scenario.from_text, _scenario_text(kind), key), key
 
+    def test_readme_run_block_names_the_run_keys(self):
+        block = _readme_block("Run config")
+        assert _named_keys(block) == RUN_KEYS
+        RunConfig.from_text(block)
+
+    def test_readme_scenario_block_names_the_scenario_keys(self):
+        block = _readme_block("Scenario config")
+        named = _named_keys(block)
+        # the block names some camera.* keys and defers the rest to the run block
+        cameras = {key for key in SCENARIO_KEYS if key.startswith("camera.")}
+        assert named - cameras == SCENARIO_KEYS - cameras
+        assert named & cameras <= cameras <= _named_keys(_readme_block("Run config"))
+        Scenario.from_text(block)
+        bullets = _README.split("Texture keys per `texture.kind`", 1)[1].split("\n\n")[1]
+        listed = {kind: set(re.findall(r"`(texture\.\w+) =", body)) for kind, body
+                  in re.findall(r"^- `(\w+)`:(.*?)(?=^- |\Z)", bullets, re.M | re.S)}
+        assert listed == TEXTURE_KEYS
+
+
+_README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def _readme_block(title: str) -> str:
+    """The ini block after README's ``<title> (`evflow ...`):`` line."""
+    return re.search(rf"^{title} \(`evflow \w+`\):\n\n```ini\n(.*?)```", _README,
+                     re.M | re.S).group(1)
+
+
+def _named_keys(block: str) -> set[str]:
+    """Every key a README block assigns, in a line or in its comment."""
+    return set(re.findall(r"([a-z_][\w.]*) +=", block))
+
 
 _ANY_VALUE = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr),
                        st.lists(st.floats().map(repr), max_size=4).map(", ".join))
@@ -328,7 +363,8 @@ class TestDomains:
         "flow.poly_sigma = nan", "ransac.inlier_threshold_px = inf", "seed = -2",
         "camera.width = 1" + "0" * 400, "accumulation.window_us = 1" + "0" * 400,
         f"accumulation.window_us = {2 ** 64}", f"accumulation.count_cap = {2 ** 30}",
-        f"accumulation.count_cap = {10 ** 20}", "flow.stride = 0", "intensity.merge = bogus",
+        f"accumulation.count_cap = {10 ** 20}", "flow.stride = 0",
+        "intensity.merge = bogus",  # retired: rejected as an unknown key
     ])
     def test_run_out_of_domain(self, line):
         key = line.split(" = ")[0]
@@ -346,6 +382,7 @@ class TestDomains:
         ("noise", "camera.width = 70000"), ("noise", "camera.height = 65536"),
         ("noise", "texture.cutoff = -0.1"), ("noise", "texture.cutoff = 0.6"),
         ("noise", "sim.noise_rate = 2e6"), ("noise", "sim.duration_s = 5e-7"),
+        ("dots", "texture.radius_px = -2.5"), ("dots", "texture.radius_px = 0"),
     ])
     def test_scenario_out_of_domain(self, kind, line):
         key = line.split(" = ")[0]

@@ -236,7 +236,7 @@ def test_loaders_reject_what_validate_events_rejects(rows, window, order, k, bac
             assert len(frames) == len(reference)
             for f, (start, end, pos, neg, total) in zip(frames, reference):
                 assert (f.t_start_us, f.t_end_us, f.event_total) == (start, end, total)
-                assert np.array_equal(f.pos_counts, pos) and np.array_equal(f.neg_counts, neg)
+                assert np.array_equal(f.counts, np.minimum(pos + neg, cfg.count_cap))
 
 
 def mapped_rss_kb() -> int | None:
@@ -294,8 +294,7 @@ def test_mapped_frames_equal_in_memory_frames(tmp_path, monkeypatch, drop):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.event_total == b.event_total
-            assert np.array_equal(a.pos_counts, b.pos_counts)
-            assert np.array_equal(a.neg_counts, b.neg_counts)
+            assert np.array_equal(a.counts, b.counts)
     # the header-only file maps nothing, and an array in memory has no pages to drop
     write_events_binary(path, make_events([], [], [], []), 346, 260)
     empty, _, _ = load_events_binary(path)

@@ -34,22 +34,21 @@ class TestAccumulate:
             tracemalloc.stop()
         assert frame.event_total == n
         # the window's index and int64 counts are not still referenced
-        assert held - frame.pos_counts.nbytes - frame.neg_counts.nbytes < 1_000_000
+        assert held - frame.counts.nbytes < 1_000_000
 
     def test_three_events_one_pixel(self):
         ev = make_events([10, 20, 30], [5, 5, 5], [5, 5, 5], [1, 1, 1])
         frames = list(iter_frames(ev, cfg()))
         assert len(frames) == 1
-        assert frames[0].pos_counts[5, 5] == 3
-        assert frames[0].pos_counts.sum() == 3
-        assert frames[0].neg_counts.sum() == 0
+        assert frames[0].counts[5, 5] == 3
+        assert frames[0].counts.sum() == 3
         assert frames[0].event_total == 3
 
     def test_empty_stream_explicit_window(self):
         frames = list(iter_frames(make_events([], [], [], []), cfg(), t_start_us=0, t_end_us=100))
         assert len(frames) == 1
         assert frames[0].event_total == 0
-        assert not frames[0].pos_counts.any() and not frames[0].neg_counts.any()
+        assert not frames[0].counts.any()
 
     def test_empty_stream_no_anchor(self):
         assert list(iter_frames(make_events([], [], [], []), cfg())) == []
@@ -65,15 +64,14 @@ class TestAccumulate:
         p = rng.choice([-1, 1], n)
         frames = list(iter_frames(make_events(t, x, y, p), c))
         assert len(frames) == 1
-        assert frames[0].pos_counts.sum() + frames[0].neg_counts.sum() == n
+        assert frames[0].counts.sum() == n
 
         # independent single-pass dict-based counting oracle
         oracle: dict[tuple, int] = {}
-        for xi, yi, pi in zip(x, y, p):
-            oracle[(int(xi), int(yi), int(pi))] = oracle.get((int(xi), int(yi), int(pi)), 0) + 1
-        for (xi, yi, pi), count in oracle.items():
-            grid = frames[0].pos_counts if pi > 0 else frames[0].neg_counts
-            assert grid[yi, xi] == count
+        for xi, yi in zip(x, y):
+            oracle[(int(xi), int(yi))] = oracle.get((int(xi), int(yi)), 0) + 1
+        for (xi, yi), count in oracle.items():
+            assert frames[0].counts[yi, xi] == count
 
     def test_empty_middle_window(self):
         ev = make_events([10, 250], [0, 1], [0, 1], [1, -1])
@@ -87,9 +85,9 @@ class TestAccumulate:
     def test_count_cap_clips(self):
         ev = make_events(range(20), [3] * 20, [4] * 20, [1] * 20)
         frames = list(iter_frames(ev, cfg(cap=5)))
-        assert frames[0].pos_counts[4, 3] == 5
+        assert frames[0].counts[4, 3] == 5
         assert frames[0].event_total == 20
-        assert frames[0].pos_counts.sum() + frames[0].neg_counts.sum() <= frames[0].event_total
+        assert frames[0].counts.sum() <= frames[0].event_total
 
     @given(st.data(), st.integers(1, 4), st.integers(1, 300))
     @settings(max_examples=60, deadline=None)
@@ -111,19 +109,19 @@ class TestAccumulate:
         assert len(frames) == len(want)
         for f, (start, end, pos, neg, total) in zip(frames, want):
             assert (f.t_start_us, f.t_end_us, f.event_total) == (start, end, total)
-            assert np.array_equal(f.pos_counts, pos) and np.array_equal(f.neg_counts, neg)
+            assert np.array_equal(f.counts, np.minimum(pos + neg, cap))
 
     def test_timestamps_past_2_63(self):
         # an int64 cast of these times wraps negative and drops both events
         ev = make_events([2 ** 63 - 10, 2 ** 63 + 5], [1, 2], [3, 3], [1, -1])
         frames = list(iter_frames(ev, cfg()))
         assert len(frames) == 1 and frames[0].event_total == 2
-        assert frames[0].pos_counts[3, 1] == 1 and frames[0].neg_counts[3, 2] == 1
+        assert frames[0].counts[3, 1] == 1 and frames[0].counts[3, 2] == 1
         # the last uint64 timestamp falls in a window that ends past 2**64
         ev = make_events([2 ** 64 - 50, 2 ** 64 - 1], [0, 0], [0, 0], [1, 1])
         frames = list(iter_frames(ev, cfg()))
         assert len(frames) == 1 and frames[0].t_end_us == 2 ** 64 + 50
-        assert frames[0].event_total == 2 and frames[0].pos_counts[0, 0] == 2
+        assert frames[0].event_total == 2 and frames[0].counts[0, 0] == 2
 
     def test_step_past_2_63_is_in_order(self):
         ev = make_events([0, 2 ** 63 + 1], [0, 1], [0, 1], [1, 1])
@@ -131,7 +129,7 @@ class TestAccumulate:
         # windows are produced lazily, so the long gap allocates nothing up front
         frames = iter_frames(ev, cfg())
         first = next(frames)
-        assert first.event_total == 1 and first.pos_counts[0, 0] == 1
+        assert first.event_total == 1 and first.counts[0, 0] == 1
         assert next(frames).event_total == 0
 
     def test_negative_start_rejected(self):
@@ -148,7 +146,7 @@ class TestAccumulate:
         ev = make_events(*(list(col) for col in zip(*rows))) if rows else make_events([], [], [], [])
         frames = list(iter_frames(ev, cfg(window=137)))
         assert sum(f.event_total for f in frames) == len(rows)
-        total = sum(int(f.pos_counts.sum() + f.neg_counts.sum()) for f in frames)
+        total = sum(int(f.counts.sum()) for f in frames)
         assert total <= len(rows)
 
     @given(st.integers(0, 2 ** 31), st.integers(2, 180))
@@ -162,19 +160,18 @@ class TestAccumulate:
         a = list(iter_frames(make_events(t, x, y, p), cfg(), t_start_us=0))[0]
         perm = rng.permutation(n)
         b = list(iter_frames(make_events(t, x[perm], y[perm], p[perm]), cfg(), t_start_us=0))[0]
-        assert np.array_equal(a.pos_counts, b.pos_counts)
-        assert np.array_equal(a.neg_counts, b.neg_counts)
+        assert np.array_equal(a.counts, b.counts)
 
 
 class TestToIntensity:
     def test_all_zero(self):
         frame = list(iter_frames(make_events([], [], [], []), cfg(), t_start_us=0, t_end_us=100))[0]
-        assert not to_intensity(frame, 15, "sum").any()
+        assert not to_intensity(frame, 15).any()
 
     def test_saturated_pixel(self):
         ev = make_events(range(15), [2] * 15, [3] * 15, [1] * 15)
         frame = list(iter_frames(ev, cfg()))[0]
-        img = to_intensity(frame, 15, "sum")
+        img = to_intensity(frame, 15)
         assert img[3, 2] == 255
         assert img.sum() == 255
 
@@ -184,15 +181,32 @@ class TestToIntensity:
         ev = make_events([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
                          [1] * 4 + [2] * 8, [0] * 12, [1] * 12)
         frame = list(iter_frames(ev, cfg(cap=8)))[0]
-        img = to_intensity(frame, 8, "sum")
+        img = to_intensity(frame, 8)
         assert img[0, 0] == 0 and img[0, 1] == 128 and img[0, 2] == 255
 
-    def test_merge_modes(self):
-        ev = make_events([0, 1], [0, 0], [0, 0], [1, -1])
-        frame = list(iter_frames(ev, cfg(cap=4)))[0]
-        assert to_intensity(frame, 4, "pos")[0, 0] == 64
-        assert to_intensity(frame, 4, "neg")[0, 0] == 64
-        assert to_intensity(frame, 4, "sum")[0, 0] == 128
+    @given(st.data(), st.one_of(st.just(1), st.integers(2, 6)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_polarity_image(self, data, cap):
+        # each pixel's (positive, negative) counts: both polarities, past the
+        # cap in one polarity, in both, or only in their sum
+        low, high = st.integers(0, cap), st.integers(cap + 1, 2 * cap + 2)
+        only_sum = st.integers(1, cap).flatmap(
+            lambda pos: st.tuples(st.just(pos), st.integers(cap - pos + 1, cap)))
+        pixel = st.one_of(st.tuples(st.integers(1, cap + 2), st.integers(1, cap + 2)),
+                          st.tuples(high, low), st.tuples(low, high),
+                          st.tuples(high, high), only_sum, st.just((0, 0)))
+        counts = data.draw(st.lists(pixel, min_size=12, max_size=12))
+        rows = data.draw(st.permutations(
+            [(i % 4, i // 4, p) for i, (pos, neg) in enumerate(counts)
+             for p, n in ((1, pos), (-1, neg)) for _ in range(n)]))
+        ev = make_events([0] * len(rows), *([row[k] for row in rows] for k in range(3)))
+        c = cfg(w=4, h=3, cap=cap)
+        frame = list(iter_frames(ev, c, t_start_us=0))[0]
+        (_, _, pos, neg, _), = add_at_reference(ev, c, 0, None)
+        # the image as two grids clipped at the cap, summed and clipped again
+        summed = np.minimum(np.minimum(pos, cap) + np.minimum(neg, cap), cap)
+        want = np.floor(summed.astype(np.float64) * (255.0 / cap) + 0.5).astype(np.uint8)
+        assert np.array_equal(to_intensity(frame, cap), want)
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=25, deadline=None)
@@ -204,9 +218,8 @@ class TestToIntensity:
                          np.repeat(np.arange(40) // 16 % 12, counts),
                          np.ones(counts.sum(), dtype=np.int8))
         frame = list(iter_frames(ev, cfg(cap=15), t_start_us=0))[0]
-        img = to_intensity(frame, 15, "sum")
-        merged = frame.pos_counts + frame.neg_counts
-        order = np.argsort(merged.ravel(), kind="stable")
+        img = to_intensity(frame, 15)
+        order = np.argsort(frame.counts.ravel(), kind="stable")
         assert np.all(np.diff(img.ravel()[order].astype(int)) >= 0)
 
 

@@ -820,7 +820,7 @@ trajectory.omega = 0.3, 0.3
         assert run_csv_input(tmp_path, "velocity", body.encode()) == 3
         err = capsys.readouterr().err
         assert err.startswith("input format error:") and "Traceback" not in err
-        assert f"velocity.csv: data row 2 has valid {flag!r}, expected true or false" in err
+        assert f"velocity.csv: line 3 has valid {flag!r}, expected true or false" in err
 
     @pytest.mark.parametrize("row, message", [
         ("0.1,1.0,0.0,0.0,bogus,10,1.0,true", "omega_source 'bogus', expected flow, imu or truth"),
@@ -832,7 +832,7 @@ trajectory.omega = 0.3, 0.3
         assert run_csv_input(tmp_path, "velocity", body.encode()) == 3
         err = capsys.readouterr().err
         assert err.startswith("input format error:") and "Traceback" not in err
-        assert f"velocity.csv: data row 2 has {message}" in err
+        assert f"velocity.csv: line 3 has {message}" in err
 
     @pytest.mark.parametrize("body, line", [
         (b"1,0,0,1\n2,0,0\n", 3),
@@ -873,7 +873,25 @@ trajectory.omega = 0.3, 0.3
         assert run_csv_input(tmp_path, "imu", b"0,0.1\n200,0.1\n200,0.1\n100,0.1\n") == 3
         err = capsys.readouterr().err
         assert err.startswith("input format error:") and "Traceback" not in err
-        assert "imu.csv: data row 4 has t_us 100, below the row before it" in err
+        assert "imu.csv: line 5 has t_us 100, below the row before it" in err
+
+    @pytest.mark.parametrize("kind, body, message", [
+        ("imu", b"\n\n1,0.5\n\n2,nan\n", "line 6 has a non-finite yaw_rate_rad_s"),
+        ("imu", b"\n\n1,0.5\n\n2,x\n", "line 6: could not convert"),
+        ("imu", b"\n0,0.1\n\n200,0.1\n100,0.1\n", "line 6 has t_us 100, below the row before it"),
+        ("velocity", b"\n0.0,1.0,0.0,0.0,flow,10,1.0,true\n\n0.1,1.0,0.0,0.0,flow,10,1.0,maybe\n",
+         "line 5 has valid 'maybe', expected true or false"),
+        ("velocity", b"\n0.0,1.0,0.0,0.0,flow,10,1.0,true\n\n0.1,1.0,0.0,0.0,flow,-5,1.0,true\n",
+         "line 5 has n_inliers -5, expected at least 0"),
+    ], ids=["imu_yaw_nan", "imu_yaw_not_a_number", "imu_out_of_time_order", "velocity_valid",
+            "velocity_n_inliers"])
+    def test_errors_after_empty_lines_name_the_file_line(self, tmp_path, capsys, kind, body,
+                                                         message):
+        # a value error and a parse error count lines alike, the header as line 1
+        assert run_csv_input(tmp_path, kind, body) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input format error:") and "Traceback" not in err
+        assert f"{kind}.csv: {message}" in err
 
     def test_overhead_is_the_mean_of_each_pairs_own(self, tmp_path, monkeypatch):
         # a full pair 2 ms outside its stages, and a textureless one that stops

@@ -92,8 +92,9 @@ class TestImuSeries:
         assert (imu.t_us[0], imu.yaw_rate[0]) == (0, 1.0)
 
     def test_rejects_unsorted(self):
-        with pytest.raises(InputFormatError):
-            ImuSeries([10, 5], [0.0, 0.0])
+        with pytest.raises(InputFormatError) as info:
+            ImuSeries([10, 20, 5], [0.0, 0.0, 0.0])
+        assert info.value.row == 2 and str(info.value) == "t_us[2] = 5 is below t_us[1]"
 
 
 class TestSubstituteImuYaw:
