@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .events import AccumulationConfig, CameraModel
-from .flow import FlowParams
-from .rigid import AxisMapping, RansacParams
+from .rigid import AxisMapping
 from .synth import CheckerTexture, DotTexture, NoiseTexture, SimConfig, Trajectory
 from .vehicle import Extrinsics
 
@@ -79,20 +78,6 @@ _WINDOW_US = "accumulation.window_us"  # a scenario reads it for its default tim
 ACCUMULATION = {  # a scenario's window is held to AccumulationConfig's bounds too
     _WINDOW_US: ("window_us", lambda text: AccumulationConfig(int(text), 1, 1).window_us),
     "accumulation.count_cap": ("count_cap", int)}
-FLOW = {
-    "flow.pyramid_levels": ("pyramid_levels", int),
-    "flow.pyramid_scale": ("pyramid_scale", _finite),
-    "flow.window_size": ("window_size", int),
-    "flow.iterations": ("iterations", int),
-    "flow.poly_n": ("poly_n", int),
-    "flow.poly_sigma": ("poly_sigma", _finite),
-}
-RANSAC = {
-    "ransac.enabled": ("enabled", _bool),
-    "ransac.iterations": ("iterations", int),
-    "ransac.inlier_threshold_px": ("inlier_threshold", _finite),
-    "ransac.min_inlier_fraction": ("min_inlier_fraction", _finite),
-}
 EXTRINSICS = {"extrinsics.ca_x": ("ca_x", _finite), "extrinsics.ca_y": ("ca_y", _finite)}
 MAPPING = {
     "mapping.image_x": ("image_x", str),
@@ -103,7 +88,9 @@ RUN = {
     "io.events": ("events_path", str),
     "io.imu": ("imu_path", str),
     "io.out_dir": ("out_dir", str),
+    "flow.pyramid_levels": ("pyramid_levels", int),
     "flow.stride": ("stride", int),
+    "ransac.enabled": ("ransac", _bool),
     "omega.source": ("omega_source", str),
     "seed": ("seed", parse_seed),
 }
@@ -178,30 +165,38 @@ class _KeyFile:
 
 @dataclass(frozen=True)
 class RunConfig(_KeyFile):
-    """Everything the estimation pipeline needs for one run."""
+    """Everything the estimation pipeline needs for one run.
+
+    ``pyramid_levels`` caps the flow pyramid's depth and ``stride`` spaces
+    the correspondence grid; ``ransac`` chooses the consensus fit
+    (``rigid.ransac_estimate``) over one plain fit on every correspondence.
+    The flow and RANSAC constants are fixed in ``flow`` and ``rigid``.
+    """
 
     camera: CameraModel
     accumulation: AccumulationConfig
-    flow: FlowParams
-    ransac: RansacParams
     extrinsics: Extrinsics
     mapping: AxisMapping = AxisMapping()
     events_path: str = ""
     imu_path: str = ""
     out_dir: str = "out"
+    pyramid_levels: int = 3
     stride: int = 8
+    ransac: bool = True
     omega_source: str = "flow"
     seed: int = 0
 
     def __post_init__(self):
         if self.omega_source not in ("flow", "imu"):
-            raise ConfigError(f"omega.source must be flow or imu, got {self.omega_source!r}")
+            raise ValueError(f"omega.source must be flow or imu, got {self.omega_source!r}")
+        if self.pyramid_levels < 1:
+            raise ValueError("flow.pyramid_levels must be >= 1")
         if self.stride < 1:
-            raise ConfigError("flow.stride must be >= 1")
+            raise ValueError("flow.stride must be >= 1")
         if min(self.camera.width, self.camera.height) < 2:
-            raise ConfigError("flow needs a camera at least 2 px on a side")
+            raise ValueError("flow needs a camera at least 2 px on a side")
         if self.omega_source == "imu" and not self.imu_path:
-            raise ConfigError("omega.source = imu requires io.imu")
+            raise ValueError("omega.source = imu requires io.imu")
 
     @property
     def window_s(self) -> float:
@@ -214,7 +209,6 @@ class RunConfig(_KeyFile):
             cls, RUN, camera=cam,
             accumulation=kv.build(AccumulationConfig, ACCUMULATION,
                                   sensor_width=cam.width, sensor_height=cam.height),
-            flow=kv.build(FlowParams, FLOW), ransac=kv.build(RansacParams, RANSAC),
             extrinsics=kv.build(Extrinsics, EXTRINSICS), mapping=kv.build(AxisMapping, MAPPING))
 
 

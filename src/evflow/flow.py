@@ -5,12 +5,15 @@ Each image neighborhood is approximated by a quadratic
 (the applicability).  For a pair of images the local displacement ``d``
 satisfies ``A_avg d = db`` where ``A_avg`` averages the two expansions and
 ``db`` is half the difference of the linear coefficients; the solve is
-stabilized by Gaussian-averaging the normal equations over ``window_size``
-and iterated, warping the second expansion by the current displacement.
-A pyramid of downscaled images extends the capture range.  The expansions
+stabilized by Gaussian-averaging the normal equations over ``WINDOW_SIZE``
+taps and iterated ``ITERATIONS`` times per level, warping the second
+expansion by the current displacement.  A pyramid of images downscaled by
+``PYRAMID_SCALE`` per level extends the capture range.  The expansions
 depend on a single frame, so ``flow_pyramid`` builds them once per frame
 and ``compute_flow`` refines the displacement between two pyramids.  Its
 last pass smooths and solves only on the stride grid the caller reads.
+These constants are fixed; the run config sets only the pyramid's depth
+and the stride.
 
 Conventions: pixel centers sit at integer coordinates, x is the column
 axis, y the row axis, and flow (u, v) maps a point p in the first frame to
@@ -31,35 +34,11 @@ _MIN_LEVEL_SIZE = 16
 # them whole was no faster (5 of 10 runs) and raised peak RSS from 91 to 100 MB.
 _TILE_PX = 16_384
 
-
-@dataclass(frozen=True)
-class FlowParams:
-    """Knobs of the expansion/refinement algorithm.
-
-    ``poly_n`` is the expansion neighborhood radius (the kernel spans
-    2*poly_n + 1 samples).
-    """
-
-    pyramid_levels: int = 3
-    pyramid_scale: float = 0.5
-    window_size: int = 15
-    iterations: int = 3
-    poly_n: int = 5
-    poly_sigma: float = 1.1
-
-    def __post_init__(self):
-        if self.pyramid_levels < 1:
-            raise ValueError("pyramid_levels must be >= 1")
-        if not 0.0 < self.pyramid_scale < 1.0:
-            raise ValueError("pyramid_scale must lie in (0, 1)")
-        if self.window_size < 3 or self.window_size % 2 == 0:
-            raise ValueError("window_size must be odd and >= 3")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.poly_n < 1:
-            raise ValueError("poly_n must be >= 1")
-        if self.poly_sigma <= 0:
-            raise ValueError("poly_sigma must be positive")
+PYRAMID_SCALE = 0.5  # each pyramid level's side over the next finer one's
+WINDOW_SIZE = 15  # taps of the Gaussian window that averages the normal equations
+ITERATIONS = 3  # refinement passes per pyramid level
+POLY_N = 5  # expansion neighborhood radius: the kernels span 2 * POLY_N + 1 samples
+POLY_SIGMA = 1.1  # the applicability Gaussian's sigma in pixels
 
 
 @dataclass(frozen=True)
@@ -111,7 +90,7 @@ def _gram_inverse_entries(g: np.ndarray, n: int):
     return inv[0, 3], inv[1, 1], inv[3, 3], inv[5, 5]
 
 
-def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> np.ndarray:
+def polynomial_expansion(image: np.ndarray) -> np.ndarray:
     """Weighted least-squares quadratic fit around every pixel.
 
     The fitted surface is ``axx*x^2 + ayy*y^2 + axy*x*y + bx*x + by*y + c``
@@ -124,8 +103,8 @@ def polynomial_expansion(image: np.ndarray, poly_n: int, poly_sigma: float) -> n
     side or more: ``RunConfig`` keeps the camera that large, and
     ``flow_pyramid`` keeps every level so.  The channels keep its dtype.
     """
-    g, xg, xxg = (k.astype(image.dtype) for k in _applicability_kernels(poly_n, poly_sigma))
-    ig03, ig11, ig33, ig55 = _gram_inverse_entries(g.astype(np.float64), poly_n)
+    g, xg, xxg = (k.astype(image.dtype) for k in _applicability_kernels(POLY_N, POLY_SIGMA))
+    ig03, ig11, ig33, ig55 = _gram_inverse_entries(g.astype(np.float64), POLY_N)
 
     # Vertical moment passes (y axis), then horizontal (x axis); _correlate1d
     # applies kernels unflipped so the odd kernel measures +offset moments.
@@ -173,6 +152,12 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     k = np.arange(size, dtype=np.float64) - (size - 1) / 2
     g = np.exp(-(k * k) / (2.0 * sigma * sigma))
     return g / g.sum()
+
+
+# the window smoothing of the normal equations; read-only, as every pair
+# reads it, two of them possibly at once on two threads
+_WINDOW_KERNEL = _gaussian_kernel(WINDOW_SIZE, 0.3 * (WINDOW_SIZE // 2)).astype(np.float32)
+_WINDOW_KERNEL.flags.writeable = False
 
 
 # Output lines per band-matrix product.  A tile reads 2r input lines beyond
@@ -389,7 +374,6 @@ class FlowPyramid:
     pyramid per frame and pairs each with its neighbours on both sides.
     """
 
-    params: FlowParams
     levels: tuple[np.ndarray, ...]
 
     @property
@@ -398,44 +382,46 @@ class FlowPyramid:
         return self.levels[-1].shape[1:]
 
 
-def _level_count(h0: int, w0: int, params: FlowParams) -> int:
+def _level_count(h0: int, w0: int, pyramid_levels: int) -> int:
     levels = 1
     scale = 1.0
-    while levels < params.pyramid_levels:
-        scale *= params.pyramid_scale
+    while levels < pyramid_levels:
+        scale *= PYRAMID_SCALE
         if min(h0, w0) * scale < _MIN_LEVEL_SIZE:
             break
         levels += 1
     return levels
 
 
-def flow_pyramid(image: np.ndarray, params: FlowParams) -> FlowPyramid:
-    """Blur, resize and polynomially expand ``image`` at every pyramid level."""
+def flow_pyramid(image: np.ndarray, pyramid_levels: int) -> FlowPyramid:
+    """Blur, resize and polynomially expand ``image`` at up to
+    ``pyramid_levels`` pyramid levels, stopping before a level would fall
+    below ``_MIN_LEVEL_SIZE`` px a side."""
     a = image.astype(np.float32)
     h0, w0 = a.shape
     levels = []
-    for k in range(_level_count(h0, w0, params) - 1, -1, -1):
+    for k in range(_level_count(h0, w0, pyramid_levels) - 1, -1, -1):
         img = a  # the finest level is the frame itself
         if k > 0:
-            scale = params.pyramid_scale ** k
+            scale = PYRAMID_SCALE ** k
             sigma = (1.0 / scale - 1.0) * 0.5
             size = max(3, int(round(sigma * 5)) | 1)
             kernel = _gaussian_kernel(size, sigma).astype(np.float32)
             img = _resize_bilinear(_smooth(a, kernel), max(2, int(round(h0 * scale))),
                                    max(2, int(round(w0 * scale))))
-        level = polynomial_expansion(img, params.poly_n, params.poly_sigma)
+        level = polynomial_expansion(img)
         # read-only: a frame's pyramid serves both of its pairs, which may
         # run on two threads at once
         level.flags.writeable = False
         levels.append(level)
-    return FlowPyramid(params=params, levels=tuple(levels))
+    return FlowPyramid(levels=tuple(levels))
 
 
 def compute_flow(a: FlowPyramid, b: FlowPyramid, stride: int) -> FlowField:
     """Displacement field from the frame of pyramid ``a`` to that of ``b``,
     on the frame's ``stride`` grid.
 
-    Both pyramids come from ``flow_pyramid`` with the same parameters, over
+    Both pyramids come from ``flow_pyramid`` with the same level count, over
     frames of one sensor (``FrameMemo.pyramid`` builds them), so a stream
     expands every frame once.  Every refinement pass but the last covers the
     whole level; the last one smooths and solves only at the grid points,
@@ -446,9 +432,6 @@ def compute_flow(a: FlowPyramid, b: FlowPyramid, stride: int) -> FlowField:
     Textureless regions are reported through the validity mask rather than
     an exception.
     """
-    params = a.params
-    win_kernel = _gaussian_kernel(params.window_size,
-                                  0.3 * (params.window_size // 2)).astype(np.float32)
     u = np.zeros(a.levels[0].shape[1:], dtype=np.float32)
     v = np.zeros_like(u)
     finest = len(a.levels) - 1
@@ -464,9 +447,9 @@ def compute_flow(a: FlowPyramid, b: FlowPyramid, stride: int) -> FlowField:
         m = np.empty_like(s0)
         e = np.empty((5, max(1, _TILE_PX // lw) * lw), s0.dtype)
         border = _border_weights(lh, lw)
-        for i in range(params.iterations):
-            last = level == finest and i == params.iterations - 1
-            u, v, m = _refine(s0, s1, u, v, border, win_kernel, stride if last else 1, m, e)
+        for i in range(ITERATIONS):
+            last = level == finest and i == ITERATIONS - 1
+            u, v, m = _refine(s0, s1, u, v, border, _WINDOW_KERNEL, stride if last else 1, m, e)
 
     valid = _rcond(m[0], m[1], m[2]) >= RCOND_INVALID
     u = np.where(valid, u, np.float32(0.0)).astype(np.float64)

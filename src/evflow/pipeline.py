@@ -71,7 +71,7 @@ class FrameMemo:
             t0 = time.perf_counter()
             image = to_intensity(self.frame, cfg.accumulation.count_cap)
             intensity_s = time.perf_counter() - t0
-            self._pyramid = flow_pyramid(image, cfg.flow)
+            self._pyramid = flow_pyramid(image, cfg.pyramid_levels)
             return self._pyramid, intensity_s
 
 
@@ -105,8 +105,8 @@ def process_frame_pair(prev: FrameMemo, curr: FrameMemo, cfg: RunConfig, pair_in
         t0 = time.perf_counter()
         center = np.array([cfg.camera.cx, cfg.camera.cy])
         try:
-            if cfg.ransac.enabled:
-                motion, _ = ransac_estimate(p - center, q - center, cfg.ransac,
+            if cfg.ransac:
+                motion, _ = ransac_estimate(p - center, q - center,
                                             rng_seed=(cfg.seed, pair_index))
             else:
                 motion = estimate_rigid(p - center, q - center)

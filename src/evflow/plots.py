@@ -69,37 +69,38 @@ def dump_flow_csv(field: FlowField, path: str | Path) -> None:
               [zip(*(a.ravel().tolist() for a in (x, y, field.u, field.v, valid)))])
 
 
-def blur_budget_table(speeds: list[float], budgets: list[float],
-                      cam: CameraModel) -> list[dict]:
+def _budget_columns(budgets: list[float]) -> list[str]:
+    """The exposure column's name for each blur budget."""
     names = [f"t_exp_us_at_{b:g}" for b in budgets]
     for i, name in enumerate(names):  # a column named twice holds only its last budget
         if name in names[:i]:
             raise ValueError(f"budgets {budgets[names.index(name)]!r} and {budgets[i]!r} "
                              f"share the column {name}")
-    rows = []
-    for v in speeds:
-        row = {"v_mps": v}
-        for name, b in zip(names, budgets):
-            row[name] = max_exposure_for_blur(b, v, cam) * 1e6
-        rows.append(row)
-    return rows
+    return names
+
+
+def blur_budget_table(speeds: list[float], budgets: list[float],
+                      cam: CameraModel) -> list[dict]:
+    names = _budget_columns(budgets)
+    return [{"v_mps": v, **{name: max_exposure_for_blur(b, v, cam) * 1e6
+                            for name, b in zip(names, budgets)}} for v in speeds]
 
 
 def write_blur_budget(speeds: list[float], budgets: list[float], cam: CameraModel,
                       out_dir: str | Path) -> tuple[Path, Path]:
     """Exposure ceilings against speed for each blur budget, CSV + SVG."""
+    names = _budget_columns(budgets)
     rows = blur_budget_table(speeds, budgets, cam)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "blur_budget.csv"
-    write_csv(csv_path, ["v_mps"] + [f"t_exp_us_at_{b:g}" for b in budgets],
-              [map(dict.values, rows)])
+    write_csv(csv_path, ["v_mps", *names], [map(dict.values, rows)])
 
     palette = ["#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e"]
     xs = np.array(speeds, dtype=np.float64)
     series = []
-    for i, b in enumerate(budgets):
-        ys = np.array([row[f"t_exp_us_at_{b:g}"] for row in rows])
+    for i, (b, name) in enumerate(zip(budgets, names)):
+        ys = np.array([row[name] for row in rows])
         series.append((f"{b * 100:g}% blur", palette[i % len(palette)], xs, ys))
     svg_path = out / "blur_budget.svg"
     svg_path.write_text(line_chart("maximum exposure vs speed", "v [m/s]",

@@ -5,8 +5,9 @@ sum_i |R p_i + t - q_i|^2`` in closed form: with H the cross-covariance of
 the centroid-subtracted point sets, the optimal angle is
 ``atan2(H[0,1] - H[1,0], H[0,0] + H[1,1])`` (the planar case of the SVD
 solution of Arun, Huang & Blostein and of Umeyama, always a proper
-rotation).  A 2-point-sample RANSAC loop guards the fit against outliers,
-and the pixel-space solution is converted to a metric camera velocity.
+rotation).  A 2-point-sample RANSAC loop, its settings fixed below, guards
+the fit against outliers, and the pixel-space solution is converted to a
+metric camera velocity.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ import numpy as np
 
 from .errors import DegenerateConsensusError, InsufficientDataError
 from .events import CameraModel
+
+RANSAC_ITERATIONS = 16  # 2-point hypotheses per fit
+INLIER_THRESHOLD_PX = 0.5  # end-point error below which a correspondence is an inlier
+MIN_INLIER_FRACTION = 0.3  # a consensus smaller than this share of the points fails
 
 # Named signed-permutation maps from image axes to vehicle axes
 # (x longitudinal forward, y lateral left).
@@ -85,25 +90,6 @@ class RigidMotion2D:
 
 
 @dataclass(frozen=True)
-class RansacParams:
-    """RANSAC settings; ``enabled`` tells the pipeline whether to run the
-    consensus loop or a plain ``estimate_rigid`` on all correspondences."""
-
-    iterations: int = 16
-    inlier_threshold: float = 0.5
-    min_inlier_fraction: float = 0.3
-    enabled: bool = True
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier threshold must be positive")
-        if not 0.0 <= self.min_inlier_fraction <= 1.0:
-            raise ValueError("min_inlier_fraction must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class EstimateQuality:
     n_inliers: int
     inlier_fraction: float
@@ -157,18 +143,17 @@ def reconstruct_flow(motion: RigidMotion2D, p: np.ndarray) -> np.ndarray:
     return p @ motion.rotation.T + motion.t
 
 
-def ransac_estimate(p: np.ndarray, q: np.ndarray, params: RansacParams,
-                    rng_seed) -> tuple[RigidMotion2D, np.ndarray]:
+def ransac_estimate(p: np.ndarray, q: np.ndarray, rng_seed) -> tuple[RigidMotion2D, np.ndarray]:
     """Consensus rigid fit: 2-point hypotheses, end-point-error inliers.
 
-    Runs ``params.iterations`` hypotheses from seeded 2-point samples,
-    keeps the largest inlier set (end-point error below the threshold),
-    and refits on it.  Coincident samples are redrawn up to a global cap
-    of 10x the iteration count.
+    Runs ``RANSAC_ITERATIONS`` hypotheses from seeded 2-point samples,
+    keeps the largest inlier set (end-point error below
+    ``INLIER_THRESHOLD_PX``), and refits on it.  Coincident samples are
+    redrawn up to a global cap of 10x the iteration count.
 
     ``p`` and ``q`` are ``subsample_flow``'s matching float64 (N, 2)
     arrays.  Raises DegenerateConsensusError when the best inlier fraction
-    falls below ``params.min_inlier_fraction``.
+    falls below ``MIN_INLIER_FRACTION``.
     """
     n = p.shape[0]
     if n < 2:
@@ -177,8 +162,8 @@ def ransac_estimate(p: np.ndarray, q: np.ndarray, params: RansacParams,
     rng = np.random.default_rng(rng_seed)
     best_count = 0
     best_mask = None
-    retries = 10 * params.iterations
-    for _ in range(params.iterations):
+    retries = 10 * RANSAC_ITERATIONS
+    for _ in range(RANSAC_ITERATIONS):
         while True:
             i, j = rng.choice(n, size=2, replace=False)
             if np.any(p[i] != p[j]):
@@ -191,16 +176,16 @@ def ransac_estimate(p: np.ndarray, q: np.ndarray, params: RansacParams,
         except InsufficientDataError:
             continue
         epe = np.linalg.norm(reconstruct_flow(hyp, p) - q, axis=1)
-        mask = epe < params.inlier_threshold
+        mask = epe < INLIER_THRESHOLD_PX
         count = int(mask.sum())
         if count > best_count:
             best_count = count
             best_mask = mask
 
-    if best_mask is None or best_count < 2 or best_count / n < params.min_inlier_fraction:
+    if best_mask is None or best_count < 2 or best_count / n < MIN_INLIER_FRACTION:
         raise DegenerateConsensusError(
             f"best inlier fraction {best_count / n:.3f} below "
-            f"{params.min_inlier_fraction:.3f} ({best_count}/{n})")
+            f"{MIN_INLIER_FRACTION:.3f} ({best_count}/{n})")
     motion = estimate_rigid(p[best_mask], q[best_mask])
     return motion, best_mask
 

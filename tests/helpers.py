@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from evflow.events import AccumulationConfig, CameraModel
-from evflow.flow import FlowField, FlowParams, compute_flow, flow_pyramid
+from evflow.flow import FlowField, compute_flow, flow_pyramid
 from evflow.synth import Trajectory, _render
 
 
@@ -39,10 +39,10 @@ def render_plane(texture, pose: tuple[float, float, float], cam: CameraModel) ->
     return _render(texture, yaw, np.array([x * scale, y * scale]), cam)
 
 
-def image_flow(prev: np.ndarray, next_: np.ndarray, params: FlowParams) -> FlowField:
+def image_flow(prev: np.ndarray, next_: np.ndarray, levels: int = 3) -> FlowField:
     """The dense ``compute_flow`` from image ``prev`` to image ``next_``, each
-    expanded with ``params``."""
-    return compute_flow(flow_pyramid(prev, params), flow_pyramid(next_, params), 1)
+    expanded into a pyramid of up to ``levels`` levels."""
+    return compute_flow(flow_pyramid(prev, levels), flow_pyramid(next_, levels), 1)
 
 
 def on_grid(field: FlowField, stride: int) -> FlowField:

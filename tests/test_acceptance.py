@@ -13,9 +13,9 @@ from evflow.config import RunConfig
 from evflow.evaluate import evaluate
 from evflow.events import (AccumulationConfig, CameraModel, iter_frames,
                            make_events, relative_motion_blur, to_intensity)
-from evflow.flow import FlowParams, compute_flow, flow_pyramid, subsample_flow
+from evflow.flow import compute_flow, flow_pyramid, subsample_flow
 from evflow.pipeline import FrameMemo, iter_pairs, process_frame_pair
-from evflow.rigid import (AxisMapping, CameraVelocity, RansacParams, RigidMotion2D,
+from evflow.rigid import (AxisMapping, CameraVelocity, RigidMotion2D,
                           estimate_rigid, ransac_estimate, reconstruct_flow,
                           to_camera_velocity)
 from evflow.synth import DotTexture, NoiseTexture, SimConfig, Trajectory, generate_events
@@ -35,10 +35,10 @@ def run_config(cam, window_us, ransac_enabled, stride=8, levels=3, seed=7):
         camera=cam,
         accumulation=AccumulationConfig(window_us=window_us, sensor_width=cam.width,
                                         sensor_height=cam.height),
-        flow=FlowParams(pyramid_levels=levels),
-        ransac=RansacParams(enabled=ransac_enabled),
         extrinsics=Extrinsics(),
+        pyramid_levels=levels,
         stride=stride,
+        ransac=ransac_enabled,
         seed=seed)
 
 
@@ -150,17 +150,17 @@ def test_c05_ransac_robustness(announce):
     frames = list(iter_frames(events, cfg.accumulation, t_start_us=0,
                               t_end_us=int(duration * 1e6)))
     center = np.array([cam.cx, cam.cy])
-    params = RansacParams(iterations=16, inlier_threshold=0.5)
     speeds_ransac, speeds_plain = [], []
     prev = None
     for i, frame in enumerate(frames):
-        pyramid = flow_pyramid(to_intensity(frame, cfg.accumulation.count_cap), cfg.flow)
+        pyramid = flow_pyramid(to_intensity(frame, cfg.accumulation.count_cap),
+                               cfg.pyramid_levels)
         if prev is not None:
             field = compute_flow(prev, pyramid, 1)
             dirty = inject_outliers(field, 0.2, 50.0, rng_seed=(23, i))
             p, q = subsample_flow(on_grid(dirty, cfg.stride))
             scale = cam.height_z / cam.f_px / cfg.window_s
-            robust, _ = ransac_estimate(p - center, q - center, params, rng_seed=(29, i))
+            robust, _ = ransac_estimate(p - center, q - center, rng_seed=(29, i))
             speeds_ransac.append(float(np.linalg.norm(robust.t)) * scale)
             plain = estimate_rigid(p - center, q - center)
             speeds_plain.append(float(np.linalg.norm(plain.t)) * scale)
@@ -205,21 +205,20 @@ def test_c06_rigid_fit_optimality(announce):
 
 def test_c07_flow_oracle(announce, noise_image):
     img = noise_image()
-    params = FlowParams()
     interior = (slice(24, -24), slice(24, -24))
     errs = []
     for shift in (1, 2, 3, 5):
-        field = image_flow(img, np.roll(img, shift, axis=1), params)
+        field = image_flow(img, np.roll(img, shift, axis=1))
         eu = abs(float(field.u[interior].mean()) - shift)
         ev = abs(float(field.v[interior].mean()))
         errs.append(max(eu, ev))
         assert eu < 0.2 and ev < 0.2
 
-    ident = image_flow(img, img, params)
+    ident = image_flow(img, img)
     ident_mean = float(np.hypot(ident.u, ident.v)[ident.valid].mean())
     assert ident_mean < 0.05
 
-    uniform = image_flow(np.full((64, 64), 5.0), np.full((64, 64), 5.0), params)
+    uniform = image_flow(np.full((64, 64), 5.0), np.full((64, 64), 5.0))
     assert uniform.valid.sum() == 0
     announce(f"PASS criterion 7: shift errors max {max(errs):.4f} px, identity "
              f"{ident_mean:.4f} px, uniform valid pixels 0")

@@ -65,9 +65,8 @@ class TestRunConfig:
         assert cfg.camera.width == 346
         assert cfg.accumulation.window_us == 33000
         assert cfg.accumulation.count_cap == 15
-        assert cfg.flow.window_size == 15 and cfg.flow.poly_sigma == 1.1
-        assert cfg.ransac.enabled is False
-        assert cfg.ransac.inlier_threshold == 0.5 and cfg.ransac.iterations == 16
+        assert cfg.pyramid_levels == 3
+        assert cfg.ransac is False
         assert cfg.stride == 6 and cfg.seed == 17
         assert cfg.extrinsics.ca_x == 0.25 and cfg.extrinsics.ca_y == 0.0
         assert cfg.mapping.image_x == "+x" and cfg.mapping.omega_sign == 1
@@ -138,10 +137,7 @@ RUN_KEYS = {
     "camera.width", "camera.height", "camera.height_z", "camera.f_px", "camera.fov_deg",
     "camera.cx", "camera.cy",
     "accumulation.window_us", "accumulation.count_cap",
-    "flow.pyramid_levels", "flow.pyramid_scale", "flow.window_size", "flow.iterations",
-    "flow.poly_n", "flow.poly_sigma", "flow.stride",
-    "ransac.enabled", "ransac.iterations", "ransac.inlier_threshold_px",
-    "ransac.min_inlier_fraction",
+    "flow.pyramid_levels", "flow.stride", "ransac.enabled",
     "extrinsics.ca_x", "extrinsics.ca_y",
     "mapping.image_x", "mapping.image_y", "mapping.omega_sign",
     "omega.source", "seed",
@@ -160,10 +156,13 @@ TEXTURE_KEYS = {
     "checker": {"texture.period_px", "texture.amplitude"},
     "dots": {"texture.density", "texture.radius_px", "texture.amplitude", "texture.seed"},
 }
-TABLES = (config.CAMERA, config.ACCUMULATION, config.FLOW, config.RANSAC, config.EXTRINSICS,
-          config.MAPPING, config.RUN, config.TEXTURE, config.SIM)
+TABLES = (config.CAMERA, config.ACCUMULATION, config.EXTRINSICS, config.MAPPING, config.RUN,
+          config.TEXTURE, config.SIM)
 # keys a parser once read and no longer does: each is now rejected as unknown
-RETIRED_KEYS = {"io.ground_truth", "eval.alignment_tolerance_s", "intensity.merge"}
+RETIRED_KEYS = {"io.ground_truth", "eval.alignment_tolerance_s", "intensity.merge",
+                "flow.pyramid_scale", "flow.window_size", "flow.iterations", "flow.poly_n",
+                "flow.poly_sigma", "ransac.iterations", "ransac.inlier_threshold_px",
+                "ransac.min_inlier_fraction"}
 CANDIDATE_KEYS = (RUN_KEYS | SCENARIO_KEYS | set().union(*TEXTURE_KEYS.values())
                   | set().union(*TABLES) | RETIRED_KEYS)
 
@@ -181,17 +180,9 @@ RUN_VALUES = {
     "camera.cy": ("70.5", "camera.cy", 70.5),
     "accumulation.window_us": ("20000", "accumulation.window_us", 20000),
     "accumulation.count_cap": ("9", "accumulation.count_cap", 9),
-    "flow.pyramid_levels": ("2", "flow.pyramid_levels", 2),
-    "flow.pyramid_scale": ("0.6", "flow.pyramid_scale", 0.6),
-    "flow.window_size": ("11", "flow.window_size", 11),
-    "flow.iterations": ("4", "flow.iterations", 4),
-    "flow.poly_n": ("7", "flow.poly_n", 7),
-    "flow.poly_sigma": ("1.5", "flow.poly_sigma", 1.5),
+    "flow.pyramid_levels": ("2", "pyramid_levels", 2),
     "flow.stride": ("5", "stride", 5),
-    "ransac.enabled": ("false", "ransac.enabled", False),
-    "ransac.iterations": ("20", "ransac.iterations", 20),
-    "ransac.inlier_threshold_px": ("0.75", "ransac.inlier_threshold", 0.75),
-    "ransac.min_inlier_fraction": ("0.4", "ransac.min_inlier_fraction", 0.4),
+    "ransac.enabled": ("false", "ransac", False),
     "extrinsics.ca_x": ("0.3", "extrinsics.ca_x", 0.3),
     "extrinsics.ca_y": ("-0.1", "extrinsics.ca_y", -0.1),
     "mapping.image_x": ("-y", "mapping.image_x", "-y"),
@@ -359,18 +350,21 @@ class TestDomains:
             pass
 
     @pytest.mark.parametrize("line", [
-        "camera.height_z = nan", "camera.f_px = inf", "extrinsics.ca_x = -inf",
-        "flow.poly_sigma = nan", "ransac.inlier_threshold_px = inf", "seed = -2",
+        "camera.height_z = nan", "camera.f_px = inf", "extrinsics.ca_x = -inf", "seed = -2",
         "camera.width = 1" + "0" * 400, "accumulation.window_us = 1" + "0" * 400,
         f"accumulation.window_us = {2 ** 64}", f"accumulation.count_cap = {2 ** 30}",
-        f"accumulation.count_cap = {10 ** 20}", "flow.stride = 0",
+        f"accumulation.count_cap = {10 ** 20}", "flow.stride = 0", "flow.pyramid_levels = 0",
         "intensity.merge = bogus",  # retired: rejected as an unknown key
     ])
     def test_run_out_of_domain(self, line):
         key = line.split(" = ")[0]
         values = {k: v for k, (v, _, _) in RUN_VALUES.items() if k != key}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             RunConfig.from_text(_text(values) + line + "\n")
+        # every message names the file, and a check on the built config its key
+        assert str(info.value).startswith("<config>: ")
+        if key.startswith("flow."):
+            assert key in str(info.value)
 
     @pytest.mark.parametrize("kind, line", [
         ("noise", "sim.duration_s = nan"), ("noise", "camera.height_z = nan"),

@@ -6,11 +6,10 @@ from scipy import ndimage
 from scipy.ndimage import map_coordinates
 
 from evflow import flow
-from evflow.flow import (FlowField, FlowParams, compute_flow, flow_pyramid,
+from evflow.flow import (POLY_N, POLY_SIGMA, FlowField, compute_flow, flow_pyramid,
                          polynomial_expansion, subsample_flow)
 from helpers import image_flow, on_grid
 
-PARAMS = FlowParams()
 INTERIOR = (slice(24, -24), slice(24, -24))
 
 
@@ -35,12 +34,12 @@ def wls_quadratic_oracle(img, y0, x0, n, sigma):
 CHANNELS = ("axx", "ayy", "aoff", "bx", "by")
 
 
-def nine_pass_expansion(img, n, sigma):
+def nine_pass_expansion(img):
     """The expansion as nine separate ``scipy.ndimage.correlate1d`` passes,
     three vertical and six horizontal, combined as ``polynomial_expansion``
     combines them."""
-    g, xg, xxg = (k.astype(img.dtype) for k in flow._applicability_kernels(n, sigma))
-    ig03, ig11, ig33, ig55 = flow._gram_inverse_entries(g.astype(np.float64), n)
+    g, xg, xxg = (k.astype(img.dtype) for k in flow._applicability_kernels(POLY_N, POLY_SIGMA))
+    ig03, ig11, ig33, ig55 = flow._gram_inverse_entries(g.astype(np.float64), POLY_N)
 
     def corr(x, kernel, axis):
         return ndimage.correlate1d(x, kernel, axis=axis, mode="nearest")
@@ -55,7 +54,7 @@ def nine_pass_expansion(img, n, sigma):
 
 class TestPolynomialExpansion:
     def test_constant_image(self):
-        e = polynomial_expansion(np.full((20, 24), 7.25), 5, 1.1)
+        e = polynomial_expansion(np.full((20, 24), 7.25))
         inner = (slice(6, -6), slice(6, -6))
         assert e.shape == (5, 20, 24) and e.dtype == np.float64
         for ch in e:
@@ -63,7 +62,7 @@ class TestPolynomialExpansion:
 
     def test_linear_ramp(self):
         X = np.tile(np.arange(30, dtype=float), (30, 1))
-        axx, _, _, bx, by = polynomial_expansion(3.0 * X, 5, 1.1)
+        axx, _, _, bx, by = polynomial_expansion(3.0 * X)
         inner = (slice(6, -6), slice(6, -6))
         assert np.allclose(bx[inner], 3.0, atol=1e-9)
         assert np.allclose(by[inner], 0.0, atol=1e-9)
@@ -71,7 +70,7 @@ class TestPolynomialExpansion:
 
     def test_pure_quadratic(self):
         X = np.tile(np.arange(30, dtype=float), (30, 1))
-        axx, ayy, aoff, _, _ = polynomial_expansion(X ** 2, 5, 1.1)
+        axx, ayy, aoff, _, _ = polynomial_expansion(X ** 2)
         inner = (slice(6, -6), slice(6, -6))
         assert np.all(axx[inner] > 0)
         assert np.allclose(axx[inner], 1.0, atol=1e-9)
@@ -81,28 +80,27 @@ class TestPolynomialExpansion:
     @pytest.mark.parametrize("pixel", [(10, 11), (15, 20), (8, 25), (22, 7), (16, 16)])
     def test_against_independent_wls_solve(self, pixel, noise_image):
         img = noise_image((32, 36), seed=9)
-        n, sigma = 5, 1.1
-        e = polynomial_expansion(img, n, sigma)
+        e = polynomial_expansion(img)
         y0, x0 = pixel
-        oracle = wls_quadratic_oracle(img, y0, x0, n, sigma)
+        oracle = wls_quadratic_oracle(img, y0, x0, POLY_N, POLY_SIGMA)
         for key, got in zip(CHANNELS, e[:, y0, x0]):
             assert got == pytest.approx(oracle[key], abs=1e-8), key
 
     def test_border_uses_clamped_patch(self, noise_image):
         img = noise_image((32, 36), seed=10)
-        e = polynomial_expansion(img, 5, 1.1)
-        oracle = wls_quadratic_oracle(img, 0, 0, 5, 1.1)
+        e = polynomial_expansion(img)
+        oracle = wls_quadratic_oracle(img, 0, 0, POLY_N, POLY_SIGMA)
         for key, got in zip(CHANNELS, e[:, 0, 0]):
             assert got == pytest.approx(oracle[key], abs=1e-8), key
 
-    @pytest.mark.parametrize("n, sigma", [(2, 0.7), (5, 1.1)])
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (260, 346), (24, 1000),
-                                       (1000, 24)], ids="{0[0]}x{0[1]}".format)
-    def test_equals_nine_scipy_passes(self, n, sigma, shape):
+                                       (1000, 24)],
+                             ids=lambda shape: f"{shape[0]}x{shape[1]}-{POLY_N}-{POLY_SIGMA}")
+    def test_equals_nine_scipy_passes(self, shape):
         img = 50.0 * np.random.default_rng(11).standard_normal(shape)
         for dtype in (np.float32, np.float64):
             x = img.astype(dtype)
-            got, want = polynomial_expansion(x, n, sigma), nine_pass_expansion(x, n, sigma)
+            got, want = polynomial_expansion(x), nine_pass_expansion(x)
             assert got.dtype == dtype
             if dtype == np.float32:
                 assert np.array_equal(got, want)
@@ -113,20 +111,20 @@ class TestPolynomialExpansion:
 class TestComputeFlow:
     def test_identity_pair(self, noise_image):
         img = noise_image()
-        field = image_flow(img, img, PARAMS)
+        field = image_flow(img, img)
         mag = np.hypot(field.u, field.v)[field.valid]
         assert mag.mean() < 0.05
 
     @pytest.mark.parametrize("shift", [1, 2, 3, 5])
     def test_integer_shift_oracle(self, shift, noise_image):
         img = noise_image()
-        field = image_flow(img, np.roll(img, shift, axis=1), PARAMS)
+        field = image_flow(img, np.roll(img, shift, axis=1))
         assert abs(field.u[INTERIOR].mean() - shift) < 0.2
         assert abs(field.v[INTERIOR].mean()) < 0.2
 
     def test_vertical_shift(self, noise_image):
         img = noise_image()
-        field = image_flow(img, np.roll(img, 2, axis=0), PARAMS)
+        field = image_flow(img, np.roll(img, 2, axis=0))
         assert abs(field.v[INTERIOR].mean() - 2) < 0.2
         assert abs(field.u[INTERIOR].mean()) < 0.2
 
@@ -140,21 +138,21 @@ class TestComputeFlow:
         rot = map_coordinates(img, [cy - (X - cx) * s + (Y - cy) * c,
                                     cx + (X - cx) * c + (Y - cy) * s],
                               order=3, mode="nearest")
-        field = image_flow(img, rot, PARAMS)
+        field = image_flow(img, rot)
         u_true = -ang * (Y - cy)
         v_true = ang * (X - cx)
         epe = np.hypot(field.u - u_true, field.v - v_true)[INTERIOR]
         assert epe.mean() < 0.3
 
     def test_uniform_image_all_invalid(self):
-        field = image_flow(np.full((64, 64), 9.0), np.full((64, 64), 9.0), PARAMS)
+        field = image_flow(np.full((64, 64), 9.0), np.full((64, 64), 9.0))
         assert field.valid.sum() == 0
 
     def test_determinism(self, noise_image):
         img = noise_image()
         nxt = np.roll(img, 2, axis=0)
-        a = image_flow(img, nxt, PARAMS)
-        b = image_flow(img, nxt, PARAMS)
+        a = image_flow(img, nxt)
+        b = image_flow(img, nxt)
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
         assert np.array_equal(a.valid, b.valid)
 
@@ -223,8 +221,8 @@ class TestSharedArrays:
 
     def test_pyramids_are_read_only_and_left_intact(self, noise_image):
         img = noise_image()
-        a = flow_pyramid(img, PARAMS)
-        b = flow_pyramid(np.roll(img, 2, axis=1), PARAMS)
+        a = flow_pyramid(img, 3)
+        b = flow_pyramid(np.roll(img, 2, axis=1), 3)
         before = [level.tobytes() for p in (a, b) for level in p.levels]
         for level in a.levels + b.levels:
             with pytest.raises(ValueError):
@@ -232,11 +230,13 @@ class TestSharedArrays:
         compute_flow(a, b, 1)
         assert [level.tobytes() for p in (a, b) for level in p.levels] == before
 
-    # every per-shape cache in flow, called twice for one shape
+    # every per-shape cache in flow, called twice for one shape, and the
+    # window kernel that every pair smooths with
     @pytest.mark.parametrize("cached", [
         lambda: flow._band_tiles(40, (0.25, 0.5, 0.25))[1],
         lambda: flow._border_weights(12, 20),
-    ], ids=["band_tiles", "border_weights"])
+        lambda: flow._WINDOW_KERNEL,
+    ], ids=["band_tiles", "border_weights", "window_kernel"])
     def test_per_shape_caches_are_read_only(self, cached):
         array = cached()
         assert cached() is array
@@ -249,19 +249,17 @@ class TestStrideGrid:
     the field there must be the dense field's grid points, bit for bit."""
 
     @settings(max_examples=30, deadline=None)
-    @given(stride=st.integers(1, 9), levels=st.integers(1, 4), iterations=st.integers(1, 3),
+    @given(stride=st.integers(1, 9), levels=st.integers(1, 4),
            h=st.integers(17, 140).filter(lambda n: n % 16),
            w=st.integers(17, 180).filter(lambda n: n % 16),
            dy=st.integers(0, 3), dx=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
-    def test_grid_field_is_the_dense_field_sliced(self, stride, levels, iterations, h, w,
-                                                  dy, dx, seed):
+    def test_grid_field_is_the_dense_field_sliced(self, stride, levels, h, w, dy, dx, seed):
         assume(stride == 1 or (h % stride and w % stride))
         texture = ndimage.gaussian_filter(
             np.random.default_rng(seed).standard_normal((h + 3, w + 3)), 1.5)
         texture = 255.0 * (texture - texture.min()) / np.ptp(texture)
-        params = FlowParams(pyramid_levels=levels, iterations=iterations)
-        a = flow_pyramid(texture[:h, :w], params)
-        b = flow_pyramid(texture[dy:dy + h, dx:dx + w], params)
+        a = flow_pyramid(texture[:h, :w], levels)
+        b = flow_pyramid(texture[dy:dy + h, dx:dx + w], levels)
         want = on_grid(compute_flow(a, b, 1), stride)
         got = compute_flow(a, b, stride)
         assert got.stride == stride and got.u.shape == (-(-h // stride), -(-w // stride))
@@ -270,11 +268,11 @@ class TestStrideGrid:
 
 
 # the kernels flow correlates with: the window smoothing, the expansion's
-# applicability at two neighborhood radii, and the pyramid blur of a level an
+# applicability at its radius and at a smaller one, and the pyramid blur of a level an
 # eighth of the frame's size
 CORR_KERNELS = {
     "window": flow._gaussian_kernel(15, 0.3 * 7),
-    **{f"{name}{n}": k for n, sigma in ((2, 0.7), (5, 1.1))
+    **{f"{name}{n}": k for n, sigma in ((2, 0.7), (POLY_N, POLY_SIGMA))
        for name, k in zip(("g", "xg", "xxg"), flow._applicability_kernels(n, sigma))},
     "blur": flow._gaussian_kernel(17, 3.5),
 }

@@ -142,7 +142,7 @@ class TestRunPipeline:
         frames = list(iter_frames(events, cfg.accumulation))
         cold = cold_estimates(frames, cfg)
         blank = np.zeros((cfg.camera.height, cfg.camera.width))
-        n_levels = len(flow.flow_pyramid(blank, cfg.flow).levels)
+        n_levels = len(flow.flow_pyramid(blank, cfg.pyramid_levels).levels)
         calls = []
         monkeypatch.setattr(flow, "polynomial_expansion",
                             counting(calls, "expand", flow.polynomial_expansion))

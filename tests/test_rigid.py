@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from evflow.errors import DegenerateConsensusError, InsufficientDataError
 from evflow.events import CameraModel
-from evflow.rigid import (AxisMapping, RansacParams, RigidMotion2D,
+from evflow.rigid import (INLIER_THRESHOLD_PX, RANSAC_ITERATIONS, AxisMapping, RigidMotion2D,
                           estimate_rigid, ransac_estimate, reconstruct_flow,
                           to_camera_velocity)
 
@@ -223,7 +223,7 @@ class TestRansac:
 
     def test_constructed_outlier_instance(self):
         p, q = self.make_contaminated()
-        motion, mask = ransac_estimate(p, q, RansacParams(), rng_seed=11)
+        motion, mask = ransac_estimate(p, q, rng_seed=11)
         assert mask.sum() == 10
         assert not mask[10:].any()
         assert np.allclose(motion.t, [2.0, 0.0], atol=1e-9)
@@ -233,21 +233,20 @@ class TestRansac:
         rng = np.random.default_rng(5)
         p = rng.uniform(-20, 20, size=(40, 2))
         q = p @ rot(0.02).T + [1.0, -0.5]
-        motion, mask = ransac_estimate(p, q, RansacParams(), rng_seed=0)
+        motion, mask = ransac_estimate(p, q, rng_seed=0)
         plain = estimate_rigid(p, q)
         assert mask.all()
         assert motion.theta == pytest.approx(plain.theta, abs=1e-12)
         assert np.allclose(motion.t, plain.t, atol=1e-12)
 
     def test_published_defaults(self):
-        params = RansacParams()
-        assert params.inlier_threshold == 0.5
-        assert params.iterations == 16
+        assert INLIER_THRESHOLD_PX == 0.5
+        assert RANSAC_ITERATIONS == 16
 
     def test_deterministic_masks(self):
         p, q = self.make_contaminated()
-        _, m1 = ransac_estimate(p, q, RansacParams(), rng_seed=(3, 7))
-        _, m2 = ransac_estimate(p, q, RansacParams(), rng_seed=(3, 7))
+        _, m1 = ransac_estimate(p, q, rng_seed=(3, 7))
+        _, m2 = ransac_estimate(p, q, rng_seed=(3, 7))
         assert np.array_equal(m1, m2)
 
     def test_degenerate_consensus_raises(self):
@@ -255,7 +254,7 @@ class TestRansac:
         p = rng.uniform(-20, 20, size=(30, 2))
         q = p + rng.uniform(-40, 40, size=(30, 2))  # no rigid consensus
         with pytest.raises(DegenerateConsensusError):
-            ransac_estimate(p, q, RansacParams(min_inlier_fraction=0.5), rng_seed=1)
+            ransac_estimate(p, q, rng_seed=1)
 
     def test_dominance_over_contaminated_fit(self):
         rng = np.random.default_rng(7)
@@ -267,7 +266,7 @@ class TestRansac:
         truth_inliers = np.zeros(n_in + n_out, dtype=bool)
         truth_inliers[:n_in] = True
 
-        motion, _ = ransac_estimate(p, q, RansacParams(), rng_seed=2)
+        motion, _ = ransac_estimate(p, q, rng_seed=2)
         plain = estimate_rigid(p, q)
         res_ransac = np.linalg.norm(
             reconstruct_flow(motion, p[truth_inliers]) - q[truth_inliers], axis=1).mean()

@@ -23,7 +23,7 @@ from evflow.event_io import write_events_binary
 from evflow.events import EVENT_DTYPE, CameraModel, make_events, validate_events
 from evflow.flow import FlowField
 from evflow.pipeline import iter_pairs
-from evflow.rigid import RansacParams, estimate_rigid, ransac_estimate, reconstruct_flow
+from evflow.rigid import estimate_rigid, ransac_estimate, reconstruct_flow
 from evflow.synth import (CheckerTexture, DotTexture, GridCoord, LatticeBox, NoiseTexture,
                           SimConfig, Trajectory, _bands, _bilinear_lattice, _crossings,
                           _sorted_records, _time_order, generate_events, sample_texture)
@@ -697,7 +697,7 @@ class TestInjectOutliers:
         _, q_dirty = pairs(dirty)
         base = err(estimate_rigid(p, q_clean), p)
         plain = err(estimate_rigid(p, q_dirty), p)
-        robust = err(ransac_estimate(p, q_dirty, RansacParams(), rng_seed=5)[0], p)
+        robust = err(ransac_estimate(p, q_dirty, rng_seed=5)[0], p)
         assert robust <= 1.2 * base
         assert plain >= 5.0 * base
 
