@@ -7,26 +7,23 @@ truth -> metric report), ``plot`` (overlay + residual SVGs),
 pair's flow as CSV + quiver SVG).
 
 Exit codes: 0 success, 2 configuration error or an output path that
-cannot be written, 3 input format error, 4 evaluation error.  The
-environment variable EVFLOW_SEED overrides the configured seed.
+cannot be written, 3 input format error, 4 evaluation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import event_io, state_io
-from .config import RunConfig, Scenario, _finite, _floats, parse_seed
+from .config import RunConfig, Scenario, _finite, _floats
 from .errors import ConfigError, EvaluationError, InputFormatError, OutputError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
@@ -36,21 +33,6 @@ from .plots import dump_flow_csv, emit_plots, write_blur_budget
 from .svgplot import quiver
 from .synth import generate_events
 from .vehicle import ImuSeries
-
-SEED_ENV = "EVFLOW_SEED"
-
-
-def _seed(configured: int) -> int:
-    """The seed from EVFLOW_SEED when it is set, else the configured one."""
-    seed_env = os.environ.get(SEED_ENV)
-    if seed_env is None:
-        return configured
-    try:
-        return parse_seed(seed_env)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV} must be a non-negative integer, "
-                          f"got {seed_env!r}") from exc
-
 
 @contextmanager
 def _writing():
@@ -65,7 +47,6 @@ def _writing():
 def _load_estimate_inputs(args) -> tuple[RunConfig, np.ndarray]:
     """Run config and event stream of ``estimate`` and ``flow-debug``."""
     cfg = RunConfig.from_file(args.config)
-    cfg = replace(cfg, seed=_seed(cfg.seed))
     events = event_io.load_events(args.events or cfg.events_path,
                                   cfg.camera.width, cfg.camera.height)
     return cfg, events
@@ -77,8 +58,8 @@ def _cmd_simulate(args) -> int:
         # putting non-finite levels or wrapped integers into the stream
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             scenario = Scenario.from_file(args.scenario)
-            sim = replace(scenario.sim, seed=_seed(scenario.sim.seed))
-            events, truth, _ = generate_events(sim, scenario.trajectory)
+            sim = scenario.sim
+            events, truth = generate_events(sim, scenario.trajectory)
     except (ArithmeticError, ValueError) as exc:
         raise ConfigError(f"{args.scenario}: cannot simulate this scenario: {exc}") from exc
     with _writing():

@@ -22,10 +22,10 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    """Round multiples ``k * step`` across [lo, hi], about ``n`` steps apart;
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round multiples ``k * step`` across [lo, hi], about 5 steps apart;
     ``[lo]`` when no step of at least one ulp resolves the span."""
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     if not (math.isfinite(lo) and math.isfinite(raw) and raw >= sys.float_info.min):
         return [lo]
     exponent = math.floor(math.log10(raw))

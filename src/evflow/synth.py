@@ -33,6 +33,7 @@ MAX_SUBSTEPS = 10 ** 6  # ceiling on duration / time_step, the simulator's loop 
 MAX_CROSSINGS = 1000  # ceiling on the contrast levels one pixel crosses in one substep
 MAX_NOISE_RATE = 1e6  # noise events per pixel per second: one per timestamp tick
 _CHUNK_SUBSTEPS = 4  # substeps per simulator work unit: see generate_events
+N_WAVES = 32  # plane waves summed by NoiseTexture
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -83,7 +84,6 @@ class NoiseTexture:
     seed: int = 0
     cutoff: float = 0.15
     amplitude: float = 0.6
-    n_waves: int = 32
 
     def __post_init__(self):
         if not 0 < self.cutoff <= 0.5:
@@ -92,10 +92,10 @@ class NoiseTexture:
     @cached_property
     def _waves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         rng = np.random.default_rng(self.seed)
-        mag = 2 * math.pi * rng.uniform(0.2 * self.cutoff, self.cutoff, self.n_waves)
-        ang = rng.uniform(0.0, 2 * math.pi, self.n_waves)
-        phase = rng.uniform(0.0, 2 * math.pi, self.n_waves)
-        amp = self.amplitude * math.sqrt(2.0 / self.n_waves)
+        mag = 2 * math.pi * rng.uniform(0.2 * self.cutoff, self.cutoff, N_WAVES)
+        ang = rng.uniform(0.0, 2 * math.pi, N_WAVES)
+        phase = rng.uniform(0.0, 2 * math.pi, N_WAVES)
+        amp = self.amplitude * math.sqrt(2.0 / N_WAVES)
         return mag * np.cos(ang), mag * np.sin(ang), phase, amp
 
     def values(self, tx: GridCoord, ty: GridCoord) -> np.ndarray:
@@ -325,16 +325,6 @@ def _render(texture, psi: float, c_px: np.ndarray, cam: CameraModel,
     return sample_texture(texture, GridCoord(c * u, s * v), GridCoord(-s * u, c * v), box)
 
 
-@dataclass(frozen=True)
-class SimState:
-    """Resumable simulator state: plane transform plus the per-pixel
-    threshold-ladder anchor, so chained runs continue one event stream."""
-
-    psi: float
-    c_px: np.ndarray
-    anchor: np.ndarray
-
-
 def _twist_increment(v_lon: float, v_lat: float, omega: float, scale: float,
                      h: float) -> tuple[float, float, float]:
     """Exact rigid increment for constant (v, omega) over h seconds.
@@ -551,19 +541,17 @@ def _chunk_records(cfg: SimConfig, anchor: np.ndarray, raster: tuple[np.ndarray,
     return n
 
 
-def generate_events(cfg: SimConfig, traj: Trajectory,
-                    initial_state: SimState | None = None
-                    ) -> tuple[np.ndarray, list[VelocityEstimate], SimState]:
+def generate_events(cfg: SimConfig, traj: Trajectory) -> tuple[np.ndarray, list[VelocityEstimate]]:
     """Simulate the event stream and its axle-frame ground truth.
 
     Per substep and pixel, one event is emitted for every contrast level
     (ladder anchor plus an integer multiple of the threshold) the pixel
     crosses, with polarity matching the direction and the timestamp
     interpolated linearly within the substep; spurious Poisson events are
-    appended at ``noise_rate`` per pixel per second.  Returns the event
-    array, ground truth sampled at substep boundaries, and the final
-    simulator state so runs can be chained.  ``Scenario`` checks that
-    ``traj`` covers [0, ``cfg.duration``].
+    appended at ``noise_rate`` per pixel per second.  The plane starts in
+    the identity pose.  Returns the event array and ground truth sampled
+    at substep boundaries.  ``Scenario`` checks that ``traj`` covers
+    [0, ``cfg.duration``].
 
     This thread integrates the poses and draws each substep's noise from
     the one seeded generator, in substep order; chunks of
@@ -576,20 +564,15 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
     scale = cam.f_px / cam.height_z
     n_sub = max(1, math.ceil(cfg.duration / cfg.time_step))
     h = cfg.duration / n_sub
-
-    if initial_state is None:
-        psi, c_px = 0.0, np.zeros(2)
-    else:
-        psi = float(initial_state.psi)
-        c_px = np.asarray(initial_state.c_px, dtype=np.float64).copy()
+    psi, c_px = 0.0, np.zeros(2)
     # the chunks take the workers in turn: in_order keeps at most that many
     # chunks pending, so no two chunks use one worker at once
     lattice = getattr(cfg.texture, "lattice", None)  # noise has none; its box is never gathered
     workers = [_Worker(LatticeBox(lattice)) for _ in range(parallel.default_workers(cam))]
     first = workers[0]
     first.level = _render(cfg.texture, psi, c_px, cam, first.box)
-    # a fresh run anchors each pixel's threshold ladder at its first level
-    anchor = (first.level if initial_state is None else initial_state.anchor).copy()
+    # each pixel's threshold ladder is anchored at its first level
+    anchor = first.level.copy()
     # Threshold lines sit at anchor + (j - 1/2) * C so a fresh pixel starts
     # centered in band 0; the first crossing in either direction needs a
     # half-threshold traversal, every further one a full threshold.
@@ -632,4 +615,4 @@ def generate_events(cfg: SimConfig, traj: Trajectory,
         events.resize(n + size, refcheck=False)
         _put(events, n, worker.records[:size])
     truth = _axle_truth(traj, cfg.ext, np.arange(n_sub + 1) * h)
-    return events, truth, SimState(psi=psi, c_px=c_px, anchor=anchor)
+    return events, truth

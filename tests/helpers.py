@@ -18,13 +18,6 @@ def constant_trajectory(duration: float, v_lon: float = 0.0, v_lat: float = 0.0,
                       np.array([v_lat] * 2), np.array([omega] * 2))
 
 
-def reversed_trajectory(traj: Trajectory) -> Trajectory:
-    """Velocity profile retracing the motion of ``traj`` backwards in time."""
-    end = traj.t_s[-1]
-    return Trajectory(end - traj.t_s[::-1], -traj.v_lon[::-1],
-                      -traj.v_lat[::-1], -traj.omega[::-1])
-
-
 def render_plane(texture, pose: tuple[float, float, float], cam: CameraModel) -> np.ndarray:
     """Log-intensity image for a plane pose (x, y, yaw), meters and radians.
 

@@ -76,7 +76,7 @@ def test_c03_spinning_disk_analog(announce):
     sim = SimConfig(texture=DotTexture(density=0.01, radius_px=2.5, seed=21),
                     cam=cam, noise_rate=0.1, duration=duration,
                     time_step=window_us * 1e-6 / 8, seed=13)
-    events, _, _ = generate_events(sim, constant_trajectory(duration, omega=omega_true))
+    events, _ = generate_events(sim, constant_trajectory(duration, omega=omega_true))
     cfg = run_config(cam, window_us, ransac_enabled=True, stride=4)
     cvs = camera_level_estimates(events, cfg, span_us=int(duration * 1e6))
     assert len(cvs) > 100
@@ -102,7 +102,7 @@ def test_c04_scaled_platform_analog(announce):
     ext = Extrinsics(ca_x=0.25, ca_y=0.0)
     sim = SimConfig(texture=NoiseTexture(seed=31), cam=cam, ext=ext, noise_rate=0.1,
                     duration=duration, time_step=window_us * 1e-6 / 8, seed=17)
-    events, truth, _ = generate_events(sim, traj)
+    events, truth = generate_events(sim, traj)
 
     cfg = run_config(cam, window_us, ransac_enabled=False, levels=4)
     cvs = camera_level_estimates(events, cfg, span_us=int(duration * 1e6))
@@ -144,7 +144,7 @@ def test_c05_ransac_robustness(announce):
     sim = SimConfig(texture=NoiseTexture(seed=41, cutoff=0.12, amplitude=0.4),
                     cam=cam, noise_rate=0.0, duration=duration,
                     time_step=window_us * 1e-6 / 8, seed=19)
-    events, _, _ = generate_events(sim, constant_trajectory(duration, v_lon=v_true))
+    events, _ = generate_events(sim, constant_trajectory(duration, v_lon=v_true))
 
     cfg = run_config(cam, window_us, ransac_enabled=True, stride=4, levels=2)
     frames = list(iter_frames(events, cfg.accumulation, t_start_us=0,

@@ -54,7 +54,7 @@ def small_scenario(duration=0.165, v_lon=1.0, v_lat=0.1, omega=0.3, noise_rate=0
     sim = SimConfig(texture=NoiseTexture(seed=11), cam=cfg.camera, noise_rate=noise_rate,
                     duration=duration, time_step=33e-3 / 8, seed=3)
     traj = constant_trajectory(duration, v_lon=v_lon, v_lat=v_lat, omega=omega)
-    events, truth, _ = generate_events(sim, traj)
+    events, truth = generate_events(sim, traj)
     return cfg, events, truth
 
 
@@ -1075,16 +1075,20 @@ trajectory.omega = 0.3, 0.3
                 assert (tmp_path / "shuffled" / svg).read_bytes() == \
                     (tmp_path / "sorted" / svg).read_bytes()
 
-    def test_seed_env_override(self, workspace, monkeypatch, capsys):
+    def test_seed_comes_only_from_the_config(self, workspace, monkeypatch):
+        # the scenario's noise and the run's RANSAC both draw from a seed
         tmp_path, scenario, run_cfg = workspace
-        ev = tmp_path / "events.csv"
-        assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
-        for bad in ("not-a-number", "-5"):
-            monkeypatch.setenv("EVFLOW_SEED", bad)
-            assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 2
-            assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 2
-        monkeypatch.setenv("EVFLOW_SEED", "99")
-        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 0
+        outputs = []
+        for seed_env in (None, "99"):
+            if seed_env is not None:
+                monkeypatch.setenv("EVFLOW_SEED", seed_env)
+            ev = tmp_path / f"events_{seed_env}.csv"
+            out = tmp_path / f"out_{seed_env}"
+            assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
+            assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev),
+                             "--out-dir", str(out)]) == 0
+            outputs.append((ev.read_bytes(), (out / "estimates.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("old, new", [
         ("sim.duration_s = 0.132", "sim.duration_s = nan"),

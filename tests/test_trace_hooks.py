@@ -60,8 +60,8 @@ def test_traced_estimate_spans_cover_its_wall_time(tmp_path):
     duration = 12 * cfg.window_s
     sim = SimConfig(texture=NoiseTexture(seed=11), cam=cfg.camera, noise_rate=0.05,
                     duration=duration, time_step=cfg.window_s / 8, seed=3)
-    events, _, _ = generate_events(sim, constant_trajectory(duration, v_lon=1.0,
-                                                            v_lat=0.1, omega=0.3))
+    events, _ = generate_events(sim, constant_trajectory(duration, v_lon=1.0,
+                                                         v_lat=0.1, omega=0.3))
     ev_path = tmp_path / "events.evt"
     write_events_binary(ev_path, events, cfg.camera.width, cfg.camera.height)
     run_cfg = tmp_path / "run.cfg"
