@@ -177,29 +177,13 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
     are dropped from the process, so only the current window stays
     resident.
     """
-    if t_start_us is not None and t_start_us < 0:
-        raise ValueError(f"accumulation start time must be non-negative, got {t_start_us}")
-    w = cfg.window_us
     times = events["t_us"]
-    if t_start_us is None:
-        if events.size == 0:
-            return
-        t_start_us = int(times[0])
-    if events.size and int(times[0]) < t_start_us:
-        raise EventOrderError("events precede the accumulation start time")
-
-    last = int(times[-1]) if events.size else t_start_us
-    span_end = max(last + 1, t_end_us if t_end_us is not None else 0)
-    n_frames = max(1, -(-(span_end - t_start_us) // w))
-
-    # Events are time-sorted, so each window is a contiguous slice.  A window
-    # holds the events at or before its end - 1, a bound that fits in uint64
-    # even when the end is 2**64 or beyond.
-    height, width = cfg.sensor_height, cfg.sensor_width
+    t_start_us, n_frames = window_grid(times, cfg.window_us, t_start_us, t_end_us)
+    # Events are time-sorted, so each window is a contiguous slice.
+    w, height, width = cfg.window_us, cfg.sensor_height, cfg.sensor_width
     lo = 0
     for k in range(n_frames):
-        last_in = np.uint64(min(t_start_us + (k + 1) * w, _U64_END) - 1)
-        hi = _window_end(times, last_in, lo)
+        hi = _window_end(times, t_start_us + (k + 1) * w, lo)
         yield EventFrame(
             t_start_us=t_start_us + k * w,
             t_end_us=t_start_us + (k + 1) * w,
@@ -209,6 +193,27 @@ def iter_frames(events: np.ndarray, cfg: AccumulationConfig,
         if hi > lo:
             _release_pages(events, hi)
         lo = hi
+
+
+def window_grid(times: np.ndarray, window_us: int, t_start_us: int | None,
+                t_end_us: int | None) -> tuple[int, int]:
+    """The start of the first window and the number of windows that
+    ``iter_frames`` bins the time column ``times`` into.
+
+    No windows for an empty stream without a start.  Raises ValueError on a
+    negative start and EventOrderError on an event before it.
+    """
+    if t_start_us is not None and t_start_us < 0:
+        raise ValueError(f"accumulation start time must be non-negative, got {t_start_us}")
+    if t_start_us is None:
+        if times.size == 0:
+            return 0, 0
+        t_start_us = int(times[0])
+    if times.size and int(times[0]) < t_start_us:
+        raise EventOrderError("events precede the accumulation start time")
+    last = int(times[-1]) if times.size else t_start_us
+    span_end = max(last + 1, t_end_us if t_end_us is not None else 0)
+    return t_start_us, max(1, -(-(span_end - t_start_us) // window_us))
 
 
 def _histogram(window: np.ndarray, height: int, width: int, cap: int) -> np.ndarray:
@@ -225,14 +230,18 @@ def _histogram(window: np.ndarray, height: int, width: int, cap: int) -> np.ndar
     return counts.astype(np.int32).reshape(height, width)
 
 
-def _window_end(times: np.ndarray, last_in: np.uint64, lo: int) -> int:
-    """The index of the first time after ``last_in`` at or past ``lo``.
+def _window_end(times: np.ndarray, end_us: int, lo: int) -> int:
+    """The index of the first time at or after ``end_us`` (>= 1), searched
+    from ``lo``.
 
     The search gallops from ``lo`` and bisects only the last step, so it
     reads the time column near the window and not at pages far ahead.
     bisect compares in uint64 and reads the strided column in place, where
-    np.searchsorted would first copy it.
+    np.searchsorted would first copy it.  It looks for the last time at or
+    before ``end_us - 1``, a bound that fits in uint64 even when ``end_us``
+    is 2**64 or beyond.
     """
+    last_in = np.uint64(min(end_us, _U64_END) - 1)
     n = len(times)
     step = _GALLOP
     while lo + step < n and times[lo + step] <= last_in:

@@ -155,7 +155,7 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 # the window smoothing of the normal equations; read-only, as every pair
-# reads it, two of them possibly at once on two threads
+# reads it
 _WINDOW_KERNEL = _gaussian_kernel(WINDOW_SIZE, 0.3 * (WINDOW_SIZE // 2)).astype(np.float32)
 _WINDOW_KERNEL.flags.writeable = False
 
@@ -410,8 +410,7 @@ def flow_pyramid(image: np.ndarray, pyramid_levels: int) -> FlowPyramid:
             img = _resize_bilinear(_smooth(a, kernel), max(2, int(round(h0 * scale))),
                                    max(2, int(round(w0 * scale))))
         level = polynomial_expansion(img)
-        # read-only: a frame's pyramid serves both of its pairs, which may
-        # run on two threads at once
+        # read-only: a frame's pyramid serves both of its pairs
         level.flags.writeable = False
         levels.append(level)
     return FlowPyramid(levels=tuple(levels))
@@ -442,8 +441,7 @@ def compute_flow(a: FlowPyramid, b: FlowPyramid, stride: int) -> FlowField:
             u = _resize_bilinear(u, lh, lw) * np.float32(lw / pw)
             v = _resize_bilinear(v, lh, lw) * np.float32(lh / ph)
 
-        # the level's buffers, which its passes reuse; each call has its own,
-        # so pairs on two threads never share one
+        # the level's buffers, which its passes reuse; each call has its own
         m = np.empty_like(s0)
         e = np.empty((5, max(1, _TILE_PX // lw) * lw), s0.dtype)
         border = _border_weights(lh, lw)

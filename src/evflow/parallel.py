@@ -1,8 +1,9 @@
-"""Worker threads shared by the frame-pair pipeline and the simulator.
+"""How many workers the frame-pair pipeline and the simulator run at once.
 
-``default_workers`` is the one rule for how many calls run at once, and
-``in_order`` runs a stream of calls on that many threads while handing out
-their results in the order the calls came.
+``default_workers`` is the one rule for both: the pipeline's processes, one
+per block of windows, and the simulator's threads.  ``in_order`` runs a
+stream of calls on that many threads while handing out their results in
+the order the calls came; the simulator's chunks of substeps use it.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import numpy as np
 
 from .events import CameraModel
 
-# Frames of fewer pixels run on the calling thread alone.  On a 2-vCPU host
+# Frames of fewer pixels run in the calling thread alone.  On a 2-vCPU host
 # (fresh processes, one BLAS thread, alternating pairs of runs), two workers
-# against one ran `evflow estimate` 1.14x as fast on the 346x260 drive
-# (median of 20 per-pair ratios, quartiles 1.03-1.26) and `evflow simulate`
-# 1.23-1.29x (medians of two sets of 10 pairs), but at 160x120 `estimate`
-# (RANSAC on) only 0.85x (10 pairs) and `simulate` 0.86-0.95x as fast
-# (three sets of 10 pairs): small frames do not pay for a second working set.
+# against one ran `evflow estimate` 1.43x as fast on the 346x260 drive (two
+# processes; median of 10 per-pair ratios, quartiles 1.37-1.51) and `evflow
+# simulate` 1.23-1.29x (two threads; medians of two sets of 10 pairs).  At 160x120, two pair threads ran `estimate` (RANSAC on) only 0.85x
+# (10 pairs) and `simulate` 0.86-0.95x as fast (three sets of 10 pairs):
+# small frames do not pay for a second working set.
 PARALLEL_MIN_PIXELS = 40_000
 
 

@@ -4,26 +4,30 @@ Frames are accumulated strictly in timestamp order; each consecutive frame
 pair runs intensity conversion, flow on the stride grid, correspondence
 subsampling, the (optionally RANSAC-guarded) rigid fit, metric conversion
 and the axle transfer.  A pair depends only on its two frames, the config
-and its index, so on large frames the calling thread keeps accumulating
-while up to two pairs run as futures on a small thread pool, and the rows
-still come out in frame order.  A frame pair that fails any stage produces an estimate
+and its index, so on large frames the windows split into contiguous
+blocks, one per worker process: this process runs the first block and a
+forked child each later one, and the rows still come out in frame order.
+A frame pair that fails any stage produces an estimate
 with ``valid = False`` and a reason code instead of being dropped.
 Each pair's row carries its own wall-clock seconds per stage.
 """
 
 from __future__ import annotations
 
-import threading
+import os
+import pickle
+import tempfile
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from typing import NoReturn
 
 import numpy as np
 
 from . import parallel
 from .config import RunConfig
 from .errors import DegenerateConsensusError, InsufficientDataError
-from .events import EventFrame, iter_frames, to_intensity
+from .events import EventFrame, _window_end, iter_frames, to_intensity, window_grid
 from .flow import FlowPyramid, compute_flow, flow_pyramid, subsample_flow
 from .rigid import CameraVelocity, estimate_rigid, ransac_estimate, to_camera_velocity
 from .vehicle import ImuSeries, VelocityEstimate, substitute_imu_yaw, transform_to_axle
@@ -39,9 +43,10 @@ class PairResult:
     invalid pair.  ``camera`` is the camera-frame velocity before the axle
     transfer, or None when no rigid fit was reached.  ``stage_s`` holds the
     pair's wall seconds in each stage it ran and, under ``"pair"``, end to
-    end, on the thread that ran it; it is empty for a row decided without
+    end, in the process that ran it; it is empty for a row decided without
     running a stage.  ``accumulate_s`` is the time spent accumulating the
-    row's own frame, on the calling thread, while earlier pairs may still run.
+    row's own frame, in the same process.  A later block's rows reach the
+    caller pickled, so every field must pickle.
     """
 
     estimate: VelocityEstimate
@@ -51,28 +56,22 @@ class PairResult:
 
 
 class FrameMemo:
-    """A frame and its flow pyramid, built once by whichever of its two pairs asks first.
-
-    The two pairs that share a frame may run on different threads; the lock
-    makes the later one wait for the first one's build instead of repeating it.
-    """
+    """A frame and its flow pyramid, built once by whichever of its two pairs asks first."""
 
     def __init__(self, frame: EventFrame):
         self.frame = frame
-        self._lock = threading.Lock()
         self._pyramid: FlowPyramid | None = None
 
     def pyramid(self, cfg: RunConfig) -> tuple[FlowPyramid, float]:
         """The frame's pyramid and the seconds this call spent converting the
         frame to intensity: 0.0 when the pyramid was already built."""
-        with self._lock:
-            if self._pyramid is not None:
-                return self._pyramid, 0.0
-            t0 = time.perf_counter()
-            image = to_intensity(self.frame, cfg.accumulation.count_cap)
-            intensity_s = time.perf_counter() - t0
-            self._pyramid = flow_pyramid(image, cfg.pyramid_levels)
-            return self._pyramid, intensity_s
+        if self._pyramid is not None:
+            return self._pyramid, 0.0
+        t0 = time.perf_counter()
+        image = to_intensity(self.frame, cfg.accumulation.count_cap)
+        intensity_s = time.perf_counter() - t0
+        self._pyramid = flow_pyramid(image, cfg.pyramid_levels)
+        return self._pyramid, intensity_s
 
 
 def process_frame_pair(prev: FrameMemo, curr: FrameMemo, cfg: RunConfig, pair_index: int,
@@ -88,12 +87,10 @@ def process_frame_pair(prev: FrameMemo, curr: FrameMemo, cfg: RunConfig, pair_in
     t_mid = curr.frame.t_mid_s
 
     t0 = time.perf_counter()
-    # the later frame first: its pyramid is this pair's own to build, while
-    # the earlier one's may be under way in the pair before
-    curr_pyramid, curr_s = curr.pyramid(cfg)
     prev_pyramid, prev_s = prev.pyramid(cfg)
+    curr_pyramid, curr_s = curr.pyramid(cfg)
     flow = compute_flow(prev_pyramid, curr_pyramid, cfg.stride)
-    stage_s["intensity"] = curr_s + prev_s
+    stage_s["intensity"] = prev_s + curr_s
     stage_s["flow"] = time.perf_counter() - t0 - stage_s["intensity"]
 
     t0 = time.perf_counter()
@@ -156,25 +153,99 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     ``textureless`` without running flow.  Invalid frames carry reason
     codes and never vanish.
 
-    Up to ``workers = parallel.default_workers(cfg.camera)`` pairs are in
-    flight.  This thread accumulates frame k and hands the pair (k - 1, k)
-    to ``parallel.in_order``: once ``workers`` pairs are pending it yields
-    the oldest one's row, so accumulation overlaps the pairs.  One worker
-    runs each pair on this thread and starts no thread.  At most
-    ``workers + 1`` frames and their pyramids are resident: the pending
-    pairs' and the one being accumulated.  When a pair or the accumulation
-    of a frame raises, every row before it has been yielded.  Each row
-    carries in ``accumulate_s`` the time spent accumulating its own frame.
-    ``imu`` is given for ``omega.source = imu``, which requires ``io.imu``.
+    The windows split into ``workers = parallel.default_workers(cfg.camera)``
+    contiguous blocks (``_blocks``).  This process runs the first block and
+    yields its rows as they finish; before any pair runs it forks one child
+    per later block, which spools its rows to an unlinked temporary file.
+    Each child's rows follow, in block order, once the child has exited.
+    Every process holds at most two frames and their pyramids.  When a pair
+    or the accumulation of a frame raises, in any block, every row before it
+    has been yielded; a child that dies without a result raises
+    RuntimeError naming its exit status.  No child outlives the generator,
+    even one closed early.  Each row carries in ``accumulate_s`` the time
+    spent accumulating its own frame.  ``imu`` is given for ``omega.source
+    = imu``, which requires ``io.imu``.
     """
-    workers = parallel.default_workers(cfg.camera)
-    frames = iter_frames(events, cfg.accumulation, t_start_us=t_start_us, t_end_us=t_end_us)
+    anchor, n_frames = window_grid(events["t_us"], cfg.accumulation.window_us,
+                                   t_start_us, t_end_us)
+    if not n_frames:
+        return
+    blocks = _blocks(n_frames, parallel.default_workers(cfg.camera))
+    spools, pids = [], []  # a later block's spool and child, 0 once reaped
+    try:
+        for first, stop in blocks[1:]:
+            spools.append(tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                _spool(spools[-1], _block(events, cfg, imu, anchor, first, stop))
+            pids.append(pid)
+        yield from _block(events, cfg, imu, anchor, *blocks[0])
+        for i, (first, stop) in enumerate(blocks[1:]):
+            status = os.waitpid(pids[i], 0)[1]
+            pids[i] = 0
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+                raise RuntimeError(f"the process of frames {first}-{stop - 1} {how}")
+            spools[i].seek(0)
+            while isinstance(row := pickle.load(spools[i]), PairResult):
+                yield row
+            if row is not None:
+                raise row
+    finally:
+        for pid in filter(None, pids):
+            os.kill(pid, 9)  # SIGKILL, 9 on every POSIX system
+            os.waitpid(pid, 0)
+        for spool in spools:
+            spool.close()
 
-    def pairs():
-        prev, t0 = None, time.perf_counter()
-        for index, frame in enumerate(frames):
-            curr = FrameMemo(frame)
-            yield _pair, prev, curr, cfg, index, imu, time.perf_counter() - t0
-            prev, t0 = curr, time.perf_counter()
 
-    yield from parallel.in_order(pairs(), workers)
+def _blocks(n_frames: int, workers: int) -> list[tuple[int, int]]:
+    """The ``[first, stop)`` frame ranges of ``n_frames`` windows, one per
+    worker; a single block for one worker, fewer than two frames a block or
+    no ``os.fork``."""
+    if n_frames < 2 * workers or not hasattr(os, "fork"):
+        workers = 1
+    bounds = [n_frames * b // workers for b in range(workers + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _block(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None, anchor: int,
+           first: int, stop: int) -> Iterator[PairResult]:
+    """The rows of frames ``[first, stop)`` of the windows from ``anchor``.
+
+    Frame ``first - 1`` is accumulated and expanded here too, to pair with
+    frame ``first``, and yields no row of its own.
+    """
+    w = cfg.accumulation.window_us
+    prime = max(first - 1, 0)
+    times = events["t_us"]
+    lo = _window_end(times, anchor + prime * w, 0) if prime else 0
+    hi = _window_end(times, anchor + stop * w, lo)
+    frames = iter_frames(events[lo:hi], cfg.accumulation, t_start_us=anchor + prime * w,
+                         t_end_us=anchor + stop * w)
+    prev, t0 = None, time.perf_counter()
+    for index, frame in enumerate(frames, prime):
+        curr = FrameMemo(frame)
+        if index >= first:
+            yield _pair(prev, curr, cfg, index, imu, time.perf_counter() - t0)
+        prev, t0 = curr, time.perf_counter()
+
+
+def _spool(spool, rows: Iterator[PairResult]) -> NoReturn:
+    """Pickle each of ``rows`` into ``spool``, then the exception that ended
+    them or None, and end this forked process without returning into its
+    caller's stack or flushing the stdio it inherited."""
+    status = 1
+    try:
+        try:
+            for row in rows:
+                pickle.dump(row, spool)
+        except BaseException as exc:
+            pickle.dump(exc, spool)
+        else:
+            pickle.dump(None, spool)
+        spool.flush()
+        status = 0
+    finally:
+        os._exit(status)

@@ -133,8 +133,10 @@ def unpassed_defaults(sources: dict[str, str]) -> list[str]:
 # Parameters with a default that only the tests set, each with the reason it stays.
 TEST_ONLY_PARAMETERS = {
     "cli.main(argv)": "the entry point that the tests drive; the console script passes none",
-    "pipeline.iter_pairs(t_start_us)": "bounds a block of windows: the stream's split into "
-                                       "blocks (ROADMAP item 4) gives it a production caller",
+    "pipeline.iter_pairs(t_start_us)": "windows over a span that the tests choose, around an "
+                                       "empty stream or blank windows; estimate anchors them "
+                                       "at the first event, and the block split bounds each "
+                                       "block through iter_frames' own t_start_us",
     "pipeline.iter_pairs(t_end_us)": "as t_start_us",
 }
 

@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
-import sys
+import signal
 import tempfile
 import threading
+import time
 import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
@@ -80,12 +82,27 @@ def workers_patched(workers: int):
 
 
 def counting(calls: list, name: str, fn):
-    """``fn`` that also appends ``name`` to ``calls`` on each call; an append
-    stays exact when pairs run on several threads."""
+    """``fn`` that also appends ``name`` to ``calls`` on each call."""
     def wrapper(*args, **kwargs):
         calls.append(name)
         return fn(*args, **kwargs)
     return wrapper
+
+
+def logged(path: Path, fn):
+    """``fn`` that also appends the calling process's id to the file ``path``
+    on each call, so that a forked child's calls are counted too."""
+    def wrapper(*args, **kwargs):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def with_gaps(events, present, window_us):
@@ -104,6 +121,14 @@ def with_gaps(events, present, window_us):
 def small_stream():
     """``small_scenario()``'s config and events, simulated once per module."""
     cfg, events, _ = small_scenario()
+    return cfg, events
+
+
+@pytest.fixture(scope="module")
+def long_stream():
+    """The config and events of a 7-window ``small_scenario``: enough windows
+    for three blocks."""
+    cfg, events, _ = small_scenario(duration=0.231)
     return cfg, events
 
 
@@ -209,17 +234,47 @@ class TestRunPipeline:
         assert written[0].count(b"\n") == len(present) + 1
         assert written[1] == written[0] and written[2] == written[0]
 
+    @settings(max_examples=10, deadline=None)
+    @given(present=st.lists(st.booleans(), min_size=1, max_size=7).map(lambda p: [False, *p]),
+           trailing=st.integers(0, 3), shift=st.integers(0, 2 ** 40), data=st.data())
+    def test_a_split_at_any_frame_writes_the_bytes_of_one_block(self, small_stream, present,
+                                                               trailing, shift, data):
+        # explicit bounds around a blank first window, random gaps and up to
+        # three trailing empty windows, split into two or three blocks anywhere
+        cfg, source = small_stream
+        window_us = cfg.accumulation.window_us
+        n = len(present) + trailing
+        events = with_gaps(source, present, window_us)
+        events["t_us"] += shift
+        cuts = data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=2))
+        bounds = [0, *sorted(cuts), n]
+        written = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for blocks in ([(0, n)], list(zip(bounds, bounds[1:]))):
+                path = Path(tmp) / f"estimates_{len(blocks)}.csv"
+                with mock.patch.object(pipeline, "_blocks", lambda n_frames, workers: blocks):
+                    state_io.write_velocity_csv(path, estimates(
+                        events, cfg, t_start_us=shift, t_end_us=shift + n * window_us))
+                written.append(path.read_bytes())
+        assert written[0].count(b"\n") == n + 1
+        assert written[1] == written[0]
+        assert_no_child_left()
+
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    def test_every_row_before_a_failed_accumulation_is_yielded(self, small_stream, window,
+    def test_every_row_before_a_failed_accumulation_is_yielded(self, long_stream, window,
                                                                monkeypatch):
-        cfg, events = small_stream
+        cfg, events = long_stream
         with workers_patched(1):
             want = estimates(events, cfg)[:window]
+        failing_us = int(events["t_us"][0]) + window * cfg.accumulation.window_us
 
         def failing_frames(*args, **kwargs):
-            # the frame source raises where it would accumulate frame ``window``
-            yield from islice(iter_frames(*args, **kwargs), window)
-            raise RuntimeError("accumulation failed")
+            # the frame source raises where it would accumulate frame
+            # ``window``, in whichever block's process accumulates it
+            for frame in iter_frames(*args, **kwargs):
+                if frame.t_start_us == failing_us:
+                    raise RuntimeError("accumulation failed")
+                yield frame
 
         monkeypatch.setattr(pipeline, "iter_frames", failing_frames)
         for workers in (1, 2, 3):
@@ -228,81 +283,116 @@ class TestRunPipeline:
                                                          match="accumulation failed"):
                 rows.extend(pair.estimate for pair in iter_pairs(events, cfg))
             assert rows == want
+            assert_no_child_left()
 
-    def test_each_frame_expanded_once_with_more_workers_than_cores(self, small_stream,
-                                                                   monkeypatch):
-        cfg, events = small_stream
+    def test_each_frame_expanded_once_in_the_first_block(self, long_stream, monkeypatch,
+                                                         tmp_path):
+        # a later block expands the frame before it once more, in its own process
+        cfg, events = long_stream
         frames = list(iter_frames(events, cfg.accumulation))
         cold = cold_estimates(frames, cfg)
-        calls, out = [], {}
+        log = tmp_path / "pyramids.log"
         monkeypatch.setattr(pipeline, "flow_pyramid",
-                            counting(calls, "pyramid", pipeline.flow_pyramid))
-
-        def run():
-            with workers_patched(4):
-                out["pairs"] = list(iter_pairs(events, cfg))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
-        try:
-            thread = threading.Thread(target=run)
-            thread.start()
-            thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not thread.is_alive()
-        assert [pair.estimate for pair in out["pairs"][1:]] == cold
-        assert calls == ["pyramid"] * len(frames)
-        assert [tuple(pair.stage_s) for pair in out["pairs"]] == [()] + [
+                            logged(log, pipeline.flow_pyramid))
+        with workers_patched(3):
+            pairs = list(iter_pairs(events, cfg))
+        assert pipeline._blocks(len(frames), 3) == [(0, 2), (2, 4), (4, 7)]
+        assert [pair.estimate for pair in pairs[1:]] == cold
+        per_process = Counter(log.read_text().split())
+        assert per_process.pop(str(os.getpid())) == 2
+        assert sorted(per_process.values()) == [3, 4]
+        assert [tuple(pair.stage_s) for pair in pairs] == [()] + [
             (*pipeline.PAIR_STAGES, "pair")] * len(cold)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_at_most_workers_plus_one_frames_are_resident(self, small_stream, monkeypatch,
-                                                          workers):
-        cfg, events = small_stream
-        live, peak = weakref.WeakSet(), []
+    def test_at_most_two_frames_are_resident_per_process(self, long_stream, monkeypatch,
+                                                         tmp_path, workers):
+        cfg, events = long_stream
+        live, log = weakref.WeakSet(), tmp_path / "resident.log"
         real_init = pipeline.FrameMemo.__init__
 
         def tracked_init(memo, frame):
             real_init(memo, frame)
             live.add(memo)
-            peak.append(len(live))
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {len(live)}\n")
 
         monkeypatch.setattr(pipeline.FrameMemo, "__init__", tracked_init)
-        monkeypatch.setattr(parallel, "default_workers", lambda cam: workers)
-        rows = list(iter_pairs(events, cfg))
-        assert len(peak) == len(rows) == 5
-        assert max(peak) <= workers + 1
+        with workers_patched(workers):
+            rows = list(iter_pairs(events, cfg))
+        resident = {}
+        for line in log.read_text().splitlines():
+            pid, count = line.split()
+            resident.setdefault(pid, []).append(int(count))
+        blocks = pipeline._blocks(len(rows), workers)
+        assert len(blocks) == len(resident) == workers
+        assert sorted(map(len, resident.values())) == sorted(
+            stop - max(first - 1, 0) for first, stop in blocks)
+        assert max(max(counts) for counts in resident.values()) == 2
 
-    @pytest.mark.parametrize("taken", [1, 2, 3])
-    def test_closing_early_leaves_no_pool_thread(self, small_stream, taken, monkeypatch):
-        # two pairs in flight: the pool is still running pair k + 1 when row k is out
-        cfg, events = small_stream
-        monkeypatch.setattr(parallel, "default_workers", lambda cam: 2)
-        rows = iter_pairs(events, cfg)
-        assert len(list(islice(rows, taken))) == taken
-        rows.close()
-        assert not [t for t in threading.enumerate() if t.name.startswith("evflow-worker")]
+    @pytest.mark.parametrize("taken", [1, 2, 3, 4, 5, 6, None],
+                             ids=["1", "2", "3", "4", "5", "6", "all"])
+    def test_no_child_outlives_the_rows(self, long_stream, taken):
+        # three blocks: rows 0-1 are this process's, 2-3 and 4-6 its children's
+        cfg, events = long_stream
+        with workers_patched(3):
+            rows = iter_pairs(events, cfg)
+            assert len(list(islice(rows, taken))) == (taken or 7)
+            rows.close()
+        assert_no_child_left()
 
-    def test_first_row_of_a_batch_does_not_wait_for_the_pool(self, small_stream,
-                                                            monkeypatch):
+    def test_first_block_rows_do_not_wait_for_the_later_blocks(self, small_stream,
+                                                              monkeypatch, tmp_path):
+        # the child's pairs wait until the first block's rows are out
         cfg, events = small_stream
+        with workers_patched(1):
+            want = estimates(events, cfg)
+        parent, flag = os.getpid(), tmp_path / "first_block_out"
         real = pipeline.process_frame_pair
-        # two pairs in flight: pair k + 1 is submitted before row k is out
-        first_row = {i: threading.Event() for i in (0, 2)}
-        log = []
 
-        def pool_pair_waits_for_the_first_row(prev, curr, cfg, pair_index, **kwargs):
-            if pair_index in (1, 3):
-                log.append((pair_index, first_row[pair_index - 1].wait(timeout=5)))
+        def child_pair_waits_for_the_first_block(prev, curr, cfg, pair_index, **kwargs):
+            result = real(prev, curr, cfg, pair_index, **kwargs)
+            if os.getpid() != parent:
+                deadline = time.monotonic() + 5
+                while not flag.exists() and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                result.stage_s["saw_first_block"] = float(flag.exists())
+            return result
+
+        monkeypatch.setattr(pipeline, "process_frame_pair", child_pair_waits_for_the_first_block)
+        rows = []
+        with workers_patched(2):
+            assert pipeline._blocks(len(want), 2) == [(0, 2), (2, 5)]
+            for pair in iter_pairs(events, cfg):
+                rows.append(pair)
+                if len(rows) == 2:
+                    flag.touch()
+        assert [pair.estimate for pair in rows] == want
+        assert [pair.stage_s.get("saw_first_block") for pair in rows] == [None, None, 1, 1, 1]
+
+    @pytest.mark.parametrize("death, message", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL}"),
+    ], ids=["exit_3", "sigkill"])
+    def test_a_child_that_dies_raises_naming_its_status(self, small_stream, monkeypatch,
+                                                        death, message):
+        cfg, events = small_stream
+        with workers_patched(1):
+            want = estimates(events, cfg)[:2]
+        parent, real = os.getpid(), pipeline.process_frame_pair
+
+        def dies_in_the_child(prev, curr, cfg, pair_index, **kwargs):
+            if os.getpid() != parent:
+                death()
             return real(prev, curr, cfg, pair_index, **kwargs)
 
-        monkeypatch.setattr(pipeline, "process_frame_pair", pool_pair_waits_for_the_first_row)
-        monkeypatch.setattr(parallel, "default_workers", lambda cam: 2)
-        for i, _ in enumerate(iter_pairs(events, cfg)):
-            if i in first_row:
-                first_row[i].set()
-        assert log == [(1, True), (3, True)]
+        monkeypatch.setattr(pipeline, "process_frame_pair", dies_in_the_child)
+        rows = []
+        with workers_patched(2), pytest.raises(RuntimeError,
+                                               match=f"the process of frames 2-4 {message}$"):
+            rows.extend(pair.estimate for pair in iter_pairs(events, cfg))
+        assert rows == want
+        assert_no_child_left()
 
     def test_default_workers_follow_frame_size_and_usable_cpus(self, monkeypatch):
         small = RunConfig.from_text(RUN_TEXT)  # 120x90
@@ -1199,7 +1289,8 @@ trajectory.omega = 0.3, 0.3
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_failed_pair_under_two_workers_keeps_the_rows_before_it(self, workspace,
                                                                      monkeypatch, k):
-        # two pairs in flight on the pool: pair k + 1 may run while pair k fails
+        # two blocks: pair 1 fails in this process, pairs 2 and 3 in the child,
+        # whose rows before the failure still follow the first block's
         tmp_path, scenario, run_cfg = workspace
         ev, out = tmp_path / "events.csv", tmp_path / "out"
         argv = ["estimate", "--config", str(run_cfg), "--events", str(ev)]
@@ -1207,6 +1298,7 @@ trajectory.omega = 0.3, 0.3
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
         assert cli_main(argv) == 0
         full = state_io.load_velocity_csv(out / "estimates.csv")
+        assert pipeline._blocks(len(full), 2) == [(0, 2), (2, 4)]
         real = pipeline.process_frame_pair
 
         def fail_at_pair_k(prev, curr, cfg, pair_index, **kwargs):
@@ -1218,23 +1310,25 @@ trajectory.omega = 0.3, 0.3
         assert cli_main(argv) == 3
         assert state_io.load_velocity_csv(out / "estimates.csv") == full[:k]
         assert not (out / "timings.json").exists()
+        assert_no_child_left()
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_estimate_starts_no_thread_for_one_worker_else_at_most_workers(
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_estimate_starts_no_thread_and_at_most_workers_minus_one_children(
             self, workspace, monkeypatch, workers):
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
         monkeypatch.setattr(parallel, "default_workers", lambda cam: workers)
-        started = []
-        real_start = threading.Thread.start
+        started, forks = [], []
+        real_start, real_fork = threading.Thread.start, os.fork
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: (started.append(thread), real_start(thread)))
+        monkeypatch.setattr(os, "fork", lambda: (forks.append(workers), real_fork())[1])
         assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 0
-        if workers == 1:
-            assert started == []
-        else:
-            assert len(started) <= workers
+        assert started == []
+        # 4 windows: two blocks for two workers, one for three (too few for two a block)
+        assert len(forks) == {1: 0, 2: 1, 3: 0}[workers] <= workers - 1
+        assert_no_child_left()
 
     def test_flow_debug_pair_past_last_frame_exit_2(self, workspace):
         tmp_path, scenario, run_cfg = workspace

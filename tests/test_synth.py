@@ -511,8 +511,9 @@ def file_sha256(path):
 
 
 class TestPinnedEstimates:
-    """The bytes the estimator writes for the pinned streams; one or two
-    pair workers write the same."""
+    """The bytes the estimator writes for the pinned streams; one, two or
+    three pair processes write the same (three split only ``dot_drive``'s
+    12 windows: the others' 5 are too few to give each block two)."""
 
     @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
     def test_estimates_bytes_are_pinned(self, name, tmp_path):
@@ -523,7 +524,7 @@ class TestPinnedEstimates:
             t = np.array([g.t_mid for g in truth])
             imu = ImuSeries((t * 1e6).round().astype(np.int64), [g.omega for g in truth])
         digests = set()
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             path = tmp_path / f"estimates_{workers}.csv"
             with mock.patch.object(parallel, "default_workers", lambda cam: workers):
                 state_io.write_velocity_csv(path, (pair.estimate for pair in
