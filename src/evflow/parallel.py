@@ -1,36 +1,40 @@
-"""How many workers the frame-pair pipeline and the simulator run at once.
+"""Contiguous blocks of independent work in forked processes.
 
-``default_workers`` is the one rule for both: the pipeline's processes, one
-per block of windows, and the simulator's threads.  ``in_order`` runs a
-stream of calls on that many threads while handing out their results in
-the order the calls came; the simulator's chunks of substeps use it.
+``estimate``'s frame pairs and ``simulate``'s substeps share one shape: a
+numbered run of items, where a block of consecutive items can be produced
+from state that is known before the run starts.  ``blocks`` cuts the items
+into one contiguous block per worker (``default_workers``), and ``forked``
+runs each later block in a child process forked before any work, while this
+process runs the first one; the items still come out in order.  A child
+hands its items back through an unlinked temporary file, so it never waits
+for the parent, and ends with ``os._exit``.  Nothing here starts a thread.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from collections.abc import Iterator
-from contextlib import nullcontext
-from functools import partial
-
-import numpy as np
+import pickle
+import tempfile
+from collections.abc import Callable, Iterator
+from typing import NoReturn
 
 from .events import CameraModel
 
-# Frames of fewer pixels run in the calling thread alone.  On a 2-vCPU host
+# Frames of fewer pixels run in this process alone.  On a 2-vCPU host
 # (fresh processes, one BLAS thread, alternating pairs of runs), two workers
 # against one ran `evflow estimate` 1.43x as fast on the 346x260 drive (two
-# processes; median of 10 per-pair ratios, quartiles 1.37-1.51) and `evflow
-# simulate` 1.23-1.29x (two threads; medians of two sets of 10 pairs).  At 160x120, two pair threads ran `estimate` (RANSAC on) only 0.85x
-# (10 pairs) and `simulate` 0.86-0.95x as fast (three sets of 10 pairs):
-# small frames do not pay for a second working set.
+# processes; median of 10 per-pair ratios, quartiles 1.37-1.51).  At 160x120,
+# two pair threads ran `estimate` (RANSAC on) only 0.85x as fast (10 pairs):
+# small frames do not pay for a second working set.  The `evflow simulate`
+# figures behind the same threshold date from when the simulator ran on two
+# threads, not processes: 1.23-1.29x at 346x260 (medians of two sets of 10
+# pairs) and 0.86-0.95x at 160x120 (three sets of 10 pairs).
 PARALLEL_MIN_PIXELS = 40_000
 
 
 def default_workers(cam: CameraModel) -> int:
-    """Calls run at once: two on frames of ``PARALLEL_MIN_PIXELS`` or more
-    where two CPUs are usable, else one."""
+    """Processes to run at once: two on frames of ``PARALLEL_MIN_PIXELS`` or
+    more where two CPUs are usable, else one."""
     if cam.width * cam.height < PARALLEL_MIN_PIXELS:
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -38,44 +42,73 @@ def default_workers(cam: CameraModel) -> int:
     return min(2, os.cpu_count() or 1)
 
 
-def _under(errors: dict, fn, *args):
-    with np.errstate(**errors):
-        return fn(*args)
+def blocks(n_items: int, workers: int) -> list[tuple[int, int]]:
+    """The ``[first, stop)`` ranges of ``n_items`` items, one per worker; a
+    single block for one worker, fewer than two items a block or no
+    ``os.fork``."""
+    if n_items < 2 * workers or not hasattr(os, "fork"):
+        workers = 1
+    bounds = [n_items * b // workers for b in range(workers + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
-def in_order(calls: Iterator[tuple], workers: int) -> Iterator:
-    """``fn(*args)`` for each ``(fn, *args)`` that ``calls`` yields, in that order.
+def forked(spans: list[tuple[int, int]], body: Callable[[int, int], Iterator],
+           noun: str) -> Iterator:
+    """The items ``body(first, stop)`` yields for each of ``spans``, in order.
 
-    Calls run on a pool of ``workers`` threads, each under the numpy error
-    state of the thread that pulled it from ``calls``.  At most ``workers``
-    calls are pending: once that many are, the oldest one's result is
-    yielded before the next call is pulled, so pulling a call overlaps the
-    ones still running.  One worker runs each call on this thread right
-    after pulling it and starts no thread.  When a call raises, every result
-    before it has been yielded; when pulling a call raises, the results of
-    the calls pulled before it are yielded first.
+    This process runs the first span's body and yields its items as they
+    come; before that it forks one child per later span, which pickles its
+    items to an unlinked temporary file.  Each child's items follow, in span
+    order, once the child has exited.  An exception that ends a body, in any
+    process, is raised after every item before it (a body yields no
+    exceptions); a child that dies without a result raises RuntimeError
+    naming its ``noun`` range and exit status.  No child outlives the
+    generator, even one closed early.
     """
-    if workers == 1:
-        # a pending call is the call itself, run here when its result is due
-        defer, pool = partial, nullcontext()
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # imported here: one worker needs none
-        pool = ThreadPoolExecutor(workers, thread_name_prefix="evflow-worker")
-        defer = lambda *call: pool.submit(_under, np.geterr(), *call).result
-    pending = deque()
-    with pool:
-        while True:
-            try:
-                call = next(calls, None)
-            except Exception:
-                while pending:
-                    yield pending.popleft()()
-                raise
-            if call is None:
-                break
-            pending.append(defer(*call))
-            del call  # a finished call's arguments are not kept while the next is pulled
-            if len(pending) == workers:
-                yield pending.popleft()()
-        while pending:
-            yield pending.popleft()()
+    spools, pids = [], []  # a later span's spool and child, 0 once reaped
+    try:
+        for first, stop in spans[1:]:
+            spools.append(tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                _spool(spools[-1], body(first, stop))
+            pids.append(pid)
+        yield from body(*spans[0])
+        for i, (first, stop) in enumerate(spans[1:]):
+            status = os.waitpid(pids[i], 0)[1]
+            pids[i] = 0
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+                raise RuntimeError(f"the process of {noun} {first}-{stop - 1} {how}")
+            spools[i].seek(0)
+            while not isinstance(item := pickle.load(spools[i]), BaseException):
+                yield item
+            if not isinstance(item, StopIteration):
+                raise item
+    finally:
+        for pid in filter(None, pids):
+            os.kill(pid, 9)  # SIGKILL, 9 on every POSIX system
+            os.waitpid(pid, 0)
+        for spool in spools:
+            spool.close()
+
+
+def _spool(spool, items: Iterator) -> NoReturn:
+    """Pickle each of ``items`` into ``spool``, then the exception that ended
+    them (StopIteration when they ran out), and end this forked process
+    without returning into its caller's stack or flushing the stdio it
+    inherited."""
+    status = 1
+    try:
+        try:
+            for item in items:
+                pickle.dump(item, spool, pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            pickle.dump(exc, spool, pickle.HIGHEST_PROTOCOL)
+        else:
+            pickle.dump(StopIteration(), spool, pickle.HIGHEST_PROTOCOL)
+        spool.flush()
+        status = 0
+    finally:
+        os._exit(status)

@@ -14,13 +14,9 @@ Each pair's row carries its own wall-clock seconds per stage.
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from typing import NoReturn
 
 import numpy as np
 
@@ -153,61 +149,23 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     ``textureless`` without running flow.  Invalid frames carry reason
     codes and never vanish.
 
-    The windows split into ``workers = parallel.default_workers(cfg.camera)``
-    contiguous blocks (``_blocks``).  This process runs the first block and
-    yields its rows as they finish; before any pair runs it forks one child
-    per later block, which spools its rows to an unlinked temporary file.
-    Each child's rows follow, in block order, once the child has exited.
-    Every process holds at most two frames and their pyramids.  When a pair
-    or the accumulation of a frame raises, in any block, every row before it
-    has been yielded; a child that dies without a result raises
-    RuntimeError naming its exit status.  No child outlives the generator,
-    even one closed early.  Each row carries in ``accumulate_s`` the time
-    spent accumulating its own frame.  ``imu`` is given for ``omega.source
-    = imu``, which requires ``io.imu``.
+    The windows split into contiguous blocks, one per
+    ``parallel.default_workers(cfg.camera)``, which ``parallel.forked`` runs:
+    this process runs the first block and yields its rows as they finish,
+    and a forked child runs each later one, whose rows follow in block
+    order.  Every process holds at most two frames and their pyramids.  When
+    a pair or the accumulation of a frame raises, in any block, every row
+    before it has been yielded.  Each row carries in ``accumulate_s`` the
+    time spent accumulating its own frame.  ``imu`` is given for
+    ``omega.source = imu``, which requires ``io.imu``.
     """
     anchor, n_frames = window_grid(events["t_us"], cfg.accumulation.window_us,
                                    t_start_us, t_end_us)
     if not n_frames:
         return
-    blocks = _blocks(n_frames, parallel.default_workers(cfg.camera))
-    spools, pids = [], []  # a later block's spool and child, 0 once reaped
-    try:
-        for first, stop in blocks[1:]:
-            spools.append(tempfile.TemporaryFile())
-            pid = os.fork()
-            if pid == 0:
-                _spool(spools[-1], _block(events, cfg, imu, anchor, first, stop))
-            pids.append(pid)
-        yield from _block(events, cfg, imu, anchor, *blocks[0])
-        for i, (first, stop) in enumerate(blocks[1:]):
-            status = os.waitpid(pids[i], 0)[1]
-            pids[i] = 0
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
-                raise RuntimeError(f"the process of frames {first}-{stop - 1} {how}")
-            spools[i].seek(0)
-            while isinstance(row := pickle.load(spools[i]), PairResult):
-                yield row
-            if row is not None:
-                raise row
-    finally:
-        for pid in filter(None, pids):
-            os.kill(pid, 9)  # SIGKILL, 9 on every POSIX system
-            os.waitpid(pid, 0)
-        for spool in spools:
-            spool.close()
-
-
-def _blocks(n_frames: int, workers: int) -> list[tuple[int, int]]:
-    """The ``[first, stop)`` frame ranges of ``n_frames`` windows, one per
-    worker; a single block for one worker, fewer than two frames a block or
-    no ``os.fork``."""
-    if n_frames < 2 * workers or not hasattr(os, "fork"):
-        workers = 1
-    bounds = [n_frames * b // workers for b in range(workers + 1)]
-    return list(zip(bounds, bounds[1:]))
+    blocks = parallel.blocks(n_frames, parallel.default_workers(cfg.camera))
+    yield from parallel.forked(
+        blocks, lambda first, stop: _block(events, cfg, imu, anchor, first, stop), "frames")
 
 
 def _block(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None, anchor: int,
@@ -230,22 +188,3 @@ def _block(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None, anchor: in
         if index >= first:
             yield _pair(prev, curr, cfg, index, imu, time.perf_counter() - t0)
         prev, t0 = curr, time.perf_counter()
-
-
-def _spool(spool, rows: Iterator[PairResult]) -> NoReturn:
-    """Pickle each of ``rows`` into ``spool``, then the exception that ended
-    them or None, and end this forked process without returning into its
-    caller's stack or flushing the stdio it inherited."""
-    status = 1
-    try:
-        try:
-            for row in rows:
-                pickle.dump(row, spool)
-        except BaseException as exc:
-            pickle.dump(exc, spool)
-        else:
-            pickle.dump(None, spool)
-        spool.flush()
-        status = 0
-    finally:
-        os._exit(status)

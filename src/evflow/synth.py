@@ -18,9 +18,9 @@ conventions in the run configuration instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, cycle
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .vehicle import Extrinsics, VelocityEstimate, transform_to_axle
 MAX_SUBSTEPS = 10 ** 6  # ceiling on duration / time_step, the simulator's loop count
 MAX_CROSSINGS = 1000  # ceiling on the contrast levels one pixel crosses in one substep
 MAX_NOISE_RATE = 1e6  # noise events per pixel per second: one per timestamp tick
-_CHUNK_SUBSTEPS = 4  # substeps per simulator work unit: see generate_events
 N_WAVES = 32  # plane waves summed by NoiseTexture
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -108,10 +107,10 @@ class NoiseTexture:
         """
         kx, ky, phase, amp = self._waves
         # A render's texture outlives its temporaries, so it is allocated
-        # before them: they are then freed from the top of a simulator
-        # worker's heap, which glibc trims, not left as holes below it.
+        # before them: they are then freed from the top of the simulator
+        # process's heap, which glibc trims, not left as holes below it.
         # Allocated after them, this array and _bands' raised the peak RSS
-        # of simulating the benchmark's sim_drive scenario by about 5 MB.
+        # of simulating the benchmark's sim_drive scenario by about 0.7 MB.
         texture = np.empty((tx.row.size, tx.col.size))
         col = np.exp(1j * (tx.col[:, None] * kx + ty.col[:, None] * ky))
         row = amp * np.exp(1j * (tx.row[:, None, None] * kx + ty.row[:, None, None] * ky + phase))
@@ -484,61 +483,31 @@ def _put(buffer: np.ndarray, n: int, records: np.ndarray) -> None:
     buffer.view(np.uint8)[n * width:(n + records.size) * width] = records.view(np.uint8)
 
 
-@dataclass
-class _Worker:
-    """One simulator worker's state, kept for the run: the box of a lattice
-    texture's values, refilled only when a render's footprint leaves it, the
-    log intensity and threshold band it rendered last (those at the start
-    of substep ``k``), and the buffer its chunks' records are written to.
-
-    The buffer grows to the largest chunk and is reused, so the records
-    waiting for the calling thread are neither allocated nor freed among
-    the worker's temporaries.
-    """
-
-    box: LatticeBox
-    k: int = -1
-    level: np.ndarray | None = None
-    band: np.ndarray | None = None
-    records: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=EVENT_DTYPE))
-
-
-def _chunk_records(cfg: SimConfig, anchor: np.ndarray, raster: tuple[np.ndarray, np.ndarray],
-                   worker: _Worker, k0: int, poses: list, noise: list, h: float) -> int:
-    """Write the records of substeps ``k0``, ``k0 + 1``, ... of ``h`` seconds
-    each, every substep's sorted by time, to the start of ``worker.records``;
-    returns how many there are.
-
-    ``poses[i]`` is the plane pose (psi, c_px) at the start of substep
-    ``k0 + i`` and the last one the pose at the end of the chunk;
-    ``noise[i]`` holds substep ``k0 + i``'s noise events (timestamp in
-    float us, x, y, polarity), or None; ``raster`` holds each pixel's x and
-    y by its raster index.  The worker's last image is reused when it is
-    that of the chunk's start, else it is rendered once more.
-    """
+def _substeps(cfg: SimConfig, traj: Trajectory, h: float, rng: np.random.Generator,
+              pose: tuple[float, np.ndarray], first: int,
+              stop: int) -> Iterator[tuple[int, tuple[float, np.ndarray], tuple | None]]:
+    """Substeps ``first`` to ``stop - 1`` of ``h`` seconds each, from the plane
+    ``pose`` (psi, c_px) at the start of substep ``first`` and with ``rng`` in
+    its state there: yields each substep's index, the pose at its end and its
+    noise events (timestamp in float us, x, y, polarity) drawn from ``rng``,
+    or None."""
     cam = cfg.cam
-    if worker.k != k0:
-        worker.level = _render(cfg.texture, *poses[0], cam, worker.box)
-        worker.band = _bands(worker.level, anchor, cfg.contrast)
-    level_prev, band_prev = worker.level, worker.band
-    t_last_us = round(cfg.duration * 1e6) - 1
-    n = 0
-    for k, pose, drawn in zip(count(k0), poses[1:], noise):
-        level_new = _render(cfg.texture, *pose, cam, worker.box)
-        band_new = _bands(level_new, anchor, cfg.contrast)
-        columns = _crossings(level_prev, band_prev, level_new, band_new, anchor,
-                             cfg.contrast, k * h, h, raster, drawn)
-        if columns[0].size:
-            records = _sorted_records(columns, t_last_us)
-            if n + records.size > worker.records.size:
-                # no view of the buffer outlives a statement: refcheck=False is safe
-                worker.records.resize(n + records.size, refcheck=False)
-            _put(worker.records, n, records)
-            n += records.size
-            del records  # freed before the next substep's temporaries exist
-        level_prev, band_prev = level_new, band_new
-    worker.k, worker.level, worker.band = k0 + len(noise), level_prev, band_prev
-    return n
+    scale = cam.f_px / cam.height_z
+    expected_noise = cfg.noise_rate * h * cam.width * cam.height
+    psi, c_px = pose
+    for k in range(first, stop):
+        t0 = k * h
+        v_lon, v_lat, omega = traj.at(t0 + 0.5 * h)
+        dtheta, ux, uy = _twist_increment(float(v_lon), float(v_lat), float(omega), scale, h)
+        cr, sr = math.cos(dtheta), math.sin(dtheta)
+        c_px = np.array([cr * c_px[0] - sr * c_px[1] + ux, sr * c_px[0] + cr * c_px[1] + uy])
+        psi += dtheta
+        n_noise = int(rng.poisson(expected_noise)) if cfg.noise_rate > 0 else 0
+        yield k, (psi, c_px), (((t0 + rng.random(n_noise) * h) * 1e6,
+                                rng.integers(0, cam.width, n_noise).astype(np.uint16),
+                                rng.integers(0, cam.height, n_noise).astype(np.uint16),
+                                rng.choice(np.array([-1, 1], dtype=np.int8), n_noise))
+                               if n_noise else None)
 
 
 def generate_events(cfg: SimConfig, traj: Trajectory) -> tuple[np.ndarray, list[VelocityEstimate]]:
@@ -553,66 +522,64 @@ def generate_events(cfg: SimConfig, traj: Trajectory) -> tuple[np.ndarray, list[
     at substep boundaries.  ``Scenario`` checks that ``traj`` covers
     [0, ``cfg.duration``].
 
-    This thread integrates the poses and draws each substep's noise from
-    the one seeded generator, in substep order; chunks of
-    ``_CHUNK_SUBSTEPS`` substeps then run through ``parallel.in_order`` on
-    ``parallel.default_workers`` threads.  A substep's events depend only on
-    its two images, the anchor and its noise, so the stream does not depend
-    on the number of workers.
+    A substep's events depend only on its two images, the anchor and its
+    noise, so the substeps split into contiguous blocks, one per
+    ``parallel.default_workers``, which ``parallel.forked`` runs.  A set-up
+    pass integrates the poses and draws each substep's noise from the one
+    seeded generator, in substep order, keeping only the pose and the
+    generator's state at each block's first substep.  Each block replays its
+    substeps from there, rendering its first image once; this process runs
+    the first block and forked children the later ones.  The stream does not
+    depend on where the blocks are cut.
     """
     cam = cfg.cam
-    scale = cam.f_px / cam.height_z
     n_sub = max(1, math.ceil(cfg.duration / cfg.time_step))
     h = cfg.duration / n_sub
-    psi, c_px = 0.0, np.zeros(2)
-    # the chunks take the workers in turn: in_order keeps at most that many
-    # chunks pending, so no two chunks use one worker at once
-    lattice = getattr(cfg.texture, "lattice", None)  # noise has none; its box is never gathered
-    workers = [_Worker(LatticeBox(lattice)) for _ in range(parallel.default_workers(cam))]
-    first = workers[0]
-    first.level = _render(cfg.texture, psi, c_px, cam, first.box)
-    # each pixel's threshold ladder is anchored at its first level
-    anchor = first.level.copy()
-    # Threshold lines sit at anchor + (j - 1/2) * C so a fresh pixel starts
-    # centered in band 0; the first crossing in either direction needs a
-    # half-threshold traversal, every further one a full threshold.
-    first.k, first.band = 0, _bands(first.level, anchor, cfg.contrast)
-    rng = np.random.default_rng(cfg.seed)
-    expected_noise = cfg.noise_rate * h * cam.width * cam.height
+    # a lattice texture's values, kept for the run in each process and
+    # refilled only when a render's footprint leaves the box; noise has none,
+    # and its box is never gathered
+    box = LatticeBox(getattr(cfg.texture, "lattice", None))
+    # each pixel's threshold ladder is anchored at its first level.  Threshold
+    # lines sit at anchor + (j - 1/2) * C so a fresh pixel starts centered in
+    # band 0; the first crossing in either direction needs a half-threshold
+    # traversal, every further one a full threshold.
+    anchor = _render(cfg.texture, 0.0, np.zeros(2), cam, box)
     y_px, x_px = np.indices((cam.height, cam.width), dtype=np.uint16).reshape(2, -1)
     raster = x_px, y_px
+    t_last_us = round(cfg.duration * 1e6) - 1
+    blocks = parallel.blocks(n_sub, parallel.default_workers(cam))
+    rng = np.random.default_rng(cfg.seed)
+    starts = {0: ((0.0, np.zeros(2)), rng.bit_generator.state)}
+    for first, stop in blocks[:-1]:
+        for _, pose, _ in _substeps(cfg, traj, h, rng, starts[first][0], first, stop):
+            pass
+        starts[stop] = pose, rng.bit_generator.state
 
-    def chunks():
-        nonlocal psi, c_px
-        for k0, worker in zip(range(0, n_sub, _CHUNK_SUBSTEPS), cycle(workers)):
-            poses, noise = [(psi, c_px)], []
-            for k in range(k0, min(k0 + _CHUNK_SUBSTEPS, n_sub)):
-                t0 = k * h
-                v_lon, v_lat, omega = traj.at(t0 + 0.5 * h)
-                dtheta, ux, uy = _twist_increment(float(v_lon), float(v_lat), float(omega),
-                                                  scale, h)
-                cr, sr = math.cos(dtheta), math.sin(dtheta)
-                c_px = np.array([cr * c_px[0] - sr * c_px[1] + ux,
-                                 sr * c_px[0] + cr * c_px[1] + uy])
-                psi += dtheta
-                poses.append((psi, c_px))
-                n_noise = int(rng.poisson(expected_noise)) if cfg.noise_rate > 0 else 0
-                noise.append(((t0 + rng.random(n_noise) * h) * 1e6,
-                              rng.integers(0, cam.width, n_noise).astype(np.uint16),
-                              rng.integers(0, cam.height, n_noise).astype(np.uint16),
-                              rng.choice(np.array([-1, 1], dtype=np.int8), n_noise))
-                             if n_noise else None)
-            yield _chunk_records, cfg, anchor, raster, worker, k0, poses, noise, h
+    def block(first: int, stop: int) -> Iterator[np.ndarray]:
+        """Each substep's records of ``[first, stop)``, sorted by time."""
+        pose, state = starts[first]
+        rng.bit_generator.state = state
+        level = _render(cfg.texture, *pose, cam, box) if first else anchor
+        band = _bands(level, anchor, cfg.contrast)
+        for k, pose, noise in _substeps(cfg, traj, h, rng, pose, first, stop):
+            level_new = _render(cfg.texture, *pose, cam, box)
+            band_new = _bands(level_new, anchor, cfg.contrast)
+            columns = _crossings(level, band, level_new, band_new, anchor, cfg.contrast,
+                                 k * h, h, raster, noise)
+            if columns[0].size:
+                yield _sorted_records(columns, t_last_us)
+            level, band = level_new, band_new
 
     # The stream is written into one buffer that grows in place by exactly
-    # each chunk's records: ndarray.resize is realloc, which moves a large
+    # each substep's records: ndarray.resize is realloc, which moves a large
     # block by remapping its pages, so the stream is never copied or held
     # twice, and no zero-filled slack is resident ahead of need.  No view of
     # the buffer outlives a statement, which makes refcheck=False safe.
     events = np.empty(0, dtype=EVENT_DTYPE)
-    for worker, size in zip(cycle(workers), parallel.in_order(chunks(), len(workers))):
+    for records in parallel.forked(blocks, block, "substeps"):
         n = events.size
-        events.resize(n + size, refcheck=False)
-        _put(events, n, worker.records[:size])
+        events.resize(n + records.size, refcheck=False)
+        _put(events, n, records)
+        del records  # freed before the next substep's temporaries exist
     truth = _axle_truth(traj, cfg.ext, np.arange(n_sub + 1) * h)
     return events, truth

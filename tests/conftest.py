@@ -1,3 +1,9 @@
+import importlib
+
+# evflow before numpy: its BLAS thread pin holds only where numpy is not
+# loaded yet, and the processes that the tests fork run under it
+importlib.import_module("evflow")
+
 import numpy as np
 import pytest
 from scipy import ndimage

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from evflow.events import AccumulationConfig, CameraModel
 from evflow.flow import FlowField, compute_flow, flow_pyramid
@@ -16,6 +19,22 @@ def constant_trajectory(duration: float, v_lon: float = 0.0, v_lat: float = 0.0,
                         omega: float = 0.0) -> Trajectory:
     return Trajectory(np.array([0.0, duration]), np.array([v_lon] * 2),
                       np.array([v_lat] * 2), np.array([omega] * 2))
+
+
+def logged(path: Path, fn):
+    """``fn`` that also appends the calling process's id to the file ``path``
+    on each call, so that a forked child's calls are counted too."""
+    def wrapper(*args, **kwargs):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def render_plane(texture, pose: tuple[float, float, float], cam: CameraModel) -> np.ndarray:

@@ -40,6 +40,50 @@ def test_an_unread_import_is_found():
     assert unused_imports(source) == ["line 2: os", "line 3: osp", "line 4: pi"]
 
 
+THREAD_MODULES = ("threading", "concurrent.futures")
+
+
+def concurrency_outside_the_fork_helper(sources: dict[str, str]) -> list[str]:
+    """``module: line n: what`` for each import of a thread module, at any
+    depth, in ``sources`` (module name -> source), and each use of
+    ``os.fork`` outside ``parallel``."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = []
+            found += [f"{module}: line {node.lineno}: import {name}" for name in names
+                      if any(name == m or name.startswith(f"{m}.") for m in THREAD_MODULES)]
+            forks = (isinstance(node, ast.Attribute) and node.attr == "fork"
+                     and getattr(node.value, "id", None) == "os") or "os.fork" in names
+            if forks and module != "parallel":
+                found.append(f"{module}: line {node.lineno}: os.fork")
+    return found
+
+
+def test_only_the_fork_helper_runs_concurrent_work():
+    sources = {path.stem: path.read_text() for path in sorted(ROOT.glob("src/evflow/**/*.py"))}
+    assert "os.fork" in sources["parallel"]
+    assert concurrency_outside_the_fork_helper(sources) == []
+
+
+def test_a_thread_or_a_stray_fork_is_found():
+    source = ("import os, threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "from concurrent import futures\nfrom os import fork\n"
+              "def f():\n    import threading as t\n    return os.fork()\n")
+    assert concurrency_outside_the_fork_helper({"m": source, "parallel": source}) == [
+        "m: line 1: import threading", "m: line 2: import concurrent.futures.ThreadPoolExecutor",
+        "m: line 3: import concurrent.futures", "m: line 4: os.fork",
+        "m: line 6: import threading", "m: line 7: os.fork",
+        "parallel: line 1: import threading",
+        "parallel: line 2: import concurrent.futures.ThreadPoolExecutor",
+        "parallel: line 3: import concurrent.futures", "parallel: line 6: import threading"]
+
+
 def attributes_read(source: str) -> set[str]:
     """Every attribute name that ``source`` reads, as in ``obj.name``."""
     return {node.attr for node in ast.walk(ast.parse(source))

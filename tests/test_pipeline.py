@@ -34,7 +34,7 @@ from evflow.plots import CHANNEL_FILES, dump_flow_csv, emit_plots, write_blur_bu
 from evflow.rigid import EstimateQuality
 from evflow.synth import NoiseTexture, SimConfig, generate_events
 from evflow.vehicle import ImuSeries, VelocityEstimate
-from helpers import constant_trajectory
+from helpers import assert_no_child_left, constant_trajectory, logged
 
 QUALITY = EstimateQuality(n_inliers=10, inlier_fraction=1.0, mean_residual=0.0)
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -87,22 +87,6 @@ def counting(calls: list, name: str, fn):
         calls.append(name)
         return fn(*args, **kwargs)
     return wrapper
-
-
-def logged(path: Path, fn):
-    """``fn`` that also appends the calling process's id to the file ``path``
-    on each call, so that a forked child's calls are counted too."""
-    def wrapper(*args, **kwargs):
-        with open(path, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        return fn(*args, **kwargs)
-    return wrapper
-
-
-def assert_no_child_left():
-    """This process has no child process, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def with_gaps(events, present, window_us):
@@ -252,7 +236,7 @@ class TestRunPipeline:
         with tempfile.TemporaryDirectory() as tmp:
             for blocks in ([(0, n)], list(zip(bounds, bounds[1:]))):
                 path = Path(tmp) / f"estimates_{len(blocks)}.csv"
-                with mock.patch.object(pipeline, "_blocks", lambda n_frames, workers: blocks):
+                with mock.patch.object(parallel, "blocks", lambda n_items, workers: blocks):
                     state_io.write_velocity_csv(path, estimates(
                         events, cfg, t_start_us=shift, t_end_us=shift + n * window_us))
                 written.append(path.read_bytes())
@@ -296,7 +280,7 @@ class TestRunPipeline:
                             logged(log, pipeline.flow_pyramid))
         with workers_patched(3):
             pairs = list(iter_pairs(events, cfg))
-        assert pipeline._blocks(len(frames), 3) == [(0, 2), (2, 4), (4, 7)]
+        assert parallel.blocks(len(frames), 3) == [(0, 2), (2, 4), (4, 7)]
         assert [pair.estimate for pair in pairs[1:]] == cold
         per_process = Counter(log.read_text().split())
         assert per_process.pop(str(os.getpid())) == 2
@@ -324,7 +308,7 @@ class TestRunPipeline:
         for line in log.read_text().splitlines():
             pid, count = line.split()
             resident.setdefault(pid, []).append(int(count))
-        blocks = pipeline._blocks(len(rows), workers)
+        blocks = parallel.blocks(len(rows), workers)
         assert len(blocks) == len(resident) == workers
         assert sorted(map(len, resident.values())) == sorted(
             stop - max(first - 1, 0) for first, stop in blocks)
@@ -362,7 +346,7 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "process_frame_pair", child_pair_waits_for_the_first_block)
         rows = []
         with workers_patched(2):
-            assert pipeline._blocks(len(want), 2) == [(0, 2), (2, 5)]
+            assert parallel.blocks(len(want), 2) == [(0, 2), (2, 5)]
             for pair in iter_pairs(events, cfg):
                 rows.append(pair)
                 if len(rows) == 2:
@@ -1298,7 +1282,7 @@ trajectory.omega = 0.3, 0.3
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
         assert cli_main(argv) == 0
         full = state_io.load_velocity_csv(out / "estimates.csv")
-        assert pipeline._blocks(len(full), 2) == [(0, 2), (2, 4)]
+        assert parallel.blocks(len(full), 2) == [(0, 2), (2, 4)]
         real = pipeline.process_frame_pair
 
         def fail_at_pair_k(prev, curr, cfg, pair_index, **kwargs):
@@ -1312,9 +1296,10 @@ trajectory.omega = 0.3, 0.3
         assert not (out / "timings.json").exists()
         assert_no_child_left()
 
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_estimate_starts_no_thread_and_at_most_workers_minus_one_children(
-            self, workspace, monkeypatch, workers):
+    def test_no_thread_and_at_most_workers_minus_one_children(
+            self, workspace, monkeypatch, workers, command):
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
@@ -1324,10 +1309,14 @@ trajectory.omega = 0.3, 0.3
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: (started.append(thread), real_start(thread)))
         monkeypatch.setattr(os, "fork", lambda: (forks.append(workers), real_fork())[1])
-        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(ev)]) == 0
+        argv = {"estimate": ["estimate", "--config", str(run_cfg), "--events", str(ev)],
+                "simulate": ["simulate", str(scenario), "--events", str(ev)]}[command]
+        assert cli_main(argv) == 0
         assert started == []
-        # 4 windows: two blocks for two workers, one for three (too few for two a block)
-        assert len(forks) == {1: 0, 2: 1, 3: 0}[workers] <= workers - 1
+        # estimate's 4 windows: two blocks for two workers, one for three (too
+        # few for two a block); simulate's 32 substeps: a block per worker
+        assert len(forks) == {"estimate": {1: 0, 2: 1, 3: 0},
+                              "simulate": {1: 0, 2: 1, 3: 2}}[command][workers] <= workers - 1
         assert_no_child_left()
 
     def test_flow_debug_pair_past_last_frame_exit_2(self, workspace):

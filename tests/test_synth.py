@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -29,7 +28,7 @@ from evflow.synth import (N_WAVES, CheckerTexture, DotTexture, GridCoord, Lattic
                           _crossings, _sorted_records, _time_order, generate_events,
                           sample_texture)
 from evflow.vehicle import Extrinsics, ImuSeries
-from helpers import constant_trajectory, inject_outliers, render_plane
+from helpers import assert_no_child_left, constant_trajectory, inject_outliers, render_plane
 
 CAM = CameraModel(width=101, height=81, height_z=0.5, f_px=100.0)
 
@@ -590,8 +589,8 @@ trajectory.v_lon = 1.0, 1.0
 
 
 class TestWorkers:
-    """``generate_events`` runs chunks of substeps on ``parallel.default_workers``
-    threads."""
+    """``generate_events`` runs contiguous blocks of substeps, one per
+    ``parallel.default_workers``, in forked processes."""
 
     @given(first=st.floats(1e-3, 0.014), second=st.floats(1e-3, 0.014),
            texture=st.sampled_from(["noise", "dots"]), seed=st.integers(0, 2 ** 32 - 1))
@@ -608,35 +607,82 @@ class TestWorkers:
                  sim(tex, duration=second, noise_rate=2e3, seed=seed + 1), traj)
             runs.append((a.tobytes(), b.tobytes()))
         assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert_no_child_left()
 
-    def test_workers_keep_the_callers_error_state(self, tmp_path, capsys):
-        """A render that turns infinite after the first chunk raises on a pool
-        thread under the caller's ``np.errstate``, and ``simulate`` exits 2."""
-        real = synth.sample_texture
+    @given(n_sub=st.integers(2, 14), texture=st.sampled_from(["noise", "dots"]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_a_split_at_any_substep_writes_the_bytes_of_one_block(self, n_sub, texture, seed,
+                                                                  data):
+        tex = NoiseTexture(seed=3) if texture == "noise" else DotTexture(seed=4)
+        traj = Trajectory([0.0, 0.03], [1.0, 3.0], [0.5, -0.5], [2.0, -6.0])
+        cfg = sim(tex, duration=n_sub * 1e-3, noise_rate=2e3, seed=seed)
+        cuts = data.draw(st.sets(st.integers(1, n_sub - 1), min_size=1, max_size=3))
+        bounds = [0, *sorted(cuts), n_sub]
+        streams = []
+        for blocks in ([(0, n_sub)], list(zip(bounds, bounds[1:]))):
+            with mock.patch.object(parallel, "blocks", lambda n_items, workers: blocks):
+                streams.append(generate_events(cfg, traj)[0].tobytes())
+        assert streams[0] and streams[1] == streams[0]
+        assert_no_child_left()
 
-        def infinite_after_the_first_chunk():
-            calls = itertools.count()
-
-            def sample(*args):
-                level = real(*args)
-                # the first image and the first chunk's renders stay finite
-                finite = next(calls) <= synth._CHUNK_SUBSTEPS
-                return level if finite else np.full_like(level, np.inf)
-            return mock.patch.object(synth, "sample_texture", sample)
-
+    def test_a_later_blocks_error_follows_the_first_blocks_records(self, tmp_path, capsys):
+        """A render that turns infinite in the child's block raises there under
+        the ``np.errstate`` the child inherits; the error reaches this process
+        after the first block's records, and ``simulate`` exits 2."""
         scenario = tmp_path / "wide.cfg"
         scenario.write_text(WIDE_SCENARIO)
         cfg = Scenario.from_file(scenario)
         assert cfg.sim.cam.width * cfg.sim.cam.height >= parallel.PARALLEL_MIN_PIXELS
         with mock.patch.object(parallel, "default_workers", lambda cam: 2):
-            with infinite_after_the_first_chunk(), np.errstate(invalid="raise"), \
-                    pytest.raises(FloatingPointError):
+            clean, _ = generate_events(cfg.sim, cfg.trajectory)
+        assert parallel.blocks(12, 2) == [(0, 6), (6, 12)]
+        parent, real = os.getpid(), synth.sample_texture
+
+        def sample(*args):
+            level = real(*args)
+            return level if os.getpid() == parent else np.full_like(level, np.inf)
+
+        put, real_put = [], synth._put
+
+        def recording_put(buffer, n, records):
+            put.append(records.copy())
+            real_put(buffer, n, records)
+
+        with mock.patch.object(parallel, "default_workers", lambda cam: 2), \
+                mock.patch.object(synth, "sample_texture", sample):
+            with mock.patch.object(synth, "_put", recording_put), \
+                    np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
                 generate_events(cfg.sim, cfg.trajectory)
-            with infinite_after_the_first_chunk():
-                assert cli_main(["simulate", str(scenario),
-                                 "--events", str(tmp_path / "events.evt")]) == 2
+            assert_no_child_left()
+            # the first block's six substeps, each with records, and nothing after
+            first_block = np.concatenate(put)
+            assert len(put) == 6 and 0 < first_block.size < clean.size
+            assert first_block.tobytes() == clean[:first_block.size].tobytes()
+            assert clean["t_us"][first_block.size] >= 6000
+            assert cli_main(["simulate", str(scenario),
+                             "--events", str(tmp_path / "events.evt")]) == 2
+            assert_no_child_left()
         err = capsys.readouterr().err
         assert "cannot simulate this scenario" in err and "Traceback" not in err
+
+    def test_a_child_that_dies_raises_naming_its_substeps(self, tmp_path):
+        scenario = tmp_path / "wide.cfg"
+        scenario.write_text(WIDE_SCENARIO)
+        cfg = Scenario.from_file(scenario)
+        parent, real = os.getpid(), synth.sample_texture
+
+        def sample(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        with mock.patch.object(parallel, "default_workers", lambda cam: 2), \
+                mock.patch.object(synth, "sample_texture", sample), \
+                pytest.raises(RuntimeError, match="^the process of substeps 6-11 exited "
+                                                  "with status 3$"):
+            generate_events(cfg.sim, cfg.trajectory)
+        assert_no_child_left()
 
 
 class TestInjectOutliers:
@@ -692,14 +738,29 @@ class TestInjectOutliers:
             inject_outliers(self.field(), 1.5, 50.0, rng_seed=0)
 
 
-def _fresh_python(code: str, *args, **env: str) -> str:
+def _fresh_python(code: str, *args, **env: str | None) -> str:
     """Stdout of ``code`` run with ``args`` in a new interpreter that imports
-    evflow from this tree, with ``env`` added to its environment."""
+    evflow from this tree, with ``env`` added to its environment (a None
+    value removes the variable)."""
     src = str(Path(evflow.__file__).parents[1])
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env={k: v for k, v in env.items() if v is not None},
                           capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
+def test_import_pins_one_blas_thread_unless_the_caller_sets_one():
+    """``import evflow.cli`` in a fresh interpreter with no BLAS thread count
+    set leaves the process one OS thread; a caller's own count is kept."""
+    code = ("import os, evflow.cli; print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "os.environ['OMP_NUM_THREADS'], next(line.split()[1] for line in "
+            "open('/proc/self/status') if line.startswith('Threads:')))")
+    unset = _fresh_python(code, OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS=None)
+    assert unset.split() == ["1", "1", "1"]
+    caller = _fresh_python(code, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS=None)
+    assert caller.split()[:2] == ["2", "1"]
 
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"

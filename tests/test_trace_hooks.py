@@ -6,7 +6,6 @@ run, so each wrapped attribute must resolve, and the spans of a traced
 import importlib
 import importlib.util
 import inspect
-import math
 import time
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from evflow.cli import main as cli_main
 from evflow.config import RunConfig
 from evflow.event_io import write_events_binary
 from evflow.synth import NoiseTexture, SimConfig, generate_events
-from helpers import constant_trajectory
+from helpers import constant_trajectory, logged
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -145,13 +144,19 @@ def test_traced_simulate_spans_cover_its_wall_time(tmp_path):
     assert top >= COVERAGE * wall, f"top-level spans cover {top / wall:.1%} of the run"
 
 
-def test_traced_simulate_on_two_workers_renders_each_later_chunk_start_again(
+def test_traced_simulate_on_two_workers_renders_each_later_block_start_again(
         tmp_path, monkeypatch):
+    # the tracer sees this process's block only; the log counts both processes' renders
+    log = tmp_path / "renders.log"
     monkeypatch.setattr(parallel, "default_workers", lambda cam: 2)
+    monkeypatch.setattr(synth, "_render", logged(log, synth._render))
     spans, wall = traced_simulate(tmp_path)
+    blocks = parallel.blocks(N_SUB, 2)
+    assert blocks == [(0, 32), (32, 64)]
+    # two simulate runs: the untraced first and the traced one
+    assert len(log.read_text().split()) == 2 * (N_SUB + 1 + (len(blocks) - 1))
     names = [s[0] for s in spans]
-    extra_chunks = math.ceil(N_SUB / synth._CHUNK_SUBSTEPS) - 1
-    assert names.count("synth.texture") == N_SUB + 1 + extra_chunks
+    assert names.count("synth.texture") == 1 + 32
     assert names.count("synth.generate") == 1
     top = sum(end - start for name, start, end, parent, _ in spans
               if parent == -1 and name in ("synth.generate", "event_io.write"))
