@@ -626,7 +626,7 @@ class TestWorkers:
         assert streams[0] and streams[1] == streams[0]
         assert_no_child_left()
 
-    def test_a_later_blocks_error_follows_the_first_blocks_records(self, tmp_path, capsys):
+    def test_workers_keep_the_callers_error_state(self, tmp_path, capsys):
         """A render that turns infinite in the child's block raises there under
         the ``np.errstate`` the child inherits; the error reaches this process
         after the first block's records, and ``simulate`` exits 2."""
