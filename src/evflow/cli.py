@@ -7,7 +7,8 @@ truth -> metric report), ``plot`` (overlay + residual SVGs),
 pair's flow as CSV + quiver SVG).
 
 Exit codes: 0 success, 2 configuration error or an output path that
-cannot be written, 3 input format error, 4 evaluation error.
+cannot be written, 3 input format error, 4 evaluation error, 5 worker
+error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import event_io, state_io
 from .config import RunConfig, Scenario, _finite, _floats
-from .errors import ConfigError, EvaluationError, InputFormatError, OutputError
+from .errors import ConfigError, EvaluationError, InputFormatError, OutputError, WorkerError
 from .evaluate import evaluate
 from .events import CameraModel, iter_frames
 from .flow import compute_flow, subsample_flow
@@ -81,10 +82,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _stats_ms(samples: list[float]) -> dict[str, float]:
-    """Mean, spread, p95 and count of wall times given in seconds, in ms."""
+    """Mean, spread, p95 and count of wall times given in seconds, in ms; p95
+    interpolates between ranks as ``np.percentile`` does by default, without
+    the ``numpy.ma`` import of its first call."""
     ms = np.asarray(samples) * 1e3
-    return {"mean": float(ms.mean()), "std": float(ms.std()),
-            "p95": float(np.percentile(ms, 95)), "count": int(ms.size)}
+    ranked = sorted(ms.tolist())
+    lo, gamma = divmod((len(ranked) - 1) * 0.95, 1)
+    a, b = ranked[int(lo)], ranked[min(int(lo) + 1, len(ranked) - 1)]
+    p95 = b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+    return {"mean": float(ms.mean()), "std": float(ms.std()), "p95": p95, "count": int(ms.size)}
 
 
 def _cmd_estimate(args) -> int:
@@ -286,6 +292,9 @@ def main(argv=None) -> int:
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 4
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError and OutputError -> 2,
-InputFormatError (and subclasses) -> 3, EvaluationError -> 4.
+InputFormatError (and subclasses) -> 3, EvaluationError -> 4,
+WorkerError -> 5.
 """
 
 
@@ -44,3 +45,7 @@ class DegenerateConsensusError(EvflowError):
 
 class EvaluationError(EvflowError):
     """Estimate and ground-truth streams cannot be compared."""
+
+
+class WorkerError(EvflowError):
+    """A worker process could not be started or died without its results."""

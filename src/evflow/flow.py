@@ -163,8 +163,6 @@ _WINDOW_KERNEL.flags.writeable = False
 # Output lines per band-matrix product.  A tile reads 2r input lines beyond
 # its own, so wider tiles multiply more of the band's zeros.
 _CORR_TILE = 16
-# OpenBLAS runs a product on one thread while m*n*k stays at or below this.
-_BLAS_SINGLE_THREAD_MNK = 1 << 18
 
 
 @lru_cache(maxsize=128)
@@ -212,19 +210,14 @@ def _correlate1d(x: np.ndarray, kernel: np.ndarray, axis: int,
     starts, tiles = _band_tiles(n, tuple(np.asarray(kernel, dtype=np.float64).tolist()))
     width = tiles.shape[-1]
     last = axis % x.ndim == x.ndim - 1
-    free = x.shape[-2 if last else -1]
-    # long lines are split so that no product is threaded
-    step = min(free, max(1, _BLAS_SINGLE_THREAD_MNK // (_CORR_TILE * width)))
     for tile, lo, t0 in zip(tiles, starts, range(0, n, _CORR_TILE)):
         first = -(-t0 // stride)  # the tile's first output line
         band = tile[first * stride - t0:n - t0:stride]
         t = slice(first, first + len(band))
-        for c0 in range(0, free, step):
-            c = slice(c0, c0 + step)
-            if last:
-                output[..., c, t] = x[..., c, lo:lo + width] @ band.T
-            else:
-                output[..., t, c] = band @ x[..., lo:lo + width, c]
+        if last:
+            output[..., t] = x[..., lo:lo + width] @ band.T
+        else:
+            output[..., t, :] = band @ x[..., lo:lo + width, :]
     return output
 
 

@@ -18,25 +18,11 @@ import tempfile
 from collections.abc import Callable, Iterator
 from typing import NoReturn
 
-from .events import CameraModel
-
-# Frames of fewer pixels run in this process alone.  On a 2-vCPU host
-# (fresh processes, one BLAS thread, alternating pairs of runs), two workers
-# against one ran `evflow estimate` 1.43x as fast on the 346x260 drive (two
-# processes; median of 10 per-pair ratios, quartiles 1.37-1.51).  At 160x120,
-# two pair threads ran `estimate` (RANSAC on) only 0.85x as fast (10 pairs):
-# small frames do not pay for a second working set.  The `evflow simulate`
-# figures behind the same threshold date from when the simulator ran on two
-# threads, not processes: 1.23-1.29x at 346x260 (medians of two sets of 10
-# pairs) and 0.86-0.95x at 160x120 (three sets of 10 pairs).
-PARALLEL_MIN_PIXELS = 40_000
+from .errors import WorkerError
 
 
-def default_workers(cam: CameraModel) -> int:
-    """Processes to run at once: two on frames of ``PARALLEL_MIN_PIXELS`` or
-    more where two CPUs are usable, else one."""
-    if cam.width * cam.height < PARALLEL_MIN_PIXELS:
-        return 1
+def default_workers() -> int:
+    """Processes to run at once: two where two CPUs are usable, else one."""
     if hasattr(os, "sched_getaffinity"):
         return min(2, len(os.sched_getaffinity(0)))
     return min(2, os.cpu_count() or 1)
@@ -61,15 +47,19 @@ def forked(spans: list[tuple[int, int]], body: Callable[[int, int], Iterator],
     items to an unlinked temporary file.  Each child's items follow, in span
     order, once the child has exited.  An exception that ends a body, in any
     process, is raised after every item before it (a body yields no
-    exceptions); a child that dies without a result raises RuntimeError
-    naming its ``noun`` range and exit status.  No child outlives the
-    generator, even one closed early.
+    exceptions).  A child that cannot be started, or that dies without a
+    result, raises WorkerError naming its ``noun`` range and the OSError or
+    exit status.  No child outlives the generator, even one closed early.
     """
     spools, pids = [], []  # a later span's spool and child, 0 once reaped
     try:
         for first, stop in spans[1:]:
-            spools.append(tempfile.TemporaryFile())
-            pid = os.fork()
+            try:
+                spools.append(tempfile.TemporaryFile())
+                pid = os.fork()
+            except OSError as exc:
+                raise WorkerError(f"cannot start the process of {noun} {first}-{stop - 1}: "
+                                  f"{exc.strerror or exc}") from exc
             if pid == 0:
                 _spool(spools[-1], body(first, stop))
             pids.append(pid)
@@ -80,7 +70,7 @@ def forked(spans: list[tuple[int, int]], body: Callable[[int, int], Iterator],
             if status:
                 code = os.waitstatus_to_exitcode(status)
                 how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
-                raise RuntimeError(f"the process of {noun} {first}-{stop - 1} {how}")
+                raise WorkerError(f"the process of {noun} {first}-{stop - 1} {how}")
             spools[i].seek(0)
             while not isinstance(item := pickle.load(spools[i]), BaseException):
                 yield item

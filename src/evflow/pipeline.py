@@ -4,9 +4,9 @@ Frames are accumulated strictly in timestamp order; each consecutive frame
 pair runs intensity conversion, flow on the stride grid, correspondence
 subsampling, the (optionally RANSAC-guarded) rigid fit, metric conversion
 and the axle transfer.  A pair depends only on its two frames, the config
-and its index, so on large frames the windows split into contiguous
-blocks, one per worker process: this process runs the first block and a
-forked child each later one, and the rows still come out in frame order.
+and its index, so the windows split into contiguous blocks, one per worker
+process: this process runs the first block and a forked child each later
+one, and the rows still come out in frame order.
 A frame pair that fails any stage produces an estimate
 with ``valid = False`` and a reason code instead of being dropped.
 Each pair's row carries its own wall-clock seconds per stage.
@@ -27,9 +27,6 @@ from .events import EventFrame, _window_end, iter_frames, to_intensity, window_g
 from .flow import FlowPyramid, compute_flow, flow_pyramid, subsample_flow
 from .rigid import CameraVelocity, estimate_rigid, ransac_estimate, to_camera_velocity
 from .vehicle import ImuSeries, VelocityEstimate, substitute_imu_yaw, transform_to_axle
-
-PAIR_STAGES = ("intensity", "flow", "subsample", "estimate", "transform")
-
 
 @dataclass(frozen=True)
 class PairResult:
@@ -150,7 +147,7 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     codes and never vanish.
 
     The windows split into contiguous blocks, one per
-    ``parallel.default_workers(cfg.camera)``, which ``parallel.forked`` runs:
+    ``parallel.default_workers()``, which ``parallel.forked`` runs:
     this process runs the first block and yields its rows as they finish,
     and a forked child runs each later one, whose rows follow in block
     order.  Every process holds at most two frames and their pyramids.  When
@@ -163,7 +160,7 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
                                    t_start_us, t_end_us)
     if not n_frames:
         return
-    blocks = parallel.blocks(n_frames, parallel.default_workers(cfg.camera))
+    blocks = parallel.blocks(n_frames, parallel.default_workers())
     yield from parallel.forked(
         blocks, lambda first, stop: _block(events, cfg, imu, anchor, first, stop), "frames")
 

@@ -547,7 +547,7 @@ def generate_events(cfg: SimConfig, traj: Trajectory) -> tuple[np.ndarray, list[
     y_px, x_px = np.indices((cam.height, cam.width), dtype=np.uint16).reshape(2, -1)
     raster = x_px, y_px
     t_last_us = round(cfg.duration * 1e6) - 1
-    blocks = parallel.blocks(n_sub, parallel.default_workers(cam))
+    blocks = parallel.blocks(n_sub, parallel.default_workers())
     rng = np.random.default_rng(cfg.seed)
     starts = {0: ((0.0, np.zeros(2)), rng.bit_generator.state)}
     for first, stop in blocks[:-1]:

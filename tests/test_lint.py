@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -82,6 +83,36 @@ def test_a_thread_or_a_stray_fork_is_found():
         "parallel: line 1: import threading",
         "parallel: line 2: import concurrent.futures.ThreadPoolExecutor",
         "parallel: line 3: import concurrent.futures", "parallel: line 6: import threading"]
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """``module.NAME`` for each module-level UPPER_CASE name that a module in
+    ``sources`` (module name -> source) binds and that no module in them
+    reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}.{node.id}" for module, tree in trees.items() for statement in tree.body
+            if isinstance(statement, (ast.Assign, ast.AnnAssign))
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and CONSTANT.fullmatch(node.id) and node.id not in read]
+
+
+def test_every_module_constant_is_read_by_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(ROOT.glob("src/evflow/*.py"))}
+    assert unread_constants(sources) == []
+
+
+def test_an_unread_constant_is_found():
+    sources = {"a": "A = 1\n_B: int = 2\nC, D = 3, 4\nlower = 5\nE = 6\n"
+                    "def f():\n    F = 8\n    return C + g.D\n",
+               "g": "from a import A\nprint(A)\n"}
+    assert unread_constants(sources) == ["a._B", "a.E"]
 
 
 def attributes_read(source: str) -> set[str]:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -22,10 +23,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evflow import event_io, flow, parallel, pipeline, state_io
+from evflow import event_io, flow, parallel, pipeline, state_io, synth
+from evflow.cli import _stats_ms
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig
-from evflow.errors import EvaluationError, InputFormatError
+from evflow.errors import EvaluationError, InputFormatError, WorkerError
 from evflow.evaluate import evaluate
 from evflow.event_io import load_events_csv, write_events_binary
 from evflow.events import EVENT_DTYPE, iter_frames, make_events
@@ -76,9 +78,13 @@ def estimates(events, cfg, **kwargs) -> list[VelocityEstimate]:
     return [pair.estimate for pair in iter_pairs(events, cfg, **kwargs)]
 
 
+# the stages every pair that reaches the axle transfer runs, in order
+PAIR_STAGES = ("intensity", "flow", "subsample", "estimate", "transform")
+
+
 def workers_patched(workers: int):
     """``parallel.default_workers`` answering ``workers`` while the context is open."""
-    return mock.patch.object(parallel, "default_workers", lambda cam: workers)
+    return mock.patch.object(parallel, "default_workers", lambda: workers)
 
 
 def counting(calls: list, name: str, fn):
@@ -147,6 +153,8 @@ class TestRunPipeline:
         assert estimates(events, cfg) == estimates(events, cfg)
 
     def test_each_frame_converted_and_expanded_once(self, monkeypatch):
+        # one process, so that every call is counted here
+        monkeypatch.setattr(parallel, "default_workers", lambda: 1)
         cfg, events, _ = small_scenario()
         frames = list(iter_frames(events, cfg.accumulation))
         cold = cold_estimates(frames, cfg)
@@ -163,6 +171,8 @@ class TestRunPipeline:
         assert rows[1:] == cold
 
     def test_pairs_of_empty_windows_skip_flow(self, monkeypatch, tmp_path):
+        # one process, so that every call is counted here
+        monkeypatch.setattr(parallel, "default_workers", lambda: 1)
         cfg, events, _ = small_scenario(duration=0.099)
         # the same three windows again, after six empty ones
         later = events.copy()
@@ -286,7 +296,7 @@ class TestRunPipeline:
         assert per_process.pop(str(os.getpid())) == 2
         assert sorted(per_process.values()) == [3, 4]
         assert [tuple(pair.stage_s) for pair in pairs] == [()] + [
-            (*pipeline.PAIR_STAGES, "pair")] * len(cold)
+            (*PAIR_STAGES, "pair")] * len(cold)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_at_most_two_frames_are_resident_per_process(self, long_stream, monkeypatch,
@@ -372,29 +382,24 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pipeline, "process_frame_pair", dies_in_the_child)
         rows = []
-        with workers_patched(2), pytest.raises(RuntimeError,
+        with workers_patched(2), pytest.raises(WorkerError,
                                                match=f"the process of frames 2-4 {message}$"):
             rows.extend(pair.estimate for pair in iter_pairs(events, cfg))
         assert rows == want
         assert_no_child_left()
 
-    def test_default_workers_follow_frame_size_and_usable_cpus(self, monkeypatch):
-        small = RunConfig.from_text(RUN_TEXT)  # 120x90
-        large = RunConfig.from_text(RUN_TEXT.replace("camera.width = 120", "camera.width = 346")
-                                    .replace("camera.height = 90", "camera.height = 260"))
-        assert large.camera.width * large.camera.height >= parallel.PARALLEL_MIN_PIXELS
-        for cpus, expect_large in ((1, 1), (2, 2), (8, 2)):
+    def test_default_workers_follow_usable_cpus(self, monkeypatch):
+        for cpus, workers in ((1, 1), (2, 2), (8, 2)):
             monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
-            assert parallel.default_workers(small.camera) == 1
-            assert parallel.default_workers(large.camera) == expect_large
+            assert parallel.default_workers() == workers
 
     def test_latency_accounting_sums(self):
         cfg, events, _ = small_scenario(duration=0.132)
         pairs = list(iter_pairs(events, cfg))
         assert len(pairs) == 4 and pairs[0].stage_s == {}
         for pair in pairs[1:]:
-            stage_sum = sum(pair.stage_s[s] for s in pipeline.PAIR_STAGES)
+            stage_sum = sum(pair.stage_s[s] for s in PAIR_STAGES)
             e2e = pair.stage_s["pair"]
             assert stage_sum <= e2e
             assert (e2e - stage_sum) / e2e < 0.05
@@ -413,12 +418,18 @@ class TestRunPipeline:
         assert list(doc) == ["stages_ms", "overhead_ms", "accumulate_s", "frames_in",
                              "frames_valid", "frames_invalid", "invalid_reasons"]
         stats = doc["stages_ms"]
-        assert list(stats) == [*pipeline.PAIR_STAGES, "pair"]
+        assert list(stats) == [*PAIR_STAGES, "pair"]
         assert [list(st) for st in stats.values()] == [["mean", "std", "p95", "count"]] * 6
         assert [st["count"] for st in stats.values()] == [len(flowed)] * 6
         assert doc["accumulate_s"] > 0
         assert doc["overhead_ms"] == pytest.approx(stats["pair"]["mean"] - sum(
-            stats[s]["mean"] for s in pipeline.PAIR_STAGES), rel=1e-9)
+            stats[s]["mean"] for s in PAIR_STAGES), rel=1e-9)
+
+    def test_p95_is_numpys_default_percentile(self):
+        rng = np.random.default_rng(2)
+        for count in range(1, 301):
+            for samples in (rng.exponential(0.01, count), rng.integers(0, 4, count) * 1e-3):
+                assert _stats_ms(samples.tolist())["p95"] == np.percentile(samples * 1e3, 95)
 
     def test_constant_speed_recovery_within_2pct(self):
         cfg, events, truth = small_scenario(duration=0.165, v_lon=1.5, v_lat=0.0,
@@ -770,7 +781,7 @@ trajectory.omega = 0.3, 0.3
         # timings.json's stage times are per-pair walls, which overlap across pairs
         stage_lines = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
                        if line.split()[0] in ("wall", "latency")]
-        assert stage_lines == [["wall", s] for s in (*pipeline.PAIR_STAGES, "pair")]
+        assert stage_lines == [["wall", s] for s in (*PAIR_STAGES, "pair")]
         assert cli_main(["plot", "--estimates", str(out / "estimates.csv"),
                          "--ground-truth", str(gt),
                          "--out-dir", str(tmp_path / "plots")]) == 0
@@ -1278,7 +1289,7 @@ trajectory.omega = 0.3, 0.3
         tmp_path, scenario, run_cfg = workspace
         ev, out = tmp_path / "events.csv", tmp_path / "out"
         argv = ["estimate", "--config", str(run_cfg), "--events", str(ev)]
-        monkeypatch.setattr(parallel, "default_workers", lambda cam: 2)
+        monkeypatch.setattr(parallel, "default_workers", lambda: 2)
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
         assert cli_main(argv) == 0
         full = state_io.load_velocity_csv(out / "estimates.csv")
@@ -1297,13 +1308,21 @@ trajectory.omega = 0.3, 0.3
         assert_no_child_left()
 
     @pytest.mark.parametrize("command", ["estimate", "simulate"])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, pytest.param(None, id="160x120")])
     def test_no_thread_and_at_most_workers_minus_one_children(
             self, workspace, monkeypatch, workers, command):
+        # workers None: the real default_workers on a 160x120 sensor, two CPUs usable
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"
+        if workers is None:
+            for path in (scenario, run_cfg):
+                text = path.read_text().replace("camera.width = 120", "camera.width = 160")
+                path.write_text(text.replace("camera.height = 90", "camera.height = 120"))
+            monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1},
+                                raising=False)
         assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
-        monkeypatch.setattr(parallel, "default_workers", lambda cam: workers)
+        if workers is not None:
+            monkeypatch.setattr(parallel, "default_workers", lambda: workers)
         started, forks = [], []
         real_start, real_fork = threading.Thread.start, os.fork
         monkeypatch.setattr(threading.Thread, "start",
@@ -1315,8 +1334,48 @@ trajectory.omega = 0.3, 0.3
         assert started == []
         # estimate's 4 windows: two blocks for two workers, one for three (too
         # few for two a block); simulate's 32 substeps: a block per worker
-        assert len(forks) == {"estimate": {1: 0, 2: 1, 3: 0},
-                              "simulate": {1: 0, 2: 1, 3: 2}}[command][workers] <= workers - 1
+        assert len(forks) == {"estimate": {1: 0, 2: 1, 3: 0, None: 1},
+                              "simulate": {1: 0, 2: 1, 3: 2, None: 1}}[command][workers] \
+            <= (workers or 2) - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command, items", [("estimate", "frames 2-3"),
+                                                ("simulate", "substeps 16-31")],
+                             ids=["estimate", "simulate"])
+    @pytest.mark.parametrize("failure", ["child_dies", "fork_raises"])
+    def test_a_worker_failure_exits_5(self, workspace, monkeypatch, capsys, failure, command,
+                                      items):
+        tmp_path, scenario, run_cfg = workspace
+        ev = tmp_path / "events.csv"
+        assert cli_main(["simulate", str(scenario), "--events", str(ev)]) == 0
+        monkeypatch.setattr(parallel, "default_workers", lambda: 2)
+        if failure == "fork_raises":
+            def fork():
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", fork)
+            want = f"cannot start the process of {items}: {os.strerror(errno.EAGAIN)}"
+        else:
+            parent = os.getpid()
+
+            def dies_in_the_child(real):
+                def call(*args, **kwargs):
+                    if os.getpid() != parent:
+                        os._exit(3)
+                    return real(*args, **kwargs)
+                return call
+
+            # one function that each command's later block calls
+            monkeypatch.setattr(pipeline, "process_frame_pair",
+                                dies_in_the_child(pipeline.process_frame_pair))
+            monkeypatch.setattr(synth, "sample_texture", dies_in_the_child(synth.sample_texture))
+            want = f"the process of {items} exited with status 3"
+        argv = {"estimate": ["estimate", "--config", str(run_cfg), "--events", str(ev)],
+                "simulate": ["simulate", str(scenario), "--events", str(tmp_path / "b.evt")]}
+        capsys.readouterr()
+        assert cli_main(argv[command]) == 5
+        err = capsys.readouterr().err
+        assert err == f"worker error: {want}\n"
         assert_no_child_left()
 
     def test_flow_debug_pair_past_last_frame_exit_2(self, workspace):

@@ -1,8 +1,10 @@
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ import evflow
 from evflow import parallel, state_io, synth
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig, Scenario
+from evflow.errors import WorkerError
 from evflow.event_io import write_events_binary
 from evflow.events import EVENT_DTYPE, CameraModel, make_events, validate_events
 from evflow.flow import FlowField
@@ -273,7 +276,9 @@ class TestLatticeBox:
                 records.append((footprint, box.values.size, box.x_lo, box.y_lo))
             return out
 
-        with mock.patch.object(synth.LatticeBox, "gather", recording):
+        # one process, so that every render is recorded here
+        with mock.patch.object(synth.LatticeBox, "gather", recording), \
+                mock.patch.object(parallel, "default_workers", lambda: 1):
             generate_events(cfg, Trajectory([0.0, 0.2], [5.0, 3.0], [1.0, -2.0], [8.0, 8.0]))
         assert len(records) == 201  # the first level and one per substep
         largest = 0
@@ -286,8 +291,10 @@ class TestLatticeBox:
     def test_lattice_box_fills_per_run(self, name, fills):
         """The spinning disk never leaves its first box; the dot drive does."""
         cfg, traj = pinned_scenario(name)
+        # one process, so that every fill is counted here
         with mock.patch.object(synth.LatticeBox, "fill", autospec=True,
-                               side_effect=synth.LatticeBox.fill) as fill:
+                               side_effect=synth.LatticeBox.fill) as fill, \
+                mock.patch.object(parallel, "default_workers", lambda: 1):
             generate_events(cfg, traj)
         # fills with another function are DotTexture.lattice's own dot-center boxes
         assert sum(c.args[0].fn == cfg.texture.lattice for c in fill.call_args_list) == fills
@@ -525,7 +532,7 @@ class TestPinnedEstimates:
         digests = set()
         for workers in (1, 2, 3):
             path = tmp_path / f"estimates_{workers}.csv"
-            with mock.patch.object(parallel, "default_workers", lambda cam: workers):
+            with mock.patch.object(parallel, "default_workers", lambda: workers):
                 state_io.write_velocity_csv(path, (pair.estimate for pair in
                                                    iter_pairs(events, cfg, imu=imu)))
             digests.add(file_sha256(path))
@@ -559,7 +566,7 @@ class TestEventBuffer:
     @settings(max_examples=40, deadline=None)
     def test_buffer_equals_the_concatenated_substep_records(self, duration, noise_rate, v_lon,
                                                             omega, seed):
-        # CAM's 101x81 frames run one worker, so make_events is called in stream order
+        # one worker, so that make_events is called here in stream order
         records = []
 
         def recording(*args):
@@ -567,7 +574,8 @@ class TestEventBuffer:
             return records[-1]
 
         cfg = sim(duration=duration, noise_rate=noise_rate, seed=seed)
-        with mock.patch.object(synth, "make_events", recording):
+        with mock.patch.object(synth, "make_events", recording), \
+                mock.patch.object(parallel, "default_workers", lambda: 1):
             ev, _ = generate_events(cfg, constant_trajectory(duration, v_lon=v_lon,
                                                              omega=omega))
         want = np.concatenate(records) if records else np.empty(0, dtype=EVENT_DTYPE)
@@ -601,7 +609,7 @@ class TestWorkers:
         traj = Trajectory([0.0, 0.03], [1.0, 3.0], [0.5, -0.5], [2.0, -6.0])
         runs = []
         for workers in (1, 2, 3):
-            with mock.patch.object(parallel, "default_workers", lambda cam: workers):
+            with mock.patch.object(parallel, "default_workers", lambda: workers):
                 a, _ = generate_events(sim(tex, duration=first, noise_rate=2e3, seed=seed), traj)
                 b, _ = generate_events(
                  sim(tex, duration=second, noise_rate=2e3, seed=seed + 1), traj)
@@ -633,8 +641,7 @@ class TestWorkers:
         scenario = tmp_path / "wide.cfg"
         scenario.write_text(WIDE_SCENARIO)
         cfg = Scenario.from_file(scenario)
-        assert cfg.sim.cam.width * cfg.sim.cam.height >= parallel.PARALLEL_MIN_PIXELS
-        with mock.patch.object(parallel, "default_workers", lambda cam: 2):
+        with mock.patch.object(parallel, "default_workers", lambda: 2):
             clean, _ = generate_events(cfg.sim, cfg.trajectory)
         assert parallel.blocks(12, 2) == [(0, 6), (6, 12)]
         parent, real = os.getpid(), synth.sample_texture
@@ -649,7 +656,7 @@ class TestWorkers:
             put.append(records.copy())
             real_put(buffer, n, records)
 
-        with mock.patch.object(parallel, "default_workers", lambda cam: 2), \
+        with mock.patch.object(parallel, "default_workers", lambda: 2), \
                 mock.patch.object(synth, "sample_texture", sample):
             with mock.patch.object(synth, "_put", recording_put), \
                     np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
@@ -677,9 +684,9 @@ class TestWorkers:
                 os._exit(3)
             return real(*args)
 
-        with mock.patch.object(parallel, "default_workers", lambda cam: 2), \
+        with mock.patch.object(parallel, "default_workers", lambda: 2), \
                 mock.patch.object(synth, "sample_texture", sample), \
-                pytest.raises(RuntimeError, match="^the process of substeps 6-11 exited "
+                pytest.raises(WorkerError, match="^the process of substeps 6-11 exited "
                                                   "with status 3$"):
             generate_events(cfg.sim, cfg.trajectory)
         assert_no_child_left()
@@ -738,16 +745,21 @@ class TestInjectOutliers:
             inject_outliers(self.field(), 1.5, 50.0, rng_seed=0)
 
 
-def _fresh_python(code: str, *args, **env: str | None) -> str:
-    """Stdout of ``code`` run with ``args`` in a new interpreter that imports
-    evflow from this tree, with ``env`` added to its environment (a None
-    value removes the variable)."""
+def _fresh_process(code: str, *args, **env: str | None) -> subprocess.CompletedProcess:
+    """``code`` run with ``args`` in a new interpreter that imports evflow
+    from this tree, with ``env`` added to its environment (a None value
+    removes the variable); its output is captured, and it must exit 0."""
     src = str(Path(evflow.__file__).parents[1])
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           env={k: v for k, v in env.items() if v is not None},
-                          capture_output=True, text=True, check=True).stdout
+                          capture_output=True, text=True, check=True)
+
+
+def _fresh_python(code: str, *args, **env: str | None) -> str:
+    """Stdout of ``_fresh_process(code, *args, **env)``."""
+    return _fresh_process(code, *args, **env).stdout
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
@@ -822,6 +834,21 @@ def test_no_command_loads_scipy(tmp_path):
     assert any((tmp_path / "debug").iterdir())
 
 
+def test_estimate_does_not_load_numpy_ma(tmp_path):
+    """``estimate`` in a fresh interpreter summarises its timings without
+    importing ``numpy.ma``, an import that would run after its last row."""
+    scenario, run_cfg = tmp_path / "scenario.cfg", tmp_path / "run.cfg"
+    scenario.write_text(TINY_SCENARIO)
+    run_cfg.write_text(TINY_RUN)
+    events = tmp_path / "events.evt"
+    cli = "import sys; from evflow.cli import main; code = main(sys.argv[1:]); "
+    _fresh_python(cli + "assert code == 0", "simulate", scenario, "--events", events)
+    out = _fresh_python(cli + "print(code, 'numpy.ma' in sys.modules)", "estimate",
+                        "--config", run_cfg, "--events", events, "--out-dir", tmp_path / "out")
+    assert out.splitlines()[-1] == "0 False"
+    assert json.loads((tmp_path / "out" / "timings.json").read_text())["stages_ms"]
+
+
 DRIVE_SCENARIO = """
 camera.width = 346
 camera.height = 260
@@ -856,6 +883,70 @@ def test_estimate_bytes_do_not_depend_on_blas_threads(tmp_path):
         rows.append((out / "estimates.csv").read_bytes())
     assert rows[0] == rows[1]
     assert len(rows[0].splitlines()) == 4  # header and one row per window
+
+
+def _correlate_digest() -> str:
+    """SHA-256 of float32 window correlations along each of the last two axes
+    of a stack whose other axis is 1,040 wide, at strides 1 and 4."""
+    import hashlib
+
+    import numpy as np
+
+    from evflow import flow
+
+    x = np.random.default_rng(7).standard_normal((2, 1100, 1040)).astype(np.float32)
+    return hashlib.sha256(b"".join(
+        flow._correlate1d(x, flow._WINDOW_KERNEL, axis, stride=stride).tobytes()
+        for axis in (-2, -1) for stride in (1, 4))).hexdigest()
+
+
+# The pinned streams, pair 2's flow-debug CSV and _correlate_digest, in a
+# new interpreter; prints them as one JSON line
+_KERNEL_DIGESTS = inspect.getsource(_correlate_digest) + """
+import hashlib, json, pickle, sys
+from pathlib import Path
+from evflow.cli import main
+from evflow.synth import generate_events
+
+scenarios, run_cfg, events, out = sys.argv[1:]
+digests = {}
+for name, scenario in pickle.loads(Path(scenarios).read_bytes()).items():
+    ev, _ = generate_events(*scenario)
+    digests[name] = [ev.size, hashlib.sha256(ev.tobytes()).hexdigest()]
+assert main(["flow-debug", "--config", run_cfg, "--events", events, "--pair-index", "2",
+             "--out-dir", out]) == 0
+digests["flow_00002.csv"] = hashlib.sha256((Path(out) / "flow_00002.csv").read_bytes()).hexdigest()
+digests["correlate"] = _correlate_digest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.parametrize("env", [{"OPENBLAS_CORETYPE": "Haswell"},
+                                 {"OPENBLAS_CORETYPE": "Sandybridge"},
+                                 {"OPENBLAS_CORETYPE": "Nehalem"},
+                                 {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["Haswell", "Sandybridge", "Nehalem", "two_blas_threads"])
+def test_pinned_bytes_do_not_depend_on_the_blas_kernel(env, tmp_path):
+    """The pinned streams, the pinned flow-debug CSV and flow's band
+    products on lines wider than 1,024 are the same bytes under other
+    OpenBLAS kernels, as another CPU would pick them, and with two BLAS
+    threads.  The estimates are left out: the rigid fit's BLAS sums still
+    differ across kernels."""
+    scenarios = tmp_path / "scenarios.pickle"
+    scenarios.write_bytes(pickle.dumps({name: pinned_scenario(name) for name in PINNED_STREAMS}))
+    events, _ = pinned_stream("noise_drive")
+    cfg, run_cfg = pinned_run_config("noise_drive", tmp_path)
+    ev_path = tmp_path / "events.evt"
+    write_events_binary(ev_path, events, cfg.camera.width, cfg.camera.height)
+    run = _fresh_process(_KERNEL_DIGESTS, scenarios, run_cfg, ev_path, tmp_path / "debug",
+                         OPENBLAS_VERBOSE="2", **env)
+    core = env.get("OPENBLAS_CORETYPE")
+    if core and f"Core: {core}" not in run.stderr.splitlines():
+        pytest.skip(f"OpenBLAS did not run the {core} kernel: {run.stderr.strip()!r}")
+    digests = json.loads(run.stdout.splitlines()[-1])
+    assert digests == {**{name: list(pin) for name, pin in PINNED_STREAMS.items()},
+                       "flow_00002.csv": PINNED_ESTIMATES["flow_00002.csv"],
+                       "correlate": _correlate_digest()}
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")

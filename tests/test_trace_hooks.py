@@ -133,7 +133,9 @@ def traced_simulate(tmp_path):
     return tracer.spans, wall
 
 
-def test_traced_simulate_spans_cover_its_wall_time(tmp_path):
+def test_traced_simulate_spans_cover_its_wall_time(tmp_path, monkeypatch):
+    # one process, so that the tracer sees every render
+    monkeypatch.setattr(parallel, "default_workers", lambda: 1)
     spans, wall = traced_simulate(tmp_path)
     names = [s[0] for s in spans]
     # one texture evaluation per rendered image: the initial one plus one per substep
@@ -148,7 +150,7 @@ def test_traced_simulate_on_two_workers_renders_each_later_block_start_again(
         tmp_path, monkeypatch):
     # the tracer sees this process's block only; the log counts both processes' renders
     log = tmp_path / "renders.log"
-    monkeypatch.setattr(parallel, "default_workers", lambda cam: 2)
+    monkeypatch.setattr(parallel, "default_workers", lambda: 2)
     monkeypatch.setattr(synth, "_render", logged(log, synth._render))
     spans, wall = traced_simulate(tmp_path)
     blocks = parallel.blocks(N_SUB, 2)
