@@ -197,6 +197,13 @@ class RunConfig(_KeyFile):
             raise ValueError("flow needs a camera at least 2 px on a side")
         if self.omega_source == "imu" and not self.imu_path:
             raise ValueError("omega.source = imu requires io.imu")
+        # a valid flow is finite float32 and the centred points lie below 2**16
+        # px, so a fitted shift is below 2**129 px; its velocity must be finite
+        bound_m = 2.0**129 * self.camera.meters_per_px
+        if not (math.isfinite(bound_m) and math.isfinite(bound_m / self.window_s)):
+            raise ValueError("camera.height_z / camera.f_px (or camera.fov_deg) over "
+                             "accumulation.window_us overflows the velocity of a 2**129 px "
+                             "shift")
 
     @property
     def window_s(self) -> float:

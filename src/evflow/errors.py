@@ -19,12 +19,7 @@ class OutputError(EvflowError):
 
 
 class InputFormatError(EvflowError):
-    """An input stream or file violates its declared format; ``row`` is the
-    index from 0 of the record at fault, when one is named."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+    """An input stream or file violates its declared format."""
 
 
 class EventBoundsError(InputFormatError):

@@ -8,6 +8,11 @@ solution of Arun, Huang & Blostein and of Umeyama, always a proper
 rotation).  A 2-point-sample RANSAC loop, its settings fixed below, guards
 the fit against outliers, and the pixel-space solution is converted to a
 metric camera velocity.
+
+The module runs no matrix product: each entry of H is a correctly rounded
+sum (``math.fsum``), points turn by the angle elementwise (``_turn``), and
+the axis mapping moves each component by index and sign.  So a fit's bytes
+do not depend on the BLAS kernel or its thread count.
 """
 
 from __future__ import annotations
@@ -24,14 +29,9 @@ RANSAC_ITERATIONS = 16  # 2-point hypotheses per fit
 INLIER_THRESHOLD_PX = 0.5  # end-point error below which a correspondence is an inlier
 MIN_INLIER_FRACTION = 0.3  # a consensus smaller than this share of the points fails
 
-# Named signed-permutation maps from image axes to vehicle axes
-# (x longitudinal forward, y lateral left).
-AXIS_MAPPINGS = {
-    "+x": np.array([1.0, 0.0]),
-    "-x": np.array([-1.0, 0.0]),
-    "+y": np.array([0.0, 1.0]),
-    "-y": np.array([0.0, -1.0]),
-}
+# Each name an image axis may map to: the vehicle axis (0 x longitudinal
+# forward, 1 y lateral left) and the sign it takes.
+AXIS_MAPPINGS = {"+x": (0, 1.0), "-x": (0, -1.0), "+y": (1, 1.0), "-y": (1, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -57,36 +57,25 @@ class AxisMapping:
         if self.omega_sign not in (1, -1):
             raise ValueError("omega_sign must be +1 or -1")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.column_stack([AXIS_MAPPINGS[self.image_x], AXIS_MAPPINGS[self.image_y]])
 
-
-def _rotation(theta: float) -> np.ndarray:
-    """Counter-clockwise rotation matrix by ``theta`` radians."""
+def _turn(theta: float, p: np.ndarray) -> np.ndarray:
+    """R p for the point ``p`` (shape (2,)) or each row of ``p`` (shape
+    (N, 2)), R the counter-clockwise rotation by ``theta`` radians."""
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    x, y = p[..., 0], p[..., 1]
+    return np.array([c * x - s * y, s * x + c * y]).T
 
 
 @dataclass(frozen=True)
 class RigidMotion2D:
-    """One frame pair's rotation (radians, counter-clockwise in image axes)
-    and pixel translation, with fit metadata."""
+    """One frame pair's rotation (radians in (-pi, pi], counter-clockwise in
+    image axes) and pixel translation, with fit metadata: the fit's point
+    count, at least 2, and its mean end-point error."""
 
     theta: float
     t: np.ndarray
     n_points: int
     mean_residual: float
-
-    def __post_init__(self):
-        if not -math.pi < self.theta <= math.pi:
-            raise ValueError("theta must lie in (-pi, pi]")
-        if self.n_points < 2:
-            raise ValueError("a rigid fit needs at least 2 points")
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return _rotation(self.theta)
 
 
 @dataclass(frozen=True)
@@ -115,7 +104,8 @@ def estimate_rigid(p: np.ndarray, q: np.ndarray) -> RigidMotion2D:
 
     The angle comes in closed form from the cross-covariance H of the
     centered point sets, theta = atan2(H01 - H10, H00 + H11), which
-    maximises trace(R H); then t = q_mean - R p_mean.  ``p`` and ``q`` are
+    maximises trace(R H); then t = q_mean - R p_mean.  Each entry of H is
+    the correctly rounded sum of its N products.  ``p`` and ``q`` are
     ``subsample_flow``'s matching float64 (N, 2) arrays, or RANSAC's rows
     of them.
     """
@@ -127,20 +117,20 @@ def estimate_rigid(p: np.ndarray, q: np.ndarray) -> RigidMotion2D:
     pc = p - p_mean
     if not np.any(np.abs(pc) > 1e-12):
         raise InsufficientDataError("all source points coincide")
-    h_cov = pc.T @ (q - q_mean)
-    theta = math.atan2(h_cov[0, 1] - h_cov[1, 0], h_cov[0, 0] + h_cov[1, 1])
+    products = pc[:, :, None] * (q - q_mean)[:, None, :]  # pc[:, i] * qc[:, j]
+    h00, h01, h10, h11 = map(math.fsum, products.reshape(n, 4).T.tolist())
+    theta = math.atan2(h01 - h10, h00 + h11)
     if theta == -math.pi:  # a half turn whose sine is -0 or rounds away
         theta = math.pi
-    rot = _rotation(theta)
-    t = q_mean - rot @ p_mean
-    residual = float(np.mean(np.linalg.norm(p @ rot.T + t - q, axis=1)))
+    t = q_mean - _turn(theta, p_mean)
+    residual = float(np.mean(np.linalg.norm(_turn(theta, p) + t - q, axis=1)))
     return RigidMotion2D(theta=theta, t=t, n_points=n, mean_residual=residual)
 
 
 def reconstruct_flow(motion: RigidMotion2D, p: np.ndarray) -> np.ndarray:
-    """Predicted end points R p + t for each source point."""
-    p = np.asarray(p, dtype=np.float64)
-    return p @ motion.rotation.T + motion.t
+    """Predicted end points R p + t for each source point of the float64
+    (N, 2) array ``p``."""
+    return _turn(motion.theta, p) + motion.t
 
 
 def ransac_estimate(p: np.ndarray, q: np.ndarray, rng_seed) -> tuple[RigidMotion2D, np.ndarray]:
@@ -195,13 +185,16 @@ def to_camera_velocity(motion: RigidMotion2D, cam: CameraModel, dt: float, t_mid
     """Convert a pixel-space motion over dt seconds to metric velocity.
 
     Per image axis v = t * meters_per_px / dt and omega = theta / dt,
-    then the configured mounting mapping carries both into vehicle axes.
+    then the configured mounting mapping moves each component of v to its
+    vehicle axis, with its sign, and signs omega.
     ``motion`` was fitted to ``n_total`` correspondences, at least one.
     ``dt`` is the accumulation window, which ``AccumulationConfig`` keeps > 0.
     """
-    v_img = motion.t * cam.meters_per_px / dt
+    v = np.empty(2)
+    for name, value in zip((mapping.image_x, mapping.image_y), motion.t * cam.meters_per_px / dt):
+        axis, sign = AXIS_MAPPINGS[name]
+        v[axis] = sign * value
     omega = mapping.omega_sign * motion.theta / dt
     quality = EstimateQuality(n_inliers=motion.n_points, inlier_fraction=motion.n_points / n_total,
                               mean_residual=motion.mean_residual)
-    return CameraVelocity(v=mapping.matrix @ v_img, omega=omega,
-                          t_mid=t_mid, quality=quality)
+    return CameraVelocity(v=v, omega=omega, t_mid=t_mid, quality=quality)

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFormatError
 from .event_io import read_csv, row_error, write_csv
 from .rigid import EstimateQuality
 from .vehicle import ImuSeries, VelocityEstimate
@@ -35,11 +34,12 @@ def write_imu_csv(path: str | Path, imu: ImuSeries) -> None:
 
 def load_imu_csv(path: str | Path) -> ImuSeries:
     rows = read_csv(path, _IMU_COLUMNS)
-    try:
-        return ImuSeries(rows["t_us"], rows["yaw_rate_rad_s"])
-    except InputFormatError as exc:  # the rows are out of time order
-        raise row_error(path, exc.row, f"has t_us {rows['t_us'][exc.row]}, "
-                        "below the row before it") from exc
+    t_us = rows["t_us"]
+    back = np.flatnonzero(t_us[1:] < t_us[:-1])
+    if back.size:
+        row = int(back[0]) + 1
+        raise row_error(path, row, f"has t_us {t_us[row]}, below the row before it")
+    return ImuSeries(t_us, rows["yaw_rate_rad_s"])
 
 
 def write_velocity_csv(path: str | Path, estimates: Iterable[VelocityEstimate]) -> None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputFormatError
 from .rigid import CameraVelocity, EstimateQuality
 
 
@@ -62,7 +61,7 @@ class ImuSeries:
     The series keeps read-only copies of its sample arrays, so it never
     changes once built and its caller's arrays stay writable.  ``t_us`` and
     ``yaw_rate`` are matching 1-d sequences (two columns of one file, or of
-    one truth list); only their time order is checked.
+    one truth list) in time order, which ``state_io.load_imu_csv`` checks.
     """
 
     t_us: np.ndarray
@@ -73,10 +72,6 @@ class ImuSeries:
             samples = np.array(getattr(self, name), dtype=dtype)
             samples.setflags(write=False)
             object.__setattr__(self, name, samples)
-        back = np.flatnonzero(self.t_us[1:] < self.t_us[:-1])
-        if back.size:
-            i = int(back[0]) + 1
-            raise InputFormatError(f"t_us[{i}] = {self.t_us[i]} is below t_us[{i - 1}]", row=i)
 
     def yaw_at(self, t_s: float, staleness_s: float) -> float | None:
         """Yaw rate at ``t_s``: linear interpolation between the bracketing

@@ -366,6 +366,20 @@ class TestDomains:
         if key.startswith("flow."):
             assert key in str(info.value)
 
+    @pytest.mark.parametrize("height_z, ok", [("1e260", True), ("1e270", False),
+                                              ("1e300", False)])
+    def test_camera_scale_must_keep_the_velocity_finite(self, height_z, ok):
+        # 2**129 px, a valid flow's bound, times 1e270 / 180 m per px is finite
+        # but overflows over the 20 ms window; with 1e300 it overflows at once
+        text = _text({**{k: v for k, (v, _, _) in RUN_VALUES.items()},
+                      "camera.height_z": height_z})
+        if ok:
+            RunConfig.from_text(text)
+            return
+        with pytest.raises(ConfigError, match=r"camera\.height_z / camera\.f_px .*"
+                                              r"accumulation\.window_us"):
+            RunConfig.from_text(text)
+
     @pytest.mark.parametrize("kind, line", [
         ("noise", "sim.duration_s = nan"), ("noise", "camera.height_z = nan"),
         ("noise", "sim.contrast = inf"), ("noise", "texture.seed = -1"),

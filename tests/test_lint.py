@@ -85,6 +85,43 @@ def test_a_thread_or_a_stray_fork_is_found():
         "parallel: line 3: import concurrent.futures", "parallel: line 6: import threading"]
 
 
+BLAS_CALLS = ("dot", "vdot", "matmul", "inner", "tensordot", "einsum")
+
+
+def blas_products(source: str) -> list[str]:
+    """``line n: what`` for each product in ``source`` that can run through
+    BLAS, whose sums differ between CPU kernels: an ``@``, a call named in
+    ``BLAS_CALLS``, and a ``linalg.norm`` without ``axis`` (a dot product)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in BLAS_CALLS:
+                found.append((node.lineno, name))
+            elif (name == "norm" and getattr(func.value, "attr", None) == "linalg"
+                  and len(node.args) < 3 and "axis" not in {k.arg for k in node.keywords}):
+                found.append((node.lineno, "linalg.norm without axis"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_rigid_fit_runs_no_blas_product():
+    assert blas_products((ROOT / "src/evflow/rigid.py").read_text()) == []
+
+
+def test_a_blas_product_is_found():
+    source = ("import numpy as np\nfrom numpy import dot\na = b @ c\na @= b\nnp.dot(a, b)\n"
+              "dot(a, b)\na.dot(b)\nnp.einsum('ij,j', a, b)\nnp.linalg.norm(a)\n"
+              "np.linalg.norm(a, 2, 1)\nnp.linalg.norm(a, axis=1)\nnp.vdot(a, b)\n"
+              "np.matmul(a, b)\nnp.inner(a, b)\nnp.tensordot(a, b)\nnp.multiply(a, b)\n")
+    assert blas_products(source) == [
+        "line 3: @", "line 4: @", "line 5: dot", "line 6: dot", "line 7: dot",
+        "line 8: einsum", "line 9: linalg.norm without axis", "line 12: vdot",
+        "line 13: matmul", "line 14: inner", "line 15: tensordot"]
+
+
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 

@@ -1206,8 +1206,13 @@ trajectory.omega = 0.3, 0.3
         ("camera.width = 120\ncamera.height = 90", "camera.width = 1\ncamera.height = 1"),
         ("seed = 5", f"seed = 5\naccumulation.count_cap = {3 * 10 ** 9}"),
         ("seed = 5", f"seed = 5\naccumulation.count_cap = {10 ** 20}"),
+        # each value passes its own check, but a 2**129 px shift overflows
+        ("camera.height_z = 0.5\ncamera.f_px = 100.0",
+         "camera.height_z = 1e300\ncamera.f_px = 1e-10"),
+        ("camera.height_z = 0.5", "camera.height_z = 1e270"),
     ], ids=["height_z_nan", "seed_negative", "window_past_u64", "camera_1px",
-            "count_cap_past_int32", "count_cap_past_int64"])
+            "count_cap_past_int32", "count_cap_past_int64", "meters_per_px_overflows",
+            "velocity_overflows"])
     def test_run_config_out_of_domain_exit_2(self, workspace, capsys, old, new):
         tmp_path, scenario, run_cfg = workspace
         ev = tmp_path / "events.csv"

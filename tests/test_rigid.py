@@ -73,12 +73,10 @@ class TestSvd2x2:
             # the angle is as well determined as s1 / |(m00 + m11, m01 - m10)|
             spread = s[0] / math.hypot(m[0, 0] + m[1, 1], m[0, 1] - m[1, 0])
             assert angle_gap(motion.theta, kabsch_theta(m)) <= 1e-14 * (1 + spread)
-            assert np.linalg.det(motion.rotation) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_matrix(self):
         motion = estimate_rigid(CROSS_P, cross_q(np.zeros((2, 2))))
         assert motion.theta == 0.0
-        assert np.array_equal(motion.rotation, np.eye(2))
         assert np.array_equal(motion.t, np.zeros(2))
 
 
@@ -114,12 +112,13 @@ class TestEstimateRigid:
         p = np.random.default_rng(3).standard_normal((6, 2)) * 5
         q = p * [-1.0, 1.0]  # mirrored points
         m = estimate_rigid(p, q)
-        assert np.linalg.det(m.rotation) == pytest.approx(1.0, abs=1e-12)
+        # the best rotation over the whole circle, not the reflection
+        grid = np.arange(-math.pi, math.pi, 1e-3)
+        assert objective(m, p, q) <= brute_force_objective(p, q, grid) + 1e-9
 
     def test_collinear_points_proper(self):
         p = np.stack([np.linspace(0, 10, 9), np.zeros(9)], axis=1)
         m = estimate_rigid(p, p @ rot(0.4).T + [1.0, 2.0])
-        assert np.linalg.det(m.rotation) == pytest.approx(1.0, abs=1e-12)
         assert m.theta == pytest.approx(0.4, abs=1e-9)
 
     def test_too_few_points(self):
@@ -194,7 +193,6 @@ class TestEstimateRigid:
         motion = estimate_rigid(p, q)
         assert angle_gap(motion.theta, kabsch_theta(h)) <= 1e-12
         assert -math.pi < motion.theta <= math.pi
-        assert np.linalg.det(motion.rotation) == pytest.approx(1.0, abs=1e-15)
 
     def test_half_turn_is_plus_pi(self):
         p = np.array([[1.0, 0.0], [-1.0, 0.0]])

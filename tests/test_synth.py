@@ -487,9 +487,9 @@ PINNED_RUNS = {
 # CSV and SVG on noise_drive; taken with numpy 2.4.6 and its bundled OpenBLAS
 # 0.3.31, whose float64 band products the flow's window passes run through
 PINNED_ESTIMATES = {
-    "noise_drive": "4cb8c7d87831517643065284ea36202e7183f3cf9d335daf1af5b13691c9c684",
-    "dot_disk": "64fcd6752d74bb3a2fedfbe971147ca9a9f6d10bba0e05eb3eb5c7eb53fa1c64",
-    "dot_drive": "f57cdfee828a1036714d1babe336035ef749b4f9c8a20980515a111f41ea2cec",
+    "noise_drive": "1e43649424be4242b3c9923123b2466d2e6f9800b592e451a0730ff1a188c7c2",
+    "dot_disk": "674b58175b0957d989f708993958c3796f2b5dfe2dc4307c699533483d2806b1",
+    "dot_drive": "1a9552cbd5d7ba7ace228e5d91f998cc5c03e5d64d930b6ce2eac6585af64824",
     "flow_00002.csv": "b873e4e3a6bc8b7fa8b0c2dce012dae5101bf93140f9ecfbb51e61a367d50fc9",
     "flow_00002.svg": "fa48762f1e713cb357842206f9167ea77fed811cb47362ca78eb51d339496895",
 }
@@ -516,6 +516,28 @@ def file_sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _estimates_digest(events, truth, cfg, path) -> str:
+    """SHA-256 of the estimates CSV that ``cfg``'s run over ``events`` writes
+    to ``path``; a run with ``omega.source = imu`` reads the yaw rate of
+    ``truth``."""
+    import hashlib
+    from pathlib import Path
+
+    import numpy as np
+
+    from evflow import state_io
+    from evflow.pipeline import iter_pairs
+    from evflow.vehicle import ImuSeries
+
+    imu = None
+    if cfg.omega_source == "imu":
+        t = np.array([g.t_mid for g in truth])
+        imu = ImuSeries((t * 1e6).round().astype(np.int64), [g.omega for g in truth])
+    state_io.write_velocity_csv(path, (pair.estimate for pair in
+                                       iter_pairs(events, cfg, imu=imu)))
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestPinnedEstimates:
     """The bytes the estimator writes for the pinned streams; one, two or
     three pair processes write the same (three split only ``dot_drive``'s
@@ -525,17 +547,11 @@ class TestPinnedEstimates:
     def test_estimates_bytes_are_pinned(self, name, tmp_path):
         events, truth = pinned_stream(name)
         cfg, _ = pinned_run_config(name, tmp_path)
-        imu = None
-        if cfg.omega_source == "imu":
-            t = np.array([g.t_mid for g in truth])
-            imu = ImuSeries((t * 1e6).round().astype(np.int64), [g.omega for g in truth])
         digests = set()
         for workers in (1, 2, 3):
-            path = tmp_path / f"estimates_{workers}.csv"
             with mock.patch.object(parallel, "default_workers", lambda: workers):
-                state_io.write_velocity_csv(path, (pair.estimate for pair in
-                                                   iter_pairs(events, cfg, imu=imu)))
-            digests.add(file_sha256(path))
+                digests.add(_estimates_digest(events, truth, cfg,
+                                              tmp_path / f"estimates_{workers}.csv"))
         assert digests == {PINNED_ESTIMATES[name]}
 
     def test_flow_debug_bytes_are_pinned(self, tmp_path):
@@ -900,9 +916,9 @@ def _correlate_digest() -> str:
         for axis in (-2, -1) for stride in (1, 4))).hexdigest()
 
 
-# The pinned streams, pair 2's flow-debug CSV and _correlate_digest, in a
-# new interpreter; prints them as one JSON line
-_KERNEL_DIGESTS = inspect.getsource(_correlate_digest) + """
+# The pinned streams with their estimates, pair 2's flow-debug CSV and
+# _correlate_digest, in a new interpreter; prints them as one JSON line
+_KERNEL_DIGESTS = inspect.getsource(_correlate_digest) + inspect.getsource(_estimates_digest) + """
 import hashlib, json, pickle, sys
 from pathlib import Path
 from evflow.cli import main
@@ -910,9 +926,10 @@ from evflow.synth import generate_events
 
 scenarios, run_cfg, events, out = sys.argv[1:]
 digests = {}
-for name, scenario in pickle.loads(Path(scenarios).read_bytes()).items():
-    ev, _ = generate_events(*scenario)
-    digests[name] = [ev.size, hashlib.sha256(ev.tobytes()).hexdigest()]
+for name, (scenario, cfg) in pickle.loads(Path(scenarios).read_bytes()).items():
+    ev, truth = generate_events(*scenario)
+    digests[name] = [ev.size, hashlib.sha256(ev.tobytes()).hexdigest(),
+                     _estimates_digest(ev, truth, cfg, Path(scenarios).with_name(f"{name}.csv"))]
 assert main(["flow-debug", "--config", run_cfg, "--events", events, "--pair-index", "2",
              "--out-dir", out]) == 0
 digests["flow_00002.csv"] = hashlib.sha256((Path(out) / "flow_00002.csv").read_bytes()).hexdigest()
@@ -927,13 +944,14 @@ print(json.dumps(digests))
                                  {"OPENBLAS_NUM_THREADS": "2"}],
                          ids=["Haswell", "Sandybridge", "Nehalem", "two_blas_threads"])
 def test_pinned_bytes_do_not_depend_on_the_blas_kernel(env, tmp_path):
-    """The pinned streams, the pinned flow-debug CSV and flow's band
-    products on lines wider than 1,024 are the same bytes under other
-    OpenBLAS kernels, as another CPU would pick them, and with two BLAS
-    threads.  The estimates are left out: the rigid fit's BLAS sums still
-    differ across kernels."""
+    """The pinned streams and their estimates, the pinned flow-debug CSV and
+    flow's band products on lines wider than 1,024 are the same bytes under
+    other OpenBLAS kernels, as another CPU would pick them, and with two
+    BLAS threads."""
     scenarios = tmp_path / "scenarios.pickle"
-    scenarios.write_bytes(pickle.dumps({name: pinned_scenario(name) for name in PINNED_STREAMS}))
+    scenarios.write_bytes(pickle.dumps({name: (pinned_scenario(name),
+                                               pinned_run_config(name, tmp_path)[0])
+                                        for name in PINNED_STREAMS}))
     events, _ = pinned_stream("noise_drive")
     cfg, run_cfg = pinned_run_config("noise_drive", tmp_path)
     ev_path = tmp_path / "events.evt"
@@ -944,7 +962,8 @@ def test_pinned_bytes_do_not_depend_on_the_blas_kernel(env, tmp_path):
     if core and f"Core: {core}" not in run.stderr.splitlines():
         pytest.skip(f"OpenBLAS did not run the {core} kernel: {run.stderr.strip()!r}")
     digests = json.loads(run.stdout.splitlines()[-1])
-    assert digests == {**{name: list(pin) for name, pin in PINNED_STREAMS.items()},
+    assert digests == {**{name: [*pin, PINNED_ESTIMATES[name]]
+                          for name, pin in PINNED_STREAMS.items()},
                        "flow_00002.csv": PINNED_ESTIMATES["flow_00002.csv"],
                        "correlate": _correlate_digest()}
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evflow.errors import InputFormatError
 from evflow.rigid import CameraVelocity, EstimateQuality
 from evflow.vehicle import (Extrinsics, ImuSeries, substitute_imu_yaw,
                             transform_to_axle)
@@ -90,11 +89,6 @@ class TestImuSeries:
         assert not (imu.t_us.flags.writeable or imu.yaw_rate.flags.writeable)
         t[0], w[0] = 5, 9.0
         assert (imu.t_us[0], imu.yaw_rate[0]) == (0, 1.0)
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(InputFormatError) as info:
-            ImuSeries([10, 20, 5], [0.0, 0.0, 0.0])
-        assert info.value.row == 2 and str(info.value) == "t_us[2] = 5 is below t_us[1]"
 
 
 class TestSubstituteImuYaw:
