@@ -2,12 +2,12 @@
 
 ``estimate``'s frame pairs and ``simulate``'s substeps share one shape: a
 numbered run of items, where a block of consecutive items can be produced
-from state that is known before the run starts.  ``blocks`` cuts the items
-into one contiguous block per worker (``default_workers``), and ``forked``
-runs each later block in a child process forked before any work, while this
-process runs the first one; the items still come out in order.  A child
-hands its items back through an unlinked temporary file, so it never waits
-for the parent, and ends with ``os._exit``.  Nothing here starts a thread.
+from its range alone.  ``forked`` cuts the items into one contiguous block
+per worker (``blocks`` of ``default_workers``) and runs each later block in
+a child process forked before any work, while this process runs the first
+one; the items still come out in order.  A child hands its items back
+through an unlinked temporary file, so it never waits for the parent, and
+ends with ``os._exit``.  Nothing here starts a thread.
 """
 
 from __future__ import annotations
@@ -38,20 +38,21 @@ def blocks(n_items: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def forked(spans: list[tuple[int, int]], body: Callable[[int, int], Iterator],
-           noun: str) -> Iterator:
-    """The items ``body(first, stop)`` yields for each of ``spans``, in order.
+def forked(n_items: int, body: Callable[[int, int], Iterator], noun: str) -> Iterator:
+    """The items ``body(first, stop)`` yields for each block of ``n_items``
+    items, one block per ``default_workers``, in order.
 
-    This process runs the first span's body and yields its items as they
-    come; before that it forks one child per later span, which pickles its
-    items to an unlinked temporary file.  Each child's items follow, in span
+    This process runs the first block's body and yields its items as they
+    come; before that it forks one child per later block, which pickles its
+    items to an unlinked temporary file.  Each child's items follow, in block
     order, once the child has exited.  An exception that ends a body, in any
     process, is raised after every item before it (a body yields no
     exceptions).  A child that cannot be started, or that dies without a
     result, raises WorkerError naming its ``noun`` range and the OSError or
     exit status.  No child outlives the generator, even one closed early.
     """
-    spools, pids = [], []  # a later span's spool and child, 0 once reaped
+    spans = blocks(n_items, default_workers())
+    spools, pids = [], []  # a later block's spool and child, 0 once reaped
     try:
         for first, stop in spans[1:]:
             try:

@@ -146,23 +146,21 @@ def iter_pairs(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None = None,
     ``textureless`` without running flow.  Invalid frames carry reason
     codes and never vanish.
 
-    The windows split into contiguous blocks, one per
-    ``parallel.default_workers()``, which ``parallel.forked`` runs:
-    this process runs the first block and yields its rows as they finish,
-    and a forked child runs each later one, whose rows follow in block
-    order.  Every process holds at most two frames and their pyramids.  When
-    a pair or the accumulation of a frame raises, in any block, every row
-    before it has been yielded.  Each row carries in ``accumulate_s`` the
-    time spent accumulating its own frame.  ``imu`` is given for
-    ``omega.source = imu``, which requires ``io.imu``.
+    ``parallel.forked`` splits the windows into contiguous blocks, one per
+    worker: this process runs the first block and yields its rows as they
+    finish, and a forked child runs each later one, whose rows follow in
+    block order.  Every process holds at most two frames and their
+    pyramids.  When a pair or the accumulation of a frame raises, in any
+    block, every row before it has been yielded.  Each row carries in
+    ``accumulate_s`` the time spent accumulating its own frame.  ``imu`` is
+    given for ``omega.source = imu``, which requires ``io.imu``.
     """
     anchor, n_frames = window_grid(events["t_us"], cfg.accumulation.window_us,
                                    t_start_us, t_end_us)
     if not n_frames:
         return
-    blocks = parallel.blocks(n_frames, parallel.default_workers())
     yield from parallel.forked(
-        blocks, lambda first, stop: _block(events, cfg, imu, anchor, first, stop), "frames")
+        n_frames, lambda first, stop: _block(events, cfg, imu, anchor, first, stop), "frames")
 
 
 def _block(events: np.ndarray, cfg: RunConfig, imu: ImuSeries | None, anchor: int,

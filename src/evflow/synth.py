@@ -483,19 +483,19 @@ def _put(buffer: np.ndarray, n: int, records: np.ndarray) -> None:
     buffer.view(np.uint8)[n * width:(n + records.size) * width] = records.view(np.uint8)
 
 
-def _substeps(cfg: SimConfig, traj: Trajectory, h: float, rng: np.random.Generator,
-              pose: tuple[float, np.ndarray], first: int,
+def _substeps(cfg: SimConfig, traj: Trajectory, h: float,
               stop: int) -> Iterator[tuple[int, tuple[float, np.ndarray], tuple | None]]:
-    """Substeps ``first`` to ``stop - 1`` of ``h`` seconds each, from the plane
-    ``pose`` (psi, c_px) at the start of substep ``first`` and with ``rng`` in
-    its state there: yields each substep's index, the pose at its end and its
-    noise events (timestamp in float us, x, y, polarity) drawn from ``rng``,
-    or None."""
+    """Substeps 0 to ``stop - 1`` of ``h`` seconds each, from the identity
+    plane pose and a generator seeded with ``cfg.seed``: yields each
+    substep's index, the pose (psi, c_px) at its end and its noise events
+    (timestamp in float us, x, y, polarity) drawn from that generator, or
+    None."""
     cam = cfg.cam
     scale = cam.f_px / cam.height_z
     expected_noise = cfg.noise_rate * h * cam.width * cam.height
-    psi, c_px = pose
-    for k in range(first, stop):
+    rng = np.random.default_rng(cfg.seed)
+    psi, c_px = 0.0, np.zeros(2)
+    for k in range(stop):
         t0 = k * h
         v_lon, v_lat, omega = traj.at(t0 + 0.5 * h)
         dtheta, ux, uy = _twist_increment(float(v_lon), float(v_lat), float(omega), scale, h)
@@ -523,14 +523,12 @@ def generate_events(cfg: SimConfig, traj: Trajectory) -> tuple[np.ndarray, list[
     [0, ``cfg.duration``].
 
     A substep's events depend only on its two images, the anchor and its
-    noise, so the substeps split into contiguous blocks, one per
-    ``parallel.default_workers``, which ``parallel.forked`` runs.  A set-up
-    pass integrates the poses and draws each substep's noise from the one
-    seeded generator, in substep order, keeping only the pose and the
-    generator's state at each block's first substep.  Each block replays its
-    substeps from there, rendering its first image once; this process runs
-    the first block and forked children the later ones.  The stream does not
-    depend on where the blocks are cut.
+    noise, so the substeps split into contiguous blocks, which
+    ``parallel.forked`` runs: this process the first block and forked
+    children the later ones.  A block replays the poses and the noise of
+    every substep before it from the identity pose and the one seeded
+    generator, in substep order, rendering only the image its first substep
+    starts from, so the stream does not depend on where the blocks are cut.
     """
     cam = cfg.cam
     n_sub = max(1, math.ceil(cfg.duration / cfg.time_step))
@@ -547,27 +545,20 @@ def generate_events(cfg: SimConfig, traj: Trajectory) -> tuple[np.ndarray, list[
     y_px, x_px = np.indices((cam.height, cam.width), dtype=np.uint16).reshape(2, -1)
     raster = x_px, y_px
     t_last_us = round(cfg.duration * 1e6) - 1
-    blocks = parallel.blocks(n_sub, parallel.default_workers())
-    rng = np.random.default_rng(cfg.seed)
-    starts = {0: ((0.0, np.zeros(2)), rng.bit_generator.state)}
-    for first, stop in blocks[:-1]:
-        for _, pose, _ in _substeps(cfg, traj, h, rng, starts[first][0], first, stop):
-            pass
-        starts[stop] = pose, rng.bit_generator.state
 
     def block(first: int, stop: int) -> Iterator[np.ndarray]:
         """Each substep's records of ``[first, stop)``, sorted by time."""
-        pose, state = starts[first]
-        rng.bit_generator.state = state
-        level = _render(cfg.texture, *pose, cam, box) if first else anchor
-        band = _bands(level, anchor, cfg.contrast)
-        for k, pose, noise in _substeps(cfg, traj, h, rng, pose, first, stop):
+        level, band = anchor, _bands(anchor, anchor, cfg.contrast)
+        for k, pose, noise in _substeps(cfg, traj, h, stop):
+            if k < first - 1:
+                continue  # its noise is drawn all the same, to keep the generator's place
             level_new = _render(cfg.texture, *pose, cam, box)
             band_new = _bands(level_new, anchor, cfg.contrast)
-            columns = _crossings(level, band, level_new, band_new, anchor, cfg.contrast,
-                                 k * h, h, raster, noise)
-            if columns[0].size:
-                yield _sorted_records(columns, t_last_us)
+            if k >= first:
+                columns = _crossings(level, band, level_new, band_new, anchor, cfg.contrast,
+                                     k * h, h, raster, noise)
+                if columns[0].size:
+                    yield _sorted_records(columns, t_last_us)
             level, band = level_new, band_new
 
     # The stream is written into one buffer that grows in place by exactly
@@ -576,7 +567,7 @@ def generate_events(cfg: SimConfig, traj: Trajectory) -> tuple[np.ndarray, list[
     # twice, and no zero-filled slack is resident ahead of need.  No view of
     # the buffer outlives a statement, which makes refcheck=False safe.
     events = np.empty(0, dtype=EVENT_DTYPE)
-    for records in parallel.forked(blocks, block, "substeps"):
+    for records in parallel.forked(n_sub, block, "substeps"):
         n = events.size
         events.resize(n + records.size, refcheck=False)
         _put(events, n, records)

@@ -42,12 +42,13 @@ def test_an_unread_import_is_found():
 
 
 THREAD_MODULES = ("threading", "concurrent.futures")
+SPLIT_CALLS = ("blocks", "default_workers")  # parallel's own choice of the blocks
 
 
 def concurrency_outside_the_fork_helper(sources: dict[str, str]) -> list[str]:
     """``module: line n: what`` for each import of a thread module, at any
     depth, in ``sources`` (module name -> source), and each use of
-    ``os.fork`` outside ``parallel``."""
+    ``os.fork`` and each call named in ``SPLIT_CALLS`` outside ``parallel``."""
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -63,6 +64,10 @@ def concurrency_outside_the_fork_helper(sources: dict[str, str]) -> list[str]:
                      and getattr(node.value, "id", None) == "os") or "os.fork" in names
             if forks and module != "parallel":
                 found.append(f"{module}: line {node.lineno}: os.fork")
+            if isinstance(node, ast.Call) and module != "parallel":
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in SPLIT_CALLS:
+                    found.append(f"{module}: line {node.lineno}: {name}()")
     return found
 
 
@@ -83,6 +88,14 @@ def test_a_thread_or_a_stray_fork_is_found():
         "parallel: line 1: import threading",
         "parallel: line 2: import concurrent.futures.ThreadPoolExecutor",
         "parallel: line 3: import concurrent.futures", "parallel: line 6: import threading"]
+
+
+def test_a_block_split_outside_the_fork_helper_is_found():
+    source = ("from evflow import parallel\nfrom evflow.parallel import blocks\n"
+              "spans = parallel.blocks(8, parallel.default_workers())\n"
+              "for block in blocks(8, 2):\n    pass\nblocks = default_workers\n")
+    assert concurrency_outside_the_fork_helper({"m": source, "parallel": source}) == [
+        "m: line 3: blocks()", "m: line 4: blocks()", "m: line 3: default_workers()"]
 
 
 BLAS_CALLS = ("dot", "vdot", "matmul", "inner", "tensordot", "einsum")

@@ -31,7 +31,8 @@ from evflow.synth import (N_WAVES, CheckerTexture, DotTexture, GridCoord, Lattic
                           _crossings, _sorted_records, _time_order, generate_events,
                           sample_texture)
 from evflow.vehicle import Extrinsics, ImuSeries
-from helpers import assert_no_child_left, constant_trajectory, inject_outliers, render_plane
+from helpers import (assert_no_child_left, constant_trajectory, inject_outliers, logged,
+                     render_plane)
 
 CAM = CameraModel(width=101, height=81, height_z=0.5, f_px=100.0)
 
@@ -633,21 +634,46 @@ class TestWorkers:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert_no_child_left()
 
-    @given(n_sub=st.integers(2, 14), texture=st.sampled_from(["noise", "dots"]),
-           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @given(split=st.integers(2, 14).flatmap(lambda n_sub: st.tuples(
+               st.just(n_sub), st.sets(st.integers(1, n_sub - 1), min_size=1, max_size=3))),
+           texture=st.sampled_from(["noise", "dots"]), seed=st.integers(0, 2 ** 32 - 1))
+    # a one-substep first block, a one-substep last block, and both
+    @example(split=(7, {1}), texture="noise", seed=5)
+    @example(split=(7, {1}), texture="dots", seed=5)
+    @example(split=(7, {6}), texture="noise", seed=5)
+    @example(split=(7, {6}), texture="dots", seed=5)
+    @example(split=(7, {1, 6}), texture="noise", seed=5)
+    @example(split=(7, {1, 6}), texture="dots", seed=5)
     @settings(max_examples=12, deadline=None)
-    def test_a_split_at_any_substep_writes_the_bytes_of_one_block(self, n_sub, texture, seed,
-                                                                  data):
+    def test_a_split_at_any_substep_writes_the_bytes_of_one_block(self, split, texture, seed):
+        n_sub, cuts = split
         tex = NoiseTexture(seed=3) if texture == "noise" else DotTexture(seed=4)
         traj = Trajectory([0.0, 0.03], [1.0, 3.0], [0.5, -0.5], [2.0, -6.0])
         cfg = sim(tex, duration=n_sub * 1e-3, noise_rate=2e3, seed=seed)
-        cuts = data.draw(st.sets(st.integers(1, n_sub - 1), min_size=1, max_size=3))
         bounds = [0, *sorted(cuts), n_sub]
         streams = []
         for blocks in ([(0, n_sub)], list(zip(bounds, bounds[1:]))):
             with mock.patch.object(parallel, "blocks", lambda n_items, workers: blocks):
                 streams.append(generate_events(cfg, traj)[0].tobytes())
         assert streams[0] and streams[1] == streams[0]
+        assert_no_child_left()
+
+    def test_the_child_replays_the_poses_before_its_block(self, tmp_path):
+        """Two blocks of six substeps: this process integrates the first six
+        poses, and makes one more call for the ground truth at every
+        boundary; the child integrates all twelve, rendering none of the
+        first five."""
+        scenario = tmp_path / "wide.cfg"
+        scenario.write_text(WIDE_SCENARIO)
+        cfg = Scenario.from_file(scenario)
+        log = tmp_path / "at.log"
+        with mock.patch.object(parallel, "default_workers", lambda: 2), \
+                mock.patch.object(Trajectory, "at", logged(log, Trajectory.at)):
+            generate_events(cfg.sim, cfg.trajectory)
+        assert parallel.blocks(12, 2) == [(0, 6), (6, 12)]
+        calls = log.read_text().split()
+        parent = calls.count(str(os.getpid()))
+        assert (parent, len(calls) - parent, len(set(calls))) == (6 + 1, 12, 2)
         assert_no_child_left()
 
     def test_workers_keep_the_callers_error_state(self, tmp_path, capsys):
