@@ -16,7 +16,7 @@ from __future__ import annotations
 import mmap
 import os
 from collections.abc import Iterable, Sequence
-from itertools import chain, islice, starmap
+from itertools import islice, starmap
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ _HEADER_BYTES = 8  # magic plus u16 width and u16 height
 _CSV_CHUNK = 1 << 16  # rows formatted per write, which bounds the text held at once
 _CHECK_BLOCK = 1 << 18  # EVT1 records read per block when a file is validated on load
 _RESCAN_LINES = 1 << 12  # rows per parse when a failed read looks for its bad line
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")  # names np.loadtxt decompresses
 # parsed wide so that an x, y or p outside its field is caught before narrowing: the
 # cast wraps silently, and not every numpy version allowed rejects it in loadtxt
 _CSV_COLUMNS = np.dtype([("t_us", "u8"), ("x", "i8"), ("y", "i8"), ("p", "i8")])
@@ -71,10 +72,13 @@ def read_csv(path: str | Path, dtype: np.dtype) -> np.ndarray:
                 raise InputFormatError(f"bad CSV header {found!r} in {path}; "
                                        f"expected {header!r}")
             # loadtxt warns on input without rows, so a body without one stops here
-            first = next((line for line in f if line != "\n"), None)
-            if first is None:
+            if all(line == "\n" for line in f):
                 return np.empty(0, dtype=dtype)
-            rows = _parse_rows(chain([first], f), dtype)
+            # loadtxt parses a file it opens itself in chunks, not a line per call,
+            # but it opens a name with a compression suffix through a decompressor
+            f.seek(0)
+            rows = _parse_rows(f if Path(path).suffix in _COMPRESSED_SUFFIXES else path,
+                               dtype, 1)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -96,8 +100,9 @@ def row_error(path: str | Path, row: int, message: str) -> InputFormatError:
                                 f"{message}")
 
 
-def _parse_rows(lines, dtype: np.dtype) -> np.ndarray:
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+def _parse_rows(source, dtype: np.dtype, skiprows: int) -> np.ndarray:
+    return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                      skiprows=skiprows)
 
 
 def _bad_line(path: str | Path, dtype: np.dtype) -> str | None:
@@ -110,7 +115,7 @@ def _bad_line(path: str | Path, dtype: np.dtype) -> str | None:
     """
     def first_failure(block):
         try:
-            _parse_rows([line for _, line in block], dtype)
+            _parse_rows([line for _, line in block], dtype, 0)
             return None
         except ValueError:
             pass
@@ -119,7 +124,7 @@ def _bad_line(path: str | Path, dtype: np.dtype) -> str | None:
                 return (f"line {lineno}: {line.count(',') + 1} fields, "
                         f"expected {len(dtype.names)}")
             try:
-                _parse_rows([line], dtype)
+                _parse_rows([line], dtype, 0)
             except ValueError as exc:  # numpy names the row of its one-line input
                 return f"line {lineno}: " + str(exc).replace(" at row 0,", " in")
         return None
@@ -144,7 +149,7 @@ def _bad_line(path: str | Path, dtype: np.dtype) -> str | None:
 def load_events_csv(path: str | Path, width: int, height: int) -> np.ndarray:
     """The events of the CSV file at ``path``, checked for a ``width`` x ``height`` sensor."""
     rows = read_csv(path, _CSV_COLUMNS)
-    for name in EVENT_DTYPE.names:
+    for name in ("x", "y", "p"):  # t_us is parsed as the u8 it is kept as
         info = np.iinfo(EVENT_DTYPE[name])
         if rows.size and (rows[name].min() < info.min or rows[name].max() > info.max):
             raise EventBoundsError(f"event CSV {name} value outside the {info.dtype} range")

@@ -58,12 +58,16 @@ class AxisMapping:
             raise ValueError("omega_sign must be +1 or -1")
 
 
+def _rotate(c, s, x, y):
+    """(x, y) turned by the angle of cosine ``c`` and sine ``s``: (c x - s y,
+    s x + c y), each operand broadcast against the others."""
+    return c * x - s * y, s * x + c * y
+
+
 def _turn(theta: float, p: np.ndarray) -> np.ndarray:
     """R p for the point ``p`` (shape (2,)) or each row of ``p`` (shape
     (N, 2)), R the counter-clockwise rotation by ``theta`` radians."""
-    c, s = math.cos(theta), math.sin(theta)
-    x, y = p[..., 0], p[..., 1]
-    return np.array([c * x - s * y, s * x + c * y]).T
+    return np.array(_rotate(math.cos(theta), math.sin(theta), p[..., 0], p[..., 1])).T
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,9 @@ def reconstruct_flow(motion: RigidMotion2D, p: np.ndarray) -> np.ndarray:
 def ransac_estimate(p: np.ndarray, q: np.ndarray, rng_seed) -> tuple[RigidMotion2D, np.ndarray]:
     """Consensus rigid fit: 2-point hypotheses, end-point-error inliers.
 
-    Runs ``RANSAC_ITERATIONS`` hypotheses from seeded 2-point samples,
-    keeps the largest inlier set (end-point error below
+    Fits ``RANSAC_ITERATIONS`` hypotheses from seeded 2-point samples, one
+    ``estimate_rigid`` call each, scores them all in one broadcast, keeps
+    the first largest inlier set (end-point error below
     ``INLIER_THRESHOLD_PX``), and refits on it.  Coincident samples are
     redrawn up to a global cap of 10x the iteration count.
 
@@ -150,8 +155,7 @@ def ransac_estimate(p: np.ndarray, q: np.ndarray, rng_seed) -> tuple[RigidMotion
         raise InsufficientDataError(f"RANSAC needs >= 2 correspondences, got {n}")
 
     rng = np.random.default_rng(rng_seed)
-    best_count = 0
-    best_mask = None
+    hypotheses = []
     retries = 10 * RANSAC_ITERATIONS
     for _ in range(RANSAC_ITERATIONS):
         while True:
@@ -162,17 +166,25 @@ def ransac_estimate(p: np.ndarray, q: np.ndarray, rng_seed) -> tuple[RigidMotion
             if retries < 0:
                 raise InsufficientDataError("could not sample two distinct source points")
         try:
-            hyp = estimate_rigid(p[[i, j]], q[[i, j]])
+            hypotheses.append(estimate_rigid(p[[i, j]], q[[i, j]]))
         except InsufficientDataError:
-            continue
-        epe = np.linalg.norm(reconstruct_flow(hyp, p) - q, axis=1)
-        mask = epe < INLIER_THRESHOLD_PX
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
+            pass
 
-    if best_mask is None or best_count < 2 or best_count / n < MIN_INLIER_FRACTION:
+    best_count = 0
+    if hypotheses:
+        # reconstruct_flow and the norm of its end-point error, for every
+        # hypothesis (row) and point (column) in one broadcast
+        c = np.array([[math.cos(hyp.theta)] for hyp in hypotheses])
+        s = np.array([[math.sin(hyp.theta)] for hyp in hypotheses])
+        t = np.array([hyp.t for hyp in hypotheses])
+        x, y = _rotate(c, s, p[:, 0], p[:, 1])
+        dx = x + t[:, :1] - q[:, 0]
+        dy = y + t[:, 1:] - q[:, 1]
+        masks = np.sqrt(dx * dx + dy * dy) < INLIER_THRESHOLD_PX
+        counts = np.count_nonzero(masks, axis=1)
+        best = int(np.argmax(counts))  # the first of the largest
+        best_count, best_mask = int(counts[best]), masks[best]
+    if best_count < 2 or best_count / n < MIN_INLIER_FRACTION:
         raise DegenerateConsensusError(
             f"best inlier fraction {best_count / n:.3f} below "
             f"{MIN_INLIER_FRACTION:.3f} ({best_count}/{n})")

@@ -10,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evflow.errors import DegenerateConsensusError, InsufficientDataError
 from evflow.events import AccumulationConfig, CameraModel
 from evflow.flow import FlowField, compute_flow, flow_pyramid
+from evflow.rigid import (INLIER_THRESHOLD_PX, MIN_INLIER_FRACTION, RANSAC_ITERATIONS,
+                          estimate_rigid, reconstruct_flow)
 from evflow.synth import Trajectory, _render
 
 
@@ -102,3 +105,37 @@ def add_at_reference(events: np.ndarray, c: AccumulationConfig, t_start_us: int,
         if end >= span_end:
             return out
         start = end
+
+
+def ransac_reference(p: np.ndarray, q: np.ndarray, rng_seed):
+    """``rigid.ransac_estimate`` scoring one hypothesis at a time through
+    ``reconstruct_flow``: the same draws, fits, selection and errors."""
+    n = p.shape[0]
+    if n < 2:
+        raise InsufficientDataError(f"RANSAC needs >= 2 correspondences, got {n}")
+    rng = np.random.default_rng(rng_seed)
+    best_count = 0
+    best_mask = None
+    retries = 10 * RANSAC_ITERATIONS
+    for _ in range(RANSAC_ITERATIONS):
+        while True:
+            i, j = rng.choice(n, size=2, replace=False)
+            if np.any(p[i] != p[j]):
+                break
+            retries -= 1
+            if retries < 0:
+                raise InsufficientDataError("could not sample two distinct source points")
+        try:
+            hyp = estimate_rigid(p[[i, j]], q[[i, j]])
+        except InsufficientDataError:
+            continue
+        mask = np.linalg.norm(reconstruct_flow(hyp, p) - q, axis=1) < INLIER_THRESHOLD_PX
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+    if best_mask is None or best_count < 2 or best_count / n < MIN_INLIER_FRACTION:
+        raise DegenerateConsensusError(
+            f"best inlier fraction {best_count / n:.3f} below "
+            f"{MIN_INLIER_FRACTION:.3f} ({best_count}/{n})")
+    return estimate_rigid(p[best_mask], q[best_mask]), best_mask

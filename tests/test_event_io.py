@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evflow import event_io
+from evflow import event_io, state_io
 from evflow.errors import EventBoundsError, EventOrderError, InputFormatError
-from evflow.event_io import (load_events_binary, load_events_csv,
+from evflow.event_io import (load_events_binary, load_events_csv, read_csv,
                              write_events_binary, write_events_csv)
 from evflow.events import (EVENT_DTYPE, AccumulationConfig, _release_pages, iter_frames,
                            make_events, validate_events)
@@ -114,6 +114,42 @@ def test_csv_bounds_checked_on_load(tmp_path):
         path.write_text(f"t_us,x,y,p\n1,{x},3,1\n")
         with pytest.raises(EventBoundsError, match="uint16"):
             load_events_csv(path, 346, 260)
+
+
+# each CSV input schema with rows of it; the velocity schema has object columns
+CSV_ROWS = {
+    "events": (event_io._CSV_COLUMNS, ["1,2,3,1", "5,0,1,-1", "18446744073709551615,4,4,1"]),
+    "imu": (state_io._IMU_COLUMNS, ["0,0.5", "10,-1e-3", "20,2"]),
+    "velocity": (state_io._VELOCITY_COLUMNS, ["0.0,1.0,0.0,0.0,flow,10,1.0,true",
+                                             "0.1,1.5,0.25,-0.5, imu ,0,0.0,false",
+                                             "0.2,-2.0,0.0,1e-3,truth,3,0.5,true"]),
+}
+# a file's text after its header line, from the rows
+CSV_LAYOUTS = {
+    "blank_lines": lambda rows: "\n" + "\n\n".join(rows) + "\n\n\n",
+    "crlf": lambda rows: "\r\n".join(rows) + "\r\n",
+    "no_final_newline": lambda rows: "\n".join(rows),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(CSV_LAYOUTS))
+@pytest.mark.parametrize("kind", sorted(CSV_ROWS))
+def test_read_csv_parses_each_layout_as_its_lines(tmp_path, kind, layout):
+    dtype, rows = CSV_ROWS[kind]
+    path = tmp_path / f"{kind}.csv"
+    newline = "\r\n" if layout == "crlf" else "\n"
+    path.write_bytes((",".join(dtype.names) + newline + CSV_LAYOUTS[layout](rows)).encode())
+    lines = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    got = read_csv(path, dtype)
+    assert got.dtype == dtype and got.tolist() == lines.tolist()
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_read_csv_reads_plain_text_under_a_compression_suffix(tmp_path, sample_events, suffix):
+    # np.loadtxt would decompress a path by its suffix; the file is read as it is
+    path = tmp_path / f"events.csv{suffix}"
+    write_events_csv(path, sample_events)
+    assert np.array_equal(load_events_csv(path, 346, 260), sample_events)
 
 
 def test_binary_round_trip(tmp_path, sample_events):

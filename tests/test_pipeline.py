@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gzip
 import io
 import json
 import math
@@ -929,6 +930,30 @@ trajectory.omega = 0.3, 0.3
         err = capsys.readouterr().err
         assert err.startswith("input format error:") and f"events.csv: line {line}:" in err
         assert "usecols" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [b",1", b"\xff"], ids=["extra_field", "not_utf8"])
+    @pytest.mark.parametrize("kind", sorted(CSV_HEADERS))
+    def test_a_bad_line_after_blank_lines_names_its_file_line(self, tmp_path, capsys, kind,
+                                                               bad):
+        row = {"events": b"1,0,0,1", "imu": b"1,0.5",
+               "velocity": ",".join(VALID_VELOCITY_ROW).encode()}[kind]
+        fields = CSV_HEADERS[kind].count(",") + 1
+        # header, blank, row, two blanks, then the bad row on line 6
+        assert run_csv_input(tmp_path, kind, b"\n" + row + b"\n\n\n" + row + bad + b"\n\n") == 3
+        err = capsys.readouterr().err
+        reason = f"{fields + 1} fields, expected {fields}" if bad == b",1" else "bytes that"
+        assert err.startswith("input format error:") and "Traceback" not in err
+        assert f"{kind}.csv: line 6: {reason}" in err
+
+    def test_gzipped_events_exit_3(self, workspace, capsys):
+        tmp_path, _, run_cfg = workspace
+        path = tmp_path / "events.csv.gz"
+        with gzip.open(path, "wt") as f:
+            f.write("t_us,x,y,p\n1,0,0,1\n")
+        assert cli_main(["estimate", "--config", str(run_cfg), "--events", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input format error:") and "events.csv.gz" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", sorted(CSV_HEADERS))
     @settings(max_examples=50, deadline=None)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evflow.errors import DegenerateConsensusError, InsufficientDataError
@@ -10,6 +10,7 @@ from evflow.events import CameraModel
 from evflow.rigid import (INLIER_THRESHOLD_PX, RANSAC_ITERATIONS, AxisMapping, RigidMotion2D,
                           estimate_rigid, ransac_estimate, reconstruct_flow,
                           to_camera_velocity)
+from helpers import ransac_reference
 
 CAM = CameraModel(width=640, height=480, height_z=0.6, f_px=554.26)
 
@@ -211,6 +212,53 @@ class TestReconstructFlow:
                            atol=1e-12)
 
 
+COORDS = st.integers(-6, 6).map(float) | st.floats(-6, 6)
+
+
+@st.composite
+def ransac_cases(draw):
+    """(p, q, seed) for a RANSAC fit on 2 or more points.  Sources lie on a
+    small grid; some repeat an earlier one (a sample of both is redrawn) or
+    lie within 1e-12 of it (their fit is skipped).  Each target follows one
+    of two motions, moved off it by 0 to 0.75 px (some by the inlier
+    threshold or just under it), or is an outlier; the two motions' counts
+    can tie, and every target may be an outlier."""
+    n = draw(st.integers(2, 20))
+    p = np.empty((n, 2))
+    for k in range(n):
+        how = draw(st.sampled_from(["new", "copy", "near"])) if k else "new"
+        if how == "new":
+            p[k] = draw(COORDS), draw(COORDS)
+        else:
+            p[k] = p[draw(st.integers(0, k - 1))]
+            if how == "near":
+                p[k] += draw(st.sampled_from([1e-13, -4e-13, 9e-13]))
+    motions = [(draw(st.floats(-math.pi, math.pi)), np.array([draw(COORDS), draw(COORDS)]) / 4)
+               for _ in range(2)]
+    offsets = st.sampled_from([0.0, 0.25, INLIER_THRESHOLD_PX - 1e-12, INLIER_THRESHOLD_PX, 0.75])
+    outliers_only = draw(st.booleans())
+    q = np.empty((n, 2))
+    for k in range(n):
+        which = None if outliers_only else draw(st.sampled_from([0, 1, None]))
+        if which is None:
+            q[k] = draw(st.floats(-60, 60)), draw(st.floats(-60, 60))
+        else:
+            theta, t = motions[which]
+            turn = draw(st.floats(-math.pi, math.pi))
+            q[k] = rot(theta) @ p[k] + t + draw(offsets) * np.array([math.cos(turn), math.sin(turn)])
+    return p, q, draw(st.integers(0, 2**32 - 1))
+
+
+def ransac_outcome(fit, p, q, seed):
+    """The bits of ``fit``'s motion and its mask, or its error's type and message."""
+    try:
+        motion, mask = fit(p, q, seed)
+    except (InsufficientDataError, DegenerateConsensusError) as exc:
+        return type(exc), str(exc)
+    return (motion.theta.hex(), motion.t.tobytes(), motion.n_points,
+            motion.mean_residual.hex(), mask.dtype, mask.tolist())
+
+
 class TestRansac:
     def make_contaminated(self, n_in=10, n_out=2):
         rng = np.random.default_rng(4)
@@ -271,6 +319,28 @@ class TestRansac:
         res_plain = np.linalg.norm(
             reconstruct_flow(plain, p[truth_inliers]) - q[truth_inliers], axis=1).mean()
         assert res_ransac <= res_plain
+
+    # every hypothesis skipped; the redraws run out; counts tie; and two sets where
+    # a third point's end-point error rounds to either side of the threshold, so
+    # that adding q before t, or np.hypot, changes the outcome
+    @given(case=ransac_cases())
+    @example(case=(np.array([[0.0, 0.0], [1e-13, 0.0]]), np.array([[0.0, 0.0], [1.0, 1.0]]), 0))
+    @example(case=(np.ones((3, 2)), np.zeros((3, 2)), 0))
+    @example(case=(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]]),
+                   np.array([[1.0, 0.0], [5.0, 0.0], [0.0, 5.0], [4.0, 5.0]]), 3))
+    @example(case=(np.array([[5.0, -3.0], [-5.0, 6.0], [-1.0, -3.0]]),
+                   np.array([[4.790526470568787, 5.704063015778063],
+                             [-6.214811278562612, -2.034318018233085],
+                             [3.410973719084397, 0.35388579093426]]), 0))
+    @example(case=(np.array([[6.0, -2.0], [-6.0, -6.0], [-1.0, 1.0]]),
+                   np.array([[4.843278382643569, -5.3686580870966445],
+                             [-6.948356734102115, -0.7907392069142958],
+                             [1.5240583115888504, 1.883150336437298]]), 0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_one_at_a_time_reference(self, case):
+        p, q, seed = case
+        assert ransac_outcome(ransac_estimate, p, q, seed) == ransac_outcome(
+            ransac_reference, p, q, seed)
 
     def test_optimality_over_random_instances(self):
         rng = np.random.default_rng(8)

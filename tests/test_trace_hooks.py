@@ -9,9 +9,13 @@ import inspect
 import time
 from pathlib import Path
 
-from evflow import parallel, synth
+import numpy as np
+import pytest
+
+from evflow import parallel, rigid, synth
 from evflow.cli import main as cli_main
 from evflow.config import RunConfig
+from evflow.errors import DegenerateConsensusError
 from evflow.event_io import write_events_binary
 from evflow.synth import NoiseTexture, SimConfig, generate_events
 from helpers import constant_trajectory, logged
@@ -52,6 +56,24 @@ def test_every_traced_attribute_resolves():
         fn = getattr(importlib.import_module(module_name), attr, None)
         assert callable(fn), f"{module_name}.{attr} is missing"
         assert inspect.isgeneratorfunction(fn) == is_generator, f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("consensus", [True, False], ids=["refit", "no_consensus"])
+def test_ransac_fits_each_hypothesis_through_the_traced_attribute(tmp_path, monkeypatch,
+                                                                   consensus):
+    """The tracer's fit layer is ``rigid.estimate_rigid``: each kept hypothesis is one
+    call, and so is the refit, also where the consensus fails and no refit runs."""
+    log = tmp_path / "fits.log"
+    monkeypatch.setattr(rigid, "estimate_rigid", logged(log, rigid.estimate_rigid))
+    rng = np.random.default_rng(6)
+    p = rng.uniform(-20, 20, size=(30, 2))
+    q = p + ([1.5, -0.5] if consensus else rng.uniform(-40, 40, size=(30, 2)))
+    if consensus:
+        rigid.ransac_estimate(p, q, rng_seed=1)
+    else:
+        with pytest.raises(DegenerateConsensusError):
+            rigid.ransac_estimate(p, q, rng_seed=1)
+    assert len(log.read_text().splitlines()) == rigid.RANSAC_ITERATIONS + consensus
 
 
 def test_traced_estimate_spans_cover_its_wall_time(tmp_path):
