@@ -37,11 +37,12 @@ from .vehicle import ImuSeries
 
 @contextmanager
 def _writing():
-    """Turn an OSError from creating or writing an output into OutputError."""
+    """Turn an OSError from creating or writing an output into OutputError;
+    of a rename's two paths it names the target."""
     try:
         yield
     except OSError as exc:
-        raise OutputError(f"cannot write {exc.filename or 'the output'}: "
+        raise OutputError(f"cannot write {exc.filename2 or exc.filename or 'the output'}: "
                           f"{exc.strerror or exc}") from exc
 
 

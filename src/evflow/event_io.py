@@ -9,24 +9,35 @@ Both readers validate the stream invariants on load, the only check a
 stream gets: ``events.iter_frames`` counts what they return.
 ``load_events`` and ``write_events`` pick the format from the file suffix:
 ``.evt`` is EVT1, anything else CSV.
+
+``spool_events`` keeps a stream made block by block (the simulator's) out
+of memory, in an unlinked temporary file of EVT1 records.  The event
+writers drop the mapped pages of each chunk they wrote, so a mapped stream
+is written without becoming resident, and rename the file over its path
+only after the last record: an EVT1 file holds no record count, so a write
+cut short must not leave a shorter stream behind.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-from collections.abc import Iterable, Sequence
+import tempfile
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from itertools import islice, starmap
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EventBoundsError, InputFormatError
-from .events import EVENT_DTYPE, validate_events
+from .errors import EventBoundsError, InputFormatError, OutputError
+from .events import EVENT_DTYPE, _release_pages, validate_events
 
 BINARY_MAGIC = b"EVT1"
 _HEADER_BYTES = 8  # magic plus u16 width and u16 height
-_CSV_CHUNK = 1 << 16  # rows formatted per write, which bounds the text held at once
+# records per write of an events file, which bounds the CSV text held at once
+# and the mapped pages a write passes before it drops them
+_WRITE_CHUNK = 1 << 16
 _CHECK_BLOCK = 1 << 18  # EVT1 records read per block when a file is validated on load
 _RESCAN_LINES = 1 << 12  # rows per parse when a failed read looks for its bad line
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")  # names np.loadtxt decompresses
@@ -40,17 +51,56 @@ def write_csv(path: str | Path, names: Sequence[str], blocks: Iterable[Iterable[
     block of rows (tuples in ``names`` order) with one write.  Every value is
     written by ``str``: a float (Python or numpy float64) in its shortest
     round-trip form, an int or a string as it is."""
-    line = ",".join(["{}"] * len(names)) + "\n"
     with open(path, "w", newline="") as f:
-        f.write(",".join(names) + "\n")
-        for block in blocks:
-            f.write("".join(starmap(line.format, block)))
+        _write_rows(f, names, blocks)
+
+
+def _write_rows(f, names: Sequence[str], blocks: Iterable[Iterable[tuple]]) -> None:
+    line = ",".join(["{}"] * len(names)) + "\n"
+    f.write(",".join(names) + "\n")
+    for block in blocks:
+        f.write("".join(starmap(line.format, block)))
 
 
 def write_events_csv(path: str | Path, events: np.ndarray) -> None:
-    parts = (events[start:start + _CSV_CHUNK] for start in range(0, events.size, _CSV_CHUNK))
-    write_csv(path, _CSV_COLUMNS.names,
-              (zip(*(part[name].tolist() for name in _CSV_COLUMNS.names)) for part in parts))
+    with _replacing(path, "x", newline="") as f:
+        _write_rows(f, _CSV_COLUMNS.names,
+                    (zip(*(part[name].tolist() for name in _CSV_COLUMNS.names))
+                     for part in _chunks(events)))
+
+
+def _chunks(events: np.ndarray) -> Iterator[np.ndarray]:
+    """``events`` in slices of ``_WRITE_CHUNK`` records; once the next slice
+    is asked for, the mapped pages the last one passed are dropped."""
+    for start in range(0, events.size, _WRITE_CHUNK):
+        stop = min(start + _WRITE_CHUNK, events.size)
+        yield events[start:stop]
+        _release_pages(events, stop)
+
+
+@contextmanager
+def _replacing(path: str | Path, mode: str, **kwargs) -> Iterator:
+    """A new file, opened with ``mode`` (an ``x`` mode) and ``kwargs`` at a
+    unique name in the directory of ``path`` (of its target, for a
+    symlink), which replaces that file once the block ends and is removed
+    if the block raises.  ``open`` creates it, so the umask sets its
+    permissions.  A device or a pipe at ``path`` cannot be replaced, and is
+    opened and written as it is."""
+    path = Path(path)
+    if path.exists() and not path.is_file() and not path.is_dir():
+        with open(path, mode.replace("x", "w"), **kwargs) as f:
+            yield f
+        return
+    path = path.resolve()
+    part = path.with_name(f"{path.name}.{os.urandom(6).hex()}.part")
+    f = open(part, mode, **kwargs)
+    try:
+        with f:
+            yield f
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def read_csv(path: str | Path, dtype: np.dtype) -> np.ndarray:
@@ -160,10 +210,10 @@ def load_events_csv(path: str | Path, width: int, height: int) -> np.ndarray:
 
 def write_events_binary(path: str | Path, events: np.ndarray,
                         width: int, height: int) -> None:
-    header = BINARY_MAGIC + np.array([width, height], dtype="<u2").tobytes()
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(events, dtype=EVENT_DTYPE).data)
+    with _replacing(path, "xb") as f:
+        f.write(BINARY_MAGIC + np.array([width, height], dtype="<u2").tobytes())
+        for part in _chunks(events):
+            f.write(np.ascontiguousarray(part, dtype=EVENT_DTYPE).data)
 
 
 def load_events_binary(path: str | Path) -> tuple[np.ndarray, int, int]:
@@ -187,6 +237,41 @@ def load_events_binary(path: str | Path) -> tuple[np.ndarray, int, int]:
             return np.frombuffer(b"", dtype=EVENT_DTYPE), width, height
         mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     return np.frombuffer(mapping, dtype=EVENT_DTYPE, offset=_HEADER_BYTES), width, height
+
+
+@contextmanager
+def _spooling() -> Iterator[None]:
+    """Turn an OSError from the spool into OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot spool the event stream in {tempfile.gettempdir()}: "
+                          f"{exc.strerror or exc}") from exc
+
+
+def spool_events(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """The records of ``blocks`` (``EVENT_DTYPE`` arrays), in order, as one
+    read-only array that views a file mapping, as ``load_events_binary``
+    returns.
+
+    Each block's bytes go to an unlinked temporary file as the block comes,
+    so the stream is never held in memory; the file lives as long as the
+    array.  A spool that cannot be created, written or mapped raises
+    OutputError.
+    """
+    with _spooling():
+        spool = tempfile.TemporaryFile()
+    with spool:
+        for block in blocks:
+            with _spooling():
+                spool.write(np.ascontiguousarray(block, dtype=EVENT_DTYPE).data)
+            del block  # freed before the next block is made
+        with _spooling():
+            spool.flush()
+            if not spool.tell():  # a zero-length mapping is an error
+                return np.frombuffer(b"", dtype=EVENT_DTYPE)
+            mapping = mmap.mmap(spool.fileno(), 0, access=mmap.ACCESS_READ)
+    return np.frombuffer(mapping, dtype=EVENT_DTYPE)
 
 
 def _check_records(f, n: int, width: int, height: int) -> None:

@@ -177,10 +177,13 @@ def ransac_estimate(p: np.ndarray, q: np.ndarray, rng_seed) -> tuple[RigidMotion
         c = np.array([[math.cos(hyp.theta)] for hyp in hypotheses])
         s = np.array([[math.sin(hyp.theta)] for hyp in hypotheses])
         t = np.array([hyp.t for hyp in hypotheses])
-        x, y = _rotate(c, s, p[:, 0], p[:, 1])
-        dx = x + t[:, :1] - q[:, 0]
-        dy = y + t[:, 1:] - q[:, 1]
-        masks = np.sqrt(dx * dx + dy * dy) < INLIER_THRESHOLD_PX
+        dx, dy = _rotate(c, s, p[:, 0], p[:, 1])
+        for d, axis in ((dx, 0), (dy, 1)):  # (x + t) - q, then squared, in place
+            d += t[:, axis:axis + 1]
+            d -= q[:, axis]
+            d *= d
+        dx += dy
+        masks = np.sqrt(dx, out=dx) < INLIER_THRESHOLD_PX
         counts = np.count_nonzero(masks, axis=1)
         best = int(np.argmax(counts))  # the first of the largest
         best_count, best_mask = int(counts[best]), masks[best]

@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import parallel
-from .events import EVENT_DTYPE, CameraModel, make_events
+from . import event_io, parallel
+from .events import CameraModel, make_events
 from .rigid import CameraVelocity, EstimateQuality
 from .vehicle import Extrinsics, VelocityEstimate, transform_to_axle
 
@@ -475,14 +475,6 @@ def _sorted_records(columns: list[np.ndarray], t_last_us: int) -> np.ndarray:
     return make_events(t_us, x[order], y[order], p[order])
 
 
-def _put(buffer: np.ndarray, n: int, records: np.ndarray) -> None:
-    """``buffer[n:n + records.size] = records`` for contiguous ``EVENT_DTYPE``
-    arrays, copied as bytes: numpy copies packed structured records field by
-    field, over ten times slower."""
-    width = EVENT_DTYPE.itemsize
-    buffer.view(np.uint8)[n * width:(n + records.size) * width] = records.view(np.uint8)
-
-
 def _substeps(cfg: SimConfig, traj: Trajectory, h: float,
               stop: int) -> Iterator[tuple[int, tuple[float, np.ndarray], tuple | None]]:
     """Substeps 0 to ``stop - 1`` of ``h`` seconds each, from the identity
@@ -518,8 +510,9 @@ def generate_events(cfg: SimConfig, traj: Trajectory) -> tuple[np.ndarray, list[
     crosses, with polarity matching the direction and the timestamp
     interpolated linearly within the substep; spurious Poisson events are
     appended at ``noise_rate`` per pixel per second.  The plane starts in
-    the identity pose.  Returns the event array and ground truth sampled
-    at substep boundaries.  ``Scenario`` checks that ``traj`` covers
+    the identity pose.  Returns the events, as the read-only mapped array
+    ``event_io.spool_events`` returns, and ground truth sampled at substep
+    boundaries.  ``Scenario`` checks that ``traj`` covers
     [0, ``cfg.duration``].
 
     A substep's events depend only on its two images, the anchor and its
@@ -529,6 +522,7 @@ def generate_events(cfg: SimConfig, traj: Trajectory) -> tuple[np.ndarray, list[
     every substep before it from the identity pose and the one seeded
     generator, in substep order, rendering only the image its first substep
     starts from, so the stream does not depend on where the blocks are cut.
+    Each substep's records are spooled out of the process as they come.
     """
     cam = cfg.cam
     n_sub = max(1, math.ceil(cfg.duration / cfg.time_step))
@@ -561,16 +555,6 @@ def generate_events(cfg: SimConfig, traj: Trajectory) -> tuple[np.ndarray, list[
                     yield _sorted_records(columns, t_last_us)
             level, band = level_new, band_new
 
-    # The stream is written into one buffer that grows in place by exactly
-    # each substep's records: ndarray.resize is realloc, which moves a large
-    # block by remapping its pages, so the stream is never copied or held
-    # twice, and no zero-filled slack is resident ahead of need.  No view of
-    # the buffer outlives a statement, which makes refcheck=False safe.
-    events = np.empty(0, dtype=EVENT_DTYPE)
-    for records in parallel.forked(n_sub, block, "substeps"):
-        n = events.size
-        events.resize(n + records.size, refcheck=False)
-        _put(events, n, records)
-        del records  # freed before the next substep's temporaries exist
+    events = event_io.spool_events(parallel.forked(n_sub, block, "substeps"))
     truth = _axle_truth(traj, cfg.ext, np.arange(n_sub + 1) * h)
     return events, truth

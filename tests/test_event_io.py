@@ -1,5 +1,8 @@
+import errno
 import mmap
+import os
 import re
+import stat
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evflow import event_io, state_io
-from evflow.errors import EventBoundsError, EventOrderError, InputFormatError
+from evflow.errors import EventBoundsError, EventOrderError, InputFormatError, OutputError
 from evflow.event_io import (load_events_binary, load_events_csv, read_csv,
                              write_events_binary, write_events_csv)
 from evflow.events import (EVENT_DTYPE, AccumulationConfig, _release_pages, iter_frames,
@@ -42,10 +45,11 @@ def reference_write_binary(path, events, width, height):
 
 
 @pytest.mark.parametrize("pick", [lambda ev: ev[::3], lambda ev: ev[:0], lambda ev: ev[7:8],
-                                  lambda ev: ev], ids=["strided", "empty", "one", "all"])
+                                  lambda ev: ev, lambda ev: event_io.spool_events([ev])],
+                         ids=["strided", "empty", "one", "all", "spooled"])
 def test_writers_match_the_reference_bytes(tmp_path, monkeypatch, sample_events, pick):
-    # a row chunk shorter than the stream, so rows cross chunk boundaries
-    monkeypatch.setattr(event_io, "_CSV_CHUNK", 7)
+    # a write chunk shorter than the stream, so records cross chunk boundaries
+    monkeypatch.setattr(event_io, "_WRITE_CHUNK", 7)
     events = pick(sample_events)
     ours, ref = tmp_path / "ours", tmp_path / "ref"
     write_events_csv(ours, events)
@@ -338,6 +342,90 @@ def test_mapped_frames_equal_in_memory_frames(tmp_path, monkeypatch, drop):
     assert len(frames) == 2 and all(f.event_total == 0 for f in frames)
     _release_pages(empty, 0)
     _release_pages(ev, n)
+
+
+def test_spool_is_the_blocks_as_a_read_only_mapping(sample_events):
+    blocks = [sample_events[:100], sample_events[100:100], sample_events[100:]]
+    spooled = event_io.spool_events(iter(blocks))
+    assert spooled.dtype == EVENT_DTYPE and spooled.tobytes() == sample_events.tobytes()
+    assert not spooled.flags.writeable
+    assert isinstance(spooled.base, memoryview) and isinstance(spooled.base.obj, mmap.mmap)
+    # no records map nothing: a zero-length mapping is an error
+    for blocks in ([], [sample_events[:0]]):
+        empty = event_io.spool_events(blocks)
+        assert empty.dtype == EVENT_DTYPE and empty.size == 0
+
+
+@pytest.mark.skipif(mapped_rss_kb() is None or not hasattr(mmap, "MADV_DONTNEED"),
+                    reason="needs RssFile in /proc/self/status and MADV_DONTNEED")
+def test_release_pages_drops_a_spools_pages():
+    n = 800_000  # 10.4 MB
+    ev = np.zeros(n, dtype=EVENT_DTYPE)
+    ev["t_us"] = np.arange(n)
+    spooled = event_io.spool_events([ev[:n // 2], ev[n // 2:]])
+    before = mapped_rss_kb()
+    assert int(spooled["t_us"].sum()) == n * (n - 1) // 2  # maps in every page
+    touched = mapped_rss_kb()
+    _release_pages(spooled, n)
+    assert touched - before > 9 * 1024 and mapped_rss_kb() - before < 1024
+    assert spooled.tobytes() == ev.tobytes()  # a dropped page reads back from the file
+
+
+def test_a_spool_that_cannot_be_created_raises_output_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    with pytest.raises(OutputError, match="^cannot spool the event stream in .*missing: "):
+        event_io.spool_events([make_events([1], [2], [3], [1])])
+
+
+@pytest.mark.parametrize("name", ["events.evt", "events.csv"])
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_a_write_cut_short_leaves_the_target_as_it_was(tmp_path, monkeypatch, sample_events,
+                                                       name, existing):
+    path = tmp_path / name
+    if existing:
+        path.write_bytes(b"earlier bytes")
+
+    def cut_short(records):
+        yield records[:7]
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(event_io, "_chunks", cut_short)
+    with pytest.raises(OSError, match="No space left"):
+        event_io.write_events(path, sample_events, 346, 260)
+    assert list(tmp_path.iterdir()) == ([path] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"earlier bytes"
+
+
+@pytest.mark.parametrize("name", ["events.evt", "events.csv"])
+def test_a_written_file_takes_its_mode_from_the_umask(tmp_path, sample_events, name):
+    path = tmp_path / name
+    path.write_bytes(b"")
+    path.chmod(0o600)
+    old = os.umask(0o027)
+    try:
+        event_io.write_events(path, sample_events, 346, 260)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("name", ["events.evt", "events.csv"])
+def test_a_symlink_is_written_through_and_a_device_in_place(tmp_path, sample_events, name):
+    target, link = tmp_path / "target" / name, tmp_path / name
+    target.parent.mkdir()
+    link.symlink_to(target)
+    event_io.write_events(link, sample_events, 346, 260)
+    assert link.is_symlink() and sorted(tmp_path.rglob("*")) == [link, target.parent, target]
+    assert np.array_equal(event_io.load_events(target, 346, 260), sample_events)
+    if Path(os.devnull).is_char_device():
+        if name.endswith(".evt"):
+            write_events_binary(os.devnull, sample_events, 346, 260)
+        else:
+            write_events_csv(os.devnull, sample_events)
+        assert Path(os.devnull).is_char_device()
+        assert not list(Path(os.devnull).parent.glob(Path(os.devnull).name + ".*.part"))
 
 
 @pytest.mark.parametrize("name", ["events.evt", "events.csv", "events"])

@@ -1400,13 +1400,17 @@ trajectory.omega = 0.3, 0.3
                                 dies_in_the_child(pipeline.process_frame_pair))
             monkeypatch.setattr(synth, "sample_texture", dies_in_the_child(synth.sample_texture))
             want = f"the process of {items} exited with status 3"
+        # simulate targets the events file estimate reads, which must come through intact
         argv = {"estimate": ["estimate", "--config", str(run_cfg), "--events", str(ev)],
-                "simulate": ["simulate", str(scenario), "--events", str(tmp_path / "b.evt")]}
+                "simulate": ["simulate", str(scenario), "--events", str(ev)]}
+        before = ev.read_bytes(), sorted(tmp_path.iterdir())
         capsys.readouterr()
         assert cli_main(argv[command]) == 5
         err = capsys.readouterr().err
         assert err == f"worker error: {want}\n"
         assert_no_child_left()
+        if command == "simulate":
+            assert (ev.read_bytes(), sorted(tmp_path.iterdir())) == before
 
     def test_flow_debug_pair_past_last_frame_exit_2(self, workspace):
         tmp_path, scenario, run_cfg = workspace
